@@ -1,0 +1,1 @@
+"""cortexbench: the repository's benchmark (see README.md in this directory)."""
