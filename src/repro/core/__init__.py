@@ -71,7 +71,6 @@ from repro.core.sharding import ShardedAsteriaCache, shard_index_for
 from repro.core.sine import Sine, SineResult
 from repro.core.tiered import TieredEngine
 from repro.core.tracelog import TraceLog
-from repro.core.timeline import MetricsTimeline, WindowStats
 from repro.core.types import CacheLookup, FetchResult, Query, estimate_tokens
 
 __all__ = [
@@ -105,7 +104,6 @@ __all__ = [
     "LatencyStats",
     "MarkovModel",
     "MarkovPrefetcher",
-    "MetricsTimeline",
     "NegativeCache",
     "Query",
     "QuerySignature",
@@ -122,7 +120,6 @@ __all__ = [
     "TieredEngine",
     "TraceLog",
     "VanillaEngine",
-    "WindowStats",
     "canonical_text",
     "estimate_tokens",
     "shard_index_for",

@@ -23,40 +23,36 @@ Each engine supports two execution styles, mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from collections import deque
 from typing import Generator, Protocol, Sequence, runtime_checkable
 
 from repro.core.admission import AdmissionPolicy, AlwaysAdmit
-from repro.core.cache import AsteriaCache, ExactCache, canonical_text
+from repro.core.cache import AsteriaCache, ExactCache
 from repro.core.config import AsteriaConfig
+from repro.core.flow import (
+    Admit,
+    EngineResponse,
+    Fetch,
+    Flight,
+    Lookup,
+    Sleep,
+    Spawn,
+    account_failure,
+    request_flow,
+    resilience_key,
+)
 from repro.core.metrics import EngineMetrics
-from repro.core.prefetch import MarkovPrefetcher, QuerySignature
+from repro.core.prefetch import MarkovPrefetcher
 from repro.core.recalibration import ThresholdRecalibrator
-from repro.core.resilience import FetchFailed, ResilienceManager
+from repro.core.resilience import ResilienceManager
 from repro.core.types import CacheLookup, FetchResult, Query
 from repro.embedding.tokenizer import SimpleTokenizer
 from repro.network.remote import RemoteDataService, RemoteFetchError
 
-
-@dataclass(frozen=True, slots=True)
-class EngineResponse:
-    """What the agent gets back for one tool call.
-
-    ``degraded`` is None on the normal path; a fault-degraded response sets
-    it to ``"stale_hit"`` (served from the last-known-good store, possibly
-    past its TTL) or ``"failed"`` (no fallback available — ``result`` is
-    empty and the caller must handle the miss itself).
-    """
-
-    result: str
-    latency: float
-    lookup: CacheLookup
-    fetch: FetchResult | None = None
-    degraded: str | None = None
-
-    @property
-    def served_from_cache(self) -> bool:
-        return self.lookup.is_hit
+#: How many judged hits the recalibrator samples from (Algorithm 1 reads only
+#: the recent past, so nothing older is kept).
+EVAL_LOG_WINDOW = 200
 
 
 @runtime_checkable
@@ -180,7 +176,9 @@ class AsteriaEngine:
         self.tracer = None
         self.name = name
         self.metrics = EngineMetrics()
-        self._eval_log: list[tuple[str, float, str | None, str | None]] = []
+        self._eval_log: deque[tuple[str, float, str | None, str | None]] = deque(
+            maxlen=EVAL_LOG_WINDOW
+        )
         self._last_recalibration = 0.0
         self._inflight_prefetch: set[str] = set()
         #: Semantic fingerprint -> pending fetch event (miss coalescing).
@@ -204,24 +202,6 @@ class AsteriaEngine:
     def _should_admit(self, query: Query, fetch: FetchResult, now: float) -> bool:
         return self.config.admit_on_miss and self.admission.admit(query, fetch, now)
 
-    # -- fault tolerance ---------------------------------------------------------
-    def _resilience_key(self, query: Query) -> tuple[str, str]:
-        """Stale-store / negative-cache identity: tool + canonical text."""
-        return (query.tool, canonical_text(query.text))
-
-    def _account_failure(self, key: tuple, exc: Exception, now: float) -> None:
-        """Record one failed flight exactly once.
-
-        The same exception object reaches every coalesced follower of a
-        failed leader flight, so the marker keeps breaker windows and
-        ``fetch_failures`` counting *flights*, not disappointed callers.
-        """
-        if getattr(exc, "_accounted", False):
-            return
-        exc._accounted = True  # type: ignore[attr-defined]
-        self.metrics.fetch_failures += 1
-        self.resilience.on_failure(key, now)
-
     def _record_degraded(
         self, response: EngineResponse, query: Query, now: float = 0.0
     ) -> None:
@@ -233,151 +213,47 @@ class AsteriaEngine:
             self.trace.record(now, query, response)
         self.metrics.degraded_latency.add(response.latency)
 
-    def _degrade_analytic(
-        self,
-        query: Query,
-        lookup: CacheLookup,
-        key: tuple,
-        at: float,
-        wasted: float = 0.0,
-        refresh: bool = False,
-    ) -> EngineResponse:
-        """Build the degraded response for a refused or failed miss flight.
-
-        Serves the last-known-good result as an explicit ``stale_hit`` when
-        one exists (scheduling a stale-while-revalidate refresh when
-        ``refresh`` is set and the breaker grants a probe), else an explicit
-        ``failed`` response. ``wasted`` is the simulated time the failed
-        flight burned; the caller records the response.
-        """
-        entry = self.resilience.stale_for(key, at + wasted)
-        if entry is not None:
-            self.metrics.stale_hits += 1
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="stale_hit",
+    def _sine_lookup(self, query: Query, now: float, prepared=None):
+        """Stage 1+2 retrieval. ``prepared`` is a batch's ``(stage-1 hits,
+        mutation stamp)`` for this query; once the cache has mutated since
+        the stamp (an earlier item in the batch admitted, evicted or
+        expired something) the snapshot is stale and a fresh scalar lookup
+        runs instead, keeping batched results exact."""
+        if prepared is not None and self._mutation_stamp() == prepared[1]:
+            return self.cache.lookup_prepared(
+                query, prepared[0], now, ann_only=self.config.ann_only
             )
-            if refresh and self.resilience.allow_probe(at + wasted):
-                self._background_refresh_analytic(query, key, at + wasted)
-        else:
-            self.metrics.failed_requests += 1
-            response = EngineResponse(
-                result="",
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="failed",
-            )
-        return response
-
-    def _background_refresh_analytic(
-        self, query: Query, key: tuple, now: float
-    ) -> None:
-        """Stale-while-revalidate, analytic mode: the refresh flight runs
-        inline (there is no background to run it in) but charges nothing to
-        the request being served stale."""
-        self.metrics.background_refreshes += 1
-        tracer = self.tracer
-        if tracer is None or not tracer.live:
-            self._refresh_analytic(query, key, now)
-            return
-        with tracer.span("stale_refresh"):
-            self._refresh_analytic(query, key, now)
-
-    def _refresh_analytic(self, query: Query, key: tuple, now: float) -> None:
-        try:
-            fetch = self.remote.fetch_at(query, now)
-        except RemoteFetchError as exc:
-            self._account_failure(key, exc, now + exc.latency)
-            return
-        arrival = now + fetch.latency
-        self.resilience.on_success(key, fetch, arrival)
-        if self._should_admit(query, fetch, arrival):
-            self.cache.insert(query, fetch, arrival)
-
-    def _fingerprint(self, query: Query):
-        """Semantic identity proxy for coalescing (content stems + tool)."""
-        return (
-            query.tool,
-            frozenset(self._fingerprint_tokenizer.content_tokens(query.text)),
-        )
-
-    def _fetch_coalesced(self, sim, query: Query):
-        """Fetch with thundering-herd suppression (process mode only).
-
-        Returns ``(fetch, coalesced)``: followers wait on the leader's
-        in-flight fetch and reuse its result without a remote call.
-        """
-        key = self._fingerprint(query)
-        pending = self._inflight_fetches.get(key)
-        if pending is not None:
-            fetch = yield pending
-            self.metrics.coalesced_misses += 1
-            return fetch, True
-        event = sim.event()
-        self._inflight_fetches[key] = event
-        try:
-            fetch = yield from self.remote.fetch(sim, query)
-        except BaseException as exc:
-            del self._inflight_fetches[key]
-            event.defused = True
-            event.fail(exc)
-            raise
-        del self._inflight_fetches[key]
-        event.succeed(fetch)
-        return fetch, False
-
-    def _bypass_response(self, fetch: FetchResult, latency: float) -> EngineResponse:
-        lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-        return EngineResponse(
-            result=fetch.result, latency=latency, lookup=lookup, fetch=fetch
-        )
-
-    def _lookup(self, query: Query, now: float) -> tuple[CacheLookup, object]:
-        """Run the two-stage lookup; returns (public lookup record, element)."""
-        sine_result = self.cache.lookup(query, now, ann_only=self.config.ann_only)
-        return self._lookup_record(query, sine_result)
+        return self.cache.lookup(query, now, ann_only=self.config.ann_only)
 
     def _lookup_record(self, query: Query, sine_result) -> tuple[CacheLookup, object]:
         """Turn a SineResult into the public lookup record + eval-log entry.
 
-        Shared verbatim by the scalar and batch paths so latency attribution
-        and accuracy accounting cannot drift between them.
+        Shared verbatim by every driver so latency attribution and accuracy
+        accounting cannot drift between them.
         """
         judged = sine_result.judged
         check_latency = self.config.cache_check_latency(judged)
         element = sine_result.match
-        if element is not None:
-            truth_match = _is_correct(element.truth_key, query.fact_id)
+        hit = element is not None
+        if hit:
             if sine_result.verdicts:
                 accepted = sine_result.verdicts[-1]
                 self._eval_log.append(
                     (query.text, accepted.score, element.truth_key, query.fact_id)
                 )
-            lookup = CacheLookup(
-                status="hit",
-                result=element.value,
-                latency=check_latency,
-                ann_latency=self.config.ann_latency,
-                judge_latency=check_latency - self.config.ann_latency,
-                candidates=len(sine_result.candidates),
-                judged=judged,
-                element_id=element.element_id,
-                truth_match=truth_match,
-            )
             if element.prefetched and element.frequency == 1:
                 self.metrics.prefetch_hits += 1
-        else:
-            lookup = CacheLookup(
-                status="miss",
-                result=None,
-                latency=check_latency,
-                ann_latency=self.config.ann_latency,
-                judge_latency=check_latency - self.config.ann_latency,
-                candidates=len(sine_result.candidates),
-                judged=judged,
-            )
+        lookup = CacheLookup(
+            status="hit" if hit else "miss",
+            result=element.value if hit else None,
+            latency=check_latency,
+            ann_latency=self.config.ann_latency,
+            judge_latency=check_latency - self.config.ann_latency,
+            candidates=len(sine_result.candidates),
+            judged=judged,
+            element_id=element.element_id if hit else None,
+            truth_match=_is_correct(element.truth_key, query.fact_id) if hit else None,
+        )
         return lookup, element
 
     def _record_response(
@@ -385,28 +261,11 @@ class AsteriaEngine:
     ) -> None:
         if self.trace is not None:
             self.trace.record(now, query, response)
-        metrics = self.metrics
-        metrics.record_lookup(response.lookup.status)
-        metrics.total_latency.add(response.latency)
-        if response.lookup.status == "bypass":
-            if response.fetch is not None:
-                metrics.remote_latency.add(response.fetch.latency)
-            return
-        metrics.cache_check_latency.add(response.lookup.latency)
-        if response.lookup.is_hit:
-            metrics.hit_latency.add(response.latency)
-            if response.lookup.truth_match:
-                metrics.served_correct += 1
-            else:
-                metrics.served_incorrect += 1
-        else:
-            metrics.miss_latency.add(response.latency)
-            metrics.served_correct += 1  # Remote fetches are authoritative.
-            if response.fetch is not None:
-                metrics.remote_latency.add(response.fetch.latency)
-        # Keep the eviction/expiration counters in sync with the cache.
-        metrics.evictions = self.cache.stats.evictions
-        metrics.expirations = self.cache.stats.expirations
+        self.metrics.record_response(response)
+        if response.lookup.status != "bypass":
+            # Keep the eviction/expiration counters in sync with the cache.
+            self.metrics.evictions = self.cache.stats.evictions
+            self.metrics.expirations = self.cache.stats.expirations
 
     def _maybe_recalibrate(self, now: float) -> None:
         if self.recalibrator is None:
@@ -414,8 +273,7 @@ class AsteriaEngine:
         if now - self._last_recalibration < self.config.recalibration_interval:
             return
         self._last_recalibration = now
-        recent = self._eval_log[-200:]
-        labelled = self.recalibrator.ingest(recent)
+        labelled = self.recalibrator.ingest(self._eval_log)
         if labelled:
             # Ground-truth fetches are real remote calls (Algorithm 1 line 4).
             for _ in range(labelled):
@@ -437,109 +295,54 @@ class AsteriaEngine:
         open breaker all degrade into an explicit ``stale_hit``/``failed``
         response instead of escaping the serve loop.
         """
-        tracer = self.tracer
-        if tracer is None or not tracer.sample():
-            return self._handle_analytic(query, now)
-        with tracer.request() as span:
-            response = self._handle_analytic(query, now)
-            # One dict literal instead of request(tool=...) + set(outcome=...):
-            # two kwargs allocations per request add up at tracing's budget.
-            span.attrs = {
-                "tool": query.tool,
-                "outcome": response.degraded or response.lookup.status,
-            }
-            return response
-
-    def _handle_analytic(self, query: Query, now: float) -> EngineResponse:
         self._maybe_recalibrate(now)
-        if not self._is_cacheable(query):
-            return self._bypass_analytic(query, now)
-        lookup, element = self._lookup(query, now)
-        return self._complete_analytic(query, now, lookup, element)
+        return self._run(request_flow(self, query, now), query, now)
 
-    def _bypass_analytic(self, query: Query, now: float) -> EngineResponse:
-        key = self._resilience_key(query)
+    def _run(
+        self,
+        flow: Generator,
+        query: Query | None = None,
+        now: float = 0.0,
+        prepared=None,
+    ):
+        """The analytic driver of :mod:`repro.core.flow`: every effect
+        completes inline and costs only the simulated time the flow sums —
+        a flight has nobody to share with, a spawned refresh runs on the
+        spot (there is no background to run it in) and backoff is not
+        waited out. ``query``/``now``/``prepared`` serve the top-level
+        request's ``Lookup``; sub-flows never look up."""
+        element = result = None
+        looked_up = False
         try:
-            fetch = self.remote.fetch_at(query, now)
-        except RemoteFetchError as exc:
-            self._account_failure(key, exc, now + exc.latency)
-            lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-            response = self._degrade_analytic(
-                query, lookup, key, now, wasted=exc.latency
-            )
-            self._record_degraded(response, query, now)
-            return response
-        self.resilience.on_success(key, fetch, now + fetch.latency)
-        response = self._bypass_response(fetch, fetch.latency)
-        self._record_response(response, query, now)
+            effect = flow.send(None)
+            while True:
+                try:
+                    kind = type(effect)
+                    if kind is Lookup:
+                        looked_up = True
+                        result, element = self._lookup_record(
+                            query, self._sine_lookup(query, now, prepared)
+                        )
+                    elif kind is Fetch:
+                        result = self.remote.fetch_at(effect.query, effect.at)
+                    elif kind is Admit:
+                        result = self.cache.insert(*effect)
+                    elif kind is Flight:
+                        result = self._run(effect.body), False
+                    elif kind is Spawn:
+                        result = self._run(effect.flow)
+                    else:  # Sleep: the flow has already charged the backoff
+                        result = None
+                except Exception as exc:
+                    effect = flow.throw(exc)
+                else:
+                    effect = flow.send(result)
+        except StopIteration as stop:
+            response = stop.value
+        if looked_up and self.prefetcher is not None and response.degraded is None:
+            canonical = element.key if element is not None else query.text
+            self._run_prefetch_analytic(query, now, canonical)
         return response
-
-    def _complete_analytic(
-        self, query: Query, now: float, lookup: CacheLookup, element
-    ) -> EngineResponse:
-        """Everything after the lookup: remote fetch, admission, metrics,
-        prefetch — shared by :meth:`handle` and :meth:`handle_batch`."""
-        if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=lookup.latency, lookup=lookup
-            )
-        else:
-            response = self._resolve_miss_analytic(query, now, lookup)
-            if response.degraded is not None:
-                self._record_degraded(response, query, now)
-                return response
-        self._record_response(response, query, now)
-        canonical = element.key if element is not None else query.text
-        self._run_prefetch_analytic(query, now, canonical)
-        return response
-
-    def _resolve_miss_analytic(
-        self, query: Query, now: float, lookup: CacheLookup
-    ) -> EngineResponse:
-        """The guarded miss path: breaker/negative-cache gate, then a remote
-        flight with transient-fault retries, degrading on refusal/failure."""
-        key = self._resilience_key(query)
-        start = now + lookup.latency
-        verdict = self.resilience.admit(key, start)
-        if verdict != "allow":
-            if verdict == "negative":
-                self.metrics.negative_cache_hits += 1
-            else:
-                self.metrics.breaker_open_rejects += 1
-            return self._degrade_analytic(query, lookup, key, start, refresh=True)
-        tracer = self.tracer
-        try:
-            if tracer is None or not tracer.live or not tracer.active():
-                fetch, overhead = self.resilience.fetch_with_retries(
-                    lambda t: self.remote.fetch_at(query, t), start
-                )
-            else:
-                t0 = tracer.clock()
-                fetch, overhead = self.resilience.fetch_with_retries(
-                    lambda t: self.remote.fetch_at(query, t), start
-                )
-                tracer.record_leaf(
-                    "remote_fetch", t0, {"retries": fetch.retries, "cost": fetch.cost}
-                )
-        except FetchFailed as exc:
-            self._account_failure(key, exc, start + exc.latency)
-            return self._degrade_analytic(
-                query, lookup, key, start, wasted=exc.latency
-            )
-        arrival = start + overhead + fetch.latency
-        self.resilience.on_success(key, fetch, arrival)
-        if self._should_admit(query, fetch, arrival):
-            if tracer is None or not tracer.live:
-                self.cache.insert(query, fetch, arrival)
-            else:
-                with tracer.span("admit"):
-                    self.cache.insert(query, fetch, arrival)
-        return EngineResponse(
-            result=fetch.result,
-            latency=lookup.latency + overhead + fetch.latency,
-            lookup=lookup,
-            fetch=fetch,
-        )
 
     def handle_batch(
         self, queries: Sequence[Query], now: float = 0.0
@@ -548,7 +351,7 @@ class AsteriaEngine:
 
         The batch runs one ``embed_batch`` and one ANN ``search_batch`` over
         the cacheable queries, then completes each query *in input order*
-        through exactly the scalar code path (judging, admission, metrics,
+        through exactly the scalar flow (judging, admission, metrics,
         prefetch), so responses and metric deltas equal N :meth:`handle`
         calls at the same ``now``.
 
@@ -558,66 +361,28 @@ class AsteriaEngine:
         results exact. Hit-heavy batches — the steady state the paper's
         latency argument rests on — keep the fully shared fast path.
         """
-        queries = list(queries)
-        if not queries:
-            return []
-        embed_rows: dict[int, int] = {}
-        texts: list[str] = []
-        for position, query in enumerate(queries):
-            if self._is_cacheable(query):
-                embed_rows[position] = len(texts)
-                texts.append(query.text)
-        batch_hits: list[list] = []
-        snapshot_stamp = None
-        if texts:
-            self.cache.remove_expired(now)
-            # The cache owns the stage-1 batching (a sharded cache groups the
-            # texts so each shard still gets one embed+ANN pass).
-            batch_hits = self.cache.prepare_batch(texts)
-            snapshot_stamp = self._mutation_stamp()
         responses: list[EngineResponse] = []
-        tracer = self.tracer
-        for position, query in enumerate(queries):
-            row = embed_rows.get(position)
-            if tracer is None or not tracer.sample():
-                responses.append(
-                    self._batch_one(query, now, row, batch_hits, snapshot_stamp)
-                )
-                continue
-            with tracer.request() as span:
-                response = self._batch_one(
-                    query, now, row, batch_hits, snapshot_stamp
-                )
-                span.attrs = {
-                    "tool": query.tool,
-                    "batched": True,
-                    "outcome": response.degraded or response.lookup.status,
-                }
-                responses.append(response)
+        for query, prepared in zip(queries, self._prepare_batch(queries, now)):
+            self._maybe_recalibrate(now)
+            flow = request_flow(self, query, now, batched=True)
+            responses.append(self._run(flow, query, now, prepared))
         return responses
 
-    def _batch_one(
-        self,
-        query: Query,
-        now: float,
-        row: int | None,
-        batch_hits: list,
-        snapshot_stamp,
-    ) -> EngineResponse:
-        """Complete one batched query through the scalar code path."""
-        self._maybe_recalibrate(now)
-        if row is None:
-            return self._bypass_analytic(query, now)
-        if self._mutation_stamp() != snapshot_stamp:
-            sine_result = self.cache.lookup(
-                query, now, ann_only=self.config.ann_only
-            )
-        else:
-            sine_result = self.cache.lookup_prepared(
-                query, batch_hits[row], now, ann_only=self.config.ann_only
-            )
-        lookup, element = self._lookup_record(query, sine_result)
-        return self._complete_analytic(query, now, lookup, element)
+    def _prepare_batch(self, queries: Sequence[Query], now: float) -> list:
+        """The shared stage-1 pass of a batch: expiry purge, one embed-batch +
+        ANN search-batch over the cacheable queries, and the mutation stamp,
+        as one snapshot. Returns each query's ``(stage-1 hits, stamp)`` for
+        :meth:`_sine_lookup` — None for an uncacheable query."""
+        cacheable = [self._is_cacheable(query) for query in queries]
+        texts = [query.text for query, wanted in zip(queries, cacheable) if wanted]
+        if not texts:
+            return [None] * len(cacheable)
+        self.cache.remove_expired(now)
+        # The cache owns the stage-1 batching (a sharded cache groups the
+        # texts so each shard still gets one embed+ANN pass).
+        rows = iter(self.cache.prepare_batch(texts))
+        stamp = self._mutation_stamp()
+        return [(next(rows), stamp) if wanted else None for wanted in cacheable]
 
     def _mutation_stamp(self) -> tuple[int, int, int]:
         """Cache-population fingerprint for batch snapshot invalidation."""
@@ -627,8 +392,6 @@ class AsteriaEngine:
     def _run_prefetch_analytic(
         self, query: Query, now: float, canonical: str
     ) -> None:
-        if self.prefetcher is None:
-            return
         for signature in self.prefetcher.observe(query, canonical):
             target = signature.to_query()
             if self.cache.contains_semantic(target):
@@ -638,8 +401,8 @@ class AsteriaEngine:
             except RemoteFetchError as exc:
                 # Prefetches are speculative: a failed one is dropped, but
                 # the breaker still learns about the backend.
-                self._account_failure(
-                    self._resilience_key(target), exc, now + exc.latency
+                account_failure(
+                    self, resilience_key(target), exc, now + exc.latency
                 )
                 continue
             self.cache.insert(
@@ -651,126 +414,101 @@ class AsteriaEngine:
     def process(self, sim, query: Query) -> Generator:
         """Resolve one query on the simulator; returns an EngineResponse.
 
-        Like :meth:`handle`, remote failures degrade instead of escaping;
-        the DES path skips the engine-level retry loop (the remote's own
-        throttle loop already retries on the simulator clock) and maps a
-        failed flight straight to the stale/failed fallback.
+        The same flow as :meth:`handle`, with every wait spent on the
+        simulator clock: queueing in the remote and on a shared judge
+        executor is real, and backoff between retries is a ``sim.timeout``.
         """
-        start = sim.now
         self._maybe_recalibrate(sim.now)
-        if not self._is_cacheable(query):
-            key = self._resilience_key(query)
-            try:
-                fetch = yield from self.remote.fetch(sim, query)
-            except RemoteFetchError as exc:
-                self._account_failure(key, exc, sim.now)
-                lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-                return self._degrade_process(sim, query, lookup, key, start)
-            self.resilience.on_success(key, fetch, sim.now)
-            response = self._bypass_response(fetch, sim.now - start)
-            self._record_response(response, query, sim.now)
-            return response
-        yield sim.timeout(self.config.ann_latency)
-        lookup, element = self._lookup(query, sim.now)
-        if lookup.judged > 0 and not self.config.ann_only:
-            yield from self.judge_executor.run(sim, lookup.judged)
-        # Recompute the check latency from real elapsed time (the executor
-        # may have queued behind agent work on a shared GPU).
-        check_latency = sim.now - start
-        lookup = CacheLookup(
-            status=lookup.status,
-            result=lookup.result,
-            latency=check_latency,
-            ann_latency=self.config.ann_latency,
-            judge_latency=check_latency - self.config.ann_latency,
-            candidates=lookup.candidates,
-            judged=lookup.judged,
-            element_id=lookup.element_id,
-            truth_match=lookup.truth_match,
-        )
-        if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=sim.now - start, lookup=lookup
-            )
-        else:
-            key = self._resilience_key(query)
-            verdict = self.resilience.admit(key, sim.now)
-            if verdict != "allow":
-                if verdict == "negative":
-                    self.metrics.negative_cache_hits += 1
-                else:
-                    self.metrics.breaker_open_rejects += 1
-                return self._degrade_process(
-                    sim, query, lookup, key, start, refresh=True
-                )
-            try:
-                if self.config.coalesce_misses:
-                    fetch, coalesced = yield from self._fetch_coalesced(sim, query)
-                else:
-                    fetch = yield from self.remote.fetch(sim, query)
-                    coalesced = False
-            except RemoteFetchError as exc:
-                self._account_failure(key, exc, sim.now)
-                return self._degrade_process(sim, query, lookup, key, start)
-            # The coalescing leader admits; followers reuse its entry.
-            if not coalesced:
-                self.resilience.on_success(key, fetch, sim.now)
-                if self._should_admit(query, fetch, sim.now):
-                    self.cache.insert(query, fetch, sim.now)
-            response = EngineResponse(
-                result=fetch.result,
-                latency=sim.now - start,
-                lookup=lookup,
-                fetch=fetch,
-            )
-        self._record_response(response, query, sim.now)
-        canonical = element.key if element is not None else query.text
-        self._spawn_prefetches(sim, query, canonical)
-        return response
+        flow = request_flow(self, query, sim.now)
+        return (yield from self._run_on(sim, flow, query))
 
-    def _degrade_process(
-        self, sim, query: Query, lookup: CacheLookup, key: tuple, start: float,
-        refresh: bool = False,
-    ) -> EngineResponse:
-        """DES degradation: stale/failed response plus an optional
-        background refresh process (the DES twin of the analytic inline
-        refresh). Records the response itself; callers just return it."""
-        at = sim.now
-        entry = self.resilience.stale_for(key, at)
-        if entry is not None:
-            self.metrics.stale_hits += 1
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=at - start,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-            if refresh and self.resilience.allow_probe(at):
-                self.metrics.background_refreshes += 1
-                sim.process(
-                    self._refresh_process(sim, query, key), name="stale-refresh"
-                )
-        else:
-            self.metrics.failed_requests += 1
-            response = EngineResponse(
-                result="", latency=at - start, lookup=lookup, degraded="failed"
-            )
-        self._record_degraded(response, query, at)
-        return response
-
-    def _refresh_process(self, sim, query: Query, key: tuple) -> Generator:
+    def _run_on(self, sim, flow: Generator, query: Query | None = None) -> Generator:
+        """The DES driver of :mod:`repro.core.flow` (see :meth:`_run`)."""
+        element = result = None
+        looked_up = False
         try:
-            fetch = yield from self.remote.fetch(sim, query)
-        except RemoteFetchError as exc:
-            self._account_failure(key, exc, sim.now)
-            return
-        self.resilience.on_success(key, fetch, sim.now)
-        if self._should_admit(query, fetch, sim.now):
-            self.cache.insert(query, fetch, sim.now)
+            effect = flow.send(None)
+            while True:
+                try:
+                    kind = type(effect)
+                    if kind is Lookup:
+                        looked_up = True
+                        began = sim.now
+                        yield sim.timeout(self.config.ann_latency)
+                        lookup, element = self._lookup_record(
+                            query, self._sine_lookup(query, sim.now)
+                        )
+                        if lookup.judged > 0 and not self.config.ann_only:
+                            yield from self.judge_executor.run(sim, lookup.judged)
+                        # Recompute the check latency from real elapsed time
+                        # (the executor may have queued behind agent work on
+                        # a shared GPU).
+                        check = sim.now - began
+                        result = dataclasses.replace(
+                            lookup,
+                            latency=check,
+                            judge_latency=check - self.config.ann_latency,
+                        )
+                    elif kind is Fetch:
+                        result = yield from self.remote.fetch(sim, effect.query)
+                    elif kind is Sleep:
+                        result = yield sim.timeout(effect.seconds)
+                    elif kind is Admit:
+                        result = self.cache.insert(
+                            effect.query, effect.fetch, sim.now
+                        )
+                    elif kind is Flight:
+                        result = yield from self._fly(sim, effect.key, effect.body)
+                    else:  # Spawn
+                        result = sim.process(
+                            self._run_on(sim, effect.flow), name="stale-refresh"
+                        )
+                except Exception as exc:
+                    effect = flow.throw(exc)
+                else:
+                    effect = flow.send(result)
+        except StopIteration as stop:
+            response = stop.value
+        if looked_up and self.prefetcher is not None and response.degraded is None:
+            canonical = element.key if element is not None else query.text
+            self._spawn_prefetches(sim, query, canonical)
+        return response
+
+    def _fingerprint(self, key: tuple):
+        """Semantic identity proxy for coalescing (tool + content stems of
+        the flight key's text), so paraphrases share one flight."""
+        return (
+            key[0],
+            frozenset(self._fingerprint_tokenizer.content_tokens(key[1])),
+        )
+
+    def _fly(self, sim, key: tuple, body: Generator) -> Generator:
+        """A flight with thundering-herd suppression when
+        ``config.coalesce_misses`` is set: followers wait on the leader's
+        in-flight event and reuse its result without a remote call."""
+        if not self.config.coalesce_misses:
+            return (yield from self._run_on(sim, body)), False
+        fingerprint = self._fingerprint(key)
+        pending = self._inflight_fetches.get(fingerprint)
+        if pending is not None:
+            began = sim.now
+            fetch, _ = yield pending
+            # A follower joined late: it waited less than the leader did.
+            return (fetch, sim.now - began), True
+        event = sim.event()
+        self._inflight_fetches[fingerprint] = event
+        try:
+            flown = yield from self._run_on(sim, body)
+        except BaseException as exc:
+            del self._inflight_fetches[fingerprint]
+            event.defused = True
+            event.fail(exc)
+            raise
+        del self._inflight_fetches[fingerprint]
+        event.succeed(flown)
+        return flown, False
 
     def _spawn_prefetches(self, sim, query: Query, canonical: str) -> None:
-        if self.prefetcher is None:
-            return
         for signature in self.prefetcher.observe(query, canonical):
             if signature.text in self._inflight_prefetch:
                 continue
@@ -789,7 +527,7 @@ class AsteriaEngine:
                 self.cache.insert(target, fetch, sim.now, prefetched=True)
         except RemoteFetchError as exc:
             # Speculative flight: drop it, but feed the breaker.
-            self._account_failure(self._resilience_key(target), exc, sim.now)
+            account_failure(self, resilience_key(target), exc, sim.now)
         finally:
             self._inflight_prefetch.discard(target.text)
 
@@ -833,42 +571,29 @@ class ExactEngine:
             )
         return CacheLookup(status="miss", result=None, latency=self.lookup_latency)
 
-    def _record(self, response: EngineResponse) -> None:
-        self.metrics.record_lookup(response.lookup.status)
-        self.metrics.total_latency.add(response.latency)
-        self.metrics.cache_check_latency.add(response.lookup.latency)
-        if response.lookup.is_hit:
-            self.metrics.hit_latency.add(response.latency)
-            if response.lookup.truth_match:
-                self.metrics.served_correct += 1
-            else:
-                self.metrics.served_incorrect += 1
-        else:
-            self.metrics.miss_latency.add(response.latency)
-            self.metrics.served_correct += 1
-            if response.fetch is not None:
-                self.metrics.remote_latency.add(response.fetch.latency)
+    def _respond(
+        self, lookup: CacheLookup, latency: float, fetch: FetchResult | None = None
+    ) -> EngineResponse:
+        """Build and record the response (a hit, or a miss with its fetch)."""
+        response = EngineResponse(
+            result=fetch.result if fetch is not None else lookup.result or "",
+            latency=latency,
+            lookup=lookup,
+            fetch=fetch,
+        )
+        self.metrics.record_response(response)
         self.metrics.evictions = self.cache.stats.evictions
         self.metrics.expirations = self.cache.stats.expirations
+        return response
 
     def handle(self, query: Query, now: float = 0.0) -> EngineResponse:
         """Resolve one query: exact-key lookup, else remote fetch."""
         lookup = self._lookup(query, now)
         if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=lookup.latency, lookup=lookup
-            )
-        else:
-            fetch = self.remote.fetch_at(query, now + lookup.latency)
-            self.cache.insert(query, fetch, now + lookup.latency + fetch.latency)
-            response = EngineResponse(
-                result=fetch.result,
-                latency=lookup.latency + fetch.latency,
-                lookup=lookup,
-                fetch=fetch,
-            )
-        self._record(response)
-        return response
+            return self._respond(lookup, lookup.latency)
+        fetch = self.remote.fetch_at(query, now + lookup.latency)
+        self.cache.insert(query, fetch, now + lookup.latency + fetch.latency)
+        return self._respond(lookup, lookup.latency + fetch.latency, fetch)
 
     def process(self, sim, query: Query) -> Generator:
         """DES variant of :meth:`handle`."""
@@ -876,20 +601,10 @@ class ExactEngine:
         yield sim.timeout(self.lookup_latency)
         lookup = self._lookup(query, sim.now)
         if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=sim.now - start, lookup=lookup
-            )
-        else:
-            fetch = yield from self.remote.fetch(sim, query)
-            self.cache.insert(query, fetch, sim.now)
-            response = EngineResponse(
-                result=fetch.result,
-                latency=sim.now - start,
-                lookup=lookup,
-                fetch=fetch,
-            )
-        self._record(response)
-        return response
+            return self._respond(lookup, sim.now - start)
+        fetch = yield from self.remote.fetch(sim, query)
+        self.cache.insert(query, fetch, sim.now)
+        return self._respond(lookup, sim.now - start, fetch)
 
     def __repr__(self) -> str:
         return f"ExactEngine(items={len(self.cache)}, hit_rate={self.metrics.hit_rate:.3f})"
@@ -903,38 +618,30 @@ class VanillaEngine:
         self.name = name
         self.metrics = EngineMetrics()
 
-    def _record(self, response: EngineResponse) -> None:
+    def _respond(self, fetch: FetchResult, latency: float) -> EngineResponse:
+        """Build and record the response: always a miss with its fetch."""
         self.metrics.record_lookup("miss")
-        self.metrics.total_latency.add(response.latency)
-        self.metrics.miss_latency.add(response.latency)
+        self.metrics.total_latency.add(latency)
+        self.metrics.miss_latency.add(latency)
         self.metrics.served_correct += 1
-        if response.fetch is not None:
-            self.metrics.remote_latency.add(response.fetch.latency)
+        self.metrics.remote_latency.add(fetch.latency)
+        return EngineResponse(
+            result=fetch.result,
+            latency=latency,
+            lookup=CacheLookup(status="miss", result=None, latency=0.0),
+            fetch=fetch,
+        )
 
     def handle(self, query: Query, now: float = 0.0) -> EngineResponse:
         """Every request is a remote call."""
         fetch = self.remote.fetch_at(query, now)
-        response = EngineResponse(
-            result=fetch.result,
-            latency=fetch.latency,
-            lookup=CacheLookup(status="miss", result=None, latency=0.0),
-            fetch=fetch,
-        )
-        self._record(response)
-        return response
+        return self._respond(fetch, fetch.latency)
 
     def process(self, sim, query: Query) -> Generator:
         """DES variant of :meth:`handle`."""
         start = sim.now
         fetch = yield from self.remote.fetch(sim, query)
-        response = EngineResponse(
-            result=fetch.result,
-            latency=sim.now - start,
-            lookup=CacheLookup(status="miss", result=None, latency=0.0),
-            fetch=fetch,
-        )
-        self._record(response)
-        return response
+        return self._respond(fetch, sim.now - start)
 
     def __repr__(self) -> str:
         return f"VanillaEngine(calls={self.remote.calls})"

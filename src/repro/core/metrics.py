@@ -260,6 +260,27 @@ class EngineMetrics:
         else:
             raise ValueError(f"unknown lookup status {status!r}")
 
+    def record_response(self, response) -> None:
+        """Account one resolved (non-degraded) response: the lookup counter,
+        the latency reservoirs and accuracy — the one ladder every caching
+        engine shares, so attribution cannot drift between them."""
+        lookup = response.lookup
+        self.record_lookup(lookup.status)
+        self.total_latency.add(response.latency)
+        if lookup.status != "bypass":
+            self.cache_check_latency.add(lookup.latency)
+            if lookup.is_hit:
+                self.hit_latency.add(response.latency)
+                if lookup.truth_match:
+                    self.served_correct += 1
+                else:
+                    self.served_incorrect += 1
+                return
+            self.miss_latency.add(response.latency)
+            self.served_correct += 1  # Remote fetches are authoritative.
+        if response.fetch is not None:
+            self.remote_latency.add(response.fetch.latency)
+
     def reset(self) -> None:
         """Zero every counter and reservoir (e.g. after a warm-up phase)."""
         fresh = EngineMetrics()

@@ -40,7 +40,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.types import FetchResult
-from repro.network.faults import InjectedFault
 from repro.network.remote import RemoteFetchError, RetryPolicy
 
 
@@ -392,34 +391,31 @@ class ResilienceManager:
         """Run one flight with transient-fault retries (analytic mode).
 
         ``fetch_fn(now)`` performs the fetch as of simulated time ``now``.
-        Injected transient faults are retried up to the policy's budget with
-        backoff; anything else (e.g. ``RateLimitExceeded``) fails
-        immediately. Returns ``(fetch, overhead)`` where ``overhead`` is the
-        simulated time burned on failed attempts and backoff before the
-        successful one; raises :class:`FetchFailed` carrying the total wasted
-        time otherwise.
+        Drives the one retry loop, :func:`repro.core.flow.fetch_retrying`,
+        with backoff charged but not waited out. Returns ``(fetch,
+        overhead)`` where ``overhead`` is the simulated time burned on
+        failed attempts and backoff before the successful one; raises
+        :class:`FetchFailed` carrying the total wasted time otherwise.
         """
-        elapsed = 0.0
-        attempt = 0
-        while True:
-            try:
-                return fetch_fn(start + elapsed), elapsed
-            except InjectedFault as exc:
-                elapsed += exc.latency
-                if attempt >= self.retry_policy.max_retries:
-                    raise FetchFailed(
-                        f"retries exhausted after {attempt + 1} attempts: {exc}",
-                        latency=elapsed,
-                        cause=exc,
-                    ) from exc
-                elapsed += self.next_delay(attempt)
-                attempt += 1
-            except RemoteFetchError as exc:
-                raise FetchFailed(
-                    f"non-retryable fetch failure: {exc}",
-                    latency=elapsed + exc.latency,
-                    cause=exc,
-                ) from exc
+        # Imported here: the flow module raises this module's FetchFailed.
+        from repro.core.flow import Fetch, fetch_retrying
+
+        loop = fetch_retrying(self, None, start)
+        try:
+            effect = loop.send(None)
+            while True:
+                if type(effect) is not Fetch:  # Sleep: charged, not waited
+                    effect = loop.send(None)
+                    continue
+                try:
+                    fetch = fetch_fn(effect.at)
+                except RemoteFetchError as exc:
+                    effect = loop.throw(exc)
+                else:
+                    effect = loop.send(fetch)
+        except StopIteration as stop:
+            fetch, overhead, _ = stop.value
+            return fetch, overhead
 
     def __repr__(self) -> str:
         return (

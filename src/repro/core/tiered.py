@@ -96,22 +96,6 @@ class TieredEngine:
         )
         self.l1.insert(query, fetch, now)
 
-    def _record(self, response: EngineResponse) -> None:
-        self.metrics.record_lookup(response.lookup.status)
-        self.metrics.total_latency.add(response.latency)
-        self.metrics.cache_check_latency.add(response.lookup.latency)
-        if response.lookup.is_hit:
-            self.metrics.hit_latency.add(response.latency)
-            if response.lookup.truth_match:
-                self.metrics.served_correct += 1
-            else:
-                self.metrics.served_incorrect += 1
-        else:
-            self.metrics.miss_latency.add(response.latency)
-            self.metrics.served_correct += 1
-            if response.fetch is not None:
-                self.metrics.remote_latency.add(response.fetch.latency)
-
     def _hit_response(self, element, check_latency: float, query: Query) -> EngineResponse:
         lookup = CacheLookup(
             status="hit",
@@ -132,7 +116,7 @@ class TieredEngine:
         if l1_match is not None:
             self.l1_hits += 1
             response = self._hit_response(l1_match, check, query)
-            self._record(response)
+            self.metrics.record_response(response)
             return response
         l2_match, l2_judged = self._tier_lookup(
             self.l2, query, now + check + self.l2_latency
@@ -142,7 +126,7 @@ class TieredEngine:
             self.l2_hits += 1
             self._promote(l2_match, now + check)
             response = self._hit_response(l2_match, check, query)
-            self._record(response)
+            self.metrics.record_response(response)
             return response
         fetch = self.remote.fetch_at(query, now + check)
         arrival = now + check + fetch.latency
@@ -155,7 +139,7 @@ class TieredEngine:
             result=fetch.result, latency=check + fetch.latency,
             lookup=lookup, fetch=fetch,
         )
-        self._record(response)
+        self.metrics.record_response(response)
         return response
 
     # -- discrete-event execution ------------------------------------------------------
@@ -167,7 +151,7 @@ class TieredEngine:
         if l1_match is not None:
             self.l1_hits += 1
             response = self._hit_response(l1_match, sim.now - start, query)
-            self._record(response)
+            self.metrics.record_response(response)
             return response
         yield sim.timeout(self.l2_latency)
         l2_match, l2_judged = self._tier_lookup(self.l2, query, sim.now)
@@ -176,7 +160,7 @@ class TieredEngine:
             self.l2_hits += 1
             self._promote(l2_match, sim.now)
             response = self._hit_response(l2_match, sim.now - start, query)
-            self._record(response)
+            self.metrics.record_response(response)
             return response
         fetch = yield from self.remote.fetch(sim, query)
         if self.config.admit_on_miss:
@@ -188,7 +172,7 @@ class TieredEngine:
             result=fetch.result, latency=sim.now - start, lookup=lookup,
             fetch=fetch,
         )
-        self._record(response)
+        self.metrics.record_response(response)
         return response
 
     def __repr__(self) -> str:

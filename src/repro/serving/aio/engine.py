@@ -39,16 +39,22 @@ import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
-from repro.core.cache import canonical_text
-from repro.core.engine import AsteriaEngine, EngineResponse
+from repro.core.engine import AsteriaEngine
+from repro.core.flow import (
+    Admit,
+    EngineResponse,
+    Fetch,
+    Flight,
+    Lookup,
+    Sleep,
+    request_flow,
+)
 from repro.core.metrics import EngineMetrics
-from repro.core.resilience import FetchFailed
-from repro.core.types import CacheLookup, FetchResult, Query
-from repro.network.faults import InjectedFault
-from repro.network.remote import RemoteFetchError
+from repro.core.types import FetchResult, Query
 from repro.serving.aio.remote import AsyncRemoteService
 from repro.serving.aio.singleflight import AsyncSingleFlight
 
@@ -223,13 +229,7 @@ class AsyncAsteriaEngine:
         exactly as in the sequential engine); ``deadline`` is *wall* seconds
         and overrides ``default_deadline`` for this request.
         """
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.sample():
-            return await self._serve_outer(query, now, deadline)
-        with tracer.request() as span:
-            outcome = await self._serve_outer(query, now, deadline)
-            span.attrs = {"tool": query.tool, "outcome": outcome.status}
-            return outcome
+        return await self._serve_outer(query, now, deadline)
 
     async def serve_batched(
         self, query: Query, now: float = 0.0, deadline: float | None = None
@@ -240,7 +240,7 @@ class AsyncAsteriaEngine:
         flushes (``batch_window`` elapsed, or ``batch_max`` requests
         pending), every cacheable request in it gets its raw ANN hits from
         one shared embed-batch + search-batch pass, then completes through
-        exactly the scalar serve path — judging, single-flight misses,
+        exactly the scalar flow — judging, single-flight misses,
         degradation, metrics — in its own task context. Deadlines cover the
         window wait; backpressure is applied at enqueue time.
 
@@ -249,21 +249,9 @@ class AsyncAsteriaEngine:
         mutated after the flush) falls back to a fresh scalar lookup, the
         same invalidation rule the sync batch path uses.
         """
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.sample():
-            return await self._serve_outer(
-                query, now, deadline, serve=self._serve_enqueued
-            )
-        with tracer.request() as span:
-            outcome = await self._serve_outer(
-                query, now, deadline, serve=self._serve_enqueued
-            )
-            span.attrs = {
-                "tool": query.tool,
-                "batched": True,
-                "outcome": outcome.status,
-            }
-            return outcome
+        return await self._serve_outer(
+            query, now, deadline, serve=self._serve_enqueued
+        )
 
     async def _serve_outer(
         self, query: Query, now: float, deadline: float | None, serve=None
@@ -314,17 +302,16 @@ class AsyncAsteriaEngine:
             self._flush_batch()
         elif self._batch_timer is None:
             self._batch_timer = loop.call_later(self.batch_window, self._flush_batch)
-        prepared = await future
-        return await self._serve(query, now, prepared=prepared)
+        return await self._serve(query, now, prepared=await future)
 
     def _flush_batch(self) -> None:
         """Run the shared stage-1 pass for every pending request and wake
         them with their prepared hits.
 
         Synchronous (no awaits), so the expiry purge, the embed+ANN batch,
-        and the mutation stamp form one atomic snapshot — exactly the
-        sequential ``handle_batch`` preamble. Requests then resume in
-        enqueue order and validate the stamp before trusting their hits.
+        and the mutation stamp form one atomic snapshot — the sequential
+        ``handle_batch`` preamble itself. Requests then resume in enqueue
+        order and validate the stamp before trusting their hits.
         """
         if self._batch_timer is not None:
             self._batch_timer.cancel()
@@ -333,231 +320,83 @@ class AsyncAsteriaEngine:
         if not pending:
             return
         self._batch_pending = []
-        engine = self.engine
-        rows: list[int | None] = []
-        texts: list[str] = []
-        for query, _, _ in pending:
-            if engine._is_cacheable(query):
-                rows.append(len(texts))
-                texts.append(query.text)
-            else:
-                rows.append(None)
-        batch_hits: list[list] = []
-        stamp = None
-        if texts:
-            engine.cache.remove_expired(max(now for _, now, _ in pending))
-            batch_hits = engine.cache.prepare_batch(texts)
-            stamp = engine._mutation_stamp()
-        for (query, _, future), row in zip(pending, rows):
+        prepared = self.engine._prepare_batch(
+            [query for query, _, _ in pending], max(now for _, now, _ in pending)
+        )
+        for (_, _, future), ready in zip(pending, prepared):
             # A deadline may have cancelled the waiter while it queued.
             if not future.done():
-                future.set_result((row, batch_hits, stamp))
+                future.set_result(ready)
 
     async def _serve(
         self, query: Query, now: float, prepared=None
     ) -> EngineResponse:
-        engine = self.engine
-        if not engine._is_cacheable(query):
-            key = engine._resilience_key(query)
-            try:
-                fetch = await self._fetch(query, now)
-            except RemoteFetchError as exc:
-                engine._account_failure(key, exc, now + exc.latency)
-                lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-                return self._degrade(
-                    query, lookup, key, now, now, wasted=exc.latency
-                )
-            engine.resilience.on_success(key, fetch, now + fetch.latency)
-            response = engine._bypass_response(fetch, fetch.latency)
-            self._record(response, query, now, shared=False)
-            return response
-        sine_result = await self._sine_lookup(query, now, prepared)
-        lookup, _ = engine._lookup_record(query, sine_result)
-        if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=lookup.latency, lookup=lookup
-            )
-            self._record(response, query, now, shared=False)
-            return response
-        start = now + lookup.latency
-        key = (query.tool, canonical_text(query.text))
-        verdict = engine.resilience.admit(key, start)
-        if verdict != "allow":
-            if verdict == "negative":
-                engine.metrics.negative_cache_hits += 1
-            else:
-                engine.metrics.breaker_open_rejects += 1
-            return self._degrade(query, lookup, key, start, now, refresh=True)
+        """One request through the flow; ``prepared`` is a flushed
+        micro-batch's ``(stage-1 hits, mutation stamp)`` for this query."""
+        flow = request_flow(self.engine, query, now, batched=prepared is not None)
+        return await self._run(flow, query, now, prepared)
+
+    async def _run(
+        self,
+        flow: Generator,
+        query: Query | None = None,
+        now: float = 0.0,
+        prepared=None,
+    ):
+        """The event-loop driver of :mod:`repro.core.flow`.
+
+        A flight body runs as its own task inside the single-flight layer
+        (the task snapshots the spawning request's contextvars, so its spans
+        parent under that request's root even after every caller moved on);
+        a deadline that cancels the caller is thrown into its flow, while
+        the flight itself keeps running and still admits.
+        """
         try:
-            fetch, shared = await self.singleflight.run(
-                key,
-                lambda: self._fetch_and_admit(query, start, key),
-                timeout=self.follower_timeout,
-            )
-        except RemoteFetchError as exc:
-            # Leaders raise their own FetchFailed; followers re-raise the
-            # leader's (deduplicated by _account_failure's marker).
-            engine._account_failure(key, exc, start + exc.latency)
-            return self._degrade(
-                query, lookup, key, start, now, wasted=exc.latency
-            )
-        response = EngineResponse(
-            result=fetch.result,
-            latency=lookup.latency + fetch.latency,
-            lookup=lookup,
-            fetch=fetch,
-        )
-        self._record(response, query, now, shared=shared)
-        return response
+            effect = flow.send(None)
+            while True:
+                result = None
+                try:
+                    kind = type(effect)
+                    if kind is Lookup:
+                        sine_result = await self._sine_lookup(query, now, prepared)
+                        result, _ = self.engine._lookup_record(query, sine_result)
+                    elif kind is Fetch:
+                        result = await self._fetch(effect.query, effect.at)
+                    elif kind is Sleep:
+                        if self.remote.io_pause_scale > 0:
+                            await asyncio.sleep(
+                                effect.seconds * self.remote.io_pause_scale
+                            )
+                    elif kind is Admit:
+                        await self._admit(*effect)
+                    elif kind is Flight:
+                        body = effect.body
+                        result = await self.singleflight.run(
+                            effect.key,
+                            lambda: self._run(body),
+                            timeout=self.follower_timeout,
+                        )
+                    else:  # Spawn: a background task, gathered by drain()
+                        task = asyncio.ensure_future(self._run(effect.flow))
+                        self._refresh_tasks.add(task)
+                        task.add_done_callback(self._refresh_tasks.discard)
+                except BaseException as exc:
+                    effect = flow.throw(exc)
+                else:
+                    effect = flow.send(result)
+        except StopIteration as stop:
+            return stop.value
 
     async def _sine_lookup(self, query: Query, now: float, prepared=None):
-        """Stage 1+2 retrieval for one cacheable request.
-
-        Factored out of :meth:`_serve` as the engine's *cache access point*:
-        subclasses that keep the cache elsewhere (the multi-process tier's
-        shard workers) override this one method and inherit the entire miss /
-        degradation / metrics path unchanged.
-        """
-        engine = self.engine
-        if prepared is not None:
-            row, batch_hits, stamp = prepared
-            if row is not None and engine._mutation_stamp() == stamp:
-                return engine.cache.lookup_prepared(
-                    query, batch_hits[row], now, ann_only=engine.config.ann_only
-                )
-            # Snapshot went stale (an earlier item in the window
-            # admitted/evicted): fall back to a fresh scalar lookup,
-            # the same rule as the sequential batch path.
-            return engine.cache.lookup(query, now, ann_only=engine.config.ann_only)
-        return engine.cache.lookup(query, now, ann_only=engine.config.ann_only)
+        """Stage 1+2 retrieval for one cacheable request — the engine's
+        *cache access point*: subclasses that keep the cache elsewhere (the
+        multi-process tier's shard workers) override this and
+        :meth:`_admit`, and inherit the entire flow unchanged."""
+        return self.engine._sine_lookup(query, now, prepared)
 
     async def _admit(self, query: Query, fetch: FetchResult, arrival: float) -> None:
-        """Insert one fetched result; the second cache access point
-        subclasses override (see :meth:`_sine_lookup`)."""
+        """Insert one fetched result; the second cache access point."""
         self.engine.cache.insert(query, fetch, arrival)
-
-    async def _fetch_and_admit(
-        self, query: Query, start: float, key: tuple
-    ) -> FetchResult:
-        """Leader flight: remote fetch (possibly hedged) with transient-fault
-        retries and breaker accounting, then admission.
-
-        Runs as its own task inside the single-flight layer; the task
-        snapshots the spawning request's contextvars, so its spans parent
-        under that request's root even after every caller moved on.
-        """
-        engine = self.engine
-        tracer = engine.tracer
-        if tracer is None or not tracer.live or not tracer.active():
-            fetch, overhead, attempts = await self._fetch_retrying(query, start)
-        else:
-            t0 = tracer.clock()
-            fetch, overhead, attempts = await self._fetch_retrying(query, start)
-            tracer.record_leaf(
-                "remote_fetch", t0, {"retries": attempts, "cost": fetch.cost}
-            )
-        arrival = start + overhead + fetch.latency
-        engine.resilience.on_success(key, fetch, arrival)
-        if engine._should_admit(query, fetch, arrival):
-            if tracer is None or not tracer.live:
-                await self._admit(query, fetch, arrival)
-            else:
-                with tracer.span("admit"):
-                    await self._admit(query, fetch, arrival)
-        return fetch
-
-    async def _fetch_retrying(
-        self, query: Query, start: float
-    ) -> tuple[FetchResult, float, int]:
-        """The transient-fault retry loop around :meth:`_fetch`; returns the
-        fetch, the simulated overhead accrued by failed attempts and backoff,
-        and the number of retries taken."""
-        engine = self.engine
-        overhead = 0.0
-        attempt = 0
-        while True:
-            try:
-                return await self._fetch(query, start + overhead), overhead, attempt
-            except InjectedFault as exc:
-                overhead += exc.latency
-                if attempt >= engine.resilience.retry_policy.max_retries:
-                    raise FetchFailed(
-                        f"retries exhausted after {attempt + 1} attempts: {exc}",
-                        latency=overhead,
-                        cause=exc,
-                    ) from exc
-                delay = engine.resilience.next_delay(attempt)
-                overhead += delay
-                if self.remote.io_pause_scale > 0 and delay > 0:
-                    await asyncio.sleep(delay * self.remote.io_pause_scale)
-                attempt += 1
-            except RemoteFetchError as exc:
-                raise FetchFailed(
-                    f"non-retryable fetch failure: {exc}",
-                    latency=overhead + exc.latency,
-                    cause=exc,
-                ) from exc
-
-    def _degrade(
-        self,
-        query: Query,
-        lookup: CacheLookup,
-        key: tuple,
-        at: float,
-        now: float,
-        wasted: float = 0.0,
-        refresh: bool = False,
-    ) -> EngineResponse:
-        """Stale/failed fallback for a refused or failed miss flight; a
-        stale serve may also spawn a background revalidation task."""
-        engine = self.engine
-        entry = engine.resilience.stale_for(key, at + wasted)
-        if entry is not None:
-            engine.metrics.stale_hits += 1
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-            if refresh and engine.resilience.allow_probe(at):
-                self._spawn_refresh(query, key, at)
-        else:
-            engine.metrics.failed_requests += 1
-            response = EngineResponse(
-                result="",
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="failed",
-            )
-        engine._record_degraded(response, query, now)
-        return response
-
-    def _spawn_refresh(self, query: Query, key: tuple, start: float) -> None:
-        """Stale-while-revalidate: refresh as a background task, off the
-        caller's latency path, coalesced with any foreground flight."""
-        self.engine.metrics.background_refreshes += 1
-        task = asyncio.ensure_future(self._refresh(query, key, start))
-        self._refresh_tasks.add(task)
-        task.add_done_callback(self._refresh_tasks.discard)
-
-    async def _refresh(self, query: Query, key: tuple, start: float) -> None:
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.live:
-            await self._refresh_inner(query, key, start)
-        else:
-            # The refresh task inherited the serving request's context; give
-            # it a span of its own under that root.
-            with tracer.span("stale_refresh"):
-                await self._refresh_inner(query, key, start)
-
-    async def _refresh_inner(self, query: Query, key: tuple, start: float) -> None:
-        try:
-            await self.singleflight.run(
-                key, lambda: self._fetch_and_admit(query, start, key)
-            )
-        except RemoteFetchError as exc:
-            self.engine._account_failure(key, exc, start + exc.latency)
 
     async def _fetch(self, query: Query, start: float) -> FetchResult:
         threshold = self._hedge_after()
@@ -618,13 +457,6 @@ class AsyncAsteriaEngine:
         self._latency_samples.append(latency)
         if len(self._latency_samples) > self._HEDGE_WINDOW:
             del self._latency_samples[: -self._HEDGE_WINDOW]
-
-    def _record(
-        self, response: EngineResponse, query: Query, now: float, shared: bool
-    ) -> None:
-        if shared:
-            self.engine.metrics.coalesced_misses += 1
-        self.engine._record_response(response, query, now)
 
     # -- lifecycle ----------------------------------------------------------------
     async def drain(self) -> None:

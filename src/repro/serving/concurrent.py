@@ -32,14 +32,20 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
-from repro.core.cache import canonical_text
-from repro.core.engine import AsteriaEngine, EngineResponse
+from repro.core.engine import AsteriaEngine
+from repro.core.flow import (
+    Admit,
+    EngineResponse,
+    Fetch,
+    Flight,
+    Lookup,
+    Sleep,
+    request_flow,
+)
 from repro.core.metrics import EngineMetrics
-from repro.core.resilience import FetchFailed
-from repro.core.types import CacheLookup, FetchResult, Query
-from repro.network.faults import InjectedFault
+from repro.core.types import FetchResult, Query
 from repro.network.remote import RemoteFetchError
 from repro.serving.singleflight import SingleFlight
 
@@ -191,14 +197,7 @@ class ConcurrentEngine:
         self, queries: Sequence[Query], now: float = 0.0
     ) -> list[EngineResponse]:
         """Resolve a batch across the worker pool; responses in input order."""
-        queries = list(queries)
-        if not queries:
-            return []
-        if self.workers == 1:
-            return [self._serve(query, now) for query in queries]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._serve, query, now) for query in queries]
-        return [future.result() for future in futures]
+        return self._map(lambda query: self._serve(query, now), list(queries))
 
     def handle_batched(
         self, queries: Sequence[Query], now: float = 0.0
@@ -208,211 +207,108 @@ class ConcurrentEngine:
         Cacheable queries are grouped by their cache shard; each group runs
         as one worker task doing a single embed-batch + ANN search-batch
         pass (``lookup_batch``) under its shard's lock, then finishing every
-        query through the scalar hit/miss tail — single-flight miss
-        coalescing included, and it coalesces *across* shard groups because
-        the flight key is the canonical text, not the shard. Uncacheable
-        queries bypass on their own tasks. Responses return in input order.
+        query through the scalar flow — single-flight miss coalescing
+        included, and it coalesces *across* shard groups because the flight
+        key is the canonical text, not the shard. Uncacheable queries bypass
+        on their own tasks. Responses return in input order.
         """
         queries = list(queries)
-        if not queries:
-            return []
         engine = self.engine
         shard_of = getattr(engine.cache, "shard_index", None)
         groups: dict[int, list[int]] = {}
-        bypass: list[int] = []
+        bypass: list[list[int]] = []
         for position, query in enumerate(queries):
             if engine._is_cacheable(query):
                 shard = shard_of(query.text) if shard_of is not None else 0
                 groups.setdefault(shard, []).append(position)
             else:
-                bypass.append(position)
-        responses: list[EngineResponse | None] = [None] * len(queries)
+                bypass.append([position])
 
-        def run_group(positions: list[int]) -> list[EngineResponse]:
+        def run_task(positions: list[int]) -> list[EngineResponse]:
             group = [queries[p] for p in positions]
+            if not engine._is_cacheable(group[0]):
+                return [self._serve(group[0], now)]
             sine_results = engine.cache.lookup_batch(
                 group, now, ann_only=engine.config.ann_only
             )
-            tracer = engine.tracer
-            out: list[EngineResponse] = []
-            for query, sine_result in zip(group, sine_results):
-                with self._record_lock:
-                    lookup, _ = engine._lookup_record(query, sine_result)
-                if tracer is None or not tracer.sample():
-                    out.append(self._finish_lookup(query, lookup, now))
-                    continue
-                with tracer.request() as span:
-                    response = self._finish_lookup(query, lookup, now)
-                    span.attrs = {
-                        "tool": query.tool,
-                        "batched": True,
-                        "outcome": response.degraded or response.lookup.status,
-                    }
-                    out.append(response)
-            return out
+            return [
+                self._serve(query, now, sine_result)
+                for query, sine_result in zip(group, sine_results)
+            ]
 
-        if self.workers == 1:
-            for positions in groups.values():
-                for position, response in zip(positions, run_group(positions)):
-                    responses[position] = response
-            for position in bypass:
-                responses[position] = self._serve(queries[position], now)
-            return responses  # type: ignore[return-value]
-        pool = self._ensure_pool()
-        group_futures = [
-            (positions, pool.submit(run_group, positions))
-            for positions in groups.values()
-        ]
-        bypass_futures = [
-            (position, pool.submit(self._serve, queries[position], now))
-            for position in bypass
-        ]
-        for positions, future in group_futures:
-            for position, response in zip(positions, future.result()):
+        tasks = [*groups.values(), *bypass]
+        responses: list[EngineResponse | None] = [None] * len(queries)
+        for positions, results in zip(tasks, self._map(run_task, tasks)):
+            for position, response in zip(positions, results):
                 responses[position] = response
-        for position, future in bypass_futures:
-            responses[position] = future.result()
         return responses  # type: ignore[return-value]
 
+    def _map(self, task, items: list) -> list:
+        """``task`` over ``items`` on the worker pool — inline with one
+        worker, so single-worker runs replay in input order; results in
+        input order either way."""
+        if self.workers == 1:
+            return [task(item) for item in items]
+        pool = self._ensure_pool()
+        futures = [pool.submit(task, item) for item in items]
+        return [future.result() for future in futures]
+
     # -- the request path --------------------------------------------------------
-    def _serve(self, query: Query, now: float) -> EngineResponse:
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.sample():
-            return self._serve_inner(query, now)
-        with tracer.request() as span:
-            response = self._serve_inner(query, now)
-            span.attrs = {
-                "tool": query.tool,
-                "outcome": response.degraded or response.lookup.status,
-            }
-            return response
+    def _serve(self, query: Query, now: float, sine_result=None) -> EngineResponse:
+        """One request through the flow; ``sine_result`` is a batched
+        entry's finished two-stage lookup."""
+        flow = request_flow(self.engine, query, now, batched=sine_result is not None)
+        return self._run(flow, query, now, sine_result)
 
-    def _serve_inner(self, query: Query, now: float) -> EngineResponse:
+    def _run(
+        self,
+        flow: Generator,
+        query: Query | None = None,
+        now: float = 0.0,
+        sine_result=None,
+    ):
+        """The thread driver of :mod:`repro.core.flow`: every resume of the
+        generator (its counters, eval log, admission decisions, reservoirs)
+        holds ``_record_lock``; effects hold only their own lock, and waits
+        none (the class docstring's thread-safety map)."""
         engine = self.engine
-        if not engine._is_cacheable(query):
-            key = engine._resilience_key(query)
-            try:
-                fetch = self._fetch(query, now)
-            except RemoteFetchError as exc:
-                with self._record_lock:
-                    engine._account_failure(key, exc, now + exc.latency)
-                lookup = CacheLookup(status="bypass", result=None, latency=0.0)
-                return self._degrade(
-                    query, lookup, key, now, now, wasted=exc.latency
-                )
-            engine.resilience.on_success(key, fetch, now + fetch.latency)
-            response = engine._bypass_response(fetch, fetch.latency)
-            self._record(response, query, now, shared=False)
-            return response
-        sine_result = engine.cache.lookup(query, now, ann_only=engine.config.ann_only)
-        with self._record_lock:
-            lookup, _ = engine._lookup_record(query, sine_result)
-        return self._finish_lookup(query, lookup, now)
-
-    def _finish_lookup(
-        self, query: Query, lookup: CacheLookup, now: float
-    ) -> EngineResponse:
-        """Everything after the recorded lookup: hit response, or the
-        guarded single-flight miss flight (shared by the scalar and batched
-        paths)."""
-        engine = self.engine
-        if lookup.is_hit:
-            response = EngineResponse(
-                result=lookup.result or "", latency=lookup.latency, lookup=lookup
-            )
-            self._record(response, query, now, shared=False)
-            return response
-        start = now + lookup.latency
-        key = (query.tool, canonical_text(query.text))
-        verdict = engine.resilience.admit(key, start)
-        if verdict != "allow":
-            with self._record_lock:
-                if verdict == "negative":
-                    engine.metrics.negative_cache_hits += 1
-                else:
-                    engine.metrics.breaker_open_rejects += 1
-            return self._degrade(query, lookup, key, start, now, refresh=True)
+        lock = self._record_lock
         try:
-            fetch, shared = self.singleflight.run(
-                key,
-                lambda: self._fetch_and_admit(query, start, key),
-                timeout=self.follower_timeout,
-            )
-        except RemoteFetchError as exc:
-            # Leaders raise their own FetchFailed; followers re-raise the
-            # leader's (deduplicated by _account_failure's marker).
-            with self._record_lock:
-                engine._account_failure(key, exc, start + exc.latency)
-            return self._degrade(
-                query, lookup, key, start, now, wasted=exc.latency
-            )
-        response = EngineResponse(
-            result=fetch.result,
-            latency=lookup.latency + fetch.latency,
-            lookup=lookup,
-            fetch=fetch,
-        )
-        self._record(response, query, now, shared=shared)
-        return response
-
-    def _fetch_and_admit(
-        self, query: Query, start: float, key: tuple
-    ) -> FetchResult:
-        """Leader path: remote fetch with transient-fault retries, breaker
-        accounting, then admission into the query's shard."""
-        engine = self.engine
-        tracer = engine.tracer
-        if tracer is None or not tracer.live or not tracer.active():
-            fetch, overhead, attempts = self._fetch_retrying(query, start)
-        else:
-            t0 = tracer.clock()
-            fetch, overhead, attempts = self._fetch_retrying(query, start)
-            tracer.record_leaf(
-                "remote_fetch", t0, {"retries": attempts, "cost": fetch.cost}
-            )
-        arrival = start + overhead + fetch.latency
-        engine.resilience.on_success(key, fetch, arrival)
-        with self._record_lock:
-            admit = engine._should_admit(query, fetch, arrival)
-        if admit:
-            if tracer is None or not tracer.live:
-                engine.cache.insert(query, fetch, arrival)
-            else:
-                with tracer.span("admit"):
-                    engine.cache.insert(query, fetch, arrival)
-        return fetch
-
-    def _fetch_retrying(
-        self, query: Query, start: float
-    ) -> tuple[FetchResult, float, int]:
-        """The transient-fault retry loop around :meth:`_fetch`; returns the
-        fetch, the simulated overhead accrued by failed attempts and backoff,
-        and the number of retries taken."""
-        engine = self.engine
-        overhead = 0.0
-        attempt = 0
-        while True:
-            try:
-                return self._fetch(query, start + overhead), overhead, attempt
-            except InjectedFault as exc:
-                overhead += exc.latency
-                if attempt >= engine.resilience.retry_policy.max_retries:
-                    raise FetchFailed(
-                        f"retries exhausted after {attempt + 1} attempts: {exc}",
-                        latency=overhead,
-                        cause=exc,
-                    ) from exc
-                delay = engine.resilience.next_delay(attempt)
-                overhead += delay
-                if self.io_pause_scale > 0 and delay > 0:
-                    time.sleep(delay * self.io_pause_scale)
-                attempt += 1
-            except RemoteFetchError as exc:
-                raise FetchFailed(
-                    f"non-retryable fetch failure: {exc}",
-                    latency=overhead + exc.latency,
-                    cause=exc,
-                ) from exc
+            with lock:
+                effect = flow.send(None)
+            while True:
+                result = None
+                try:
+                    kind = type(effect)
+                    if kind is Lookup:
+                        if sine_result is None:
+                            sine_result = engine._sine_lookup(query, now)
+                        with lock:
+                            result, _ = engine._lookup_record(query, sine_result)
+                    elif kind is Fetch:
+                        result = self._fetch(effect.query, effect.at)
+                    elif kind is Sleep:
+                        if self.io_pause_scale > 0:
+                            time.sleep(effect.seconds * self.io_pause_scale)
+                    elif kind is Admit:
+                        engine.cache.insert(*effect)
+                    elif kind is Flight:
+                        body = effect.body
+                        result = self.singleflight.run(
+                            effect.key,
+                            lambda: self._run(body),
+                            timeout=self.follower_timeout,
+                        )
+                    else:  # Spawn: on the worker pool, off the caller's path
+                        self._ensure_pool().submit(self._run, effect.flow)
+                except Exception as exc:
+                    with lock:
+                        effect = flow.throw(exc)
+                else:
+                    with lock:
+                        effect = flow.send(result)
+        except StopIteration as stop:
+            return stop.value
 
     def _fetch(self, query: Query, start: float) -> FetchResult:
         try:
@@ -428,78 +324,6 @@ class ConcurrentEngine:
             # workers keep serving while this fetch is "on the wire".
             time.sleep(fetch.latency * self.io_pause_scale)
         return fetch
-
-    def _degrade(
-        self,
-        query: Query,
-        lookup: CacheLookup,
-        key: tuple,
-        at: float,
-        now: float,
-        wasted: float = 0.0,
-        refresh: bool = False,
-    ) -> EngineResponse:
-        """Stale/failed fallback for a refused or failed miss flight; a
-        stale serve may also schedule a background revalidation flight."""
-        engine = self.engine
-        entry = engine.resilience.stale_for(key, at + wasted)
-        if entry is not None:
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-        else:
-            response = EngineResponse(
-                result="",
-                latency=lookup.latency + wasted,
-                lookup=lookup,
-                degraded="failed",
-            )
-        with self._record_lock:
-            if entry is not None:
-                engine.metrics.stale_hits += 1
-            else:
-                engine.metrics.failed_requests += 1
-            engine._record_degraded(response, query, now)
-        if entry is not None and refresh and engine.resilience.allow_probe(at):
-            self._spawn_refresh(query, key, at)
-        return response
-
-    def _spawn_refresh(self, query: Query, key: tuple, start: float) -> None:
-        """Stale-while-revalidate: refresh on the worker pool, off the
-        caller's latency path, coalesced with any foreground flight."""
-        with self._record_lock:
-            self.engine.metrics.background_refreshes += 1
-        self._ensure_pool().submit(self._refresh, query, key, start)
-
-    def _refresh(self, query: Query, key: tuple, start: float) -> None:
-        tracer = self.engine.tracer
-        if tracer is None or not tracer.sample():
-            self._refresh_inner(query, key, start)
-        else:
-            # Pool threads have no request context; the refresh becomes its
-            # own root span (request() semantics without the request name).
-            with tracer.request("stale_refresh", tool=query.tool):
-                self._refresh_inner(query, key, start)
-
-    def _refresh_inner(self, query: Query, key: tuple, start: float) -> None:
-        try:
-            self.singleflight.run(
-                key, lambda: self._fetch_and_admit(query, start, key)
-            )
-        except RemoteFetchError as exc:
-            with self._record_lock:
-                self.engine._account_failure(key, exc, start + exc.latency)
-
-    def _record(
-        self, response: EngineResponse, query: Query, now: float, shared: bool
-    ) -> None:
-        with self._record_lock:
-            if shared:
-                self.engine.metrics.coalesced_misses += 1
-            self.engine._record_response(response, query, now)
 
     # -- closed-loop load generation ---------------------------------------------
     def run_closed_loop(

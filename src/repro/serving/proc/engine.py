@@ -36,11 +36,10 @@ from __future__ import annotations
 import time
 
 from repro.core.config import AsteriaConfig
-from repro.core.engine import AsteriaEngine, EngineResponse
-from repro.core.metrics import EngineMetrics  # noqa: F401  (re-exported docs)
+from repro.core.engine import AsteriaEngine
+from repro.core.flow import CacheUnavailable, EngineResponse
 from repro.core.resilience import CircuitBreaker, ResilienceManager
-from repro.core.types import CacheLookup
-from repro.network.remote import RemoteDataService, RemoteFetchError
+from repro.network.remote import RemoteDataService
 from repro.obs.distributed import make_span_sink, trace_context
 from repro.serving.aio.engine import AsyncAsteriaEngine, AsyncOutcome
 from repro.serving.aio.remote import AsyncRemoteService
@@ -204,14 +203,38 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
 
     # -- the two cache access points ------------------------------------------
     async def _sine_lookup(self, query, now, prepared=None):
-        # `prepared` (the in-process stage-1 snapshot) never applies here:
-        # frame-level accumulation in the ShardClient is the batching tier.
-        # `ctx` carries the current request span's identity across the
-        # process boundary (None on untraced/unsampled traffic — the frame
-        # stays byte-identical to the pre-tracing wire).
-        return await self.pool.lookup(
-            query, now, ctx=trace_context(self.engine.tracer)
-        )
+        """The lookup, wrapped in its shard's fault domain.
+
+        `prepared` (the in-process stage-1 snapshot) never applies here:
+        frame-level accumulation in the ShardClient is the batching tier.
+        `ctx` carries the current request span's identity across the
+        process boundary (None on untraced/unsampled traffic — the frame
+        stays byte-identical to the pre-tracing wire).
+
+        With fault domains on, a known-dead shard (its breaker refuses)
+        throws :class:`CacheUnavailable` without touching the wire, and a
+        WorkerError — the shard died under this request — is charged to the
+        shard's domain and becomes one too: the flow degrades per domain and
+        a raw WorkerError never reaches ``serve()``'s caller.
+        """
+        ctx = trace_context(self.engine.tracer)
+        if not self.fault_domains:
+            return await self.pool.lookup(query, now, ctx=ctx)
+        shard = self.pool.shard_for(query.text)
+        if not self._shard_allow(shard, time.monotonic()):
+            raise CacheUnavailable(shard)
+        try:
+            result = await self.pool.lookup(query, now, ctx=ctx)
+        except WorkerError as exc:
+            self._shard_failure(shard, exc)
+            raise CacheUnavailable(shard) from exc
+        # Closed-state successes aren't recorded (a 1-slot window needs no
+        # success history); a granted half-open probe that came back is the
+        # recovery signal that re-closes an unsupervised breaker.
+        breaker = self.shard_breakers[shard]
+        if breaker.state != "closed":
+            breaker.record_success(time.monotonic())
+        return result
 
     async def _admit(self, query, fetch, arrival) -> None:
         try:
@@ -234,89 +257,9 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         return await super()._serve_outer(query, now, deadline, serve=serve)
 
     async def _serve(self, query, now, prepared=None) -> EngineResponse:
-        """The inherited serve path wrapped in this shard's fault domain.
-
-        Cacheable requests consult their target shard's breaker first: a
-        known-dead shard routes straight to the degraded path without
-        touching the wire. A WorkerError escaping the inherited path (the
-        shard died under this request) is charged to the shard's domain and
-        the request completes degraded — a raw WorkerError never reaches
-        ``serve()``'s caller while fault domains are on.
-        """
         if self.proc_faults is not None:
             self.proc_faults.on_serve(self.pool)
-        engine = self.engine
-        if not self.fault_domains or not engine._is_cacheable(query):
-            return await super()._serve(query, now, prepared=prepared)
-        shard = self.pool.shard_for(query.text)
-        breaker = self.shard_breakers[shard]
-        if not self._shard_allow(shard, time.monotonic()):
-            return await self._serve_shard_down(query, shard, now)
-        try:
-            response = await super()._serve(query, now, prepared=prepared)
-        except WorkerError as exc:
-            self._shard_failure(shard, exc)
-            return await self._serve_shard_down(query, shard, now)
-        # Closed-state successes aren't recorded (a 1-slot window needs no
-        # success history); a granted half-open probe that came back is the
-        # recovery signal that re-closes an unsupervised breaker.
-        if breaker.state != "closed":
-            breaker.record_success(time.monotonic())
-        return response
-
-    async def _serve_shard_down(self, query, shard: int, now: float) -> EngineResponse:
-        """Per-domain degradation for a dead/recovering shard.
-
-        Decision ladder: last-known-good stale hit if the StaleStore has
-        one; else a direct remote fetch that bypasses the cache (gated by
-        the *global* resilience admission, still single-flighted, counted in
-        ``shard_down_fetches``); else an explicit failure. Healthy shards
-        never see this path.
-        """
-        engine = self.engine
-        key = engine._resilience_key(query)
-        lookup = CacheLookup(status="miss", result=None, latency=0.0)
-        entry = engine.resilience.stale_for(key, now)
-        if entry is not None:
-            engine.metrics.stale_hits += 1
-            response = EngineResponse(
-                result=entry.fetch.result,
-                latency=lookup.latency,
-                lookup=lookup,
-                degraded="stale_hit",
-            )
-            engine._record_degraded(response, query, now)
-            return response
-        verdict = engine.resilience.admit(key, now)
-        if verdict != "allow":
-            # The backend is in trouble too (negative-cached key or open
-            # global breaker): no bypass fetch, fall through to failed.
-            if verdict == "negative":
-                engine.metrics.negative_cache_hits += 1
-            else:
-                engine.metrics.breaker_open_rejects += 1
-            return self._degrade(query, lookup, key, now, now)
-        self.metrics.shard_down_fetches += 1
-        try:
-            fetch, shared = await self.singleflight.run(
-                key,
-                lambda: self._fetch_bypass(query, now, key),
-                timeout=self.follower_timeout,
-            )
-        except RemoteFetchError as exc:
-            engine._account_failure(key, exc, now + exc.latency)
-            return self._degrade(query, lookup, key, now, now, wasted=exc.latency)
-        response = engine._bypass_response(fetch, fetch.latency)
-        self._record(response, query, now, shared=shared)
-        return response
-
-    async def _fetch_bypass(self, query, start: float, key) -> "object":
-        """Leader flight for a shard-down request: retrying remote fetch,
-        success banked as last-known-good, *no* cache admission (the shard
-        that would hold it is down)."""
-        fetch, overhead, _ = await self._fetch_retrying(query, start)
-        self.engine.resilience.on_success(key, fetch, start + overhead + fetch.latency)
-        return fetch
+        return await super()._serve(query, now, prepared=prepared)
 
     async def serve_batched(self, query, now: float = 0.0, deadline=None):
         """Batching happens per shard at the wire (the ShardClient's

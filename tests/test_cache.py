@@ -186,3 +186,14 @@ class TestPrefetchInteraction:
         cache.insert(Query("height of everest", fact_id="F"), fetch(), 0.0)
         assert cache.contains_semantic(Query("everest height", fact_id="F"))
         assert not cache.contains_semantic(Query("weather in oslo", fact_id="G"))
+
+
+class TestCacheTruthiness:
+    def test_empty_caches_are_truthy(self):
+        from repro.core import AsteriaConfig, ExactCache
+        from repro.factory import build_semantic_cache
+
+        cache = build_semantic_cache(AsteriaConfig())
+        assert len(cache) == 0
+        assert bool(cache)  # `shared or fresh()` must not rebuild
+        assert bool(ExactCache())

@@ -14,6 +14,7 @@ its cache counters come from worker replies, not an in-process store.
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.core import Query
 from repro.core.resilience import CircuitBreaker, ResilienceManager
@@ -55,14 +56,20 @@ def workload() -> list[Query]:
     ]
 
 
-def _remote():
+#: Second fault script: a blackout short enough that the first retry (50 ms
+#: backoff after a 50 ms failed attempt) lands past it and succeeds, so the
+#: miss is served — and must be *charged* its retry overhead in every tier.
+SHORT_BLACKOUT = (1.0, 1.08)
+
+
+def _remote(blackout=BLACKOUT):
     """A fresh remote with the same deterministic, schedule-driven faults.
 
     Blackout faults consume no randomness and trigger purely on the
     simulated clock, so every engine sees the identical fault sequence.
     """
     return build_remote(
-        seed=SEED, fault_injector=FaultInjector(blackouts=[BLACKOUT], seed=SEED)
+        seed=SEED, fault_injector=FaultInjector(blackouts=[blackout], seed=SEED)
     )
 
 
@@ -78,16 +85,16 @@ def _resilience() -> ResilienceManager:
     )
 
 
-def run_sync(queries):
-    engine = build_asteria_engine(_remote(), seed=SEED, resilience=_resilience())
+def run_sync(queries, blackout=BLACKOUT):
+    engine = build_asteria_engine(_remote(blackout), seed=SEED, resilience=_resilience())
     for i, query in enumerate(queries):
         engine.handle(query, now=i * TIME_STEP)
     return engine
 
 
-def run_thread(queries):
+def run_thread(queries, blackout=BLACKOUT):
     engine = build_concurrent_engine(
-        _remote(), seed=SEED, shards=4, workers=1, resilience=_resilience()
+        _remote(blackout), seed=SEED, shards=4, workers=1, resilience=_resilience()
     )
     with engine:
         for i, query in enumerate(queries):
@@ -95,9 +102,9 @@ def run_thread(queries):
     return engine
 
 
-def run_async(queries):
+def run_async(queries, blackout=BLACKOUT):
     engine = build_async_engine(
-        _remote(), seed=SEED, shards=4, resilience=_resilience()
+        _remote(blackout), seed=SEED, shards=4, resilience=_resilience()
     )
 
     async def drive():
@@ -112,11 +119,11 @@ def run_async(queries):
     return engine
 
 
-def run_proc(queries):
+def run_proc(queries, blackout=BLACKOUT):
     # workers=4 matches the other arms' shards=4: the shard count shapes
     # per-shard ANN candidate sets, so parity needs the same partitioning.
     engine = build_proc_engine(
-        _remote(), seed=SEED, workers=4, resilience=_resilience()
+        _remote(blackout), seed=SEED, workers=4, resilience=_resilience()
     )
 
     async def drive():
@@ -166,3 +173,42 @@ def test_pinned_workload_exposes_identical_counters_across_engines():
         assert latency.count(engine=label, kind="total") == (
             engine.metrics.requests
         )
+
+
+def test_retry_overhead_is_charged_identically_across_engines():
+    """A retried-then-served miss costs ``lookup + (failed attempts +
+    backoff) + fetch`` in every tier — the concurrent tiers used to drop the
+    middle term. The lookup term depends on how many candidates each shard
+    layout judges, so the comparison is on what misses are charged *beyond*
+    their cache check, which only the shared fetch sequence determines."""
+    queries = workload()
+    engines = {
+        "sync": run_sync(queries, SHORT_BLACKOUT),
+        "thread": run_thread(queries, SHORT_BLACKOUT),
+        "async": run_async(queries, SHORT_BLACKOUT),
+        "proc": run_proc(queries, SHORT_BLACKOUT),
+    }
+
+    def beyond_lookup(metrics) -> tuple[float, float]:
+        checks = metrics.cache_check_latency.total
+        return (
+            metrics.total_latency.total - checks,
+            metrics.miss_latency.total - (checks - metrics.hit_latency.total),
+        )
+
+    sync = engines["sync"].metrics
+    # The script retried (one failed attempt + one backoff, 50 ms each, per
+    # retried flight) and every retry succeeded.
+    assert engines["sync"].remote.fault_injector.total_faults > 0
+    assert sync.fetch_failures == 0 and sync.failed_requests == 0
+    overhead = beyond_lookup(sync)[1] - sync.remote_latency.total
+    assert overhead >= 0.1 - 1e-9
+    for label, engine in engines.items():
+        metrics = engine.metrics
+        assert metrics.misses == sync.misses, label
+        assert metrics.remote_latency.total == pytest.approx(
+            sync.remote_latency.total, abs=1e-9
+        ), label
+        assert beyond_lookup(metrics) == pytest.approx(
+            beyond_lookup(sync), abs=1e-9
+        ), label
