@@ -297,6 +297,38 @@ def _engine_breaker(engine):
     return getattr(inner.resilience, "breaker", None)
 
 
+def _metrics_rig(engine, label, series_interval=None):
+    """Registry + engine instrument (breakers wired) and, when
+    ``series_interval`` is given, a started snapshot recorder probing the
+    engine. Returns ``(registry, instrument, recorder)``."""
+    from repro.obs import EngineInstrument, MetricsRegistry, SnapshotRecorder
+
+    registry = MetricsRegistry()
+    instrument = EngineInstrument(registry, label)
+    breaker = _engine_breaker(engine)
+    if breaker is not None:
+        instrument.wire_breaker(breaker)
+    shard_breakers = getattr(engine, "shard_breakers", None)
+    if shard_breakers:
+        instrument.wire_shard_breakers(shard_breakers)
+    if series_interval is None:
+        return registry, instrument, None
+    recorder = SnapshotRecorder(registry, interval=series_interval)
+    instrument.install_probes(
+        recorder,
+        engine.metrics,
+        cache=engine.cache,
+        inflight_fn=(
+            (lambda: engine.inflight)
+            if hasattr(type(engine), "inflight")
+            else None
+        ),
+        breaker=breaker,
+    )
+    recorder.start()
+    return registry, instrument, recorder
+
+
 def _obs_setup(arguments, engine, label):
     """Build the observability rig requested by the stress flags.
 
@@ -316,34 +348,11 @@ def _obs_setup(arguments, engine, label):
             tracer = Tracer()
         engine.set_tracer(tracer)
     if arguments.metrics_out or arguments.series_out:
-        from repro.obs import EngineInstrument, MetricsRegistry
-
-        registry = MetricsRegistry()
-        instrument = EngineInstrument(registry, label)
-        breaker = _engine_breaker(engine)
-        if breaker is not None:
-            instrument.wire_breaker(breaker)
-        shard_breakers = getattr(engine, "shard_breakers", None)
-        if shard_breakers:
-            instrument.wire_shard_breakers(shard_breakers)
-    if arguments.series_out:
-        from repro.obs import SnapshotRecorder
-
-        recorder = SnapshotRecorder(
-            registry, interval=arguments.snapshot_interval
+        registry, instrument, recorder = _metrics_rig(
+            engine,
+            label,
+            arguments.snapshot_interval if arguments.series_out else None,
         )
-        instrument.install_probes(
-            recorder,
-            engine.metrics,
-            cache=engine.cache,
-            inflight_fn=(
-                (lambda: engine.inflight)
-                if hasattr(type(engine), "inflight")
-                else None
-            ),
-            breaker=_engine_breaker(engine),
-        )
-        recorder.start()
     return tracer, registry, instrument, recorder
 
 
@@ -864,25 +873,9 @@ def _command_serve(arguments) -> int:
     _persist_banner(arguments, engine)
     slo_engine = recorder = None
     if arguments.slo:
-        from repro.obs import (
-            EngineInstrument,
-            MetricsRegistry,
-            SLOEngine,
-            SnapshotRecorder,
-            default_slos,
-        )
+        from repro.obs import SLOEngine, default_slos
 
-        registry = MetricsRegistry()
-        instrument = EngineInstrument(registry, "proc")
-        recorder = SnapshotRecorder(registry, interval=arguments.slo_interval)
-        instrument.install_probes(
-            recorder,
-            engine.metrics,
-            cache=engine.cache,
-            inflight_fn=lambda: engine.inflight,
-            breaker=_engine_breaker(engine),
-        )
-        recorder.start()
+        registry, _, recorder = _metrics_rig(engine, "proc", arguments.slo_interval)
         slo_engine = SLOEngine(
             default_slos("proc"), recorder=recorder, registry=registry
         )

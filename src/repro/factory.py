@@ -176,46 +176,20 @@ def build_asteria_engine(
     :class:`~repro.store.persist.PersistentStore`).
     """
     config = config if config is not None else AsteriaConfig()
-    embedder = CachedEmbedder(HashingEmbedder(seed=derive_seed(seed, "embedder")))
-    shared_arena = None
-    if index is None:
-        shared_arena = build_arena(arena, embedder.dim)
-        index = build_index(
-            index_kind,
-            embedder.dim,
-            seed=derive_seed(seed, "index"),
-            arena=shared_arena,
-        )
-    elif index.dim != embedder.dim:
-        raise ValueError(
-            f"custom index dim {index.dim} != embedder dim {embedder.dim}"
-        )
-    if judger is None:
-        judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
-    if judge_spin > 0:
-        judger = SpinningJudger(judger, spin=judge_spin)
-    sine = Sine(
-        embedder,
-        index,
-        judger,
-        tau_sim=config.tau_sim,
-        tau_lsm=config.tau_lsm,
-        max_candidates=config.max_candidates,
-    )
-    if isinstance(policy, str):
-        policy = policy_by_name(policy)
-    resolved_backend = build_backend(backend, arena=shared_arena, backend_dir=backend_dir)
-    cache = AsteriaCache(
-        sine,
-        capacity_items=config.capacity_items,
-        default_ttl=config.default_ttl,
+    cache = build_semantic_cache(
+        config,
+        seed=seed,
+        index_kind=index_kind,
         policy=policy,
-        staticity_scorer=StaticityScorer(seed=derive_seed(seed, "staticity")),
-        staticity_ttl_scaling=config.staticity_ttl_scaling,
-        arena=shared_arena if resolved_backend is None else None,
-        backend=resolved_backend,
+        arena=arena,
+        judge_spin=judge_spin,
+        backend=backend,
+        backend_dir=backend_dir,
+        persist_dir=persist_dir,
+        fsync_every=fsync_every,
+        index=index,
+        judger=judger,
     )
-    _attach_persistence(cache, persist_dir, fsync_every=fsync_every)
     return AsteriaEngine(
         cache,
         remote,
@@ -256,22 +230,38 @@ def build_semantic_cache(
     backend_dir=None,
     persist_dir=None,
     fsync_every: int = 8,
+    index: VectorIndex | None = None,
+    judger: SimulatedJudger | None = None,
 ) -> AsteriaCache:
     """A standalone semantic cache (used for shared tiers and direct use).
 
-    ``arena`` selects the embedding storage tier (``"float32"`` default /
-    ``"int8"`` / ``None``) — see :func:`build_asteria_engine`. ``judge_spin``
-    > 0 wraps the judger in a :class:`~repro.judger.SpinningJudger` that
-    burns that many seconds of GIL-holding CPU per judged candidate
-    (identical decisions, real CPU cost — for parallelism benchmarks).
+    The one place the stack is assembled — :func:`build_asteria_engine` and
+    every sharded/worker builder come through here. ``arena`` selects the
+    embedding storage tier (``"float32"`` default / ``"int8"`` / ``None``)
+    — see :func:`build_asteria_engine`. ``judge_spin`` > 0 wraps the judger
+    in a :class:`~repro.judger.SpinningJudger` that burns that many seconds
+    of GIL-holding CPU per judged candidate (identical decisions, real CPU
+    cost — for parallelism benchmarks). A pre-built ``index`` keeps its own
+    storage (no shared arena) and must match the embedder's dims; ``judger``
+    replaces the seeded :class:`~repro.judger.SimulatedJudger`.
     """
     config = config if config is not None else AsteriaConfig()
     embedder = CachedEmbedder(HashingEmbedder(seed=derive_seed(seed, "embedder")))
-    shared_arena = build_arena(arena, embedder.dim)
-    index = build_index(
-        index_kind, embedder.dim, seed=derive_seed(seed, "index"), arena=shared_arena
-    )
-    judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
+    shared_arena = None
+    if index is None:
+        shared_arena = build_arena(arena, embedder.dim)
+        index = build_index(
+            index_kind,
+            embedder.dim,
+            seed=derive_seed(seed, "index"),
+            arena=shared_arena,
+        )
+    elif index.dim != embedder.dim:
+        raise ValueError(
+            f"custom index dim {index.dim} != embedder dim {embedder.dim}"
+        )
+    if judger is None:
+        judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
     if judge_spin > 0:
         judger = SpinningJudger(
             judger, spin=judge_spin, iterations=judge_spin_iterations
@@ -298,6 +288,26 @@ def build_semantic_cache(
         backend=resolved_backend,
     )
     return _attach_persistence(cache, persist_dir, fsync_every=fsync_every)
+
+
+def _shard_config(config: AsteriaConfig, shards: int) -> AsteriaConfig:
+    """``config`` with a bounded ``capacity_items`` ceil-split over ``shards``
+    (so the total may exceed the request by up to ``shards - 1``)."""
+    if config.capacity_items is None or shards <= 1:
+        return config
+    return replace(config, capacity_items=-(-config.capacity_items // shards))
+
+
+def _serving_config(config: AsteriaConfig | None, tier: str) -> AsteriaConfig:
+    """The config a concurrent tier serves under: prefetch and recalibration
+    mutate engine-global state on the request path, so they must be off."""
+    config = config if config is not None else AsteriaConfig()
+    if config.prefetch_enabled or config.recalibration_enabled:
+        raise ValueError(
+            f"{tier} serving requires prefetch_enabled and "
+            "recalibration_enabled off; run those studies sequentially"
+        )
+    return config
 
 
 def build_sharded_cache(
@@ -327,11 +337,7 @@ def build_sharded_cache(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     config = config if config is not None else AsteriaConfig()
-    shard_config = config
-    if config.capacity_items is not None and shards > 1:
-        shard_config = replace(
-            config, capacity_items=-(-config.capacity_items // shards)
-        )
+    shard_config = _shard_config(config, shards)
     shard_backend_dirs: list = [None] * shards
     if backend_dir is not None:
         from repro.store.persist import shard_directory
@@ -392,12 +398,7 @@ def build_concurrent_engine(
     overlap remote I/O the way a deployed system would — see
     :class:`~repro.serving.concurrent.ConcurrentEngine`.
     """
-    config = config if config is not None else AsteriaConfig()
-    if config.prefetch_enabled or config.recalibration_enabled:
-        raise ValueError(
-            "concurrent serving requires prefetch_enabled and "
-            "recalibration_enabled off; run those studies sequentially"
-        )
+    config = _serving_config(config, "concurrent")
     cache = build_sharded_cache(
         config,
         seed=seed,
@@ -454,12 +455,7 @@ def build_async_engine(
     backpressure, deadlines, and hedging — see
     :class:`~repro.serving.aio.AsyncAsteriaEngine`.
     """
-    config = config if config is not None else AsteriaConfig()
-    if config.prefetch_enabled or config.recalibration_enabled:
-        raise ValueError(
-            "async serving requires prefetch_enabled and "
-            "recalibration_enabled off; run those studies sequentially"
-        )
+    config = _serving_config(config, "async")
     cache = build_sharded_cache(
         config,
         seed=seed,
@@ -537,12 +533,7 @@ def build_proc_engine(
     instead of failing the engine. ``proc_faults`` accepts a
     :class:`ProcFaultInjector` for chaos runs.
     """
-    config = config if config is not None else AsteriaConfig()
-    if config.prefetch_enabled or config.recalibration_enabled:
-        raise ValueError(
-            "proc serving requires prefetch_enabled and "
-            "recalibration_enabled off; run those studies sequentially"
-        )
+    config = _serving_config(config, "proc")
     if not isinstance(policy, str):
         raise TypeError(
             "build_proc_engine needs a policy *name* (the spec crosses the "
@@ -550,11 +541,7 @@ def build_proc_engine(
         )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    shard_config = config
-    if config.capacity_items is not None and workers > 1:
-        shard_config = replace(
-            config, capacity_items=-(-config.capacity_items // workers)
-        )
+    shard_config = _shard_config(config, workers)
     # Calibrate the spin once here, in the quiet parent, and ship the
     # iteration count to every worker: a worker calibrating while its
     # siblings burn CPU on the same cores would measure a contended loop

@@ -29,13 +29,13 @@ Two recording styles, chosen per call site by cost:
   recording for *leaf* stages (``embed``, ``ann_search``, ``judge``,
   ``remote_fetch``, ``evict``) that never open children. This skips the
   context-manager protocol and the contextvar set/reset entirely — one
-  Python frame instead of three — which is what keeps tracing-on overhead
-  inside the benchmarked budget. A leaf whose work raises records nothing;
+  Python frame instead of three, on a path that runs ~6 times per traced
+  request. A leaf whose work raises records nothing;
   the failure stays visible as the root span's ``outcome``.
 
 Engines hold ``tracer = None`` by default and guard every instrumentation
 point with one ``is None`` check, so tracing-off overhead is a branch per
-stage (measured ~zero by ``benchmarks/run_obs_overhead.py``).
+stage.
 
 For always-on production tracing, :class:`SamplingTracer` records 1-in-N
 requests. Engines decide once per request via :meth:`Tracer.sample` and
@@ -217,9 +217,8 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
     # span() and request() build spans inline via Span.__new__ rather than
-    # sharing a helper or calling Span(...): tracing-on overhead is a
-    # benchmarked budget (benchmarks/run_obs_overhead.py) and each saved
-    # call frame is measurable at ~6 spans per request.
+    # sharing a helper or calling Span(...): at ~6 spans per traced request
+    # each saved call frame shows up in tracing-on overhead.
     def span(self, name: str, **attrs) -> Span:
         """Open a stage span under the current span (or as a root)."""
         current = self._current

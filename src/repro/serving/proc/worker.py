@@ -123,7 +123,7 @@ class _ShardServer:
         # Always installed: with no remote context active its ``live`` count
         # is 0, so the cache's leaf guards short-circuit on one attribute
         # load — untraced frames pay an integer check per stage, nothing
-        # more (benchmarks/run_obs_overhead.py measures the proc arm).
+        # more.
         self.tracer = WorkerTracer()
         self.cache.set_tracer(self.tracer)
 
@@ -183,7 +183,7 @@ class _ShardServer:
         # The shared embed/ANN pass is one unit of work for the whole frame;
         # its spans are attributed to the first traced request in it (with
         # batch_window=0 frames are size 1, so this is exact attribution —
-        # the workers=1 parity gate in BENCH_breakdown.json relies on it).
+        # test_workers_one_replays_sync_engine_stage_counts relies on it).
         shared_ctx = next((ctx for ctx in ctxs if ctx is not None), None)
         with self.tracer.activate(shared_ctx):
             batch_hits = self.cache.prepare_batch([query.text for query in queries])

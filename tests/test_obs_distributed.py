@@ -234,8 +234,7 @@ class TestProcEngineEndToEnd:
     def test_workers_one_replays_sync_engine_stage_counts(self):
         # One shard + concurrency 1 makes the worker-side pipeline replay
         # the in-process engine's decisions exactly: grafted stage counts
-        # must match the sync engine's span counts stage for stage (the
-        # parity run_breakdown.py gates on).
+        # must match the sync engine's span counts stage for stage.
         queries = _queries(60)
         sync_engine = build_asteria_engine(build_remote(seed=0), seed=0)
         sync_tracer = Tracer()

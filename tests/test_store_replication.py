@@ -47,21 +47,28 @@ def trace(population, n, offset=0):
 
 
 class TestConvergence:
-    def test_pair_converges_to_full_agreement(self):
+    # A longer interval may cost staleness mid-run, never convergence. 2.4 s
+    # of traffic, so even the 1.0 s interval syncs twice before the drain.
+    @pytest.mark.parametrize("sync_interval", [0.1, 0.25, 0.5, 1.0])
+    def test_pair_converges_to_full_agreement(self, sync_interval):
         engine_a, node_a = make_node("A")
         engine_b, node_b = make_node("B")
         driver = ReplicationDriver(
-            node_a, node_b, sync_interval=0.2, latency_ab=0.05, latency_ba=0.09
+            node_a,
+            node_b,
+            sync_interval=sync_interval,
+            latency_ab=0.05,
+            latency_ba=0.09,
         )
-        queries_a = trace(20, 80)
-        queries_b = trace(20, 80, offset=7)
-        for i in range(80):
+        queries_a = trace(20, 240)
+        queries_b = trace(20, 240, offset=7)
+        for i in range(240):
             now = i * 0.01
             engine_a.handle(queries_a[i], now=now)
             engine_b.handle(queries_b[i], now=now)
             driver.tick(now)
         mid = driver.agreement()
-        driver.drain(0.8)
+        driver.drain(2.4)
         final = driver.agreement()
         assert final.agreement == 1.0
         assert final.union_keys > 0

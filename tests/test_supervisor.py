@@ -12,9 +12,11 @@ import asyncio
 import os
 import signal
 
+import pytest
+
 from repro.core import Query
 from repro.factory import build_proc_engine, build_remote
-from repro.serving.proc import ProcFaultInjector
+from repro.serving.proc import ProcFaultInjector, WorkerError
 
 VALID_STATUSES = {"ok", "stale_hit", "failed", "overloaded", "deadline_exceeded"}
 
@@ -221,6 +223,33 @@ def test_worker_error_never_escapes_without_supervision():
     # One connection loss == one shard failure, not one per waiter.
     assert engine.shard_failures[0] == 1
     assert engine.metrics.worker_restarts == 0
+
+
+def test_worker_error_surfaces_with_fault_domains_off():
+    """``fault_domains=False`` (``--no-fault-domains``) is the failure the
+    supervisor and the shard breakers exist to absorb: with both off, a dead
+    shard's WorkerError reaches ``serve()``'s caller."""
+    faults = ProcFaultInjector(kill_shard=0)
+    engine = build_proc_engine(
+        build_remote(seed=0),
+        seed=0,
+        workers=2,
+        supervise=False,
+        fault_domains=False,
+        proc_faults=faults,
+    )
+
+    async def drive():
+        async with engine:
+            before, after = _shard_queries(engine.pool, 0, 2)
+            assert (await engine.serve(before, now=0.0)).status == "ok"
+            assert faults.kill_worker(engine.pool)
+            await engine.serve(after, now=0.01)
+
+    with pytest.raises(WorkerError):
+        asyncio.run(drive())
+    assert engine.metrics.worker_restarts == 0
+    assert not engine.pool.processes  # the live sibling is still reaped
 
 
 def test_client_reconnects_once_after_server_drop():
