@@ -47,7 +47,8 @@ Every stress arm installs the same signal handling: a TERM or Ctrl-C stops
 the load loop early, finishes what's in flight, and still writes every
 requested artefact (``--trace-out`` / ``--metrics-out`` / ``--series-out``).
 
-Every arm takes the observability flags: ``--trace-out`` writes a Chrome
+Every arm that builds an engine takes the observability flags (one
+``stress`` body serves them all): ``--trace-out`` writes a Chrome
 ``trace_event`` file (open in Perfetto / chrome://tracing), ``--metrics-out``
 a Prometheus text exposition of the run's counters and histograms, and
 ``--series-out`` a JSON time-series sampled live by the snapshot recorder.
@@ -269,26 +270,39 @@ def _stop_on_signals():
     return stop, restore
 
 
-def _async_stop(loop):
-    """The asyncio twin of :func:`_stop_on_signals`: an ``asyncio.Event``
-    set by SIGINT/SIGTERM on ``loop``, plus a remove callback."""
+def _run_with_stop(body):
+    """``asyncio.run(body(stop))``: the asyncio twin of
+    :func:`_stop_on_signals`, with ``stop`` an ``asyncio.Event`` that
+    SIGINT/SIGTERM set on the loop the body runs on."""
     import asyncio
     import signal
 
-    stop = asyncio.Event()
-    installed = []
-    for sig in (signal.SIGINT, signal.SIGTERM):
+    async def runner():
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        installed = []
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, stop.set)
+                installed.append(sig)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass
         try:
-            loop.add_signal_handler(sig, stop.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
+            return await body(stop)
+        finally:
+            for sig in installed:
+                loop.remove_signal_handler(sig)
 
-    def remove() -> None:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
+    return asyncio.run(runner())
 
-    return stop, remove
+
+def _host_port(raw: str, flag: str) -> tuple[str, int]:
+    """Parse a ``HOST:PORT`` flag value (``:PORT`` means loopback)."""
+    host, _, port_raw = raw.rpartition(":")
+    try:
+        return host or "127.0.0.1", int(port_raw)
+    except ValueError:
+        raise SystemExit(f"{flag} expects HOST:PORT, got {raw!r}") from None
 
 
 def _engine_breaker(engine):
@@ -468,345 +482,155 @@ def _persist_close(arguments, engine) -> None:
         print(f"persist: checkpointed to {arguments.persist}")
 
 
-def _print_degraded(metrics) -> None:
-    """One line of fault-tolerance counters (shared by both engines)."""
-    print(
-        f"  stale_hits={metrics.stale_hits} "
-        f"breaker_open_rejects={metrics.breaker_open_rejects} "
-        f"negative_cache_hits={metrics.negative_cache_hits} "
-        f"background_refreshes={metrics.background_refreshes} "
-        f"failed={metrics.failed_requests}"
-    )
+def _stack_flags(arguments) -> dict:
+    """The stack knobs every engine-building arm reads from its flags."""
+    return {
+        "seed": arguments.seed,
+        "judge_spin": arguments.judge_spin,
+        "persist_dir": arguments.persist,
+        "fsync_every": arguments.fsync_every,
+    }
 
 
-def _command_stress(arguments) -> int:
-    """Wall-clock stress: sequential baseline, thread pool (closed loop),
-    asyncio (open loop), multi-process shard workers (open loop), or a
-    socket client against a running ``serve`` process."""
-    if arguments.connect:
-        return _stress_connect(arguments)
-    if arguments.engine == "sync":
-        return _stress_sync(arguments)
-    if arguments.engine == "async":
-        return _stress_async(arguments)
-    if arguments.engine == "proc":
-        return _stress_proc(arguments)
-    from repro.factory import build_concurrent_engine, build_remote
+def _build_sync(arguments, remote, resilience):
+    from repro.factory import build_asteria_engine
 
-    queries = _stress_queries(arguments)
-    injector, resilience = _chaos_setup(arguments)
-    engine = build_concurrent_engine(
-        build_remote(seed=arguments.seed, fault_injector=injector),
-        seed=arguments.seed,
+    return build_asteria_engine(remote, resilience=resilience, **_stack_flags(arguments))
+
+
+def _build_thread(arguments, remote, resilience):
+    from repro.factory import build_concurrent_engine
+
+    return build_concurrent_engine(
+        remote,
         shards=arguments.shards,
         workers=arguments.workers,
         io_pause_scale=arguments.io_scale,
         resilience=resilience,
-        judge_spin=arguments.judge_spin,
-        persist_dir=arguments.persist,
-        fsync_every=arguments.fsync_every,
+        **_stack_flags(arguments),
     )
-    _persist_banner(arguments, engine)
-    obs = _obs_setup(arguments, engine, "thread")
-    stop, restore = _stop_on_signals()
-    try:
-        with engine:
-            with _maybe_profile(arguments):
-                report = engine.run_closed_loop(queries, time_step=0.01, stop=stop)
-        print(
-            f"engine=thread workers={report.workers} shards={arguments.shards} "
-            f"requests={report.requests}"
-        )
-        if stop.is_set():
-            print(f"  stopped early by signal ({report.requests}/{len(queries)})")
-        print(
-            f"  wall={report.wall_seconds:.3f}s "
-            f"throughput={report.throughput_rps:.1f} req/s"
-        )
-        print(
-            f"  hit_rate={report.hit_rate:.3f} hits={report.hits} "
-            f"misses={report.misses} coalesced={report.coalesced_misses} "
-            f"remote_calls={report.remote_calls}"
-        )
-        if arguments.chaos:
-            print(
-                f"  served_fraction={report.served_fraction:.4f} "
-                f"stale_served={report.stale_served} failed={report.failed}"
-            )
-            _print_degraded(engine.metrics)
-        per_shard = engine.cache.stats_per_shard()
-        inserts = [stats.inserts for stats in per_shard]
-        print(f"  per-shard inserts={inserts} (total={sum(inserts)})")
-    finally:
-        restore()
-        _obs_finish(arguments, engine, *obs)
-        _persist_close(arguments, engine)
-    return 0
 
 
-def _stress_sync(arguments) -> int:
-    """Sequential baseline: the plain engine, one request at a time."""
-    import time
+def _build_async(arguments, remote, resilience):
+    from repro.factory import build_async_engine
 
-    from repro.factory import build_asteria_engine, build_remote
-
-    queries = _stress_queries(arguments)
-    injector, resilience = _chaos_setup(arguments)
-    engine = build_asteria_engine(
-        build_remote(seed=arguments.seed, fault_injector=injector),
-        seed=arguments.seed,
-        resilience=resilience,
-        judge_spin=arguments.judge_spin,
-        persist_dir=arguments.persist,
-        fsync_every=arguments.fsync_every,
-    )
-    _persist_banner(arguments, engine)
-    obs = _obs_setup(arguments, engine, "sync")
-    stop, restore = _stop_on_signals()
-    served = 0
-    begin = time.perf_counter()
-    try:
-        with _maybe_profile(arguments):
-            for i, query in enumerate(queries):
-                if stop.is_set():
-                    break
-                engine.handle(query, now=i * 0.01)
-                served += 1
-        wall = time.perf_counter() - begin
-        metrics = engine.metrics
-        print(f"engine=sync requests={served}")
-        if stop.is_set():
-            print(f"  stopped early by signal ({served}/{len(queries)})")
-        print(
-            f"  wall={wall:.3f}s "
-            f"throughput={served / wall:.1f} req/s"
-            if wall > 0
-            else "  wall=0.000s"
-        )
-        print(
-            f"  hit_rate={metrics.hit_rate:.3f} hits={metrics.hits} "
-            f"misses={metrics.misses} remote_calls={engine.remote.calls}"
-        )
-        print(
-            f"  p50_sim={metrics.total_latency.p50 * 1000:.2f}ms "
-            f"p99_sim={metrics.total_latency.p99 * 1000:.2f}ms"
-        )
-        if arguments.chaos:
-            _print_degraded(metrics)
-    finally:
-        restore()
-        _obs_finish(arguments, engine, *obs)
-        _persist_close(arguments, engine)
-    return 0
-
-
-def _stress_async(arguments) -> int:
-    """Open-loop (fixed arrival rate) stress of the asyncio serving layer."""
-    import asyncio
-
-    from repro.factory import build_async_engine, build_remote
-    from repro.serving.aio import run_open_loop
-
-    queries = _stress_queries(arguments)
-    injector, resilience = _chaos_setup(arguments)
-    engine = build_async_engine(
-        build_remote(seed=arguments.seed, fault_injector=injector),
-        seed=arguments.seed,
+    return build_async_engine(
+        remote,
         shards=arguments.shards,
         io_pause_scale=arguments.io_scale,
         max_inflight=arguments.max_inflight,
         default_deadline=arguments.deadline,
         resilience=resilience,
-        judge_spin=arguments.judge_spin,
-        persist_dir=arguments.persist,
-        fsync_every=arguments.fsync_every,
+        **_stack_flags(arguments),
     )
-    _persist_banner(arguments, engine)
-    obs = _obs_setup(arguments, engine, "async")
-
-    async def runner():
-        stop, remove = _async_stop(asyncio.get_running_loop())
-        try:
-            return await run_open_loop(
-                engine, queries, rate=arguments.rate, time_step=0.01, stop=stop
-            )
-        finally:
-            remove()
-
-    try:
-        with _maybe_profile(arguments):
-            report = asyncio.run(runner())
-        metrics = engine.metrics
-        print(
-            f"engine=async rate={arguments.rate:.0f}/s shards={arguments.shards} "
-            f"requests={report.requests} max_inflight={arguments.max_inflight}"
-        )
-        if report.requests < len(queries):
-            print(
-                f"  stopped early by signal ({report.requests}/{len(queries)})"
-            )
-        print(
-            f"  wall={report.wall_seconds:.3f}s "
-            f"throughput={report.throughput_rps:.1f} req/s "
-            f"peak_inflight_fetches={engine.remote.max_inflight}"
-        )
-        print(
-            f"  completed={report.completed} overloaded={report.overloaded} "
-            f"deadline_exceeded={report.deadline_exceeded}"
-        )
-        print(
-            f"  hit_rate={report.hit_rate:.3f} hits={report.hits} "
-            f"misses={report.misses} coalesced={report.coalesced_misses} "
-            f"remote_calls={report.remote_calls} hedged={metrics.hedged_fetches}"
-        )
-        print(
-            f"  p50_wall={report.p50_wall * 1000:.2f}ms "
-            f"p99_wall={report.p99_wall * 1000:.2f}ms"
-        )
-        if arguments.chaos:
-            print(
-                f"  served_fraction={report.served_fraction:.4f} "
-                f"stale_served={report.stale_served} failed={report.failed}"
-            )
-            _print_degraded(metrics)
-    finally:
-        _obs_finish(arguments, engine, *obs)
-        _persist_close(arguments, engine)
-    return 0
 
 
-def _stress_proc(arguments) -> int:
-    """Open-loop stress of the multi-process shard-worker tier: ``--workers``
-    processes each own one cache shard; the router in this process does the
-    fetching, single-flight, and metric accounting."""
-    import asyncio
+def _build_proc(arguments, remote, resilience=None):
+    """``--workers`` processes each own one cache shard; the router in this
+    process does the fetching, single-flight, and metric accounting. Shared
+    by ``stress --engine proc`` and ``serve``."""
+    from repro.factory import build_proc_engine
 
-    from repro.factory import build_proc_engine, build_remote
-    from repro.serving.aio import run_open_loop
-
-    queries = _stress_queries(arguments)
-    injector, resilience = _chaos_setup(arguments)
     proc_faults = None
-    if arguments.chaos_workers:
+    if getattr(arguments, "chaos_workers", False):
         from repro.serving.proc import ProcFaultInjector
 
         kill_at = arguments.kill_at
         if kill_at is None:
-            kill_at = max(1, len(queries) // 3)
+            kill_at = max(1, arguments.queries // 3)
         proc_faults = ProcFaultInjector(
             kill_shard=arguments.kill_shard, kill_at=kill_at, seed=arguments.seed
         )
-    engine = build_proc_engine(
-        build_remote(seed=arguments.seed, fault_injector=injector),
-        seed=arguments.seed,
+    return build_proc_engine(
+        remote,
         workers=arguments.workers,
         io_pause_scale=arguments.io_scale,
         max_inflight=arguments.max_inflight,
         default_deadline=arguments.deadline,
         batch_window=arguments.batch_window,
         batch_max=arguments.batch_max,
-        codec=arguments.codec,
-        judge_spin=arguments.judge_spin,
         resilience=resilience,
-        persist_dir=arguments.persist,
-        fsync_every=arguments.fsync_every,
         supervise=not arguments.no_supervise,
         fault_domains=not arguments.no_fault_domains,
         proc_faults=proc_faults,
+        **_stack_flags(arguments),
     )
-    _persist_banner(arguments, engine)
-    obs = _obs_setup(arguments, engine, "proc")
 
-    async def runner():
-        stop, remove = _async_stop(asyncio.get_running_loop())
+
+def _shard_inserts(inserts: list) -> str:
+    return f"  per-shard inserts={inserts} (total={sum(inserts)})"
+
+
+def _drive_serial(arguments, engine, queries):
+    """sync: one caller on this thread; SIGINT/SIGTERM set a
+    ``threading.Event`` the loop polls."""
+    from repro.serving.load import run_serial
+
+    stop, restore = _stop_on_signals()
+    try:
+        return run_serial(engine, queries, time_step=0.01, stop=stop), []
+    finally:
+        restore()
+
+
+def _drive_threads(arguments, engine, queries):
+    """thread: ``--workers`` closed-loop callers on the engine's threads,
+    polling the same kind of stop event."""
+    stop, restore = _stop_on_signals()
+    try:
+        with engine:
+            report = engine.run_closed_loop(queries, time_step=0.01, stop=stop)
+    finally:
+        restore()
+    inserts = [stats.inserts for stats in engine.cache.stats_per_shard()]
+    return report, [_shard_inserts(inserts)]
+
+
+def _drive_loop(arguments, engine, queries):
+    """async / proc: arrivals at ``--rate`` on an event loop, so
+    backpressure and deadlines are measured honestly."""
+    from repro.serving.aio import run_open_loop
+
+    pool = getattr(engine, "pool", None)
+    faults = getattr(engine, "proc_faults", None)
+
+    async def body(stop):
         try:
             return await run_open_loop(
                 engine, queries, rate=arguments.rate, time_step=0.01, stop=stop
             )
         finally:
-            remove()
-            supervisor = engine.pool.supervisor
-            if proc_faults is not None and supervisor is not None:
-                # Let an in-flight respawn land so the chaos summary reports
-                # the recovery, not a snapshot taken mid-respawn.
-                await supervisor.settle()
-            await engine.aclose()
+            if pool is not None:
+                if faults is not None and pool.supervisor is not None:
+                    # Let an in-flight respawn land so the chaos summary
+                    # reports the recovery, not a snapshot taken mid-respawn.
+                    await pool.supervisor.settle()
+                await engine.aclose()
 
-    try:
-        with _maybe_profile(arguments):
-            report = asyncio.run(runner())
-        metrics = engine.metrics
-        print(
-            f"engine=proc workers={arguments.workers} "
-            f"rate={arguments.rate:.0f}/s requests={report.requests} "
-            f"max_inflight={arguments.max_inflight} codec={arguments.codec}"
+    report = _run_with_stop(body)
+    notes = [f"  peak_inflight_fetches={engine.remote.max_inflight}"]
+    if faults is not None:
+        notes.append(
+            f"  chaos: worker_kills={faults.summary()['kills']} "
+            f"worker_restarts={engine.metrics.worker_restarts} "
+            f"shard_down_fetches={engine.metrics.shard_down_fetches} "
+            f"served_fraction={report.served_fraction:.4f}"
         )
-        if report.requests < len(queries):
-            print(
-                f"  stopped early by signal ({report.requests}/{len(queries)})"
-            )
-        print(
-            f"  wall={report.wall_seconds:.3f}s "
-            f"throughput={report.throughput_rps:.1f} req/s "
-            f"peak_inflight_fetches={engine.remote.max_inflight}"
-        )
-        print(
-            f"  completed={report.completed} overloaded={report.overloaded} "
-            f"deadline_exceeded={report.deadline_exceeded}"
-        )
-        print(
-            f"  hit_rate={report.hit_rate:.3f} hits={report.hits} "
-            f"misses={report.misses} coalesced={report.coalesced_misses} "
-            f"remote_calls={report.remote_calls} hedged={metrics.hedged_fetches}"
-        )
-        print(
-            f"  p50_wall={report.p50_wall * 1000:.2f}ms "
-            f"p99_wall={report.p99_wall * 1000:.2f}ms"
-        )
-        if arguments.chaos:
-            print(
-                f"  served_fraction={report.served_fraction:.4f} "
-                f"stale_served={report.stale_served} failed={report.failed}"
-            )
-            _print_degraded(metrics)
-        if proc_faults is not None:
-            chaos = proc_faults.summary()
-            print(
-                f"  chaos: worker_kills={chaos['kills']} "
-                f"worker_restarts={metrics.worker_restarts} "
-                f"shard_down_fetches={metrics.shard_down_fetches} "
-                f"served_fraction={report.served_fraction:.4f}"
-            )
-            print(
-                f"  shard_breakers={[b.state for b in engine.shard_breakers]}"
-            )
-        inserts = [client.last_stats[0] for client in engine.pool.clients]
-        print(f"  per-shard inserts={inserts} (total={sum(inserts)})")
-    finally:
-        _obs_finish(arguments, engine, *obs)
-    return 0
+        notes.append(f"  shard_breakers={[b.state for b in engine.shard_breakers]}")
+    if pool is not None:
+        notes.append(_shard_inserts([c.last_stats[0] for c in pool.clients]))
+    return report, notes
 
 
-def _stress_connect(arguments) -> int:
-    """Open-loop stress over a real socket against a running
-    ``python -m repro serve`` process (no engine in this process)."""
-    import asyncio
-
+def _drive_socket(arguments, engine, queries):
+    """``--connect``: the same open loop over a real socket against a running
+    ``python -m repro serve`` (no engine in this process)."""
     from repro.serving.proc.client import ProcClient, run_open_loop_socket
 
-    host, _, port_raw = arguments.connect.rpartition(":")
-    host = host or "127.0.0.1"
-    try:
-        port = int(port_raw)
-    except ValueError:
-        raise SystemExit(
-            f"--connect expects HOST:PORT, got {arguments.connect!r}"
-        ) from None
-    queries = _stress_queries(arguments)
+    host, port = _host_port(arguments.connect, "--connect")
 
-    async def runner():
-        client = await ProcClient.connect(host, port, codec=arguments.codec)
-        stop, remove = _async_stop(asyncio.get_running_loop())
+    async def body(stop):
+        client = await ProcClient.connect(host, port)
         try:
             report = await run_open_loop_socket(
                 client,
@@ -816,33 +640,104 @@ def _stress_connect(arguments) -> int:
                 deadline=arguments.deadline,
                 stop=stop,
             )
-            health = await client.health()
-            return report, health
+            return report, await client.health(), client.reconnects
         finally:
-            remove()
             await client.aclose()
 
-    report, health = asyncio.run(runner())
-    print(f"engine=socket target={host}:{port} requests={report['requests']}")
-    if report["requests"] < len(queries):
-        print(
-            f"  stopped early by signal ({report['requests']}/{len(queries)})"
-        )
-    print(
-        f"  wall={report['wall_seconds']:.3f}s "
-        f"throughput={report['throughput_rps']:.1f} req/s"
-    )
-    print(
-        f"  served={report['served']} "
-        f"served_fraction={report['served_fraction']:.4f} "
-        f"statuses={report['statuses']} reconnects={report['reconnects']}"
-    )
+    report, health, reconnects = _run_with_stop(body)
     shards = f" shards={health['shards']}" if "shards" in health else ""
-    print(
+    return report, [
+        f"  outcomes={report.outcomes} reconnects={reconnects}",
         f"  server: workers={health['workers']} requests={health['requests']} "
         f"inflight={health['inflight']} usage={health['usage']} "
-        f"worker_restarts={health.get('worker_restarts', 0)}{shards}"
+        f"worker_restarts={health.get('worker_restarts', 0)}{shards}",
+    ]
+
+
+#: ``--engine`` (or ``--connect`` → "socket") → how that tier is built, how
+#: it is driven, and which of its flags the banner line shows.
+_STRESS_TIERS = {
+    "sync": (_build_sync, _drive_serial, ""),
+    "thread": (_build_thread, _drive_threads, "workers={workers} shards={shards} "),
+    "async": (
+        _build_async,
+        _drive_loop,
+        "rate={rate:.0f}/s shards={shards} max_inflight={max_inflight} ",
+    ),
+    "proc": (
+        _build_proc,
+        _drive_loop,
+        "workers={workers} rate={rate:.0f}/s max_inflight={max_inflight} ",
+    ),
+    "socket": (lambda *_: None, _drive_socket, "target={connect} "),
+}
+
+
+def _command_stress(arguments) -> int:
+    """Wall-clock stress of one serving tier: sequential baseline, thread
+    pool (closed loop), asyncio or multi-process shard workers (open loop),
+    or a socket client against a running ``serve`` process."""
+    from repro.factory import build_remote
+
+    tier = "socket" if arguments.connect else arguments.engine.replace("threads", "thread")
+    build, drive, shape = _STRESS_TIERS[tier]
+    queries = _stress_queries(arguments)
+    injector, resilience = _chaos_setup(arguments)
+    engine = build(
+        arguments, build_remote(seed=arguments.seed, fault_injector=injector), resilience
     )
+    local = engine is not None  # --connect: the engine lives in the server
+    if local:
+        _persist_banner(arguments, engine)
+    obs = _obs_setup(arguments, engine, tier) if local else None
+    try:
+        with _maybe_profile(arguments):
+            report, notes = drive(arguments, engine, queries)
+        print(f"engine={tier} {shape.format(**vars(arguments))}requests={report.requests}")
+        if report.requests < len(queries):
+            print(f"  stopped early by signal ({report.requests}/{len(queries)})")
+        print(
+            f"  wall={report.wall_seconds:.3f}s "
+            f"throughput={report.throughput_rps:.1f} req/s"
+        )
+        if report.mode == "open":
+            print(
+                f"  completed={report.completed} overloaded={report.overloaded} "
+                f"deadline_exceeded={report.deadline_exceeded}"
+            )
+        if arguments.chaos or not local:
+            print(
+                f"  served_fraction={report.served_fraction:.4f} "
+                f"stale_served={report.stale_served} failed={report.failed}"
+            )
+        if local:
+            metrics = engine.metrics
+            print(
+                f"  hit_rate={report.hit_rate:.3f} hits={report.hits} "
+                f"misses={report.misses} coalesced={report.coalesced_misses} "
+                f"remote_calls={report.remote_calls} hedged={report.hedged_fetches}"
+            )
+            print(
+                f"  p50_sim={metrics.total_latency.p50 * 1000:.2f}ms "
+                f"p99_sim={metrics.total_latency.p99 * 1000:.2f}ms"
+            )
+            if report.p99_wall is not None:
+                print(
+                    f"  p50_wall={report.p50_wall * 1000:.2f}ms "
+                    f"p99_wall={report.p99_wall * 1000:.2f}ms"
+                )
+            if arguments.chaos:
+                print(
+                    f"  breaker_open_rejects={metrics.breaker_open_rejects} "
+                    f"negative_cache_hits={metrics.negative_cache_hits} "
+                    f"background_refreshes={metrics.background_refreshes}"
+                )
+        for note in notes:
+            print(note)
+    finally:
+        if local:
+            _obs_finish(arguments, engine, *obs)
+            _persist_close(arguments, engine)
     return 0
 
 
@@ -851,25 +746,10 @@ def _command_serve(arguments) -> int:
     drain in-flight requests, stop the workers, and exit 0."""
     import asyncio
 
-    from repro.factory import build_proc_engine, build_remote
+    from repro.factory import build_remote
     from repro.serving.proc.server import ProcServer
 
-    engine = build_proc_engine(
-        build_remote(seed=arguments.seed),
-        seed=arguments.seed,
-        workers=arguments.workers,
-        io_pause_scale=arguments.io_scale,
-        max_inflight=arguments.max_inflight,
-        default_deadline=arguments.deadline,
-        batch_window=arguments.batch_window,
-        batch_max=arguments.batch_max,
-        codec=arguments.codec,
-        judge_spin=arguments.judge_spin,
-        persist_dir=arguments.persist,
-        fsync_every=arguments.fsync_every,
-        supervise=not arguments.no_supervise,
-        fault_domains=not arguments.no_fault_domains,
-    )
+    engine = _build_proc(arguments, build_remote(seed=arguments.seed))
     _persist_banner(arguments, engine)
     slo_engine = recorder = None
     if arguments.slo:
@@ -883,7 +763,6 @@ def _command_serve(arguments) -> int:
         engine,
         host=arguments.host,
         port=arguments.port,
-        codec=arguments.codec,
         slo=slo_engine,
     )
 
@@ -891,7 +770,7 @@ def _command_serve(arguments) -> int:
         await server.start()
         print(
             f"serving on {server.host}:{server.port} "
-            f"workers={arguments.workers} codec={arguments.codec} "
+            f"workers={arguments.workers} "
             f"slo={'on' if slo_engine is not None else 'off'} "
             f"(SIGTERM/SIGINT drains and exits)",
             flush=True,
@@ -989,7 +868,6 @@ def _replicate_local(arguments) -> int:
         sync_interval=arguments.sync_interval,
         latency_ab=arguments.latency_ab,
         latency_ba=arguments.latency_ba,
-        codec=arguments.codec,
     )
     time_step = 0.01
     total = max(len(queries_a), len(queries_b))
@@ -1074,21 +952,12 @@ def _replicate_socket(arguments) -> int:
                 print("no peer connected; exiting")
                 return 1
         else:
-            host, _, port_raw = arguments.peer.rpartition(":")
-            host = host or "127.0.0.1"
-            try:
-                port = int(port_raw)
-            except ValueError:
-                raise SystemExit(
-                    f"--peer expects HOST:PORT, got {arguments.peer!r}"
-                ) from None
-            sock = replnet.connect_peer(host, port)
+            sock = replnet.connect_peer(*_host_port(arguments.peer, "--peer"))
         report = replnet.replicate_session(
             node,
             sock,
             workload=workload,
             sync_interval=arguments.sync_interval,
-            codec=arguments.codec,
             stop=stop,
             pace=arguments.pace,
         )
@@ -1155,13 +1024,6 @@ def _add_proc_arguments(parser) -> None:
         metavar="SECONDS",
         help="burn ~SECONDS of GIL-holding CPU inside every judge call "
         "(makes the judge stage honestly CPU-bound; default 0 = off)",
-    )
-    parser.add_argument(
-        "--codec",
-        choices=("pickle", "msgpack"),
-        default="pickle",
-        help="wire serializer for the proc tier (msgpack requires the "
-        "optional dependency; default pickle)",
     )
     parser.add_argument(
         "--batch-window",
@@ -1496,12 +1358,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="workload seed (default: 0 for --listen/local node A, 1 for "
         "--peer/local node B, so the two regions draw different streams)",
-    )
-    replicate_parser.add_argument(
-        "--codec",
-        choices=("pickle", "msgpack"),
-        default="pickle",
-        help="diff wire serializer (default pickle)",
     )
     slo_parser = commands.add_parser(
         "slo",

@@ -70,7 +70,6 @@ from repro.core.resilience import (
 from repro.core.sharding import ShardedAsteriaCache, shard_index_for
 from repro.core.sine import Sine, SineResult
 from repro.core.tiered import TieredEngine
-from repro.core.tracelog import TraceLog
 from repro.core.types import CacheLookup, FetchResult, Query, estimate_tokens
 
 __all__ = [
@@ -118,7 +117,6 @@ __all__ = [
     "SizeThresholdAdmission",
     "ThresholdRecalibrator",
     "TieredEngine",
-    "TraceLog",
     "VanillaEngine",
     "canonical_text",
     "estimate_tokens",

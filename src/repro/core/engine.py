@@ -168,8 +168,6 @@ class AsteriaEngine:
         self.judge_executor = judge_executor or _ConfigLatencyExecutor(self.config)
         self.admission = admission if admission is not None else AlwaysAdmit()
         self.resilience = resilience if resilience is not None else ResilienceManager()
-        #: Optional request tracing: assign a TraceLog to start recording.
-        self.trace = None
         #: Optional stage tracer (span trees; see :mod:`repro.obs.trace`).
         #: Attach via :meth:`set_tracer` so the cache and Sine stages are
         #: wired too; the default None costs one branch per stage.
@@ -209,8 +207,6 @@ class AsteriaEngine:
         ``overloaded``/``deadline_exceeded``, they never touch the hit/miss
         counters, accuracy, or the total-latency reservoir, so stats stay
         comparable across fault configurations."""
-        if self.trace is not None:
-            self.trace.record(now, query, response)
         self.metrics.degraded_latency.add(response.latency)
 
     def _sine_lookup(self, query: Query, now: float, prepared=None):
@@ -259,8 +255,6 @@ class AsteriaEngine:
     def _record_response(
         self, response: EngineResponse, query: Query, now: float = 0.0
     ) -> None:
-        if self.trace is not None:
-            self.trace.record(now, query, response)
         self.metrics.record_response(response)
         if response.lookup.status != "bypass":
             # Keep the eviction/expiration counters in sync with the cache.

@@ -248,6 +248,54 @@ class EngineMetrics:
             return 1.0
         return self.served_correct / served
 
+    @property
+    def offered(self) -> int:
+        """Every request that reached an outcome: answered fresh
+        (``requests``), answered stale, failed, or rejected by backpressure
+        or a deadline — the five outcomes are disjoint."""
+        return (
+            self.requests
+            + self.stale_hits
+            + self.failed_requests
+            + self.overloaded
+            + self.deadline_exceeded
+        )
+
+    @property
+    def served_fraction(self) -> float:
+        """Fraction of offered requests answered with *some* payload (fresh
+        or stale); 1.0 before anything was offered. The one definition: load
+        reports, the snapshot series and the SLO layer all read it here, on
+        a whole run or on a :meth:`since` window of one."""
+        offered = self.offered
+        if offered == 0:
+            return 1.0
+        return (self.requests + self.stale_hits) / offered
+
+    @property
+    def stale_fraction(self) -> float:
+        """Fraction of *served* answers that were stale hits — the staleness
+        signal the SLO layer watches (0.0 before anything has been served)."""
+        served = self.requests + self.stale_hits
+        if served == 0:
+            return 0.0
+        return self.stale_hits / served
+
+    def counters(self) -> dict[str, int]:
+        """Every integer counter by field name (no reservoirs)."""
+        return {
+            name: value for name, value in vars(self).items() if isinstance(value, int)
+        }
+
+    def since(self, before: dict[str, int]) -> "EngineMetrics":
+        """What was counted after ``before`` (an earlier :meth:`counters`),
+        as an instance of its own — so ``hit_rate`` and ``served_fraction``
+        mean on a window of a run exactly what they mean on all of it.
+        Reservoirs start empty."""
+        return EngineMetrics(
+            **{name: value - before[name] for name, value in self.counters().items()}
+        )
+
     def record_lookup(self, status: str) -> None:
         """Bump the counter matching a lookup ``status``."""
         self.requests += 1

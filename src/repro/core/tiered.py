@@ -43,7 +43,7 @@ class TieredEngine:
         Latency constants and thresholds; applied to both tiers' Sine.
     l2_latency:
         One-way cost of consulting the shared tier (default 5 ms — an
-        intra-metro hop, per the topology's ``local-dc`` link).
+        intra-metro hop).
     name:
         Node label for metrics.
     """

@@ -80,8 +80,8 @@ class FetchResult:
     rate_limited: bool = False
     size_tokens: int = 0
     #: True when this result was produced (or its latency shaped) by a
-    #: hedged second flight winning the race — postmortems read it from the
-    #: trace log to see which requests the backup fetch saved.
+    #: hedged second flight winning the race, so callers can see which
+    #: requests the backup fetch saved.
     hedged: bool = False
 
     def __post_init__(self) -> None:

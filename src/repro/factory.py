@@ -5,11 +5,18 @@ index → judger → Sine → cache → engine, plus a remote service resolving
 against a fact universe. These helpers build it with sensible defaults and a
 single seed, so every benchmark and example reads as configuration rather
 than plumbing.
+
+The stack's knobs are declared once, on :class:`StackSpec`, and read once,
+in :func:`build_semantic_cache`. Every ``build_*_engine`` takes them as
+``**stack`` keywords it never looks at: it names only what its own tier
+adds (workers, deadlines, supervision, ...), so a new stack knob is one
+field here and reaches every tier, worker processes included.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -44,50 +51,66 @@ from repro.network import FaultInjector, RemoteDataService, TokenBucket
 from repro.network.ratelimit import RateLimiter
 from repro.sim.distributions import Distribution, Uniform
 from repro.sim.random import derive_seed
-from repro.store.backend import CacheBackend
+from repro.store.persist import PersistentStore, ShardedPersistentStore, shard_directory
 from repro.workloads.facts import FactUniverse
 
 
-def build_backend(
-    backend: "str | None", arena=None, backend_dir=None
-) -> CacheBackend | None:
-    """Resolve a backend selector for cache construction.
-
-    ``None``/``"inprocess"`` returns None (the cache builds its default
-    :class:`~repro.store.backend.InProcessBackend` over ``arena``);
-    ``"filestore"`` builds a durable
-    :class:`~repro.store.filestore.FileStoreBackend` rooted at
-    ``backend_dir``; a callable is invoked with the arena and must return a
-    backend (escape hatch for custom stores).
+@dataclass(frozen=True)
+class StackSpec:
+    """One semantic-cache stack, declared: embedder → ANN index → judger →
+    Sine → cache (→ journal). Frozen and picklable, so the spec a proc
+    worker rebuilds its shard from is the very object the parent validated.
+    Two stacks built from equal specs behave identically.
     """
-    if backend is None or backend == "inprocess":
-        return None
-    if backend == "filestore":
-        if backend_dir is None:
-            raise ValueError("backend='filestore' requires backend_dir")
-        from repro.store.filestore import FileStoreBackend
 
-        return FileStoreBackend(backend_dir, arena=arena)
-    if callable(backend):
-        return backend(arena)
-    raise ValueError(
-        f"unknown backend {backend!r}; expected inprocess/filestore or a callable"
-    )
+    #: Thresholds, capacity, TTL and latency constants (shared with the engine).
+    config: AsteriaConfig = field(default_factory=AsteriaConfig)
+    #: Derives independent streams for the embedder, index, judger and
+    #: staticity scorer.
+    seed: int = 0
+    #: ANN index by name — see :func:`build_index`.
+    index_kind: str = "flat"
+    #: Eviction policy object or name (``policy_by_name``); must be a name
+    #: to cross a process boundary.
+    policy: "EvictionPolicy | str" = "lcfu"
+    #: Embedding storage tier: ``"float32"`` (contiguous rows,
+    #: decision-identical to per-element arrays), ``"int8"`` (quantized, ~4x
+    #: smaller, approximate scores), or None for standalone arrays.
+    arena: str | None = "float32"
+    #: Seconds of GIL-holding CPU a :class:`~repro.judger.SpinningJudger`
+    #: burns per judged candidate (identical decisions, real CPU cost — for
+    #: parallelism studies); 0 leaves the judger bare.
+    judge_spin: float = 0.0
+    #: Loop count pre-calibrated for that spin (None: calibrate on first use).
+    judge_spin_iterations: int | None = None
+    #: Durable home: warm-restore from its snapshot + journal, then journal
+    #: every mutation back (:class:`~repro.store.persist.PersistentStore`),
+    #: fsyncing once per ``fsync_every`` records.
+    persist_dir: "str | Path | None" = None
+    fsync_every: int = 8
 
+    @classmethod
+    def of(cls, config: "AsteriaConfig | StackSpec | None", stack: dict) -> "StackSpec":
+        """The spec a builder was handed: ``config`` plus ``**stack``
+        keywords (a ready spec passes through). A keyword that is not a
+        field raises ``TypeError`` naming it."""
+        if isinstance(config, cls):
+            return replace(config, **stack)
+        return cls(config if config is not None else AsteriaConfig(), **stack)
 
-def _attach_persistence(cache, persist_dir, fsync_every: int = 8):
-    """Attach a :class:`~repro.store.persist.PersistentStore` (restores any
-    prior state, then journals). The store lands on ``cache.persistent_store``
-    and the restore report on ``cache.restore_report``."""
-    if persist_dir is None:
-        return cache
-    from repro.store.persist import PersistentStore
-
-    store = PersistentStore(persist_dir, fsync_every=fsync_every)
-    report = store.attach(cache)
-    cache.persistent_store = store
-    cache.restore_report = report
-    return cache
+    def shard(self, index: int, count: int) -> "StackSpec":
+        """The spec of shard ``index`` of ``count``: a bounded capacity is
+        ceil-split (so the total may exceed the request by up to ``count -
+        1``) and a durable home becomes ``DIR/shard_NN`` — refused when
+        ``DIR`` holds a layout written under another shard count. Compute
+        every shard's spec before building any, so the refusal sees the
+        directory as the last run left it."""
+        config, home = self.config, self.persist_dir
+        if config.capacity_items is not None and count > 1:
+            config = replace(config, capacity_items=-(-config.capacity_items // count))
+        if home is not None:
+            home = shard_directory(home, index, count)
+        return replace(self, config=config, persist_dir=home)
 
 
 def build_index(kind: str, dim: int, seed: int = 0, arena=None) -> VectorIndex:
@@ -144,56 +167,28 @@ def build_remote(
 def build_asteria_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
-    seed: int = 0,
-    index_kind: str = "flat",
+    *,
     index: VectorIndex | None = None,
-    policy: "EvictionPolicy | str" = "lcfu",
     judger: SimulatedJudger | None = None,
     judge_executor=None,
     resilience: ResilienceManager | None = None,
-    arena: str | None = "float32",
-    judge_spin: float = 0.0,
-    backend: "str | None" = None,
-    backend_dir=None,
-    persist_dir=None,
-    fsync_every: int = 8,
     name: str = "asteria",
+    **stack,
 ) -> AsteriaEngine:
     """The full Asteria stack with simulated substrates.
 
-    One ``seed`` derives independent streams for the embedder, judger, and
-    staticity scorer, so two engines with the same seed behave identically.
-    A pre-built ``index`` (matching the embedder's 256 dims) overrides
-    ``index_kind`` when custom ANN parameters are needed — it then keeps its
-    own storage (no shared arena). ``resilience`` overrides the engine's
+    ``**stack`` are :class:`StackSpec` fields (``seed=``, ``policy=``,
+    ``arena=``, ...); ``index`` / ``judger`` override substrates as in
+    :func:`build_semantic_cache`. ``resilience`` overrides the engine's
     default fault-tolerance policy (circuit breaker, negative cache, stale
-    serving). ``arena`` selects the embedding storage tier: ``"float32"``
-    (default — contiguous rows, decision-identical to per-element arrays),
-    ``"int8"`` (quantized, ~4x smaller, approximate scores), or ``None``
-    for standalone per-element arrays. ``backend`` selects the element
-    store (see :func:`build_backend`); ``persist_dir`` attaches
-    snapshot+journal durability (restoring any prior state first — see
-    :class:`~repro.store.persist.PersistentStore`).
+    serving).
     """
-    config = config if config is not None else AsteriaConfig()
-    cache = build_semantic_cache(
-        config,
-        seed=seed,
-        index_kind=index_kind,
-        policy=policy,
-        arena=arena,
-        judge_spin=judge_spin,
-        backend=backend,
-        backend_dir=backend_dir,
-        persist_dir=persist_dir,
-        fsync_every=fsync_every,
-        index=index,
-        judger=judger,
-    )
+    spec = StackSpec.of(config, stack)
+    cache = build_semantic_cache(spec, index=index, judger=judger)
     return AsteriaEngine(
         cache,
         remote,
-        config,
+        spec.config,
         judge_executor=judge_executor,
         resilience=resilience,
         name=name,
@@ -219,39 +214,29 @@ def build_vanilla_engine(
 
 
 def build_semantic_cache(
-    config: AsteriaConfig | None = None,
-    seed: int = 0,
-    index_kind: str = "flat",
-    policy: "EvictionPolicy | str" = "lcfu",
-    arena: str | None = "float32",
-    judge_spin: float = 0.0,
-    judge_spin_iterations: int | None = None,
-    backend: "str | None" = None,
-    backend_dir=None,
-    persist_dir=None,
-    fsync_every: int = 8,
+    config: "AsteriaConfig | StackSpec | None" = None,
+    *,
     index: VectorIndex | None = None,
     judger: SimulatedJudger | None = None,
+    **stack,
 ) -> AsteriaCache:
     """A standalone semantic cache (used for shared tiers and direct use).
 
-    The one place the stack is assembled — :func:`build_asteria_engine` and
-    every sharded/worker builder come through here. ``arena`` selects the
-    embedding storage tier (``"float32"`` default / ``"int8"`` / ``None``)
-    — see :func:`build_asteria_engine`. ``judge_spin`` > 0 wraps the judger
-    in a :class:`~repro.judger.SpinningJudger` that burns that many seconds
-    of GIL-holding CPU per judged candidate (identical decisions, real CPU
-    cost — for parallelism benchmarks). A pre-built ``index`` keeps its own
-    storage (no shared arena) and must match the embedder's dims; ``judger``
-    replaces the seeded :class:`~repro.judger.SimulatedJudger`.
+    The one place a :class:`StackSpec` is read and the stack assembled —
+    every engine, sharded-cache and worker builder comes through here, with
+    the spec itself as ``config`` or with its fields as ``**stack``. A
+    pre-built ``index`` keeps its own storage (no shared arena) and must
+    match the embedder's dims; ``judger`` replaces the seeded
+    :class:`~repro.judger.SimulatedJudger`.
     """
-    config = config if config is not None else AsteriaConfig()
+    spec = StackSpec.of(config, stack)
+    config, seed = spec.config, spec.seed
     embedder = CachedEmbedder(HashingEmbedder(seed=derive_seed(seed, "embedder")))
     shared_arena = None
     if index is None:
-        shared_arena = build_arena(arena, embedder.dim)
+        shared_arena = build_arena(spec.arena, embedder.dim)
         index = build_index(
-            index_kind,
+            spec.index_kind,
             embedder.dim,
             seed=derive_seed(seed, "index"),
             arena=shared_arena,
@@ -262,10 +247,8 @@ def build_semantic_cache(
         )
     if judger is None:
         judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
-    if judge_spin > 0:
-        judger = SpinningJudger(
-            judger, spin=judge_spin, iterations=judge_spin_iterations
-        )
+    if spec.judge_spin > 0:
+        judger = SpinningJudger(judger, spec.judge_spin, spec.judge_spin_iterations)
     sine = Sine(
         embedder,
         index,
@@ -274,120 +257,74 @@ def build_semantic_cache(
         tau_lsm=config.tau_lsm,
         max_candidates=config.max_candidates,
     )
-    if isinstance(policy, str):
-        policy = policy_by_name(policy)
-    resolved_backend = build_backend(backend, arena=shared_arena, backend_dir=backend_dir)
+    policy = spec.policy
     cache = AsteriaCache(
         sine,
         capacity_items=config.capacity_items,
         default_ttl=config.default_ttl,
-        policy=policy,
+        policy=policy_by_name(policy) if isinstance(policy, str) else policy,
         staticity_scorer=StaticityScorer(seed=derive_seed(seed, "staticity")),
         staticity_ttl_scaling=config.staticity_ttl_scaling,
-        arena=shared_arena if resolved_backend is None else None,
-        backend=resolved_backend,
+        arena=shared_arena,
     )
-    return _attach_persistence(cache, persist_dir, fsync_every=fsync_every)
+    if spec.persist_dir is not None:
+        # Restores any prior state first, then journals every mutation.
+        cache.persistent_store = PersistentStore(spec.persist_dir, spec.fsync_every)
+        cache.restore_report = cache.persistent_store.attach(cache)
+    return cache
 
 
-def _shard_config(config: AsteriaConfig, shards: int) -> AsteriaConfig:
-    """``config`` with a bounded ``capacity_items`` ceil-split over ``shards``
-    (so the total may exceed the request by up to ``shards - 1``)."""
-    if config.capacity_items is None or shards <= 1:
-        return config
-    return replace(config, capacity_items=-(-config.capacity_items // shards))
-
-
-def _serving_config(config: AsteriaConfig | None, tier: str) -> AsteriaConfig:
-    """The config a concurrent tier serves under: prefetch and recalibration
+def _serving_spec(config, stack: dict, tier: str) -> StackSpec:
+    """The spec a concurrent tier serves under: prefetch and recalibration
     mutate engine-global state on the request path, so they must be off."""
-    config = config if config is not None else AsteriaConfig()
-    if config.prefetch_enabled or config.recalibration_enabled:
+    spec = StackSpec.of(config, stack)
+    if spec.config.prefetch_enabled or spec.config.recalibration_enabled:
         raise ValueError(
             f"{tier} serving requires prefetch_enabled and "
             "recalibration_enabled off; run those studies sequentially"
         )
-    return config
+    return spec
 
 
 def build_sharded_cache(
-    config: AsteriaConfig | None = None,
-    seed: int = 0,
+    config: "AsteriaConfig | StackSpec | None" = None,
+    *,
     shards: int = 4,
-    index_kind: str = "flat",
-    policy: "EvictionPolicy | str" = "lcfu",
-    arena: str | None = "float32",
-    judge_spin: float = 0.0,
-    backend: "str | None" = None,
-    backend_dir=None,
-    persist_dir=None,
-    fsync_every: int = 8,
+    **stack,
 ) -> ShardedAsteriaCache:
     """A thread-safe sharded semantic cache for concurrent serving.
 
-    Every shard is built with the *same* ``seed`` so all shards share
+    Every shard is built from the same spec (see :meth:`StackSpec.shard`
+    for what differs) and so the *same* seed: all shards share
     embedding/judging behaviour (those substrates are deterministic
-    per-text); with ``shards=1`` the result replays an unsharded
-    :func:`build_semantic_cache` decision for decision. A bounded
-    ``config.capacity_items`` is split evenly across shards (rounded up, so
-    the total may exceed the request by up to ``shards - 1``). Each shard
-    gets its own private embedding arena (tier selected by ``arena``), so
-    shard locks also cover arena mutation.
+    per-text), and with ``shards=1`` the result replays an unsharded
+    :func:`build_semantic_cache` decision for decision. Each shard gets its
+    own private embedding arena, so shard locks also cover arena mutation.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    config = config if config is not None else AsteriaConfig()
-    shard_config = _shard_config(config, shards)
-    shard_backend_dirs: list = [None] * shards
-    if backend_dir is not None:
-        from repro.store.persist import shard_directory
-
-        shard_backend_dirs = [
-            shard_directory(backend_dir, shard) for shard in range(shards)
-        ]
-    sharded = ShardedAsteriaCache(
-        [
-            build_semantic_cache(
-                shard_config,
-                seed=seed,
-                index_kind=index_kind,
-                policy=policy,
-                arena=arena,
-                judge_spin=judge_spin,
-                backend=backend,
-                backend_dir=shard_backend_dirs[shard],
-            )
-            for shard in range(shards)
-        ]
-    )
-    if persist_dir is not None:
-        from repro.store.persist import ShardedPersistentStore
-
-        store = ShardedPersistentStore(persist_dir, shards, fsync_every=fsync_every)
-        reports = store.attach(sharded)
-        sharded.persistent_store = store
-        sharded.restore_reports = reports
+    spec = StackSpec.of(config, stack)
+    specs = [spec.shard(shard, shards) for shard in range(shards)]
+    sharded = ShardedAsteriaCache([build_semantic_cache(each) for each in specs])
+    if spec.persist_dir is not None:
+        sharded.persistent_store = ShardedPersistentStore(
+            [shard.persistent_store for shard in sharded.shards]
+        )
+        sharded.restore_reports = [shard.restore_report for shard in sharded.shards]
     return sharded
 
 
 def build_concurrent_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
-    seed: int = 0,
+    *,
     shards: int = 4,
     workers: int = 4,
-    index_kind: str = "flat",
-    policy: "EvictionPolicy | str" = "lcfu",
     io_pause_scale: float = 0.0,
     follower_timeout: float | None = None,
     resilience: ResilienceManager | None = None,
-    arena: str | None = "float32",
-    judge_spin: float = 0.0,
-    backend: "str | None" = None,
-    backend_dir=None,
-    persist_dir=None,
-    fsync_every: int = 8,
     name: str = "asteria-concurrent",
+    **stack,
 ) -> ConcurrentEngine:
     """The full concurrent serving stack: sharded cache + worker-pool engine.
 
@@ -398,21 +335,9 @@ def build_concurrent_engine(
     overlap remote I/O the way a deployed system would — see
     :class:`~repro.serving.concurrent.ConcurrentEngine`.
     """
-    config = _serving_config(config, "concurrent")
-    cache = build_sharded_cache(
-        config,
-        seed=seed,
-        shards=shards,
-        index_kind=index_kind,
-        policy=policy,
-        arena=arena,
-        judge_spin=judge_spin,
-        backend=backend,
-        backend_dir=backend_dir,
-        persist_dir=persist_dir,
-        fsync_every=fsync_every,
-    )
-    engine = AsteriaEngine(cache, remote, config, resilience=resilience, name=name)
+    spec = _serving_spec(config, stack, "concurrent")
+    cache = build_sharded_cache(spec, shards=shards)
+    engine = AsteriaEngine(cache, remote, spec.config, resilience=resilience, name=name)
     return ConcurrentEngine(
         engine,
         workers=workers,
@@ -424,7 +349,7 @@ def build_concurrent_engine(
 def build_async_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
-    seed: int = 0,
+    *,
     shards: int = 4,
     io_pause_scale: float = 0.0,
     max_inflight: int = 256,
@@ -434,16 +359,9 @@ def build_async_engine(
     hedge_min_samples: int = 20,
     batch_window: float = 0.0,
     batch_max: int = 16,
-    index_kind: str = "flat",
-    policy: "EvictionPolicy | str" = "lcfu",
     resilience: ResilienceManager | None = None,
-    arena: str | None = "float32",
-    judge_spin: float = 0.0,
-    backend: "str | None" = None,
-    backend_dir=None,
-    persist_dir=None,
-    fsync_every: int = 8,
     name: str = "asteria-async",
+    **stack,
 ) -> AsyncAsteriaEngine:
     """The full asyncio serving stack: sharded cache + event-loop engine.
 
@@ -455,21 +373,9 @@ def build_async_engine(
     backpressure, deadlines, and hedging — see
     :class:`~repro.serving.aio.AsyncAsteriaEngine`.
     """
-    config = _serving_config(config, "async")
-    cache = build_sharded_cache(
-        config,
-        seed=seed,
-        shards=shards,
-        index_kind=index_kind,
-        policy=policy,
-        arena=arena,
-        judge_spin=judge_spin,
-        backend=backend,
-        backend_dir=backend_dir,
-        persist_dir=persist_dir,
-        fsync_every=fsync_every,
-    )
-    engine = AsteriaEngine(cache, remote, config, resilience=resilience, name=name)
+    spec = _serving_spec(config, stack, "async")
+    cache = build_sharded_cache(spec, shards=shards)
+    engine = AsteriaEngine(cache, remote, spec.config, resilience=resilience, name=name)
     return AsyncAsteriaEngine(
         engine,
         remote=AsyncRemoteService(remote, io_pause_scale=io_pause_scale),
@@ -486,7 +392,7 @@ def build_async_engine(
 def build_proc_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
-    seed: int = 0,
+    *,
     workers: int = 4,
     io_pause_scale: float = 0.0,
     max_inflight: int = 256,
@@ -494,14 +400,7 @@ def build_proc_engine(
     follower_timeout: float | None = None,
     batch_window: float = 0.0,
     batch_max: int = 16,
-    index_kind: str = "flat",
-    policy: str = "lcfu",
     resilience: ResilienceManager | None = None,
-    arena: str | None = "float32",
-    judge_spin: float = 0.0,
-    codec: str = "pickle",
-    persist_dir=None,
-    fsync_every: int = 8,
     name: str = "asteria-proc",
     launch: bool = True,
     supervise: bool = True,
@@ -513,69 +412,40 @@ def build_proc_engine(
     supervisor_max_restarts: int = 5,
     shard_open_seconds: float = 0.5,
     proc_faults=None,
+    **stack,
 ) -> ProcAsteriaEngine:
     """The multi-process serving stack: shard worker processes + async router.
 
     ``workers`` is both the process count and the shard count (one shard per
     process, routed by the same stable crc32 hash as the sharded cache, so
-    ``workers=1`` replays the single-process engine's decisions exactly). A
-    bounded ``config.capacity_items`` is ceil-split across workers exactly
-    like :func:`build_sharded_cache`. ``policy`` must be a *name* — it
-    crosses the spawn boundary inside a :class:`WorkerSpec`. ``codec``
-    selects the wire serializer (``pickle`` default, ``msgpack`` when
-    installed). With ``launch=False`` the pool is constructed but no process
-    is spawned (call ``engine.pool.launch()`` later).
+    ``workers=1`` replays the single-process engine's decisions exactly),
+    and each worker rebuilds its shard from the same :meth:`StackSpec.shard`
+    split as :func:`build_sharded_cache` — the spec crosses the spawn
+    boundary inside a :class:`WorkerSpec`, so ``policy`` must be a *name*.
+    With ``launch=False`` the pool is constructed but no process is spawned
+    (call ``engine.pool.launch()`` later).
 
     ``supervise`` arms the :class:`WorkerSupervisor` (heartbeat + respawn
-    with backoff; warm restore when ``persist_dir`` is set);
+    with backoff; warm restore when the spec has a durable home);
     ``fault_domains`` arms the per-shard breakers that keep a dead shard's
     requests degrading locally (stale hit, else direct remote fetch)
     instead of failing the engine. ``proc_faults`` accepts a
     :class:`ProcFaultInjector` for chaos runs.
     """
-    config = _serving_config(config, "proc")
-    if not isinstance(policy, str):
-        raise TypeError(
-            "build_proc_engine needs a policy *name* (the spec crosses the "
-            f"process boundary), got {type(policy).__name__}"
-        )
+    spec = _serving_spec(config, stack, "proc")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    shard_config = _shard_config(config, workers)
-    # Calibrate the spin once here, in the quiet parent, and ship the
-    # iteration count to every worker: a worker calibrating while its
-    # siblings burn CPU on the same cores would measure a contended loop
-    # rate, give itself less work per judge, and fake parallel speedup.
-    iterations = spin_iterations(judge_spin) if judge_spin > 0 else None
-    shard_dirs: list[str | None] = [None] * workers
-    if persist_dir is not None:
-        from repro.store.persist import shard_directory
-
-        shard_dirs = [
-            str(shard_directory(persist_dir, shard)) for shard in range(workers)
-        ]
-    specs = [
-        WorkerSpec(
-            shard_id=shard,
-            n_shards=workers,
-            config=shard_config,
-            seed=seed,
-            index_kind=index_kind,
-            policy=policy,
-            arena=arena,
-            judge_spin=judge_spin,
-            judge_spin_iterations=iterations,
-            codec=codec,
-            persist_dir=shard_dirs[shard],
-            fsync_every=fsync_every,
-        )
-        for shard in range(workers)
-    ]
+    if spec.judge_spin > 0:
+        # Calibrate the spin once here, in the quiet parent, and ship the
+        # iteration count to every worker: a worker calibrating while its
+        # siblings burn CPU on the same cores would measure a contended loop
+        # rate, give itself less work per judge, and fake parallel speedup.
+        spec = replace(spec, judge_spin_iterations=spin_iterations(spec.judge_spin))
     pool = WorkerPool(
-        specs,
+        [WorkerSpec(shard, workers, spec.shard(shard, workers)) for shard in range(workers)],
         batch_window=batch_window,
         batch_max=batch_max,
-        ann_only=config.ann_only,
+        ann_only=spec.config.ann_only,
         frame_faults=proc_faults,
     )
     if supervise:
@@ -593,7 +463,7 @@ def build_proc_engine(
     return ProcAsteriaEngine(
         pool,
         remote,
-        config,
+        spec.config,
         resilience=resilience,
         io_pause_scale=io_pause_scale,
         max_inflight=max_inflight,

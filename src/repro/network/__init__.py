@@ -6,12 +6,12 @@ for the self-hosted RAG service), provider rate limits with client-side
 retry/backoff (Google's 100 queries/minute), and per-call fees ($5 per 1 000
 requests for search — Table 1).
 
-``RegionTopology`` describes inter-region RTTs; ``TokenBucket`` /
-``FixedWindowLimiter`` enforce rate limits; ``RetryPolicy`` shapes backoff;
-``CostMeter`` accumulates fees; and ``RemoteDataService`` composes them into
-the thing the cache's miss path talks to. ``FaultInjector`` wraps a service
-with seeded transient errors, timeouts, latency spikes, and blackout windows
-for chaos testing; every failure is a ``RemoteFetchError`` subclass.
+``TokenBucket`` / ``FixedWindowLimiter`` enforce rate limits; ``RetryPolicy``
+shapes backoff; ``CostMeter`` accumulates fees; and ``RemoteDataService``
+composes them into the thing the cache's miss path talks to. ``FaultInjector``
+wraps a service with seeded transient errors, timeouts, latency spikes, and
+blackout windows for chaos testing; every failure is a ``RemoteFetchError``
+subclass.
 """
 
 from repro.network.faults import (
@@ -38,7 +38,6 @@ from repro.network.remote import (
     RemoteFetchError,
     RetryPolicy,
 )
-from repro.network.topology import RegionTopology, default_topology
 
 __all__ = [
     "CostMeter",
@@ -49,7 +48,6 @@ __all__ = [
     "PRICE_H100_PER_HOUR",
     "RateLimitExceeded",
     "RateLimiter",
-    "RegionTopology",
     "RemoteDataService",
     "RemoteFetchError",
     "RemoteTimeout",
@@ -57,5 +55,4 @@ __all__ = [
     "RetryPolicy",
     "TokenBucket",
     "UnlimitedLimiter",
-    "default_topology",
 ]

@@ -41,8 +41,6 @@ DESIGN §11 for the span model and bucket-choice rationale.
 from repro.obs.bridge import (
     EngineInstrument,
     breaker_state_value,
-    served_fraction,
-    stale_fraction,
 )
 from repro.obs.distributed import (
     WorkerTracer,
@@ -113,8 +111,6 @@ __all__ = [
     "graft_spans",
     "make_span_sink",
     "record_remote_leaf",
-    "served_fraction",
-    "stale_fraction",
     "summarize_series",
     "trace_context",
 ]

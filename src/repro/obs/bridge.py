@@ -254,11 +254,11 @@ class EngineInstrument:
         recorder.add_probe(f"hit_rate{{engine=\"{label}\"}}", lambda: metrics.hit_rate)
         recorder.add_probe(
             f"served_fraction{{engine=\"{label}\"}}",
-            lambda: served_fraction(metrics),
+            lambda: metrics.served_fraction,
         )
         recorder.add_probe(
             f"stale_fraction{{engine=\"{label}\"}}",
-            lambda: stale_fraction(metrics),
+            lambda: metrics.stale_fraction,
         )
         recorder.add_probe(
             f"p99_latency{{engine=\"{label}\"}}", lambda: metrics.total_latency.p99
@@ -293,28 +293,3 @@ class EngineInstrument:
             )
             attached += 1
         return attached
-
-
-def served_fraction(metrics: EngineMetrics) -> float:
-    """Fraction of finished requests answered with some payload (fresh or
-    stale) — offered load minus failures and rejections."""
-    finished = (
-        metrics.requests
-        + metrics.stale_hits
-        + metrics.failed_requests
-        + metrics.overloaded
-        + metrics.deadline_exceeded
-    )
-    if finished == 0:
-        return 1.0
-    served = metrics.requests + metrics.stale_hits
-    return served / finished
-
-
-def stale_fraction(metrics: EngineMetrics) -> float:
-    """Fraction of *served* answers that were stale hits — the staleness
-    signal the SLO layer watches (0.0 before anything has been served)."""
-    served = metrics.requests + metrics.stale_hits
-    if served == 0:
-        return 0.0
-    return metrics.stale_hits / served

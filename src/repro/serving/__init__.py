@@ -38,18 +38,21 @@ The ``aio`` subpackage is the event-loop counterpart of the thread layer:
     single-flight misses that followers ``await`` instead of blocking on.
 ``run_open_loop`` / ``run_closed_loop``
     Fixed-arrival-rate and matched-concurrency async load generators.
+
+``load`` holds what every load driver shares: the one ``LoadReport``, the
+metrics window it is computed from, and open-loop arrival pacing.
 """
 
 from repro.serving.aio import (
     AsyncAsteriaEngine,
-    AsyncLoadReport,
     AsyncOutcome,
     AsyncRemoteService,
     AsyncSingleFlight,
     run_closed_loop,
     run_open_loop,
 )
-from repro.serving.concurrent import ConcurrentEngine, LoadReport
+from repro.serving.concurrent import ConcurrentEngine
+from repro.serving.load import LoadReport
 from repro.serving.executor import FixedLatencyExecutor, PartitionJudgeExecutor
 from repro.serving.gpu import GpuDevice, GpuPartition
 from repro.serving.memory import KVMemoryPool
@@ -58,7 +61,6 @@ from repro.serving.singleflight import SingleFlight
 
 __all__ = [
     "AsyncAsteriaEngine",
-    "AsyncLoadReport",
     "AsyncOutcome",
     "AsyncRemoteService",
     "AsyncSingleFlight",

@@ -31,7 +31,7 @@ from repro.serving.aio.engine import (
     AsyncAsteriaEngine,
     AsyncOutcome,
 )
-from repro.serving.aio.load import AsyncLoadReport, run_closed_loop, run_open_loop
+from repro.serving.aio.load import run_closed_loop, run_open_loop
 from repro.serving.aio.remote import AsyncRemoteService
 from repro.serving.aio.singleflight import AsyncSingleFlight
 
@@ -42,7 +42,6 @@ __all__ = [
     "STATUS_OVERLOADED",
     "STATUS_STALE",
     "AsyncAsteriaEngine",
-    "AsyncLoadReport",
     "AsyncOutcome",
     "AsyncRemoteService",
     "AsyncSingleFlight",

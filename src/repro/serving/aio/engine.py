@@ -261,8 +261,6 @@ class AsyncAsteriaEngine:
         begin = time.perf_counter()
         if self._inflight >= self.max_inflight:
             self.metrics.overloaded += 1
-            if self.engine.trace is not None:
-                self.engine.trace.record_rejected(now, query, STATUS_OVERLOADED)
             return AsyncOutcome(
                 STATUS_OVERLOADED, wall_latency=time.perf_counter() - begin
             )
@@ -277,12 +275,9 @@ class AsyncAsteriaEngine:
                         response = await serve(query, now)
             except TimeoutError:
                 self.metrics.deadline_exceeded += 1
-                wall = time.perf_counter() - begin
-                if self.engine.trace is not None:
-                    self.engine.trace.record_rejected(
-                        now, query, STATUS_DEADLINE, latency=wall
-                    )
-                return AsyncOutcome(STATUS_DEADLINE, wall_latency=wall)
+                return AsyncOutcome(
+                    STATUS_DEADLINE, wall_latency=time.perf_counter() - begin
+                )
             wall = time.perf_counter() - begin
             if response.degraded == "stale_hit":
                 return AsyncOutcome(STATUS_STALE, response, wall_latency=wall)
@@ -433,7 +428,7 @@ class AsyncAsteriaEngine:
             self.metrics.hedge_wins += 1
             # The caller experienced the hedge delay plus the backup's own
             # fetch time; report that end-to-end simulated latency and mark
-            # the result hedged for the trace log.
+            # the result hedged.
             fetch = dataclasses.replace(
                 fetch, latency=hedge_delay_sim + fetch.latency, hedged=True
             )

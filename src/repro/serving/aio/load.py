@@ -21,121 +21,15 @@ deltas, so warm engines can be measured across several runs.
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.types import Query
 from repro.serving.aio.engine import AsyncAsteriaEngine, AsyncOutcome
+from repro.serving.load import LoadReport, LoadWindow, arrivals
 
 
-@dataclass(frozen=True, slots=True)
-class AsyncLoadReport:
-    """Outcome of one async load run (wall-clock, not virtual time)."""
-
-    mode: str
-    requests: int
-    completed: int
-    overloaded: int
-    deadline_exceeded: int
-    wall_seconds: float
-    throughput_rps: float
-    hits: int
-    misses: int
-    hit_rate: float
-    coalesced_misses: int
-    remote_calls: int
-    hedged_fetches: int
-    p50_wall: float
-    p99_wall: float
-    rate: float | None = None
-    concurrency: int | None = None
-    #: Degraded outcomes (fault tolerance): answered stale / explicit
-    #: failures / refused up-front by the open breaker.
-    stale_served: int = 0
-    failed: int = 0
-    breaker_open_rejects: int = 0
-
-    @property
-    def served_fraction(self) -> float:
-        """Fraction of requests answered with *some* payload (fresh or
-        stale) — the chaos benchmark's availability headline."""
-        if self.requests == 0:
-            return 1.0
-        return (self.completed + self.stale_served) / self.requests
-
-    def summary(self) -> dict:
-        """Plain-dict snapshot for serialisation."""
-        out = {
-            "mode": self.mode,
-            "requests": self.requests,
-            "completed": self.completed,
-            "overloaded": self.overloaded,
-            "deadline_exceeded": self.deadline_exceeded,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "coalesced_misses": self.coalesced_misses,
-            "remote_calls": self.remote_calls,
-            "hedged_fetches": self.hedged_fetches,
-            "p50_wall": round(self.p50_wall, 5),
-            "p99_wall": round(self.p99_wall, 5),
-            "stale_served": self.stale_served,
-            "failed": self.failed,
-            "breaker_open_rejects": self.breaker_open_rejects,
-            "served_fraction": round(self.served_fraction, 4),
-        }
-        if self.rate is not None:
-            out["rate"] = self.rate
-        if self.concurrency is not None:
-            out["concurrency"] = self.concurrency
-        return out
-
-
-def _report(
-    engine: AsyncAsteriaEngine,
-    outcomes: Sequence[AsyncOutcome],
-    wall: float,
-    before: dict,
-    remote_before: int,
-    mode: str,
-    rate: float | None = None,
-    concurrency: int | None = None,
-) -> AsyncLoadReport:
-    after = engine.metrics.summary()
-    completed = sum(1 for outcome in outcomes if outcome.ok)
-    walls = [outcome.wall_latency for outcome in outcomes if outcome.ok]
-    hits = after["hits"] - before["hits"]
-    misses = after["misses"] - before["misses"]
-    cacheable = hits + misses
-    return AsyncLoadReport(
-        mode=mode,
-        requests=len(outcomes),
-        completed=completed,
-        overloaded=after["overloaded"] - before["overloaded"],
-        deadline_exceeded=after["deadline_exceeded"] - before["deadline_exceeded"],
-        wall_seconds=wall,
-        throughput_rps=completed / wall if wall > 0 else float("inf"),
-        hits=hits,
-        misses=misses,
-        hit_rate=hits / cacheable if cacheable else 0.0,
-        coalesced_misses=after["coalesced_misses"] - before["coalesced_misses"],
-        remote_calls=engine.remote.calls - remote_before,
-        hedged_fetches=after["hedged_fetches"] - before["hedged_fetches"],
-        p50_wall=float(np.percentile(walls, 50)) if walls else 0.0,
-        p99_wall=float(np.percentile(walls, 99)) if walls else 0.0,
-        rate=rate,
-        concurrency=concurrency,
-        stale_served=after["stale_hits"] - before["stale_hits"],
-        failed=after["failed_requests"] - before["failed_requests"],
-        breaker_open_rejects=(
-            after["breaker_open_rejects"] - before["breaker_open_rejects"]
-        ),
-    )
+def _walls(outcomes: Sequence[AsyncOutcome]) -> list[float]:
+    return [outcome.wall_latency for outcome in outcomes if outcome.ok]
 
 
 async def run_open_loop(
@@ -146,7 +40,7 @@ async def run_open_loop(
     deadline: float | None = None,
     start: float = 0.0,
     stop: asyncio.Event | None = None,
-) -> AsyncLoadReport:
+) -> LoadReport:
     """Serve ``queries`` at a fixed arrival rate (requests per wall second).
 
     Request *i* is launched at wall offset ``i / rate`` whether or not
@@ -159,39 +53,18 @@ async def run_open_loop(
     engine drained, so a signal handler gets a complete report of the
     requests that actually ran.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     queries = list(queries)
-    before = engine.metrics.summary()
-    remote_before = engine.remote.calls
+    window = LoadWindow(engine)
     tasks: list[asyncio.Task] = []
-    begin = time.perf_counter()
-    for i, query in enumerate(queries):
-        if stop is not None and stop.is_set():
-            break
-        delay = (begin + i / rate) - time.perf_counter()
-        if delay > 0:
-            if stop is not None:
-                # Sleep until the next arrival *or* the stop flag, whichever
-                # comes first — a TERM mid-gap shouldn't wait out the gap.
-                try:
-                    await asyncio.wait_for(stop.wait(), timeout=delay)
-                    break
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await asyncio.sleep(delay)
+    async for i in arrivals(len(queries), rate, stop):
         tasks.append(
             asyncio.ensure_future(
-                engine.serve(query, start + i * time_step, deadline=deadline)
+                engine.serve(queries[i], start + i * time_step, deadline=deadline)
             )
         )
     outcomes = await asyncio.gather(*tasks)
     await engine.drain()
-    wall = time.perf_counter() - begin
-    return _report(
-        engine, outcomes, wall, before, remote_before, mode="open", rate=rate
-    )
+    return window.report("open", walls=_walls(outcomes), rate=rate)
 
 
 async def run_closed_loop(
@@ -202,7 +75,7 @@ async def run_closed_loop(
     deadline: float | None = None,
     start: float = 0.0,
     stop: asyncio.Event | None = None,
-) -> AsyncLoadReport:
+) -> LoadReport:
     """Serve ``queries`` with ``concurrency`` closed-loop virtual clients.
 
     Each client claims the next query from a shared cursor and serves it to
@@ -228,19 +101,9 @@ async def run_closed_loop(
                 queries[i], start + i * time_step, deadline=deadline
             )
 
-    before = engine.metrics.summary()
-    remote_before = engine.remote.calls
-    begin = time.perf_counter()
+    window = LoadWindow(engine)
     await asyncio.gather(*(client() for _ in range(concurrency)))
     await engine.drain()
-    wall = time.perf_counter() - begin
-    return _report(
-        engine,
-        # Unfilled slots only exist when `stop` ended the run early.
-        [outcome for outcome in outcomes if outcome is not None],
-        wall,
-        before,
-        remote_before,
-        mode="closed",
-        concurrency=concurrency,
-    )
+    # Unfilled slots only exist when `stop` ended the run early.
+    served = [outcome for outcome in outcomes if outcome is not None]
+    return window.report("closed", walls=_walls(served), concurrency=concurrency)

@@ -31,7 +31,6 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Generator, Sequence
 
 from repro.core.engine import AsteriaEngine
@@ -47,53 +46,8 @@ from repro.core.flow import (
 from repro.core.metrics import EngineMetrics
 from repro.core.types import FetchResult, Query
 from repro.network.remote import RemoteFetchError
+from repro.serving.load import LoadReport, LoadWindow
 from repro.serving.singleflight import SingleFlight
-
-
-@dataclass(frozen=True, slots=True)
-class LoadReport:
-    """Outcome of one closed-loop load run (wall-clock, not virtual time)."""
-
-    workers: int
-    requests: int
-    wall_seconds: float
-    throughput_rps: float
-    hits: int
-    misses: int
-    hit_rate: float
-    coalesced_misses: int
-    remote_calls: int
-    #: Degraded outcomes (fault tolerance): answered from the stale store /
-    #: explicit failures / refused up-front by the open breaker.
-    stale_served: int = 0
-    failed: int = 0
-    breaker_open_rejects: int = 0
-
-    @property
-    def served_fraction(self) -> float:
-        """Fraction of requests answered with *some* payload (fresh or
-        stale) — the chaos benchmark's availability headline."""
-        if self.requests == 0:
-            return 1.0
-        return (self.requests - self.failed) / self.requests
-
-    def summary(self) -> dict:
-        """Plain-dict snapshot for serialisation."""
-        return {
-            "workers": self.workers,
-            "requests": self.requests,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "coalesced_misses": self.coalesced_misses,
-            "remote_calls": self.remote_calls,
-            "stale_served": self.stale_served,
-            "failed": self.failed,
-            "breaker_open_rejects": self.breaker_open_rejects,
-            "served_fraction": round(self.served_fraction, 4),
-        }
 
 
 class ConcurrentEngine:
@@ -348,7 +302,6 @@ class ConcurrentEngine:
         """
         queries = list(queries)
         cursor = itertools.count()
-        served = itertools.count()
         n = len(queries)
         errors: list[BaseException] = []
 
@@ -361,46 +314,22 @@ class ConcurrentEngine:
                     return
                 try:
                     self._serve(queries[i], start + i * time_step)
-                    next(served)  # atomic served-count bump
                 except BaseException as exc:  # surface, don't hang the join
                     errors.append(exc)
                     return
 
-        before = self.metrics.summary()
-        remote_before = self.remote.calls
         threads = [
             threading.Thread(target=worker, name=f"load-worker-{w}", daemon=True)
             for w in range(self.workers)
         ]
-        begin = time.perf_counter()
+        window = LoadWindow(self)
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        wall = time.perf_counter() - begin
         if errors:
             raise errors[0]
-        n_served = next(served)
-        after = self.metrics.summary()
-        hits = after["hits"] - before["hits"]
-        misses = after["misses"] - before["misses"]
-        cacheable = hits + misses
-        return LoadReport(
-            workers=self.workers,
-            requests=n_served,
-            wall_seconds=wall,
-            throughput_rps=n_served / wall if wall > 0 else float("inf"),
-            hits=hits,
-            misses=misses,
-            hit_rate=hits / cacheable if cacheable else 0.0,
-            coalesced_misses=after["coalesced_misses"] - before["coalesced_misses"],
-            remote_calls=self.remote.calls - remote_before,
-            stale_served=after["stale_hits"] - before["stale_hits"],
-            failed=after["failed_requests"] - before["failed_requests"],
-            breaker_open_rejects=(
-                after["breaker_open_rejects"] - before["breaker_open_rejects"]
-            ),
-        )
+        return window.report("closed", concurrency=self.workers)
 
     # -- lifecycle ----------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:

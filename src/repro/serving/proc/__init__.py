@@ -13,8 +13,7 @@ serving stack's.
 Layers
 ------
 ``protocol``
-    4-byte length-prefixed frames; pickle codec by default, msgpack when
-    installed.
+    4-byte length-prefixed frames with a pickle payload.
 ``wire``
     Plain-structure converters for every type that crosses the boundary.
 ``worker``
@@ -33,18 +32,12 @@ Layers
 
 from repro.serving.proc.engine import ProcAsteriaEngine
 from repro.serving.proc.pool import ShardClient, WorkerError, WorkerPool, WorkerSpec
-from repro.serving.proc.protocol import (
-    Codec,
-    FrameError,
-    available_codecs,
-    get_codec,
-)
+from repro.serving.proc.protocol import FrameError
 from repro.serving.proc.server import ProcServer
 from repro.serving.proc.client import ProcClient
 from repro.serving.proc.supervisor import ProcFaultInjector, WorkerSupervisor
 
 __all__ = [
-    "Codec",
     "FrameError",
     "ProcAsteriaEngine",
     "ProcClient",
@@ -55,6 +48,4 @@ __all__ = [
     "WorkerPool",
     "WorkerSpec",
     "WorkerSupervisor",
-    "available_codecs",
-    "get_codec",
 ]

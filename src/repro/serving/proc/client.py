@@ -1,5 +1,5 @@
-"""Socket client for the serve front door, plus the open-loop driver the CI
-smoke job uses to push real requests through a real socket.
+"""Socket client for the serve front door, plus the open-loop driver that
+pushes real requests through a real socket.
 
 :class:`ProcClient` pipelines requests over one connection (request ids map
 replies back to waiter futures — same scheme as the shard protocol), so an
@@ -10,11 +10,14 @@ hundreds of sockets.
 from __future__ import annotations
 
 import asyncio
+import time
 from collections import Counter
 
+from repro.core.metrics import EngineMetrics
 from repro.core.types import Query
+from repro.serving.load import LoadReport, arrivals, load_report
 from repro.serving.proc import wire
-from repro.serving.proc.protocol import get_codec, read_frame, write_frame
+from repro.serving.proc.protocol import PickleCodec, read_frame, write_frame
 
 
 class ProcClientError(RuntimeError):
@@ -41,10 +44,9 @@ class ProcClient:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        codec_name: str = "pickle",
         tracer=None,
     ) -> None:
-        self.codec = get_codec(codec_name)
+        self.codec = PickleCodec()
         #: Optional client-side tracer: sampled ``serve`` calls open a local
         #: root span and ship its identity with the request, so the server's
         #: router/worker spans land in this client's trace.
@@ -64,14 +66,13 @@ class ProcClient:
         cls,
         host: str,
         port: int,
-        codec: str = "pickle",
         timeout: float = 10.0,
         tracer=None,
     ) -> "ProcClient":
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout
         )
-        client = cls(reader, writer, codec_name=codec, tracer=tracer)
+        client = cls(reader, writer, tracer=tracer)
         client._remote = (host, port)
         client._connect_timeout = timeout
         return client
@@ -190,6 +191,16 @@ class ProcClient:
             pass
 
 
+#: Outcome status on the wire -> the EngineMetrics counter it is.
+_STATUS_COUNTER = {
+    "ok": "requests",
+    "stale_hit": "stale_hits",
+    "failed": "failed_requests",
+    "overloaded": "overloaded",
+    "deadline_exceeded": "deadline_exceeded",
+}
+
+
 async def run_open_loop_socket(
     client: ProcClient,
     queries: list[Query],
@@ -197,47 +208,32 @@ async def run_open_loop_socket(
     time_step: float = 0.0,
     deadline: float | None = None,
     stop: asyncio.Event | None = None,
-) -> dict:
+) -> LoadReport:
     """Open-loop driver over a socket: request ``i`` launches at wall offset
-    ``i / rate`` regardless of completions (the same arrival discipline as
-    :func:`repro.serving.aio.load.run_open_loop`), all replies are gathered,
-    and a served-fraction report comes back for the smoke gate.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    loop = asyncio.get_running_loop()
-    begin = loop.time()
-    tasks: list[asyncio.Task] = []
-    statuses: Counter = Counter()
+    ``i / rate`` regardless of completions (the arrival discipline of
+    :func:`repro.serving.load.arrivals`) and all replies are gathered.
 
-    async def one(index: int, query: Query) -> None:
+    The client sees outcomes, not the server's cache: the report's
+    outcome counts, ``served_fraction`` and throughput are real, its
+    hit/miss fields are zero (ask the ``metrics`` op). A request the link
+    lost for good counts as ``failed``.
+    """
+    counts: Counter = Counter()
+
+    async def one(index: int) -> None:
         try:
             outcome = await client.serve(
-                query, now=index * time_step, deadline=deadline
+                queries[index], now=index * time_step, deadline=deadline
             )
-            statuses[outcome["status"]] += 1
+            counts[_STATUS_COUNTER[outcome["status"]]] += 1
         except ProcClientError:
-            statuses["transport_error"] += 1
+            counts["failed_requests"] += 1
 
-    for index, query in enumerate(queries):
-        if stop is not None and stop.is_set():
-            break
-        target = begin + index / rate
-        delay = target - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        tasks.append(asyncio.ensure_future(one(index, query)))
-    if tasks:
-        await asyncio.gather(*tasks)
-    wall = loop.time() - begin
-    launched = len(tasks)
-    served = statuses["ok"] + statuses["stale_hit"]
-    return {
-        "requests": launched,
-        "served": served,
-        "served_fraction": served / launched if launched else 0.0,
-        "statuses": dict(statuses),
-        "reconnects": client.reconnects,
-        "wall_seconds": wall,
-        "throughput_rps": launched / wall if wall > 0 else 0.0,
-    }
+    begin = time.perf_counter()
+    tasks = [
+        asyncio.ensure_future(one(index))
+        async for index in arrivals(len(queries), rate, stop)
+    ]
+    await asyncio.gather(*tasks)
+    wall = time.perf_counter() - begin
+    return load_report(EngineMetrics(**counts), "open", wall, rate=rate)

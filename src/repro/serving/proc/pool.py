@@ -33,8 +33,7 @@ from repro.core.cache import CacheStats
 from repro.core.sharding import shard_index_for
 from repro.serving.proc import wire
 from repro.serving.proc.protocol import (
-    Codec,
-    get_codec,
+    PickleCodec,
     read_frame,
     recv_frame,
     send_frame,
@@ -73,7 +72,6 @@ class ShardClient:
         self,
         shard_id: int,
         sock: socket.socket,
-        codec: Codec,
         batch_window: float = 0.0,
         batch_max: int = 16,
         ann_only: bool = False,
@@ -82,7 +80,7 @@ class ShardClient:
         on_spans=None,
     ) -> None:
         self.shard_id = shard_id
-        self.codec = codec
+        self.codec = PickleCodec()
         self.batch_window = batch_window
         self.batch_max = batch_max
         self.ann_only = ann_only
@@ -301,11 +299,8 @@ class WorkerPool:
     ) -> None:
         if not specs:
             raise ValueError("WorkerPool needs at least one WorkerSpec")
-        codecs = {spec.codec for spec in specs}
-        if len(codecs) != 1:
-            raise ValueError(f"all specs must share one codec, got {codecs}")
         self.specs = specs
-        self.codec = get_codec(specs[0].codec)
+        self.codec = PickleCodec()
         self.batch_window = batch_window
         self.batch_max = batch_max
         self.ann_only = ann_only
@@ -341,7 +336,6 @@ class WorkerPool:
         return ShardClient(
             shard_id,
             conn,
-            self.codec,
             batch_window=self.batch_window,
             batch_max=self.batch_max,
             ann_only=self.ann_only,
@@ -561,9 +555,9 @@ class WorkerPool:
     def capacity_items(self) -> int | None:
         total = 0
         for spec in self.specs:
-            if spec.config.capacity_items is None:
+            if spec.stack.config.capacity_items is None:
                 return None
-            total += spec.config.capacity_items
+            total += spec.stack.config.capacity_items
         return total
 
     # -- teardown -------------------------------------------------------------

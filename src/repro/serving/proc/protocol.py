@@ -9,17 +9,11 @@ one *frame*:
     | length: u32 BE | payload: length bytes     |
     +----------------+---------------------------+
 
-The payload is a codec-serialized plain structure (dicts, lists, strings,
-numbers, bytes, None) — see :mod:`repro.serving.proc.wire` for the
-conversions. Two codecs are supported:
-
-``pickle`` (default)
-    Stdlib, always available, fastest for our small frames.
-``msgpack``
-    Used when the ``msgpack`` package is installed; import-gated so the
-    tier works on a bare stdlib+numpy environment. Note msgpack decodes
-    tuples as lists, which is why every ``wire`` reader indexes rather
-    than type-checks.
+The payload is a :class:`PickleCodec`-serialized plain structure (dicts,
+lists, strings, numbers, bytes, None) — see :mod:`repro.serving.proc.wire`
+for the conversions. Every endpoint owns its codec *object* and calls
+``dumps``/``loads`` through it, so a measurement harness can shadow one
+endpoint's serialization without touching the others.
 
 Frames are capped at :data:`MAX_FRAME` bytes; an oversized or truncated
 frame raises :class:`FrameError` rather than desynchronizing the stream.
@@ -56,74 +50,14 @@ class FrameError(RuntimeError):
     """A malformed, oversized, or truncated frame."""
 
 
-class Codec:
-    """Serializer interface; see :func:`get_codec`."""
-
-    name: str = "none"
-
-    def dumps(self, obj) -> bytes:
-        raise NotImplementedError
-
-    def loads(self, data: bytes):
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class PickleCodec(Codec):
-    """Stdlib pickle — the default, always available."""
-
-    name = "pickle"
+class PickleCodec:
+    """The wire serializer: stdlib pickle at the highest protocol."""
 
     def dumps(self, obj) -> bytes:
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
     def loads(self, data: bytes):
         return pickle.loads(data)
-
-
-class MsgpackCodec(Codec):
-    """msgpack — optional; raises at construction when not installed."""
-
-    name = "msgpack"
-
-    def __init__(self) -> None:
-        try:
-            import msgpack
-        except ImportError as exc:  # pragma: no cover - depends on env
-            raise ImportError(
-                "the msgpack codec requires the 'msgpack' package; "
-                "use codec='pickle' (the default) instead"
-            ) from exc
-        self._msgpack = msgpack
-
-    def dumps(self, obj) -> bytes:
-        return self._msgpack.packb(obj, use_bin_type=True)
-
-    def loads(self, data: bytes):
-        return self._msgpack.unpackb(data, raw=False, strict_map_key=False)
-
-
-def available_codecs() -> list[str]:
-    """Codec names usable in this environment (msgpack only if importable)."""
-    names = ["pickle"]
-    try:
-        import msgpack  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        names.append("msgpack")
-    return names
-
-
-def get_codec(name: str) -> Codec:
-    """Construct the named codec; ``ValueError`` on unknown names."""
-    if name == "pickle":
-        return PickleCodec()
-    if name == "msgpack":
-        return MsgpackCodec()
-    raise ValueError(f"unknown codec {name!r}; expected one of pickle, msgpack")
 
 
 # -- synchronous frame I/O (worker processes, blocking sockets) ---------------

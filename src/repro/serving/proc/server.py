@@ -29,7 +29,7 @@ import signal
 
 from repro.serving.proc import wire
 from repro.serving.proc.engine import ProcAsteriaEngine
-from repro.serving.proc.protocol import FrameError, get_codec, read_frame, write_frame
+from repro.serving.proc.protocol import FrameError, PickleCodec, read_frame, write_frame
 
 
 class ProcServer:
@@ -40,13 +40,12 @@ class ProcServer:
         engine: ProcAsteriaEngine,
         host: str = "127.0.0.1",
         port: int = 0,
-        codec: str = "pickle",
         slo=None,
     ) -> None:
         self.engine = engine
         self.host = host
         self.port = port
-        self.codec = get_codec(codec)
+        self.codec = PickleCodec()
         #: Optional :class:`~repro.obs.slo.SLOEngine`; when set, ``health``
         #: replies carry its burn-rate summary (``python -m repro serve
         #: --slo`` wires it up).

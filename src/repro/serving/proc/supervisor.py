@@ -256,12 +256,13 @@ class WorkerSupervisor:
                     raise
                 except Exception:  # noqa: BLE001 - retry with more backoff
                     continue
-                if restore is None and pool.specs[shard].persist_dir is not None:
+                home = pool.specs[shard].stack.persist_dir
+                if restore is None and home is not None:
                     # Older workers don't report restores in hello; preview
                     # the shard directory so the trace still says what the
                     # respawn recovered.
                     try:
-                        restore = restore_preview(pool.specs[shard].persist_dir)
+                        restore = restore_preview(home)
                     except Exception:  # noqa: BLE001 - preview is best-effort
                         restore = None
                 client = pool.replace_client(shard, conn, process, clock_offset=offset)

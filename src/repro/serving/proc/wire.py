@@ -1,9 +1,9 @@
 """Plain-structure converters for everything that crosses a process boundary.
 
-Each ``*_to_wire`` function flattens a core type to dicts/lists/scalars so
-both codecs (pickle and msgpack) serialize it identically, and each
-``*_from_wire`` rebuilds the *real* type on the other side. msgpack decodes
-tuples as lists, so readers index into sequences and never type-check them.
+Each ``*_to_wire`` function flattens a core type to dicts/lists/scalars —
+the frame schema is plain data, whatever serializes it — and each
+``*_from_wire`` rebuilds the *real* type on the other side. Readers index
+into sequences and never type-check them (a list and a tuple read alike).
 
 Design note — embeddings stay in the worker. A cached element's embedding
 is a view into the worker's arena; the router never scores vectors, so

@@ -42,12 +42,15 @@ import os
 import signal
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.config import AsteriaConfig
 from repro.obs.distributed import WorkerTracer
 from repro.serving.proc import wire
-from repro.serving.proc.protocol import get_codec, recv_frame, send_frame
+from repro.serving.proc.protocol import PickleCodec, recv_frame, send_frame
+
+if TYPE_CHECKING:  # the factory imports this module; see _ShardServer
+    from repro.factory import StackSpec
 
 #: First frame a worker sends after connecting:
 #: ["hello", MAGIC, shard, pid, restore | None] — ``restore`` summarises what
@@ -61,36 +64,21 @@ POLL_TIMEOUT = 0.5
 
 @dataclass
 class WorkerSpec:
-    """Everything a worker needs to rebuild one shard, picklable by design.
-
-    ``policy`` is a name (``policy_by_name``), not a policy object — specs
-    cross the spawn boundary, and names keep them codec-agnostic.
+    """Everything a worker needs to rebuild one shard, picklable by design:
+    which shard it is, and the shard's :class:`~repro.factory.StackSpec`
+    (already split by ``StackSpec.shard`` — per-shard capacity and, when
+    persisted, the shard's own ``DIR/shard_NN`` home).
     """
 
     shard_id: int
     n_shards: int
-    config: AsteriaConfig = field(default_factory=AsteriaConfig)
-    seed: int = 0
-    index_kind: str = "flat"
-    policy: str = "lcfu"
-    arena: str | None = "float32"
-    judge_spin: float = 0.0
-    #: Pre-calibrated loop iterations for ``judge_spin`` (measured once in
-    #: the quiet parent): calibrating inside a worker that shares a core
-    #: with its siblings would hand it less work per judge and fake scaling.
-    judge_spin_iterations: int | None = None
-    codec: str = "pickle"
-    #: When set, the shard warm-restarts from (and journals to) this
-    #: directory via :class:`~repro.store.persist.PersistentStore`. A plain
-    #: string, not a Path: specs cross the spawn boundary.
-    persist_dir: str | None = None
-    fsync_every: int = 8
+    stack: StackSpec
 
     def __post_init__(self) -> None:
-        if not isinstance(self.policy, str):
+        if not isinstance(self.stack.policy, str):
             raise TypeError(
-                "WorkerSpec.policy must be a policy *name* (it crosses the "
-                f"process boundary), got {type(self.policy).__name__}"
+                "WorkerSpec needs a policy *name* (it crosses the process "
+                f"boundary), got {type(self.stack.policy).__name__}"
             )
         if not 0 <= self.shard_id < self.n_shards:
             raise ValueError(
@@ -108,17 +96,7 @@ class _ShardServer:
         from repro.factory import build_semantic_cache
 
         self.spec = spec
-        self.cache = build_semantic_cache(
-            spec.config,
-            seed=spec.seed,
-            index_kind=spec.index_kind,
-            policy=spec.policy,
-            arena=spec.arena,
-            judge_spin=spec.judge_spin,
-            judge_spin_iterations=spec.judge_spin_iterations,
-            persist_dir=spec.persist_dir,
-            fsync_every=spec.fsync_every,
-        )
+        self.cache = build_semantic_cache(spec.stack)
         self.store = getattr(self.cache, "persistent_store", None)
         # Always installed: with no remote context active its ``live`` count
         # is 0, so the cache's leaf guards short-circuit on one attribute
@@ -217,7 +195,7 @@ def worker_main(spec: WorkerSpec, host: str, port: int) -> None:
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    codec = get_codec(spec.codec)
+    codec = PickleCodec()
     server = _ShardServer(spec)
     sock = socket.create_connection((host, port), timeout=30.0)
     try:

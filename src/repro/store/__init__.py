@@ -4,8 +4,6 @@ The fifth subsystem alongside ``core``/``serving``/``obs``/``network``:
 
 * :mod:`repro.store.backend` — the :class:`CacheBackend` protocol and the
   in-process dict/arena implementation every engine constructs through.
-* :mod:`repro.store.filestore` — write-through per-element file store.
-* :mod:`repro.store.remote` — simulated remote store with WAN latency.
 * :mod:`repro.store.journal` — append-only JSONL WAL with fsync batching
   and idempotent replay.
 * :mod:`repro.store.persist` — snapshot + journal durability
@@ -36,8 +34,6 @@ __all__ = [
     "DELETE_REASONS",
     "InProcessBackend",
     "WrappingBackend",
-    "FileStoreBackend",
-    "SimulatedRemoteStore",
     "JournalWriter",
     "JournaledBackend",
     "read_journal",
@@ -51,8 +47,6 @@ __all__ = [
 
 #: Lazily-resolved exports: name -> (submodule, attribute).
 _LAZY = {
-    "FileStoreBackend": ("repro.store.filestore", "FileStoreBackend"),
-    "SimulatedRemoteStore": ("repro.store.remote", "SimulatedRemoteStore"),
     "JournalWriter": ("repro.store.journal", "JournalWriter"),
     "JournaledBackend": ("repro.store.journal", "JournaledBackend"),
     "read_journal": ("repro.store.journal", "read_journal"),

@@ -3,16 +3,11 @@
 The cache's semantic machinery (two-stage lookup, LCFU eviction, TTL aging)
 is independent of *where* elements live. :class:`CacheBackend` is the
 protocol separating the two: the cache decides *what* to admit, evict, and
-touch; the backend decides *how* the element map is stored. Three
-implementations ship:
-
-* :class:`InProcessBackend` — the classic dict (+ optional embedding arena)
-  store the cache always had, now behind the protocol. Zero-copy: the
-  ``elements`` mapping it exposes is the live dict the Sine pipeline scans.
-* :class:`~repro.store.filestore.FileStoreBackend` — write-through
-  per-element JSON files for durable single-node stores.
-* :class:`~repro.store.remote.SimulatedRemoteStore` — wraps another backend
-  and charges simulated WAN latency per mutation, for replication studies.
+touch; the backend decides *how* the element map is stored.
+:class:`InProcessBackend` — the classic dict (+ optional embedding arena)
+store the cache always had — is the one store that holds elements.
+Zero-copy: the ``elements`` mapping it exposes is the live dict the Sine
+pipeline scans.
 
 Decorator backends (:class:`~repro.store.journal.JournaledBackend`,
 :class:`~repro.store.replication.ReplicatingBackend`) wrap an inner backend

@@ -155,51 +155,12 @@ class PersistentStore:
 
 
 class ShardedPersistentStore:
-    """Per-shard :class:`PersistentStore` fan-out for a sharded cache.
+    """Checkpoint / flush / close fan-out over a sharded cache's per-shard
+    :class:`PersistentStore` instances (each already attached to its shard
+    under :func:`shard_directory`)."""
 
-    Shard ``i`` persists under ``DIR/shard_NN`` — the same layout a proc-tier
-    worker uses for its shard, so a thread-engine persist dir warm-starts a
-    proc engine with the same shard count and vice versa.
-    """
-
-    def __init__(
-        self,
-        directory: "str | Path",
-        n_shards: int,
-        fsync_every: int = 8,
-        log_touches: bool = True,
-    ) -> None:
-        self.directory = Path(directory)
-        existing = sorted(self.directory.glob("shard_*")) if self.directory.exists() else []
-        if existing and len(existing) != n_shards:
-            # Restoring a 2-shard layout into a 3-shard cache would route
-            # restored entries to the wrong shards (stable-hash routing is
-            # a function of the shard count) — refuse rather than corrupt.
-            raise ValueError(
-                f"persist dir {self.directory} holds {len(existing)} shard "
-                f"stores but the cache has {n_shards} shards; use the "
-                f"original shard count or a fresh directory"
-            )
-        self.stores = [
-            PersistentStore(
-                shard_directory(self.directory, shard),
-                fsync_every=fsync_every,
-                log_touches=log_touches,
-            )
-            for shard in range(n_shards)
-        ]
-
-    def attach(self, sharded_cache, now: float | None = None) -> list[RestoreReport]:
-        shards = sharded_cache.shards
-        if len(shards) != len(self.stores):
-            raise ValueError(
-                f"persist dir has {len(self.stores)} shard stores but the "
-                f"cache has {len(shards)} shards"
-            )
-        return [
-            store.attach(shard, now=now)
-            for store, shard in zip(self.stores, shards)
-        ]
+    def __init__(self, stores: "list[PersistentStore]") -> None:
+        self.stores = stores
 
     def checkpoint(self) -> None:
         for store in self.stores:
@@ -238,7 +199,26 @@ def restore_preview(directory: "str | Path") -> dict:
     }
 
 
-def shard_directory(directory: "str | Path", shard: int) -> Path:
-    """The persist subdirectory for shard ``shard`` (shared naming between
-    the thread-tier and proc-tier persistence paths)."""
-    return Path(directory) / f"shard_{shard:02d}"
+def shard_directory(
+    directory: "str | Path", shard: int, n_shards: int | None = None
+) -> Path:
+    """The persist subdirectory for shard ``shard``: ``DIR/shard_NN``, the
+    one layout the thread tier's sharded cache and the proc tier's workers
+    share — so a thread-engine persist dir warm-starts a proc engine with
+    the same shard count and vice versa.
+
+    Given ``n_shards``, refuses a ``DIR`` that already holds a layout
+    written under a different shard count: stable-hash routing is a function
+    of the count, so restoring a 2-shard layout into 3 shards would strand
+    entries on shards no request for them is ever routed to.
+    """
+    directory = Path(directory)
+    if n_shards is not None:
+        existing = len(list(directory.glob("shard_*")))
+        if existing and existing != n_shards:
+            raise ValueError(
+                f"persist dir {directory} holds {existing} shard stores but "
+                f"the cache has {n_shards} shards; use the original shard "
+                f"count or a fresh directory"
+            )
+    return directory / f"shard_{shard:02d}"

@@ -8,7 +8,7 @@ seconds. Records are versioned per entry and conflicts resolve
 highest ``(version, origin)`` pair for a truth key wins on both sides, so
 the pair converges without coordination, remote-settings style.
 
-Diff wire schema (one frame per sync, payload = codec-encoded dict):
+Diff wire schema (one frame per sync, payload = pickled dict):
 
 .. code-block:: text
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from repro.core.cache import AsteriaCache
 from repro.core.persistence import element_record
-from repro.serving.proc.protocol import Codec, FrameSplitter, encode_frame, get_codec
+from repro.serving.proc.protocol import FrameSplitter, PickleCodec, encode_frame
 from repro.store.backend import CacheBackend, WrappingBackend
 
 
@@ -275,9 +275,9 @@ class FrameLink:
     latencies.
     """
 
-    def __init__(self, latency: float, codec: "Codec | str" = "pickle") -> None:
+    def __init__(self, latency: float) -> None:
         self.latency = latency
-        self.codec = get_codec(codec) if isinstance(codec, str) else codec
+        self.codec = PickleCodec()
         self._in_flight: list[tuple[float, bytes]] = []
         self._splitter = FrameSplitter()
         self.frames_sent = 0
@@ -361,13 +361,12 @@ class ReplicationDriver:
         sync_interval: float = 1.0,
         latency_ab: float = 0.08,
         latency_ba: float = 0.12,
-        codec: str = "pickle",
     ) -> None:
         self.node_a = node_a
         self.node_b = node_b
         self.sync_interval = sync_interval
-        self.link_ab = FrameLink(latency_ab, codec)
-        self.link_ba = FrameLink(latency_ba, codec)
+        self.link_ab = FrameLink(latency_ab)
+        self.link_ba = FrameLink(latency_ba)
         self._next_sync = sync_interval
 
     def tick(self, now: float) -> None:

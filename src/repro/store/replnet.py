@@ -6,7 +6,7 @@ and exchange the same diff records the simulated
 :class:`~repro.store.replication.ReplicationDriver` exchanges, but over a
 real TCP connection using the proc tier's frame protocol.
 
-Session protocol (every frame is a codec-encoded dict):
+Session protocol (every frame is a pickled dict):
 
 ``{"op": "hello", "magic": ..., "node": id}``
     Handshake; sent immediately after connecting.
@@ -41,7 +41,7 @@ import socket
 import time
 
 from repro.obs.distributed import record_remote_leaf
-from repro.serving.proc.protocol import get_codec, recv_frame, send_frame
+from repro.serving.proc.protocol import PickleCodec, recv_frame, send_frame
 from repro.store.replication import ReplicaNode
 
 #: Handshake magic; bumping it breaks mixed-version pairs loudly.
@@ -134,7 +134,6 @@ def replicate_session(
     sock: socket.socket,
     workload=None,
     sync_interval: float = 0.5,
-    codec: str = "pickle",
     stop=None,
     pace: float = 0.0,
     settle_timeout: float = SETTLE_TIMEOUT,
@@ -155,7 +154,7 @@ def replicate_session(
     Returns a report dict with the convergence score from the digest
     exchange (``agreement`` is None if the peer vanished first).
     """
-    wire_codec = get_codec(codec)
+    wire_codec = PickleCodec()
     # Frames are tiny and, once select says readable, arriving; a generous
     # per-frame timeout only guards against a wedged peer.
     sock.settimeout(1.0)

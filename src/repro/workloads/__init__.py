@@ -41,12 +41,6 @@ from repro.workloads.replay import (
     run_task_open_loop,
 )
 from repro.workloads.swebench import SWEBenchWorkload, TABLE2_ACCESS_FREQUENCIES
-from repro.workloads.tracefile import (
-    load_tasks,
-    load_timed_queries,
-    save_tasks,
-    save_timed_queries,
-)
 from repro.workloads.trend import TrendEvent, TrendWorkload
 from repro.workloads.zipf import ZipfSampler
 from repro.workloads.skewed import SkewedWorkload
@@ -64,13 +58,9 @@ __all__ = [
     "TrendWorkload",
     "ZipfSampler",
     "build_dataset",
-    "load_tasks",
-    "load_timed_queries",
     "run_closed_loop",
     "run_open_loop",
     "run_task_closed_loop",
     "run_task_concurrent",
     "run_task_open_loop",
-    "save_tasks",
-    "save_timed_queries",
 ]

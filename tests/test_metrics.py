@@ -86,45 +86,175 @@ class TestEngineMetrics:
         assert summary["mean_latency"] == 0.5
 
 
+class TestServedFraction:
+    """The one definition, on a whole run or on a window of one."""
+
+    def test_nothing_offered_is_fully_served(self):
+        metrics = EngineMetrics()
+        assert metrics.offered == 0
+        assert metrics.served_fraction == 1.0
+        assert metrics.stale_fraction == 0.0
+
+    def test_fresh_and_stale_answers_count_as_served(self):
+        metrics = EngineMetrics(
+            requests=6, stale_hits=2, failed_requests=1, overloaded=2, deadline_exceeded=1
+        )
+        assert metrics.offered == 12
+        assert metrics.served_fraction == pytest.approx(8 / 12)
+        assert metrics.stale_fraction == pytest.approx(2 / 8)
+
+    def test_since_is_a_window_with_the_same_definitions(self):
+        metrics = EngineMetrics(requests=10, hits=8, misses=2)
+        before = metrics.counters()
+        assert "total_latency" not in before  # counters only, no reservoirs
+        metrics.requests += 3
+        metrics.hits += 1
+        metrics.misses += 2
+        metrics.failed_requests += 1
+        window = metrics.since(before)
+        assert (window.requests, window.hits, window.misses) == (3, 1, 2)
+        assert window.hit_rate == pytest.approx(1 / 3)
+        assert window.served_fraction == pytest.approx(3 / 4)
+        assert window.total_latency.count == 0
+
+
+class TestOutcomeConservation:
+    """Every request offered to an engine ends as exactly one outcome, in
+    the counters and — on the paths that open a root span — in the trace:
+    root spans by ``outcome`` and :class:`EngineMetrics` both sum to the
+    offered load."""
+
+    @staticmethod
+    def _root_outcomes(tracer):
+        from collections import Counter
+
+        return Counter(
+            span.attrs["outcome"] for span in tracer.spans() if span.name == "request"
+        )
+
+    def _assert_conserved(self, tracer, metrics, offered):
+        assert metrics.offered == offered
+        assert metrics.hits + metrics.misses + metrics.bypasses == metrics.requests
+        roots = self._root_outcomes(tracer)
+        assert roots["hit"] == metrics.hits
+        assert roots["miss"] == metrics.misses
+        assert roots["bypass"] == metrics.bypasses
+        assert roots["stale_hit"] == metrics.stale_hits
+        assert roots["failed"] == metrics.failed_requests
+        # A deadline abandons the flow mid-flight; a backpressure rejection
+        # never starts one, so it is the one outcome with no root span.
+        assert roots["abandoned"] == metrics.deadline_exceeded
+        assert sum(roots.values()) == offered - metrics.overloaded
+
+    def test_blackout_run_conserves_degraded_outcomes(self):
+        """A mid-run blackout produces stale hits and explicit failures;
+        every one of them is accounted for."""
+        from repro.core import Query
+        from repro.core.config import AsteriaConfig
+        from repro.core.resilience import CircuitBreaker, ResilienceManager
+        from repro.factory import build_asteria_engine, build_remote
+        from repro.network import FaultInjector
+        from repro.obs import Tracer
+
+        engine = build_asteria_engine(
+            build_remote(
+                seed=0,
+                fault_injector=FaultInjector(blackouts=[(1.0, 2.0)], seed=0),
+            ),
+            # A short TTL forces warm keys to re-fetch during the blackout:
+            # the fetch fails, the last-known-good copy serves stale.
+            config=AsteriaConfig(default_ttl=0.5),
+            seed=0,
+            resilience=ResilienceManager(
+                breaker=CircuitBreaker(
+                    failure_threshold=1.0, window=1024, min_samples=1024
+                ),
+                stale_serve=True,
+                seed=0,
+            ),
+        )
+        tracer = Tracer()
+        engine.set_tracer(tracer)
+        for i in range(300):
+            if 100 <= i < 200 and i % 10 == 0:
+                # Cold keys first seen mid-blackout: no stale fallback.
+                rank = 100 + i
+            else:
+                # Warm keys recur throughout and expire into re-fetches.
+                rank = (i * 7) % 12
+            engine.handle(
+                Query(f"stress fact number {rank} of it", fact_id=f"F{rank}"),
+                now=i * 0.01,
+            )
+        metrics = engine.metrics
+        assert metrics.stale_hits > 0  # warm keys degraded to stale
+        assert metrics.failed_requests > 0  # cold keys had no fallback
+        self._assert_conserved(tracer, metrics, offered=300)
+
+    def test_async_rejections_conserved(self):
+        """Overloaded and deadline-exceeded requests never produce a
+        response, but each is still exactly one counted outcome."""
+        import asyncio
+
+        from repro.core import Query
+        from repro.factory import build_async_engine, build_remote
+        from repro.obs import Tracer
+        from repro.serving.aio import run_closed_loop
+
+        engine = build_async_engine(
+            build_remote(seed=0),
+            seed=0,
+            shards=2,
+            max_inflight=1,
+            io_pause_scale=0.002,
+        )
+        tracer = Tracer()
+        engine.set_tracer(tracer)
+        # Unique queries -> every request is a miss with a real (wall) pause.
+        queries = [Query(f"unique topic {i} zz", fact_id=f"U{i}") for i in range(24)]
+
+        async def drive():
+            report = await run_closed_loop(engine, queries, concurrency=8)
+            # A second wave under an impossible deadline: misses must pause
+            # ~0.6-1 ms of wall time, so a 10 us budget always expires.
+            for i in range(4):
+                await engine.serve(
+                    Query(f"deadline topic {i} zz", fact_id=f"D{i}"),
+                    now=1.0 + i * 0.01,
+                    deadline=1e-5,
+                )
+            await engine.drain()
+            return report
+
+        report = asyncio.run(drive())
+        metrics = engine.metrics
+        assert metrics.overloaded > 0
+        assert metrics.deadline_exceeded > 0
+        self._assert_conserved(tracer, metrics, offered=28)
+        # The load report is that same accounting over the first wave.
+        assert report.requests == 24
+        assert report.completed + report.overloaded == 24
+        assert report.served_fraction == pytest.approx(report.completed / 24)
+
+
 class TestMemoryEnvelope:
     """Satellite regression: a 10^6-request run must stay inside a fixed
     memory envelope. Every per-request sink is bounded — the latency
-    reservoir, the request log, and the span store — so retained state is a
-    function of the configured caps, never of run length."""
+    reservoir and the span store — so retained state is a function of the
+    configured caps, never of run length."""
 
     N = 1_000_000
 
     def test_million_request_run_stays_bounded(self):
         import sys
 
-        from repro.core.tracelog import TraceLog
         from repro.obs import Tracer
 
-        class _Lookup:
-            status = "hit"
-            latency = 0.001
-            candidates = 1
-            judged = 1
-            truth_match = True
-
-        class _Response:
-            lookup = _Lookup()
-            degraded = None
-            latency = 0.002
-            fetch = None
-
-        class _Query:
-            text = "q"
-            tool = "kb"
-
         stats = LatencyStats()
-        log = TraceLog(max_records=10_000)
         tracer = Tracer(max_spans=10_000)
-        query, response = _Query(), _Response()
         clock = tracer.clock
         for i in range(self.N):
             stats.add((i % 997) * 1e-6)
-            log.record(i * 1e-3, query, response)
             t0 = clock()
             tracer.record_leaf("embed", t0)
 
@@ -134,24 +264,17 @@ class TestMemoryEnvelope:
             (self.N // 997) * sum(range(997)) + sum(range(self.N % 997))
         ) * 1e-6
         assert stats.total == pytest.approx(expected)
-        assert len(log) == 10_000
-        assert log.dropped == self.N - 10_000
         assert len(tracer) == 10_000
         assert tracer.dropped == self.N - 10_000
 
         # ... while retained state stays at the configured caps.
         assert len(stats.samples()) == stats.max_samples
-        assert len(log.records()) == 10_000
         assert len(tracer.spans()) == 10_000
 
-        # Container-level envelope: the three sinks' retained stores sum to
+        # Container-level envelope: the two sinks' retained stores sum to
         # low single-digit MB. An unbounded regression (list append per
         # request) would put any one of them at tens of MB.
-        envelope = (
-            sys.getsizeof(stats._samples)
-            + sys.getsizeof(log._records)
-            + sys.getsizeof(tracer._spans)
-        )
+        envelope = sys.getsizeof(stats._samples) + sys.getsizeof(tracer._spans)
         assert envelope < 4 * 1024 * 1024
 
     def test_ten_million_entry_arena_fill_stays_in_envelope(self):

@@ -1,9 +1,8 @@
 """Frame protocol and wire-conversion tests for the multi-process tier.
 
 Covers the length-prefixed framing (round trips, clean EOF, truncation,
-the oversize cap) over real socketpairs, the codec registry (pickle always;
-msgpack only when installed), and the wire-structure conversions the router
-and workers exchange.
+the oversize cap) over real socketpairs, the pickle codec, and the
+wire-structure conversions the router and workers exchange.
 """
 
 import socket
@@ -17,9 +16,8 @@ from repro.serving.proc import wire
 from repro.serving.proc.protocol import (
     MAX_FRAME,
     FrameError,
-    available_codecs,
+    PickleCodec,
     encode_frame,
-    get_codec,
     recv_frame,
     send_frame,
 )
@@ -82,26 +80,8 @@ def test_encode_frame_rejects_oversize_payload():
 
 
 def test_pickle_codec_round_trips_wire_structures():
-    codec = get_codec("pickle")
+    codec = PickleCodec()
     message = [3, "lookup_batch", [[["q", None, None, 0.5, 1.0, {}], 0.25]], False]
-    assert codec.loads(codec.dumps(message)) == message
-
-
-def test_available_codecs_always_has_pickle():
-    names = available_codecs()
-    assert "pickle" in names
-    assert set(names) <= {"pickle", "msgpack"}
-
-
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        get_codec("json")
-
-
-def test_msgpack_codec_round_trips_when_installed():
-    pytest.importorskip("msgpack")
-    codec = get_codec("msgpack")
-    message = [7, "insert", [{"a": 1}, [1, 2, 3], "text", None, 0.5]]
     assert codec.loads(codec.dumps(message)) == message
 
 

@@ -52,9 +52,9 @@ def test_server_serves_open_loop_workload_fully():
         return report, health, metrics
 
     report, health, metrics = asyncio.run(drive())
-    assert report["requests"] == 80
-    assert report["served_fraction"] == 1.0
-    assert report["statuses"] == {"ok": 80}
+    assert report.requests == 80
+    assert report.served_fraction == 1.0
+    assert report.outcomes == {"ok": 80}
     assert health["status"] == "ok"
     assert health["workers"] == 2
     assert metrics["requests"] == 80

@@ -1,13 +1,11 @@
 """Tests for the pluggable cache-backend layer (`repro.store.backend`).
 
-Three things matter here: every backend honours the same protocol
+Three things matter here: every backend stack honours the same protocol
 contract; every serving engine constructs its cache *through* a backend;
-and swapping the backend changes zero cache decisions — the file-backed
-store replays the default in-process store decision for decision on a
-pinned trace.
+and wrapping the backend changes zero cache decisions — the journaled and
+the replicated store replay the bare in-process store decision for decision
+on a pinned trace.
 """
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -18,9 +16,9 @@ from repro.core.config import AsteriaConfig
 from repro.core.types import FetchResult
 from repro.embedding import HashingEmbedder
 from repro.factory import (
+    StackSpec,
     build_asteria_engine,
     build_async_engine,
-    build_backend,
     build_concurrent_engine,
     build_remote,
 )
@@ -28,11 +26,13 @@ from repro.judger import SimulatedJudger
 from repro.store import (
     CacheBackend,
     DELETE_REASONS,
-    FileStoreBackend,
     InProcessBackend,
-    SimulatedRemoteStore,
+    JournaledBackend,
+    JournalWriter,
+    ReplicaNode,
     WrappingBackend,
 )
+from repro.store.replication import ReplicatingBackend
 
 SEED = 3
 N_QUERIES = 180
@@ -55,22 +55,31 @@ def make_cache(backend=None, capacity=None):
     )
 
 
-def backend_cases(tmp_path):
-    return [
-        InProcessBackend(),
-        FileStoreBackend(tmp_path / "filestore"),
-        SimulatedRemoteStore(InProcessBackend()),
-    ]
+def journaled(inner, tmp_path):
+    return JournaledBackend(inner, JournalWriter(tmp_path / "journal.jsonl"))
+
+
+def cache_cases(tmp_path, capacity=None):
+    """One cache per backend stack: bare in-process, journaled, replicated."""
+    plain = make_cache(backend=InProcessBackend(), capacity=capacity)
+    logged = make_cache(capacity=capacity)
+    logged.wrap_backend(lambda inner: journaled(inner, tmp_path))
+    replicated = make_cache(capacity=capacity)
+    ReplicaNode("A", replicated)  # wraps the cache's backend on construction
+    return [plain, logged, replicated]
 
 
 class TestProtocolConformance:
     def test_backends_satisfy_protocol(self, tmp_path):
-        for backend in backend_cases(tmp_path):
-            assert isinstance(backend, CacheBackend), backend
+        plain, logged, replicated = cache_cases(tmp_path)
+        assert isinstance(plain.backend, InProcessBackend)
+        assert isinstance(logged.backend, JournaledBackend)
+        assert isinstance(replicated.backend, ReplicatingBackend)
+        for cache in (plain, logged, replicated):
+            assert isinstance(cache.backend, CacheBackend), cache.backend
 
     def test_basic_lifecycle_through_cache(self, tmp_path):
-        for backend in backend_cases(tmp_path):
-            cache = make_cache(backend=backend)
+        for cache in cache_cases(tmp_path):
             element = cache.insert(
                 Query("who painted the mona lisa", fact_id="F"), fetch(), 0.0
             )
@@ -84,8 +93,7 @@ class TestProtocolConformance:
             assert len(cache) == 0
 
     def test_delete_reasons_are_tallied(self, tmp_path):
-        for backend in backend_cases(tmp_path):
-            cache = make_cache(backend=backend, capacity=2)
+        for cache in cache_cases(tmp_path, capacity=2):
             for index in range(3):
                 cache.insert(
                     Query(f"distinct topic {index} walrus", fact_id=f"F{index}"),
@@ -111,20 +119,20 @@ class TestProtocolConformance:
         assert element.arena_slot is None
         assert len(cache.arena) == in_use - 1
 
-    def test_wrapping_backend_unwraps_to_innermost(self):
+    def test_wrapping_backend_unwraps_to_innermost(self, tmp_path):
         inner = InProcessBackend()
-        wrapped = SimulatedRemoteStore(SimulatedRemoteStore(inner))
+        wrapped = journaled(journaled(inner, tmp_path), tmp_path)
         assert wrapped.unwrap() is inner
         assert isinstance(wrapped, WrappingBackend)
 
-    def test_wrap_backend_mid_life_keeps_contents(self):
+    def test_wrap_backend_mid_life_keeps_contents(self, tmp_path):
         cache = make_cache()
         cache.insert(Query("topic one", fact_id="F"), fetch(), 0.0)
-        remote = cache.wrap_backend(lambda inner: SimulatedRemoteStore(inner))
-        assert cache.backend is remote
+        logged = cache.wrap_backend(lambda inner: journaled(inner, tmp_path))
+        assert cache.backend is logged
         assert len(cache) == 1
         cache.insert(Query("topic two", fact_id="G"), fetch(), 1.0)
-        assert remote.remote_ops > 0
+        assert logged.writer.seq > 0
 
     def test_backend_and_arena_are_exclusive(self):
         from repro.core.arena import EmbeddingArena
@@ -137,18 +145,6 @@ class TestProtocolConformance:
                 arena=EmbeddingArena(embedder.dim),
                 backend=InProcessBackend(),
             )
-
-    def test_build_backend_resolver(self, tmp_path):
-        assert build_backend(None) is None
-        assert build_backend("inprocess") is None
-        store = build_backend("filestore", backend_dir=tmp_path / "fs")
-        assert isinstance(store, FileStoreBackend)
-        with pytest.raises(ValueError):
-            build_backend("filestore")
-        with pytest.raises(ValueError):
-            build_backend("riak")
-        custom = build_backend(lambda arena: InProcessBackend(arena=arena))
-        assert isinstance(custom, InProcessBackend)
 
 
 class TestEngineConstruction:
@@ -176,7 +172,7 @@ class TestEngineConstruction:
         # cache a spawned worker builds goes through the same factory path.
         from repro.serving.proc.worker import WorkerSpec, _ShardServer
 
-        server = _ShardServer(WorkerSpec(shard_id=0, n_shards=1, seed=SEED))
+        server = _ShardServer(WorkerSpec(0, 1, StackSpec(seed=SEED)))
         assert isinstance(server.cache.backend, CacheBackend)
 
 
@@ -189,13 +185,9 @@ def _trace():
     ]
 
 
-def _run(backend=None, backend_dir=None):
+def _run(**stack):
     engine = build_asteria_engine(
-        build_remote(seed=SEED),
-        config=CONFIG,
-        seed=SEED,
-        backend=backend,
-        backend_dir=backend_dir,
+        build_remote(seed=SEED), config=CONFIG, seed=SEED, **stack
     )
     responses = [
         engine.handle(query, now=i * 0.01) for i, query in enumerate(_trace())
@@ -204,40 +196,36 @@ def _run(backend=None, backend_dir=None):
 
 
 class TestDecisionEquivalence:
-    def test_filestore_replays_inprocess_decisions_exactly(self, tmp_path):
-        """Swapping the element store must change zero cache decisions."""
+    # Journaled only: a ReplicatingBackend is *meant* to change decisions (a
+    # write to a truth key supersedes older entries for it, so regions
+    # converge on content), which test_store_replication.py pins.
+    def test_journaled_store_replays_inprocess_decisions_exactly(self, tmp_path):
+        """Wrapping the element store must change zero cache decisions."""
         base_engine, base_responses = _run()
-        file_engine, file_responses = _run(
-            backend="filestore", backend_dir=tmp_path / "store"
-        )
-        for base, mirrored in zip(base_responses, file_responses):
+        engine, responses = _run(persist_dir=tmp_path / "store")
+        for base, mirrored in zip(base_responses, responses):
             assert mirrored.result == base.result
             assert mirrored.latency == base.latency
             assert (mirrored.fetch is None) == (base.fetch is None)
-        assert file_engine.metrics.summary() == base_engine.metrics.summary()
-        base_stats, file_stats = base_engine.cache.stats, file_engine.cache.stats
-        assert file_stats.inserts == base_stats.inserts
-        assert file_stats.evictions == base_stats.evictions
-        assert file_stats.expirations == base_stats.expirations
+        assert engine.metrics.summary() == base_engine.metrics.summary()
+        base_stats, stats = base_engine.cache.stats, engine.cache.stats
+        assert stats.inserts == base_stats.inserts
+        assert stats.evictions == base_stats.evictions
+        assert stats.expirations == base_stats.expirations
         assert base_stats.evictions > 0  # the trace forced the policy to act
-        assert sorted(file_engine.cache.elements) == sorted(
-            base_engine.cache.elements
-        )
-        # And the mirror really is on disk: one file per live element.
-        backend = file_engine.cache.backend.unwrap() if hasattr(
-            file_engine.cache.backend, "unwrap"
-        ) else file_engine.cache.backend
-        assert isinstance(backend, FileStoreBackend)
-        stored = backend.stored_records()
-        assert len(stored) == len(file_engine.cache)
+        assert sorted(engine.cache.elements) == sorted(base_engine.cache.elements)
+        # And the journal really rode the mutation stream: every admit and
+        # evict (and the touches between them) is a record.
+        backend = engine.cache.backend
+        assert isinstance(backend, JournaledBackend)
+        assert isinstance(backend.unwrap(), InProcessBackend)
+        assert backend.writer.seq >= stats.inserts + stats.evictions
 
-    def test_async_engine_runs_over_filestore(self, tmp_path):
+    def test_async_engine_runs_over_a_journaled_store(self, tmp_path):
+        import asyncio
+
         engine = build_async_engine(
-            build_remote(seed=SEED),
-            seed=SEED,
-            shards=1,
-            backend="filestore",
-            backend_dir=tmp_path / "aio",
+            build_remote(seed=SEED), seed=SEED, shards=1, persist_dir=tmp_path / "aio"
         )
 
         async def drive():

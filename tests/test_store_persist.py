@@ -1,5 +1,4 @@
-"""Tests for `repro.store.persist` (snapshot+journal durability) plus the
-file-backend restore path and the simulated remote store's accounting."""
+"""Tests for `repro.store.persist` (snapshot+journal durability)."""
 
 import pytest
 
@@ -8,11 +7,10 @@ from repro.core.config import AsteriaConfig
 from repro.factory import (
     build_asteria_engine,
     build_concurrent_engine,
+    build_proc_engine,
     build_remote,
     build_semantic_cache,
 )
-from repro.store import SimulatedRemoteStore
-from repro.store.filestore import FileStoreBackend, restore_file_backend
 from repro.store.persist import shard_directory
 
 SEED = 5
@@ -158,70 +156,29 @@ class TestShardedPersistence:
                 shards=3, workers=2, persist_dir=tmp_path,
             )
 
+    def test_proc_tier_refuses_a_layout_from_another_worker_count(self, tmp_path):
+        engine = build_concurrent_engine(
+            build_remote(seed=SEED), config=CONFIG, seed=SEED,
+            shards=2, workers=2, persist_dir=tmp_path,
+        )
+        engine.cache.persistent_store.close(checkpoint=True)
+
+        def proc(workers):
+            # launch=False: the refusal sits in the spec split, before any
+            # worker process exists.
+            return build_proc_engine(
+                build_remote(seed=SEED), config=CONFIG, seed=SEED,
+                workers=workers, persist_dir=tmp_path, launch=False,
+            )
+
+        with pytest.raises(ValueError, match="holds 2 shard stores"):
+            proc(workers=3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard_00", "shard_01"]
+        # The count it was written under is accepted: thread and proc tiers
+        # share the layout.
+        homes = [spec.stack.persist_dir for spec in proc(workers=2).pool.specs]
+        assert homes == [tmp_path / "shard_00", tmp_path / "shard_01"]
+
     def test_shard_directory_naming(self, tmp_path):
         assert shard_directory(tmp_path, 0).name == "shard_00"
         assert shard_directory(tmp_path, 11).name == "shard_11"
-
-
-class TestFileBackendRestore:
-    def test_round_trip(self, tmp_path):
-        engine = build_asteria_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            backend="filestore", backend_dir=tmp_path,
-        )
-        run_engine(engine, trace())
-        engine.cache.backend.flush()  # persist lazy hit-state rewrites
-        live = {
-            element.truth_key: (element.frequency, element.value)
-            for element in engine.cache.elements.values()
-        }
-        fresh = build_asteria_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            backend="filestore", backend_dir=tmp_path,
-        )
-        restored = restore_file_backend(fresh.cache)
-        assert restored == len(live)
-        recovered = {
-            element.truth_key: (element.frequency, element.value)
-            for element in fresh.cache.elements.values()
-        }
-        assert recovered == live
-
-    def test_requires_file_backend_and_empty_cache(self, tmp_path):
-        plain = build_asteria_engine(build_remote(seed=SEED), seed=SEED)
-        with pytest.raises(TypeError):
-            restore_file_backend(plain.cache)
-        filed = build_asteria_engine(
-            build_remote(seed=SEED), seed=SEED,
-            backend="filestore", backend_dir=tmp_path,
-        )
-        run_engine(filed, trace(n=5))
-        with pytest.raises(ValueError):
-            restore_file_backend(filed.cache)
-
-
-class TestSimulatedRemoteStore:
-    def test_latency_accounting(self, tmp_path):
-        engine = build_asteria_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            backend=lambda arena: SimulatedRemoteStore(
-                FileStoreBackend(tmp_path, arena=arena),
-                write_latency=0.08, read_latency=0.02,
-            ),
-        )
-        run_engine(engine, trace(n=60))
-        remote = engine.cache.backend
-        assert isinstance(remote, SimulatedRemoteStore)
-        stats = remote.stats()["remote"]
-        puts = engine.cache.stats.inserts
-        deletes = (
-            engine.cache.stats.evictions + engine.cache.stats.expirations
-        )
-        assert stats["simulated_seconds"]["put"] == pytest.approx(0.08 * puts)
-        assert stats["simulated_seconds"]["delete"] == pytest.approx(
-            0.08 * deletes
-        )
-        assert remote.total_simulated_seconds == pytest.approx(
-            sum(stats["simulated_seconds"].values())
-        )
-        assert stats["remote_ops"] == remote.remote_ops > 0
