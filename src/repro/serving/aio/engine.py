@@ -395,11 +395,11 @@ class AsyncAsteriaEngine:
 
     async def _fetch(self, query: Query, start: float) -> FetchResult:
         threshold = self._hedge_after()
-        primary = asyncio.ensure_future(self.remote.fetch(query, start))
         if threshold is None:
-            fetch = await primary
+            fetch = await self.remote.fetch(query, start)
             self._observe(fetch.latency)
             return fetch
+        primary = asyncio.ensure_future(self.remote.fetch(query, start))
         done, _ = await asyncio.wait({primary}, timeout=threshold)
         if primary in done:
             fetch = primary.result()

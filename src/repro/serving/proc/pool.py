@@ -23,6 +23,7 @@ update happens before the waiter future resolves, metric recording after an
 from __future__ import annotations
 
 import asyncio
+import functools
 import multiprocessing
 import os
 import pathlib
@@ -33,9 +34,10 @@ from repro.core.cache import CacheStats
 from repro.core.sharding import shard_index_for
 from repro.serving.proc import wire
 from repro.serving.proc.protocol import (
+    FrameReader,
     PickleCodec,
+    link_socket,
     read_frame,
-    recv_frame,
     send_frame,
     write_frame,
 )
@@ -56,6 +58,21 @@ class WorkerError(RuntimeError):
     def __init__(self, message: str, shard_id: int | None = None) -> None:
         super().__init__(message)
         self.shard_id = shard_id
+
+
+def _scatter(waiters: list[asyncio.Future], frame_future: asyncio.Future) -> None:
+    """Resolve a lookup_batch frame's waiters from its reply, or from its one
+    shared failure (the proc engine dedups shard failures on the object). A
+    deadline may have cancelled a waiter while the frame flew."""
+    exc = frame_future.exception()
+    if exc is not None:
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_exception(exc)
+        return
+    for waiter, result in zip(waiters, frame_future.result()):
+        if not waiter.done():
+            waiter.set_result(result)
 
 
 class ShardClient:
@@ -106,9 +123,10 @@ class ShardClient:
         self._reader_task: asyncio.Task | None = None
         self._next_id = 0
         self._pending: dict[int, asyncio.Future] = {}
-        self._lookup_pending: list[tuple[dict, float, object, asyncio.Future]] = []
-        self._lookup_timer: asyncio.TimerHandle | None = None
-        self._distribute_tasks: set[asyncio.Task] = set()
+        #: The open accumulation window: wire items and their waiters.
+        self._lookup_items: list[list] = []
+        self._lookup_waiters: list[asyncio.Future] = []
+        self._lookup_timer: asyncio.Handle | None = None
         self._closed = False
         self._expect_close = False
 
@@ -154,11 +172,24 @@ class ShardClient:
         and untraced requests."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        self._lookup_pending.append((wire.query_to_wire(query), now, ctx, future))
-        if len(self._lookup_pending) >= self.batch_max:
+        # Untraced items stay two elements long, so untraced frames are
+        # byte-identical to the pre-tracing wire format.
+        item = [wire.query_to_wire(query), now]
+        if ctx is not None:
+            item.append(ctx)
+        self._lookup_items.append(item)
+        self._lookup_waiters.append(future)
+        if len(self._lookup_items) >= self.batch_max:
             self.flush_lookups()
         elif self._lookup_timer is None:
-            self._lookup_timer = loop.call_later(self.batch_window, self.flush_lookups)
+            # No window: flush once this loop tick's lookups have all joined
+            # (a ready-queue callback, not a zero-delay trip through the
+            # timer heap).
+            self._lookup_timer = (
+                loop.call_later(self.batch_window, self.flush_lookups)
+                if self.batch_window > 0
+                else loop.call_soon(self.flush_lookups)
+            )
         return wire.sine_from_wire(await future)
 
     async def insert(self, query, fetch, arrival: float, ctx=None):
@@ -172,39 +203,16 @@ class ShardClient:
         if self._lookup_timer is not None:
             self._lookup_timer.cancel()
             self._lookup_timer = None
-        pending = self._lookup_pending
-        if not pending:
+        items, waiters = self._lookup_items, self._lookup_waiters
+        if not items:
             return
-        self._lookup_pending = []
-        # Untraced items stay two elements long, so untraced frames are
-        # byte-identical to the pre-tracing wire format.
-        items = [
-            [query_wire, now] if ctx is None else [query_wire, now, ctx]
-            for query_wire, now, ctx, _ in pending
-        ]
-        waiters = [future for _, _, _, future in pending]
+        self._lookup_items, self._lookup_waiters = [], []
         try:
             frame_future = self._send("lookup_batch", [items, self.ann_only])
         except WorkerError as exc:
-            for waiter in waiters:
-                if not waiter.done():
-                    waiter.set_exception(exc)
-            return
-        task = asyncio.ensure_future(self._distribute(frame_future, waiters))
-        self._distribute_tasks.add(task)
-        task.add_done_callback(self._distribute_tasks.discard)
-
-    async def _distribute(self, frame_future, waiters) -> None:
-        try:
-            results = await frame_future
-        except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
-            for waiter in waiters:
-                if not waiter.done():
-                    waiter.set_exception(exc)
-            return
-        for waiter, result in zip(waiters, results):
-            if not waiter.done():
-                waiter.set_result(result)
+            frame_future = asyncio.get_running_loop().create_future()
+            frame_future.set_exception(exc)
+        frame_future.add_done_callback(functools.partial(_scatter, waiters))
 
     async def _read_loop(self) -> None:
         error: BaseException | None = None
@@ -332,8 +340,10 @@ class WorkerPool:
             self.supervisor = WorkerSupervisor(self, **knobs)
         return self.supervisor
 
-    def _make_client(self, shard_id: int, conn: socket.socket) -> ShardClient:
-        return ShardClient(
+    def _make_client(
+        self, shard_id: int, conn: socket.socket, clock_offset: float
+    ) -> ShardClient:
+        client = ShardClient(
             shard_id,
             conn,
             batch_window=self.batch_window,
@@ -343,6 +353,8 @@ class WorkerPool:
             frame_faults=self.frame_faults,
             on_spans=self._forward_spans,
         )
+        client.clock_offset = clock_offset
+        return client
 
     def _connection_lost(self, shard_id: int) -> None:
         if self.supervisor is not None:
@@ -358,8 +370,10 @@ class WorkerPool:
         the clock handshake; returns ``(shard_id, conn,
         restore_report_or_None, clock_offset)``."""
         conn, _ = listener.accept()
-        conn.settimeout(LAUNCH_TIMEOUT)
-        hello = recv_frame(conn)
+        # A timeout anywhere in the handshake abandons the connection, so
+        # the reader is here for its framing checks, not to survive one.
+        reader = FrameReader(link_socket(conn, LAUNCH_TIMEOUT))
+        hello = reader.read()
         if hello is None:
             raise WorkerError("worker closed connection before hello")
         message = self.codec.loads(hello)
@@ -374,30 +388,36 @@ class WorkerPool:
         # by half the (loopback, ~tens of µs) round trip.
         t0 = time.perf_counter()
         send_frame(conn, self.codec.dumps([-1, "clock", None]))
-        pong = recv_frame(conn)
+        pong = reader.read()
         t1 = time.perf_counter()
         if pong is None:
             conn.close()
             raise WorkerError("worker closed connection during clock handshake")
+        if not reader.idle:
+            # asyncio takes the socket next and would never see these bytes.
+            conn.close()
+            raise WorkerError("worker sent unsolicited bytes during the handshake")
         clock_offset = (t0 + t1) / 2.0 - self.codec.loads(pong)[2]
         conn.settimeout(None)
         return message[2], conn, restore, clock_offset
 
     # -- lifecycle ------------------------------------------------------------
-    def launch(self) -> None:
-        """Spawn the workers and complete the hello handshake (blocking)."""
-        if self._launched:
-            return
+    def _spawn(self, specs: list[WorkerSpec]) -> tuple[list, dict[int, list]]:
+        """Start one worker per spec on a fresh loopback listener and complete
+        every hello handshake (blocking). Returns ``(processes, hellos)`` with
+        ``hellos[shard_id] = (conn, restore_report_or_None, clock_offset)``;
+        on failure everything it started is closed and killed."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        by_shard: dict[int, tuple[socket.socket, float]] = {}
+        processes: list[multiprocessing.process.BaseProcess] = []
+        hellos: dict[int, list] = {}
         try:
             listener.bind((self.host, 0))
-            listener.listen(self.n_shards)
+            listener.listen(len(specs))
             listener.settimeout(LAUNCH_TIMEOUT)
             port = listener.getsockname()[1]
             ctx = multiprocessing.get_context("spawn")
             with _spawn_pythonpath():
-                for spec in self.specs:
+                for spec in specs:
                     process = ctx.Process(
                         target=worker_main,
                         args=(spec, self.host, port),
@@ -405,28 +425,34 @@ class WorkerPool:
                         name=f"repro-shard-{spec.shard_id}",
                     )
                     process.start()
-                    self.processes.append(process)
-            for _ in range(self.n_shards):
-                shard_id, conn, _, clock_offset = self._accept_hello(listener)
-                by_shard[shard_id] = (conn, clock_offset)
-            if sorted(by_shard) != list(range(self.n_shards)):
-                raise WorkerError(
-                    f"expected shards 0..{self.n_shards - 1}, got {sorted(by_shard)}"
-                )
-            self.clients = []
-            for shard_id in range(self.n_shards):
-                conn, clock_offset = by_shard[shard_id]
-                client = self._make_client(shard_id, conn)
-                client.clock_offset = clock_offset
-                self.clients.append(client)
+                    processes.append(process)
+            for _ in specs:
+                shard_id, *hello = self._accept_hello(listener)
+                hellos[shard_id] = hello
+            expected = sorted(spec.shard_id for spec in specs)
+            if sorted(hellos) != expected:
+                raise WorkerError(f"expected shards {expected}, got {sorted(hellos)}")
         except Exception:
-            for conn, _ in by_shard.values():
+            for conn, _, _ in hellos.values():
                 conn.close()
-            self.clients = []
-            self.close()
+            for process in processes:
+                if process.is_alive():
+                    process.kill()
+                process.join(timeout=5.0)
             raise
         finally:
             listener.close()
+        return processes, hellos
+
+    def launch(self) -> None:
+        """Spawn the workers and complete the hello handshake (blocking)."""
+        if self._launched:
+            return
+        self.processes, hellos = self._spawn(self.specs)
+        self.clients = []
+        for shard_id in range(self.n_shards):
+            conn, _, clock_offset = hellos[shard_id]
+            self.clients.append(self._make_client(shard_id, conn, clock_offset))
         self._launched = True
 
     def spawn_worker(self, spec: WorkerSpec):
@@ -434,40 +460,8 @@ class WorkerPool:
         (blocking — the supervisor runs this in an executor). Returns
         ``(process, conn, restore_report_or_None, clock_offset)``; the
         caller swaps them in via :meth:`replace_client`."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.bind((self.host, 0))
-            listener.listen(1)
-            listener.settimeout(LAUNCH_TIMEOUT)
-            port = listener.getsockname()[1]
-            ctx = multiprocessing.get_context("spawn")
-            with _spawn_pythonpath():
-                process = ctx.Process(
-                    target=worker_main,
-                    args=(spec, self.host, port),
-                    daemon=True,
-                    name=f"repro-shard-{spec.shard_id}",
-                )
-                process.start()
-            try:
-                shard_id, conn, restore, clock_offset = self._accept_hello(listener)
-            except Exception:
-                if process.is_alive():
-                    process.kill()
-                process.join(timeout=5.0)
-                raise
-            if shard_id != spec.shard_id:
-                conn.close()
-                if process.is_alive():
-                    process.kill()
-                process.join(timeout=5.0)
-                raise WorkerError(
-                    f"respawned worker identified as shard {shard_id}, "
-                    f"expected {spec.shard_id}"
-                )
-            return process, conn, restore, clock_offset
-        finally:
-            listener.close()
+        (process,), hellos = self._spawn([spec])
+        return (process, *hellos[spec.shard_id])
 
     def replace_client(
         self,
@@ -484,17 +478,12 @@ class WorkerPool:
         ``clock_offset`` is the respawned incarnation's own estimate — the
         dead worker's offset means nothing for a new process."""
         old = self.clients[shard_id]
-        client = self._make_client(shard_id, conn)
+        client = self._make_client(shard_id, conn, clock_offset)
         client.last_stats = list(old.last_stats)
         client.stats_stale = True
-        client.clock_offset = clock_offset
         self.clients[shard_id] = client
         self.processes[shard_id] = process
         return client
-
-    @property
-    def launched(self) -> bool:
-        return self._launched
 
     @property
     def attached(self) -> bool:
@@ -514,10 +503,6 @@ class WorkerPool:
         """Live worker PIDs by shard (for health introspection and the CI
         chaos job's kill target)."""
         return [process.pid for process in self.processes]
-
-    def stale_shards(self) -> list[int]:
-        """Shards whose piggybacked stats predate a connection loss."""
-        return [c.shard_id for c in self.clients if c.stats_stale]
 
     # -- routing --------------------------------------------------------------
     def shard_for(self, text: str) -> int:

@@ -26,9 +26,10 @@ handshake exchanges one ``clock`` ping (request id -1) so the router can
 estimate each worker's monotonic-clock offset. Readers index defensively
 (``len(frame) > 4``), so untraced traffic is byte-identical to the
 pre-tracing protocol and old/new peers interoperate.
-Both synchronous (worker processes, blocking sockets) and asyncio (router,
-serve clients) frame I/O live here so there is exactly one encoding of the
-length prefix in the codebase.
+
+Blocking (workers, replication sessions: :class:`FrameReader` over a
+:func:`link_socket`) and asyncio (router, serve clients) frame I/O both live
+here, so the length prefix is encoded in exactly one place.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import asyncio
 import pickle
 import socket
 import struct
+from collections import deque
 
 #: Hard per-frame cap (64 MiB): far above any real frame (a full lookup
 #: batch is a few KB), low enough that a corrupt length prefix fails fast
@@ -73,41 +75,23 @@ def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(encode_frame(payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes; b"" at clean EOF on a frame boundary."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == n:
-                return b""
-            raise FrameError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def link_socket(sock: socket.socket, timeout: float | None = None) -> socket.socket:
+    """The one place a blocking link socket (router<->worker, replica<->
+    replica) is set up: the ``recv`` timeout its read loop polls with, and
+    ``TCP_NODELAY`` — with Nagle on, a pipelined reply sits in the kernel
+    until the peer's *next* frame happens to carry the ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(timeout)
+    return sock
 
 
-def recv_frame(sock: socket.socket) -> bytes | None:
-    """Read one frame from a blocking socket; None at clean EOF.
-
-    ``socket.timeout`` propagates (the worker loop uses it to poll its stop
-    flag between frames).
-    """
-    header = _recv_exact(sock, _LEN.size)
-    if not header:
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise FrameError(f"incoming frame of {length} bytes exceeds cap {MAX_FRAME}")
-    if length == 0:
-        return b""
-    payload = _recv_exact(sock, length)
-    if not payload and length:
-        raise FrameError("connection closed between header and payload")
-    return payload
+def connect_link(
+    host: str, port: int, connect_timeout: float, timeout: float | None = None
+) -> socket.socket:
+    """Dial a frame link; the connected socket is :func:`link_socket`-ed."""
+    return link_socket(
+        socket.create_connection((host, port), timeout=connect_timeout), timeout
+    )
 
 
 class FrameSplitter:
@@ -115,8 +99,8 @@ class FrameSplitter:
 
     Feed arbitrary chunks (network reads, an in-memory simulated link) and
     get back complete payloads; partial frames are buffered until the rest
-    arrives. Used by the replication layer, whose simulated WAN links carry
-    real frame-protocol bytes.
+    arrives. :class:`FrameReader` puts a socket under it; the replication
+    layer's simulated WAN links feed it real frame-protocol bytes directly.
 
     >>> splitter = FrameSplitter()
     >>> splitter.feed(encode_frame(b"a") + encode_frame(b"bb")[:3])
@@ -132,9 +116,7 @@ class FrameSplitter:
         """Append ``data``; return every now-complete frame payload."""
         self._buffer.extend(data)
         payloads: list[bytes] = []
-        while True:
-            if len(self._buffer) < _LEN.size:
-                break
+        while len(self._buffer) >= _LEN.size:
             (length,) = _LEN.unpack_from(self._buffer)
             if length > MAX_FRAME:
                 raise FrameError(
@@ -151,6 +133,48 @@ class FrameSplitter:
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
         return len(self._buffer)
+
+
+class FrameReader:
+    """The blocking frame reader: one ``recv_into`` per wake-up.
+
+    Each read drains what the kernel holds (into one reusable 64 KiB buffer)
+    through a :class:`FrameSplitter`: pipelined frames come out of a single
+    read, and consumed bytes live in the reader, so a ``socket.timeout``
+    mid-frame loses nothing — the next :meth:`read` resumes there. Code that
+    ``select``s on the socket must check :attr:`ready` first: queued frames
+    do not make the descriptor readable.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._splitter = FrameSplitter()
+        self._chunk = memoryview(bytearray(1 << 16))
+        self._frames: deque[bytes] = deque()
+
+    @property
+    def ready(self) -> bool:
+        """True when :meth:`read` would return without touching the socket."""
+        return bool(self._frames)
+
+    @property
+    def idle(self) -> bool:
+        """True when the reader holds no received byte, whole frame or part
+        of one — the socket can change hands."""
+        return not self._frames and not self._splitter.pending_bytes
+
+    def read(self) -> bytes | None:
+        """The next frame payload; None at clean EOF on a frame boundary.
+        ``socket.timeout`` propagates; an oversized length prefix or a
+        connection closed mid-frame raises :class:`FrameError`."""
+        while not self._frames:
+            count = self._sock.recv_into(self._chunk)
+            if not count:
+                if self._splitter.pending_bytes:
+                    raise FrameError("connection closed mid-frame")
+                return None
+            self._frames.extend(self._splitter.feed(self._chunk[:count]))
+        return self._frames.popleft()
 
 
 # -- asyncio frame I/O (router, serve clients) --------------------------------

@@ -51,7 +51,8 @@ class ProcServer:
         #: --slo`` wires it up).
         self.slo = slo
         self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Open connections: handler task -> its (reader, writer).
+        self._connections: dict[asyncio.Task, tuple] = {}
         self._stop = asyncio.Event()
         self.requests_served = 0
 
@@ -67,8 +68,15 @@ class ProcServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     def request_stop(self) -> None:
-        """Begin a graceful shutdown (signal-handler safe)."""
+        """Begin a graceful shutdown (signal-handler safe, idempotent)."""
         self._stop.set()
+        # End every connection's read side from ours: its handler sees EOF
+        # once the frames already received are consumed, and the write side
+        # stays open for the replies still owed. Paused first, because a
+        # StreamReader refuses data after EOF.
+        for reader, writer in self._connections.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
 
     async def run(self, install_signals: bool = True) -> None:
         """Start, serve until stopped, then drain and tear down."""
@@ -91,13 +99,13 @@ class ProcServer:
 
     async def shutdown(self) -> None:
         """Stop accepting, finish in-flight requests, stop the workers."""
-        self._stop.set()
+        self.request_stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        if self._connections:
+            await asyncio.gather(*list(self._connections), return_exceptions=True)
         await self.engine.aclose()
 
     # -- per-connection ---------------------------------------------------------
@@ -105,27 +113,17 @@ class ProcServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._connections[task] = (reader, writer)
         pending: set[asyncio.Task] = set()
-        stop_wait = asyncio.ensure_future(self._stop.wait())
+        if self._stop.is_set():  # accepted while the listener was closing
+            self.request_stop()
         try:
             while True:
-                read_task = asyncio.ensure_future(read_frame(reader))
-                done, _ = await asyncio.wait(
-                    {read_task, stop_wait}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if read_task not in done:
-                    # Shutdown requested: stop reading; in-flight requests
-                    # on this connection still complete below.
-                    read_task.cancel()
-                    await asyncio.gather(read_task, return_exceptions=True)
-                    break
                 try:
-                    payload = read_task.result()
+                    payload = await read_frame(reader)
                 except FrameError:
                     break
-                if payload is None:
+                if payload is None:  # client EOF, or request_stop()'s
                     break
                 request_id, op, body = self.codec.loads(payload)
                 request = asyncio.ensure_future(
@@ -136,15 +134,12 @@ class ProcServer:
             if pending:
                 await asyncio.gather(*list(pending), return_exceptions=True)
         finally:
-            stop_wait.cancel()
-            await asyncio.gather(stop_wait, return_exceptions=True)
             writer.close()
             try:
                 await writer.wait_closed()
             except Exception:  # noqa: BLE001 - client may already be gone
                 pass
-            if task is not None:
-                self._conn_tasks.discard(task)
+            del self._connections[task]
 
     async def _handle_request(
         self, writer: asyncio.StreamWriter, request_id, op: str, body

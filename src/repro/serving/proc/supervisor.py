@@ -41,8 +41,6 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.store.persist import restore_preview
-
 
 def _reap(process, timeout: float = 5.0) -> None:
     """Make sure a dead-or-dying worker is gone before its successor spawns
@@ -256,15 +254,6 @@ class WorkerSupervisor:
                     raise
                 except Exception:  # noqa: BLE001 - retry with more backoff
                     continue
-                home = pool.specs[shard].stack.persist_dir
-                if restore is None and home is not None:
-                    # Older workers don't report restores in hello; preview
-                    # the shard directory so the trace still says what the
-                    # respawn recovered.
-                    try:
-                        restore = restore_preview(home)
-                    except Exception:  # noqa: BLE001 - preview is best-effort
-                        restore = None
                 client = pool.replace_client(shard, conn, process, clock_offset=offset)
                 await client.attach()
                 self.restarts[shard] += 1

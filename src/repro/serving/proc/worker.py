@@ -47,7 +47,12 @@ from typing import TYPE_CHECKING
 
 from repro.obs.distributed import WorkerTracer
 from repro.serving.proc import wire
-from repro.serving.proc.protocol import PickleCodec, recv_frame, send_frame
+from repro.serving.proc.protocol import (
+    FrameReader,
+    PickleCodec,
+    connect_link,
+    send_frame,
+)
 
 if TYPE_CHECKING:  # the factory imports this module; see _ShardServer
     from repro.factory import StackSpec
@@ -185,6 +190,40 @@ class _ShardServer:
         return wire.element_to_wire(element)
 
 
+def serve_frames(
+    server: _ShardServer, sock: socket.socket, codec: PickleCodec, stop: dict
+) -> None:
+    """The worker's frame loop: read, dispatch, reply, until ``stop["flag"]``
+    is set, a ``shutdown`` op arrives, or the router closes the link.
+
+    ``sock`` polls (its timeout is the stop-flag check interval); the
+    :class:`FrameReader` keeps a frame that straddles a timeout intact.
+    """
+    reader = FrameReader(sock)
+    while not stop["flag"]:
+        try:
+            payload = reader.read()
+        except socket.timeout:
+            continue
+        if payload is None:  # router closed: nothing left to serve
+            break
+        request_id, op, body = codec.loads(payload)
+        try:
+            ok, result = True, server.dispatch(op, body)
+        except Exception as exc:  # noqa: BLE001 - reported to the router
+            ok, result = False, f"{type(exc).__name__}: {exc}"
+        reply = [request_id, ok, result, server.stats_tuple()]
+        # Spans recorded while dispatching ride back on this reply (same
+        # piggyback trick as the stats tuple). Drained on both paths so
+        # a failing op can't leak its spans into the next frame.
+        spans = server.tracer.drain_wire()
+        if spans:
+            reply.append(spans)
+        send_frame(sock, codec.dumps(reply))
+        if op == "shutdown":
+            break
+
+
 def worker_main(spec: WorkerSpec, host: str, port: int) -> None:
     """Child-process entry point (must stay importable for ``spawn``)."""
     stop = {"flag": False}
@@ -197,9 +236,8 @@ def worker_main(spec: WorkerSpec, host: str, port: int) -> None:
 
     codec = PickleCodec()
     server = _ShardServer(spec)
-    sock = socket.create_connection((host, port), timeout=30.0)
+    sock = connect_link(host, port, 30.0, POLL_TIMEOUT)
     try:
-        sock.settimeout(POLL_TIMEOUT)
         report = getattr(server.cache, "restore_report", None)
         restore = None
         if report is not None:
@@ -208,33 +246,7 @@ def worker_main(spec: WorkerSpec, host: str, port: int) -> None:
             sock,
             codec.dumps(["hello", HELLO_MAGIC, spec.shard_id, os.getpid(), restore]),
         )
-        while not stop["flag"]:
-            try:
-                payload = recv_frame(sock)
-            except socket.timeout:
-                continue
-            if payload is None:  # router closed: nothing left to serve
-                break
-            request_id, op, body = codec.loads(payload)
-            try:
-                result = server.dispatch(op, body)
-                reply = [request_id, True, result, server.stats_tuple()]
-            except Exception as exc:  # noqa: BLE001 - reported to the router
-                reply = [
-                    request_id,
-                    False,
-                    f"{type(exc).__name__}: {exc}",
-                    server.stats_tuple(),
-                ]
-            # Spans recorded while dispatching ride back on this reply (same
-            # piggyback trick as the stats tuple). Drained on both paths so
-            # a failing op can't leak its spans into the next frame.
-            spans = server.tracer.drain_wire()
-            if spans:
-                reply.append(spans)
-            send_frame(sock, codec.dumps(reply))
-            if op == "shutdown":
-                break
+        serve_frames(server, sock, codec, stop)
     finally:
         # Graceful stop (SIGTERM / shutdown op / router EOF): flush the
         # journal tail and checkpoint so a clean restart replays nothing.

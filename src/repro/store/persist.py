@@ -175,30 +175,6 @@ class ShardedPersistentStore:
             store.close(checkpoint=checkpoint)
 
 
-def restore_preview(directory: "str | Path") -> dict:
-    """What a process attaching over ``directory`` would warm-restore,
-    without loading anything into a cache.
-
-    The proc-tier supervisor calls this before respawning a persisted shard
-    worker: the counts feed the ``worker_respawn`` trace span and let an
-    operator distinguish a warm comeback (snapshot/journal records waiting)
-    from a cold one. Read-only, and it tolerates the same torn journal tail
-    :meth:`PersistentStore.attach` does (``read_journal`` drops it).
-    """
-    directory = Path(directory)
-    snapshot_path = directory / SNAPSHOT_FILE
-    snapshot_records = 0
-    if snapshot_path.exists():
-        snapshot_records = len(CacheSnapshot.load(snapshot_path))
-    records, truncated = read_journal(directory / JOURNAL_FILE)
-    return {
-        "cold": snapshot_records == 0 and not records,
-        "snapshot_records": snapshot_records,
-        "journal_records": len(records),
-        "journal_truncated_tail": truncated,
-    }
-
-
 def shard_directory(
     directory: "str | Path", shard: int, n_shards: int | None = None
 ) -> Path:

@@ -41,7 +41,13 @@ import socket
 import time
 
 from repro.obs.distributed import record_remote_leaf
-from repro.serving.proc.protocol import PickleCodec, recv_frame, send_frame
+from repro.serving.proc.protocol import (
+    FrameReader,
+    PickleCodec,
+    connect_link,
+    link_socket,
+    send_frame,
+)
 from repro.store.replication import ReplicaNode
 
 #: Handshake magic; bumping it breaks mixed-version pairs loudly.
@@ -78,7 +84,7 @@ def accept_peer(server: socket.socket, stop=None, timeout: float = 120.0):
                 sock, _ = server.accept()
             except socket.timeout:
                 continue
-            return sock
+            return link_socket(sock)
         return None
     finally:
         server.close()
@@ -89,7 +95,7 @@ def connect_peer(host: str, port: int, timeout: float = 30.0) -> socket.socket:
     deadline = time.monotonic() + timeout
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            return connect_link(host, port, 5.0)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
@@ -158,6 +164,7 @@ def replicate_session(
     # Frames are tiny and, once select says readable, arriving; a generous
     # per-frame timeout only guards against a wedged peer.
     sock.settimeout(1.0)
+    reader = FrameReader(sock)
     start = time.monotonic()
     frames_out = frames_in = 0
 
@@ -208,11 +215,12 @@ def replicate_session(
             # writes aren't rate-limited by an idle link; once done, block
             # briefly to avoid spinning while waiting on the peer.
             wait = POLL_TIMEOUT if local_done else 0.0
-            readable, _, _ = select.select([sock], [], [], wait)
             payload = None
-            if readable:
+            # Frames the last read already split off come first: they do
+            # not make the socket readable.
+            if reader.ready or select.select([sock], [], [], wait)[0]:
                 try:
-                    payload = recv_frame(sock)
+                    payload = reader.read()
                 except socket.timeout:
                     payload = None
                 else:

@@ -1,7 +1,7 @@
 """Frame protocol and wire-conversion tests for the multi-process tier.
 
 Covers the length-prefixed framing (round trips, clean EOF, truncation,
-the oversize cap) over real socketpairs, the pickle codec, and the
+the oversize cap, a poll timeout inside a frame) over real socketpairs, the pickle codec, and the
 wire-structure conversions the router and workers exchange.
 """
 
@@ -16,9 +16,9 @@ from repro.serving.proc import wire
 from repro.serving.proc.protocol import (
     MAX_FRAME,
     FrameError,
+    FrameReader,
     PickleCodec,
     encode_frame,
-    recv_frame,
     send_frame,
 )
 
@@ -29,8 +29,10 @@ def test_frame_round_trip_over_socketpair():
         payloads = [b"", b"x", b"hello world" * 1000, bytes(range(256))]
         for payload in payloads:
             send_frame(left, payload)
+        reader = FrameReader(right)
         for payload in payloads:
-            assert recv_frame(right) == payload
+            assert reader.read() == payload
+        assert reader.idle
     finally:
         left.close()
         right.close()
@@ -41,8 +43,9 @@ def test_frame_clean_eof_returns_none():
     try:
         send_frame(left, b"last")
         left.close()
-        assert recv_frame(right) == b"last"
-        assert recv_frame(right) is None
+        reader = FrameReader(right)
+        assert reader.read() == b"last"
+        assert reader.read() is None
     finally:
         right.close()
 
@@ -54,7 +57,7 @@ def test_frame_truncated_mid_payload_raises():
         left.sendall(frame[: len(frame) - 3])  # header + partial payload
         left.close()
         with pytest.raises(FrameError):
-            recv_frame(right)
+            FrameReader(right).read()
     finally:
         right.close()
 
@@ -65,7 +68,41 @@ def test_frame_oversize_header_raises_without_allocating():
         left.sendall(struct.pack(">I", MAX_FRAME + 1))
         left.close()
         with pytest.raises(FrameError):
-            recv_frame(right)
+            FrameReader(right).read()
+    finally:
+        right.close()
+
+
+@pytest.mark.parametrize("cut", [2, 4, 502])  # in the header, after it, mid-payload
+def test_reader_keeps_a_frame_that_straddles_a_timeout(cut):
+    # The exact-read loop this replaced dropped the bytes it had consumed
+    # when the poll timeout fired, then parsed b"xxxx" as the next length.
+    left, right = socket.socketpair()
+    try:
+        right.settimeout(0.05)
+        reader = FrameReader(right)
+        frame = encode_frame(b"x" * 1000)
+        left.sendall(frame[:cut])
+        with pytest.raises(socket.timeout):
+            reader.read()
+        assert not reader.idle
+        left.sendall(frame[cut:] + encode_frame(b"next"))
+        assert reader.read() == b"x" * 1000
+        assert reader.ready  # pipelined behind it, drained by the same read
+        assert reader.read() == b"next"
+        assert reader.idle
+    finally:
+        left.close()
+        right.close()
+
+
+def test_frame_truncated_mid_header_raises():
+    left, right = socket.socketpair()
+    try:
+        left.sendall(b"\x00\x00")
+        left.close()
+        with pytest.raises(FrameError):
+            FrameReader(right).read()
     finally:
         right.close()
 
