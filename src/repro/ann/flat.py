@@ -9,7 +9,9 @@ fastest option).
 Scoring is sliced to the arena's *high-water mark* — the highest slot ever
 occupied — so a sparsely filled index never pays for its reserved capacity,
 and :meth:`FlatIndex.search_batch` scores a whole batch of queries with one
-matrix-matrix product.
+matrix-matrix product. Nothing else grows with the population: the key of each
+row is an int64 array the mutations keep current, and a score row is ranked by
+a partition plus a sort of the ``k`` survivors.
 
 The arena may be private (built here when none is passed — the standalone
 shape) or shared with the cache, in which case elements enter via
@@ -23,6 +25,18 @@ import numpy as np
 
 from repro.ann.base import SearchHit, normalize_batch
 from repro.core.arena import EmbeddingArena
+
+
+def _top_k(scores: np.ndarray, keys: np.ndarray, top: int) -> list[SearchHit]:
+    """The best ``top`` of one score row (``keys`` runs parallel): score
+    descending, lower key on ties. All at or above the ``top``-th best score
+    survive the cut, so a tie across it is settled by key, not column order."""
+    if top < scores.shape[0]:
+        floor = np.partition(scores, -top)[-top]
+        chosen = np.flatnonzero(scores >= floor)
+        scores, keys = scores[chosen], keys[chosen]
+    ranked = sorted(zip((-scores).tolist(), keys.tolist()))[:top]
+    return [SearchHit(score=-negated, key=key) for negated, key in ranked]
 
 
 class FlatIndex:
@@ -55,7 +69,8 @@ class FlatIndex:
             dim, initial_capacity
         )
         self._key_to_slot: dict[int, int] = {}
-        self._slot_to_key: dict[int, int] = {}
+        #: Key per arena slot; -1 = free, or another user's row on a shared arena.
+        self._slot_keys = np.full(self._arena.capacity, -1, dtype=np.int64)
         #: Slots this index allocated itself (released on remove); externally
         #: registered slots stay alive for their owner.
         self._owned: set[int] = set()
@@ -74,33 +89,45 @@ class FlatIndex:
     def __contains__(self, key: int) -> bool:
         return key in self._key_to_slot
 
+    def _keys_upto(self, slots: int) -> np.ndarray:
+        """The key array's first ``slots`` entries, grown if the arena has."""
+        keys = self._slot_keys
+        if slots > keys.shape[0]:
+            grown = max(slots, self._arena.capacity) - keys.shape[0]
+            self._slot_keys = np.concatenate([keys, np.full(grown, -1, np.int64)])
+        return self._slot_keys[:slots]
+
     def add(self, key: int, vector: np.ndarray) -> None:
-        """Insert ``vector`` (normalised) under ``key``."""
+        """Insert ``vector`` (normalised) under ``key`` (a non-negative int)."""
         if key in self._key_to_slot:
             raise KeyError(f"key {key} already present")
+        if key < 0:
+            raise ValueError(f"key must be >= 0, got {key}")
         vector = np.asarray(vector, dtype=np.float32)
         if vector.ndim != 1 or vector.shape[0] != self._dim:
             raise ValueError(f"expected dim {self._dim}, got shape {vector.shape}")
         slot = self._arena.allocate(vector)
         self._owned.add(slot)
         self._key_to_slot[key] = slot
-        self._slot_to_key[slot] = key
+        self._keys_upto(slot + 1)[slot] = key
 
     def add_slot(self, key: int, slot: int) -> None:
         """Register an arena row the caller already allocated under ``key``."""
         if key in self._key_to_slot:
             raise KeyError(f"key {key} already present")
+        if key < 0:
+            raise ValueError(f"key must be >= 0, got {key}")
         if slot not in self._arena:
             raise KeyError(f"slot {slot} not allocated in the arena")
         self._key_to_slot[key] = slot
-        self._slot_to_key[slot] = key
+        self._keys_upto(slot + 1)[slot] = key
 
     def remove(self, key: int) -> None:
         """Delete ``key``; an index-owned slot is recycled."""
         slot = self._key_to_slot.pop(key, None)
         if slot is None:
             raise KeyError(f"key {key} not in index")
-        del self._slot_to_key[slot]
+        self._slot_keys[slot] = -1
         if slot in self._owned:
             self._owned.remove(slot)
             self._arena.release(slot)
@@ -112,7 +139,8 @@ class FlatIndex:
         self._key_to_slot = {
             key: remap.get(slot, slot) for key, slot in self._key_to_slot.items()
         }
-        self._slot_to_key = {slot: key for key, slot in self._key_to_slot.items()}
+        self._slot_keys.fill(-1)
+        self._slot_keys[list(self._key_to_slot.values())] = list(self._key_to_slot)
         self._owned = {remap.get(slot, slot) for slot in self._owned}
 
     def vector(self, key: int) -> np.ndarray:
@@ -139,36 +167,17 @@ class FlatIndex:
                 f"expected (n, {self._dim}) queries, got shape {queries.shape}"
             )
         n = queries.shape[0]
-        if n == 0 or not self._key_to_slot:
+        count = len(self._key_to_slot)
+        if n == 0 or not count:
             return [[] for _ in range(n)]
-        queries = normalize_batch(queries)
-        count = len(self._slot_to_key)
-        live_slots = np.fromiter(self._slot_to_key.keys(), dtype=np.int64, count=count)
-        live_keys = np.fromiter(self._slot_to_key.values(), dtype=np.int64, count=count)
-        # One matrix product over the arena's occupied region; rows owned by
-        # other arena users (or freed) are dropped by the live-slot gather.
-        scores = self._arena.scores(queries)
-        live_scores = scores[:, live_slots]
-        top = min(k, count)
-        if top < count:
-            chosen = np.argpartition(-live_scores, top - 1, axis=1)[:, :top]
-            chosen_scores = np.take_along_axis(live_scores, chosen, axis=1)
-            chosen_keys = live_keys[chosen]
-        else:
-            chosen_scores = live_scores
-            chosen_keys = np.broadcast_to(live_keys, (n, count))
-        # Rank the chosen slice per row: score descending, key ascending on
-        # ties (lexsort's primary key is the last one given).
-        order = np.lexsort((chosen_keys, -chosen_scores), axis=1)
-        sorted_scores = np.take_along_axis(chosen_scores, order, axis=1)
-        sorted_keys = np.take_along_axis(chosen_keys, order, axis=1)
-        return [
-            [
-                SearchHit(score=float(score), key=int(key))
-                for score, key in zip(score_row, key_row)
-            ]
-            for score_row, key_row in zip(sorted_scores, sorted_keys)
-        ]
+        # One matrix product over the arena's occupied region.
+        scores = self._arena.scores(normalize_batch(queries))
+        keys = self._keys_upto(scores.shape[1])
+        if count != keys.shape[0]:
+            # Some occupied rows are freed or another arena user's: drop them.
+            mine = np.flatnonzero(keys >= 0)
+            keys, scores = keys[mine], scores[:, mine]
+        return [_top_k(row, keys, min(k, count)) for row in scores]
 
     def __repr__(self) -> str:
         return f"FlatIndex(dim={self._dim}, items={len(self)})"

@@ -7,7 +7,7 @@
 * **Admission** — misses (and prefetches) become new semantic elements with
   metadata captured from the actual remote fetch.
 * **Eviction** — TTL purge first (Algorithm 2 line 6), then lowest retention
-  score under the configured policy until usage fits capacity.
+  score until usage fits capacity; each reads a lazy heap, not the residents.
 
 :class:`ExactCache` is the traditional exact-match baseline (Agent_exact)
 with the same capacity/TTL machinery but a plain text-keyed dict.
@@ -36,10 +36,6 @@ def canonical_text(text: str) -> str:
     """Normalisation used for exact-match and shard-routing keys
     (case/whitespace-insensitive)."""
     return " ".join(text.lower().split())
-
-
-#: Backwards-compatible private alias (pre-sharding name).
-_canonical = canonical_text
 
 
 @dataclass
@@ -126,6 +122,12 @@ class AsteriaCache:
         #: full-population rescans.
         self._heap: list[tuple[float, int, int]] = []
         self._score_version: dict[int, int] = {}
+        #: Lazy min-heap of (expires_at, admission sequence, element_id): one
+        #: entry per finite-TTL admission, live while ``_admitted`` maps its id
+        #: to its sequence (which is also the resident map's order).
+        self._expiry: list[tuple[float, int, int]] = []
+        self._admitted: dict[int, int] = {}
+        self._admissions = 0
         #: Optional stage tracer (see :mod:`repro.obs.trace`); cascades to
         #: the Sine pipeline via :meth:`set_tracer`.
         self.tracer = None
@@ -306,6 +308,8 @@ class AsteriaCache:
         ``ttl`` overrides the cache default for this element. Returns the
         new element (after making room under the capacity limit).
         """
+        if ttl is not None and ttl <= 0:
+            raise ValueError("ttl must be > 0 or None")
         element_id = self._take_id()
         staticity = self.staticity_scorer.score(query.text, query.staticity)
         effective_ttl = ttl if ttl is not None else self.default_ttl
@@ -337,11 +341,7 @@ class AsteriaCache:
         self.stats.inserts += 1
         if prefetched:
             self.stats.prefetch_inserts += 1
-        if self.capacity_items is not None:
-            self._score_version[element_id] = 0
-            heapq.heappush(
-                self._heap, (self.policy.score(element, now), element_id, 0)
-            )
+        self._file(element, now)
         self._enforce_capacity(now, protect=element.element_id)
         return element
 
@@ -402,9 +402,7 @@ class AsteriaCache:
         self._backend.put(element)
         self.sine.insert(element)
         self.reserve_id(eid)
-        if self.capacity_items is not None:
-            self._score_version[eid] = 0
-            heapq.heappush(self._heap, (self.policy.score(element, now), eid, 0))
+        self._file(element, now)
         return element
 
     def remove(self, element_id: int, reason: str = "delete") -> SemanticElement:
@@ -422,8 +420,9 @@ class AsteriaCache:
         # The backend releases the arena slot inside delete().
         self.sine.remove(element_id)
         self._backend.delete(element_id, reason=reason)
-        # Heap entries for this id become garbage (version map is the truth).
+        # Heap entries for this id become garbage (the two maps are the truth).
         self._score_version.pop(element_id, None)
+        self._admitted.pop(element_id, None)
         return element
 
     def compact_arena(self) -> dict[int, int]:
@@ -471,18 +470,52 @@ class AsteriaCache:
 
     # -- lifecycle ----------------------------------------------------------------
     def remove_expired(self, now: float) -> int:
-        """TTL purge (Algorithm 2 runs this before capacity eviction)."""
-        expired = [
-            element_id
-            for element_id, element in self._backend.elements.items()
-            if element.is_expired(now)
-        ]
-        for element_id in expired:
-            self.remove(element_id, reason="expire")
-        self.stats.expirations += len(expired)
-        return len(expired)
+        """TTL purge (Algorithm 2 runs this before capacity eviction).
 
-    # -- capacity eviction (lazy min-heap) -----------------------------------
+        One comparison when nothing is due; otherwise the due elements go in
+        resident-map order, as a scan would take them. An entry whose element
+        left is dropped, one whose element now expires later is re-filed (an
+        *earlier* deadline set by direct mutation needs :meth:`_rebuild_heap`).
+        """
+        heap = self._expiry
+        if not heap or heap[0][0] > now:
+            return 0
+        due: list[tuple[int, int]] = []
+        while heap and heap[0][0] <= now:
+            expires_at, sequence, element_id = heapq.heappop(heap)
+            if self._admitted.get(element_id) != sequence:
+                continue
+            current = self._backend.elements[element_id].expires_at
+            if current == expires_at:
+                due.append((sequence, element_id))
+            elif current != math.inf:
+                heapq.heappush(heap, (current, sequence, element_id))
+        for _, element_id in sorted(due):
+            self.remove(element_id, reason="expire")
+        self.stats.expirations += len(due)
+        return len(due)
+
+    # -- the two lazy heaps -----------------------------------------------------
+    def _shed_garbage(self, now: float) -> None:
+        """Hold both heaps to ``2 * resident + 64`` entries wherever one is pushed
+        (a cache that never fills would otherwise keep a dead tuple per hit)."""
+        limit = 2 * len(self._backend.elements) + 64
+        if len(self._heap) > limit or len(self._expiry) > limit:
+            self._rebuild_heap(now)
+
+    def _file(self, element: SemanticElement, now: float) -> None:
+        """Enter a just-admitted element into both heaps."""
+        element_id = element.element_id
+        sequence = self._admitted[element_id] = self._admissions
+        self._admissions += 1
+        if element.expires_at != math.inf:
+            heapq.heappush(self._expiry, (element.expires_at, sequence, element_id))
+        if self.capacity_items is not None:
+            self._score_version[element_id] = 0
+            score = self.policy.score(element, now)
+            heapq.heappush(self._heap, (score, element_id, 0))
+        self._shed_garbage(now)
+
     def _heap_update(self, element: SemanticElement, now: float) -> None:
         """Re-score ``element`` after a state change (hit, TTL refresh).
 
@@ -497,21 +530,28 @@ class AsteriaCache:
             return
         version += 1
         self._score_version[element.element_id] = version
-        heapq.heappush(
-            self._heap,
-            (self.policy.score(element, now), element.element_id, version),
-        )
+        score = self.policy.score(element, now)
+        heapq.heappush(self._heap, (score, element.element_id, version))
+        self._shed_garbage(now)
 
     def _rebuild_heap(self, now: float) -> None:
-        """Re-score the whole population (restores after out-of-band changes:
-        persistence restore, policy swap, direct element mutation)."""
+        """Re-file the whole population in both heaps, dead entries dropped
+        (after a persistence restore, policy swap or direct element mutation).
+        Each heap is emptied first: a rebuild never holds old entries and new."""
         elements = self._backend.elements
-        self._score_version = {element_id: 0 for element_id in elements}
-        self._heap = [
-            (self.policy.score(element, now), element_id, 0)
-            for element_id, element in elements.items()
-        ]
+        score = self.policy.score
+        self._score_version = dict.fromkeys(elements, 0)
+        self._heap.clear()
+        self._heap.extend((score(e, now), eid, 0) for eid, e in elements.items())
         heapq.heapify(self._heap)
+        self._admitted = admitted = {eid: i for i, eid in enumerate(elements)}
+        self._admissions = len(admitted)
+        self._expiry.clear()
+        self._expiry.extend(
+            (e.expires_at, admitted[eid], eid)
+            for eid, e in elements.items() if e.expires_at != math.inf
+        )
+        heapq.heapify(self._expiry)
 
     def _enforce_capacity(self, now: float, protect: int | None = None) -> None:
         if self.capacity_items is None or self.usage() <= self.capacity_items:
@@ -531,9 +571,9 @@ class AsteriaCache:
             return
         # Re-sync if elements arrived outside insert() (persistence restore)
         # or the heap has accumulated too much garbage.
-        population = len(self._backend.elements)
-        if len(self._score_version) != population or len(self._heap) > 2 * population + 64:
+        if len(self._score_version) != len(self._backend.elements):
             self._rebuild_heap(now)
+        self._shed_garbage(now)
         rebuilt = False
         deferred: list[tuple[float, int, int]] = []
         while self.usage() > self.capacity_items:
@@ -615,7 +655,7 @@ class ExactCache:
 
     def lookup(self, query: Query, now: float) -> SemanticElement | None:
         """Exact-match lookup; hits bump frequency."""
-        key = _canonical(query.text)
+        key = canonical_text(query.text)
         element = self._by_key.get(key)
         if element is None:
             return None
@@ -634,7 +674,7 @@ class ExactCache:
         ttl: float | None = None,
     ) -> SemanticElement:
         """Store a fetched result under its canonical text key."""
-        key = _canonical(query.text)
+        key = canonical_text(query.text)
         if key in self._by_key:
             # Refresh in place (same exact query fetched twice, e.g. expiry race).
             self.stats.rejected_duplicates += 1

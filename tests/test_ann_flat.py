@@ -1,9 +1,12 @@
 """Tests for the exact flat index."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.ann import FlatIndex
+from repro.core.arena import EmbeddingArena
 
 
 def unit(rng, dim=16):
@@ -167,7 +170,7 @@ class TestFlatIndexRemoveRecycling:
         capacity = arena._matrix.shape[0]
         # Unallocated capacity = released slots + the untouched fresh region.
         free = list(arena._free) + list(range(arena._next_fresh, capacity))
-        live = set(index._slot_to_key)
+        live = set(np.flatnonzero(index._slot_keys >= 0).tolist())
         assert len(free) == len(set(free)), "duplicate slots in the free list"
         assert not (set(free) & live), "a slot is both free and live"
         assert len(free) + len(live) == capacity
@@ -249,3 +252,97 @@ class TestFlatIndexRemoveRecycling:
                     ),
                 )[: min(3, len(live))]
                 assert [hit.key for hit in hits] == expected
+
+
+class TestFlatIndexAgainstBruteForce:
+    """Every mutation interleaved on a shared arena, every search checked
+    against a reference that ranks in plain Python."""
+
+    DIM = 16
+
+    def _vector(self, rng):
+        """Four entries of +-0.5: unit norm, and every dot product a multiple
+        of 0.25 — exact in float32 whatever the summation order, so scores
+        compare with ``==`` and exact ties are the common case."""
+        vector = np.zeros(self.DIM, dtype=np.float32)
+        for position in rng.sample(range(self.DIM), 4):
+            vector[position] = rng.choice([0.5, -0.5])
+        return vector
+
+    def _check(self, index, live, queries):
+        matrix = np.stack(queries)
+        for k in {1, 4, max(1, len(live)), len(live) + 3}:
+            batch = index.search_batch(matrix, k)
+            for query, batch_hits in zip(queries, batch):
+                ranked = sorted(
+                    (-sum(float(a) * float(b) for a, b in zip(vector, query)), key)
+                    for key, vector in live.items()
+                )[:k]
+                assert batch_hits == index.search(query, k)
+                assert [(hit.key, hit.score) for hit in batch_hits] == [
+                    (key, -negated) for negated, key in ranked
+                ]
+                assert all(type(hit.score) is float for hit in batch_hits)
+
+    def test_churn_on_a_shared_arena(self):
+        rng = random.Random(4)
+        arena = EmbeddingArena(self.DIM, initial_capacity=4)
+        index = FlatIndex(self.DIM, initial_capacity=4, arena=arena)
+        live = {}  # key -> vector, what a search may return
+        lent = {}  # key -> slot the test allocated and registered via add_slot
+        foreign = {}  # slot -> vector of rows the index was never told about
+        gone = [self._vector(rng)]  # vectors of removed keys
+        next_key = 0
+        for step in range(400):
+            op = rng.choice(["add", "add", "add_slot", "add_slot", "foreign",
+                             "remove", "remove", "free_foreign", "compact"])
+            vector = self._vector(rng)
+            if op == "add":
+                index.add(next_key, vector)
+                live[next_key] = vector
+                next_key += 1
+            elif op == "add_slot":
+                lent[next_key] = arena.allocate(vector)
+                index.add_slot(next_key, lent[next_key])
+                live[next_key] = vector
+                next_key += 1
+            elif op == "foreign":
+                foreign[arena.allocate(vector)] = vector
+            elif op == "remove" and live:
+                key = rng.choice(sorted(live))
+                index.remove(key)
+                gone.append(live.pop(key))
+                if key in lent:
+                    arena.release(lent.pop(key))
+            elif op == "free_foreign" and foreign:
+                arena.release(foreign.popitem()[0])
+            elif op == "compact" and step % 5 == 0:
+                remap = arena.compact()
+                index.remap_slots(remap)
+                lent = {key: remap.get(slot, slot) for key, slot in lent.items()}
+                foreign = {remap.get(slot, slot): v for slot, v in foreign.items()}
+            # Query with a fresh vector, a removed key's, and a foreign row's:
+            # the last two score 1.0 against rows that must never come back.
+            queries = [vector, rng.choice(gone)]
+            if foreign:
+                queries.append(rng.choice(list(foreign.values())))
+            self._check(index, live, queries)
+            assert len(index) == len(live)
+        assert arena.grows and arena.reuses and arena.compactions
+        assert foreign and lent and len(live) > 4
+
+    def test_input_checks(self):
+        index = FlatIndex(self.DIM)
+        index.add(1, np.ones(self.DIM))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            index.search_batch(np.ones((1, self.DIM)), 0)
+        with pytest.raises(ValueError, match="expected dim"):
+            index.search(np.ones(self.DIM + 1), 1)
+        with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
+            index.search_batch(np.ones(self.DIM), 1)
+        with pytest.raises(KeyError, match="already present"):
+            index.add_slot(1, 0)
+        with pytest.raises(KeyError, match="not allocated"):
+            index.add_slot(2, 7)
+        with pytest.raises(ValueError, match="key must be >= 0"):
+            index.add(-1, np.ones(self.DIM))

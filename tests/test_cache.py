@@ -1,5 +1,8 @@
 """Tests for the AsteriaCache: hit semantics, admission, eviction, TTL."""
 
+import random
+import sys
+
 import pytest
 
 from repro.ann import FlatIndex
@@ -104,6 +107,69 @@ class TestTTL:
         removed = cache.remove_expired(now=12.0)
         assert removed == 1
         assert cache.stats.expirations == 1
+
+    @pytest.mark.parametrize("ttl", [0, 0.0, -1.0])
+    def test_insert_rejects_a_ttl_that_is_already_over(self, ttl):
+        """It would make an element the over-capacity purge deletes before
+        ``insert`` returns it, ``protect`` notwithstanding."""
+        cache = make_cache(capacity=1, ttl=10.0)
+        cache.insert(Query("first unique topic", fact_id="A"), fetch(), 0.0)
+        with pytest.raises(ValueError, match="ttl must be > 0"):
+            cache.insert(
+                Query("second unique topic", fact_id="B"), fetch(), 1.0, ttl=ttl
+            )
+        assert len(cache) == 1 and cache.stats.inserts == 1
+        second = cache.insert(Query("second unique topic", fact_id="B"), fetch(), 1.0)
+        assert second.element_id == 2  # the refused insert took no id
+
+
+class TestLookupCost:
+    """A lookup costs what it scores, not what is resident."""
+
+    @staticmethod
+    def _populated(size):
+        cache = make_cache(ttl=3600.0)
+        rng = random.Random(0)
+        for index in range(size):
+            # Four nonsense words each: no two keys share a token, so every
+            # query below has exactly one candidate whatever the population.
+            words = [
+                "".join(rng.choice("bcdfghjklmnpqrstvwxz") + rng.choice("aeiou")
+                        for _ in range(4))
+                for _ in range(4)
+            ]
+            cache.insert(Query(" ".join(words), fact_id=f"F{index}"), fetch(), 0.0)
+        return cache
+
+    @staticmethod
+    def _python_calls(function, *args):
+        """Python-level calls under ``function`` (the way cortexbench counts
+        ``py_calls_per_req``): a count repeats where a timing would not."""
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            result = function(*args)
+        finally:
+            sys.setprofile(None)
+        return calls, result
+
+    def test_python_calls_per_hit_do_not_grow_with_the_population(self):
+        counts = []
+        for size in (256, 4096):
+            cache = self._populated(size)
+            first = next(iter(cache.elements.values()))
+            query = Query(first.key, fact_id=first.truth_key)
+            cache.lookup(query, 1.0)  # warm the embedder's memo
+            calls, result = self._python_calls(cache.lookup, query, 2.0)
+            assert result.match is first and len(result.candidates) == 1
+            counts.append(calls)
+        assert counts[0] == counts[1]
 
 
 class TestEviction:

@@ -9,6 +9,7 @@ benchmark/metrics artifacts written afterwards are complete and honest.
 
 import asyncio
 import threading
+import time
 
 from repro.core import Query
 from repro.factory import (
@@ -31,19 +32,26 @@ def test_thread_closed_loop_stops_early_and_reports_partial_run():
         build_remote(seed=0), seed=0, shards=2, workers=2, io_pause_scale=0.01
     )
     stop = threading.Event()
-    n = 400
+    finished = threading.Event()
+    n = 4000
+    queries = _queries(n)
 
     def tripwire():
-        # Fires from another thread mid-run, like a signal handler would.
+        # Fires from another thread mid-run, like a signal handler would — on
+        # progress, not on a clock, which a fast host outruns and a loaded one
+        # does not reach (the run is ~100x longer than the 1 ms poll).
+        while engine.metrics.requests < 10 and not finished.is_set():
+            time.sleep(0.001)
         stop.set()
 
-    timer = threading.Timer(0.05, tripwire)
-    timer.start()
+    watcher = threading.Thread(target=tripwire, daemon=True)
+    watcher.start()
     try:
         with engine:
-            report = engine.run_closed_loop(_queries(n), time_step=0.01, stop=stop)
+            report = engine.run_closed_loop(queries, time_step=0.01, stop=stop)
     finally:
-        timer.cancel()
+        finished.set()
+        watcher.join()
     assert stop.is_set()
     assert 0 < report.requests < n
     # The report is internally consistent for the partial run.

@@ -121,6 +121,15 @@ class TestShardedCacheSemantics:
         assert removed == sum(1 for i in range(20) if "1" in f"fact number {i}")
         assert len(cache) == 20 - removed
 
+    def test_insert_rejects_a_ttl_that_is_already_over(self):
+        cache = build_sharded_cache(shards=4)
+        query = Query("fact number 1", fact_id="F1")
+        fetched = build_remote().fetch_at(query, 0.0)
+        with pytest.raises(ValueError, match="ttl must be > 0"):
+            cache.insert(query, fetched, 0.0, ttl=0.0)
+        assert len(cache) == 0 and cache.stats.inserts == 0
+        assert cache.insert(query, fetched, 0.0, ttl=5.0).expires_at == 5.0
+
     def test_sine_broadcast_thresholds(self):
         cache = build_sharded_cache(shards=3)
         cache.sine.tau_lsm = 0.5
