@@ -5,7 +5,7 @@ Achieving Low-Latency, Cost-Efficient Remote Data Access For LLM via
 Semantic-Aware Knowledge Caching*): the Semantic Element / Sine two-stage
 retrieval abstractions, LCFU eviction, Markov prefetching, threshold
 recalibration, and GPU co-location — plus every substrate the evaluation
-needs (embeddings, ANN indexes, a semantic judger, a WAN/rate-limit/cost
+needs (embeddings, a vector index, a semantic judger, a WAN/rate-limit/cost
 model, a GPU scheduler, scripted agents, and workload generators), all
 implemented natively and runnable offline on a deterministic discrete-event
 simulator.
@@ -25,8 +25,8 @@ Subpackages
 ``repro.core``
     The paper's contribution: SE, Sine, cache, policies, engines.
 ``repro.embedding`` / ``repro.ann`` / ``repro.judger``
-    The semantic substrates (hashing embedder, Flat/IVF/HNSW, noisy-oracle
-    judger).
+    The semantic substrates (hashing embedder, exact flat index,
+    noisy-oracle judger).
 ``repro.network`` / ``repro.serving``
     Cross-region WAN + rate limits + fees; GPU partitions + priority
     co-location.
@@ -52,7 +52,6 @@ from repro.core import (
 from repro.factory import (
     build_asteria_engine,
     build_exact_engine,
-    build_index,
     build_remote,
     build_semantic_cache,
     build_tiered_engine,
@@ -76,7 +75,6 @@ __all__ = [
     "__version__",
     "build_asteria_engine",
     "build_exact_engine",
-    "build_index",
     "build_remote",
     "build_semantic_cache",
     "build_tiered_engine",

@@ -1,39 +1,19 @@
-"""Approximate nearest-neighbour indexes, implemented from scratch.
+"""Stage 1 of Sine: the vector index, implemented from scratch.
 
 The paper uses FAISS for its ANN candidate-selection stage. This package
-provides the same capability natively:
+provides the one index every workload here runs:
 
 ``FlatIndex``
-    Exact brute-force search — the correctness baseline.
-``IVFIndex``
-    Inverted-file index over k-means cells (trained online) with an
-    ``nprobe`` recall knob.
-``HNSWIndex``
-    Hierarchical navigable small-world graph with ``ef_search`` recall knob
-    and tombstone deletion.
-``PQIndex``
-    Product-quantization-compressed index (Jégou et al. 2011, the paper's
-    [35]) with asymmetric-distance search — m bytes per vector.
+    Exact brute-force search — one matrix product over the cache's
+    embedding arena, recall 1.0 by construction.
 
-All indexes share the :class:`VectorIndex` interface, score by cosine
-similarity (vectors are normalised on insertion), support deletion (caches
-evict), and are deterministic under a fixed seed.
+It scores by cosine similarity (vectors are normalised on insertion),
+supports deletion (caches evict), and is deterministic. DESIGN §12 records
+the sweep that found an exact scan the fastest index in the repo at every
+size measured.
 """
 
-from repro.ann.base import SearchHit, VectorIndex
+from repro.ann.base import SearchHit
 from repro.ann.flat import FlatIndex
-from repro.ann.hnsw import HNSWIndex
-from repro.ann.ivf import IVFIndex
-from repro.ann.kmeans import kmeans
-from repro.ann.pq import PQIndex, ProductQuantizer
 
-__all__ = [
-    "FlatIndex",
-    "HNSWIndex",
-    "IVFIndex",
-    "PQIndex",
-    "ProductQuantizer",
-    "SearchHit",
-    "VectorIndex",
-    "kmeans",
-]
+__all__ = ["FlatIndex", "SearchHit"]

@@ -1,9 +1,8 @@
-"""The vector-index interface shared by all ANN implementations."""
+"""What a vector search returns, and the normalisation stored rows share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -21,17 +20,6 @@ class SearchHit:
     key: int
 
 
-def normalize(vector: np.ndarray) -> np.ndarray:
-    """Return ``vector`` as unit-norm float32; zero vectors pass through."""
-    vector = np.asarray(vector, dtype=np.float32)
-    if vector.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {vector.shape}")
-    norm = float(np.linalg.norm(vector))
-    if norm > 0:
-        vector = vector / norm
-    return vector
-
-
 def normalize_batch(vectors: np.ndarray) -> np.ndarray:
     """Row-normalise an (n, dim) matrix to float32; zero rows pass through."""
     vectors = np.asarray(vectors, dtype=np.float32)
@@ -39,55 +27,3 @@ def normalize_batch(vectors: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected an (n, dim) matrix, got shape {vectors.shape}")
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     return vectors / np.where(norms == 0, np.float32(1.0), norms)
-
-
-def search_batch_fallback(index: "VectorIndex", queries: np.ndarray, k: int) -> list[list[SearchHit]]:
-    """Per-query loop implementing ``search_batch`` for sequential indexes."""
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.ndim != 2:
-        raise ValueError(f"expected (n, dim) queries, got shape {queries.shape}")
-    return [index.search(query, k) for query in queries]
-
-
-@runtime_checkable
-class VectorIndex(Protocol):
-    """Mutable cosine-similarity index over integer-keyed vectors.
-
-    Implementations must tolerate interleaved ``add``/``remove``/``search``
-    (caches insert and evict continuously) and must be deterministic for a
-    fixed seed.
-    """
-
-    @property
-    def dim(self) -> int:
-        """Vector dimensionality."""
-        ...
-
-    def add(self, key: int, vector: np.ndarray) -> None:
-        """Insert ``vector`` under ``key``; re-adding a live key is an error."""
-        ...
-
-    def remove(self, key: int) -> None:
-        """Delete ``key``; removing an absent key raises ``KeyError``."""
-        ...
-
-    def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        """Top-``k`` most similar items, best first."""
-        ...
-
-    def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchHit]]:
-        """Top-``k`` per row of ``queries`` (n, dim); one hit list per query.
-
-        Each per-query result must equal the corresponding ``search`` call;
-        implementations are free to share work across the batch (matrix-matrix
-        scoring, shared traversal state) but not to change results.
-        """
-        ...
-
-    def __len__(self) -> int:
-        """Number of live items."""
-        ...
-
-    def __contains__(self, key: int) -> bool:
-        """True if ``key`` is live in the index."""
-        ...

@@ -73,7 +73,6 @@ from repro.experiments import (
     admission_study,
     coalescing_study,
     fig1c_breakdown,
-    index_study,
     judger_quality,
     freshness_study,
     fig2_zipf,
@@ -120,7 +119,6 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "admission": (admission_study.run, "always-admit vs doorkeeper (extension)"),
     "judger-quality": (judger_quality.run, "LSM error-rate sensitivity (extension)"),
     "coalescing": (coalescing_study.run, "flash-crowd miss coalescing (extension)"),
-    "index-choice": (index_study.run, "ANN index ablation (extension)"),
 }
 
 #: Reduced-scale overrides for ``run-all --quick``.
@@ -151,7 +149,6 @@ QUICK_OVERRIDES: dict[str, dict] = {
     "admission": {"n_queries": 600},
     "judger-quality": {"flip_rates": (0.0, 0.1), "n_tasks": 150},
     "coalescing": {"n_clients": 60},
-    "index-choice": {"index_kinds": ("flat", "pq"), "n_queries": 800},
 }
 
 

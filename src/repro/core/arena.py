@@ -4,19 +4,14 @@ Per-element embedding arrays make the lookup fast path pay a Python object,
 a refcount, and a pointer chase per semantic element. The **arena** replaces
 them with one growable ``(capacity, dim)`` matrix plus a free-list: every
 element's embedding lives in a *slot* (one row), handed out on admission and
-recycled on eviction. Consumers — the cache, Sine, and the ANN indexes —
+recycled on eviction. Consumers — the cache, Sine, and the index —
 score queries against contiguous row views instead of gathering per-SE
 arrays, which is what makes the batched lookup path one matrix product.
 
-Two tiers behind one interface:
-
-* :class:`EmbeddingArena` — float32 rows, bit-exact with per-element
-  storage (vectors are unit-normalised on allocation with the same math as
-  :func:`repro.ann.base.normalize_batch`, so arena-backed search decisions
-  replay the per-vector decisions exactly).
-* :class:`QuantizedArena` — int8 rows with one float32 scale per row
-  (symmetric per-row quantization). ~4x smaller than float32 at a small
-  recall cost; the micro-bench records the memory/recall trade-off curve.
+:class:`EmbeddingArena` holds float32 rows, bit-exact with per-element
+storage: vectors are unit-normalised on allocation with the same math as
+:func:`repro.ann.base.normalize_batch`, so arena-backed search decisions
+replay the per-vector decisions exactly.
 
 Slot lifecycle invariants:
 
@@ -35,11 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EmbeddingArena", "QuantizedArena", "build_arena"]
+__all__ = ["EmbeddingArena", "build_arena"]
 
 
-class _ArenaBase:
-    """Slot management shared by both storage tiers.
+class EmbeddingArena:
+    """Float32 rows in one growable matrix, handed out and recycled by slot.
 
     Unallocated capacity is tracked in two parts: ``_free`` holds released
     slots (reused LIFO, before any fresh slot), and ``_next_fresh`` points at
@@ -62,6 +57,7 @@ class _ArenaBase:
         #: Lowest slot never handed out; everything above is virgin capacity.
         self._next_fresh = 0
         self._live_mask = np.zeros(initial_capacity, dtype=bool)
+        self._matrix = np.zeros((initial_capacity, dim), dtype=np.float32)
         self._count = 0
         #: 1 + highest slot ever occupied; scoring slices rows to this.
         self._high_water = 0
@@ -125,7 +121,7 @@ class _ArenaBase:
         slots = self._take_slots(n)
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         unit = vectors / np.where(norms == 0, np.float32(1.0), norms)
-        self._store_rows(slots, unit)
+        self._matrix[slots] = unit
         return slots
 
     def _take_slots(self, n: int) -> np.ndarray:
@@ -167,7 +163,7 @@ class _ArenaBase:
             raise KeyError(f"slot {slot} not allocated")
         self._live_mask[slot] = False
         self._count -= 1
-        self._clear_row(slot)
+        self._matrix[slot] = 0.0
         self._free.append(slot)
         self.releases += 1
         # Let the high-water mark sink past a trailing run of freed slots so
@@ -178,7 +174,9 @@ class _ArenaBase:
     def _grow(self) -> None:
         old = self._capacity
         self._capacity = old * 2
-        self._grow_storage(old, self._capacity)
+        grown = np.zeros((self._capacity, self._dim), dtype=np.float32)
+        grown[:old] = self._matrix
+        self._matrix = grown
         mask = np.zeros(self._capacity, dtype=bool)
         mask[:old] = self._live_mask
         self._live_mask = mask
@@ -196,9 +194,10 @@ class _ArenaBase:
         """
         live = [int(slot) for slot in np.flatnonzero(self._live_mask)]
         remap = {old: new for new, old in enumerate(live) if old != new}
-        if remap:
-            self._move_rows(live)
         count = len(live)
+        if remap:
+            self._matrix[:count] = self._matrix[live].copy()
+            self._matrix[count : self._high_water] = 0.0
         self._live_mask[:] = False
         self._live_mask[:count] = True
         self._count = count
@@ -208,40 +207,7 @@ class _ArenaBase:
         self.compactions += 1
         return remap
 
-    # -- storage hooks (tier-specific) ---------------------------------------
-    def _store_row(self, slot: int, unit_vector: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _store_rows(self, slots: np.ndarray, unit_vectors: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _clear_row(self, slot: int) -> None:
-        raise NotImplementedError
-
-    def _grow_storage(self, old_capacity: int, new_capacity: int) -> None:
-        raise NotImplementedError
-
-    def _move_rows(self, live_sorted: list[int]) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(dim={self._dim}, live={len(self)}, "
-            f"capacity={self._capacity}, high_water={self._high_water})"
-        )
-
-
-class EmbeddingArena(_ArenaBase):
-    """Float32 tier: full-precision rows, bit-exact replay of per-SE arrays."""
-
-    def __init__(self, dim: int, initial_capacity: int = 1024) -> None:
-        super().__init__(dim, initial_capacity)
-        self._matrix = np.zeros((initial_capacity, dim), dtype=np.float32)
-
-    @property
-    def quantized(self) -> bool:
-        return False
-
+    # -- reads -------------------------------------------------------------
     def get(self, slot: int) -> np.ndarray:
         """Read-only view of the row (no copy; stays valid until release)."""
         if slot not in self:
@@ -264,125 +230,23 @@ class EmbeddingArena(_ArenaBase):
         """
         return queries @ self._matrix[: self._high_water].T
 
-    def scores_for(self, queries: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Scores against a gathered subset of rows — ``(n, len(slots))``."""
-        return queries @ self._matrix[slots].T
-
     def memory_bytes(self) -> int:
         """Bytes held by row storage (the envelope tests gate on this)."""
         return self._matrix.nbytes
 
-    # -- hooks ---------------------------------------------------------------
-    def _store_row(self, slot, unit_vector):
-        self._matrix[slot] = unit_vector
-
-    def _store_rows(self, slots, unit_vectors):
-        self._matrix[slots] = unit_vectors
-
-    def _clear_row(self, slot):
-        self._matrix[slot] = 0.0
-
-    def _grow_storage(self, old_capacity, new_capacity):
-        grown = np.zeros((new_capacity, self._dim), dtype=np.float32)
-        grown[:old_capacity] = self._matrix
-        self._matrix = grown
-
-    def _move_rows(self, live_sorted):
-        packed = self._matrix[live_sorted].copy()
-        self._matrix[: len(live_sorted)] = packed
-        self._matrix[len(live_sorted) : self._high_water] = 0.0
-
-
-class QuantizedArena(_ArenaBase):
-    """Int8 tier: symmetric per-row quantization, ~4x smaller than float32.
-
-    Each unit vector is stored as ``round(v / scale)`` int8 codes with
-    ``scale = max(|v|) / 127`` kept per row, so the dequantized row is
-    ``codes * scale`` and a dot product against query ``q`` is
-    ``(q . codes) * scale``. Scoring upcasts the code block to float32 for
-    the matrix product (a transient, not retained memory); :meth:`get`
-    returns a dequantized float32 copy so consumers see the same interface
-    as the float32 tier.
-    """
-
-    def __init__(self, dim: int, initial_capacity: int = 1024) -> None:
-        super().__init__(dim, initial_capacity)
-        self._codes = np.zeros((initial_capacity, dim), dtype=np.int8)
-        self._scales = np.zeros(initial_capacity, dtype=np.float32)
-
-    @property
-    def quantized(self) -> bool:
-        return True
-
-    def get(self, slot: int) -> np.ndarray:
-        """Dequantized float32 copy of the row."""
-        if slot not in self:
-            raise KeyError(f"slot {slot} not allocated")
-        return self._codes[slot].astype(np.float32) * self._scales[slot]
-
-    def rows(self) -> np.ndarray:
-        """Dequantized float32 copy of the occupied region."""
-        hw = self._high_water
-        return self._codes[:hw].astype(np.float32) * self._scales[:hw, None]
-
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        hw = self._high_water
-        return (queries @ self._codes[:hw].astype(np.float32).T) * self._scales[:hw]
-
-    def scores_for(self, queries: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        return (queries @ self._codes[slots].astype(np.float32).T) * self._scales[
-            slots
-        ]
-
-    def memory_bytes(self) -> int:
-        return self._codes.nbytes + self._scales.nbytes
-
-    # -- hooks ---------------------------------------------------------------
-    def _quantize(self, unit_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        peak = np.abs(unit_vectors).max(axis=-1)
-        scales = (peak / 127.0).astype(np.float32)
-        safe = np.where(scales == 0, np.float32(1.0), scales)
-        codes = np.rint(unit_vectors / safe[..., None]).astype(np.int8)
-        return codes, scales
-
-    def _store_row(self, slot, unit_vector):
-        codes, scales = self._quantize(unit_vector[None, :])
-        self._codes[slot] = codes[0]
-        self._scales[slot] = scales[0]
-
-    def _store_rows(self, slots, unit_vectors):
-        codes, scales = self._quantize(unit_vectors)
-        self._codes[slots] = codes
-        self._scales[slots] = scales
-
-    def _clear_row(self, slot):
-        self._codes[slot] = 0
-        self._scales[slot] = 0.0
-
-    def _grow_storage(self, old_capacity, new_capacity):
-        codes = np.zeros((new_capacity, self._dim), dtype=np.int8)
-        codes[:old_capacity] = self._codes
-        self._codes = codes
-        scales = np.zeros(new_capacity, dtype=np.float32)
-        scales[:old_capacity] = self._scales
-        self._scales = scales
-
-    def _move_rows(self, live_sorted):
-        count = len(live_sorted)
-        self._codes[:count] = self._codes[live_sorted].copy()
-        self._codes[count : self._high_water] = 0
-        self._scales[:count] = self._scales[live_sorted].copy()
-        self._scales[count : self._high_water] = 0.0
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(dim={self._dim}, live={len(self)}, "
+            f"capacity={self._capacity}, high_water={self._high_water})"
+        )
 
 
 def build_arena(
     kind: "str | None", dim: int, initial_capacity: int = 1024
-) -> "_ArenaBase | None":
-    """An arena tier by name: ``float32`` (exact), ``int8``, or None (off)."""
+) -> "EmbeddingArena | None":
+    """The arena by name: ``float32``, or None / ``none`` for no arena."""
     if kind is None or kind == "none":
         return None
     if kind == "float32":
         return EmbeddingArena(dim, initial_capacity)
-    if kind == "int8":
-        return QuantizedArena(dim, initial_capacity)
-    raise ValueError(f"unknown arena kind {kind!r}; expected float32/int8/none")
+    raise ValueError(f"unknown arena kind {kind!r}; expected float32/none")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ann.base import SearchHit, search_batch_fallback
+from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
 from repro.core.eviction import EvictionPolicy, LCFUPolicy, LRUPolicy
 from repro.core.sine import Sine, SineResult
@@ -265,18 +265,12 @@ class AsteriaCache:
             t0 = tracer.clock()
             embeddings = self.sine.embedder.embed_batch(texts)
             tracer.record_leaf("embed", t0, {"batch": len(texts)})
-        index = self.sine.index
-        search_batch = getattr(index, "search_batch", None)
+        search_batch = self.sine.index.search_batch
         k = self.sine.max_candidates
         if tracer is None:
-            if search_batch is not None:
-                return search_batch(embeddings, k)
-            return search_batch_fallback(index, embeddings, k)
+            return search_batch(embeddings, k)
         t0 = tracer.clock()
-        if search_batch is not None:
-            hits = search_batch(embeddings, k)
-        else:
-            hits = search_batch_fallback(index, embeddings, k)
+        hits = search_batch(embeddings, k)
         tracer.record_leaf("ann_search", t0, {"batch": len(texts)})
         return hits
 
@@ -415,8 +409,6 @@ class AsteriaCache:
         element = self._backend.elements.get(element_id)
         if element is None:
             raise KeyError(f"element {element_id} not in cache")
-        # Index first, arena second: HNSW tombstones snapshot external rows
-        # on remove, so the slot must still hold the vector at that point.
         # The backend releases the arena slot inside delete().
         self.sine.remove(element_id)
         self._backend.delete(element_id, reason=reason)
@@ -440,9 +432,7 @@ class AsteriaCache:
         remap = self.arena.compact()
         if not remap:
             return {}
-        remap_slots = getattr(self.sine.index, "remap_slots", None)
-        if remap_slots is not None:
-            remap_slots(remap)
+        self.sine.index.remap_slots(remap)
         for element in self._backend.elements.values():
             slot = element.arena_slot
             if slot is None:

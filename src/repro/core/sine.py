@@ -15,13 +15,16 @@ Sine is *retrieval only* — it neither admits, evicts, nor mutates frequency;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.ann.base import SearchHit, VectorIndex, search_batch_fallback
+from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
 from repro.core.types import Query
 from repro.embedding.model import EmbeddingModel
 from repro.judger.base import JudgeRequest, Judger, JudgeVerdict
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flat imports core.arena)
+    from repro.ann.flat import FlatIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +61,7 @@ class Sine:
     embedder:
         Embedding model for query fingerprints.
     index:
-        Any :class:`~repro.ann.base.VectorIndex`; keys are element ids.
+        The :class:`~repro.ann.flat.FlatIndex`; keys are element ids.
     judger:
         The validation model (ignored when ``ann_only`` lookups are asked
         for).
@@ -76,7 +79,7 @@ class Sine:
     def __init__(
         self,
         embedder: EmbeddingModel,
-        index: VectorIndex,
+        index: FlatIndex,
         judger: Judger,
         tau_sim: float = 0.7,
         tau_lsm: float = 0.9,
@@ -103,17 +106,15 @@ class Sine:
         """Index ``element`` by its embedding.
 
         An element carrying an arena slot (the cache allocated its row on
-        admission) registers that row in place via the index's ``add_slot``
-        when available, so no second copy of the vector is made; otherwise
-        the element's array is added normally.
+        admission) registers that row in place via the index's ``add_slot``,
+        so no second copy of the vector is made; otherwise the element's
+        array is added normally.
         """
         slot = element.arena_slot
         if slot is not None:
-            add_slot = getattr(self.index, "add_slot", None)
-            if add_slot is not None:
-                add_slot(element.element_id, slot)
-                return
-        self.index.add(element.element_id, element.embedding)
+            self.index.add_slot(element.element_id, slot)
+        else:
+            self.index.add(element.element_id, element.embedding)
 
     def remove(self, element_id: int) -> None:
         """Drop ``element_id`` from the index."""
@@ -269,13 +270,7 @@ class Sine:
         if not queries:
             return []
         embeddings = self.embedder.embed_batch([query.text for query in queries])
-        search_batch = getattr(self.index, "search_batch", None)
-        if search_batch is not None:
-            batch_hits = search_batch(embeddings, self.max_candidates)
-        else:
-            batch_hits = search_batch_fallback(
-                self.index, embeddings, self.max_candidates
-            )
+        batch_hits = self.index.search_batch(embeddings, self.max_candidates)
         return [
             self.retrieve_prepared(query, raw_hits, elements, ann_only=ann_only)
             for query, raw_hits in zip(queries, batch_hits)

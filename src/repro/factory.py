@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann import FlatIndex, HNSWIndex, IVFIndex, PQIndex
-from repro.ann.base import VectorIndex
+from repro.ann import FlatIndex
 from repro.core import (
     AsteriaCache,
     AsteriaConfig,
@@ -65,17 +64,17 @@ class StackSpec:
 
     #: Thresholds, capacity, TTL and latency constants (shared with the engine).
     config: AsteriaConfig = field(default_factory=AsteriaConfig)
-    #: Derives independent streams for the embedder, index, judger and
-    #: staticity scorer.
+    #: Derives independent streams for the embedder, judger and staticity
+    #: scorer.
     seed: int = 0
-    #: ANN index by name — see :func:`build_index`.
+    #: The vector index; ``"flat"`` is the only one (DESIGN §12). Still a
+    #: field because the frozen benchmark passes it (ROADMAP item 7).
     index_kind: str = "flat"
     #: Eviction policy object or name (``policy_by_name``); must be a name
     #: to cross a process boundary.
     policy: "EvictionPolicy | str" = "lcfu"
-    #: Embedding storage tier: ``"float32"`` (contiguous rows,
-    #: decision-identical to per-element arrays), ``"int8"`` (quantized, ~4x
-    #: smaller, approximate scores), or None for standalone arrays.
+    #: Embedding storage: ``"float32"`` (contiguous rows, decision-identical
+    #: to per-element arrays), or None for standalone arrays.
     arena: str | None = "float32"
     #: Seconds of GIL-holding CPU a :class:`~repro.judger.SpinningJudger`
     #: burns per judged candidate (identical decisions, real CPU cost — for
@@ -88,6 +87,17 @@ class StackSpec:
     #: fsyncing once per ``fsync_every`` records.
     persist_dir: "str | Path | None" = None
     fsync_every: int = 8
+
+    def __post_init__(self) -> None:
+        # Named values are refused here, where keywords become a spec, so
+        # every tier fails in the caller — a proc worker would otherwise be
+        # the first to look them up, and die doing it.
+        if self.index_kind != "flat":
+            raise ValueError(f"index_kind={self.index_kind!r}: expected 'flat'")
+        if self.arena not in ("float32", "none", None):
+            raise ValueError(f"arena={self.arena!r}: expected 'float32' or None")
+        if isinstance(self.policy, str):
+            policy_by_name(self.policy)  # "unknown eviction policy 'x'; known: ..."
 
     @classmethod
     def of(cls, config: "AsteriaConfig | StackSpec | None", stack: dict) -> "StackSpec":
@@ -111,26 +121,6 @@ class StackSpec:
         if home is not None:
             home = shard_directory(home, index, count)
         return replace(self, config=config, persist_dir=home)
-
-
-def build_index(kind: str, dim: int, seed: int = 0, arena=None) -> VectorIndex:
-    """An ANN index by name: ``flat`` (default), ``hnsw``, ``ivf``, or ``pq``.
-
-    ``arena`` (an :class:`~repro.core.arena.EmbeddingArena`) makes the index
-    score shared contiguous rows instead of per-key arrays; share one
-    instance with the cache that feeds the index.
-    """
-    if kind == "flat":
-        if arena is not None:
-            return FlatIndex(dim, arena=arena)
-        return FlatIndex(dim)
-    if kind == "hnsw":
-        return HNSWIndex(dim, seed=seed, arena=arena)
-    if kind == "ivf":
-        return IVFIndex(dim, seed=seed, arena=arena)
-    if kind == "pq":
-        return PQIndex(dim, seed=seed, arena=arena)
-    raise ValueError(f"unknown index kind {kind!r}; expected flat/hnsw/ivf/pq")
 
 
 def build_remote(
@@ -168,7 +158,6 @@ def build_asteria_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
     *,
-    index: VectorIndex | None = None,
     judger: SimulatedJudger | None = None,
     judge_executor=None,
     resilience: ResilienceManager | None = None,
@@ -178,13 +167,13 @@ def build_asteria_engine(
     """The full Asteria stack with simulated substrates.
 
     ``**stack`` are :class:`StackSpec` fields (``seed=``, ``policy=``,
-    ``arena=``, ...); ``index`` / ``judger`` override substrates as in
+    ``arena=``, ...); ``judger`` overrides the substrate as in
     :func:`build_semantic_cache`. ``resilience`` overrides the engine's
     default fault-tolerance policy (circuit breaker, negative cache, stale
     serving).
     """
     spec = StackSpec.of(config, stack)
-    cache = build_semantic_cache(spec, index=index, judger=judger)
+    cache = build_semantic_cache(spec, judger=judger)
     return AsteriaEngine(
         cache,
         remote,
@@ -216,7 +205,6 @@ def build_vanilla_engine(
 def build_semantic_cache(
     config: "AsteriaConfig | StackSpec | None" = None,
     *,
-    index: VectorIndex | None = None,
     judger: SimulatedJudger | None = None,
     **stack,
 ) -> AsteriaCache:
@@ -224,27 +212,14 @@ def build_semantic_cache(
 
     The one place a :class:`StackSpec` is read and the stack assembled —
     every engine, sharded-cache and worker builder comes through here, with
-    the spec itself as ``config`` or with its fields as ``**stack``. A
-    pre-built ``index`` keeps its own storage (no shared arena) and must
-    match the embedder's dims; ``judger`` replaces the seeded
-    :class:`~repro.judger.SimulatedJudger`.
+    the spec itself as ``config`` or with its fields as ``**stack``.
+    ``judger`` replaces the seeded :class:`~repro.judger.SimulatedJudger`.
     """
     spec = StackSpec.of(config, stack)
     config, seed = spec.config, spec.seed
     embedder = CachedEmbedder(HashingEmbedder(seed=derive_seed(seed, "embedder")))
-    shared_arena = None
-    if index is None:
-        shared_arena = build_arena(spec.arena, embedder.dim)
-        index = build_index(
-            spec.index_kind,
-            embedder.dim,
-            seed=derive_seed(seed, "index"),
-            arena=shared_arena,
-        )
-    elif index.dim != embedder.dim:
-        raise ValueError(
-            f"custom index dim {index.dim} != embedder dim {embedder.dim}"
-        )
+    shared_arena = build_arena(spec.arena, embedder.dim)
+    index = FlatIndex(embedder.dim, arena=shared_arena)
     if judger is None:
         judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
     if spec.judge_spin > 0:

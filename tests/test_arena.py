@@ -1,12 +1,16 @@
-"""Lifecycle tests for the contiguous embedding arena (both tiers)."""
+"""Lifecycle tests for the contiguous embedding arena."""
 
 import numpy as np
 import pytest
 
-from repro.ann.base import normalize
-from repro.core.arena import EmbeddingArena, QuantizedArena, build_arena
+from repro.ann.base import normalize_batch
+from repro.core.arena import EmbeddingArena, build_arena
 
 DIM = 16
+
+
+def normalize(vector: np.ndarray) -> np.ndarray:
+    return normalize_batch(np.asarray(vector)[None, :])[0]
 
 
 @pytest.fixture
@@ -185,56 +189,10 @@ def test_dim_validation():
         EmbeddingArena(DIM, initial_capacity=0)
 
 
-class TestQuantizedArena:
-    def test_roundtrip_close_to_unit_vector(self, rng):
-        arena = QuantizedArena(DIM)
-        vector = rng.normal(size=DIM).astype(np.float32)
-        slot = arena.allocate(vector)
-        expected = normalize(vector)
-        got = arena.get(slot)
-        assert got.dtype == np.float32
-        # Symmetric int8: worst-case error is half a code step per component.
-        step = np.abs(expected).max() / 127.0
-        assert np.abs(got - expected).max() <= step / 2 + 1e-7
-    def test_scores_match_dequantized_rows(self, rng):
-        arena = QuantizedArena(DIM)
-        slots = [arena.allocate(rng.normal(size=DIM)) for _ in range(6)]
-        queries = normalize(rng.normal(size=DIM))[None, :].astype(np.float32)
-        scores = arena.scores(queries)
-        for slot in slots:
-            expected = float(queries[0] @ arena.get(slot))
-            assert scores[0, slot] == pytest.approx(expected, abs=1e-6)
-
-    def test_memory_is_about_4x_smaller(self):
-        f32 = EmbeddingArena(256, initial_capacity=1024)
-        int8 = QuantizedArena(256, initial_capacity=1024)
-        ratio = f32.memory_bytes() / int8.memory_bytes()
-        assert ratio > 3.9
-
-    def test_release_and_compact(self, rng):
-        arena = QuantizedArena(DIM, initial_capacity=8)
-        rows = {}
-        for i in range(6):
-            slot = arena.allocate(rng.normal(size=DIM))
-            rows[slot] = arena.get(slot)
-        for slot in (0, 3):
-            arena.release(slot)
-            del rows[slot]
-        assert arena._scales[0] == 0.0
-        remap = arena.compact()
-        for old, expected in rows.items():
-            np.testing.assert_array_equal(arena.get(remap.get(old, old)), expected)
-
-    def test_zero_vector(self):
-        arena = QuantizedArena(DIM)
-        slot = arena.allocate(np.zeros(DIM, dtype=np.float32))
-        assert not arena.get(slot).any()
-
-
 def test_build_arena_dispatch():
     assert build_arena(None, DIM) is None
     assert build_arena("none", DIM) is None
     assert isinstance(build_arena("float32", DIM), EmbeddingArena)
-    assert isinstance(build_arena("int8", DIM), QuantizedArena)
-    with pytest.raises(ValueError):
-        build_arena("float16", DIM)
+    for refused in ("int8", "float16"):
+        with pytest.raises(ValueError):
+            build_arena(refused, DIM)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann import FlatIndex, HNSWIndex, IVFIndex, PQIndex
+from repro.ann import FlatIndex
 from repro.core import AsteriaCache, AsteriaConfig, Query, Sine
 from repro.core.arena import EmbeddingArena
 from repro.core.eviction import LCFUPolicy, LFUPolicy, LRUPolicy
@@ -109,13 +109,8 @@ def test_cached_embed_batch_respects_lru_capacity():
 
 @pytest.mark.parametrize(
     "make_index",
-    [
-        lambda: FlatIndex(64),
-        lambda: HNSWIndex(64, seed=5, ef_search=16),
-        lambda: IVFIndex(64, nlist=4, nprobe=2, seed=5),
-        lambda: PQIndex(64, m=8, k=16, train_threshold=64, seed=5),
-    ],
-    ids=["flat", "hnsw", "ivf", "pq"],
+    [lambda: FlatIndex(64)],
+    ids=["flat"],
 )
 def test_search_batch_equals_scalar_searches(make_index):
     index = make_index()

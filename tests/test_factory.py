@@ -2,28 +2,15 @@
 
 import pytest
 
-from repro.ann import FlatIndex, HNSWIndex, IVFIndex
 from repro.core import AsteriaConfig, Query
 from repro.factory import (
     build_asteria_engine,
     build_exact_engine,
-    build_index,
     build_remote,
     build_vanilla_engine,
 )
 from repro.judger import SpinningJudger
 from repro.workloads import build_dataset
-
-
-class TestBuildIndex:
-    def test_kinds(self):
-        assert isinstance(build_index("flat", 64), FlatIndex)
-        assert isinstance(build_index("hnsw", 64), HNSWIndex)
-        assert isinstance(build_index("ivf", 64), IVFIndex)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            build_index("faiss", 64)
 
 
 class TestBuildRemote:
@@ -75,7 +62,7 @@ class TestBuildEngines:
         assert engine.cache.policy.name == "lru"
 
     def test_index_kinds_work_end_to_end(self):
-        for kind in ("flat", "hnsw", "ivf"):
+        for kind in ("flat",):
             engine = build_asteria_engine(build_remote(), index_kind=kind, seed=1)
             engine.handle(Query("who painted the mona lisa", fact_id="F"), 0.0)
             response = engine.handle(

@@ -278,17 +278,17 @@ class TestMemoryEnvelope:
         assert envelope < 4 * 1024 * 1024
 
     def test_ten_million_entry_arena_fill_stays_in_envelope(self):
-        """A 10^7-entry int8 arena holds its stated envelope: codes + scales
-        land at dim+4 bytes per row (120 MB at dim=8) with zero slot-
-        bookkeeping overhead per virgin row, and the fill itself runs as
-        chunked ``allocate_batch`` calls — seconds, not minutes."""
+        """A 10^7-entry arena holds its stated envelope: rows land at
+        4 * dim bytes each (120 MB at dim=3) with zero slot-bookkeeping
+        overhead per virgin row, and the fill itself runs as chunked
+        ``allocate_batch`` calls — seconds, not minutes."""
         import numpy as np
 
-        from repro.core.arena import QuantizedArena
+        from repro.core.arena import EmbeddingArena
 
         entries = 10_000_000
-        dim = 8
-        arena = QuantizedArena(dim, initial_capacity=entries)
+        dim = 3
+        arena = EmbeddingArena(dim, initial_capacity=entries)
         rng = np.random.default_rng(0)
         chunk = rng.normal(size=(100_000, dim)).astype(np.float32)
         for _ in range(entries // chunk.shape[0]):
@@ -297,9 +297,8 @@ class TestMemoryEnvelope:
         assert len(arena) == entries
         assert arena.high_water == entries
         assert arena.grows == 0  # the stated capacity was honoured exactly
-        # Stated envelope: (dim + 4) bytes per entry, under 128 MiB here —
-        # the float32 tier would need 4 * dim = 305 MiB for the same fill.
-        assert arena.memory_bytes() == entries * (dim + 4)
+        # Stated envelope: 4 * dim bytes per entry, under 128 MiB here.
+        assert arena.memory_bytes() == entries * 4 * dim
         assert arena.memory_bytes() < 128 * 1024 * 1024
         # Rows are still addressable at the far end of the matrix.
         assert arena.get(entries - 1).shape == (dim,)

@@ -1,4 +1,4 @@
-"""Second round of property-based tests: parser, HNSW, paraphraser, kernel."""
+"""Second round of property-based tests: parser, paraphraser, kernel."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.agent.parser import ACTION_TAGS, KNOWN_TAGS, extract_blocks, format_block
-from repro.ann import FlatIndex, HNSWIndex
 from repro.embedding import HashingEmbedder, cosine_similarity
 from repro.sim import Simulator
 from repro.workloads import Paraphraser
@@ -42,41 +41,6 @@ def test_parser_action_filter_consistent(blocks):
     actions = tool_calls(text)
     expected = [tag for tag, _ in blocks if tag in ACTION_TAGS]
     assert [block.tag for block in actions] == expected
-
-
-@COMMON_SETTINGS
-@given(st.data())
-def test_hnsw_top1_is_exact_for_self_queries(data):
-    """Searching with a stored vector must return that vector first."""
-    seed = data.draw(st.integers(0, 2**31))
-    count = data.draw(st.integers(min_value=1, max_value=60))
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((count, 16)).astype(np.float32)
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    index = HNSWIndex(16, seed=seed, ef_search=32)
-    for key, vector in enumerate(vectors):
-        index.add(key, vector)
-    probe = data.draw(st.integers(min_value=0, max_value=count - 1))
-    hits = index.search(vectors[probe], k=1)
-    assert hits[0].score == pytest.approx(1.0, abs=1e-5)
-
-
-@COMMON_SETTINGS
-@given(st.data())
-def test_hnsw_recall_at_10_reasonable(data):
-    seed = data.draw(st.integers(0, 2**31))
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((120, 16)).astype(np.float32)
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    hnsw = HNSWIndex(16, seed=seed, ef_search=48)
-    flat = FlatIndex(16)
-    for key, vector in enumerate(vectors):
-        hnsw.add(key, vector)
-        flat.add(key, vector)
-    query = rng.standard_normal(16).astype(np.float32)
-    truth = {hit.key for hit in flat.search(query, 10)}
-    got = {hit.key for hit in hnsw.search(query, 10)}
-    assert len(truth & got) >= 7
 
 
 @COMMON_SETTINGS

@@ -58,17 +58,22 @@ def _imports(path: Path, name: str):
                 yield base, alias.name
 
 
-def _lazy_exports(path: Path) -> dict[str, str]:
-    """``name -> module`` from a package's ``_LAZY = {name: (module, attr)}``
-    table (``repro.store`` resolves its heavier exports on first access)."""
+def _assigned_literal(path: Path, target: str, default):
+    """The literal a module assigns to ``target`` at top level."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if (
             isinstance(node, ast.Assign)
-            and any(getattr(t, "id", None) == "_LAZY" for t in node.targets)
+            and any(getattr(t, "id", None) == target for t in node.targets)
         ):
-            table = ast.literal_eval(node.value)
-            return {key: module for key, (module, _) in table.items()}
-    return {}
+            return ast.literal_eval(node.value)
+    return default
+
+
+def _lazy_exports(path: Path) -> dict[str, str]:
+    """``name -> module`` from a package's ``_LAZY = {name: (module, attr)}``
+    table (``repro.store`` resolves its heavier exports on first access)."""
+    table = _assigned_literal(path, "_LAZY", {})
+    return {key: module for key, (module, _) in table.items()}
 
 
 def _resolve(module: str, imported: str | None, seen=()) -> str | None:
@@ -95,11 +100,18 @@ def _edges(path: Path, name: str) -> set[str]:
     }
 
 
+def _root_scripts() -> list[Path]:
+    return [
+        path
+        for folder in ("examples", "benchmarks")
+        for path in (ROOT / folder).rglob("*.py")
+    ]
+
+
 def reachable() -> set[str]:
     frontier = {"repro.cli", "repro.__main__"}
-    for folder in ("examples", "benchmarks"):
-        for path in (ROOT / folder).rglob("*.py"):
-            frontier |= _edges(path, "")
+    for path in _root_scripts():
+        frontier |= _edges(path, "")
     closure: set[str] = set()
     while frontier:
         name = frontier.pop()
@@ -121,6 +133,31 @@ def test_every_source_module_is_reached_by_something_that_runs():
         "modules only tests import (delete them, or allowlist with a reason): "
         f"{sorted(unreached - set(ALLOWED_UNREACHED))}"
     )
+
+
+def test_every_exported_index_and_arena_name_is_used_by_something_that_runs():
+    """The module pass cannot see a *name* that only tests import. For the
+    index and arena packages, every public name must be imported by something
+    that runs, other than the module defining it and the ``__init__``
+    re-exporting it: the check that flags an index or an arena tier the day
+    its last caller leaves."""
+    importers = [(MODULES[name], name) for name in reachable()]
+    importers += [(path, "") for path in _root_scripts()]
+    unused = []
+    for exporter in ("repro.ann", "repro.core.arena"):
+        exported = _assigned_literal(MODULES[exporter], "__all__", [])
+        assert exported, f"{exporter} declares no __all__ to hold to this"
+        for public in exported:
+            home = _resolve(exporter, public)
+            used = any(
+                imported == public and _resolve(module, imported) == home
+                for path, name in importers
+                if name not in (exporter, home)
+                for module, imported in _imports(path, name)
+            )
+            if not used:
+                unused.append(f"{exporter}.{public}")
+    assert unused == [], f"exported, but only tests use them: {unused}"
 
 
 def test_allowlist_holds_no_stale_or_unexplained_entries():

@@ -49,7 +49,7 @@ def _decisions(cache, n=150, population=30):
 
 class TestSpecIsTheStack:
     def test_pickled_spec_rebuilds_the_kwargs_cache(self):
-        stack = dict(seed=11, index_kind="ivf", policy="lru", arena="int8")
+        stack = dict(seed=11, policy="lru", arena=None)
         spec = pickle.loads(pickle.dumps(StackSpec(CONFIG, **stack)))
         assert spec == StackSpec(CONFIG, **stack)
         from_spec = _decisions(build_semantic_cache(spec))
@@ -97,6 +97,38 @@ class TestUnknownKeywordIsNamed:
         for gone in ("backend", "backend_dir", "codec"):
             with pytest.raises(TypeError, match=gone):
                 build_proc_engine(build_remote(), launch=False, **{gone: None})
+
+
+class TestMisnamedValueIsRefusedWhereTheSpecIsMade:
+    """On the proc tier the spec is first *read* inside a worker, so a bad
+    name has to be refused where keywords become a spec: in the caller."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("index_kind", "hnsw"),
+            ("index_kind", "faiss"),
+            ("arena", "int8"),
+            ("arena", "float16"),
+            ("policy", "nope"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: StackSpec(**kw),
+            lambda **kw: build_asteria_engine(build_remote(), **kw),
+            lambda **kw: build_proc_engine(build_remote(), launch=False, **kw),
+        ],
+        ids=["spec", "sync", "proc"],
+    )
+    def test_every_tier_names_field_and_value(self, build, field, value):
+        with pytest.raises(ValueError, match=f"{field}.*{value}"):
+            build(**{field: value})
+
+    def test_every_accepted_value_still_builds(self):
+        for stack in (dict(arena="float32"), dict(arena=None), dict(policy=LRUPolicy())):
+            assert build_semantic_cache(index_kind="flat", **stack) is not None
 
 
 class TestShard:
