@@ -6,8 +6,8 @@ Usage::
     python -m repro run fig7 --set dataset_names='("musique",)' --set n_tasks=300
     python -m repro run table5
     python -m repro run-all --quick
-    python -m repro stress --shards 4 --workers 8 --queries 2000
-    python -m repro stress --engine async --rate 800 --deadline 0.2
+    python -m repro stress --shards 4 --queries 2000
+    python -m repro stress --rate 800 --deadline 0.2
     python -m repro stress --engine proc --workers 4 --rate 800
     python -m repro stress --chaos --fault-rate 0.3 --blackout 6:10
     python -m repro stress --trace-out trace.json --metrics-out metrics.prom
@@ -26,11 +26,11 @@ to a plain string), so ints, floats, tuples, and booleans all work.
 
 ``stress`` exercises the real serving layers against a skewed synthetic
 workload and prints wall-clock throughput — unlike the experiments, which
-run on the virtual clock. ``--engine thread`` (default) drives the
-closed-loop worker pool; ``--engine async`` drives the asyncio front-end
-with an *open-loop* fixed arrival rate, so backpressure (``overloaded``)
-and deadlines (``deadline_exceeded``) are measured honestly; ``--engine
-proc`` drives the multi-process shard-worker tier the same open-loop way;
+run on the virtual clock. ``--engine async`` (default) drives the asyncio
+front-end with an *open-loop* fixed arrival rate, so backpressure
+(``overloaded``) and deadlines (``deadline_exceeded``) are measured
+honestly; ``--engine proc`` drives the multi-process shard-worker tier the
+same open-loop way;
 ``--engine sync`` serves sequentially through the plain engine as a
 baseline; ``--connect HOST:PORT`` drives a *running* ``serve`` process over
 a real socket instead of building an engine in this process.
@@ -495,19 +495,6 @@ def _build_sync(arguments, remote, resilience):
     return build_asteria_engine(remote, resilience=resilience, **_stack_flags(arguments))
 
 
-def _build_thread(arguments, remote, resilience):
-    from repro.factory import build_concurrent_engine
-
-    return build_concurrent_engine(
-        remote,
-        shards=arguments.shards,
-        workers=arguments.workers,
-        io_pause_scale=arguments.io_scale,
-        resilience=resilience,
-        **_stack_flags(arguments),
-    )
-
-
 def _build_async(arguments, remote, resilience):
     from repro.factory import build_async_engine
 
@@ -554,10 +541,6 @@ def _build_proc(arguments, remote, resilience=None):
     )
 
 
-def _shard_inserts(inserts: list) -> str:
-    return f"  per-shard inserts={inserts} (total={sum(inserts)})"
-
-
 def _drive_serial(arguments, engine, queries):
     """sync: one caller on this thread; SIGINT/SIGTERM set a
     ``threading.Event`` the loop polls."""
@@ -568,19 +551,6 @@ def _drive_serial(arguments, engine, queries):
         return run_serial(engine, queries, time_step=0.01, stop=stop), []
     finally:
         restore()
-
-
-def _drive_threads(arguments, engine, queries):
-    """thread: ``--workers`` closed-loop callers on the engine's threads,
-    polling the same kind of stop event."""
-    stop, restore = _stop_on_signals()
-    try:
-        with engine:
-            report = engine.run_closed_loop(queries, time_step=0.01, stop=stop)
-    finally:
-        restore()
-    inserts = [stats.inserts for stats in engine.cache.stats_per_shard()]
-    return report, [_shard_inserts(inserts)]
 
 
 def _drive_loop(arguments, engine, queries):
@@ -615,7 +585,8 @@ def _drive_loop(arguments, engine, queries):
         )
         notes.append(f"  shard_breakers={[b.state for b in engine.shard_breakers]}")
     if pool is not None:
-        notes.append(_shard_inserts([c.last_stats[0] for c in pool.clients]))
+        inserts = [client.last_stats[0] for client in pool.clients]
+        notes.append(f"  per-shard inserts={inserts} (total={sum(inserts)})")
     return report, notes
 
 
@@ -655,7 +626,6 @@ def _drive_socket(arguments, engine, queries):
 #: it is driven, and which of its flags the banner line shows.
 _STRESS_TIERS = {
     "sync": (_build_sync, _drive_serial, ""),
-    "thread": (_build_thread, _drive_threads, "workers={workers} shards={shards} "),
     "async": (
         _build_async,
         _drive_loop,
@@ -671,12 +641,12 @@ _STRESS_TIERS = {
 
 
 def _command_stress(arguments) -> int:
-    """Wall-clock stress of one serving tier: sequential baseline, thread
-    pool (closed loop), asyncio or multi-process shard workers (open loop),
-    or a socket client against a running ``serve`` process."""
+    """Wall-clock stress of one serving tier: sequential baseline, asyncio
+    or multi-process shard workers (open loop), or a socket client against a
+    running ``serve`` process."""
     from repro.factory import build_remote
 
-    tier = "socket" if arguments.connect else arguments.engine.replace("threads", "thread")
+    tier = "socket" if arguments.connect else arguments.engine
     build, drive, shape = _STRESS_TIERS[tier]
     queries = _stress_queries(arguments)
     injector, resilience = _chaos_setup(arguments)
@@ -1077,10 +1047,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     stress_parser.add_argument(
         "--engine",
-        choices=("sync", "thread", "threads", "async", "proc"),
-        default="thread",
-        help="sync: sequential baseline; thread (default; 'threads' is an "
-        "alias): closed-loop worker pool; async: open-loop asyncio "
+        choices=("sync", "async", "proc"),
+        default="async",
+        help="sync: sequential baseline; async (default): open-loop asyncio "
         "front-end; proc: open-loop multi-process shard workers "
         "(--workers = process count)",
     )
@@ -1095,7 +1064,7 @@ def main(argv: list[str] | None = None) -> int:
         "--shards", type=int, default=4, help="cache shard count (default 4)"
     )
     stress_parser.add_argument(
-        "--workers", type=int, default=8, help="serving worker threads (default 8)"
+        "--workers", type=int, default=4, help="shard worker processes (--engine proc)"
     )
     stress_parser.add_argument(
         "--rate",

@@ -13,9 +13,9 @@
 records, and yields an **effect** whenever the world has to be touched. A
 driver performs the effect its own way and sends the result back (or throws
 the failure in); the generator returns the :class:`EngineResponse`. The
-drivers — ``AsteriaEngine.handle`` / ``.process``, ``ConcurrentEngine``,
-``AsyncAsteriaEngine`` and its ``ProcAsteriaEngine`` subclass — add only
-what is unique to their tier.
+drivers — ``AsteriaEngine.handle`` / ``.process``, ``AsyncAsteriaEngine``
+and its ``ProcAsteriaEngine`` subclass — add only what is unique to their
+tier.
 
 Simulated time is summed here from what effects report (``lookup.latency``,
 ``fetch.latency``, a failure's ``exc.latency``, backoff delays), so every

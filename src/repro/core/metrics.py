@@ -104,37 +104,6 @@ class LatencyStats:
         """A copy of the retained (reservoir) samples."""
         return list(self._samples)
 
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold another reservoir into this one.
-
-        ``count``/``total``/``max`` stay exact sums. The merged reservoir
-        draws from both sample pools proportionally to the populations they
-        represent, then clips to this instance's cap — still a uniform
-        sample of the combined stream.
-        """
-        if other._count == 0:
-            return
-        pool = self._samples + other._samples
-        if len(pool) > self.max_samples:
-            # Weight each retained sample by the population it stands for,
-            # approximated by proportional allocation between the two pools.
-            own_share = (
-                self._count / (self._count + other._count) if self._count else 0.0
-            )
-            take_own = min(len(self._samples), round(own_share * self.max_samples))
-            take_other = self.max_samples - take_own
-            if take_other > len(other._samples):
-                take_other = len(other._samples)
-                take_own = self.max_samples - take_other
-            pool = self._rng.sample(self._samples, take_own) + self._rng.sample(
-                other._samples, take_other
-            )
-        self._samples = pool
-        self._count += other._count
-        self._total += other._total
-        if other._max > self._max:
-            self._max = other._max
-
     def __getstate__(self) -> dict:
         """Explicit state so reservoirs cross process/pickle boundaries.
 
@@ -334,52 +303,6 @@ class EngineMetrics:
         fresh = EngineMetrics()
         for name, value in vars(fresh).items():
             setattr(self, name, value)
-
-    def merge(self, other: "EngineMetrics") -> None:
-        """Fold another instance's counters and reservoirs into this one.
-
-        Used by concurrent serving to combine per-worker accumulators, and by
-        fleet experiments to total per-node engines. Gauge-style counters
-        synced from cache stats (``evictions``, ``expirations``) take the
-        max rather than the sum, since per-worker views of one shared cache
-        would otherwise double-count.
-        """
-        for name in (
-            "requests",
-            "hits",
-            "misses",
-            "bypasses",
-            "served_correct",
-            "served_incorrect",
-            "prefetches_issued",
-            "prefetch_hits",
-            "coalesced_misses",
-            "recalibrations",
-            "overloaded",
-            "deadline_exceeded",
-            "hedged_fetches",
-            "hedge_wins",
-            "stale_hits",
-            "breaker_open_rejects",
-            "negative_cache_hits",
-            "background_refreshes",
-            "fetch_failures",
-            "failed_requests",
-            "worker_restarts",
-            "shard_down_fetches",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.evictions = max(self.evictions, other.evictions)
-        self.expirations = max(self.expirations, other.expirations)
-        for name in (
-            "total_latency",
-            "hit_latency",
-            "miss_latency",
-            "cache_check_latency",
-            "remote_latency",
-            "degraded_latency",
-        ):
-            getattr(self, name).merge(getattr(other, name))
 
     def __getstate__(self) -> dict:
         """Explicit state (counters by name + reservoirs) for pickling.

@@ -289,10 +289,10 @@ class StaleStore:
 class ResilienceManager:
     """One backend's fault-tolerance state, shared by every serving stack.
 
-    Thread-safe: the engines' worker threads and the asyncio loop both funnel
-    through the internal lock. The success path (breaker window append, stale
-    store write) draws no randomness and bumps no engine metrics, so a
-    manager attached to a fault-free run leaves its stats byte-identical.
+    Thread-safe: every caller funnels through the internal lock. The success
+    path (breaker window append, stale store write) draws no randomness and
+    bumps no engine metrics, so a manager attached to a fault-free run leaves
+    its stats byte-identical.
 
     Parameters
     ----------

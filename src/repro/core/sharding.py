@@ -1,4 +1,4 @@
-"""Sharded, thread-safe semantic cache for concurrent serving (§4.4).
+"""Sharded semantic cache for in-process concurrent serving (§4.4).
 
 :class:`ShardedAsteriaCache` partitions the cache into N independent
 :class:`~repro.core.cache.AsteriaCache` shards — each with its own Sine
@@ -12,17 +12,19 @@ for decision.
 
 Why this shape:
 
-* **Parallelism** — lookups on different shards proceed concurrently; the
-  numpy-heavy stage-1 work (embed + ANN matrix product) releases the GIL, so
-  real threads scale it across cores.
-* **No cross-shard locking** — whole-cache operations (expiry purge, stats,
-  invalidation) visit shards one at a time and never hold two shard locks at
-  once, so no lock-ordering deadlocks are possible.
+* **One routing with the proc tier** — the multi-process tier gives each
+  worker one shard under the same hash, so ``shards=N`` here decides as
+  ``workers=N`` there.
+* **Locks for the observer, not for serving** — the event loop serves from
+  one thread, but ``--series-out``'s snapshot recorder reads ``usage()``
+  from its own thread while the loop mutates the cache; the per-shard locks
+  keep such reads consistent. Whole-cache operations (expiry purge, stats,
+  invalidation) visit shards one at a time and never hold two shard locks
+  at once, so no lock-ordering deadlocks are possible.
 * **Hit-rate trade-off** — routing by canonical text guarantees exact
   repeats (the Zipf-dominant pattern) always co-shard, but a *paraphrase*
-  may hash to a different shard than its original and miss there. Shard
-  count therefore trades a little semantic hit rate for lookup parallelism;
-  the concurrency bench quantifies it.
+  may hash to a different shard than its original and miss there
+  (ROADMAP item 2(a) measures what that costs).
 
 Capacity, TTL purge, eviction, and stats stay per-shard; :attr:`stats`
 aggregates the per-shard counters into one
@@ -108,7 +110,7 @@ class _SineBroadcast:
 
 
 class ShardedAsteriaCache:
-    """N thread-safe :class:`AsteriaCache` shards behind one cache interface.
+    """N locked :class:`AsteriaCache` shards behind one cache interface.
 
     Parameters
     ----------
@@ -125,9 +127,6 @@ class ShardedAsteriaCache:
     target shard's re-entrant lock (whole-cache sweeps take one shard lock at
     a time).
     """
-
-    #: Marker consumed by ConcurrentEngine's safety check.
-    thread_safe = True
 
     def __init__(self, shards: Sequence[AsteriaCache]) -> None:
         shards = list(shards)

@@ -38,7 +38,6 @@ from repro.serving.aio import (
     AsyncAsteriaEngine,
     AsyncRemoteService,
 )
-from repro.serving.concurrent import ConcurrentEngine
 from repro.serving.proc.engine import ProcAsteriaEngine
 from repro.serving.proc.pool import WorkerPool
 from repro.serving.proc.worker import WorkerSpec
@@ -267,7 +266,7 @@ def build_sharded_cache(
     shards: int = 4,
     **stack,
 ) -> ShardedAsteriaCache:
-    """A thread-safe sharded semantic cache for concurrent serving.
+    """A sharded semantic cache for concurrent serving.
 
     Every shard is built from the same spec (see :meth:`StackSpec.shard`
     for what differs) and so the *same* seed: all shards share
@@ -289,38 +288,6 @@ def build_sharded_cache(
     return sharded
 
 
-def build_concurrent_engine(
-    remote: RemoteDataService,
-    config: AsteriaConfig | None = None,
-    *,
-    shards: int = 4,
-    workers: int = 4,
-    io_pause_scale: float = 0.0,
-    follower_timeout: float | None = None,
-    resilience: ResilienceManager | None = None,
-    name: str = "asteria-concurrent",
-    **stack,
-) -> ConcurrentEngine:
-    """The full concurrent serving stack: sharded cache + worker-pool engine.
-
-    ``shards`` partitions the cache (stable-hash routing on canonical query
-    text, one lock per shard); ``workers`` sizes the serving thread pool and
-    closed-loop load generator. ``io_pause_scale`` > 0 turns each simulated
-    remote fetch latency into a real wall-clock pause so worker pools
-    overlap remote I/O the way a deployed system would — see
-    :class:`~repro.serving.concurrent.ConcurrentEngine`.
-    """
-    spec = _serving_spec(config, stack, "concurrent")
-    cache = build_sharded_cache(spec, shards=shards)
-    engine = AsteriaEngine(cache, remote, spec.config, resilience=resilience, name=name)
-    return ConcurrentEngine(
-        engine,
-        workers=workers,
-        io_pause_scale=io_pause_scale,
-        follower_timeout=follower_timeout,
-    )
-
-
 def build_async_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
@@ -338,12 +305,12 @@ def build_async_engine(
     name: str = "asteria-async",
     **stack,
 ) -> AsyncAsteriaEngine:
-    """The full asyncio serving stack: sharded cache + event-loop engine.
+    """The in-process concurrent serving stack: sharded cache + event-loop
+    engine.
 
-    Single-threaded, so the cache needs no locks — the sharded shape is
-    kept anyway so async and thread-pool runs share one stack (and one
-    paraphrase-routing behaviour) and differ only in how they overlap
-    remote waits. ``io_pause_scale`` is the same knob as the thread pool's;
+    ``shards`` partitions the cache by the proc tier's routing, so
+    ``shards=N`` here decides as ``workers=N`` there. ``io_pause_scale`` > 0
+    turns each simulated remote fetch latency into a real awaited pause;
     ``max_inflight`` / ``default_deadline`` / ``hedge_percentile`` configure
     backpressure, deadlines, and hedging — see
     :class:`~repro.serving.aio.AsyncAsteriaEngine`.

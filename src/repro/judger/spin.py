@@ -5,7 +5,7 @@ CPU-heavy stage the multi-process tier exists to parallelize. To benchmark
 that honestly without a model, :class:`SpinningJudger` wraps any judger and
 burns a calibrated amount of *GIL-holding* CPU per judged candidate — a
 fixed-iteration pure-Python loop, so threads in one process serialize on it
-(the thread pool plateaus) while worker processes run it in parallel.
+while worker processes run it in parallel.
 
 The burn is iteration-count based, not wall-clock based: a wall-clock spin
 would exit after the target elapsed time regardless of how much CPU it was

@@ -1,10 +1,10 @@
 """Unified observability: span tracing, metrics registry, live snapshots.
 
 Three pieces, designed to be attached to any of the serving stacks
-(sequential :class:`~repro.core.engine.AsteriaEngine`, thread-pool
-:class:`~repro.serving.concurrent.ConcurrentEngine`, asyncio
-:class:`~repro.serving.aio.AsyncAsteriaEngine`) without changing their
-behaviour or — when left detached — their speed:
+(sequential :class:`~repro.core.engine.AsteriaEngine`, asyncio
+:class:`~repro.serving.aio.AsyncAsteriaEngine`, and the multi-process
+router built on it) without changing their behaviour or — when left
+detached — their speed:
 
 :class:`~repro.obs.trace.Tracer`
     Per-request span trees over the pipeline stages (``embed``,

@@ -28,36 +28,24 @@ from repro.core.metrics import EngineMetrics
 from repro.core.resilience import CircuitBreaker
 from repro.obs.registry import MetricsRegistry
 
-#: EngineMetrics fields mirrored into ``repro_events_total{event=...}``.
-EVENT_FIELDS = (
-    "served_correct",
-    "served_incorrect",
-    "prefetches_issued",
-    "prefetch_hits",
-    "coalesced_misses",
-    "evictions",
-    "expirations",
-    "recalibrations",
-    "hedged_fetches",
-    "hedge_wins",
-    "breaker_open_rejects",
-    "negative_cache_hits",
-    "background_refreshes",
-    "fetch_failures",
-    "worker_restarts",
-    "shard_down_fetches",
-)
+#: EngineMetrics field -> ``repro_lookups_total{status=...}`` label.
+_LOOKUP_LABEL = {"hits": "hit", "misses": "miss", "bypasses": "bypass"}
 
-#: EngineMetrics fields mirrored into ``repro_outcomes_total{outcome=...}``.
-OUTCOME_FIELDS = ("stale_hits", "failed_requests", "overloaded", "deadline_exceeded")
-
-#: Metrics-field name -> exposition outcome label.
+#: EngineMetrics field -> ``repro_outcomes_total{outcome=...}`` label.
 _OUTCOME_LABEL = {
     "stale_hits": "stale_hit",
     "failed_requests": "failed",
     "overloaded": "overloaded",
     "deadline_exceeded": "deadline_exceeded",
 }
+
+#: Every other EngineMetrics counter, mirrored into
+#: ``repro_events_total{event=...}`` (``requests`` is the lookups' sum).
+EVENT_FIELDS = tuple(
+    name
+    for name in EngineMetrics().counters()
+    if name != "requests" and name not in _LOOKUP_LABEL and name not in _OUTCOME_LABEL
+)
 
 #: Latency reservoirs mirrored into ``repro_request_latency_seconds{kind=...}``.
 LATENCY_KINDS = (
@@ -133,13 +121,10 @@ class EngineInstrument:
         registry. Counters are absolute totals (monotone by construction);
         histograms reload from the bounded reservoirs with exact counts."""
         label = self.engine_label
-        self._lookups.set_total(metrics.hits, engine=label, status="hit")
-        self._lookups.set_total(metrics.misses, engine=label, status="miss")
-        self._lookups.set_total(metrics.bypasses, engine=label, status="bypass")
-        for fname in OUTCOME_FIELDS:
-            self._outcomes.set_total(
-                getattr(metrics, fname), engine=label, outcome=_OUTCOME_LABEL[fname]
-            )
+        for fname, status in _LOOKUP_LABEL.items():
+            self._lookups.set_total(getattr(metrics, fname), engine=label, status=status)
+        for fname, outcome in _OUTCOME_LABEL.items():
+            self._outcomes.set_total(getattr(metrics, fname), engine=label, outcome=outcome)
         for fname in EVENT_FIELDS:
             self._events.set_total(getattr(metrics, fname), engine=label, event=fname)
         for kind, attr in LATENCY_KINDS:

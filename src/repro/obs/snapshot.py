@@ -10,7 +10,7 @@ Two driving styles:
 * **pull** — call :meth:`maybe_sample` from the serving loop; it samples only
   when ``interval`` has elapsed, so tight loops stay cheap;
 * **push** — :meth:`start` spins a daemon thread that samples on the interval
-  until :meth:`stop`, for wall-clock runs (thread-pool / asyncio stress).
+  until :meth:`stop`, for wall-clock runs (``stress --series-out``).
 
 ``to_dict()`` / ``save_json()`` produce the experiment-consumable dump:
 columnar series keyed by name, one shared timestamp vector.

@@ -7,8 +7,8 @@ span with real wall-clock bounds. Propagation uses a :mod:`contextvars`
 variable, which gives the right parent in every execution style at once:
 
 * sequential code nests spans lexically;
-* the thread pool works because each thread carries its own context (and the
-  request root resets the variable on exit, so pooled threads never leak a
+* threads work because each thread carries its own context (and the
+  request root resets the variable on exit, so a reused thread never leaks a
   parent into the next request);
 * asyncio works because tasks snapshot their context at creation — a
   single-flight leader task spawned inside request A keeps A's root as its
@@ -420,8 +420,8 @@ class Tracer:
         """Write a Chrome ``trace_event`` JSON file (Perfetto-compatible).
 
         Spans become complete (``"ph": "X"``) events with microsecond
-        timestamps; the originating thread becomes the ``tid`` lane, so the
-        thread pool's parallelism is visible as stacked lanes.
+        timestamps; the originating thread becomes the ``tid`` lane, so
+        concurrent threads are visible as stacked lanes.
         """
         spans = self.spans()
         # Compact tids: Perfetto renders one lane per (pid, tid).
@@ -543,7 +543,7 @@ class SamplingTracer(Tracer):
     The deterministic modulo schedule (first request sampled, then every
     Nth) keeps runs reproducible; the counter is an
     :class:`itertools.count`, atomic under the GIL, so the schedule holds
-    across the thread pool too. Engine metrics are computed outside the
+    across threads too. Engine metrics are computed outside the
     tracer and stay exact at any sampling rate.
 
     ``sampled`` / ``skipped`` are informational counters (updates are

@@ -20,24 +20,16 @@ discrete-event simulator:
     :class:`~repro.core.engine.JudgeExecutor` implementations wiring cache
     validation onto (co-located or dedicated) GPU partitions.
 
-Alongside the simulated substrate, the package hosts the *real-thread*
-serving layer (see ``concurrent`` and ``singleflight``):
-
-``ConcurrentEngine``
-    A thread-pool front-end over :class:`~repro.core.engine.AsteriaEngine`
-    with a closed-loop multi-worker load generator.
-``SingleFlight``
-    Thundering-herd suppression for concurrent misses — the real-thread
-    twin of the simulator's miss-coalescing study.
-
-The ``aio`` subpackage is the event-loop counterpart of the thread layer:
+Alongside the simulated substrate, the package hosts the in-process
+concurrent serving tier, the ``aio`` subpackage (one event loop; the
+multi-process router in ``proc`` inherits its engine):
 
 ``AsyncAsteriaEngine`` / ``AsyncRemoteService`` / ``AsyncSingleFlight``
     Await-based serving with bounded admission (``overloaded``),
     per-request deadlines (``deadline_exceeded``), hedged fetches, and
     single-flight misses that followers ``await`` instead of blocking on.
-``run_open_loop`` / ``run_closed_loop``
-    Fixed-arrival-rate and matched-concurrency async load generators.
+``run_open_loop``
+    The fixed-arrival-rate async load generator.
 
 ``load`` holds what every load driver shares: the one ``LoadReport``, the
 metrics window it is computed from, and open-loop arrival pacing.
@@ -48,23 +40,19 @@ from repro.serving.aio import (
     AsyncOutcome,
     AsyncRemoteService,
     AsyncSingleFlight,
-    run_closed_loop,
     run_open_loop,
 )
-from repro.serving.concurrent import ConcurrentEngine
 from repro.serving.load import LoadReport
 from repro.serving.executor import FixedLatencyExecutor, PartitionJudgeExecutor
 from repro.serving.gpu import GpuDevice, GpuPartition
 from repro.serving.memory import KVMemoryPool
 from repro.serving.scheduler import PriorityAwareScheduler
-from repro.serving.singleflight import SingleFlight
 
 __all__ = [
     "AsyncAsteriaEngine",
     "AsyncOutcome",
     "AsyncRemoteService",
     "AsyncSingleFlight",
-    "ConcurrentEngine",
     "FixedLatencyExecutor",
     "GpuDevice",
     "GpuPartition",
@@ -72,7 +60,5 @@ __all__ = [
     "LoadReport",
     "PartitionJudgeExecutor",
     "PriorityAwareScheduler",
-    "SingleFlight",
-    "run_closed_loop",
     "run_open_loop",
 ]

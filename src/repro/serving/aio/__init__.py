@@ -1,8 +1,9 @@
 """Asyncio serving subsystem: await-based remote I/O over the Asteria stack.
 
-The event-loop counterpart of the thread-pool layer in
-``repro.serving.concurrent``: remote waits are ``await``-points instead of
-blocked threads, so one OS thread sustains thousands of in-flight fetches.
+The one in-process concurrent serving tier (DESIGN §8 records why it is an
+event loop and not a thread pool): remote waits are ``await``-points, so
+one OS thread sustains thousands of in-flight fetches. The multi-process
+router (``repro.serving.proc``) inherits its engine.
 
 ``AsyncRemoteService``
     Awaitable wrapper over :class:`~repro.network.remote.RemoteDataService`;
@@ -16,10 +17,9 @@ blocked threads, so one OS thread sustains thousands of in-flight fetches.
     of hanging), optional hedged second fetches past a latency percentile,
     and fault-tolerant degradation (``stale_hit``/``failed`` outcomes via
     the engine's :class:`~repro.core.resilience.ResilienceManager`).
-``run_open_loop`` / ``run_closed_loop``
-    Load generators: fixed-arrival-rate open loop (the honest overload
-    measurement) and a matched-concurrency closed loop for comparisons with
-    the thread pool.
+``run_open_loop``
+    The load generator: a fixed-arrival-rate open loop (the honest overload
+    measurement).
 """
 
 from repro.serving.aio.engine import (
@@ -31,7 +31,7 @@ from repro.serving.aio.engine import (
     AsyncAsteriaEngine,
     AsyncOutcome,
 )
-from repro.serving.aio.load import run_closed_loop, run_open_loop
+from repro.serving.aio.load import run_open_loop
 from repro.serving.aio.remote import AsyncRemoteService
 from repro.serving.aio.singleflight import AsyncSingleFlight
 
@@ -45,6 +45,5 @@ __all__ = [
     "AsyncOutcome",
     "AsyncRemoteService",
     "AsyncSingleFlight",
-    "run_closed_loop",
     "run_open_loop",
 ]

@@ -1,11 +1,11 @@
 """Asyncio serving front-end over the Asteria engine.
 
-:class:`AsyncAsteriaEngine` is the event-loop twin of
-:class:`~repro.serving.concurrent.ConcurrentEngine`: it drives the same
+:class:`AsyncAsteriaEngine` is the in-process concurrent driver of the
+request flow (:mod:`repro.core.flow`): it drives the sync engine's
 lookup → judge → admit path over the same cache, but remote waits are
-``await``-points instead of blocked threads, so one OS thread sustains
-thousands of in-flight fetches. On top of the shared path it adds the three
-controls a production gateway needs:
+``await``-points, so one OS thread sustains thousands of in-flight fetches.
+On top of the shared path it adds the three controls a production gateway
+needs:
 
 **Backpressure** — at most ``max_inflight`` requests may be in the serving
 section at once; a request arriving beyond that depth is rejected
@@ -27,10 +27,10 @@ tail-latency trick from "The Tail at Scale"). Hedges are counted in
 ``metrics.hedged_fetches`` / ``metrics.hedge_wins``.
 
 Single-threaded by design: cache and metrics mutations happen between await
-points, so no locks are taken anywhere. The cache therefore does *not* need
-to be thread-safe — a plain :class:`~repro.core.cache.AsteriaCache` works —
-but the factory builds the same :class:`ShardedAsteriaCache` shape as the
-thread-pool stack so the two are directly comparable.
+points, so the engine takes no locks. A plain
+:class:`~repro.core.cache.AsteriaCache` works; the factory builds a
+:class:`ShardedAsteriaCache`, so ``shards=N`` in process routes and decides
+as the proc tier does with ``workers=N``.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class AsyncAsteriaEngine:
     engine:
         The wrapped engine. Prefetching and recalibration must be disabled —
         both mutate engine-global state on the request path and belong to
-        the sequential and simulated modes (same rule as the thread pool).
+        the sequential and simulated modes.
     remote:
         The awaitable remote service; built over ``engine.remote`` with
         ``io_pause_scale=0`` when omitted.

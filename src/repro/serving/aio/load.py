@@ -1,21 +1,12 @@
 """Load generation for the asyncio serving front-end.
 
-Two shapes, matching how serving systems are actually measured:
-
-``run_open_loop``
-    Arrivals on a fixed schedule (``rate`` requests per wall second),
-    independent of completions — the generator never slows down because the
-    server is struggling, so overload shows up as ``overloaded`` /
-    ``deadline_exceeded`` outcomes instead of silently stretched
-    inter-arrival gaps (the coordinated-omission trap of closed loops).
-``run_closed_loop``
-    ``concurrency`` virtual clients, each serving one request to completion
-    before claiming the next — the async twin of
-    :meth:`ConcurrentEngine.run_closed_loop`, kept for apples-to-apples
-    throughput comparisons at matched outstanding-request counts.
-
-Both run every request through :meth:`AsyncAsteriaEngine.serve` and report
-deltas, so warm engines can be measured across several runs.
+``run_open_loop`` puts arrivals on a fixed schedule (``rate`` requests per
+wall second), independent of completions — the generator never slows down
+because the server is struggling, so overload shows up as ``overloaded`` /
+``deadline_exceeded`` outcomes instead of silently stretched inter-arrival
+gaps (the coordinated-omission trap of closed loops). Every request runs
+through :meth:`AsyncAsteriaEngine.serve` and the report is a delta, so a
+warm engine can be measured across several runs.
 """
 
 from __future__ import annotations
@@ -24,12 +15,8 @@ import asyncio
 from typing import Sequence
 
 from repro.core.types import Query
-from repro.serving.aio.engine import AsyncAsteriaEngine, AsyncOutcome
+from repro.serving.aio.engine import AsyncAsteriaEngine
 from repro.serving.load import LoadReport, LoadWindow, arrivals
-
-
-def _walls(outcomes: Sequence[AsyncOutcome]) -> list[float]:
-    return [outcome.wall_latency for outcome in outcomes if outcome.ok]
 
 
 async def run_open_loop(
@@ -64,46 +51,5 @@ async def run_open_loop(
         )
     outcomes = await asyncio.gather(*tasks)
     await engine.drain()
-    return window.report("open", walls=_walls(outcomes), rate=rate)
-
-
-async def run_closed_loop(
-    engine: AsyncAsteriaEngine,
-    queries: Sequence[Query],
-    concurrency: int,
-    time_step: float = 0.0,
-    deadline: float | None = None,
-    start: float = 0.0,
-    stop: asyncio.Event | None = None,
-) -> LoadReport:
-    """Serve ``queries`` with ``concurrency`` closed-loop virtual clients.
-
-    Each client claims the next query from a shared cursor and serves it to
-    completion before claiming another, so at most ``concurrency`` requests
-    are outstanding — the direct counterpart of the thread pool's
-    ``run_closed_loop`` at ``workers=concurrency``.
-
-    ``stop`` (optional) is checked before each claim: once set, clients
-    finish their in-flight request and exit, and the report covers the
-    requests actually served.
-    """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    queries = list(queries)
-    outcomes: list[AsyncOutcome | None] = [None] * len(queries)
-    cursor = iter(range(len(queries)))
-
-    async def client() -> None:
-        for i in cursor:  # next(cursor) is atomic: no await between claims
-            if stop is not None and stop.is_set():
-                return
-            outcomes[i] = await engine.serve(
-                queries[i], start + i * time_step, deadline=deadline
-            )
-
-    window = LoadWindow(engine)
-    await asyncio.gather(*(client() for _ in range(concurrency)))
-    await engine.drain()
-    # Unfilled slots only exist when `stop` ended the run early.
-    served = [outcome for outcome in outcomes if outcome is not None]
-    return window.report("closed", walls=_walls(served), concurrency=concurrency)
+    walls = [outcome.wall_latency for outcome in outcomes if outcome.ok]
+    return window.report("open", walls=walls, rate=rate)

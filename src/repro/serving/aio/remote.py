@@ -5,8 +5,7 @@
 truth for latency draws, throttling plans, fees, and resolver output, and
 replaces the *wall-clock* side of a fetch with ``await asyncio.sleep`` —
 the event loop parks the coroutine while the request is "on the wire", so
-thousands of fetches overlap on one thread where the thread-pool engine
-pays a blocked thread each.
+thousands of fetches overlap on one thread without a blocked thread each.
 
 Because everything here runs on one event loop, no locks are needed around
 the service's sequential RNG and counters: ``fetch_at`` is synchronous and
@@ -29,11 +28,9 @@ class AsyncRemoteService:
     service:
         The wrapped analytic service (latency model, rate limiter, fees).
     io_pause_scale:
-        Real seconds slept per simulated remote-latency second — the same
-        knob as :class:`~repro.serving.concurrent.ConcurrentEngine`'s, so
-        async and thread-pool runs are directly comparable. 0 keeps fetches
-        purely analytic (the coroutine still yields once so concurrent
-        fetches interleave).
+        Real seconds slept per simulated remote-latency second (the proc
+        router's fetches use the same knob). 0 keeps fetches purely analytic
+        (the coroutine still yields once so concurrent fetches interleave).
 
     Not thread-safe: one instance belongs to one event loop.
     """

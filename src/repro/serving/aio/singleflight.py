@@ -1,12 +1,11 @@
 """Await-based single-flight suppression of duplicate in-flight work.
 
-The asyncio twin of :class:`repro.serving.singleflight.SingleFlight`: the
-first task to miss on a key becomes the *leader* and executes the fetch;
-tasks that miss on the same key while it is in flight become *followers* and
-``await`` the leader's outcome instead of blocking a thread.
-
-Two deliberate differences from the thread version, both driven by
-cancellation (which threads do not have):
+The serving tiers' form of the simulator's miss coalescing
+(``AsteriaConfig.coalesce_misses``): the first task to miss on a key
+becomes the *leader* and executes the fetch; tasks that miss on the same
+key while it is in flight become *followers* and ``await`` the leader's
+outcome. The pattern is Go's ``golang.org/x/sync/singleflight``, with two
+additions driven by cancellation:
 
 * The leader's coroutine runs as its **own task**, and every caller —
   leader included — awaits it through :func:`asyncio.shield`. A caller whose
@@ -16,8 +15,8 @@ cancellation (which threads do not have):
   caller can never poison the flight for the others.
 * ``run(..., timeout=...)`` gives followers a bounded wait: a follower that
   times out behind a stuck leader stops waiting and leads its own private
-  fetch (counted in :attr:`timeouts`), mirroring the thread version's
-  ``event.wait(timeout)`` fallback semantics.
+  fetch (counted in :attr:`timeouts`); later arrivals still join the
+  original flight.
 """
 
 from __future__ import annotations

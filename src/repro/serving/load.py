@@ -1,8 +1,7 @@
 """What every load driver shares: the report, the metrics window it is
 computed from, and open-loop arrival pacing.
 
-The loops themselves stay with their schedulers — threads
-(:meth:`ConcurrentEngine.run_closed_loop`), asyncio
+The loops themselves stay with their schedulers — asyncio
 (:mod:`repro.serving.aio.load`), a socket
 (:func:`repro.serving.proc.client.run_open_loop_socket`), and the serial
 baseline below — because how a loop overlaps requests *is* the scheduler.

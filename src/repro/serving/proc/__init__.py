@@ -1,7 +1,7 @@
 """Multi-process serving tier: shard workers behind a socket front door.
 
-The thread-pool and asyncio stacks share one Python process, so embed/ANN/
-judge CPU work serializes on the GIL no matter how many threads run. This
+The asyncio stack serves from one Python process, so embed/ANN/judge CPU
+work serializes on the GIL however many requests are in flight. This
 package escapes it: each worker *process* owns one :class:`AsteriaCache`
 shard (arena, ANN index, and judger intact) and speaks a length-prefixed
 binary protocol over localhost TCP; the router — a subclass of

@@ -16,7 +16,6 @@ from repro.serving.aio import (
     STATUS_OK,
     STATUS_OVERLOADED,
     AsyncAsteriaEngine,
-    run_closed_loop,
     run_open_loop,
 )
 
@@ -28,6 +27,19 @@ def zipf_queries(n: int = 300, population: int = 64, seed: int = 0) -> list[Quer
         Query(f"stress fact number {rank} of the universe", fact_id=f"F{rank}")
         for rank in ranks
     ]
+
+
+async def callers(engine, queries, count: int, time_step: float = 0.0) -> None:
+    """``count`` closed-loop callers: each serves the next query and waits
+    for its outcome before taking another (query *i* at ``i * time_step``)."""
+    cursor = iter(enumerate(queries))
+
+    async def caller() -> None:
+        for i, query in cursor:
+            await engine.serve(query, i * time_step)
+
+    await asyncio.gather(*(caller() for _ in range(count)))
+    await engine.drain()
 
 
 class TestGuards:
@@ -123,13 +135,10 @@ class TestBackpressure:
             for i in range(12)
         ]
 
-        async def scenario():
-            # Closed loop at the admission depth: never rejects.
-            return await run_closed_loop(engine, queries, concurrency=4)
-
-        report = asyncio.run(scenario())
-        assert report.overloaded == 0
-        assert report.completed == 12
+        # Closed loop at the admission depth: never rejects.
+        asyncio.run(callers(engine, queries, 4))
+        assert engine.metrics.overloaded == 0
+        assert engine.metrics.requests == 12
 
 
 class TestDeadlines:
@@ -233,20 +242,16 @@ class TestLoadGenerators:
         engine = build_async_engine(
             build_remote(), shards=4, io_pause_scale=0.002
         )
-        report = asyncio.run(run_closed_loop(engine, queries, 16, time_step=0.01))
+        asyncio.run(callers(engine, queries, 16, time_step=0.01))
         metrics = engine.metrics
-        assert report.mode == "closed"
-        assert report.concurrency == 16
-        assert report.requests == 300
-        assert report.completed == 300
-        assert metrics.requests == 300
+        assert metrics.offered == metrics.requests == 300
         assert metrics.hits + metrics.misses + metrics.bypasses == 300
         # Every non-coalesced miss is one leader flight = one remote call.
-        assert report.remote_calls == engine.singleflight.leaders
-        assert report.coalesced_misses == engine.singleflight.shared
-        assert report.misses == report.remote_calls + report.coalesced_misses
+        assert engine.remote.calls == engine.singleflight.leaders
+        assert metrics.coalesced_misses == engine.singleflight.shared
+        assert metrics.misses == engine.remote.calls + metrics.coalesced_misses
         # No lost updates: every admitted fetch is visible in some shard.
-        assert engine.cache.stats.inserts == report.remote_calls
+        assert engine.cache.stats.inserts == engine.remote.calls
         assert len(engine.cache) == sum(engine.cache.usage_per_shard())
 
     def test_open_loop_fixed_arrivals_conserve_outcomes(self):
@@ -291,5 +296,3 @@ class TestLoadGenerators:
         engine = build_async_engine(build_remote(), shards=1)
         with pytest.raises(ValueError):
             asyncio.run(run_open_loop(engine, [], rate=0.0))
-        with pytest.raises(ValueError):
-            asyncio.run(run_closed_loop(engine, [], concurrency=0))

@@ -13,7 +13,7 @@ from repro.serving.aio import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_STALE,
-    run_closed_loop,
+    run_open_loop,
 )
 
 
@@ -185,7 +185,7 @@ class TestOutcomeConservation:
             ),
         )
         report = asyncio.run(
-            run_closed_loop(engine, queries, concurrency=8, time_step=0.01)
+            run_open_loop(engine, queries, rate=5000.0, time_step=0.01)
         )
         accounted = (
             report.completed

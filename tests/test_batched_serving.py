@@ -1,15 +1,11 @@
 """End-to-end batched serving parity (tentpole acceptance).
 
-The shared embed+ANN stage-1 pass must be reachable from all three engines
-and decision-identical to the sequential ``handle_batch``:
-
-* asyncio: ``serve_batched`` accumulates a micro-batch window, flushes one
-  ``prepare_batch`` pass, and completes each request through the scalar
-  serve path;
-* threads: ``handle_batched`` runs one ``lookup_batch`` pass per cache
-  shard under that shard's lock;
-* both replay the sync engine's per-query decisions and counter totals on a
-  pinned-seed workload.
+The shared embed+ANN stage-1 pass must be reachable from the asyncio
+engine and decision-identical to the sequential ``handle_batch``:
+``serve_batched`` accumulates a micro-batch window, flushes one
+``prepare_batch`` pass, and completes each request through the scalar
+serve path, replaying the sync engine's per-query decisions and counter
+totals on a pinned-seed workload.
 
 Windows hold *distinct* queries (repeats recur across windows, zipf-style):
 a duplicate inside one window is the documented divergence point — the
@@ -27,7 +23,6 @@ from repro.core import AsteriaConfig, Query
 from repro.factory import (
     build_asteria_engine,
     build_async_engine,
-    build_concurrent_engine,
     build_remote,
 )
 from repro.serving.aio import STATUS_DEADLINE, STATUS_OK
@@ -150,40 +145,6 @@ def test_async_deadline_expires_inside_window_wait():
 
     outcome = asyncio.run(drive())
     assert outcome.status == STATUS_DEADLINE
-
-
-def test_thread_batched_matches_sync_handle_batch():
-    windows = windowed_workload()
-    sync_engine, sync_decisions = run_sync_batches(windows)
-
-    engine = build_concurrent_engine(
-        build_remote(seed=SEED), seed=SEED, shards=4, workers=1
-    )
-    decisions = []
-    with engine:
-        for i, window in enumerate(windows):
-            for response in engine.handle_batched(window, now=i * TIME_STEP):
-                decisions.append((response.lookup.status, response.result))
-    assert decisions == sync_decisions
-    assert int_counters(engine) == int_counters(sync_engine)
-
-
-def test_thread_batched_multiworker_smoke():
-    windows = windowed_workload()
-    engine = build_concurrent_engine(
-        build_remote(seed=SEED), seed=SEED, shards=4, workers=4
-    )
-    total = 0
-    with engine:
-        for i, window in enumerate(windows):
-            responses = engine.handle_batched(window, now=i * TIME_STEP)
-            total += len(responses)
-            assert all(
-                response.lookup.status in ("hit", "miss") for response in responses
-            )
-    assert total == N_WINDOWS * WINDOW
-    assert engine.metrics.requests == total
-    assert engine.metrics.hits + engine.metrics.misses == total
 
 
 def test_async_batched_mixed_with_bypass_tools():

@@ -1,8 +1,8 @@
 """The ``stress`` and ``slo`` CLI bodies, entered through ``main``.
 
 Every token the CI ``cli-smoke`` job greps for is asserted here on a small
-run of each tier — sync, thread, asyncio, proc (two real worker processes)
-and ``--connect`` against a ``ProcServer`` started inside the test — so a
+run of each tier — sync, asyncio, proc (two real worker processes) and
+``--connect`` against a ``ProcServer`` started inside the test — so a
 change to the one stress body is caught by tier-1, not only by CI.
 """
 
@@ -29,14 +29,14 @@ def field(output, name):
     return float(re.search(rf"{name}=([0-9.]+)", output).group(1))
 
 
-@pytest.mark.parametrize("engine", ["sync", "thread", "async", "proc"])
+@pytest.mark.parametrize("engine", ["sync", "async", "proc"])
 def test_every_tier_reports_through_the_one_body(capsys, engine):
     code, output = stress(capsys, "--engine", engine)
     assert code == 0
     assert output.startswith(f"engine={engine} ")
     assert "requests=120" in output
     # (An open loop may launch everything before the first miss lands, so
-    # only the closed loops are sure to see a hit.)
+    # only the closed loop is sure to see a hit.)
     assert 0.0 <= field(output, "hit_rate") < 1.0
     assert field(output, "hits") + field(output, "misses") == 120
     assert field(output, "throughput") > 0
@@ -45,12 +45,20 @@ def test_every_tier_reports_through_the_one_body(capsys, engine):
     assert ("overloaded=0" in output) == (engine in ("async", "proc"))
 
 
-def test_threads_is_an_alias_for_thread(capsys):
-    code, output = stress(capsys, "--engine", "threads")
-    assert code == 0 and output.startswith("engine=thread workers=2 shards=4 ")
+def test_the_default_tier_is_async_and_thread_is_gone(capsys):
+    code, output = main(["stress", "--queries", "40", "--rate", "2000", "--seed", "0"]), (
+        capsys.readouterr().out
+    )
+    assert code == 0 and output.startswith("engine=async rate=2000/s shards=4 ")
+    for gone in ("thread", "threads"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["stress", "--engine", gone])
+        assert exit_.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error and repr(gone) in error
 
 
-@pytest.mark.parametrize("engine", ["sync", "thread", "async"])
+@pytest.mark.parametrize("engine", ["sync", "async"])
 def test_chaos_prints_served_fraction(capsys, engine):
     code, output = stress(
         capsys, "--engine", engine, "--chaos", "--blackout", "0.3:0.6",
@@ -72,7 +80,7 @@ def test_chaos_workers_kills_and_respawns_a_worker(capsys):
     assert field(output, "served_fraction") >= 0.9
 
 
-@pytest.mark.parametrize("engine", ["sync", "thread"])
+@pytest.mark.parametrize("engine", ["sync", "async"])
 def test_persist_starts_cold_then_warm(capsys, tmp_path, engine):
     home = str(tmp_path / "home")
     code, cold = stress(capsys, "--engine", engine, "--persist", home)
@@ -84,7 +92,7 @@ def test_persist_starts_cold_then_warm(capsys, tmp_path, engine):
 
 def test_persist_refuses_another_worker_count_on_the_proc_tier(capsys, tmp_path):
     home = str(tmp_path / "home")
-    code, _ = stress(capsys, "--engine", "thread", "--shards", "3", "--persist", home)
+    code, _ = stress(capsys, "--engine", "async", "--shards", "3", "--persist", home)
     assert code == 0
     with pytest.raises(ValueError, match="holds 3 shard stores"):
         main(["stress", "--engine", "proc", "--persist", home, *SMALL])
@@ -182,4 +190,4 @@ class TestSloExitCodes:
         assert main(["slo", "--series", str(empty)]) == 2
         # Recorded under another engine label: no series to evaluate.
         assert main(["slo", "--series", self.series(tmp_path, 0.2),
-                     "--engine", "thread"]) == 2
+                     "--engine", "sync"]) == 2

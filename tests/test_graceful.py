@@ -12,12 +12,9 @@ import threading
 import time
 
 from repro.core import Query
-from repro.factory import (
-    build_async_engine,
-    build_concurrent_engine,
-    build_remote,
-)
-from repro.serving.aio import run_closed_loop, run_open_loop
+from repro.factory import build_asteria_engine, build_async_engine, build_remote
+from repro.serving.aio import run_open_loop
+from repro.serving.load import run_serial
 
 
 def _queries(n):
@@ -27,10 +24,8 @@ def _queries(n):
     ]
 
 
-def test_thread_closed_loop_stops_early_and_reports_partial_run():
-    engine = build_concurrent_engine(
-        build_remote(seed=0), seed=0, shards=2, workers=2, io_pause_scale=0.01
-    )
+def test_serial_loop_stops_early_and_reports_partial_run():
+    engine = build_asteria_engine(build_remote(seed=0), seed=0)
     stop = threading.Event()
     finished = threading.Event()
     n = 4000
@@ -39,7 +34,7 @@ def test_thread_closed_loop_stops_early_and_reports_partial_run():
     def tripwire():
         # Fires from another thread mid-run, like a signal handler would — on
         # progress, not on a clock, which a fast host outruns and a loaded one
-        # does not reach (the run is ~100x longer than the 1 ms poll).
+        # does not reach.
         while engine.metrics.requests < 10 and not finished.is_set():
             time.sleep(0.001)
         stop.set()
@@ -47,8 +42,7 @@ def test_thread_closed_loop_stops_early_and_reports_partial_run():
     watcher = threading.Thread(target=tripwire, daemon=True)
     watcher.start()
     try:
-        with engine:
-            report = engine.run_closed_loop(queries, time_step=0.01, stop=stop)
+        report = run_serial(engine, queries, time_step=0.01, stop=stop)
     finally:
         finished.set()
         watcher.join()
@@ -59,10 +53,9 @@ def test_thread_closed_loop_stops_early_and_reports_partial_run():
     assert engine.metrics.requests == report.requests
 
 
-def test_thread_closed_loop_without_stop_is_unchanged():
-    engine = build_concurrent_engine(build_remote(seed=0), seed=0, shards=2, workers=2)
-    with engine:
-        report = engine.run_closed_loop(_queries(50), time_step=0.01)
+def test_serial_loop_without_stop_is_unchanged():
+    engine = build_asteria_engine(build_remote(seed=0), seed=0)
+    report = run_serial(engine, _queries(50), time_step=0.01, stop=threading.Event())
     assert report.requests == 50
 
 
@@ -81,23 +74,6 @@ def test_async_open_loop_stops_early_but_gathers_in_flight():
     report = asyncio.run(drive())
     assert 0 < report.requests < n
     assert report.completed == report.requests  # nothing launched was dropped
-    assert engine.metrics.requests == report.requests
-
-
-def test_async_closed_loop_stops_early():
-    engine = build_async_engine(build_remote(seed=0), seed=0, io_pause_scale=0.05)
-    n = 4000
-
-    async def drive():
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        loop.call_later(0.05, stop.set)
-        return await run_closed_loop(
-            engine, _queries(n), concurrency=4, time_step=0.01, stop=stop
-        )
-
-    report = asyncio.run(drive())
-    assert 0 < report.requests < n
     assert engine.metrics.requests == report.requests
 
 

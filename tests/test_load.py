@@ -1,5 +1,5 @@
 """`repro.serving.load`: one report, one metrics window, one arrival pacer —
-shared by the serial, thread, asyncio and socket drivers."""
+shared by the serial, asyncio and socket drivers."""
 
 import asyncio
 import time
@@ -7,12 +7,7 @@ import time
 import pytest
 
 from repro.core import EngineMetrics, Query
-from repro.factory import (
-    build_asteria_engine,
-    build_async_engine,
-    build_concurrent_engine,
-    build_remote,
-)
+from repro.factory import build_asteria_engine, build_async_engine, build_remote
 from repro.serving.aio import run_open_loop
 from repro.serving.load import LoadReport, arrivals, load_report, run_serial
 from repro.serving.proc.client import ProcClientError, run_open_loop_socket
@@ -47,24 +42,33 @@ class TestLoadReport:
         """The socket driver used to say 0.0 here where the others said 1.0."""
         assert load_report(EngineMetrics(), "open", 0.0).served_fraction == 1.0
         sync = run_serial(build_asteria_engine(build_remote(), seed=0), [])
-        thread = build_concurrent_engine(build_remote(), seed=0).run_closed_loop([])
         aio = asyncio.run(
             run_open_loop(build_async_engine(build_remote(), seed=0), [], rate=100.0)
         )
         socket = asyncio.run(run_open_loop_socket(None, [], rate=100.0))
-        for report in (sync, thread, aio, socket):
+        for report in (sync, aio, socket):
             assert isinstance(report, LoadReport)
             assert report.requests == 0 and report.served_fraction == 1.0
             assert report.p99_wall is None  # nothing was timed
 
     def test_drivers_agree_on_one_workload(self):
-        """Same trace through two schedulers: same shape, same accounting."""
-        sync = run_serial(build_asteria_engine(build_remote(seed=1), seed=1), queries(60))
-        with build_concurrent_engine(build_remote(seed=1), seed=1, shards=1, workers=1) as eng:
-            thread = eng.run_closed_loop(queries(60))
-        assert (sync.mode, sync.concurrency) == (thread.mode, thread.concurrency) == ("closed", 1)
+        """Same warm trace through two schedulers — the serial loop and the
+        open loop, every request in flight at once — same accounting."""
+        sync_engine = build_asteria_engine(build_remote(seed=1), seed=1)
+        aio_engine = build_async_engine(build_remote(seed=1), seed=1, shards=1)
+
+        async def warm_then_load():
+            for i, query in enumerate(queries(10)):  # the same warm-up, one at a time
+                await aio_engine.serve(query, i * 0.01)
+            return await run_open_loop(aio_engine, queries(60), rate=1e6, start=1.0)
+
+        run_serial(sync_engine, queries(10), time_step=0.01)
+        sync = run_serial(sync_engine, queries(60), start=1.0)
+        aio = asyncio.run(warm_then_load())
+        assert (sync.mode, sync.concurrency) == ("closed", 1)
+        assert (aio.mode, aio.rate) == ("open", 1e6)
         for name in ("requests", "completed", "hits", "misses", "remote_calls", "hit_rate"):
-            assert getattr(sync, name) == getattr(thread, name), name
+            assert getattr(sync, name) == getattr(aio, name), name
         assert sync.requests == sync.hits + sync.misses == 60
 
     def test_a_warm_engine_reports_only_the_window(self):

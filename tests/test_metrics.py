@@ -199,7 +199,7 @@ class TestOutcomeConservation:
         from repro.core import Query
         from repro.factory import build_async_engine, build_remote
         from repro.obs import Tracer
-        from repro.serving.aio import run_closed_loop
+        from repro.serving.aio import run_open_loop
 
         engine = build_async_engine(
             build_remote(seed=0),
@@ -214,7 +214,7 @@ class TestOutcomeConservation:
         queries = [Query(f"unique topic {i} zz", fact_id=f"U{i}") for i in range(24)]
 
         async def drive():
-            report = await run_closed_loop(engine, queries, concurrency=8)
+            report = await run_open_loop(engine, queries, rate=10_000.0)
             # A second wave under an impossible deadline: misses must pause
             # ~0.6-1 ms of wall time, so a 10 us budget always expires.
             for i in range(4):

@@ -1,8 +1,8 @@
-"""Metrics parity across the four serving stacks (satellite).
+"""Metrics parity across the three serving stacks (satellite).
 
 The same pinned-seed workload replayed through the sequential engine, the
-thread-pool engine (one worker), the asyncio engine (sequential awaits),
-and the multi-process engine (four shard workers, sequential awaits) must
+asyncio engine (sequential awaits), and the multi-process engine (four
+shard workers, sequential awaits) must
 expose identical counter totals — hits, misses, stale_hits, fetch_failures —
 through the shared :class:`MetricsRegistry`. A blackout window in the middle
 of the run forces the degraded paths (stale serving, fetch failure) so the
@@ -21,7 +21,6 @@ from repro.core.resilience import CircuitBreaker, ResilienceManager
 from repro.factory import (
     build_asteria_engine,
     build_async_engine,
-    build_concurrent_engine,
     build_proc_engine,
     build_remote,
 )
@@ -92,16 +91,6 @@ def run_sync(queries, blackout=BLACKOUT):
     return engine
 
 
-def run_thread(queries, blackout=BLACKOUT):
-    engine = build_concurrent_engine(
-        _remote(blackout), seed=SEED, shards=4, workers=1, resilience=_resilience()
-    )
-    with engine:
-        for i, query in enumerate(queries):
-            engine.handle(query, now=i * TIME_STEP)
-    return engine
-
-
 def run_async(queries, blackout=BLACKOUT):
     engine = build_async_engine(
         _remote(blackout), seed=SEED, shards=4, resilience=_resilience()
@@ -141,7 +130,6 @@ def test_pinned_workload_exposes_identical_counters_across_engines():
     registry = MetricsRegistry()
     engines = {
         "sync": run_sync(queries),
-        "thread": run_thread(queries),
         "async": run_async(queries),
         "proc": run_proc(queries),
     }
@@ -184,7 +172,6 @@ def test_retry_overhead_is_charged_identically_across_engines():
     queries = workload()
     engines = {
         "sync": run_sync(queries, SHORT_BLACKOUT),
-        "thread": run_thread(queries, SHORT_BLACKOUT),
         "async": run_async(queries, SHORT_BLACKOUT),
         "proc": run_proc(queries, SHORT_BLACKOUT),
     }

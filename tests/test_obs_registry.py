@@ -1,8 +1,10 @@
 """Tests for :mod:`repro.obs.registry` (counters, gauges, histograms,
-Prometheus exposition) and the breaker wiring in :mod:`repro.obs.bridge`."""
+Prometheus exposition) and the counter mirror and breaker wiring in
+:mod:`repro.obs.bridge`."""
 
 import pytest
 
+from repro.core.metrics import EngineMetrics
 from repro.core.resilience import CircuitBreaker
 from repro.obs import EngineInstrument, MetricsRegistry
 from repro.obs.registry import (
@@ -176,6 +178,25 @@ class TestRegistry:
         gauge = registry.gauge("g")
         assert registry.get("g") is gauge
         assert registry.get("missing") is None
+
+
+def test_every_engine_counter_lands_in_exactly_one_counter_family():
+    """``requests`` is the sum of the lookup statuses; every other counter
+    of :class:`EngineMetrics` is exposed once, so a new field cannot go
+    missing from ``--metrics-out`` or be exported twice."""
+    families = ("repro_lookups_total", "repro_outcomes_total", "repro_events_total")
+    exposed = {}
+    for name in EngineMetrics().counters():
+        registry = MetricsRegistry()
+        EngineInstrument(registry, "e").sync(EngineMetrics(**{name: 7}))
+        exposed[name] = [
+            series
+            for family in families
+            for series, value in registry.get(family).values().items()
+            if value == 7
+        ]
+    assert exposed.pop("requests") == []
+    assert {name: len(series) for name, series in exposed.items() if len(series) != 1} == {}
 
 
 class TestBreakerWiring:

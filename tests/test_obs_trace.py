@@ -8,15 +8,10 @@ import threading
 import pytest
 
 from repro.core import Query
-from repro.factory import (
-    build_asteria_engine,
-    build_async_engine,
-    build_concurrent_engine,
-    build_remote,
-)
+from repro.factory import build_asteria_engine, build_async_engine, build_remote
 from repro.obs import SamplingTracer, Tracer
 from repro.obs.trace import STAGES, Span, _SKIP_SPAN
-from repro.serving.aio import run_closed_loop
+from repro.serving.aio import run_open_loop
 
 
 def make_clock(step: float = 1.0):
@@ -371,27 +366,12 @@ class TestSamplingTracer:
         assert engine.metrics.hits == baseline.metrics.hits
         assert engine.metrics.misses == baseline.metrics.misses
 
-    def test_thread_pool_schedule_holds_across_workers(self):
-        engine = build_concurrent_engine(
-            build_remote(seed=0), seed=0, shards=2, workers=4
-        )
-        tracer = SamplingTracer(sample_every=8)
-        engine.set_tracer(tracer)
-        queries = _queries(32)
-        with engine:
-            engine.handle_concurrent(queries, now=0.0)
-        spans = tracer.spans()
-        roots = [s for s in spans if s.name == "request"]
-        assert len(roots) == len(queries) // 8
-        _check_forest(spans, expected_roots=len(roots))
-        assert tracer.live == 0
-
     def test_async_engine_samples_one_in_n(self):
         engine = build_async_engine(build_remote(seed=0), seed=0, shards=2)
         tracer = SamplingTracer(sample_every=5)
         engine.set_tracer(tracer)
         queries = _queries(20)
-        asyncio.run(run_closed_loop(engine, queries, concurrency=4))
+        asyncio.run(run_open_loop(engine, queries, rate=10_000.0))
         roots = [s for s in tracer.spans() if s.name == "request"]
         assert len(roots) == len(queries) // 5
         assert tracer.live == 0
@@ -448,27 +428,6 @@ class TestEngineIntegration:
         assert roots  # batch roots present
         _check_forest(spans, expected_roots=len(roots))
 
-    def test_thread_pool_spans_form_valid_forest(self):
-        engine = build_concurrent_engine(
-            build_remote(seed=0), seed=0, shards=2, workers=4
-        )
-        tracer = Tracer()
-        engine.set_tracer(tracer)
-        queries = _queries(32)
-        with engine:
-            engine.handle_concurrent(queries, now=0.0)
-        spans = tracer.spans()
-        roots = [s for s in spans if s.parent_id is None]
-        # One root per request (stale refreshes would add more; clean remote
-        # here, so exactly the request roots).
-        assert len(roots) == len(queries)
-        _check_forest(spans, expected_roots=len(roots))
-        # Children stay on their root's thread lane.
-        by_id = {s.span_id: s for s in spans}
-        for span in spans:
-            if span.parent_id is not None:
-                assert span.thread_id == by_id[span.parent_id].thread_id
-
     def test_async_engine_spans_survive_awaits_and_coalescing(self):
         engine = build_async_engine(build_remote(seed=0), seed=0, shards=2)
         tracer = Tracer()
@@ -476,7 +435,12 @@ class TestEngineIntegration:
         # Identical queries in flight together force single-flight
         # leader/follower handoff.
         queries = [Query("stress fact number 0", fact_id="F0") for _ in range(8)]
-        asyncio.run(run_closed_loop(engine, queries, concurrency=8))
+
+        async def together():
+            await asyncio.gather(*(engine.serve(query) for query in queries))
+            await engine.drain()
+
+        asyncio.run(together())
         spans = tracer.spans()
         _check_forest(spans, [s.parent_id for s in spans].count(None))
         assert len([s for s in spans if s.name == "request"]) == len(queries)

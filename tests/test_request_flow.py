@@ -1,17 +1,17 @@
-"""One request flow, five drivers: conformance + the bare generator.
+"""One request flow, four drivers: conformance + the bare generator.
 
 ``repro.core.flow.request_flow`` is the only place the lifecycle
 (cacheable? → lookup → hit | gate → flight → admit | degrade → record) is
-written; ``AsteriaEngine.handle`` / ``.process``, ``ConcurrentEngine``,
-``AsyncAsteriaEngine`` and ``ProcAsteriaEngine`` only interpret its effects.
-The scenario table below runs every branch through every driver at one
-shard / one worker (so all five see the same candidates) and pins:
+written; ``AsteriaEngine.handle`` / ``.process``, ``AsyncAsteriaEngine`` and
+``ProcAsteriaEngine`` only interpret its effects. The scenario table below
+runs every branch through every driver at one shard / one worker (so all
+four see the same candidates) and pins:
 
 * the same outcome sequence everywhere;
 * the same integer counters of ``metrics.summary()`` everywhere;
-* the same simulated latencies on the analytic, thread, asyncio and proc
-  drivers (the DES driver measures latency on the simulator clock, which
-  agrees only to rounding).
+* the same simulated latencies on the analytic, asyncio and proc drivers
+  (the DES driver measures latency on the simulator clock, which agrees
+  only to rounding).
 
 The last section drives the bare generator with scripted effect results —
 no engine, cache, remote or clock at all.
@@ -40,7 +40,6 @@ from repro.core.types import CacheLookup, FetchResult
 from repro.factory import (
     build_asteria_engine,
     build_async_engine,
-    build_concurrent_engine,
     build_proc_engine,
     build_remote,
 )
@@ -219,23 +218,6 @@ def drive_des(scenario: Scenario):
     return engine, responses
 
 
-def drive_thread(scenario: Scenario):
-    remote, config, resilience = _parts(scenario)
-    engine = build_concurrent_engine(
-        remote,
-        config,
-        seed=SEED,
-        shards=1,
-        workers=2 if scenario.concurrent else 1,
-        resilience=resilience,
-    )
-    responses = []
-    for now, queries in map(_group, scenario.steps):
-        responses += engine.handle_concurrent(queries, now)
-        engine.close()  # joins the pool: spawned refreshes have landed
-    return engine, responses
-
-
 def _drive_loop(engine, scenario: Scenario, context):
     async def drive():
         outcomes = []
@@ -298,7 +280,6 @@ def test_every_driver_resolves_the_scenario_identically(scenario):
 
     runs = {
         "des": drive_des(scenario),
-        "thread": drive_thread(scenario),
         "async": drive_async(scenario),
         "proc": drive_proc(scenario),
     }
@@ -334,12 +315,12 @@ def test_blackout_scenarios_spend_one_retry_budget_per_flight():
     driver, including the DES one (which waits its backoff on the
     simulator clock)."""
     scenario = next(s for s in SCENARIOS if s.name == "bypass failure")
-    for drive in (drive_analytic, drive_des, drive_thread, drive_async):
+    for drive in (drive_analytic, drive_des, drive_async):
         engine, _ = drive(scenario)
         sync = getattr(engine, "engine", engine)
         assert sync.remote.fault_injector.total_faults == 2, drive.__name__
     scenario = next(s for s in SCENARIOS if s.name.startswith("coalesced"))
-    for drive in (drive_analytic, drive_des, drive_thread, drive_async):
+    for drive in (drive_analytic, drive_des, drive_async):
         engine, _ = drive(scenario)
         sync = getattr(engine, "engine", engine)
         assert sync.remote.fault_injector.total_faults == 3, drive.__name__

@@ -1,5 +1,7 @@
 """Tests for the fault-tolerance layer: breaker, stores, retries, engine."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,7 @@ from repro.core.resilience import (
     ResilienceManager,
     StaleStore,
 )
-from repro.factory import (
-    build_asteria_engine,
-    build_concurrent_engine,
-    build_remote,
-)
+from repro.factory import build_asteria_engine, build_async_engine, build_remote
 from repro.network import (
     FaultInjector,
     RateLimitExceeded,
@@ -25,6 +23,7 @@ from repro.network import (
     TokenBucket,
 )
 from repro.network.remote import FetchResult
+from repro.serving.aio import run_open_loop
 
 
 class TestCircuitBreaker:
@@ -257,14 +256,13 @@ class TestRateLimitRegression:
         assert engine.metrics.failed_requests == 1
         assert engine.metrics.fetch_failures == 1
 
-    def test_worker_pool_degrades_instead_of_raising(self):
-        engine = build_concurrent_engine(self.limited_remote(), workers=2)
+    def test_concurrent_tier_degrades_instead_of_raising(self):
+        engine = build_async_engine(self.limited_remote())
         queries = [
             Query(f"unrelated subject number {i} entirely", fact_id=f"G{i}")
             for i in range(6)
         ]
-        with engine:
-            report = engine.run_closed_loop(queries, time_step=0.01)
+        report = asyncio.run(run_open_loop(engine, queries, rate=10_000.0, time_step=0.01))
         assert report.requests == 6
         assert report.failed >= 1
         assert report.served_fraction < 1.0

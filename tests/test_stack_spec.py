@@ -18,7 +18,6 @@ from repro.factory import (
     StackSpec,
     build_asteria_engine,
     build_async_engine,
-    build_concurrent_engine,
     build_proc_engine,
     build_remote,
     build_semantic_cache,
@@ -83,11 +82,10 @@ class TestUnknownKeywordIsNamed:
             lambda **kw: build_semantic_cache(**kw),
             lambda **kw: build_sharded_cache(shards=2, **kw),
             lambda **kw: build_asteria_engine(build_remote(), **kw),
-            lambda **kw: build_concurrent_engine(build_remote(), **kw),
             lambda **kw: build_async_engine(build_remote(), **kw),
             lambda **kw: build_proc_engine(build_remote(), launch=False, **kw),
         ],
-        ids=["cache", "sharded", "sync", "thread", "async", "proc"],
+        ids=["cache", "sharded", "sync", "async", "proc"],
     )
     def test_every_builder_rejects_it(self, build):
         with pytest.raises(TypeError, match="persist_dri"):

@@ -19,7 +19,6 @@ from repro.factory import (
     StackSpec,
     build_asteria_engine,
     build_async_engine,
-    build_concurrent_engine,
     build_remote,
 )
 from repro.judger import SimulatedJudger
@@ -148,19 +147,12 @@ class TestProtocolConformance:
 
 
 class TestEngineConstruction:
-    """All four engines build their caches through a CacheBackend."""
+    """Every engine builds its caches through a CacheBackend (the async
+    engine's are the shards of ``build_sharded_cache``)."""
 
     def test_sync_engine(self):
         engine = build_asteria_engine(build_remote(seed=SEED), seed=SEED)
         assert isinstance(engine.cache.backend, CacheBackend)
-
-    def test_thread_engine(self):
-        engine = build_concurrent_engine(
-            build_remote(seed=SEED), seed=SEED, shards=2, workers=2
-        )
-        with engine:
-            for shard in engine.cache.shards:
-                assert isinstance(shard.backend, CacheBackend)
 
     def test_async_engine(self):
         engine = build_async_engine(build_remote(seed=SEED), seed=SEED, shards=2)

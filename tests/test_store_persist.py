@@ -1,16 +1,20 @@
 """Tests for `repro.store.persist` (snapshot+journal durability)."""
 
+import asyncio
+
 import pytest
 
 from repro.core import Query
 from repro.core.config import AsteriaConfig
 from repro.factory import (
     build_asteria_engine,
-    build_concurrent_engine,
+    build_async_engine,
     build_proc_engine,
     build_remote,
     build_semantic_cache,
+    build_sharded_cache,
 )
+from repro.serving.aio import run_open_loop
 from repro.store.persist import shard_directory
 
 SEED = 5
@@ -124,44 +128,35 @@ class TestPersistentStore:
 
 
 class TestShardedPersistence:
-    def test_thread_engine_warm_restart(self, tmp_path):
-        engine = build_concurrent_engine(
+    def test_async_engine_warm_restart(self, tmp_path):
+        engine = build_async_engine(
             build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            shards=2, workers=2, persist_dir=tmp_path,
+            shards=2, persist_dir=tmp_path,
         )
-        with engine:
-            report = engine.run_closed_loop(trace(), time_step=0.01)
+        report = asyncio.run(run_open_loop(engine, trace(), rate=10_000.0, time_step=0.01))
         assert report.requests == 120
         per_shard = [len(shard) for shard in engine.cache.shards]
         engine.cache.persistent_store.close(checkpoint=True)
         assert (tmp_path / "shard_00" / "snapshot.json").exists()
         assert (tmp_path / "shard_01" / "snapshot.json").exists()
-        warm = build_concurrent_engine(
+        warm = build_async_engine(
             build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            shards=2, workers=2, persist_dir=tmp_path,
+            shards=2, persist_dir=tmp_path,
         )
         reports = warm.cache.restore_reports
         assert [r.restored_items for r in reports] == per_shard
         assert not any(r.cold for r in reports)
+        warm.cache.persistent_store.close()
 
     def test_shard_count_mismatch_rejected(self, tmp_path):
-        engine = build_concurrent_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            shards=2, workers=2, persist_dir=tmp_path,
-        )
-        engine.cache.persistent_store.close(checkpoint=True)
+        cache = build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
+        cache.persistent_store.close(checkpoint=True)
         with pytest.raises(ValueError):
-            build_concurrent_engine(
-                build_remote(seed=SEED), config=CONFIG, seed=SEED,
-                shards=3, workers=2, persist_dir=tmp_path,
-            )
+            build_sharded_cache(CONFIG, seed=SEED, shards=3, persist_dir=tmp_path)
 
     def test_proc_tier_refuses_a_layout_from_another_worker_count(self, tmp_path):
-        engine = build_concurrent_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            shards=2, workers=2, persist_dir=tmp_path,
-        )
-        engine.cache.persistent_store.close(checkpoint=True)
+        cache = build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
+        cache.persistent_store.close(checkpoint=True)
 
         def proc(workers):
             # launch=False: the refusal sits in the spec split, before any
@@ -174,8 +169,8 @@ class TestShardedPersistence:
         with pytest.raises(ValueError, match="holds 2 shard stores"):
             proc(workers=3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["shard_00", "shard_01"]
-        # The count it was written under is accepted: thread and proc tiers
-        # share the layout.
+        # The count it was written under is accepted: the in-process sharded
+        # cache and the proc tier share the layout.
         homes = [spec.stack.persist_dir for spec in proc(workers=2).pool.specs]
         assert homes == [tmp_path / "shard_00", tmp_path / "shard_01"]
 
