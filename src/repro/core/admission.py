@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro.core.cache import content_key
 from repro.core.types import FetchResult, Query
-from repro.embedding.tokenizer import SimpleTokenizer
 
 
 @runtime_checkable
@@ -67,18 +67,14 @@ class DoorkeeperAdmission:
             raise ValueError("max_tracked must be >= 1")
         self.window = window
         self.max_tracked = max_tracked
-        self._tokenizer = SimpleTokenizer()
-        self._first_seen: dict[frozenset, float] = {}
+        self._first_seen: dict[str, float] = {}
         self.admitted = 0
         self.refused = 0
 
-    def _fingerprint(self, query: Query) -> frozenset:
-        """Semantic identity proxy: the set of content stems."""
-        return frozenset(self._tokenizer.content_tokens(query.text))
-
     def admit(self, query: Query, fetch: FetchResult, now: float) -> bool:
         """True iff an equivalent miss happened within the window."""
-        fingerprint = self._fingerprint(query)
+        # Stopword-only queries share the empty fingerprint.
+        fingerprint = content_key(query.text, empty="")
         first = self._first_seen.get(fingerprint)
         if first is not None and now - first <= self.window:
             del self._first_seen[fingerprint]

@@ -28,14 +28,27 @@ from repro.core.element import SemanticElement
 from repro.core.eviction import EvictionPolicy, LCFUPolicy, LRUPolicy
 from repro.core.sine import Sine, SineResult
 from repro.core.types import FetchResult, Query
+from repro.embedding.tokenizer import SimpleTokenizer
 from repro.judger.staticity import StaticityScorer
 from repro.store.backend import CacheBackend, InProcessBackend
 
+_TOKENIZER = SimpleTokenizer()
+
 
 def canonical_text(text: str) -> str:
-    """Normalisation used for exact-match and shard-routing keys
+    """Normalisation used for exact-match and flight keys
     (case/whitespace-insensitive)."""
     return " ".join(text.lower().split())
+
+
+def content_key(text: str, empty: str | None = None) -> str:
+    """The content fingerprint: sorted, de-duplicated content stems joined
+    by spaces, shared by phrasings that differ only in stopword filler,
+    word order, case or spacing (shard routing, miss coalescing, the
+    doorkeeper). A text without content stems maps to ``empty``, or to its
+    :func:`canonical_text` when ``empty`` is None."""
+    stems = " ".join(sorted(set(_TOKENIZER.content_tokens(text))))
+    return stems or (canonical_text(text) if empty is None else empty)
 
 
 @dataclass

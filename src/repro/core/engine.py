@@ -28,7 +28,7 @@ from collections import deque
 from typing import Generator, Protocol, Sequence, runtime_checkable
 
 from repro.core.admission import AdmissionPolicy, AlwaysAdmit
-from repro.core.cache import AsteriaCache, ExactCache
+from repro.core.cache import AsteriaCache, ExactCache, content_key
 from repro.core.config import AsteriaConfig
 from repro.core.flow import (
     Admit,
@@ -47,7 +47,6 @@ from repro.core.prefetch import MarkovPrefetcher
 from repro.core.recalibration import ThresholdRecalibrator
 from repro.core.resilience import ResilienceManager
 from repro.core.types import CacheLookup, FetchResult, Query
-from repro.embedding.tokenizer import SimpleTokenizer
 from repro.network.remote import RemoteDataService, RemoteFetchError
 
 #: How many judged hits the recalibrator samples from (Algorithm 1 reads only
@@ -181,7 +180,6 @@ class AsteriaEngine:
         self._inflight_prefetch: set[str] = set()
         #: Semantic fingerprint -> pending fetch event (miss coalescing).
         self._inflight_fetches: dict = {}
-        self._fingerprint_tokenizer = SimpleTokenizer()
 
     # -- observability ----------------------------------------------------------
     def set_tracer(self, tracer) -> None:
@@ -468,21 +466,14 @@ class AsteriaEngine:
             self._spawn_prefetches(sim, query, canonical)
         return response
 
-    def _fingerprint(self, key: tuple):
-        """Semantic identity proxy for coalescing (tool + content stems of
-        the flight key's text), so paraphrases share one flight."""
-        return (
-            key[0],
-            frozenset(self._fingerprint_tokenizer.content_tokens(key[1])),
-        )
-
     def _fly(self, sim, key: tuple, body: Generator) -> Generator:
         """A flight with thundering-herd suppression when
         ``config.coalesce_misses`` is set: followers wait on the leader's
         in-flight event and reuse its result without a remote call."""
         if not self.config.coalesce_misses:
             return (yield from self._run_on(sim, body)), False
-        fingerprint = self._fingerprint(key)
+        # Tool + content fingerprint, so paraphrases share one flight.
+        fingerprint = (key[0], content_key(key[1], empty=""))
         pending = self._inflight_fetches.get(fingerprint)
         if pending is not None:
             began = sim.now

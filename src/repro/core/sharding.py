@@ -3,7 +3,8 @@
 :class:`ShardedAsteriaCache` partitions the cache into N independent
 :class:`~repro.core.cache.AsteriaCache` shards — each with its own Sine
 pipeline (embedder, ANN index, judger) and its own ``threading.RLock`` — and
-routes every query to one shard by a *stable* hash of its canonicalised text.
+routes every query to one shard by a *stable* hash of its content
+fingerprint (:func:`~repro.core.cache.content_key`).
 Because the embedder, judger, and staticity scorer are all deterministic
 per-text (content-seeded, no sequential RNG stream), N shards built with one
 seed behave, each on its own query subset, exactly like an unsharded cache
@@ -21,10 +22,11 @@ Why this shape:
   keep such reads consistent. Whole-cache operations (expiry purge, stats,
   invalidation) visit shards one at a time and never hold two shard locks
   at once, so no lock-ordering deadlocks are possible.
-* **Hit-rate trade-off** — routing by canonical text guarantees exact
-  repeats (the Zipf-dominant pattern) always co-shard, but a *paraphrase*
-  may hash to a different shard than its original and miss there
-  (ROADMAP item 2(a) measures what that costs).
+* **Placement keeps the hit rate** — a paraphrase hits only on the shard
+  its original was admitted to. Content-key routing co-shards every
+  phrasing that differs in stopword filler, order, case or spacing, so at
+  equal total capacity N shards hit like one cache; text routing lost 9 /
+  17 points at 2 / 4 shards (DESIGN §13). One fact's load is one shard's.
 
 Capacity, TTL purge, eviction, and stats stay per-shard; :attr:`stats`
 aggregates the per-shard counters into one
@@ -39,19 +41,24 @@ import zlib
 from typing import Callable, Sequence
 
 from repro.ann.base import SearchHit
-from repro.core.cache import AsteriaCache, CacheStats, canonical_text
+from repro.core.cache import AsteriaCache, CacheStats, content_key
 from repro.core.element import SemanticElement
 from repro.core.sine import SineResult
 from repro.core.types import FetchResult, Query
 
+#: The routing's name, recorded in every persisted shard store.
+ROUTING = "content-key-crc32"
+
 
 def shard_index_for(text: str, n_shards: int) -> int:
-    """Stable shard id for ``text``: crc32 of the canonical form, mod N.
+    """Stable shard id for ``text``: crc32 of its content key, mod N.
 
-    crc32 (unlike ``hash``) is stable across processes and Python versions,
-    so a persisted or distributed deployment routes identically everywhere.
+    Phrasings of one fact share the key, so a paraphrase lands on the shard
+    holding its original. crc32 (unlike ``hash``) is stable across
+    processes and Python versions, so a persisted or distributed deployment
+    routes identically everywhere.
     """
-    return zlib.crc32(canonical_text(text).encode("utf-8")) % n_shards
+    return zlib.crc32(content_key(text).encode("utf-8")) % n_shards
 
 
 class _SineBroadcast:

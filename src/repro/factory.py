@@ -49,7 +49,9 @@ from repro.network import FaultInjector, RemoteDataService, TokenBucket
 from repro.network.ratelimit import RateLimiter
 from repro.sim.distributions import Distribution, Uniform
 from repro.sim.random import derive_seed
-from repro.store.persist import PersistentStore, ShardedPersistentStore, shard_directory
+from repro.store.persist import (
+    PersistentStore, ShardedPersistentStore, mark_routing, shard_directory,
+)
 from repro.workloads.facts import FactUniverse
 
 
@@ -260,6 +262,16 @@ def _serving_spec(config, stack: dict, tier: str) -> StackSpec:
     return spec
 
 
+def _shard_specs(spec: StackSpec, count: int) -> list[StackSpec]:
+    """Every shard's spec, computed before any is built (so the layout refusal
+    sees ``DIR`` as the last run left it), each home marked with its routing."""
+    specs = [spec.shard(index, count) for index in range(count)]
+    for each in specs:
+        if each.persist_dir is not None:
+            mark_routing(each.persist_dir)
+    return specs
+
+
 def build_sharded_cache(
     config: "AsteriaConfig | StackSpec | None" = None,
     *,
@@ -278,7 +290,7 @@ def build_sharded_cache(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     spec = StackSpec.of(config, stack)
-    specs = [spec.shard(shard, shards) for shard in range(shards)]
+    specs = _shard_specs(spec, shards)
     sharded = ShardedAsteriaCache([build_semantic_cache(each) for each in specs])
     if spec.persist_dir is not None:
         sharded.persistent_store = ShardedPersistentStore(
@@ -359,7 +371,7 @@ def build_proc_engine(
     """The multi-process serving stack: shard worker processes + async router.
 
     ``workers`` is both the process count and the shard count (one shard per
-    process, routed by the same stable crc32 hash as the sharded cache, so
+    process, routed by the same content-key hash as the sharded cache, so
     ``workers=1`` replays the single-process engine's decisions exactly),
     and each worker rebuilds its shard from the same :meth:`StackSpec.shard`
     split as :func:`build_sharded_cache` — the spec crosses the spawn
@@ -384,7 +396,7 @@ def build_proc_engine(
         # rate, give itself less work per judge, and fake parallel speedup.
         spec = replace(spec, judge_spin_iterations=spin_iterations(spec.judge_spin))
     pool = WorkerPool(
-        [WorkerSpec(shard, workers, spec.shard(shard, workers)) for shard in range(workers)],
+        [WorkerSpec(i, workers, each) for i, each in enumerate(_shard_specs(spec, workers))],
         batch_window=batch_window,
         batch_max=batch_max,
         ann_only=spec.config.ann_only,

@@ -13,7 +13,8 @@ Division of labour per request:
 
 * **worker** — expiry purge, embed, ANN search, judging, and (on admitted
   misses) the insert with its evictions: all the GIL-heavy CPU work.
-* **router** — shard routing (same stable crc32 hash as the sharded cache),
+* **router** — shard routing (the sharded cache's content-key crc32,
+  computed once per lookup or admit),
   remote fetches (keeping the seeded remote RNG a single ordered stream),
   cross-process single-flight (two concurrent misses for one canonical key
   share one fetch *and* one insert even when served to different callers),
@@ -218,13 +219,13 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         a raw WorkerError never reaches ``serve()``'s caller.
         """
         ctx = trace_context(self.engine.tracer)
-        if not self.fault_domains:
-            return await self.pool.lookup(query, now, ctx=ctx)
         shard = self.pool.shard_for(query.text)
+        if not self.fault_domains:
+            return await self.pool.lookup(query, now, shard, ctx=ctx)
         if not self._shard_allow(shard, time.monotonic()):
             raise CacheUnavailable(shard)
         try:
-            result = await self.pool.lookup(query, now, ctx=ctx)
+            result = await self.pool.lookup(query, now, shard, ctx=ctx)
         except WorkerError as exc:
             self._shard_failure(shard, exc)
             raise CacheUnavailable(shard) from exc
@@ -237,10 +238,10 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         return result
 
     async def _admit(self, query, fetch, arrival) -> None:
+        shard = self.pool.shard_for(query.text)
+        ctx = trace_context(self.engine.tracer)
         try:
-            await self.pool.insert(
-                query, fetch, arrival, ctx=trace_context(self.engine.tracer)
-            )
+            await self.pool.insert(query, fetch, arrival, shard, ctx=ctx)
         except WorkerError as exc:
             if not self.fault_domains:
                 raise
@@ -248,7 +249,7 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
             # followers) still get a fresh payload; only the cache insert is
             # lost. Swallowing here keeps single-flight leader flights from
             # failing after the worker died mid-admission.
-            self._shard_failure(self.pool.shard_for(query.text), exc)
+            self._shard_failure(shard, exc)
 
     # -- serving ----------------------------------------------------------------
     async def _serve_outer(self, query, now, deadline, serve=None) -> AsyncOutcome:

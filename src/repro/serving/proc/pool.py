@@ -508,15 +508,13 @@ class WorkerPool:
     def shard_for(self, text: str) -> int:
         return shard_index_for(text, self.n_shards)
 
-    async def lookup(self, query, now: float, ctx=None):
-        return await self.clients[self.shard_for(query.text)].lookup(
-            query, now, ctx=ctx
-        )
+    # The caller routes once (the content key costs a tokenisation) and
+    # hands every op its shard.
+    async def lookup(self, query, now: float, shard: int, ctx=None):
+        return await self.clients[shard].lookup(query, now, ctx=ctx)
 
-    async def insert(self, query, fetch, arrival: float, ctx=None):
-        return await self.clients[self.shard_for(query.text)].insert(
-            query, fetch, arrival, ctx=ctx
-        )
+    async def insert(self, query, fetch, arrival: float, shard: int, ctx=None):
+        return await self.clients[shard].insert(query, fetch, arrival, ctx=ctx)
 
     def flush(self) -> None:
         """Force every shard's accumulation window onto the wire."""

@@ -8,6 +8,7 @@ shard):
     DIR/
       snapshot.json    # CacheSnapshot v2, atomically replaced at checkpoint
       journal.jsonl    # WAL of mutations since the snapshot
+      routing          # shard stores only: the routing that placed them
 
 Attach sequence (:meth:`PersistentStore.attach`):
 
@@ -34,10 +35,12 @@ from pathlib import Path
 
 from repro.core.cache import AsteriaCache
 from repro.core.persistence import CacheSnapshot
+from repro.core.sharding import ROUTING
 from repro.store.journal import JournaledBackend, JournalWriter, read_journal, replay_journal
 
 SNAPSHOT_FILE = "snapshot.json"
 JOURNAL_FILE = "journal.jsonl"
+ROUTING_FILE = "routing"
 
 
 @dataclass
@@ -179,22 +182,38 @@ def shard_directory(
     directory: "str | Path", shard: int, n_shards: int | None = None
 ) -> Path:
     """The persist subdirectory for shard ``shard``: ``DIR/shard_NN``, the
-    one layout the thread tier's sharded cache and the proc tier's workers
-    share — so a thread-engine persist dir warm-starts a proc engine with
+    one layout the in-process sharded cache and the proc tier's workers
+    share — so an async-engine persist dir warm-starts a proc engine with
     the same shard count and vice versa.
 
-    Given ``n_shards``, refuses a ``DIR`` that already holds a layout
-    written under a different shard count: stable-hash routing is a function
-    of the count, so restoring a 2-shard layout into 3 shards would strand
-    entries on shards no request for them is ever routed to.
+    Given ``n_shards``, refuses a ``DIR`` written under another shard count
+    or routing (each store's ``routing`` file names it; a store without one
+    predates content-key routing): restoring it would strand entries on
+    shards no request for them is ever routed to.
     """
     directory = Path(directory)
     if n_shards is not None:
-        existing = len(list(directory.glob("shard_*")))
-        if existing and existing != n_shards:
+        stores = list(directory.glob("shard_*"))
+        if stores and len(stores) != n_shards:
             raise ValueError(
-                f"persist dir {directory} holds {existing} shard stores but "
+                f"persist dir {directory} holds {len(stores)} shard stores but "
                 f"the cache has {n_shards} shards; use the original shard "
                 f"count or a fresh directory"
             )
+        for store in stores:
+            marker = store / ROUTING_FILE
+            found = marker.read_text().strip() if marker.exists() else "text-crc32"
+            if found != ROUTING:
+                raise ValueError(
+                    f"persist dir {directory} holds shard stores under "
+                    f"{found} routing but the cache routes by {ROUTING}; "
+                    f"use a fresh directory"
+                )
     return directory / f"shard_{shard:02d}"
+
+
+def mark_routing(store: "str | Path") -> None:
+    """Record in a shard store the routing that places its entries, for
+    :func:`shard_directory` to check when the layout is reopened."""
+    Path(store).mkdir(parents=True, exist_ok=True)
+    (Path(store) / ROUTING_FILE).write_text(ROUTING + "\n")

@@ -19,11 +19,11 @@ import dataclasses
 
 import numpy as np
 
-from repro.core import AsteriaConfig, Query
+from repro.core import AsteriaConfig, AsteriaEngine, Query
 from repro.factory import (
-    build_asteria_engine,
     build_async_engine,
     build_remote,
+    build_sharded_cache,
 )
 from repro.serving.aio import STATUS_DEADLINE, STATUS_OK
 
@@ -58,7 +58,11 @@ def int_counters(engine) -> dict[str, int]:
 
 
 def run_sync_batches(windows):
-    engine = build_asteria_engine(build_remote(seed=SEED), seed=SEED)
+    # The same 4-shard partitioning as the async side: decisions depend on
+    # which entries share a shard, so an unsharded reference would only
+    # agree where routing happens to co-shard the facts it confuses.
+    cache = build_sharded_cache(seed=SEED, shards=4)
+    engine = AsteriaEngine(cache, build_remote(seed=SEED), AsteriaConfig())
     decisions = []
     for i, window in enumerate(windows):
         for response in engine.handle_batch(window, now=i * TIME_STEP):

@@ -4,15 +4,17 @@ A socket hit is worth having only if the machinery around the lookup stays
 small, so these tests pin that machinery by count: tasks and timers the
 router creates per request (a counting task factory and a wrapped
 ``loop.call_at`` — ``call_later``, ``sleep`` and ``timeout`` all go through
-it), frames per loop tick of lookups, ``TCP_NODELAY`` on both ends of every
-link, and a worker loop whose poll timeout lands in the middle of a frame.
+it), routing keys it computes per hit and miss, frames per loop tick of
+lookups, ``TCP_NODELAY`` on both ends of every link, and a worker loop
+whose poll timeout lands in the middle of a frame.
 """
 
 import asyncio
 import socket
 import threading
 
-from repro.core import AsteriaConfig, Query
+from repro.core import AsteriaConfig, Query, sharding
+from repro.core.cache import content_key
 from repro.factory import StackSpec, build_proc_engine, build_remote
 from repro.serving.proc.client import ProcClient
 from repro.serving.proc.pool import WorkerSpec
@@ -95,6 +97,31 @@ def test_router_work_per_request_is_one_task_and_no_timer():
     assert tasks_per_miss <= 2
 
 
+def test_a_hit_routes_once_and_a_miss_twice(monkeypatch):
+    # The content key tokenises the text, so the router computes it once per
+    # pool operation: the lookup's shard serves its breaker and its frame.
+    keys = []
+
+    def counting_content_key(text, empty=None):
+        keys.append(text)
+        return content_key(text, empty)
+
+    monkeypatch.setattr(sharding, "content_key", counting_content_key)
+    engine = _engine()
+    hot = Query("the one fact every caller asks for", fact_id="HOT")
+
+    async def drive():
+        async with engine:
+            await engine.serve(hot, now=0.0)
+            per_miss = len(keys)
+            keys.clear()
+            outcome = await engine.serve(hot, now=0.01)
+            assert outcome.response.lookup.status == "hit"
+            return per_miss, len(keys)
+
+    assert asyncio.run(drive()) == (2, 1)
+
+
 def test_same_tick_lookups_to_one_shard_share_one_frame():
     frames = []
 
@@ -112,7 +139,7 @@ def test_same_tick_lookups_to_one_shard_share_one_frame():
             pool.clients[0].codec = RecordingCodec()
             frames.clear()
             counts = _Counts(asyncio.get_running_loop())
-            results = await asyncio.gather(*(pool.lookup(q, 0.0) for q in mine))
+            results = await asyncio.gather(*(pool.lookup(q, 0.0, 0) for q in mine))
             assert len(results) == n
             # Snapshot now: the shutdown op on the way out is a frame too.
             return [(op, len(body[0])) for _, op, body in frames], counts.timers

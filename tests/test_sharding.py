@@ -6,12 +6,14 @@ import threading
 import pytest
 
 from repro.core import AsteriaConfig, AsteriaEngine, Query, ShardedAsteriaCache
+from repro.core.cache import canonical_text, content_key
 from repro.core.sharding import shard_index_for
 from repro.factory import (
     build_asteria_engine,
     build_remote,
     build_sharded_cache,
 )
+from repro.workloads import Paraphraser, SkewedWorkload, build_dataset
 
 
 def trace(n: int = 120, population: int = 30) -> list[Query]:
@@ -34,11 +36,33 @@ class TestShardRouting:
         assert shard_index_for("Hello  World", 4) == shard_index_for(
             "hello world", 4
         )
-        # crc32 is process-independent; pin one value so accidental hash
-        # changes (which would scatter persisted deployments) fail loudly.
-        import zlib
+        # crc32 of the content key is process-independent; pin the key and
+        # one shard so an accidental routing change (which would scatter
+        # persisted deployments) fails loudly.
+        text = "What is the height of Mount Everest?"
+        assert content_key(text) == "everest height mount"
+        assert shard_index_for(text, 8) == 3
 
-        assert shard_index_for("hello world", 4) == zlib.crc32(b"hello world") % 4
+    @pytest.mark.parametrize("n_shards", [2, 3, 4, 8])
+    def test_every_paraphrase_of_a_fact_co_shards(self, n_shards):
+        paraphraser = Paraphraser()
+        for fact in build_dataset("zilliz_gpt", seed=0, n_facts=200).universe:
+            shards = {
+                shard_index_for(text, n_shards)
+                for text in paraphraser.all_phrases(fact.core)
+            }
+            assert len(shards) == 1, fact.core
+
+    def test_case_spacing_and_stopword_only_texts(self):
+        for n_shards in (2, 3, 4, 8):
+            assert shard_index_for("  Mount EVEREST\theight ", n_shards) == (
+                shard_index_for("mount everest height", n_shards)
+            )
+        # No content stems: the key falls back to the canonical text (the
+        # fingerprints that pass ``empty`` keep one shared key instead).
+        assert content_key("What  is IT") == canonical_text("What  is IT")
+        assert content_key("what is it", empty="") == ""
+        assert shard_index_for("What  is IT ", 8) == shard_index_for("what is it", 8) == 5
 
     def test_same_text_same_shard(self):
         cache = build_sharded_cache(shards=4)
@@ -179,6 +203,33 @@ class TestSingleShardEquivalence:
             b = sharded.handle_batch(batch, float(offset))
             assert [r.lookup.status for r in a] == [r.lookup.status for r in b]
         assert plain.metrics.summary() == sharded.metrics.summary()
+
+
+class TestShardedHitRateParity:
+    """Content-key routing sends each paraphrase to the shard holding its
+    fact, so N shards hit like one cache at equal total capacity (routing
+    on the text fell 10 / 19 points short at 2 / 4 shards here)."""
+
+    @staticmethod
+    def hit_rate(engine, stream, warm=500):
+        hits = 0
+        for i, query in enumerate(stream):
+            response = engine.handle(query, 0.01 * i)
+            hits += i >= warm and response.lookup.status == "hit"
+        return hits / (len(stream) - warm)
+
+    def test_sharded_hit_rate_matches_unsharded(self):
+        dataset = build_dataset("zilliz_gpt", seed=0, n_facts=1_000)
+        stream = SkewedWorkload(dataset, seed=0).queries(3_000)
+        config = AsteriaConfig(capacity_items=150)
+        unsharded = self.hit_rate(
+            build_asteria_engine(build_remote(dataset.universe, seed=0), config, seed=0),
+            stream,
+        )
+        for shards in (2, 4):
+            cache = build_sharded_cache(config, seed=0, shards=shards)
+            engine = AsteriaEngine(cache, build_remote(dataset.universe, seed=0), config)
+            assert self.hit_rate(engine, stream) == pytest.approx(unsharded, abs=0.01), shards
 
 
 class TestShardedBatchPaths:

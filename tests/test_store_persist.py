@@ -15,7 +15,8 @@ from repro.factory import (
     build_sharded_cache,
 )
 from repro.serving.aio import run_open_loop
-from repro.store.persist import shard_directory
+from repro.core.sharding import ROUTING
+from repro.store.persist import ROUTING_FILE, shard_directory
 
 SEED = 5
 CONFIG = AsteriaConfig(capacity_items=16)
@@ -173,6 +174,34 @@ class TestShardedPersistence:
         # cache and the proc tier share the layout.
         homes = [spec.stack.persist_dir for spec in proc(workers=2).pool.specs]
         assert homes == [tmp_path / "shard_00", tmp_path / "shard_01"]
+
+    def test_a_layout_from_another_routing_is_refused(self, tmp_path):
+        cache = build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
+        cache.persistent_store.close(checkpoint=True)
+        markers = [tmp_path / f"shard_{i:02d}" / ROUTING_FILE for i in range(2)]
+        assert [marker.read_text() for marker in markers] == [ROUTING + "\n"] * 2
+        # A store without the marker was placed by the text-hash routing.
+        markers[1].unlink()
+        with pytest.raises(ValueError, match="text-crc32 routing but the cache routes by"):
+            build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
+        markers[1].write_text("some-other-routing\n")
+        with pytest.raises(ValueError, match="some-other-routing routing"):
+            build_proc_engine(
+                build_remote(seed=SEED), config=CONFIG, seed=SEED,
+                workers=2, persist_dir=tmp_path, launch=False,
+            )
+
+    def test_a_legacy_layout_is_refused_on_both_tiers(self, tmp_path):
+        for shard in ("shard_00", "shard_01"):
+            (tmp_path / shard).mkdir()
+        with pytest.raises(ValueError, match=f"routes by {ROUTING}"):
+            build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
+        with pytest.raises(ValueError, match=f"routes by {ROUTING}"):
+            build_proc_engine(
+                build_remote(seed=SEED), config=CONFIG, seed=SEED,
+                workers=2, persist_dir=tmp_path, launch=False,
+            )
+        assert not list(tmp_path.glob(f"shard_*/{ROUTING_FILE}"))
 
     def test_shard_directory_naming(self, tmp_path):
         assert shard_directory(tmp_path, 0).name == "shard_00"
