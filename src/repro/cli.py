@@ -310,8 +310,10 @@ def _engine_breaker(engine):
 
 def _metrics_rig(engine, label, series_interval=None):
     """Registry + engine instrument (breakers wired) and, when
-    ``series_interval`` is given, a started snapshot recorder probing the
-    engine. Returns ``(registry, instrument, recorder)``."""
+    ``series_interval`` is given, the series: a snapshot recorder probing
+    the engine and the tick that fills it. Returns ``(registry, instrument,
+    series)``, ``series`` a ``(recorder, tick)`` pair or None. Nothing
+    samples until the serving loop runs ``tick`` on its own thread."""
     from repro.obs import EngineInstrument, MetricsRegistry, SnapshotRecorder
 
     registry = MetricsRegistry()
@@ -325,29 +327,34 @@ def _metrics_rig(engine, label, series_interval=None):
     if series_interval is None:
         return registry, instrument, None
     recorder = SnapshotRecorder(registry, interval=series_interval)
-    instrument.install_probes(
-        recorder,
+    instrument.install_probes(recorder, engine.metrics, breaker=breaker)
+
+    def tick() -> None:
+        # Mirror first, so every row's registry series are as of its own time.
+        _sync_instrument(instrument, engine)
+        recorder.sample()
+
+    return registry, instrument, (recorder, tick)
+
+
+def _sync_instrument(instrument, engine) -> None:
+    """Mirror the engine's metrics, occupancy and inflight depth into the
+    registry."""
+    instrument.sync(
         engine.metrics,
         cache=engine.cache,
-        inflight_fn=(
-            (lambda: engine.inflight)
-            if hasattr(type(engine), "inflight")
-            else None
-        ),
-        breaker=breaker,
+        inflight=getattr(engine, "inflight", None),
     )
-    recorder.start()
-    return registry, instrument, recorder
 
 
 def _obs_setup(arguments, engine, label):
     """Build the observability rig requested by the stress flags.
 
-    Returns ``(tracer, registry, instrument, recorder)``, with None for any
+    Returns ``(tracer, registry, instrument, series)``, with None for any
     piece not requested. The tracer is attached to ``engine`` immediately;
-    the snapshot recorder starts its sampling thread immediately.
+    the series is sampled by the load loop, on the thread that serves.
     """
-    tracer = registry = instrument = recorder = None
+    tracer = registry = instrument = series = None
     if arguments.trace_out:
         if getattr(arguments, "trace_sample", 1) > 1:
             from repro.obs import SamplingTracer
@@ -359,29 +366,26 @@ def _obs_setup(arguments, engine, label):
             tracer = Tracer()
         engine.set_tracer(tracer)
     if arguments.metrics_out or arguments.series_out:
-        registry, instrument, recorder = _metrics_rig(
+        registry, instrument, series = _metrics_rig(
             engine,
             label,
             arguments.snapshot_interval if arguments.series_out else None,
         )
-    return tracer, registry, instrument, recorder
+    return tracer, registry, instrument, series
 
 
-def _obs_finish(arguments, engine, tracer, registry, instrument, recorder) -> None:
+def _obs_finish(arguments, engine, tracer, registry, instrument, series) -> None:
     """Flush the observability artefacts and print where they landed."""
-    if recorder is not None:
-        recorder.stop()  # takes a final sample, syncing the registry
+    if series is not None:
+        recorder, tick = series
+        tick()  # the final sample
         recorder.save_json(arguments.series_out)
         print(
             f"  series written to {arguments.series_out} "
             f"({len(recorder.times())} samples)"
         )
     if instrument is not None:
-        instrument.sync(
-            engine.metrics,
-            cache=engine.cache,
-            inflight=getattr(engine, "inflight", None),
-        )
+        _sync_instrument(instrument, engine)
         if tracer is not None:
             # Request-span trace ids become latency-histogram exemplars, so
             # a hot bucket links back to concrete traces in --trace-out.
@@ -541,32 +545,51 @@ def _build_proc(arguments, remote, resilience=None):
     )
 
 
-def _drive_serial(arguments, engine, queries):
+def _drive_serial(arguments, engine, queries, series):
     """sync: one caller on this thread; SIGINT/SIGTERM set a
-    ``threading.Event`` the loop polls."""
+    ``threading.Event`` the loop polls, and the series ticks between
+    requests once an interval has passed."""
     from repro.serving.load import run_serial
+
+    between = None
+    if series is not None:
+        recorder, tick = series
+
+        def between() -> None:
+            if recorder.due():
+                tick()
 
     stop, restore = _stop_on_signals()
     try:
-        return run_serial(engine, queries, time_step=0.01, stop=stop), []
+        report = run_serial(
+            engine, queries, time_step=0.01, stop=stop, between=between
+        )
+        return report, []
     finally:
         restore()
 
 
-def _drive_loop(arguments, engine, queries):
+def _drive_loop(arguments, engine, queries, series):
     """async / proc: arrivals at ``--rate`` on an event loop, so
-    backpressure and deadlines are measured honestly."""
+    backpressure and deadlines are measured honestly; the series ticks as
+    one more task on that loop."""
+    import asyncio
+
+    from repro.obs import sample_on_loop
     from repro.serving.aio import run_open_loop
 
     pool = getattr(engine, "pool", None)
     faults = getattr(engine, "proc_faults", None)
 
     async def body(stop):
+        sampler = series and asyncio.create_task(sample_on_loop(*series))
         try:
             return await run_open_loop(
                 engine, queries, rate=arguments.rate, time_step=0.01, stop=stop
             )
         finally:
+            if sampler:
+                sampler.cancel()
             if pool is not None:
                 if faults is not None and pool.supervisor is not None:
                     # Let an in-flight respawn land so the chaos summary
@@ -590,7 +613,7 @@ def _drive_loop(arguments, engine, queries):
     return report, notes
 
 
-def _drive_socket(arguments, engine, queries):
+def _drive_socket(arguments, engine, queries, series):
     """``--connect``: the same open loop over a real socket against a running
     ``python -m repro serve`` (no engine in this process)."""
     from repro.serving.proc.client import ProcClient, run_open_loop_socket
@@ -659,7 +682,7 @@ def _command_stress(arguments) -> int:
     obs = _obs_setup(arguments, engine, tier) if local else None
     try:
         with _maybe_profile(arguments):
-            report, notes = drive(arguments, engine, queries)
+            report, notes = drive(arguments, engine, queries, obs and obs[-1])
         print(f"engine={tier} {shape.format(**vars(arguments))}requests={report.requests}")
         if report.requests < len(queries):
             print(f"  stopped early by signal ({report.requests}/{len(queries)})")
@@ -714,17 +737,18 @@ def _command_serve(arguments) -> int:
     import asyncio
 
     from repro.factory import build_remote
+    from repro.obs import sample_on_loop
     from repro.serving.proc.server import ProcServer
 
     engine = _build_proc(arguments, build_remote(seed=arguments.seed))
     _persist_banner(arguments, engine)
-    slo_engine = recorder = None
+    slo_engine = series = None
     if arguments.slo:
         from repro.obs import SLOEngine, default_slos
 
-        registry, _, recorder = _metrics_rig(engine, "proc", arguments.slo_interval)
+        registry, _, series = _metrics_rig(engine, "proc", arguments.slo_interval)
         slo_engine = SLOEngine(
-            default_slos("proc"), recorder=recorder, registry=registry
+            default_slos("proc"), recorder=series[0], registry=registry
         )
     server = ProcServer(
         engine,
@@ -735,6 +759,7 @@ def _command_serve(arguments) -> int:
 
     async def runner():
         await server.start()
+        sampler = series and asyncio.create_task(sample_on_loop(*series))
         print(
             f"serving on {server.host}:{server.port} "
             f"workers={arguments.workers} "
@@ -742,13 +767,13 @@ def _command_serve(arguments) -> int:
             f"(SIGTERM/SIGINT drains and exits)",
             flush=True,
         )
-        await server.run()
+        try:
+            await server.run()
+        finally:
+            if sampler:
+                sampler.cancel()
 
-    try:
-        asyncio.run(runner())
-    finally:
-        if recorder is not None:
-            recorder.stop(final_sample=False)
+    asyncio.run(runner())
     metrics = engine.metrics
     print(
         f"drained: requests={server.requests_served} "

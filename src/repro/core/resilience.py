@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from threading import Lock
-from typing import Callable
 
 import numpy as np
 
@@ -289,7 +287,7 @@ class StaleStore:
 class ResilienceManager:
     """One backend's fault-tolerance state, shared by every serving stack.
 
-    Thread-safe: every caller funnels through the internal lock. The success
+    Called only from the serving thread, so it holds no lock. The success
     path (breaker window append, stale store write) draws no randomness and
     bumps no engine metrics, so a manager attached to a fault-free run leaves
     its stats byte-identical.
@@ -333,17 +331,15 @@ class ResilienceManager:
         self.stale_serve = stale_serve
         self.stale = StaleStore(capacity=stale_capacity, max_age=stale_max_age)
         self.rng = np.random.default_rng(seed)
-        self._lock = Lock()
 
     # -- admission ----------------------------------------------------------
     def admit(self, key: object, now: float) -> str:
         """Gate one miss flight: ``"allow"``, ``"negative"``, or ``"open"``."""
-        with self._lock:
-            if self.negative.check(key, now):
-                return "negative"
-            if not self.breaker.allow(now):
-                return "open"
-            return "allow"
+        if self.negative.check(key, now):
+            return "negative"
+        if not self.breaker.allow(now):
+            return "open"
+        return "allow"
 
     def allow_probe(self, now: float) -> bool:
         """May a background refresh flight start at ``now``?
@@ -351,71 +347,33 @@ class ResilienceManager:
         Refreshes ride the same breaker budget as foreground probes, so an
         open breaker also silences revalidation traffic.
         """
-        with self._lock:
-            return self.breaker.allow(now)
+        return self.breaker.allow(now)
 
     # -- outcome accounting -------------------------------------------------
     def on_success(self, key: object, fetch: FetchResult, now: float) -> None:
         """Account a successful flight: breaker success, un-negative the key,
         and bank the result as last-known-good."""
-        with self._lock:
-            self.breaker.record_success(now)
-            self.negative.discard(key)
-            if self.stale_serve:
-                self.stale.put(key, fetch, now)
+        self.breaker.record_success(now)
+        self.negative.discard(key)
+        if self.stale_serve:
+            self.stale.put(key, fetch, now)
 
     def on_failure(self, key: object, now: float) -> None:
         """Account a failed flight: breaker failure + negative-cache the key."""
-        with self._lock:
-            self.breaker.record_failure(now)
-            self.negative.put(key, now)
+        self.breaker.record_failure(now)
+        self.negative.put(key, now)
 
     def stale_for(self, key: object, now: float) -> StaleEntry | None:
         """The servable last-known-good entry for ``key`` (None when stale
         serving is disabled or nothing fresh enough is banked)."""
         if not self.stale_serve:
             return None
-        with self._lock:
-            return self.stale.get(key, now)
+        return self.stale.get(key, now)
 
     def next_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based); deterministic when
         the policy's jitter is zero."""
-        with self._lock:
-            return self.retry_policy.delay(attempt, self.rng)
-
-    # -- analytic retry loop ------------------------------------------------
-    def fetch_with_retries(
-        self, fetch_fn: Callable[[float], FetchResult], start: float
-    ) -> tuple[FetchResult, float]:
-        """Run one flight with transient-fault retries (analytic mode).
-
-        ``fetch_fn(now)`` performs the fetch as of simulated time ``now``.
-        Drives the one retry loop, :func:`repro.core.flow.fetch_retrying`,
-        with backoff charged but not waited out. Returns ``(fetch,
-        overhead)`` where ``overhead`` is the simulated time burned on
-        failed attempts and backoff before the successful one; raises
-        :class:`FetchFailed` carrying the total wasted time otherwise.
-        """
-        # Imported here: the flow module raises this module's FetchFailed.
-        from repro.core.flow import Fetch, fetch_retrying
-
-        loop = fetch_retrying(self, None, start)
-        try:
-            effect = loop.send(None)
-            while True:
-                if type(effect) is not Fetch:  # Sleep: charged, not waited
-                    effect = loop.send(None)
-                    continue
-                try:
-                    fetch = fetch_fn(effect.at)
-                except RemoteFetchError as exc:
-                    effect = loop.throw(exc)
-                else:
-                    effect = loop.send(fetch)
-        except StopIteration as stop:
-            fetch, overhead, _ = stop.value
-            return fetch, overhead
+        return self.retry_policy.delay(attempt, self.rng)
 
     def __repr__(self) -> str:
         return (

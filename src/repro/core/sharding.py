@@ -2,10 +2,9 @@
 
 :class:`ShardedAsteriaCache` partitions the cache into N independent
 :class:`~repro.core.cache.AsteriaCache` shards — each with its own Sine
-pipeline (embedder, ANN index, judger) and its own ``threading.RLock`` — and
-routes every query to one shard by a *stable* hash of its content
-fingerprint (:func:`~repro.core.cache.content_key`).
-Because the embedder, judger, and staticity scorer are all deterministic
+pipeline (embedder, ANN index, judger) — and routes every query to one
+shard by a *stable* hash of its content fingerprint
+(:func:`~repro.core.cache.content_key`). Because the embedder, judger, and staticity scorer are all deterministic
 per-text (content-seeded, no sequential RNG stream), N shards built with one
 seed behave, each on its own query subset, exactly like an unsharded cache
 would; with one shard the whole object replays an unsharded trace decision
@@ -16,12 +15,9 @@ Why this shape:
 * **One routing with the proc tier** — the multi-process tier gives each
   worker one shard under the same hash, so ``shards=N`` here decides as
   ``workers=N`` there.
-* **Locks for the observer, not for serving** — the event loop serves from
-  one thread, but ``--series-out``'s snapshot recorder reads ``usage()``
-  from its own thread while the loop mutates the cache; the per-shard locks
-  keep such reads consistent. Whole-cache operations (expiry purge, stats,
-  invalidation) visit shards one at a time and never hold two shard locks
-  at once, so no lock-ordering deadlocks are possible.
+* **No locks** — the event loop serves from one thread, and the
+  ``--series-out`` snapshot recorder samples on that same thread between
+  requests, so nothing reads a shard while another thread mutates it.
 * **Placement keeps the hit rate** — a paraphrase hits only on the shard
   its original was admitted to. Content-key routing co-shards every
   phrasing that differs in stopword filler, order, case or spacing, so at
@@ -36,7 +32,6 @@ aggregates the per-shard counters into one
 from __future__ import annotations
 
 import dataclasses
-import threading
 import zlib
 from typing import Callable, Sequence
 
@@ -117,7 +112,7 @@ class _SineBroadcast:
 
 
 class ShardedAsteriaCache:
-    """N locked :class:`AsteriaCache` shards behind one cache interface.
+    """N :class:`AsteriaCache` shards behind one cache interface.
 
     Parameters
     ----------
@@ -130,9 +125,8 @@ class ShardedAsteriaCache:
     :class:`~repro.core.engine.AsteriaEngine` runs over either transparently:
     ``lookup`` / ``lookup_prepared`` / ``lookup_batch`` / ``prepare_batch`` /
     ``insert`` / ``contains_semantic`` / ``remove_expired`` / ``invalidate``
-    / ``stats`` / ``usage``. Every method is thread-safe; each takes only the
-    target shard's re-entrant lock (whole-cache sweeps take one shard lock at
-    a time).
+    / ``stats`` / ``usage``. A per-query method touches only the query's
+    shard; whole-cache sweeps visit the shards in order.
     """
 
     def __init__(self, shards: Sequence[AsteriaCache]) -> None:
@@ -140,10 +134,8 @@ class ShardedAsteriaCache:
         if not shards:
             raise ValueError("need at least one shard")
         self._shards = shards
-        self._locks = [threading.RLock() for _ in shards]
         self.sine = _SineBroadcast(self._shards)
-        #: Optional stage tracer, broadcast to every shard (the tracer is
-        #: thread-safe; spans carry the recording thread's id).
+        #: Optional stage tracer, broadcast to every shard.
         self.tracer = None
 
     def set_tracer(self, tracer) -> None:
@@ -179,11 +171,7 @@ class ShardedAsteriaCache:
 
     def usage_per_shard(self) -> list[int]:
         """Occupancy of each shard, index-aligned with :attr:`shards`."""
-        counts = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                counts.append(len(shard))
-        return counts
+        return [len(shard) for shard in self._shards]
 
     @property
     def capacity_items(self) -> int | None:
@@ -209,19 +197,14 @@ class ShardedAsteriaCache:
         return totals
 
     def stats_per_shard(self) -> list[CacheStats]:
-        """A consistent snapshot of each shard's counters."""
-        snapshots = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                snapshots.append(dataclasses.replace(shard.stats))
-        return snapshots
+        """A copy of each shard's counters."""
+        return [dataclasses.replace(shard.stats) for shard in self._shards]
 
     # -- lookup -----------------------------------------------------------------
     def lookup(self, query: Query, now: float, ann_only: bool = False) -> SineResult:
-        """Two-stage lookup on the query's shard, under that shard's lock."""
-        i = self.shard_index(query.text)
-        with self._locks[i]:
-            return self._shards[i].lookup(query, now, ann_only=ann_only)
+        """Two-stage lookup on the query's shard."""
+        shard = self._shards[self.shard_index(query.text)]
+        return shard.lookup(query, now, ann_only=ann_only)
 
     def lookup_prepared(
         self,
@@ -232,18 +215,15 @@ class ShardedAsteriaCache:
     ) -> SineResult:
         """Lookup over pre-computed ANN hits (which must come from this
         query's shard — pair with :meth:`prepare_batch`)."""
-        i = self.shard_index(query.text)
-        with self._locks[i]:
-            return self._shards[i].lookup_prepared(
-                query, raw_hits, now, ann_only=ann_only
-            )
+        shard = self._shards[self.shard_index(query.text)]
+        return shard.lookup_prepared(query, raw_hits, now, ann_only=ann_only)
 
     def lookup_batch(
         self, queries: Sequence[Query], now: float, ann_only: bool = False
     ) -> list[SineResult]:
         """Batched lookups grouped by shard: each shard gets exactly one
-        embed-batch + ANN-batch pass over its own sub-batch, under its own
-        lock. Results return in input order.
+        embed-batch + ANN-batch pass over its own sub-batch. Results return
+        in input order.
         """
         queries = list(queries)
         groups = self._group_positions(query.text for query in queries)
@@ -251,10 +231,9 @@ class ShardedAsteriaCache:
         for i, positions in enumerate(groups):
             if not positions:
                 continue
-            with self._locks[i]:
-                shard_results = self._shards[i].lookup_batch(
-                    [queries[p] for p in positions], now, ann_only=ann_only
-                )
+            shard_results = self._shards[i].lookup_batch(
+                [queries[p] for p in positions], now, ann_only=ann_only
+            )
             for position, result in zip(positions, shard_results):
                 results[position] = result
         return results  # type: ignore[return-value]
@@ -267,10 +246,7 @@ class ShardedAsteriaCache:
         for i, positions in enumerate(groups):
             if not positions:
                 continue
-            with self._locks[i]:
-                shard_hits = self._shards[i].prepare_batch(
-                    [texts[p] for p in positions]
-                )
+            shard_hits = self._shards[i].prepare_batch([texts[p] for p in positions])
             for position, hits in zip(positions, shard_hits):
                 batch_hits[position] = hits
         return batch_hits
@@ -284,9 +260,7 @@ class ShardedAsteriaCache:
 
     def contains_semantic(self, query: Query) -> bool:
         """Stage-1-only membership probe on the query's shard."""
-        i = self.shard_index(query.text)
-        with self._locks[i]:
-            return self._shards[i].contains_semantic(query)
+        return self._shards[self.shard_index(query.text)].contains_semantic(query)
 
     # -- admission / lifecycle ---------------------------------------------------
     def insert(
@@ -298,27 +272,16 @@ class ShardedAsteriaCache:
         ttl: float | None = None,
     ) -> SemanticElement:
         """Admit a fetched result into the query's shard."""
-        i = self.shard_index(query.text)
-        with self._locks[i]:
-            return self._shards[i].insert(
-                query, fetch, now, prefetched=prefetched, ttl=ttl
-            )
+        shard = self._shards[self.shard_index(query.text)]
+        return shard.insert(query, fetch, now, prefetched=prefetched, ttl=ttl)
 
     def remove_expired(self, now: float) -> int:
         """TTL purge on every shard; returns the total removed."""
-        removed = 0
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                removed += shard.remove_expired(now)
-        return removed
+        return sum(shard.remove_expired(now) for shard in self._shards)
 
     def invalidate(self, predicate: Callable[[SemanticElement], bool]) -> int:
         """Remove matching elements from every shard; returns the count."""
-        removed = 0
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                removed += shard.invalidate(predicate)
-        return removed
+        return sum(shard.invalidate(predicate) for shard in self._shards)
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,8 @@ detached — their speed:
 :class:`~repro.obs.snapshot.SnapshotRecorder`
     Interval sampling of the registry (plus derived probes: hit rate,
     served fraction, stale fraction, p99, breaker state) into bounded
-    time-series.
+    time-series, sampled on the serving thread
+    (:func:`~repro.obs.snapshot.sample_on_loop` drives it on an event loop).
 
 Two more pieces extend the surface across process boundaries:
 
@@ -64,7 +65,7 @@ from repro.obs.slo import (
     evaluate_slos,
     format_statuses,
 )
-from repro.obs.snapshot import SnapshotRecorder, summarize_series
+from repro.obs.snapshot import SnapshotRecorder, sample_on_loop, summarize_series
 from repro.obs.trace import (
     STAGE_ADMIT,
     STAGE_ANN,
@@ -111,6 +112,7 @@ __all__ = [
     "graft_spans",
     "make_span_sink",
     "record_remote_leaf",
+    "sample_on_loop",
     "summarize_series",
     "trace_context",
 ]

@@ -4,7 +4,7 @@ The engines' hot paths keep writing their existing
 :class:`~repro.core.metrics.EngineMetrics` (plain attribute bumps, no label
 hashing); :class:`EngineInstrument` mirrors that state into a
 :class:`~repro.obs.registry.MetricsRegistry` on demand — after a run, or
-periodically from the snapshot recorder. This keeps tracing/metrics overhead
+before each snapshot-recorder sample. This keeps tracing/metrics overhead
 off the request path entirely while still exposing everything through one
 Prometheus-compatible surface:
 
@@ -68,8 +68,8 @@ class EngineInstrument:
     registry under an ``engine=<label>`` label set.
 
     Construct once per engine per run; call :meth:`sync` whenever the
-    registry should reflect current state (once at the end of a run, or on
-    every snapshot-recorder tick via :meth:`install_probes`).
+    registry should reflect current state (once at the end of a run, and
+    before every snapshot-recorder sample).
     """
 
     def __init__(self, registry: MetricsRegistry, engine_label: str) -> None:
@@ -215,27 +215,13 @@ class EngineInstrument:
             breaker.on_transition = _on_transition
 
     def install_probes(
-        self,
-        recorder,
-        metrics: EngineMetrics,
-        cache=None,
-        inflight_fn=None,
-        breaker: CircuitBreaker | None = None,
+        self, recorder, metrics: EngineMetrics, breaker: CircuitBreaker | None = None
     ) -> None:
-        """Register the live time-series probes the ISSUE's snapshot recorder
-        tracks (hit rate, served fraction, p99, breaker state), plus a sync
-        hook so every sample sees fresh registry values."""
+        """Register the derived time-series probes a snapshot recorder
+        tracks (hit rate, served fraction, stale fraction, p99, breaker
+        state). The registry series are the caller's to refresh: it calls
+        :meth:`sync` before each sample."""
         label = self.engine_label
-
-        def _sync_probe() -> float:
-            self.sync(
-                metrics,
-                cache=cache,
-                inflight=inflight_fn() if inflight_fn is not None else None,
-            )
-            return 1.0
-
-        recorder.add_probe(f"sync{{engine=\"{label}\"}}", _sync_probe)
         recorder.add_probe(f"hit_rate{{engine=\"{label}\"}}", lambda: metrics.hit_rate)
         recorder.add_probe(
             f"served_fraction{{engine=\"{label}\"}}",

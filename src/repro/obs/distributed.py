@@ -190,8 +190,7 @@ def graft_spans(tracer, records, clock_offset: float = 0.0, shard=None) -> int:
             parent = _RemoteParent(trace_id, parent_id)
             parent_key = key
         if len(spans) == max_spans:
-            with tracer._lock:
-                tracer.dropped += 1
+            tracer.dropped += 1
         spans.append(
             (
                 name,
@@ -246,7 +245,6 @@ def record_remote_leaf(
     span.end = end - epoch
     spans = tracer._spans
     if len(spans) == tracer.max_spans:
-        with tracer._lock:
-            tracer.dropped += 1
+        tracer.dropped += 1
     spans.append(span)
     return span

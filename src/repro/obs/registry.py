@@ -1,7 +1,7 @@
 """Labeled metrics with Prometheus text-format exposition.
 
-A :class:`MetricsRegistry` holds three metric families, all thread-safe and
-all bounded-memory:
+A :class:`MetricsRegistry` holds three metric families, all bounded-memory
+and all written and read by the one thread that serves:
 
 * :class:`Counter` — monotone totals (requests, hits, breaker transitions);
 * :class:`Gauge` — point-in-time values (cache occupancy, inflight depth,
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Mapping
@@ -78,36 +77,30 @@ class _Metric:
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
-        self._lock = threading.Lock()
         self._values: dict[tuple[tuple[str, str], ...], float] = {}
 
     def labelsets(self) -> list[tuple[tuple[str, str], ...]]:
-        with self._lock:
-            return list(self._values)
+        return list(self._values)
 
     def value(self, **labels) -> float:
         """Current value for one label set (0.0 when never touched)."""
-        with self._lock:
-            return self._values.get(_labelset(labels), 0.0)
+        return self._values.get(_labelset(labels), 0.0)
 
     def render(self) -> list[str]:
         lines = [
             f"# HELP {self.name} {_escape(self.help)}",
             f"# TYPE {self.name} {self.kind}",
         ]
-        with self._lock:
-            items = sorted(self._values.items())
-        for labelset, value in items:
+        for labelset, value in sorted(self._values.items()):
             lines.append(f"{self.name}{_render_labels(labelset)} {_format(value)}")
         return lines
 
     def values(self) -> dict[str, float]:
         """Flat ``{series: value}`` (series = ``name{labels}``)."""
-        with self._lock:
-            return {
-                f"{self.name}{_render_labels(labelset)}": value
-                for labelset, value in sorted(self._values.items())
-            }
+        return {
+            f"{self.name}{_render_labels(labelset)}": value
+            for labelset, value in sorted(self._values.items())
+        }
 
 
 def _format(value: float) -> str:
@@ -128,21 +121,19 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         key = _labelset(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self._values[key] = self._values.get(key, 0.0) + amount
 
     def set_total(self, total: float, **labels) -> None:
         """Overwrite the running total (mirror-sync from an
         :class:`~repro.core.metrics.EngineMetrics` counter, which is itself
         monotone). Refuses to move backwards."""
         key = _labelset(labels)
-        with self._lock:
-            if total < self._values.get(key, 0.0):
-                raise ValueError(
-                    f"{self.name}: counter cannot decrease "
-                    f"({self._values[key]} -> {total})"
-                )
-            self._values[key] = float(total)
+        if total < self._values.get(key, 0.0):
+            raise ValueError(
+                f"{self.name}: counter cannot decrease "
+                f"({self._values[key]} -> {total})"
+            )
+        self._values[key] = float(total)
 
 
 class Gauge(_Metric):
@@ -151,13 +142,11 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        with self._lock:
-            self._values[_labelset(labels)] = float(value)
+        self._values[_labelset(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         key = _labelset(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self._values[key] = self._values.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
@@ -205,14 +194,13 @@ class Histogram(_Metric):
             raise ValueError(f"histogram samples must be >= 0, got {value}")
         key = _labelset(labels)
         index = bisect_left(self.buckets, value)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = [0] * (len(self.buckets) + 1)
-                self._counts[key] = counts
-            counts[index] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + value
-            self._totals[key] = self._totals.get(key, 0) + 1
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = [0] * (len(self.buckets) + 1)
+            self._counts[key] = counts
+        counts[index] += 1
+        self._sums[key] = self._sums.get(key, 0.0) + value
+        self._totals[key] = self._totals.get(key, 0) + 1
 
     def load_samples(
         self,
@@ -236,14 +224,13 @@ class Histogram(_Metric):
         scale = 1.0
         if total_count is not None and samples and total_count != len(samples):
             scale = total_count / len(samples)
-        with self._lock:
-            self._counts[key] = [int(round(c * scale)) for c in counts]
-            self._totals[key] = (
-                total_count if total_count is not None else len(samples)
-            )
-            self._sums[key] = (
-                total_sum if total_sum is not None else float(sum(samples))
-            )
+        self._counts[key] = [int(round(c * scale)) for c in counts]
+        self._totals[key] = (
+            total_count if total_count is not None else len(samples)
+        )
+        self._sums[key] = (
+            total_sum if total_sum is not None else float(sum(samples))
+        )
 
     def add_exemplar(self, value: float, trace_id: int, **labels) -> None:
         """Attach a trace id to the bucket ``value`` falls in.
@@ -258,24 +245,20 @@ class Histogram(_Metric):
             raise ValueError(f"exemplar values must be >= 0, got {value}")
         key = _labelset(labels)
         index = bisect_left(self.buckets, value)
-        with self._lock:
-            bucket = self._exemplars.get(key)
-            if bucket is None:
-                bucket = self._exemplars[key] = deque(maxlen=self.max_exemplars)
-            bucket.append((float(value), int(trace_id), index))
+        bucket = self._exemplars.get(key)
+        if bucket is None:
+            bucket = self._exemplars[key] = deque(maxlen=self.max_exemplars)
+        bucket.append((float(value), int(trace_id), index))
 
     def exemplars(self, **labels) -> list[tuple[float, int, int]]:
         """Recent ``(value, trace_id, bucket_index)`` rows, oldest first."""
-        with self._lock:
-            return list(self._exemplars.get(_labelset(labels), ()))
+        return list(self._exemplars.get(_labelset(labels), ()))
 
     def count(self, **labels) -> int:
-        with self._lock:
-            return self._totals.get(_labelset(labels), 0)
+        return self._totals.get(_labelset(labels), 0)
 
     def sum(self, **labels) -> float:
-        with self._lock:
-            return self._sums.get(_labelset(labels), 0.0)
+        return self._sums.get(_labelset(labels), 0.0)
 
     def percentile(self, p: float, **labels) -> float:
         """Estimated ``p``-th percentile (0-100) for one label set.
@@ -286,9 +269,8 @@ class Histogram(_Metric):
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         key = _labelset(labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            total = self._totals.get(key, 0)
+        counts = self._counts.get(key)
+        total = self._totals.get(key, 0)
         if not counts or total == 0:
             return 0.0
         target = (p / 100.0) * total
@@ -312,11 +294,7 @@ class Histogram(_Metric):
             f"# HELP {self.name} {_escape(self.help)}",
             f"# TYPE {self.name} {self.kind}",
         ]
-        with self._lock:
-            items = sorted(self._counts.items())
-            sums = dict(self._sums)
-            totals = dict(self._totals)
-        for labelset, counts in items:
+        for labelset, counts in sorted(self._counts.items()):
             cumulative = 0
             for bound, count in zip(self.buckets, counts):
                 cumulative += count
@@ -331,19 +309,17 @@ class Histogram(_Metric):
             )
             lines.append(
                 f"{self.name}_sum{_render_labels(labelset)} "
-                f"{_format(sums.get(labelset, 0.0))}"
+                f"{_format(self._sums.get(labelset, 0.0))}"
             )
             lines.append(
                 f"{self.name}_count{_render_labels(labelset)} "
-                f"{totals.get(labelset, 0)}"
+                f"{self._totals.get(labelset, 0)}"
             )
         return lines
 
     def values(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        with self._lock:
-            labelsets = sorted(self._counts)
-        for labelset in labelsets:
+        for labelset in sorted(self._counts):
             labels = dict(labelset)
             suffix = _render_labels(labelset)
             out[f"{self.name}_count{suffix}"] = float(self.count(**labels))
@@ -362,22 +338,20 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not {cls.kind}"
-                    )
-                return existing
-            metric = cls(name, help, **kwargs)
-            self._metrics[name] = metric
-            return metric
+        existing = self._metrics.get(name)
+        if existing is not None:
+            if not isinstance(existing, cls):
+                raise ValueError(
+                    f"metric {name!r} already registered as "
+                    f"{existing.kind}, not {cls.kind}"
+                )
+            return existing
+        metric = cls(name, help, **kwargs)
+        self._metrics[name] = metric
+        return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -394,21 +368,17 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str) -> "_Metric | None":
-        with self._lock:
-            return self._metrics.get(name)
+        return self._metrics.get(name)
 
     def __iter__(self):
-        with self._lock:
-            return iter(list(self._metrics.values()))
+        return iter(list(self._metrics.values()))
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
     def render(self) -> str:
         """The full Prometheus text exposition (families in name order)."""
-        with self._lock:
-            metrics = sorted(self._metrics.values(), key=lambda m: m.name)
+        metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         lines: list[str] = []
         for metric in metrics:
             lines.extend(metric.render())

@@ -5,12 +5,10 @@ surface into a time-series: each sample is ``(t, {series: value})``, plus any
 derived probes registered with :meth:`add_probe` (hit rate, served fraction,
 p99 — ratios that only make sense computed per-sample, not per-scrape).
 
-Two driving styles:
-
-* **pull** — call :meth:`maybe_sample` from the serving loop; it samples only
-  when ``interval`` has elapsed, so tight loops stay cheap;
-* **push** — :meth:`start` spins a daemon thread that samples on the interval
-  until :meth:`stop`, for wall-clock runs (``stress --series-out``).
+The recorder owns no thread: it is sampled on the thread that serves. An
+event loop runs :func:`sample_on_loop` as one task; a blocking loop calls
+:meth:`maybe_sample` (or checks :meth:`due`) between requests, which samples
+only when ``interval`` has elapsed, so tight loops stay cheap.
 
 ``to_dict()`` / ``save_json()`` produce the experiment-consumable dump:
 columnar series keyed by name, one shared timestamp vector.
@@ -18,8 +16,8 @@ columnar series keyed by name, one shared timestamp vector.
 
 from __future__ import annotations
 
+import asyncio
 import json
-import threading
 import time
 from pathlib import Path
 from typing import Callable, Mapping
@@ -34,8 +32,8 @@ class SnapshotRecorder:
         The :class:`~repro.obs.registry.MetricsRegistry` to sample. May be
         ``None`` when only probes are of interest.
     interval:
-        Minimum seconds between samples for :meth:`maybe_sample` and the
-        background thread.
+        Minimum seconds between samples for :meth:`maybe_sample`, and the
+        period of :func:`sample_on_loop`.
     max_samples:
         Retention bound; the oldest samples are dropped beyond it so a soak
         run cannot grow memory without bound.
@@ -59,19 +57,16 @@ class SnapshotRecorder:
         self.max_samples = max_samples
         self._clock = clock
         self._epoch = clock()
-        self._lock = threading.Lock()
         self._times: list[float] = []
         self._rows: list[dict[str, float]] = []
         self._probes: dict[str, Callable[[], float]] = {}
         self._last_sample: float | None = None
         self.dropped = 0
-        #: Total probe callbacks (or whole samples, from the background
-        #: thread) that raised. Once nonzero it is also emitted as the
-        #: ``snapshot_probe_errors`` series, so a dashboard can see a sick
-        #: probe without scraping process state.
+        #: Total probe callbacks (or whole loop ticks) that raised. Once
+        #: nonzero it is also emitted as the ``snapshot_probe_errors``
+        #: series, so a dashboard can see a sick probe without scraping
+        #: process state.
         self.probe_errors = 0
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- configuration -------------------------------------------------------
     def add_probe(self, name: str, fn: Callable[[], float]) -> None:
@@ -82,8 +77,7 @@ class SnapshotRecorder:
         (breaker state, inflight depth). Exceptions inside a probe record
         ``nan`` rather than killing the sampler.
         """
-        with self._lock:
-            self._probes[name] = fn
+        self._probes[name] = fn
 
     # -- sampling -------------------------------------------------------------
     def sample(self) -> dict[str, float]:
@@ -92,100 +86,54 @@ class SnapshotRecorder:
         row: dict[str, float] = {}
         if self.registry is not None:
             row.update(self.registry.values())
-        with self._lock:
-            probes = list(self._probes.items())
-        errors = 0
-        for name, fn in probes:
+        for name, fn in self._probes.items():
             # A raising probe records nan for its own series and is counted;
             # the interval's other series points are unaffected.
             try:
                 row[name] = float(fn())
             except Exception:
                 row[name] = float("nan")
-                errors += 1
-        with self._lock:
-            if errors:
-                self.probe_errors += errors
-            if self.probe_errors:
-                # Emitted only once a probe has ever failed: healthy runs
-                # keep their exact pre-existing series set, while a sick
-                # probe shows up as a series without scraping process state.
-                row["snapshot_probe_errors"] = float(self.probe_errors)
-            self._times.append(now)
-            self._rows.append(row)
-            if len(self._times) > self.max_samples:
-                overflow = len(self._times) - self.max_samples
-                del self._times[:overflow]
-                del self._rows[:overflow]
-                self.dropped += overflow
-            self._last_sample = now
+                self.probe_errors += 1
+        if self.probe_errors:
+            # Emitted only once a probe has ever failed: healthy runs
+            # keep their exact pre-existing series set, while a sick
+            # probe shows up as a series without scraping process state.
+            row["snapshot_probe_errors"] = float(self.probe_errors)
+        self._times.append(now)
+        self._rows.append(row)
+        if len(self._times) > self.max_samples:
+            overflow = len(self._times) - self.max_samples
+            del self._times[:overflow]
+            del self._rows[:overflow]
+            self.dropped += overflow
+        self._last_sample = now
         return row
+
+    def due(self) -> bool:
+        """Has ``interval`` elapsed since the last sample (or none taken)?"""
+        last = self._last_sample
+        return last is None or self._clock() - self._epoch - last >= self.interval
 
     def maybe_sample(self) -> dict[str, float] | None:
         """Sample only if ``interval`` has elapsed since the last sample."""
-        now = self._clock() - self._epoch
-        with self._lock:
-            due = self._last_sample is None or (
-                now - self._last_sample >= self.interval
-            )
-        if not due:
-            return None
-        return self.sample()
-
-    # -- background driving ---------------------------------------------------
-    def start(self) -> None:
-        """Start a daemon thread sampling every ``interval`` seconds."""
-        if self._thread is not None and self._thread.is_alive():
-            raise RuntimeError("recorder already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-snapshot", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, final_sample: bool = True) -> None:
-        """Stop the background thread (taking one last sample by default)."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-        if final_sample:
-            self.sample()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            # The recorder thread must outlive any single bad sample: a
-            # registry mid-mutation or a probe raising outside the per-probe
-            # guard costs one interval, never the rest of the run's series.
-            try:
-                self.sample()
-            except Exception:
-                with self._lock:
-                    self.probe_errors += 1
+        return self.sample() if self.due() else None
 
     # -- access ---------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._times)
+        return len(self._times)
 
     def times(self) -> list[float]:
         """Sample timestamps (seconds since recorder creation)."""
-        with self._lock:
-            return list(self._times)
+        return list(self._times)
 
     def series(self, name: str) -> list[float]:
         """One series across all samples (``nan`` where it was absent)."""
-        with self._lock:
-            rows = list(self._rows)
-        return [row.get(name, float("nan")) for row in rows]
+        return [row.get(name, float("nan")) for row in self._rows]
 
     def names(self) -> list[str]:
         """Every series name observed in any sample, sorted."""
-        with self._lock:
-            rows = list(self._rows)
         seen: set[str] = set()
-        for row in rows:
+        for row in self._rows:
             seen.update(row)
         return sorted(seen)
 
@@ -215,6 +163,26 @@ class SnapshotRecorder:
             f"SnapshotRecorder(samples={len(self)}, interval={self.interval}, "
             f"probes={len(self._probes)})"
         )
+
+
+async def sample_on_loop(
+    recorder: SnapshotRecorder, tick: Callable[[], object]
+) -> None:
+    """Run ``tick`` every ``recorder.interval`` seconds on the running loop,
+    until cancelled.
+
+    ``tick`` is the caller's whole sample — typically "mirror the engine
+    into the registry, then :meth:`SnapshotRecorder.sample`". It runs on the
+    serving loop between requests, so it reads state no request is midway
+    through mutating. A tick that raises costs its own interval (counted in
+    ``probe_errors``), never the rest of the run's series.
+    """
+    while True:
+        await asyncio.sleep(recorder.interval)
+        try:
+            tick()
+        except Exception:
+            recorder.probe_errors += 1
 
 
 def _isnan(value: float) -> bool:

@@ -6,19 +6,17 @@ span, and each pipeline stage (``embed``, ``ann_search``, ``judge``,
 span with real wall-clock bounds. Propagation uses a :mod:`contextvars`
 variable, which gives the right parent in every execution style at once:
 
-* sequential code nests spans lexically;
-* threads work because each thread carries its own context (and the
-  request root resets the variable on exit, so a reused thread never leaks a
-  parent into the next request);
+* sequential code nests spans lexically (and the request root resets the
+  variable on exit, so one request never leaks a parent into the next);
 * asyncio works because tasks snapshot their context at creation — a
   single-flight leader task spawned inside request A keeps A's root as its
   parent across every ``await``, while concurrent requests on the same loop
   stay isolated.
 
-Finished spans land in a bounded deque (``append`` is atomic under the GIL,
-so recording is thread-safe without a hot-path lock) and export as JSONL or
-as a Chrome ``trace_event`` file that opens directly in Perfetto /
-``chrome://tracing``.
+Every serving process records from its one thread, so the tracer holds no
+lock: finished spans land in a bounded deque, the drop counter is a plain
+increment, and spans export as JSONL or as a Chrome ``trace_event`` file
+that opens directly in Perfetto / ``chrome://tracing``.
 
 Two recording styles, chosen per call site by cost:
 
@@ -129,11 +127,8 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Finishing is inlined here (not a tracer method call): the deque
-        # append is atomic under the GIL, so no lock is needed on the hot
-        # path; the lock guards only the (rare) drop counter, where the
-        # check-then-count race can at worst undercount a drop two threads
-        # caused together — the deque itself always stays bounded.
+        # Finishing is inlined here (not a tracer method call): it runs on
+        # every traced stage, and each saved frame shows in tracing overhead.
         tracer = self._tracer
         tracer._current.reset(self._token)
         self._token = None
@@ -141,8 +136,7 @@ class Span:
         self.end = tracer.clock() - tracer._epoch
         spans = tracer._spans
         if len(spans) == tracer.max_spans:
-            with tracer._lock:
-                tracer.dropped += 1
+            tracer.dropped += 1
         spans.append(self)
 
     def set(self, **attrs) -> None:
@@ -181,7 +175,7 @@ class Span:
 
 
 class Tracer:
-    """Collects span trees from any mix of threads and event loops.
+    """Collects the span trees of one serving thread's requests and tasks.
 
     Parameters
     ----------
@@ -202,7 +196,6 @@ class Tracer:
         self.clock = clock
         self._epoch = clock()
         self._spans: deque[Span] = deque(maxlen=max_spans)
-        self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._current: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
             f"repro-span-{id(self):x}", default=None
@@ -262,8 +255,7 @@ class Tracer:
         parent = self._current.get()
         spans = self._spans
         if len(spans) == self.max_spans:
-            with self._lock:
-                self.dropped += 1
+            self.dropped += 1
         spans.append(
             (
                 name,
@@ -302,9 +294,8 @@ class Tracer:
     def request(self, name: str = STAGE_REQUEST, **attrs) -> Span:
         """Open a request *root* span (ignores any inherited parent).
 
-        Worker threads and event-loop tasks both funnel requests through
-        this, so a pooled thread's leftover context can never reparent an
-        unrelated request. Inside an :meth:`adopt` block the root joins the
+        Every request funnels through this, so a task's inherited context
+        can never reparent an unrelated request. Inside an :meth:`adopt` block the root joins the
         remote caller's trace instead of starting a fresh one.
         """
         span = Span.__new__(Span)
@@ -473,9 +464,9 @@ class _SkipSpan:
 
     Supports everything engines do to a real span — context-manager
     protocol, ``set(...)``, bare ``attrs`` assignment — and records
-    nothing. A single module-level instance is shared (``attrs`` writes
-    race harmlessly across threads: every value is discarded), so an
-    unsampled request allocates zero objects in the tracer.
+    nothing. A single module-level instance is shared (every ``attrs``
+    write is discarded), so an unsampled request allocates zero objects in
+    the tracer.
     """
 
     __slots__ = ("attrs",)
@@ -516,8 +507,7 @@ class _SampledRoot(Span):
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
         Span.__exit__(self, exc_type, exc, tb)
-        with tracer._lock:
-            tracer.live -= 1
+        tracer.live -= 1
 
 
 class SamplingTracer(Tracer):
@@ -541,13 +531,9 @@ class SamplingTracer(Tracer):
     shared skip span and :meth:`record_leaf` drops the record.
 
     The deterministic modulo schedule (first request sampled, then every
-    Nth) keeps runs reproducible; the counter is an
-    :class:`itertools.count`, atomic under the GIL, so the schedule holds
-    across threads too. Engine metrics are computed outside the
-    tracer and stay exact at any sampling rate.
-
-    ``sampled`` / ``skipped`` are informational counters (updates are
-    benign races under threads; the schedule itself never races).
+    Nth) keeps runs reproducible. Engine metrics are computed outside the
+    tracer and stay exact at any sampling rate. ``sampled`` / ``skipped``
+    are informational counters.
     """
 
     def __init__(
@@ -588,8 +574,7 @@ class SamplingTracer(Tracer):
         span.thread_id = threading.get_ident()
         span.attrs = attrs or None
         span._tracer = self
-        with self._lock:
-            self.live += 1
+        self.live += 1
         span._token = self._current.set(span)
         return span
 

@@ -136,15 +136,19 @@ def run_serial(
     time_step: float = 0.0,
     start: float = 0.0,
     stop=None,
+    between=None,
 ) -> LoadReport:
     """The baseline loop: one caller on ``engine.handle``, query *i* at
     simulated time ``start + i * time_step``. ``stop`` (anything with
-    ``is_set()``) is checked before each request."""
+    ``is_set()``) is checked before each request; ``between()``, when
+    given, runs after each one (the serial tier's snapshot sampling)."""
     window = LoadWindow(engine)
     for i, query in enumerate(queries):
         if stop is not None and stop.is_set():
             break
         engine.handle(query, now=start + i * time_step)
+        if between is not None:
+            between()
     return window.report("closed", concurrency=1)
 
 

@@ -13,8 +13,9 @@ import threading
 
 import pytest
 
-from repro.cli import main
-from repro.factory import build_proc_engine, build_remote
+from repro.cli import _metrics_rig, main
+from repro.core import Query
+from repro.factory import build_asteria_engine, build_proc_engine, build_remote
 from repro.serving.proc.server import ProcServer
 
 SMALL = ["--queries", "120", "--workers", "2", "--rate", "2000", "--seed", "0"]
@@ -112,9 +113,28 @@ def test_trace_metrics_and_series_artefacts_parse(capsys, tmp_path, engine):
     dump = json.loads(series.read_text())
     assert dump["samples"] >= 1
     assert f'served_fraction{{engine="{engine}"}}' in dump["series"]
+    # Every row's registry series are as of that row: the first carries the
+    # lookup counters, the last (taken at the end) reads the final count.
+    hits = dump["series"][f'repro_lookups_total{{engine="{engine}",status="hit"}}']
+    assert hits[0] is not None and hits[-1] == field(output, "hits")
+    assert not [name for name in dump["series"] if name.startswith("sync{")]
     # ... and the series is what `repro slo` reads (cold-start p99 ~0.55 s).
     assert main(["slo", "--series", str(series), "--engine", engine,
                  "--p99-threshold", "1.0"]) == 0
+
+
+def test_a_series_tick_samples_the_engine_as_of_now():
+    engine = build_asteria_engine(build_remote(seed=0), seed=0)
+    _, _, (recorder, tick) = _metrics_rig(engine, "sync", series_interval=0.1)
+    hit = 'repro_lookups_total{engine="sync",status="hit"}'
+    for now in range(60):
+        rank = now % 20
+        engine.handle(Query(f"series fact number {rank}", fact_id=f"F{rank}"), float(now))
+        if now % 30 == 29:
+            tick()
+            assert recorder.series(hit)[-1] == engine.metrics.hits
+    assert len(recorder) == 2 and engine.metrics.hits > 0
+    assert not [name for name in recorder.names() if name.startswith("sync{")]
 
 
 @pytest.fixture

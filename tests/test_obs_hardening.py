@@ -2,12 +2,12 @@
 kill the snapshot recorder, the Prometheus exposition must be byte-stable
 (golden file), and exemplars must stay bounded and out of the exposition."""
 
-import time
+import asyncio
 from pathlib import Path
 
 import pytest
 
-from repro.obs import MetricsRegistry, SnapshotRecorder
+from repro.obs import MetricsRegistry, SnapshotRecorder, sample_on_loop
 from repro.obs.registry import Histogram
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "metrics_golden.txt"
@@ -52,24 +52,37 @@ class TestProbeFailureIsolation:
         assert recorder.to_dict()["series"]["snapshot_probe_errors"][-1] == 1.0
         assert recorder.to_dict()["probe_errors"] == 1
 
-    def test_background_thread_survives_raising_probe(self):
-        # The regression this guards: before the per-probe try/except, one
-        # raising probe killed the daemon thread and silently ended the
-        # run's series. Now it records nan every interval and keeps going.
-        recorder = SnapshotRecorder(interval=0.01)
+    def test_loop_sampler_survives_raising_probe(self):
+        # The regression this guards: one raising probe, or one raising
+        # tick, must cost its own interval and never end the run's series.
+        clock = ManualClock()
+        recorder = SnapshotRecorder(interval=1e-4, clock=clock)
         recorder.add_probe("sick", lambda: 1 / 0)
         recorder.add_probe("healthy", lambda: 1.0)
-        recorder.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while len(recorder) < 5 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            recorder.stop()
-        assert len(recorder) >= 5
-        assert recorder.probe_errors >= 5
-        healthy = [v for v in recorder.series("healthy") if v == v]
-        assert healthy and all(v == 1.0 for v in healthy)
+        ticks = []
+
+        async def run() -> None:
+            five = asyncio.Event()
+
+            def tick() -> None:
+                ticks.append(clock.now)
+                clock.advance(1.0)
+                if len(ticks) == 2:
+                    raise RuntimeError("tick died")
+                recorder.sample()
+                if len(recorder) == 5:
+                    five.set()
+
+            sampler = asyncio.create_task(sample_on_loop(recorder, tick))
+            await asyncio.wait_for(five.wait(), timeout=30)
+            sampler.cancel()
+
+        asyncio.run(run())
+        assert len(ticks) == 6
+        # Tick 2 raised: its row is missing, and only its row.
+        assert recorder.times() == [1.0, 3.0, 4.0, 5.0, 6.0]
+        assert recorder.series("healthy") == [1.0] * 5
+        assert recorder.probe_errors == 5 + 1  # five sick probes, one tick
 
 
 def build_registry() -> MetricsRegistry:

@@ -3,7 +3,6 @@ retention, and the JSON dump consumed by experiments and the CI smoke."""
 
 import json
 import math
-import time
 
 import pytest
 
@@ -125,20 +124,3 @@ class TestDump:
         data = json.loads(path.read_text())  # must be strict-valid JSON
         assert count == data["samples"] == 1
         assert data["series"]["bad"] == [None]
-
-
-class TestBackgroundThread:
-    def test_start_stop_collects_samples(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc()
-        recorder = SnapshotRecorder(registry, interval=0.01)
-        recorder.start()
-        with pytest.raises(RuntimeError, match="already running"):
-            recorder.start()
-        time.sleep(0.08)
-        recorder.stop()  # takes a final sample
-        assert len(recorder) >= 1
-        assert recorder.to_dict()["samples"] == len(recorder)
-        # Restartable after stop.
-        recorder.start()
-        recorder.stop(final_sample=False)

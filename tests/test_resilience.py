@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AsteriaConfig, Query
+from repro.core.flow import Fetch, Sleep, fetch_retrying
 from repro.core.resilience import (
     CircuitBreaker,
     FetchFailed,
@@ -154,49 +155,42 @@ class TestStaleStore:
 
 
 class TestFetchWithRetries:
-    def manager(self) -> ResilienceManager:
-        return ResilienceManager()  # default policy: 2 retries, 50 ms base
+    """The one retry loop, :func:`repro.core.flow.fetch_retrying`, driven a
+    step at a time: each ``Fetch`` answered or thrown into, each ``Sleep``
+    charged and not waited out."""
 
     def test_transient_faults_retried_with_backoff(self):
-        manager = self.manager()
-        calls = []
-
-        def fetch(now):
-            calls.append(now)
-            if len(calls) < 3:
-                raise RemoteUnavailable("flaky", latency=0.1)
-            return FetchResult(
-                result="ok", latency=0.4, service_latency=0.4, cost=0.0
-            )
-
-        fetch_result, overhead = manager.fetch_with_retries(fetch, start=10.0)
-        assert fetch_result.result == "ok"
+        body = fetch_retrying(ResilienceManager(), None, 10.0)  # 2 retries, 50 ms base
+        calls = [body.send(None)]
+        assert body.throw(RemoteUnavailable("flaky", latency=0.1)) == Sleep(0.05)
+        calls.append(body.send(None))
+        assert body.throw(RemoteUnavailable("flaky", latency=0.1)) == Sleep(0.1)
+        calls.append(body.send(None))
+        ok = FetchResult(result="ok", latency=0.4, service_latency=0.4, cost=0.0)
+        with pytest.raises(StopIteration) as stop:
+            body.send(ok)
+        fetch_result, overhead, retries = stop.value.value
+        assert fetch_result.result == "ok" and retries == 2
         # two failures (0.1 each) plus backoffs 0.05 and 0.1
         assert overhead == pytest.approx(0.35)
-        assert calls == pytest.approx([10.0, 10.15, 10.35])
+        assert [call.at for call in calls] == pytest.approx([10.0, 10.15, 10.35])
 
     def test_exhausted_retries_raise_fetch_failed_with_total_waste(self):
-        manager = self.manager()
-
-        def fetch(now):
-            raise RemoteUnavailable("down", latency=0.1)
-
+        body = fetch_retrying(ResilienceManager(), None, 0.0)
+        assert isinstance(body.send(None), Fetch)
+        for _ in range(2):
+            assert isinstance(body.throw(RemoteUnavailable("down", latency=0.1)), Sleep)
+            assert isinstance(body.send(None), Fetch)
         with pytest.raises(FetchFailed) as info:
-            manager.fetch_with_retries(fetch, start=0.0)
+            body.throw(RemoteUnavailable("down", latency=0.1))
         assert info.value.latency == pytest.approx(0.45)  # 3 x 0.1 + 0.15
         assert isinstance(info.value.cause, RemoteUnavailable)
 
     def test_rate_limit_is_not_retried(self):
-        manager = self.manager()
-        calls = []
-
-        def fetch(now):
-            calls.append(now)
-            raise RateLimitExceeded("throttled", latency=0.2)
-
+        body = fetch_retrying(ResilienceManager(), None, 0.0)
+        assert body.send(None) == Fetch(None, 0.0)  # the one attempt
         with pytest.raises(FetchFailed) as info:
-            manager.fetch_with_retries(fetch, start=0.0)
-        assert len(calls) == 1
+            body.throw(RateLimitExceeded("throttled", latency=0.2))
         assert info.value.latency == pytest.approx(0.2)
         assert isinstance(info.value.cause, RateLimitExceeded)
 

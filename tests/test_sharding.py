@@ -1,7 +1,6 @@
-"""Tests for the sharded thread-safe cache layer."""
+"""Tests for the sharded cache layer."""
 
 import dataclasses
-import threading
 
 import pytest
 
@@ -273,44 +272,6 @@ class TestShardedBatchPaths:
                 shard.sine.embedder.embed(text), shard.sine.max_candidates
             )
             assert [hit.key for hit in hits] == [hit.key for hit in expected]
-
-
-class TestShardedThreadSafety:
-    def test_concurrent_inserts_and_lookups_no_lost_updates(self):
-        cache = build_sharded_cache(shards=4)
-        remote_lock = threading.Lock()
-        remote = build_remote(seed=1)
-        n_threads, per_thread = 8, 25
-        errors = []
-
-        def hammer(worker: int) -> None:
-            try:
-                for i in range(per_thread):
-                    query = Query(
-                        f"worker {worker} fact number {i}", fact_id=f"W{worker}-{i}"
-                    )
-                    with remote_lock:
-                        fetch = remote.fetch_at(query, 0.0)
-                    cache.insert(query, fetch, 0.0)
-                    cache.lookup(query, 0.0)
-                    cache.lookup_batch(
-                        [query, Query(f"worker {worker} probe {i}")], 0.0
-                    )
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(w,)) for w in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive(), "deadlock: worker never finished"
-        assert not errors, errors
-        assert len(cache) == n_threads * per_thread
-        assert cache.stats.inserts == n_threads * per_thread
-        assert sum(s.inserts for s in cache.stats_per_shard()) == cache.stats.inserts
 
 
 class TestStatsParityAfterChurn:
