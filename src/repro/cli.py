@@ -958,7 +958,8 @@ def _replicate_socket(arguments) -> int:
     print(
         f"replica {report['node']} <-> peer {report['peer']}: "
         f"steps={report['steps']} items={report['items']} "
-        f"frames out={report['frames_out']} in={report['frames_in']}"
+        f"frames out={report['frames_out']} in={report['frames_in']} "
+        f"protocol_errors={report['protocol_errors']}"
     )
     stats = report["replication"]
     print(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +25,9 @@ import numpy as np
 from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
 from repro.core.eviction import EvictionPolicy, LCFUPolicy, LRUPolicy
+from repro.core.records import element_from_record
 from repro.core.sine import Sine, SineResult
-from repro.core.types import FetchResult, Query
+from repro.core.types import CacheStats, FetchResult, Query
 from repro.embedding.tokenizer import SimpleTokenizer
 from repro.judger.staticity import StaticityScorer
 from repro.store.backend import CacheBackend, InProcessBackend
@@ -49,17 +49,6 @@ def content_key(text: str, empty: str | None = None) -> str:
     :func:`canonical_text` when ``empty`` is None."""
     stems = " ".join(sorted(set(_TOKENIZER.content_tokens(text))))
     return stems or (canonical_text(text) if empty is None else empty)
-
-
-@dataclass
-class CacheStats:
-    """Book-keeping counters shared by both cache flavours."""
-
-    inserts: int = 0
-    evictions: int = 0
-    expirations: int = 0
-    rejected_duplicates: int = 0
-    prefetch_inserts: int = 0
 
 
 class AsteriaCache:
@@ -369,42 +358,28 @@ class AsteriaCache:
         stats counters move, and capacity is *not* enforced — a journal's
         own evict records reproduce the membership trajectory, so replay
         must not race them. Keys are re-embedded through the cache's own
-        Sine (snapshots stay model-agnostic). Returns the element, or None
-        when it was skipped (already present, or expired and
-        ``drop_expired``).
+        Sine (snapshots stay model-agnostic). ``element_id`` replaces the
+        record's own id (a replica admits a peer's record under an id of
+        its own). Returns the element, or None when it was skipped (already
+        present, or expired and ``drop_expired``); a malformed record raises
+        :class:`~repro.core.records.RecordError`.
         """
-        eid = element_id if element_id is not None else record.get("element_id")
-        if eid is None:
-            eid = self._take_id()
-        elif eid in self._backend.elements:
+        element = element_from_record(record)
+        if element_id is not None:
+            element.element_id = element_id
+        eid = element.element_id
+        if eid in self._backend.elements:
             return None
-        expires_at = record["expires_at"]
-        expires_at = math.inf if expires_at is None else expires_at + shift
+        element.created_at += shift
+        element.last_accessed_at += shift
+        element.expires_at += shift
         if now is None:
-            now = record["last_accessed_at"] + shift
-        if drop_expired and expires_at <= now:
+            now = element.last_accessed_at
+        if drop_expired and element.expires_at <= now:
             self.reserve_id(eid)
             return None
-        embedding = self.sine.embedder.embed(record["key"])
-        embedding, arena_slot = self._backend.bind_embedding(embedding)
-        element = SemanticElement(
-            element_id=eid,
-            key=record["key"],
-            value=record["value"],
-            embedding=embedding,
-            tool=record["tool"],
-            truth_key=record["truth_key"],
-            staticity=record["staticity"],
-            frequency=record["frequency"],
-            retrieval_latency=record["retrieval_latency"],
-            retrieval_cost=record["retrieval_cost"],
-            size_tokens=record["size_tokens"],
-            created_at=record["created_at"] + shift,
-            last_accessed_at=record["last_accessed_at"] + shift,
-            expires_at=expires_at,
-            prefetched=record["prefetched"],
-            arena_slot=arena_slot,
-            metadata=dict(record.get("metadata") or {}),
+        element.embedding, element.arena_slot = self._backend.bind_embedding(
+            self.sine.embedder.embed(element.key)
         )
         self._backend.put(element)
         self.sine.insert(element)

@@ -87,50 +87,6 @@ class SemanticElement:
         if self.frequency < 0:
             raise ValueError("frequency must be >= 0")
 
-    def __getstate__(self) -> dict:
-        """Detach arena state so elements survive pickling across processes.
-
-        When ``embedding`` is a view into a shared arena row the view cannot
-        travel: the receiving process has no arena to resolve the slot
-        against. Serialize an owned copy of the vector and drop the slot
-        handle; the deserialized element is standalone.
-        """
-        state = {
-            "element_id": self.element_id,
-            "key": self.key,
-            "value": self.value,
-            "embedding": self.embedding,
-            "tool": self.tool,
-            "truth_key": self.truth_key,
-            "staticity": self.staticity,
-            "frequency": self.frequency,
-            "retrieval_latency": self.retrieval_latency,
-            "retrieval_cost": self.retrieval_cost,
-            "size_tokens": self.size_tokens,
-            "created_at": self.created_at,
-            "last_accessed_at": self.last_accessed_at,
-            "expires_at": self.expires_at,
-            "prefetched": self.prefetched,
-            "arena_slot": None,
-            "metadata": dict(self.metadata),
-        }
-        embedding = self.embedding
-        if isinstance(embedding, np.ndarray) and (
-            self.arena_slot is not None or not embedding.flags["OWNDATA"]
-        ):
-            state["embedding"] = np.array(embedding, dtype=embedding.dtype, copy=True)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        embedding = state.get("embedding")
-        if isinstance(embedding, np.ndarray) and not embedding.flags["OWNDATA"]:
-            # numpy may rebuild the vector as a read-only view over the
-            # pickle's own bytes; re-own it so the element stays writable
-            # and independent of the deserialization buffer.
-            state = {**state, "embedding": np.array(embedding, copy=True)}
-        for name, value in state.items():
-            setattr(self, name, value)
-
     def ttl_remaining(self, now: float) -> float:
         """Seconds until expiry (negative once expired)."""
         return self.expires_at - now

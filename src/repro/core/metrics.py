@@ -104,30 +104,6 @@ class LatencyStats:
         """A copy of the retained (reservoir) samples."""
         return list(self._samples)
 
-    def __getstate__(self) -> dict:
-        """Explicit state so reservoirs cross process/pickle boundaries.
-
-        The RNG state rides along, so a deserialized reservoir continues the
-        exact eviction sequence the original would have produced.
-        """
-        return {
-            "max_samples": self.max_samples,
-            "samples": list(self._samples),
-            "count": self._count,
-            "total": self._total,
-            "max": self._max,
-            "rng_state": self._rng.getstate(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.max_samples = state["max_samples"]
-        self._samples = list(state["samples"])
-        self._count = state["count"]
-        self._total = state["total"]
-        self._max = state["max"]
-        self._rng = random.Random()
-        self._rng.setstate(state["rng_state"])
-
     def __repr__(self) -> str:
         return (
             f"LatencyStats(n={self.count}, mean={self.mean:.4f}, "
@@ -303,18 +279,6 @@ class EngineMetrics:
         fresh = EngineMetrics()
         for name, value in vars(fresh).items():
             setattr(self, name, value)
-
-    def __getstate__(self) -> dict:
-        """Explicit state (counters by name + reservoirs) for pickling.
-
-        ``EngineMetrics`` would pickle fine implicitly, but serving workers
-        ship metrics across process boundaries, so the wire shape is part of
-        the contract: a flat dict of field name -> value.
-        """
-        return dict(vars(self))
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     def summary(self) -> dict:
         """A plain-dict snapshot for printing and serialisation."""

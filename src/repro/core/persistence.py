@@ -5,21 +5,23 @@ full cold-start storm against rate-limited remote APIs. A
 :class:`CacheSnapshot` captures every semantic element's key/value and
 metadata as plain JSON (embeddings are *not* stored: keys are re-embedded on
 restore, which keeps snapshots model-agnostic — upgrade the embedder and the
-old snapshot still loads).
+old snapshot still loads). Each element is a :mod:`repro.core.records`
+record, as in every frame, journal line and replication diff.
 
 Format history:
 
-* **v1** — element records without identity; restore re-issued ids.
+* **v1** — element records without identity or metadata; restore
+  re-issued ids.
 * **v2** — records carry ``element_id``, the snapshot carries the cache's
-  ``next_id`` counter and its :class:`~repro.core.cache.CacheStats`, so a
+  ``next_id`` counter and its :class:`~repro.core.types.CacheStats`, so a
   restored cache continues the *exact* id sequence and stat history of the
   original — the property the warm-restart equivalence tests rely on, and
   the property the journal needs (its records reference element ids).
 
 v1 payloads still load: records are migrated by assigning sequential ids in
-snapshot order. Unknown versions raise :class:`SnapshotVersionError` with a
-message naming the supported range instead of a raw ``KeyError`` from a
-missing field.
+snapshot order and empty metadata. Unknown versions raise
+:class:`SnapshotVersionError` with a message naming the supported range
+instead of a raw ``KeyError`` from a missing field.
 
 >>> snapshot = CacheSnapshot.of(cache)
 >>> snapshot.save("cache.json")
@@ -30,12 +32,11 @@ missing field.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.cache import AsteriaCache, CacheStats
-from repro.core.element import SemanticElement
+from repro.core.cache import AsteriaCache
+from repro.core.records import element_record, stats_from_record, stats_record
 
 #: Snapshot format version; bump on breaking layout changes.
 SNAPSHOT_VERSION = 2
@@ -55,43 +56,6 @@ class SnapshotVersionError(ValueError):
             f"re-snapshot with a matching build or migrate the payload"
         )
         self.version = version
-
-
-def element_record(element: SemanticElement) -> dict:
-    """The JSON-safe persisted form of one element (shared by snapshots,
-    the journal, and the replication diff schema)."""
-    return {
-        "element_id": element.element_id,
-        "key": element.key,
-        "value": element.value,
-        "tool": element.tool,
-        "truth_key": element.truth_key,
-        "staticity": element.staticity,
-        "frequency": element.frequency,
-        "retrieval_latency": element.retrieval_latency,
-        "retrieval_cost": element.retrieval_cost,
-        "size_tokens": element.size_tokens,
-        "created_at": element.created_at,
-        "last_accessed_at": element.last_accessed_at,
-        # JSON has no Infinity in strict mode; None encodes "never expires".
-        "expires_at": None if math.isinf(element.expires_at) else element.expires_at,
-        "prefetched": element.prefetched,
-        "metadata": dict(element.metadata),
-    }
-
-
-#: Backwards-compatible private alias (pre-store name).
-_element_record = element_record
-
-
-def _stats_record(stats: CacheStats) -> dict:
-    return {
-        "inserts": stats.inserts,
-        "evictions": stats.evictions,
-        "expirations": stats.expirations,
-        "rejected_duplicates": stats.rejected_duplicates,
-        "prefetch_inserts": stats.prefetch_inserts,
-    }
 
 
 @dataclass
@@ -120,7 +84,7 @@ class CacheSnapshot:
             taken_at=now,
             records=[element_record(element) for element in elements],
             next_id=cache._next_id,
-            stats=_stats_record(cache.stats),
+            stats=stats_record(cache.stats),
         )
 
     def __len__(self) -> int:
@@ -151,10 +115,12 @@ class CacheSnapshot:
         next_id = data.get("next_id")
         stats = data.get("stats")
         if version == 1:
-            # v1 records carried no identity: assign sequential ids in
-            # snapshot order, exactly what the old restore path produced.
+            # v1 records carried no identity and no metadata: assign
+            # sequential ids in snapshot order, exactly what the old restore
+            # path produced.
             for position, record in enumerate(records, start=1):
                 record.setdefault("element_id", position)
+                record.setdefault("metadata", {})
             next_id = len(records) + 1
         return cls(
             taken_at=float(data["taken_at"]),
@@ -214,8 +180,7 @@ class CacheSnapshot:
         if self.next_id is not None:
             cache.reserve_id(self.next_id - 1)
         if restore_stats and self.stats is not None:
-            for name, value in self.stats.items():
-                setattr(cache.stats, name, value)
+            vars(cache.stats).update(vars(stats_from_record(self.stats)))
         cache._enforce_capacity(now)
         return restored
 

@@ -46,22 +46,6 @@ class Query:
         # Freeze metadata so Query stays hashable-by-identity and safe to share.
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
-    def __getstate__(self) -> dict:
-        """Materialize the mapping proxy (proxies cannot pickle)."""
-        return {
-            "text": self.text,
-            "tool": self.tool,
-            "fact_id": self.fact_id,
-            "staticity": self.staticity,
-            "cost": self.cost,
-            "metadata": dict(self.metadata),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "metadata", MappingProxyType(dict(state["metadata"])))
-
 
 @dataclass(frozen=True, slots=True)
 class FetchResult:
@@ -89,6 +73,17 @@ class FetchResult:
             raise ValueError("latencies must be non-negative")
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
+
+
+@dataclass
+class CacheStats:
+    """Book-keeping counters shared by both cache flavours."""
+
+    inserts: int = 0
+    evictions: int = 0
+    expirations: int = 0
+    rejected_duplicates: int = 0
+    prefetch_inserts: int = 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,8 +3,8 @@
 The asyncio stack serves from one Python process, so embed/ANN/judge CPU
 work serializes on the GIL however many requests are in flight. This
 package escapes it: each worker *process* owns one :class:`AsteriaCache`
-shard (arena, ANN index, and judger intact) and speaks a length-prefixed
-binary protocol over localhost TCP; the router — a subclass of
+shard (arena, ANN index, and judger intact) and speaks length-prefixed
+JSON frames over localhost TCP; the router — a subclass of
 :class:`~repro.serving.aio.engine.AsyncAsteriaEngine` — keeps routing,
 batching, miss coalescing, resilience, and *all* metrics accounting in one
 place, so the proc engine's counters aggregate exactly like every other
@@ -13,9 +13,8 @@ serving stack's.
 Layers
 ------
 ``protocol``
-    4-byte length-prefixed frames with a pickle payload.
-``wire``
-    Plain-structure converters for every type that crosses the boundary.
+    4-byte length-prefixed frames with a strict-JSON payload, whose
+    elements, queries and fetches are :mod:`repro.core.records` records.
 ``worker``
     The child-process entry point: builds its shard, serves ops in a loop.
 ``pool``

@@ -13,11 +13,11 @@ import asyncio
 import time
 from collections import Counter
 
+from repro.core import records
 from repro.core.metrics import EngineMetrics
 from repro.core.types import Query
 from repro.serving.load import LoadReport, arrivals, load_report
-from repro.serving.proc import wire
-from repro.serving.proc.protocol import PickleCodec, read_frame, write_frame
+from repro.serving.proc.protocol import JsonCodec, read_frame, write_frame
 
 
 class ProcClientError(RuntimeError):
@@ -46,7 +46,7 @@ class ProcClient:
         writer: asyncio.StreamWriter,
         tracer=None,
     ) -> None:
-        self.codec = PickleCodec()
+        self.codec = JsonCodec()
         #: Optional client-side tracer: sampled ``serve`` calls open a local
         #: root span and ship its identity with the request, so the server's
         #: router/worker spans land in this client's trace.
@@ -131,7 +131,7 @@ class ProcClient:
         client-side root span and ship ``[trace_id, span_id]`` so the
         server's spans join this trace; untraced calls send the exact
         pre-tracing three-element body."""
-        body = [wire.query_to_wire(query), now, deadline]
+        body = [records.query_record(query), now, deadline]
         tracer = self.tracer
         if tracer is None or not tracer.sample():
             return await self.call("serve", body)

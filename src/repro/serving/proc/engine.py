@@ -20,8 +20,8 @@ Division of labour per request:
   share one fetch *and* one insert even when served to different callers),
   degradation, and metric recording against the piggybacked shard stats.
 
-The router never sees an embedding: lookup replies carry wire-level
-``SineResult`` structures whose elements are embedding-less, and the
+The router never sees an embedding: lookup replies carry ``SineResult``
+records (:mod:`repro.core.records`) whose elements are embedding-less, and the
 accounting path doesn't read vectors. Worker-side stage spans (embed /
 ann_search / judge / evict) *are* traced when a tracer is attached: the
 router stamps each lookup/insert with its request's ``[trace_id,

@@ -30,12 +30,12 @@ import pathlib
 import socket
 import time
 
-from repro.core.cache import CacheStats
+from repro.core import records
 from repro.core.sharding import shard_index_for
-from repro.serving.proc import wire
+from repro.core.types import CacheStats
 from repro.serving.proc.protocol import (
     FrameReader,
-    PickleCodec,
+    JsonCodec,
     link_socket,
     read_frame,
     send_frame,
@@ -97,7 +97,7 @@ class ShardClient:
         on_spans=None,
     ) -> None:
         self.shard_id = shard_id
-        self.codec = PickleCodec()
+        self.codec = JsonCodec()
         self.batch_window = batch_window
         self.batch_max = batch_max
         self.ann_only = ann_only
@@ -172,9 +172,8 @@ class ShardClient:
         and untraced requests."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        # Untraced items stay two elements long, so untraced frames are
-        # byte-identical to the pre-tracing wire format.
-        item = [wire.query_to_wire(query), now]
+        # Untraced items stay two elements long: no trace field at all.
+        item = [records.query_record(query), now]
         if ctx is not None:
             item.append(ctx)
         self._lookup_items.append(item)
@@ -190,10 +189,14 @@ class ShardClient:
                 if self.batch_window > 0
                 else loop.call_soon(self.flush_lookups)
             )
-        return wire.sine_from_wire(await future)
+        record = await future
+        try:
+            return records.sine_from_record(record)
+        except records.RecordError as exc:  # a worker fault, not the caller's
+            raise WorkerError(f"shard {self.shard_id}: {exc}", self.shard_id) from exc
 
     async def insert(self, query, fetch, arrival: float, ctx=None):
-        body = [wire.query_to_wire(query), wire.fetch_to_wire(fetch), arrival]
+        body = [records.query_record(query), records.fetch_record(fetch), arrival]
         if ctx is not None:
             body.append(ctx)
         return await self.call("insert", body)
@@ -233,6 +236,7 @@ class ShardClient:
                 request_id, ok, result, stats = frame[:4]
                 # Stats first, waiter second: by the time an awaiting caller
                 # resumes, the router's cache view already reflects this op.
+                records.check_rows([stats], records.SHARD_STATS_ROW, "shard stats")
                 self.last_stats = stats
                 self.stats_stale = False
                 # Piggybacked span records (optional fifth element) graft
@@ -308,7 +312,7 @@ class WorkerPool:
         if not specs:
             raise ValueError("WorkerPool needs at least one WorkerSpec")
         self.specs = specs
-        self.codec = PickleCodec()
+        self.codec = JsonCodec()
         self.batch_window = batch_window
         self.batch_max = batch_max
         self.ann_only = ann_only
@@ -529,10 +533,10 @@ class WorkerPool:
 
     # -- the router cache view reads these ------------------------------------
     def stats_snapshot(self) -> CacheStats:
-        return wire.stats_from_tuples(client.last_stats for client in self.clients)
+        return records.stats_from_rows(client.last_stats for client in self.clients)
 
     def usage_snapshot(self) -> int:
-        return wire.usage_from_tuples(client.last_stats for client in self.clients)
+        return records.usage_from_rows(client.last_stats for client in self.clients)
 
     @property
     def capacity_items(self) -> int | None:

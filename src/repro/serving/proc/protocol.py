@@ -9,14 +9,17 @@ one *frame*:
     | length: u32 BE | payload: length bytes     |
     +----------------+---------------------------+
 
-The payload is a :class:`PickleCodec`-serialized plain structure (dicts,
-lists, strings, numbers, bytes, None) — see :mod:`repro.serving.proc.wire`
-for the conversions. Every endpoint owns its codec *object* and calls
-``dumps``/``loads`` through it, so a measurement harness can shadow one
-endpoint's serialization without touching the others.
+The payload is strict JSON (:class:`JsonCodec`): lists, dicts, strings,
+numbers, booleans and null, built from the records of
+:mod:`repro.core.records`. Decoding a peer's bytes builds data and nothing
+else, so a listener can refuse a frame but never run one. Every endpoint
+owns its codec *object* and calls ``dumps``/``loads`` through it, so a
+measurement harness can shadow one endpoint's serialization without
+touching the others.
 
-Frames are capped at :data:`MAX_FRAME` bytes; an oversized or truncated
-frame raises :class:`FrameError` rather than desynchronizing the stream.
+Frames are capped at :data:`MAX_FRAME` bytes; an oversized, truncated or
+undecodable frame raises :class:`FrameError` rather than desynchronizing
+the stream.
 
 Trace context rides inside existing frame bodies, never as new frame
 types: lookup/insert items may carry an optional trailing ``[trace_id,
@@ -24,8 +27,7 @@ parent_span_id]`` element, worker replies may append a fifth element of
 completed span records, serve requests may carry a fourth, and the hello
 handshake exchanges one ``clock`` ping (request id -1) so the router can
 estimate each worker's monotonic-clock offset. Readers index defensively
-(``len(frame) > 4``), so untraced traffic is byte-identical to the
-pre-tracing protocol and old/new peers interoperate.
+(``len(frame) > 4``), so an untraced frame carries no trace field at all.
 
 Blocking (workers, replication sessions: :class:`FrameReader` over a
 :func:`link_socket`) and asyncio (router, serve clients) frame I/O both live
@@ -35,7 +37,7 @@ here, so the length prefix is encoded in exactly one place.
 from __future__ import annotations
 
 import asyncio
-import pickle
+import json
 import socket
 import struct
 from collections import deque
@@ -49,17 +51,38 @@ _LEN = struct.Struct(">I")
 
 
 class FrameError(RuntimeError):
-    """A malformed, oversized, or truncated frame."""
+    """A malformed, oversized, truncated or undecodable frame."""
 
 
-class PickleCodec:
-    """The wire serializer: stdlib pickle at the highest protocol."""
+def _refuse_constant(token: str):
+    raise ValueError(f"non-finite number {token} in a frame")
+
+
+class JsonCodec:
+    """Compact, strict stdlib JSON (no NaN or Infinity) as UTF-8 bytes; an
+    undecodable payload is a :class:`FrameError`. It keeps the C encoder and
+    scanner behind :mod:`json`, which ``dumps`` / ``loads`` rebuild or wrap
+    in regex passes on every call: more work than a small frame's encoding."""
+
+    def __init__(self) -> None:
+        self._encode = json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ":", ",", False, False, False,  # sort_keys, skipkeys, allow_nan
+        )
+        self._scan = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
 
     def dumps(self, obj) -> bytes:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        return "".join(self._encode(obj, 0)).encode()
 
     def loads(self, data: bytes):
-        return pickle.loads(data)
+        try:
+            text = data.decode()
+            obj, end = self._scan(text, 0)
+        except (ValueError, StopIteration) as exc:  # bad UTF-8 or JSON, NaN
+            raise FrameError(f"undecodable frame: {exc!r}") from None
+        if end != len(text):
+            raise FrameError(f"undecodable frame: {len(text) - end} bytes after it")
+        return obj
 
 
 # -- synchronous frame I/O (worker processes, blocking sockets) ---------------

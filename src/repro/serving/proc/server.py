@@ -9,11 +9,15 @@ connection:
 * request: ``[request_id, op, body]``
 * reply:   ``[request_id, ok, payload]``
 
-Ops: ``serve`` (``[query_wire, now, deadline]`` with an optional fourth
+Ops: ``serve`` (``[query_record, now, deadline]`` with an optional fourth
 ``[trace_id, parent_span_id]`` element — the payload mirrors an
 ``AsyncOutcome``, and a traced request's router/worker spans join the
 client's trace), ``health`` (includes an ``slo`` burn-rate summary when an
 :class:`~repro.obs.slo.SLOEngine` is attached), ``metrics``, ``ping``.
+
+A frame that is not JSON, not ``[request_id, op, body]``, or whose query
+fails its record check closes that one connection and counts in ``health``'s
+``protocol_errors``.
 
 Graceful shutdown: SIGTERM/SIGINT (or :meth:`request_stop`) stops accepting
 connections, lets every in-flight request finish, drains the engine
@@ -27,9 +31,12 @@ from __future__ import annotations
 import asyncio
 import signal
 
-from repro.serving.proc import wire
+from repro.core import records
 from repro.serving.proc.engine import ProcAsteriaEngine
-from repro.serving.proc.protocol import FrameError, PickleCodec, read_frame, write_frame
+from repro.serving.proc.protocol import FrameError, JsonCodec, read_frame, write_frame
+
+#: A request frame: ``[request_id, op, body]``.
+_REQUEST = ((int,), (str,), (object,))
 
 
 class ProcServer:
@@ -45,7 +52,7 @@ class ProcServer:
         self.engine = engine
         self.host = host
         self.port = port
-        self.codec = PickleCodec()
+        self.codec = JsonCodec()
         #: Optional :class:`~repro.obs.slo.SLOEngine`; when set, ``health``
         #: replies carry its burn-rate summary (``python -m repro serve
         #: --slo`` wires it up).
@@ -55,6 +62,8 @@ class ProcServer:
         self._connections: dict[asyncio.Task, tuple] = {}
         self._stop = asyncio.Event()
         self.requests_served = 0
+        #: Connections closed for a bad frame (see the module docstring).
+        self.protocol_errors = 0
 
     async def start(self) -> None:
         """Launch workers (if needed), attach, and start listening
@@ -125,7 +134,13 @@ class ProcServer:
                     break
                 if payload is None:  # client EOF, or request_stop()'s
                     break
-                request_id, op, body = self.codec.loads(payload)
+                try:
+                    frame = self.codec.loads(payload)
+                    records.check_rows([frame], _REQUEST, "request")
+                except (FrameError, records.RecordError):
+                    self.protocol_errors += 1
+                    break
+                request_id, op, body = frame
                 request = asyncio.ensure_future(
                     self._handle_request(writer, request_id, op, body)
                 )
@@ -146,15 +161,20 @@ class ProcServer:
     ) -> None:
         try:
             result = await self._dispatch(op, body)
-            reply = [request_id, True, result]
+            payload = self.codec.dumps([request_id, True, result])
+        except records.RecordError:
+            self.protocol_errors += 1
+            writer.close()
+            return
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            reply = [request_id, False, f"{type(exc).__name__}: {exc}"]
+            error = f"{type(exc).__name__}: {exc}"
+            payload = self.codec.dumps([request_id, False, error])
         if not writer.is_closing():
-            write_frame(writer, self.codec.dumps(reply))
+            write_frame(writer, payload)
 
     async def _dispatch(self, op: str, body):
         if op == "serve":
-            query = wire.query_from_wire(body[0])
+            query = records.query_from_record(body[0])
             ctx = body[3] if len(body) > 3 else None
             tracer = self.engine.engine.tracer
             if ctx is not None and tracer is not None:
@@ -186,6 +206,7 @@ class ProcServer:
                 "usage": self.engine.pool.usage_snapshot(),
                 "worker_pids": self.engine.pool.worker_pids(),
                 "worker_restarts": self.engine.metrics.worker_restarts,
+                "protocol_errors": self.protocol_errors,
             }
             breakers = getattr(self.engine, "shard_breakers", None)
             if breakers:

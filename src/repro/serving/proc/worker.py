@@ -45,11 +45,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core import records
 from repro.obs.distributed import WorkerTracer
-from repro.serving.proc import wire
 from repro.serving.proc.protocol import (
     FrameReader,
-    PickleCodec,
+    JsonCodec,
     connect_link,
     send_frame,
 )
@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # the factory imports this module; see _ShardServer
 #: ["hello", MAGIC, shard, pid, restore | None] — ``restore`` summarises what
 #: a persisted shard warm-loaded before serving (the supervisor puts it in
 #: the ``shard_recover`` trace span).
-HELLO_MAGIC = "repro-shard-worker-v1"
+HELLO_MAGIC = "repro-shard-worker-v2"
 
 #: Seconds a worker blocks in ``recv`` before re-checking its stop flag.
 POLL_TIMEOUT = 0.5
@@ -116,7 +116,7 @@ class _ShardServer:
             self.store.close(checkpoint=True)
 
     def stats_tuple(self) -> list:
-        return wire.shard_stats_tuple(self.cache.stats, self.cache.usage())
+        return records.shard_stats_row(self.cache.stats, self.cache.usage())
 
     def dispatch(self, op: str, body):
         """Run one op; returns the reply payload. ``shutdown`` returns the
@@ -151,7 +151,7 @@ class _ShardServer:
         items, ann_only = body[0], body[1]
         if not items:
             return []
-        queries = [wire.query_from_wire(row[0]) for row in items]
+        queries = [records.query_from_record(row[0]) for row in items]
         nows = [row[1] for row in items]
         # Optional third element per item: the router's [trace_id,
         # parent_span_id] context for that request (absent on untraced
@@ -174,24 +174,24 @@ class _ShardServer:
         for query, hits, now, ctx in zip(queries, batch_hits, nows, ctxs):
             with self.tracer.activate(ctx):
                 out.append(
-                    wire.sine_to_wire(
+                    records.sine_record(
                         self.cache.lookup_prepared(query, hits, now, ann_only=ann_only)
                     )
                 )
         return out
 
     def _insert(self, body) -> dict:
-        query = wire.query_from_wire(body[0])
-        fetch = wire.fetch_from_wire(body[1])
+        query = records.query_from_record(body[0])
+        fetch = records.fetch_from_record(body[1])
         arrival = body[2]
         ctx = body[3] if len(body) > 3 else None
         with self.tracer.activate(ctx):
             element = self.cache.insert(query, fetch, arrival)
-        return wire.element_to_wire(element)
+        return records.element_record(element)
 
 
 def serve_frames(
-    server: _ShardServer, sock: socket.socket, codec: PickleCodec, stop: dict
+    server: _ShardServer, sock: socket.socket, codec: JsonCodec, stop: dict
 ) -> None:
     """The worker's frame loop: read, dispatch, reply, until ``stop["flag"]``
     is set, a ``shutdown`` op arrives, or the router closes the link.
@@ -234,7 +234,7 @@ def worker_main(spec: WorkerSpec, host: str, port: int) -> None:
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    codec = PickleCodec()
+    codec = JsonCodec()
     server = _ShardServer(spec)
     sock = connect_link(host, port, 30.0, POLL_TIMEOUT)
     try:

@@ -3,7 +3,7 @@
 Every cache mutation the backend sees becomes one JSON line:
 
 * ``{"seq": n, "op": "admit", "id": i, "record": {...}}`` — admission, with
-  the full :func:`~repro.core.persistence.element_record` payload;
+  the full :func:`~repro.core.records.element_record` payload;
 * ``{"seq": n, "op": "evict", "id": i, "reason": r}`` — removal, with the
   cache's reason ("evict" capacity, "expire" TTL, "invalidate", "delete");
 * ``{"seq": n, "op": "touch", "id": i, "f": freq, "a": last_access}`` — a
@@ -34,7 +34,7 @@ import os
 from pathlib import Path
 
 from repro.core.cache import AsteriaCache
-from repro.core.persistence import element_record
+from repro.core.records import element_record
 from repro.store.backend import CacheBackend, WrappingBackend
 
 

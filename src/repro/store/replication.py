@@ -8,7 +8,7 @@ seconds. Records are versioned per entry and conflicts resolve
 highest ``(version, origin)`` pair for a truth key wins on both sides, so
 the pair converges without coordination, remote-settings style.
 
-Diff wire schema (one frame per sync, payload = pickled dict):
+Diff wire schema (one frame per sync, payload = a JSON object):
 
 .. code-block:: text
 
@@ -18,6 +18,9 @@ Diff wire schema (one frame per sync, payload = pickled dict):
         {"truth_key": k, "version": t_write, "origin": node_id,
          "op": "invalidate", "record": null},
     ]}
+
+Entries follow :data:`repro.core.records.DIFF_FIELDS`, and a diff is checked
+whole first: one malformed entry refuses all of it (``rejected_diffs``).
 
 Diffs travel as real frame-protocol bytes (:func:`encode_frame` on the
 sender, :class:`FrameSplitter` on the receiver) through a
@@ -37,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cache import AsteriaCache
-from repro.core.persistence import element_record
-from repro.serving.proc.protocol import FrameSplitter, PickleCodec, encode_frame
+from repro.core.records import RecordError, check_diff, element_record
+from repro.serving.proc.protocol import FrameSplitter, JsonCodec, encode_frame
 from repro.store.backend import CacheBackend, WrappingBackend
 
 
@@ -80,6 +83,7 @@ class ReplicaStats:
     lww_rejects: int = 0
     syncs_sent: int = 0
     syncs_received: int = 0
+    rejected_diffs: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -219,7 +223,13 @@ class ReplicaNode:
 
     def apply_diff(self, records: list[dict], now: float | None = None) -> int:
         """Merge remote diff records under last-writer-wins; returns applied
-        count."""
+        count. A diff with any malformed entry changes nothing: it is counted
+        in ``rejected_diffs`` and its :class:`RecordError` raised."""
+        try:
+            check_diff(records)
+        except RecordError:
+            self.stats_rep.rejected_diffs += 1
+            raise
         if now is not None:
             self.now = max(self.now, now)
         applied = 0
@@ -241,10 +251,10 @@ class ReplicaNode:
                 for element_id in list(self.truth_index.get(truth_key, ())):
                     self.cache.remove(element_id, reason="invalidate")
                 if wire["op"] == "upsert":
-                    record = dict(wire["record"])
-                    record.pop("element_id", None)  # ids are region-local
                     element = self.cache.admit_restored(
-                        record, now=self.now, drop_expired=True
+                        wire["record"],
+                        element_id=self.cache._take_id(),  # ids are region-local
+                        now=self.now,
                     )
                     if element is not None:
                         applied += 1
@@ -277,7 +287,7 @@ class FrameLink:
 
     def __init__(self, latency: float) -> None:
         self.latency = latency
-        self.codec = PickleCodec()
+        self.codec = JsonCodec()
         self._in_flight: list[tuple[float, bytes]] = []
         self._splitter = FrameSplitter()
         self.frames_sent = 0

@@ -6,7 +6,7 @@ and exchange the same diff records the simulated
 :class:`~repro.store.replication.ReplicationDriver` exchanges, but over a
 real TCP connection using the proc tier's frame protocol.
 
-Session protocol (every frame is a pickled dict):
+Session protocol (every frame is a JSON object):
 
 ``{"op": "hello", "magic": ..., "node": id}``
     Handshake; sent immediately after connecting.
@@ -28,6 +28,10 @@ Session protocol (every frame is a pickled dict):
 ``{"op": "bye"}``
     Clean teardown.
 
+A frame that is not JSON, not one of these objects, or a diff that fails
+its record check (:func:`repro.core.records.check_diff`) ends the session:
+the connection is closed and the report counts one ``protocol_errors``.
+
 Both roles run the *same* loop (:func:`replicate_session`); only who dials
 differs. SIGTERM/SIGINT (the ``stop`` event) ends the workload early,
 flushes pending diffs, and still completes the digest exchange when the
@@ -40,10 +44,12 @@ import select
 import socket
 import time
 
+from repro.core.records import RecordError
 from repro.obs.distributed import record_remote_leaf
 from repro.serving.proc.protocol import (
+    FrameError,
     FrameReader,
-    PickleCodec,
+    JsonCodec,
     connect_link,
     link_socket,
     send_frame,
@@ -51,7 +57,7 @@ from repro.serving.proc.protocol import (
 from repro.store.replication import ReplicaNode
 
 #: Handshake magic; bumping it breaks mixed-version pairs loudly.
-HELLO_MAGIC = "repro-replica-v1"
+HELLO_MAGIC = "repro-replica-v2"
 
 #: Seconds a session blocks in ``recv`` before advancing its workload.
 POLL_TIMEOUT = 0.02
@@ -106,8 +112,8 @@ def node_digest(node: ReplicaNode) -> dict:
     """The node's live LWW registry: truth_key -> [version, origin].
 
     Only keys with a cached element are included — tombstone-only keys in
-    ``versions`` describe entries both sides dropped, and lists (not
-    tuples) keep the wire form codec-agnostic.
+    ``versions`` describe entries both sides dropped. Entries are lists, as
+    they arrive from the peer.
     """
     return {
         key: list(node.versions[key])
@@ -124,9 +130,7 @@ def digest_agreement(mine: dict, theirs: dict) -> dict:
     agree = sum(
         1
         for key in keys
-        if key in mine
-        and key in theirs
-        and list(mine[key]) == list(theirs[key])
+        if key in mine and key in theirs and mine[key] == theirs[key]
     )
     return {
         "agreement": agree / len(keys),
@@ -160,13 +164,13 @@ def replicate_session(
     Returns a report dict with the convergence score from the digest
     exchange (``agreement`` is None if the peer vanished first).
     """
-    wire_codec = PickleCodec()
+    wire_codec = JsonCodec()
     # Frames are tiny and, once select says readable, arriving; a generous
     # per-frame timeout only guards against a wedged peer.
     sock.settimeout(1.0)
     reader = FrameReader(sock)
     start = time.monotonic()
-    frames_out = frames_in = 0
+    frames_out = frames_in = protocol_errors = 0
 
     def send(message: dict) -> bool:
         # A peer that already said bye and closed is not an error at this
@@ -229,33 +233,41 @@ def replicate_session(
                         break
             if payload:
                 frames_in += 1
-                message = wire_codec.loads(payload)
-                op = message.get("op")
-                if op == "hello":
-                    if message.get("magic") != HELLO_MAGIC:
-                        raise RuntimeError(
-                            f"peer handshake mismatch: {message.get('magic')!r}"
+                try:
+                    message = wire_codec.loads(payload)
+                    op = message.get("op") if isinstance(message, dict) else None
+                    if op == "hello":
+                        if message.get("magic") != HELLO_MAGIC:
+                            raise RuntimeError(
+                                f"peer handshake mismatch: {message.get('magic')!r}"
+                            )
+                        peer_id = message.get("node")
+                    elif op == "diff":
+                        t0 = tracer.clock() if tracer is not None else 0.0
+                        node.apply_diff(message.get("records"), now=now)
+                        record_remote_leaf(
+                            tracer,
+                            message.get("trace"),
+                            "apply_diff",
+                            t0,
+                            attrs={
+                                "records": len(message["records"]),
+                                "from": message.get("from"),
+                            },
                         )
-                    peer_id = message.get("node")
-                elif op == "diff":
-                    t0 = tracer.clock() if tracer is not None else 0.0
-                    node.apply_diff(message["records"], now=now)
-                    record_remote_leaf(
-                        tracer,
-                        message.get("trace"),
-                        "apply_diff",
-                        t0,
-                        attrs={
-                            "records": len(message["records"]),
-                            "from": message.get("from"),
-                        },
-                    )
-                elif op == "done":
-                    peer_done = True
-                elif op == "digest":
-                    peer_digest = message["digest"]
-                elif op == "bye":
-                    peer_closed = True
+                    elif op == "done":
+                        peer_done = True
+                    elif op == "digest":
+                        peer_digest = message.get("digest")
+                        if not isinstance(peer_digest, dict):
+                            raise FrameError(f"not a digest: {peer_digest!r:.80}")
+                    elif op == "bye":
+                        peer_closed = True
+                        break
+                    else:
+                        raise FrameError(f"not a session message: {message!r:.80}")
+                except (FrameError, RecordError):
+                    protocol_errors += 1
                     break
             # -- advance the local workload one step -----------------------
             if not local_done:
@@ -318,5 +330,6 @@ def replicate_session(
         "frames_in": frames_in,
         "items": len(node.cache),
         "agreement": agreement,
+        "protocol_errors": protocol_errors,
         "replication": node.stats(),
     }

@@ -24,7 +24,7 @@ from repro.ann import FlatIndex
 from repro.core import AsteriaCache, AsteriaConfig, Query, Sine
 from repro.core.arena import EmbeddingArena
 from repro.core.eviction import LCFUPolicy, LFUPolicy, LRUPolicy
-from repro.core.persistence import element_record
+from repro.core.records import element_record
 from repro.core.types import FetchResult
 from repro.embedding import CachedEmbedder, HashingEmbedder
 from repro.factory import build_asteria_engine, build_remote

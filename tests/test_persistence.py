@@ -2,6 +2,8 @@
 
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,22 @@ from hypothesis import strategies as st
 from repro.ann import FlatIndex
 from repro.core import AsteriaCache, CacheSnapshot, Query, Sine
 from repro.core.persistence import SNAPSHOT_VERSION, SnapshotVersionError
+from repro.core.records import (
+    RecordError,
+    element_from_record,
+    element_record,
+    fetch_from_record,
+    fetch_record,
+    query_from_record,
+    query_record,
+)
 from repro.core.types import FetchResult
 from repro.embedding import HashingEmbedder
 from repro.judger import SimulatedJudger
+from repro.serving.proc.protocol import JsonCodec
+from repro.store.persist import PersistentStore
+
+DATA = Path(__file__).parent / "data" / "store_v2"
 
 
 def fetch(result="answer", latency=0.4, cost=0.005, tokens=16):
@@ -198,6 +213,12 @@ class TestSnapshotProperties:
         assert parsed.records == snapshot.records
         assert parsed.next_id == snapshot.next_id
         assert parsed.stats == snapshot.stats
+        # One schema: what a frame carries is what the snapshot stores.
+        codec = JsonCodec()
+        for element, record in zip(cache.elements.values(), parsed.records):
+            frame = codec.loads(codec.dumps(element_record(element)))
+            assert frame == record
+            assert element_record(element_from_record(frame)) == record
         fresh = make_cache(ttl=None)
         restored = parsed.restore_into(
             fresh, now=parsed.taken_at, drop_expired=False
@@ -237,13 +258,117 @@ class TestSnapshotProperties:
             CacheSnapshot.of(cache).to_json()
 
 
+def _spoil(record, how, field):
+    record = dict(record)
+    if how == "drop":
+        del record[field]
+    elif how == "extra":
+        record[field] = 1
+    elif how == "bool":
+        record[field] = True
+    else:
+        record[field] = ["no field is a list"]
+    return record
+
+
+class TestRecordChecks:
+    """A record with a dropped, extra or mistyped field is refused by name."""
+
+    @pytest.mark.parametrize(
+        "how, field",
+        [
+            ("drop", "last_accessed_at"),
+            ("drop", "metadata"),
+            ("wrong_type", "value"),
+            ("wrong_type", "expires_at"),
+            ("bool", "frequency"),
+            ("bool", "element_id"),
+            ("extra", "embedding"),
+        ],
+    )
+    def test_element_record(self, how, field):
+        record = CacheSnapshot.of(populate(make_cache(), n=1)).records[0]
+        with pytest.raises(RecordError, match=field):
+            element_from_record(_spoil(record, how, field))
+        # The restore path reads records through the same check.
+        with pytest.raises(RecordError, match=field):
+            make_cache().admit_restored(_spoil(record, how, field))
+
+    @pytest.mark.parametrize(
+        "how, field",
+        [("drop", "fact_id"), ("wrong_type", "text"), ("bool", "staticity"),
+         ("extra", "x")],
+    )
+    def test_query_record(self, how, field):
+        record = query_record(Query("a question", fact_id="F", staticity=3))
+        with pytest.raises(RecordError, match=field):
+            query_from_record(_spoil(record, how, field))
+
+    @pytest.mark.parametrize(
+        "how, field",
+        [("drop", "hedged"), ("wrong_type", "latency"), ("bool", "retries"),
+         ("extra", "x")],
+    )
+    def test_fetch_record(self, how, field):
+        record = fetch_record(fetch())
+        with pytest.raises(RecordError, match=field):
+            fetch_from_record(_spoil(record, how, field))
+
+    def test_an_int_is_a_float_but_a_bool_is_not_an_int(self):
+        record = CacheSnapshot.of(populate(make_cache(), n=1)).records[0]
+        assert element_from_record({**record, "created_at": 3}).created_at == 3
+        with pytest.raises(RecordError, match="retrieval_cost"):
+            element_from_record({**record, "retrieval_cost": False})
+
+    def test_a_range_the_type_refuses_is_a_record_error(self):
+        record = query_record(Query("a question"))
+        with pytest.raises(RecordError, match="staticity"):
+            query_from_record({**record, "staticity": 11})
+
+
+class TestParentWrittenStore:
+    """``tests/data/store_v2`` holds a snapshot and a journal written by the
+    build before :mod:`repro.core.records` replaced the format's reader and
+    writer, and ``restored.json`` what that build restored from them: every
+    element's identity, fields and order, the stats and the id counter."""
+
+    def test_restores_what_the_writer_restored(self, tmp_path):
+        for name in ("snapshot.json", "journal.jsonl"):
+            shutil.copy(DATA / name, tmp_path / name)
+        expected = json.loads((DATA / "restored.json").read_text())
+        cache = AsteriaCache(
+            Sine(HashingEmbedder(seed=7), FlatIndex(HashingEmbedder(seed=7).dim),
+                 SimulatedJudger(seed=3)),
+            capacity_items=6,
+            default_ttl=None,
+        )
+        store = PersistentStore(tmp_path)
+        report = store.attach(cache)
+        store.close()
+        assert report.as_dict() == expected["report"]
+        restored = [element_record(e) for e in cache.elements.values()]
+        assert restored == expected["elements"]
+        assert vars(cache.stats) == expected["stats"]
+        assert cache._next_id == expected["next_id"]
+
+    def test_rewrites_snapshot_and_journal_byte_for_byte(self):
+        snapshot = CacheSnapshot.load(DATA / "snapshot.json")
+        assert snapshot.to_json() == (DATA / "snapshot.json").read_text()
+        for line in (DATA / "journal.jsonl").read_text().splitlines():
+            entry = json.loads(line)
+            if entry["op"] == "admit":
+                entry["record"] = element_record(element_from_record(entry["record"]))
+            assert json.dumps(entry, allow_nan=False) == line
+
+
 class TestV1Migration:
     def _v1_payload(self):
         source = populate(make_cache())
         records = []
         for record in CacheSnapshot.of(source).records:
             record = dict(record)
-            del record["element_id"]  # v1 records carried no identity
+            # v1 records carried no identity and no metadata.
+            del record["element_id"], record["metadata"]
             records.append(record)
         return source, json.dumps(
             {"version": 1, "taken_at": 40.0, "records": records}

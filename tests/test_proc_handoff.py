@@ -20,7 +20,7 @@ from repro.serving.proc.client import ProcClient
 from repro.serving.proc.pool import WorkerSpec
 from repro.serving.proc.protocol import (
     FrameReader,
-    PickleCodec,
+    JsonCodec,
     connect_link,
     encode_frame,
 )
@@ -125,7 +125,7 @@ def test_a_hit_routes_once_and_a_miss_twice(monkeypatch):
 def test_same_tick_lookups_to_one_shard_share_one_frame():
     frames = []
 
-    class RecordingCodec(PickleCodec):
+    class RecordingCodec(JsonCodec):
         def dumps(self, obj):
             frames.append(obj)
             return super().dumps(obj)
@@ -213,7 +213,7 @@ class _TimeoutSignallingSocket:
 def test_worker_loop_survives_a_poll_timeout_inside_a_frame():
     spec = StackSpec(AsteriaConfig(capacity_items=8), seed=0).shard(0, 1)
     server = _ShardServer(WorkerSpec(0, 1, spec))
-    codec = PickleCodec()
+    codec = JsonCodec()
     router, worker = socket.socketpair()
     worker.settimeout(0.05)
     timed_out = threading.Event()

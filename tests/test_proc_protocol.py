@@ -1,8 +1,8 @@
-"""Frame protocol and wire-conversion tests for the multi-process tier.
+"""Frame protocol and record tests for the multi-process tier.
 
 Covers the length-prefixed framing (round trips, clean EOF, truncation,
-the oversize cap, a poll timeout inside a frame) over real socketpairs, the pickle codec, and the
-wire-structure conversions the router and workers exchange.
+the oversize cap, a poll timeout inside a frame) over real socketpairs, the
+JSON codec, and the records the router and workers exchange.
 """
 
 import socket
@@ -11,13 +11,13 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core import records
 from repro.core.types import FetchResult, Query
-from repro.serving.proc import wire
 from repro.serving.proc.protocol import (
     MAX_FRAME,
     FrameError,
     FrameReader,
-    PickleCodec,
+    JsonCodec,
     encode_frame,
     send_frame,
 )
@@ -116,18 +116,32 @@ def test_encode_frame_rejects_oversize_payload():
         encode_frame(Huge())
 
 
-def test_pickle_codec_round_trips_wire_structures():
-    codec = PickleCodec()
+def test_json_codec_round_trips_wire_structures():
+    codec = JsonCodec()
     message = [3, "lookup_batch", [[["q", None, None, 0.5, 1.0, {}], 0.25]], False]
     assert codec.loads(codec.dumps(message)) == message
 
 
-# -- wire conversions ---------------------------------------------------------
+@pytest.mark.parametrize(
+    "payload", [b"\x80\x04K\x01.", b"[1, 2", b"[NaN]", b"[Infinity]", b"\xff\xfe"]
+)
+def test_json_codec_refuses_what_is_not_strict_json(payload):
+    # The first is a pickle of 1: a frame that used to be executed as code.
+    with pytest.raises(FrameError):
+        JsonCodec().loads(payload)
+
+
+def test_json_codec_writes_no_non_finite_number():
+    with pytest.raises(ValueError):
+        JsonCodec().dumps([float("inf")])
+
+
+# -- records ------------------------------------------------------------------
 def test_query_wire_round_trip():
     query = Query(
         "what is the capital", tool="search", fact_id="F1", metadata={"k": "v"}
     )
-    back = wire.query_from_wire(wire.query_to_wire(query))
+    back = records.query_from_record(records.query_record(query))
     assert back.text == query.text
     assert back.tool == query.tool
     assert back.fact_id == query.fact_id
@@ -138,18 +152,18 @@ def test_fetch_wire_round_trip():
     fetch = FetchResult(
         result="payload", latency=0.125, service_latency=0.1, cost=0.002, retries=1
     )
-    back = wire.fetch_from_wire(wire.fetch_to_wire(fetch))
+    back = records.fetch_from_record(records.fetch_record(fetch))
     assert back == fetch
 
 
 def test_stats_tuples_aggregate_exactly():
-    tuples = [[3, 1, 0, 2, 0, 10], [4, 0, 1, 0, 0, 7]]
-    stats = wire.stats_from_tuples(tuples)
+    rows = [[3, 1, 0, 2, 0, 10], [4, 0, 1, 0, 0, 7]]
+    stats = records.stats_from_rows(rows)
     assert stats.inserts == 7
     assert stats.evictions == 1
     assert stats.expirations == 1
     assert stats.rejected_duplicates == 2
-    assert wire.usage_from_tuples(tuples) == 17
+    assert records.usage_from_rows(rows) == 17
 
 
 def test_element_wire_drops_embedding_and_arena_slot():
@@ -164,7 +178,7 @@ def test_element_wire_drops_embedding_and_arena_slot():
         created_at=0.0,
         expires_at=10.0,
     )
-    back = wire.element_from_wire(wire.element_to_wire(element))
+    back = records.element_from_record(records.element_record(element))
     assert back.element_id == 5
     assert back.truth_key == "tk"
     assert back.value == "v"

@@ -1,26 +1,33 @@
-"""Pickle round-trips for the types that cross the process boundary.
+"""Round trips for the types that cross a process boundary.
 
-The proc tier ships :class:`WorkerSpec` (carrying an :class:`AsteriaConfig`)
-through ``multiprocessing`` spawn, and wire payloads through the frame
-codecs — so the core types need explicit ``__getstate__``/``__setstate__``
-that detach arena-backed embedding views (a slot view pickled naively would
-drag the whole arena along, or worse, arrive pointing at nothing).
+Elements and queries cross as records (:mod:`repro.core.records`) in JSON
+frames, snapshots and journal lines: an arena-backed element arrives
+detached from the arena it came from, and a query's metadata stays frozen.
+Pickle is left only on ``multiprocessing``'s spawn of a
+:class:`WorkerSpec`, which carries an :class:`AsteriaConfig`.
 """
 
 import pickle
-import random
-
-import numpy as np
 
 from repro.core import CacheConfig, Query
 from repro.core.config import AsteriaConfig
-from repro.core.element import SemanticElement
-from repro.core.metrics import EngineMetrics, LatencyStats
+from repro.core.records import (
+    element_from_record,
+    element_record,
+    query_from_record,
+    query_record,
+)
 from repro.factory import build_asteria_engine, build_remote
+from repro.serving.proc.protocol import JsonCodec
 
 
 def _engine(arena):
     return build_asteria_engine(build_remote(seed=0), seed=0, arena=arena)
+
+
+def _across(record):
+    codec = JsonCodec()
+    return codec.loads(codec.dumps(record))
 
 
 def test_semantic_element_with_arena_slot_round_trips():
@@ -30,10 +37,9 @@ def test_semantic_element_with_arena_slot_round_trips():
     elements = list(engine.cache.elements.values())
     assert elements and any(e.arena_slot is not None for e in elements)
     for element in elements:
-        back = pickle.loads(pickle.dumps(element))
-        # The embedding detached from the arena: same vector, owned memory.
-        np.testing.assert_array_equal(back.embedding, element.embedding)
-        assert back.embedding.flags["OWNDATA"]
+        back = element_from_record(_across(element_record(element)))
+        # Detached from the arena: no slot, no view of its rows.
+        assert back.embedding.size == 0
         assert back.arena_slot is None
         assert back.element_id == element.element_id
         assert back.truth_key == element.truth_key
@@ -47,14 +53,14 @@ def test_semantic_element_without_arena_round_trips():
     engine.handle(Query("a standalone fact", fact_id="F0"), now=0.0)
     element = next(iter(engine.cache.elements.values()))
     assert element.arena_slot is None
-    back = pickle.loads(pickle.dumps(element))
-    np.testing.assert_array_equal(back.embedding, element.embedding)
+    back = element_from_record(_across(element_record(element)))
+    assert element_record(back) == element_record(element)
     assert back.arena_slot is None
 
 
 def test_query_round_trips_with_frozen_metadata():
     query = Query("q", tool="search", fact_id="F1", metadata={"a": 1})
-    back = pickle.loads(pickle.dumps(query))
+    back = query_from_record(_across(query_record(query)))
     assert back.text == "q"
     assert back.tool == "search"
     assert back.fact_id == "F1"
@@ -65,7 +71,7 @@ def test_query_round_trips_with_frozen_metadata():
     except TypeError:
         pass
     else:  # pragma: no cover - would be a regression
-        raise AssertionError("metadata became mutable across pickling")
+        raise AssertionError("metadata became mutable across the round trip")
 
 
 def test_config_round_trips_and_alias():
@@ -73,29 +79,3 @@ def test_config_round_trips_and_alias():
     config = AsteriaConfig(capacity_items=64, tau_sim=0.9, default_ttl=5.0)
     back = pickle.loads(pickle.dumps(config))
     assert back == config
-
-
-def test_latency_stats_round_trip_preserves_reservoir_stream():
-    original = LatencyStats(max_samples=32)
-    rng = random.Random(7)
-    for _ in range(200):
-        original.add(rng.random())
-    clone = pickle.loads(pickle.dumps(original))
-    assert clone.count == original.count
-    assert clone.p99 == original.p99
-    # The reservoir RNG state survived: both replicas evolve identically.
-    for value in (0.1, 0.9, 0.5, 0.3):
-        original.add(value)
-        clone.add(value)
-    assert clone.p50 == original.p50
-    assert clone.p99 == original.p99
-
-
-def test_engine_metrics_round_trip():
-    engine = _engine(arena="float32")
-    for i in range(24):
-        engine.handle(Query(f"fact {i % 5} about things", fact_id=f"F{i % 5}"), now=i * 0.01)
-    metrics = engine.metrics
-    back = pickle.loads(pickle.dumps(metrics))
-    assert isinstance(back, EngineMetrics)
-    assert back.summary() == metrics.summary()

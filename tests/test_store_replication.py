@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import Query
 from repro.core.config import AsteriaConfig
+from repro.core.records import RecordError
 from repro.core.types import FetchResult
 from repro.factory import build_asteria_engine, build_remote
 from repro.serving.proc.protocol import FrameError, FrameSplitter, encode_frame
@@ -219,6 +220,44 @@ class TestInvalidation:
         assert len(engine_b.cache) == 0
         assert node_b.stats_rep.applied_invalidations == 1
         assert agreement_between(node_a, node_b).agreement == 1.0
+
+
+class TestWholeDiffCheck:
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda entry: entry["record"].update(staticity="high"),
+            lambda entry: entry["record"].update(frequency=True),
+            lambda entry: entry.pop("origin"),
+            lambda entry: entry.update(op="delete"),
+        ],
+        ids=["mistyped-field", "bool-as-int", "missing-field", "unknown-op"],
+    )
+    def test_a_bad_entry_refuses_the_whole_diff(self, spoil):
+        engine_a, node_a = make_node("A")
+        engine_b, node_b = make_node("B")
+        engine_b.cache.insert(Query("copper price today", fact_id="F"), fetch("b"), 1)
+        engine_a.cache.insert(Query("copper price now", fact_id="F"), fetch("a"), 2)
+        engine_a.cache.insert(Query("who painted mona lisa", fact_id="G"), fetch(), 2)
+        good, bad = node_a.collect_diff()
+        spoil(bad)
+        before = (
+            {eid: e.value for eid, e in engine_b.cache.elements.items()},
+            dict(node_b.versions),
+            {key: set(ids) for key, ids in node_b.truth_index.items()},
+        )
+        with pytest.raises(RecordError):
+            node_b.apply_diff([good, bad], now=3.0)
+        after = (
+            {eid: e.value for eid, e in engine_b.cache.elements.items()},
+            dict(node_b.versions),
+            {key: set(ids) for key, ids in node_b.truth_index.items()},
+        )
+        assert after == before
+        assert node_b.stats()["rejected_diffs"] == 1
+        # The good entry alone still lands.
+        assert node_b.apply_diff([good], now=3.0) == 1
+        assert [e.value for e in engine_b.cache.elements.values()] == ["a"]
 
 
 class TestFrameSplitter:

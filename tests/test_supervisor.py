@@ -256,9 +256,9 @@ def test_client_reconnects_once_after_server_drop():
     """Satellite: ProcClient built via connect() re-dials once when the link
     drops and replays the interrupted call."""
     from repro.serving.proc.client import ProcClient
-    from repro.serving.proc.protocol import PickleCodec, read_frame, write_frame
+    from repro.serving.proc.protocol import JsonCodec, read_frame, write_frame
 
-    codec = PickleCodec()
+    codec = JsonCodec()
 
     async def drive():
         connections = {"count": 0}
