@@ -535,8 +535,6 @@ def _build_proc(arguments, remote, resilience=None):
         io_pause_scale=arguments.io_scale,
         max_inflight=arguments.max_inflight,
         default_deadline=arguments.deadline,
-        batch_window=arguments.batch_window,
-        batch_max=arguments.batch_max,
         resilience=resilience,
         supervise=not arguments.no_supervise,
         fault_domains=not arguments.no_fault_domains,
@@ -1017,21 +1015,6 @@ def _add_proc_arguments(parser) -> None:
         metavar="SECONDS",
         help="burn ~SECONDS of GIL-holding CPU inside every judge call "
         "(makes the judge stage honestly CPU-bound; default 0 = off)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="per-shard lookup accumulation window before a frame ships "
-        "(default 0: every lookup goes out on the next loop tick)",
-    )
-    parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=16,
-        help="lookups per shard frame before the window flushes early "
-        "(default 16)",
     )
     parser.add_argument(
         "--no-supervise",

@@ -6,7 +6,7 @@ them with one growable ``(capacity, dim)`` matrix plus a free-list: every
 element's embedding lives in a *slot* (one row), handed out on admission and
 recycled on eviction. Consumers — the cache, Sine, and the index —
 score queries against contiguous row views instead of gathering per-SE
-arrays, which is what makes the batched lookup path one matrix product.
+arrays, which is what makes a lookup's scan one matrix-vector product.
 
 :class:`EmbeddingArena` holds float32 rows, bit-exact with per-element
 storage: vectors are unit-normalised on allocation with the same math as

@@ -18,11 +18,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
-from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
 from repro.core.eviction import EvictionPolicy, LCFUPolicy, LRUPolicy
 from repro.core.records import element_from_record
@@ -209,82 +207,15 @@ class AsteriaCache:
         """
         self.remove_expired(now)
         result = self.sine.retrieve(query, self._backend.elements, ann_only=ann_only)
-        self._note_hit(result, now)
+        match = result.match
+        if match is not None:
+            match.record_hit(now)
+            if match.prefetched and match.frequency == 1:
+                # First validated use of a speculative entry.
+                match.metadata["prefetch_confirmed_at"] = now
+            self._backend.touch(match)
+            self._heap_update(match, now)
         return result
-
-    def lookup_prepared(
-        self,
-        query: Query,
-        raw_hits: list[SearchHit],
-        now: float,
-        ann_only: bool = False,
-    ) -> SineResult:
-        """Lookup over pre-computed ANN hits (no expiry purge — the batch
-        caller runs :meth:`remove_expired` once for the whole batch).
-
-        Hit bookkeeping (frequency, prefetch confirmation) is identical to
-        :meth:`lookup`.
-        """
-        result = self.sine.retrieve_prepared(
-            query, raw_hits, self._backend.elements, ann_only=ann_only
-        )
-        self._note_hit(result, now)
-        return result
-
-    def lookup_batch(
-        self, queries: Sequence[Query], now: float, ann_only: bool = False
-    ) -> list[SineResult]:
-        """Batched lookups sharing one embed-batch and one ANN-batch call.
-
-        Equivalent to N :meth:`lookup` calls at the same ``now``: the expiry
-        purge runs once (repeat purges at one timestamp are no-ops), retrieval
-        reads no per-element hit state, and hit bookkeeping replays in query
-        order.
-        """
-        self.remove_expired(now)
-        results = self.sine.lookup_batch(
-            queries, self._backend.elements, ann_only=ann_only
-        )
-        for result in results:
-            self._note_hit(result, now)
-        return results
-
-    def prepare_batch(self, texts: Sequence[str]) -> list[list[SearchHit]]:
-        """Stage-1 work for a batch: one embed-batch + one ANN-batch call.
-
-        Returns raw (unthresholded) ANN hits per text, suitable for
-        :meth:`lookup_prepared`. Factored out of the engine's batch path so a
-        sharded cache can supply its own per-shard grouping.
-        """
-        if not texts:
-            return []
-        tracer = self.tracer
-        if tracer is not None and not (tracer.live and tracer.active()):
-            tracer = None
-        if tracer is None:
-            embeddings = self.sine.embedder.embed_batch(texts)
-        else:
-            t0 = tracer.clock()
-            embeddings = self.sine.embedder.embed_batch(texts)
-            tracer.record_leaf("embed", t0, {"batch": len(texts)})
-        search_batch = self.sine.index.search_batch
-        k = self.sine.max_candidates
-        if tracer is None:
-            return search_batch(embeddings, k)
-        t0 = tracer.clock()
-        hits = search_batch(embeddings, k)
-        tracer.record_leaf("ann_search", t0, {"batch": len(texts)})
-        return hits
-
-    def _note_hit(self, result: SineResult, now: float) -> None:
-        if result.match is None:
-            return
-        result.match.record_hit(now)
-        if result.match.prefetched and result.match.frequency == 1:
-            # First validated use of a speculative entry.
-            result.match.metadata["prefetch_confirmed_at"] = now
-        self._backend.touch(result.match)
-        self._heap_update(result.match, now)
 
     def contains_semantic(self, query: Query) -> bool:
         """Stage-1-only membership probe (used by the prefetcher's guard)."""

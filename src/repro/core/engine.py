@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Generator, Protocol, Sequence, runtime_checkable
+from typing import Generator, Protocol, runtime_checkable
 
 from repro.core.admission import AdmissionPolicy, AlwaysAdmit
 from repro.core.cache import AsteriaCache, ExactCache, content_key
@@ -207,16 +207,8 @@ class AsteriaEngine:
         comparable across fault configurations."""
         self.metrics.degraded_latency.add(response.latency)
 
-    def _sine_lookup(self, query: Query, now: float, prepared=None):
-        """Stage 1+2 retrieval. ``prepared`` is a batch's ``(stage-1 hits,
-        mutation stamp)`` for this query; once the cache has mutated since
-        the stamp (an earlier item in the batch admitted, evicted or
-        expired something) the snapshot is stale and a fresh scalar lookup
-        runs instead, keeping batched results exact."""
-        if prepared is not None and self._mutation_stamp() == prepared[1]:
-            return self.cache.lookup_prepared(
-                query, prepared[0], now, ann_only=self.config.ann_only
-            )
+    def _sine_lookup(self, query: Query, now: float):
+        """Stage 1+2 retrieval on the cache."""
         return self.cache.lookup(query, now, ann_only=self.config.ann_only)
 
     def _lookup_record(self, query: Query, sine_result) -> tuple[CacheLookup, object]:
@@ -290,19 +282,13 @@ class AsteriaEngine:
         self._maybe_recalibrate(now)
         return self._run(request_flow(self, query, now), query, now)
 
-    def _run(
-        self,
-        flow: Generator,
-        query: Query | None = None,
-        now: float = 0.0,
-        prepared=None,
-    ):
+    def _run(self, flow: Generator, query: Query | None = None, now: float = 0.0):
         """The analytic driver of :mod:`repro.core.flow`: every effect
         completes inline and costs only the simulated time the flow sums —
         a flight has nobody to share with, a spawned refresh runs on the
         spot (there is no background to run it in) and backoff is not
-        waited out. ``query``/``now``/``prepared`` serve the top-level
-        request's ``Lookup``; sub-flows never look up."""
+        waited out. ``query``/``now`` serve the top-level request's
+        ``Lookup``; sub-flows never look up."""
         element = result = None
         looked_up = False
         try:
@@ -313,7 +299,7 @@ class AsteriaEngine:
                     if kind is Lookup:
                         looked_up = True
                         result, element = self._lookup_record(
-                            query, self._sine_lookup(query, now, prepared)
+                            query, self._sine_lookup(query, now)
                         )
                     elif kind is Fetch:
                         result = self.remote.fetch_at(effect.query, effect.at)
@@ -335,51 +321,6 @@ class AsteriaEngine:
             canonical = element.key if element is not None else query.text
             self._run_prefetch_analytic(query, now, canonical)
         return response
-
-    def handle_batch(
-        self, queries: Sequence[Query], now: float = 0.0
-    ) -> list[EngineResponse]:
-        """Resolve many queries at one simulated time with shared stage-1 work.
-
-        The batch runs one ``embed_batch`` and one ANN ``search_batch`` over
-        the cacheable queries, then completes each query *in input order*
-        through exactly the scalar flow (judging, admission, metrics,
-        prefetch), so responses and metric deltas equal N :meth:`handle`
-        calls at the same ``now``.
-
-        If the cache mutates mid-batch (a miss admits an element, a prefetch
-        lands, an eviction or expiry runs), the ANN snapshot may be stale for
-        the remaining queries; those fall back to the scalar lookup, keeping
-        results exact. Hit-heavy batches — the steady state the paper's
-        latency argument rests on — keep the fully shared fast path.
-        """
-        responses: list[EngineResponse] = []
-        for query, prepared in zip(queries, self._prepare_batch(queries, now)):
-            self._maybe_recalibrate(now)
-            flow = request_flow(self, query, now, batched=True)
-            responses.append(self._run(flow, query, now, prepared))
-        return responses
-
-    def _prepare_batch(self, queries: Sequence[Query], now: float) -> list:
-        """The shared stage-1 pass of a batch: expiry purge, one embed-batch +
-        ANN search-batch over the cacheable queries, and the mutation stamp,
-        as one snapshot. Returns each query's ``(stage-1 hits, stamp)`` for
-        :meth:`_sine_lookup` — None for an uncacheable query."""
-        cacheable = [self._is_cacheable(query) for query in queries]
-        texts = [query.text for query, wanted in zip(queries, cacheable) if wanted]
-        if not texts:
-            return [None] * len(cacheable)
-        self.cache.remove_expired(now)
-        # The cache owns the stage-1 batching (a sharded cache groups the
-        # texts so each shard still gets one embed+ANN pass).
-        rows = iter(self.cache.prepare_batch(texts))
-        stamp = self._mutation_stamp()
-        return [(next(rows), stamp) if wanted else None for wanted in cacheable]
-
-    def _mutation_stamp(self) -> tuple[int, int, int]:
-        """Cache-population fingerprint for batch snapshot invalidation."""
-        stats = self.cache.stats
-        return (stats.inserts, stats.evictions, stats.expirations)
 
     def _run_prefetch_analytic(
         self, query: Query, now: float, canonical: str

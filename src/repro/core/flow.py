@@ -64,8 +64,8 @@ class EngineResponse:
 class Lookup:
     """Two-stage lookup of the request's own query → ``CacheLookup``.
 
-    Carries nothing — the driver that started the flow holds the query, the
-    clock and any prepared stage-1 result — so a hit allocates no effect;
+    Carries nothing — the driver that started the flow holds the query and
+    the clock — so a hit allocates no effect;
     :data:`LOOKUP` is the one instance. A driver whose cache cannot answer
     throws :class:`CacheUnavailable` instead.
     """
@@ -144,7 +144,7 @@ def account_failure(host, key: tuple, exc: Exception, at: float) -> None:
 
 
 # -- the flow --------------------------------------------------------------------
-def request_flow(host, query: Query, now: float, batched: bool = False) -> Generator:
+def request_flow(host, query: Query, now: float) -> Generator:
     """Resolve one query starting at simulated ``now``; returns the response.
 
     Never raises on remote failure: faults, exhausted retries and an open
@@ -193,8 +193,6 @@ def request_flow(host, query: Query, now: float, batched: bool = False) -> Gener
                 if response is None
                 else response.degraded or response.lookup.status,
             }
-            if batched:
-                span.attrs["batched"] = True
             span.__exit__(None, None, None)
 
 

@@ -35,7 +35,6 @@ import dataclasses
 import zlib
 from typing import Callable, Sequence
 
-from repro.ann.base import SearchHit
 from repro.core.cache import AsteriaCache, CacheStats, content_key
 from repro.core.element import SemanticElement
 from repro.core.sine import SineResult
@@ -123,10 +122,9 @@ class ShardedAsteriaCache:
 
     The public surface mirrors :class:`AsteriaCache` closely enough that
     :class:`~repro.core.engine.AsteriaEngine` runs over either transparently:
-    ``lookup`` / ``lookup_prepared`` / ``lookup_batch`` / ``prepare_batch`` /
-    ``insert`` / ``contains_semantic`` / ``remove_expired`` / ``invalidate``
-    / ``stats`` / ``usage``. A per-query method touches only the query's
-    shard; whole-cache sweeps visit the shards in order.
+    ``lookup`` / ``insert`` / ``contains_semantic`` / ``remove_expired`` /
+    ``invalidate`` / ``stats`` / ``usage``. A per-query method touches only
+    the query's shard; whole-cache sweeps visit the shards in order.
     """
 
     def __init__(self, shards: Sequence[AsteriaCache]) -> None:
@@ -205,58 +203,6 @@ class ShardedAsteriaCache:
         """Two-stage lookup on the query's shard."""
         shard = self._shards[self.shard_index(query.text)]
         return shard.lookup(query, now, ann_only=ann_only)
-
-    def lookup_prepared(
-        self,
-        query: Query,
-        raw_hits: list[SearchHit],
-        now: float,
-        ann_only: bool = False,
-    ) -> SineResult:
-        """Lookup over pre-computed ANN hits (which must come from this
-        query's shard — pair with :meth:`prepare_batch`)."""
-        shard = self._shards[self.shard_index(query.text)]
-        return shard.lookup_prepared(query, raw_hits, now, ann_only=ann_only)
-
-    def lookup_batch(
-        self, queries: Sequence[Query], now: float, ann_only: bool = False
-    ) -> list[SineResult]:
-        """Batched lookups grouped by shard: each shard gets exactly one
-        embed-batch + ANN-batch pass over its own sub-batch. Results return
-        in input order.
-        """
-        queries = list(queries)
-        groups = self._group_positions(query.text for query in queries)
-        results: list[SineResult | None] = [None] * len(queries)
-        for i, positions in enumerate(groups):
-            if not positions:
-                continue
-            shard_results = self._shards[i].lookup_batch(
-                [queries[p] for p in positions], now, ann_only=ann_only
-            )
-            for position, result in zip(positions, shard_results):
-                results[position] = result
-        return results  # type: ignore[return-value]
-
-    def prepare_batch(self, texts: Sequence[str]) -> list[list[SearchHit]]:
-        """Stage-1 work grouped by shard (one embed+ANN pass per shard)."""
-        texts = list(texts)
-        groups = self._group_positions(texts)
-        batch_hits: list[list[SearchHit]] = [[] for _ in texts]
-        for i, positions in enumerate(groups):
-            if not positions:
-                continue
-            shard_hits = self._shards[i].prepare_batch([texts[p] for p in positions])
-            for position, hits in zip(positions, shard_hits):
-                batch_hits[position] = hits
-        return batch_hits
-
-    def _group_positions(self, texts) -> list[list[int]]:
-        """Input positions grouped by shard id, preserving input order."""
-        groups: list[list[int]] = [[] for _ in self._shards]
-        for position, text in enumerate(texts):
-            groups[self.shard_index(text)].append(position)
-        return groups
 
     def contains_semantic(self, query: Query) -> bool:
         """Stage-1-only membership probe on the query's shard."""

@@ -15,7 +15,7 @@ Sine is *retrieval only* — it neither admits, evicts, nor mutates frequency;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
@@ -145,8 +145,8 @@ class Sine:
         unvalidated — the strawman of §3.2 used by the accuracy ablation.
         """
         # Resolve the tracer decision once for both stages: the guard costs
-        # an attribute load on every untraced request, so retrieve_prepared
-        # must not re-derive what this frame already knows.
+        # an attribute load on every untraced request, so _prepared takes
+        # it as an argument instead of re-deriving it.
         tracer = self.tracer
         if tracer is None or not tracer.live or not tracer.active():
             embedding = self.embedder.embed(query.text)
@@ -161,24 +161,6 @@ class Sine:
         tracer.record_leaf("ann_search", t0, {"raw_hits": len(raw_hits)})
         return self._prepared(query, raw_hits, elements, ann_only, tracer)
 
-    def retrieve_prepared(
-        self,
-        query: Query,
-        raw_hits: list[SearchHit],
-        elements: Mapping[int, SemanticElement],
-        ann_only: bool = False,
-    ) -> SineResult:
-        """Stage 2 on pre-computed ANN hits (the batch path supplies them).
-
-        Thresholding, judging, and result construction are exactly the tail
-        of :meth:`retrieve`, so batched and scalar lookups agree whenever the
-        supplied ``raw_hits`` equal what a fresh ANN search would return.
-        """
-        tracer = self.tracer
-        if tracer is not None and not (tracer.live and tracer.active()):
-            tracer = None
-        return self._prepared(query, raw_hits, elements, ann_only, tracer)
-
     def _prepared(
         self,
         query: Query,
@@ -187,6 +169,8 @@ class Sine:
         ann_only: bool,
         tracer,
     ) -> SineResult:
+        """Stage 2 on stage 1's raw ANN hits: threshold, then judge (the
+        tail of :meth:`retrieve`)."""
         candidates = [hit for hit in raw_hits if hit.score >= self.tau_sim]
 
         if ann_only:
@@ -219,7 +203,7 @@ class Sine:
         elements: Mapping[int, SemanticElement],
     ) -> SineResult:
         """Stage 2 proper: judge candidates in similarity order (the tail of
-        :meth:`retrieve_prepared`, factored out so it can be traced)."""
+        :meth:`_prepared`, factored out so it can be traced)."""
         verdicts: list[JudgeVerdict] = []
         best: tuple[float, SemanticElement] | None = None
         for hit in candidates:
@@ -252,26 +236,3 @@ class Sine:
             verdicts=verdicts,
             ann_considered=len(raw_hits),
         )
-
-    def lookup_batch(
-        self,
-        queries: Sequence[Query],
-        elements: Mapping[int, SemanticElement],
-        ann_only: bool = False,
-    ) -> list[SineResult]:
-        """Batched two-stage retrieval: one embed-batch + one ANN-batch call.
-
-        Stage 1 is shared across the batch (a single ``embed_batch`` and a
-        single ``search_batch``); stage 2 judges each query independently in
-        input order, so every result equals the corresponding
-        :meth:`retrieve` call against the same index state.
-        """
-        queries = list(queries)
-        if not queries:
-            return []
-        embeddings = self.embedder.embed_batch([query.text for query in queries])
-        batch_hits = self.index.search_batch(embeddings, self.max_candidates)
-        return [
-            self.retrieve_prepared(query, raw_hits, elements, ann_only=ann_only)
-            for query, raw_hits in zip(queries, batch_hits)
-        ]

@@ -57,10 +57,6 @@ class EmbeddingModel(Protocol):
         """Embed one text into a unit-norm float32 vector of length ``dim``."""
         ...
 
-    def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
-        """Embed many texts; returns an (n, dim) array."""
-        ...
-
 
 class HashingEmbedder:
     """Deterministic bag-of-hashed-tokens embedder.
@@ -185,9 +181,7 @@ class HashingEmbedder:
         of feature weights over the token-direction matrix, multiplied
         through scipy's ``csr_matvecs`` kernel (falling back to a dense
         coefficient GEMM when scipy is absent), then row-normalised.
-        Results match :meth:`embed` up to float32 summation order; every
-        downstream decision compares against thresholds, so batch and scalar
-        lookups still agree exactly.
+        Results match :meth:`embed` up to float32 summation order.
         """
         features = [self._features_for(text) for text in texts]
         n = len(features)
@@ -278,44 +272,6 @@ class CachedEmbedder:
         if len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)
         return vector
-
-    def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
-        """Embed many texts with one inner batch call for the misses.
-
-        Hit/miss counters and the final LRU state match a sequence of
-        :meth:`embed` calls: repeats of a missing text within the batch count
-        as hits (the first occurrence would have populated the memo).
-        """
-        texts = list(texts)
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        missing: list[str] = []
-        seen: set[str] = set()
-        for text in texts:
-            if text not in self._cache and text not in seen:
-                missing.append(text)
-                seen.add(text)
-        batch = self.inner.embed_batch(missing) if missing else None
-        fresh = {text: batch[i] for i, text in enumerate(missing)} if batch is not None else {}
-        rows: list[np.ndarray] = []
-        for text in texts:
-            cached = self._cache.get(text)
-            if cached is not None:
-                self._cache.move_to_end(text)
-                self.hits += 1
-                rows.append(cached)
-                continue
-            self.misses += 1
-            vector = fresh.get(text)
-            if vector is None:
-                # A mid-batch LRU eviction dropped a text we expected to hit;
-                # recompute it scalar (rare, keeps replay exact).
-                vector = self.inner.embed(text)
-            self._cache[text] = vector
-            if len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-            rows.append(vector)
-        return np.stack(rows)
 
     def __contains__(self, text: str) -> bool:
         return text in self._cache

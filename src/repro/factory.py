@@ -311,8 +311,6 @@ def build_async_engine(
     follower_timeout: float | None = None,
     hedge_percentile: float | None = None,
     hedge_min_samples: int = 20,
-    batch_window: float = 0.0,
-    batch_max: int = 16,
     resilience: ResilienceManager | None = None,
     name: str = "asteria-async",
     **stack,
@@ -338,8 +336,6 @@ def build_async_engine(
         follower_timeout=follower_timeout,
         hedge_percentile=hedge_percentile,
         hedge_min_samples=hedge_min_samples,
-        batch_window=batch_window,
-        batch_max=batch_max,
     )
 
 
@@ -352,8 +348,6 @@ def build_proc_engine(
     max_inflight: int = 256,
     default_deadline: float | None = None,
     follower_timeout: float | None = None,
-    batch_window: float = 0.0,
-    batch_max: int = 16,
     resilience: ResilienceManager | None = None,
     name: str = "asteria-proc",
     launch: bool = True,
@@ -397,8 +391,6 @@ def build_proc_engine(
         spec = replace(spec, judge_spin_iterations=spin_iterations(spec.judge_spin))
     pool = WorkerPool(
         [WorkerSpec(i, workers, each) for i, each in enumerate(_shard_specs(spec, workers))],
-        batch_window=batch_window,
-        batch_max=batch_max,
         ann_only=spec.config.ann_only,
         frame_faults=proc_faults,
     )

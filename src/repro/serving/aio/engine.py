@@ -121,17 +121,6 @@ class AsyncAsteriaEngine:
         is no wall-clock tail to cut).
     hedge_min_samples:
         Observed-fetch count required before hedging activates.
-    batch_window:
-        Accumulation window (wall seconds) for :meth:`serve_batched`. The
-        first enqueued request arms a flush timer; everything that arrives
-        within the window is served with *one* shared embed-batch + ANN
-        search-batch pass (the same stage-1 sharing as the sequential
-        engine's ``handle_batch``). 0 (default) still batches everything
-        enqueued in the same event-loop tick — e.g. an ``asyncio.gather``
-        over ``serve_batched`` calls — with no added latency.
-    batch_max:
-        Flush immediately once this many requests are pending (bounds both
-        latency and the stage-1 batch size).
     """
 
     #: Observed-latency reservoir cap (recent fetches dominate the estimate).
@@ -147,15 +136,9 @@ class AsyncAsteriaEngine:
         follower_timeout: float | None = None,
         hedge_percentile: float | None = None,
         hedge_min_samples: int = 20,
-        batch_window: float = 0.0,
-        batch_max: int = 16,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError(f"default_deadline must be > 0, got {default_deadline}")
         if follower_timeout is not None and follower_timeout <= 0:
@@ -184,16 +167,10 @@ class AsyncAsteriaEngine:
         self.follower_timeout = follower_timeout
         self.hedge_percentile = hedge_percentile
         self.hedge_min_samples = hedge_min_samples
-        self.batch_window = batch_window
-        self.batch_max = batch_max
         self._inflight = 0
         self._latency_samples: list[float] = []
         #: Background stale-while-revalidate flights (gathered by drain()).
         self._refresh_tasks: set[asyncio.Task] = set()
-        #: Micro-batch accumulator: (query, now, future) triples awaiting the
-        #: next shared stage-1 flush.
-        self._batch_pending: list[tuple[Query, float, asyncio.Future]] = []
-        self._batch_timer: asyncio.TimerHandle | None = None
 
     # -- KnowledgeEngine-compatible surface ------------------------------------
     @property
@@ -229,35 +206,6 @@ class AsyncAsteriaEngine:
         exactly as in the sequential engine); ``deadline`` is *wall* seconds
         and overrides ``default_deadline`` for this request.
         """
-        return await self._serve_outer(query, now, deadline)
-
-    async def serve_batched(
-        self, query: Query, now: float = 0.0, deadline: float | None = None
-    ) -> AsyncOutcome:
-        """Like :meth:`serve`, but stage 1 is shared across a micro-batch.
-
-        The request joins the pending accumulation window; when the window
-        flushes (``batch_window`` elapsed, or ``batch_max`` requests
-        pending), every cacheable request in it gets its raw ANN hits from
-        one shared embed-batch + search-batch pass, then completes through
-        exactly the scalar flow — judging, single-flight misses,
-        degradation, metrics — in its own task context. Deadlines cover the
-        window wait; backpressure is applied at enqueue time.
-
-        Decision parity with the sequential engine's ``handle_batch`` holds
-        per window: a request whose stage-1 snapshot went stale (the cache
-        mutated after the flush) falls back to a fresh scalar lookup, the
-        same invalidation rule the sync batch path uses.
-        """
-        return await self._serve_outer(
-            query, now, deadline, serve=self._serve_enqueued
-        )
-
-    async def _serve_outer(
-        self, query: Query, now: float, deadline: float | None, serve=None
-    ) -> AsyncOutcome:
-        if serve is None:
-            serve = self._serve
         begin = time.perf_counter()
         if self._inflight >= self.max_inflight:
             self.metrics.overloaded += 1
@@ -269,10 +217,10 @@ class AsyncAsteriaEngine:
             limit = deadline if deadline is not None else self.default_deadline
             try:
                 if limit is None:
-                    response = await serve(query, now)
+                    response = await self._serve(query, now)
                 else:
                     async with asyncio.timeout(limit):
-                        response = await serve(query, now)
+                        response = await self._serve(query, now)
             except TimeoutError:
                 self.metrics.deadline_exceeded += 1
                 return AsyncOutcome(
@@ -287,57 +235,11 @@ class AsyncAsteriaEngine:
         finally:
             self._inflight -= 1
 
-    async def _serve_enqueued(self, query: Query, now: float) -> EngineResponse:
-        """Join the pending micro-batch, await its flush, then complete
-        through the scalar path with the flush's prepared stage-1 hits."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._batch_pending.append((query, now, future))
-        if len(self._batch_pending) >= self.batch_max:
-            self._flush_batch()
-        elif self._batch_timer is None:
-            self._batch_timer = loop.call_later(self.batch_window, self._flush_batch)
-        return await self._serve(query, now, prepared=await future)
+    async def _serve(self, query: Query, now: float) -> EngineResponse:
+        """One request through the flow."""
+        return await self._run(request_flow(self.engine, query, now), query, now)
 
-    def _flush_batch(self) -> None:
-        """Run the shared stage-1 pass for every pending request and wake
-        them with their prepared hits.
-
-        Synchronous (no awaits), so the expiry purge, the embed+ANN batch,
-        and the mutation stamp form one atomic snapshot — the sequential
-        ``handle_batch`` preamble itself. Requests then resume in enqueue
-        order and validate the stamp before trusting their hits.
-        """
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        pending = self._batch_pending
-        if not pending:
-            return
-        self._batch_pending = []
-        prepared = self.engine._prepare_batch(
-            [query for query, _, _ in pending], max(now for _, now, _ in pending)
-        )
-        for (_, _, future), ready in zip(pending, prepared):
-            # A deadline may have cancelled the waiter while it queued.
-            if not future.done():
-                future.set_result(ready)
-
-    async def _serve(
-        self, query: Query, now: float, prepared=None
-    ) -> EngineResponse:
-        """One request through the flow; ``prepared`` is a flushed
-        micro-batch's ``(stage-1 hits, mutation stamp)`` for this query."""
-        flow = request_flow(self.engine, query, now, batched=prepared is not None)
-        return await self._run(flow, query, now, prepared)
-
-    async def _run(
-        self,
-        flow: Generator,
-        query: Query | None = None,
-        now: float = 0.0,
-        prepared=None,
-    ):
+    async def _run(self, flow: Generator, query: Query | None = None, now: float = 0.0):
         """The event-loop driver of :mod:`repro.core.flow`.
 
         A flight body runs as its own task inside the single-flight layer
@@ -353,7 +255,7 @@ class AsyncAsteriaEngine:
                 try:
                     kind = type(effect)
                     if kind is Lookup:
-                        sine_result = await self._sine_lookup(query, now, prepared)
+                        sine_result = await self._sine_lookup(query, now)
                         result, _ = self.engine._lookup_record(query, sine_result)
                     elif kind is Fetch:
                         result = await self._fetch(effect.query, effect.at)
@@ -382,12 +284,12 @@ class AsyncAsteriaEngine:
         except StopIteration as stop:
             return stop.value
 
-    async def _sine_lookup(self, query: Query, now: float, prepared=None):
+    async def _sine_lookup(self, query: Query, now: float):
         """Stage 1+2 retrieval for one cacheable request — the engine's
         *cache access point*: subclasses that keep the cache elsewhere (the
         multi-process tier's shard workers) override this and
         :meth:`_admit`, and inherit the entire flow unchanged."""
-        return self.engine._sine_lookup(query, now, prepared)
+        return self.engine._sine_lookup(query, now)
 
     async def _admit(self, query: Query, fetch: FetchResult, arrival: float) -> None:
         """Insert one fetched result; the second cache access point."""
@@ -457,9 +359,7 @@ class AsyncAsteriaEngine:
     async def drain(self) -> None:
         """Wait for background single-flight fetches and stale-refresh tasks
         to settle (admissions land in the cache); call before tearing down
-        the event loop. Any un-flushed micro-batch is flushed first so no
-        ``serve_batched`` waiter is left pending."""
-        self._flush_batch()
+        the event loop."""
         while self._refresh_tasks:
             await asyncio.gather(
                 *list(self._refresh_tasks), return_exceptions=True

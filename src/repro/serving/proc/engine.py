@@ -184,8 +184,8 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         """Charge one failed flight to a shard's fault domain.
 
         Dedups on the exception object (the ShardClient teardown shares one
-        instance across every pending waiter; batched lookups already share
-        their frame's), mirroring ``_account_failure``'s marker scheme —
+        instance across every pending waiter, and the lookups of one frame
+        share that frame's), mirroring ``_account_failure``'s marker scheme —
         breaker windows count flights, not disappointed callers.
         """
         if getattr(exc, "_shard_accounted", False):
@@ -203,11 +203,9 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         return self.shard_breakers[shard].allow(now)
 
     # -- the two cache access points ------------------------------------------
-    async def _sine_lookup(self, query, now, prepared=None):
+    async def _sine_lookup(self, query, now):
         """The lookup, wrapped in its shard's fault domain.
 
-        `prepared` (the in-process stage-1 snapshot) never applies here:
-        frame-level accumulation in the ShardClient is the batching tier.
         `ctx` carries the current request span's identity across the
         process boundary (None on untraced/unsampled traffic — the frame
         stays byte-identical to the pre-tracing wire).
@@ -252,20 +250,15 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
             self._shard_failure(shard, exc)
 
     # -- serving ----------------------------------------------------------------
-    async def _serve_outer(self, query, now, deadline, serve=None) -> AsyncOutcome:
+    async def serve(self, query, now: float = 0.0, deadline=None) -> AsyncOutcome:
         if not self.pool.attached:
             await self.pool.attach()
-        return await super()._serve_outer(query, now, deadline, serve=serve)
+        return await super().serve(query, now, deadline)
 
-    async def _serve(self, query, now, prepared=None) -> EngineResponse:
+    async def _serve(self, query, now) -> EngineResponse:
         if self.proc_faults is not None:
             self.proc_faults.on_serve(self.pool)
-        return await super()._serve(query, now, prepared=prepared)
-
-    async def serve_batched(self, query, now: float = 0.0, deadline=None):
-        """Batching happens per shard at the wire (the ShardClient's
-        accumulation window), so the scalar path *is* the batched path."""
-        return await self.serve(query, now, deadline)
+        return await super()._serve(query, now)
 
     # -- lifecycle ----------------------------------------------------------------
     async def drain(self) -> None:

@@ -10,14 +10,15 @@ exists.
 
 :class:`ShardClient` is the per-shard protocol endpoint. It pipelines
 requests (a monotonically increasing request id maps replies to waiter
-futures, so many ops can be in flight on one connection) and micro-batches
-lookups: requests that arrive within ``batch_window`` wall seconds (or up to
-``batch_max`` of them) travel as *one* ``lookup_batch`` frame — the same
-accumulation rule as ``AsyncAsteriaEngine.serve_batched``, applied per shard
-at the wire. Every reply refreshes :attr:`ShardClient.last_stats`, the
-piggybacked shard-stats tuple the router's cache view reads; because the
-update happens before the waiter future resolves, metric recording after an
-``await`` always sees stats at least as fresh as its own operation.
+futures, so many ops can be in flight on one connection) and frames lookups
+by loop tick: every lookup for the shard issued in one tick travels in *one*
+``lookup_batch`` frame, shipped by a single ``call_soon`` — no timer, no
+size cap (a frame holds at most the router's ``max_inflight`` items). The
+worker serves the items one by one. Every reply refreshes
+:attr:`ShardClient.last_stats`, the piggybacked shard-stats tuple the
+router's cache view reads; because the update happens before the waiter
+future resolves, metric recording after an ``await`` always sees stats at
+least as fresh as its own operation.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def _scatter(waiters: list[asyncio.Future], frame_future: asyncio.Future) -> Non
 
 
 class ShardClient:
-    """Protocol endpoint for one shard worker (pipelined + lookup-batched).
+    """Protocol endpoint for one shard worker (pipelined, one lookup frame
+    per loop tick).
 
     ``on_connection_lost`` (``fn(shard_id)``) fires once when the read loop
     tears down for any reason other than a deliberate :meth:`aclose` — the
@@ -89,8 +91,6 @@ class ShardClient:
         self,
         shard_id: int,
         sock: socket.socket,
-        batch_window: float = 0.0,
-        batch_max: int = 16,
         ann_only: bool = False,
         on_connection_lost=None,
         frame_faults=None,
@@ -98,8 +98,6 @@ class ShardClient:
     ) -> None:
         self.shard_id = shard_id
         self.codec = JsonCodec()
-        self.batch_window = batch_window
-        self.batch_max = batch_max
         self.ann_only = ann_only
         self.on_connection_lost = on_connection_lost
         self.frame_faults = frame_faults
@@ -123,10 +121,10 @@ class ShardClient:
         self._reader_task: asyncio.Task | None = None
         self._next_id = 0
         self._pending: dict[int, asyncio.Future] = {}
-        #: The open accumulation window: wire items and their waiters.
+        #: The open frame: this tick's lookup items and their waiters.
         self._lookup_items: list[list] = []
         self._lookup_waiters: list[asyncio.Future] = []
-        self._lookup_timer: asyncio.Handle | None = None
+        self._flush_handle: asyncio.Handle | None = None
         self._closed = False
         self._expect_close = False
 
@@ -165,7 +163,7 @@ class ShardClient:
         return await self._send(op, body)
 
     async def lookup(self, query, now: float, ctx=None):
-        """Join this shard's accumulation window; resolves to a SineResult.
+        """Join this shard's open frame; resolves to a SineResult.
 
         ``ctx`` is the request's ``[trace_id, parent_span_id]`` stamp (None
         on untraced traffic), carried per item so one frame can mix traced
@@ -178,17 +176,10 @@ class ShardClient:
             item.append(ctx)
         self._lookup_items.append(item)
         self._lookup_waiters.append(future)
-        if len(self._lookup_items) >= self.batch_max:
-            self.flush_lookups()
-        elif self._lookup_timer is None:
-            # No window: flush once this loop tick's lookups have all joined
-            # (a ready-queue callback, not a zero-delay trip through the
-            # timer heap).
-            self._lookup_timer = (
-                loop.call_later(self.batch_window, self.flush_lookups)
-                if self.batch_window > 0
-                else loop.call_soon(self.flush_lookups)
-            )
+        if self._flush_handle is None:
+            # Ship once this loop tick's lookups have all joined: a
+            # ready-queue callback, not a trip through the timer heap.
+            self._flush_handle = loop.call_soon(self.flush_lookups)
         record = await future
         try:
             return records.sine_from_record(record)
@@ -202,10 +193,10 @@ class ShardClient:
         return await self.call("insert", body)
 
     def flush_lookups(self) -> None:
-        """Ship the pending accumulation window as one lookup_batch frame."""
-        if self._lookup_timer is not None:
-            self._lookup_timer.cancel()
-            self._lookup_timer = None
+        """Ship the open frame's lookups as one ``lookup_batch`` frame."""
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         items, waiters = self._lookup_items, self._lookup_waiters
         if not items:
             return
@@ -303,8 +294,6 @@ class WorkerPool:
     def __init__(
         self,
         specs: list[WorkerSpec],
-        batch_window: float = 0.0,
-        batch_max: int = 16,
         ann_only: bool = False,
         host: str = "127.0.0.1",
         frame_faults=None,
@@ -313,8 +302,6 @@ class WorkerPool:
             raise ValueError("WorkerPool needs at least one WorkerSpec")
         self.specs = specs
         self.codec = JsonCodec()
-        self.batch_window = batch_window
-        self.batch_max = batch_max
         self.ann_only = ann_only
         self.host = host
         self.frame_faults = frame_faults
@@ -350,8 +337,6 @@ class WorkerPool:
         client = ShardClient(
             shard_id,
             conn,
-            batch_window=self.batch_window,
-            batch_max=self.batch_max,
             ann_only=self.ann_only,
             on_connection_lost=self._connection_lost,
             frame_faults=self.frame_faults,
@@ -521,7 +506,7 @@ class WorkerPool:
         return await self.clients[shard].insert(query, fetch, arrival, ctx=ctx)
 
     def flush(self) -> None:
-        """Force every shard's accumulation window onto the wire."""
+        """Force every shard's open lookup frame onto the wire."""
         for client in self.clients:
             client.flush_lookups()
 
@@ -549,7 +534,7 @@ class WorkerPool:
 
     # -- teardown -------------------------------------------------------------
     async def shutdown(self, timeout: float = 10.0) -> None:
-        """Graceful stop: flush windows, send shutdown ops, join processes.
+        """Graceful stop: flush open frames, send shutdown ops, join processes.
 
         The supervisor stops *first* — the deliberate client closes below
         must not read as worker deaths and trigger a respawn storm."""

@@ -15,9 +15,10 @@ Ops: ``serve`` (``[query_record, now, deadline]`` with an optional fourth
 client's trace), ``health`` (includes an ``slo`` burn-rate summary when an
 :class:`~repro.obs.slo.SLOEngine` is attached), ``metrics``, ``ping``.
 
-A frame that is not JSON, not ``[request_id, op, body]``, or whose query
-fails its record check closes that one connection and counts in ``health``'s
-``protocol_errors``.
+A frame that is not JSON, not ``[request_id, op, body]``, or whose serve
+body fails its check (the query record; ``now`` a finite number; ``deadline``
+null or a finite number > 0) closes that one connection and counts in
+``health``'s ``protocol_errors``.
 
 Graceful shutdown: SIGTERM/SIGINT (or :meth:`request_stop`) stops accepting
 connections, lets every in-flight request finish, drains the engine
@@ -29,6 +30,7 @@ already admitted.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 
 from repro.core import records
@@ -37,6 +39,27 @@ from repro.serving.proc.protocol import FrameError, JsonCodec, read_frame, write
 
 #: A request frame: ``[request_id, op, body]``.
 _REQUEST = ((int,), (str,), (object,))
+
+
+def _finite(value) -> bool:
+    """A JSON number that is finite (a bool is not a number here)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _serve_body(body) -> tuple:
+    """A serve body's ``(query, now, deadline)``, checked before anything
+    reaches the engine: a bad clock would otherwise fail inside a shard
+    worker, and be charged to that healthy worker as a death."""
+    if type(body) is not list or len(body) not in (3, 4):
+        raise records.RecordError(f"serve body must be a list of 3 or 4, got {body!r:.80}")
+    query, now, deadline = records.query_from_record(body[0]), body[1], body[2]
+    if not _finite(now):
+        raise records.RecordError(f"serve 'now' must be a finite number, got {now!r:.40}")
+    if deadline is not None and not (_finite(deadline) and deadline > 0):
+        raise records.RecordError(
+            f"serve 'deadline' must be null or a finite number > 0, got {deadline!r:.40}"
+        )
+    return query, now, deadline
 
 
 class ProcServer:
@@ -174,7 +197,7 @@ class ProcServer:
 
     async def _dispatch(self, op: str, body):
         if op == "serve":
-            query = records.query_from_record(body[0])
+            query, now, deadline = _serve_body(body)
             ctx = body[3] if len(body) > 3 else None
             tracer = self.engine.engine.tracer
             if ctx is not None and tracer is not None:
@@ -182,13 +205,9 @@ class ProcServer:
                 # identity so the router's request span (and the worker
                 # spans grafted under it) lands in the client's trace.
                 with tracer.adopt(ctx):
-                    outcome = await self.engine.serve(
-                        query, now=body[1], deadline=body[2]
-                    )
+                    outcome = await self.engine.serve(query, now=now, deadline=deadline)
             else:
-                outcome = await self.engine.serve(
-                    query, now=body[1], deadline=body[2]
-                )
+                outcome = await self.engine.serve(query, now=now, deadline=deadline)
             self.requests_served += 1
             response = outcome.response
             return {

@@ -6,12 +6,10 @@ ANN index, and judger state never cross a process boundary), connects
 *back* to the router over loopback TCP, and then serves ops frame by frame:
 
 ``lookup_batch``
-    One frame carries every request the router accumulated for this shard:
-    expired entries are purged once at the newest timestamp, stage 1
-    (embed + ANN) runs as one shared batch, and stage 2 judges each query
-    against its own clock — the exact preamble of the sequential engine's
-    ``handle_batch``, so a frame of size 1 replays a scalar lookup
-    decision for decision.
+    One frame carries every lookup the router issued for this shard in one
+    loop tick. The worker serves them in order, each through the scalar
+    ``cache.lookup`` at its own clock — the sequential engine's lookup, so
+    every item replays it decision for decision.
 ``insert``
     Admit one fetched result (the router already decided admission).
 ``stats`` / ``ping`` / ``shutdown``
@@ -148,36 +146,20 @@ class _ShardServer:
         raise ValueError(f"unknown op {op!r}")
 
     def _lookup_batch(self, body) -> list:
+        """Serve a frame's lookups one by one, in order, each the scalar
+        ``cache.lookup`` at its own clock under its own trace context."""
         items, ann_only = body[0], body[1]
-        if not items:
-            return []
+        # Decode every item first: a malformed one refuses the whole frame
+        # before any lookup has touched the cache.
         queries = [records.query_from_record(row[0]) for row in items]
-        nows = [row[1] for row in items]
-        # Optional third element per item: the router's [trace_id,
-        # parent_span_id] context for that request (absent on untraced
-        # traffic — frames stay byte-identical to the pre-tracing wire).
-        ctxs = [row[2] if len(row) > 2 else None for row in items]
-        # One purge at the newest clock + one shared stage-1 pass, then
-        # per-query stage 2 at each query's own clock: the sequential
-        # handle_batch preamble. Nothing mutates the index between prepare
-        # and lookup inside a frame (hits only bump frequency/recency), so
-        # the prepared hits stay exact.
-        self.cache.remove_expired(max(nows))
-        # The shared embed/ANN pass is one unit of work for the whole frame;
-        # its spans are attributed to the first traced request in it (with
-        # batch_window=0 frames are size 1, so this is exact attribution —
-        # test_workers_one_replays_sync_engine_stage_counts relies on it).
-        shared_ctx = next((ctx for ctx in ctxs if ctx is not None), None)
-        with self.tracer.activate(shared_ctx):
-            batch_hits = self.cache.prepare_batch([query.text for query in queries])
         out = []
-        for query, hits, now, ctx in zip(queries, batch_hits, nows, ctxs):
-            with self.tracer.activate(ctx):
-                out.append(
-                    records.sine_record(
-                        self.cache.lookup_prepared(query, hits, now, ann_only=ann_only)
-                    )
-                )
+        for query, row in zip(queries, items):
+            # Optional third element: the router's [trace_id, parent_span_id]
+            # for that request (absent on untraced traffic — frames stay
+            # byte-identical to the pre-tracing wire).
+            with self.tracer.activate(row[2] if len(row) > 2 else None):
+                result = self.cache.lookup(query, row[1], ann_only=ann_only)
+            out.append(records.sine_record(result))
         return out
 
     def _insert(self, body) -> dict:

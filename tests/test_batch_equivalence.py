@@ -1,16 +1,14 @@
-"""Batch paths must be indistinguishable from N scalar calls.
+"""Batch kernels must be indistinguishable from N scalar calls.
 
-The batched fast path (``embed_batch`` → ``search_batch`` → ``lookup_batch``
-→ ``handle_batch``) exists purely for throughput; these tests pin the
-contract that it changes *nothing* observable: same embeddings, same hits,
-same matches and verdicts, same metrics deltas. Heap-based eviction is
+``HashingEmbedder.embed_batch`` and ``FlatIndex.search_batch`` are the
+bodies of ``embed`` and ``search``; these tests pin that a batch returns
+the same embeddings and hits as one call per row. Heap-based eviction is
 likewise pinned to the eviction order of the old full-scan implementation,
 and heap-based expiry to the purge order of the old full-scan sweep.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import random
@@ -26,7 +24,7 @@ from repro.core.arena import EmbeddingArena
 from repro.core.eviction import LCFUPolicy, LFUPolicy, LRUPolicy
 from repro.core.records import element_record
 from repro.core.types import FetchResult
-from repro.embedding import CachedEmbedder, HashingEmbedder
+from repro.embedding import HashingEmbedder
 from repro.factory import build_asteria_engine, build_remote
 from repro.judger import SimulatedJudger
 from repro.store.backend import WrappingBackend
@@ -73,35 +71,6 @@ def test_embed_batch_edge_cases():
     assert empty.shape == (0, embedder.dim)
     single = embedder.embed_batch(["one lonely text"])
     assert np.array_equal(single[0], embedder.embed("one lonely text"))
-
-
-def test_cached_embed_batch_matches_scalar_replay():
-    inner_a = HashingEmbedder(seed=3)
-    inner_b = HashingEmbedder(seed=3)
-    batched = CachedEmbedder(inner_a)
-    scalar = CachedEmbedder(inner_b)
-    # Pre-populate one entry so the batch mixes hits and misses.
-    batched.embed(TEXTS[0])
-    scalar.embed(TEXTS[0])
-
-    batch = batched.embed_batch(TEXTS)
-    singles = np.stack([scalar.embed(text) for text in TEXTS])
-
-    assert np.allclose(batch, singles, atol=1e-6)
-    assert batched.hits == scalar.hits
-    assert batched.misses == scalar.misses
-    assert list(batched._cache) == list(scalar._cache)  # LRU order too
-
-
-def test_cached_embed_batch_respects_lru_capacity():
-    batched = CachedEmbedder(HashingEmbedder(seed=3), max_entries=3)
-    scalar = CachedEmbedder(HashingEmbedder(seed=3), max_entries=3)
-    texts = [f"text number {i}" for i in range(6)]
-    batch = batched.embed_batch(texts)
-    singles = np.stack([scalar.embed(text) for text in texts])
-    assert np.allclose(batch, singles, atol=1e-6)
-    assert list(batched._cache) == list(scalar._cache)
-    assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
 
 
 # -- ANN search --------------------------------------------------------------
@@ -163,169 +132,6 @@ def test_flat_search_sliced_to_high_water_mark():
     assert sorted(hit.key for hit in hits) == [1, 2, 3]
     index.add(40, vectors[4])  # reuses the lowest free slot
     assert index._arena._high_water == 4
-
-
-# -- sine / cache / engine ---------------------------------------------------
-
-
-def _fleet_queries(n: int) -> list[Query]:
-    return [
-        Query(f"ok the height of mountain number {i % (n // 2)} please", fact_id=f"F{i % (n // 2)}")
-        for i in range(n)
-    ]
-
-
-def _warm_engine(seed: int = 7, config: AsteriaConfig | None = None):
-    engine = build_asteria_engine(build_remote(), config, seed=seed)
-    for i in range(8):
-        engine.handle(
-            Query(f"height of mountain number {i}", fact_id=f"F{i}"), 0.0
-        )
-    return engine
-
-
-def test_sine_lookup_batch_equals_scalar_retrieve():
-    engine = _warm_engine()
-    cache = engine.cache
-    sine = cache.sine
-    queries = _fleet_queries(10)
-    batch = sine.lookup_batch(queries, cache.elements)
-    for query, batch_result in zip(queries, batch):
-        scalar_result = sine.retrieve(query, cache.elements)
-        match_id = batch_result.match.element_id if batch_result.match else None
-        scalar_id = scalar_result.match.element_id if scalar_result.match else None
-        assert match_id == scalar_id
-        assert [hit.key for hit in batch_result.candidates] == [
-            hit.key for hit in scalar_result.candidates
-        ]
-        assert [verdict.score for verdict in batch_result.verdicts] == [
-            verdict.score for verdict in scalar_result.verdicts
-        ]
-        assert batch_result.ann_considered == scalar_result.ann_considered
-    assert sine.lookup_batch([], cache.elements) == []
-
-
-def test_cache_lookup_batch_equals_scalar_lookups():
-    engine_a = _warm_engine()
-    engine_b = _warm_engine()
-    queries = _fleet_queries(10)
-
-    batch = engine_a.cache.lookup_batch(queries, now=5.0)
-    singles = [engine_b.cache.lookup(query, now=5.0) for query in queries]
-
-    for batch_result, scalar_result in zip(batch, singles):
-        batch_id = batch_result.match.element_id if batch_result.match else None
-        scalar_id = scalar_result.match.element_id if scalar_result.match else None
-        assert batch_id == scalar_id
-    # Hit bookkeeping (frequency, recency) replayed identically.
-    freq_a = {e.key: e.frequency for e in engine_a.cache.elements.values()}
-    freq_b = {e.key: e.frequency for e in engine_b.cache.elements.values()}
-    assert freq_a == freq_b
-
-
-def _snapshot_metrics(engine):
-    metrics = engine.metrics
-    return {
-        "requests": metrics.requests,
-        "hits": metrics.hits,
-        "misses": metrics.misses,
-        "bypasses": metrics.bypasses,
-        "served_correct": metrics.served_correct,
-        "served_incorrect": metrics.served_incorrect,
-        "evictions": metrics.evictions,
-        "expirations": metrics.expirations,
-        "prefetch_hits": metrics.prefetch_hits,
-        "total_latency_sum": metrics.total_latency.total,
-        "hit_latency_sum": metrics.hit_latency.total,
-        "miss_latency_sum": metrics.miss_latency.total,
-        "check_latency_sum": metrics.cache_check_latency.total,
-    }
-
-
-def _responses_equal(batch_responses, scalar_responses):
-    assert len(batch_responses) == len(scalar_responses)
-    for batch_response, scalar_response in zip(batch_responses, scalar_responses):
-        assert batch_response.result == scalar_response.result
-        assert batch_response.latency == scalar_response.latency
-        assert batch_response.lookup.status == scalar_response.lookup.status
-        assert batch_response.lookup.judged == scalar_response.lookup.judged
-        assert (
-            batch_response.lookup.candidates == scalar_response.lookup.candidates
-        )
-        assert (
-            batch_response.lookup.element_id == scalar_response.lookup.element_id
-        )
-
-
-@pytest.mark.parametrize("config", [None, AsteriaConfig(ann_only=True)], ids=["full", "ann_only"])
-def test_handle_batch_equals_scalar_handles_hits(config):
-    engine_a = _warm_engine(config=copy.deepcopy(config))
-    engine_b = _warm_engine(config=copy.deepcopy(config))
-    queries = _fleet_queries(12)
-
-    batch_responses = engine_a.handle_batch(queries, now=5.0)
-    scalar_responses = [engine_b.handle(query, now=5.0) for query in queries]
-
-    _responses_equal(batch_responses, scalar_responses)
-    assert _snapshot_metrics(engine_a) == _snapshot_metrics(engine_b)
-
-
-def test_handle_batch_with_mid_batch_misses_and_inserts():
-    """Misses admit new elements mid-batch; later duplicates must hit the
-    fresh entry exactly as the scalar sequence would."""
-    engine_a = _warm_engine(seed=9)
-    engine_b = _warm_engine(seed=9)
-    queries = []
-    for i in range(4):
-        queries.append(Query(f"brand new topic number {i} kangaroo", fact_id=f"N{i}"))
-        queries.append(Query(f"brand new topic number {i} kangaroo", fact_id=f"N{i}"))
-
-    batch_responses = engine_a.handle_batch(queries, now=10.0)
-    scalar_responses = [engine_b.handle(query, now=10.0) for query in queries]
-
-    _responses_equal(batch_responses, scalar_responses)
-    assert _snapshot_metrics(engine_a) == _snapshot_metrics(engine_b)
-    assert engine_a.cache.stats.inserts == engine_b.cache.stats.inserts
-
-
-def test_handle_batch_with_capacity_evictions():
-    config = AsteriaConfig(capacity_items=6)
-    engine_a = _warm_engine(seed=4, config=copy.deepcopy(config))
-    engine_b = _warm_engine(seed=4, config=copy.deepcopy(config))
-    queries = [
-        Query(f"unseen churny topic number {i} wombat", fact_id=f"C{i}")
-        for i in range(10)
-    ]
-    batch_responses = engine_a.handle_batch(queries, now=20.0)
-    scalar_responses = [engine_b.handle(query, now=20.0) for query in queries]
-    _responses_equal(batch_responses, scalar_responses)
-    assert _snapshot_metrics(engine_a) == _snapshot_metrics(engine_b)
-    assert sorted(e.key for e in engine_a.cache.elements.values()) == sorted(
-        e.key for e in engine_b.cache.elements.values()
-    )
-
-
-def test_handle_batch_edge_cases_and_bypass():
-    config = AsteriaConfig(cacheable_tools=("search",))
-    engine_a = _warm_engine(config=copy.deepcopy(config))
-    engine_b = _warm_engine(config=copy.deepcopy(config))
-    assert engine_a.handle_batch([], now=3.0) == []
-    queries = [
-        Query("ok the height of mountain number 1 please", fact_id="F1"),
-        Query("read the deployment config file", tool="file", fact_id="X1"),
-    ]
-    batch_responses = engine_a.handle_batch(queries, now=3.0)
-    scalar_responses = [engine_b.handle(query, now=3.0) for query in queries]
-    assert batch_responses[1].lookup.status == "bypass"
-    _responses_equal(batch_responses, scalar_responses)
-    assert _snapshot_metrics(engine_a) == _snapshot_metrics(engine_b)
-    single = engine_a.handle_batch(
-        [Query("ok the height of mountain number 2 please", fact_id="F2")], now=4.0
-    )
-    scalar = engine_b.handle(
-        Query("ok the height of mountain number 2 please", fact_id="F2"), now=4.0
-    )
-    _responses_equal(single, [scalar])
 
 
 # -- heap eviction order -----------------------------------------------------

@@ -418,16 +418,6 @@ class TestEngineIntegration:
         assert engine.tracer is None
         engine.handle(_queries(1)[0], now=0.0)
 
-    def test_handle_batch_traces_under_one_root_per_query(self):
-        engine = build_asteria_engine(build_remote(seed=0), seed=0)
-        tracer = Tracer()
-        engine.set_tracer(tracer)
-        engine.handle_batch(_queries(6), now=0.0)
-        spans = tracer.spans()
-        roots = [s for s in spans if s.parent_id is None]
-        assert roots  # batch roots present
-        _check_forest(spans, expected_roots=len(roots))
-
     def test_async_engine_spans_survive_awaits_and_coalescing(self):
         engine = build_async_engine(build_remote(seed=0), seed=0, shards=2)
         tracer = Tracer()

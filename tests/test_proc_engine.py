@@ -68,27 +68,6 @@ def test_proc_engine_coalesces_concurrent_misses_across_processes():
     assert engine.cache.stats.inserts == 1  # ...but only the leader admits
 
 
-def test_proc_engine_batched_window_still_serves_everything():
-    remote = build_remote(seed=0)
-    engine = build_proc_engine(
-        remote, seed=0, workers=2, batch_window=0.005, batch_max=4
-    )
-
-    async def drive():
-        async with engine:
-            outcomes = await asyncio.gather(
-                *(
-                    engine.serve(query, now=i * 0.01)
-                    for i, query in enumerate(_queries(32))
-                )
-            )
-            return outcomes
-
-    outcomes = asyncio.run(drive())
-    assert all(outcome.ok for outcome in outcomes)
-    assert engine.metrics.requests == 32
-
-
 def test_proc_engine_rejects_prefetch_config():
     from repro.core.config import AsteriaConfig
 

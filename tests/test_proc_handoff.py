@@ -13,9 +13,9 @@ import asyncio
 import socket
 import threading
 
-from repro.core import AsteriaConfig, Query, sharding
+from repro.core import AsteriaConfig, Query, records, sharding
 from repro.core.cache import content_key
-from repro.factory import StackSpec, build_proc_engine, build_remote
+from repro.factory import StackSpec, build_proc_engine, build_remote, build_semantic_cache
 from repro.serving.proc.client import ProcClient
 from repro.serving.proc.pool import WorkerSpec
 from repro.serving.proc.protocol import (
@@ -148,10 +148,45 @@ def test_same_tick_lookups_to_one_shard_share_one_frame():
     assert sent == [("lookup_batch", 7)]
     assert timers == 0
 
-    # A real window still frames by batch_max first, then by its timer.
-    sent, timers = asyncio.run(drive(_engine(batch_window=0.005, batch_max=4), 6))
-    assert sent == [("lookup_batch", 4), ("lookup_batch", 2)]
-    assert timers >= 1
+
+def test_a_lookup_frame_decides_item_by_item_like_scalar_lookups():
+    # One frame mixes hits, a paraphrase, a miss, an item whose entry expires
+    # between two items' clocks, and traced and untraced items. Each reply
+    # record must be what the scalar lookup gives on a twin cache.
+    spec = StackSpec(AsteriaConfig(capacity_items=8, default_ttl=5.0), seed=0).shard(0, 1)
+    server = _ShardServer(WorkerSpec(0, 1, spec))
+    twin = build_semantic_cache(spec)
+    remote = build_remote(seed=0)
+    facts = [Query(f"the height of mountain number {i}", fact_id=f"M{i}") for i in range(4)]
+    for i, query in enumerate(facts):
+        fetch = remote.fetch_at(query, 0.0)
+        arrival = 0.0 if i else 3.0  # the first one outlives the others
+        server.dispatch(
+            "insert",
+            [records.query_record(query), records.fetch_record(fetch), arrival],
+        )
+        twin.insert(query, fetch, arrival)
+    frame = [
+        (facts[1], 1.0, ["t1", 11]),
+        (Query("mountain number 2 height", fact_id="M2"), 2.0, None),
+        (Query("a fact nobody has asked for yet", fact_id="X"), 2.0, ["t2", 12]),
+        (facts[3], 4.0, None),
+        (facts[3], 6.0, ["t3", 13]),  # its TTL ran out at 5.0
+        (facts[0], 6.0, None),  # admitted at 3.0, lives to 8.0
+    ]
+    items = [
+        [records.query_record(q), now] + ([ctx] if ctx else []) for q, now, ctx in frame
+    ]
+    replies = server.dispatch("lookup_batch", [items, False])
+    expected = [records.sine_record(twin.lookup(q, now)) for q, now, _ in frame]
+    assert replies == expected
+    matched = [reply["match"] is not None for reply in replies]
+    assert matched == [True, True, False, True, False, True]
+    assert records.shard_stats_row(twin.stats, twin.usage()) == server.stats_tuple()
+    # Each traced item's stages parent under its own request, none under another's.
+    parents = {(row[0], row[2]) for row in server.tracer.drain_wire()}
+    assert {"embed", "ann_search"} <= {name for name, parent in parents if parent == 11}
+    assert {parent for _, parent in parents} == {11, 12, 13}
 
 
 def test_every_link_socket_runs_without_nagle():

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.core import Query
+from repro.core import Query, records
 from repro.core.config import AsteriaConfig
 from repro.factory import build_asteria_engine, build_proc_engine, build_remote
 from repro.serving.proc.client import ProcClient
@@ -87,6 +87,64 @@ def test_front_door_closes_and_counts_a_bad_frame_and_serves_the_next(tmp_path):
     assert not marker.exists()
     assert outcome["status"] == "ok"
     assert health["protocol_errors"] == len(frames)
+
+
+def _bad_serve_bodies():
+    codec = JsonCodec()
+    query = records.query_record(Query("height of mount everest", fact_id="EV"))
+    text = codec.dumps(query).decode()
+
+    def frame(body):
+        return codec.dumps([1, "serve", body])
+
+    return {
+        "string_now": frame([query, "x", None]),
+        "bool_now": frame([query, True, None]),
+        "infinite_now": f'[1,"serve",[{text},1e999,null]]'.encode(),
+        "nan_deadline": f'[1,"serve",[{text},0.0,NaN]]'.encode(),
+        "list_deadline": frame([query, 0.0, [0.5]]),
+        "zero_deadline": frame([query, 0.0, 0]),
+        "short_body": frame([query, 0.0]),
+        "object_body": frame({"query": query, "now": 0.0}),
+    }
+
+
+def test_front_door_refuses_a_bad_serve_body_without_touching_a_worker():
+    # A bad clock used to reach a shard worker, fail there, and be charged to
+    # that healthy worker as a death: the supervisor respawned it.
+    bodies = _bad_serve_bodies()
+
+    async def drive():
+        engine = build_proc_engine(
+            build_remote(seed=0), config=AsteriaConfig(capacity_items=16), seed=0,
+            workers=2,
+        )
+        server = ProcServer(engine)
+        await server.start()
+        pids = engine.pool.worker_pids()
+        try:
+            for count, (kind, payload) in enumerate(bodies.items(), start=1):
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                write_frame(writer, payload)
+                await writer.drain()
+                assert await asyncio.wait_for(read_frame(reader), 10.0) is None, kind
+                writer.close()
+                assert server.protocol_errors == count, kind
+            client = await ProcClient.connect("127.0.0.1", server.port)
+            try:
+                outcome = await client.serve(Query("height of mount everest", fact_id="EV"))
+                health = await client.health()
+            finally:
+                await client.aclose()
+        finally:
+            await server.shutdown()
+        return pids, outcome, health
+
+    pids, outcome, health = asyncio.run(drive())
+    assert outcome["status"] == "ok"
+    assert health["protocol_errors"] == len(bodies)
+    assert health["worker_pids"] == pids
+    assert health["worker_restarts"] == 0
 
 
 def _node(node_id):
