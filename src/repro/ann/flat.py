@@ -128,17 +128,6 @@ class FlatIndex:
             self._owned.remove(slot)
             self._arena.release(slot)
 
-    def remap_slots(self, remap: dict[int, int]) -> None:
-        """Apply an arena compaction remap to the slot handles."""
-        if not remap:
-            return
-        self._key_to_slot = {
-            key: remap.get(slot, slot) for key, slot in self._key_to_slot.items()
-        }
-        self._slot_keys.fill(-1)
-        self._slot_keys[list(self._key_to_slot.values())] = list(self._key_to_slot)
-        self._owned = {remap.get(slot, slot) for slot in self._owned}
-
     def vector(self, key: int) -> np.ndarray:
         """The stored (normalised) vector for ``key``."""
         slot = self._key_to_slot.get(key)

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro list
-    python -m repro run fig7 --set dataset_names='("musique",)' --set n_tasks=300
+    python -m repro run fig7 --set n_tasks=500
     python -m repro run table5
     python -m repro run-all --quick
     python -m repro stress --shards 4 --queries 2000
@@ -23,6 +23,12 @@ Usage::
 
 ``--set key=value`` pairs are parsed with ``ast.literal_eval`` (falling back
 to a plain string), so ints, floats, tuples, and booleans all work.
+
+``run`` and ``run-all`` check each table against the paper's claims (every
+experiment module's ``check``) and exit 1 when one is missed, naming it
+after the table; an override that drops a row a claim reads misses that
+claim. ``run-all --quick`` runs each experiment at its module's ``QUICK``
+scale.
 
 ``stress`` exercises the real serving layers against a skewed synthetic
 workload and prints wall-clock throughput — unlike the experiments, which
@@ -67,7 +73,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.experiments import (
     admission_study,
@@ -93,62 +99,51 @@ from repro.experiments import (
     tau_sweep,
     tiered_fleet,
 )
+from repro.experiments.harness import ExperimentResult
 
-#: name -> (runner, description). Names follow the paper's artefacts.
-EXPERIMENTS: dict[str, tuple[Callable, str]] = {
-    "fig1c": (fig1c_breakdown.run, "Search-R1 latency breakdown"),
-    "fig2": (fig2_zipf.run, "Zipfian search interest by window"),
-    "fig3": (fig3_bursts.run, "bursty, correlated query patterns"),
-    "table2": (table2_file_freq.run, "SWE-bench file access frequencies"),
-    "fig7": (fig7_skewed.run, "skewed search workloads vs cache ratio"),
-    "fig8": (fig8_trend.run, "trend-driven workload vs cache ratio"),
-    "fig9": (fig9_swebench.run, "SWE-bench workload vs cache ratio"),
-    "fig10": (fig10_concurrency.run, "throughput vs request concurrency"),
-    "fig11": (fig11_breakdown.run, "per-request latency breakdown"),
-    "fig12": (fig12_api_calls.run, "API calls and retry ratio"),
-    "table4": (table4_ratelimit.run, "throughput w/ and w/o rate limit"),
-    "table5": (table5_cost.run, "cost analysis across configurations"),
-    "fig13": (fig13_accuracy.run, "generation quality (Exact Match)"),
-    "table6": (table6_lcfu.run, "LCFU vs LRU/LFU eviction"),
-    "table7": (table7_colocation.run, "co-location efficiency"),
-    "recalibration": (recalibration_overhead.run, "recalibration overhead"),
-    "drift": (recalibration_overhead.run_drift, "recalibration under drift"),
-    "tau-sweep": (tau_sweep.run, "tau_sim x tau_lsm trade-off sweep"),
-    "freshness": (freshness_study.run, "TTL aging vs stale servings"),
-    "fleet": (tiered_fleet.run, "shared-L2 fleet scaling (extension)"),
-    "admission": (admission_study.run, "always-admit vs doorkeeper (extension)"),
-    "judger-quality": (judger_quality.run, "LSM error-rate sensitivity (extension)"),
-    "coalescing": (coalescing_study.run, "flash-crowd miss coalescing (extension)"),
-}
 
-#: Reduced-scale overrides for ``run-all --quick``.
-QUICK_OVERRIDES: dict[str, dict] = {
-    "fig1c": {"n_tasks": 40},
-    "fig3": {"duration": 240.0},
-    "table2": {"n_issues": 200},
-    "fig7": {"dataset_names": ("musique",), "cache_ratios": (0.4,), "n_tasks": 300},
-    "fig8": {"cache_ratios": (0.4,), "duration": 200.0},
-    "fig9": {"cache_ratios": (0.4,), "n_issues": 120},
-    "fig10": {"concurrency_levels": (1, 8), "n_tasks": 300},
-    "fig11": {"n_requests": 120},
-    "fig12": {"n_tasks": 400},
-    "table4": {"n_tasks": 300},
-    "table5": {"n_tasks": 200},
-    "fig13": {"dataset_names": ("strategyqa",), "n_tasks": 150},
-    "table6": {"n_tasks": 400, "trials": 2},
-    "table7": {"n_tasks": 200},
-    "recalibration": {"n_tasks": 300},
-    "drift": {"phase_tasks": 200},
-    "tau-sweep": {
-        "tau_sim_values": (0.7, 0.99),
-        "tau_lsm_values": (0.02, 0.9),
-        "n_queries": 300,
-    },
-    "freshness": {"n_queries": 500},
-    "fleet": {"node_counts": (1, 4), "n_queries": 400},
-    "admission": {"n_queries": 600},
-    "judger-quality": {"flip_rates": (0.0, 0.1), "n_tasks": 150},
-    "coalescing": {"n_clients": 60},
+class Experiment(NamedTuple):
+    """A registry entry: the runner, its description, the ``QUICK`` kwargs
+    that shrink it and the ``check`` naming the claims a result misses."""
+
+    run: Callable[..., ExperimentResult]
+    description: str
+    quick: dict
+    check: Callable[[ExperimentResult], list[str]]
+
+
+def _entry(module, description: str) -> Experiment:
+    return Experiment(module.run, description, module.QUICK, module.check)
+
+
+#: name -> experiment. Names follow the paper's artefacts.
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig1c": _entry(fig1c_breakdown, "Search-R1 latency breakdown"),
+    "fig2": _entry(fig2_zipf, "Zipfian search interest by window"),
+    "fig3": _entry(fig3_bursts, "bursty, correlated query patterns"),
+    "table2": _entry(table2_file_freq, "SWE-bench file access frequencies"),
+    "fig7": _entry(fig7_skewed, "skewed search workloads vs cache ratio"),
+    "fig8": _entry(fig8_trend, "trend-driven workload vs cache ratio"),
+    "fig9": _entry(fig9_swebench, "SWE-bench workload vs cache ratio"),
+    "fig10": _entry(fig10_concurrency, "throughput vs request concurrency"),
+    "fig11": _entry(fig11_breakdown, "per-request latency breakdown"),
+    "fig12": _entry(fig12_api_calls, "API calls and retry ratio"),
+    "table4": _entry(table4_ratelimit, "throughput w/ and w/o rate limit"),
+    "table5": _entry(table5_cost, "cost analysis across configurations"),
+    "fig13": _entry(fig13_accuracy, "generation quality (Exact Match)"),
+    "table6": _entry(table6_lcfu, "LCFU vs LRU/LFU eviction"),
+    "table7": _entry(table7_colocation, "co-location efficiency"),
+    "recalibration": _entry(recalibration_overhead, "recalibration overhead"),
+    "drift": Experiment(
+        recalibration_overhead.run_drift, "recalibration under drift",
+        recalibration_overhead.DRIFT_QUICK, recalibration_overhead.check_drift,
+    ),
+    "tau-sweep": _entry(tau_sweep, "tau_sim x tau_lsm trade-off sweep"),
+    "freshness": _entry(freshness_study, "TTL aging vs stale servings"),
+    "fleet": _entry(tiered_fleet, "shared-L2 fleet scaling (extension)"),
+    "admission": _entry(admission_study, "always-admit vs doorkeeper (extension)"),
+    "judger-quality": _entry(judger_quality, "LSM error-rate sensitivity (extension)"),
+    "coalescing": _entry(coalescing_study, "flash-crowd miss coalescing (extension)"),
 }
 
 
@@ -169,19 +164,28 @@ def _parse_overrides(pairs: list[str]) -> dict:
 def _command_list() -> int:
     width = max(len(name) for name in EXPERIMENTS)
     print("Available experiments (python -m repro run <name>):\n")
-    for name, (_, description) in EXPERIMENTS.items():
-        print(f"  {name:<{width}}  {description}")
+    for name, experiment in EXPERIMENTS.items():
+        print(f"  {name:<{width}}  {experiment.description}")
     return 0
+
+
+def _run_experiment(name: str, overrides: dict) -> list[str]:
+    """Run one experiment, print its table and any claim it missed; return
+    the missed claims."""
+    experiment = EXPERIMENTS[name]
+    result = experiment.run(**overrides)
+    result.print_table()
+    failed = experiment.check(result)
+    for claim in failed:
+        print(f"FAILED CLAIM [{name}]: {claim}")
+    return failed
 
 
 def _command_run(name: str, overrides: dict) -> int:
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; try: python -m repro list")
         return 2
-    runner, _ = EXPERIMENTS[name]
-    result = runner(**overrides)
-    result.print_table()
-    return 0
+    return 1 if _run_experiment(name, overrides) else 0
 
 
 def _stress_queries(arguments) -> list:
@@ -978,10 +982,18 @@ def _replicate_socket(arguments) -> int:
 
 
 def _command_run_all(quick: bool) -> int:
-    for name, (runner, _) in EXPERIMENTS.items():
-        overrides = QUICK_OVERRIDES.get(name, {}) if quick else {}
-        result = runner(**overrides)
-        result.print_table()
+    missed = [
+        name
+        for name, experiment in EXPERIMENTS.items()
+        if _run_experiment(name, experiment.quick if quick else {})
+    ]
+    if missed:
+        print(
+            f"{len(missed)} of {len(EXPERIMENTS)} experiments missed a claim: "
+            f"{', '.join(missed)}"
+        )
+        return 1
+    print(f"all {len(EXPERIMENTS)} experiments held every claim")
     return 0
 
 

@@ -23,7 +23,6 @@ from repro.core.admission import (
     AdmissionPolicy,
     AlwaysAdmit,
     DoorkeeperAdmission,
-    SizeThresholdAdmission,
 )
 from repro.core.cache import AsteriaCache, CacheStats, ExactCache, canonical_text
 from repro.core.config import (
@@ -114,7 +113,6 @@ __all__ = [
     "StaleEntry",
     "StaleStore",
     "SizeAwareLFUPolicy",
-    "SizeThresholdAdmission",
     "ThresholdRecalibrator",
     "TieredEngine",
     "VanillaEngine",

@@ -3,7 +3,7 @@
 §3.2 lists "how should admission ... operate" among the questions a real
 cache must answer, and §4.3 wants the cache protected from pollution. The
 engine's default is admit-everything (what the paper evaluates); this module
-adds the two classic alternatives as pluggable policies:
+adds the classic alternative as a pluggable policy:
 
 ``AlwaysAdmit``
     The paper's behaviour.
@@ -14,8 +14,6 @@ adds the two classic alternatives as pluggable policies:
     later. The doorkeeper tracks *semantic* identity — the embedding's
     nearest cached neighbour can't be used (it missed!), so recurrence is
     detected by content fingerprint of the canonical text.
-``SizeThresholdAdmission``
-    Refuse results larger than a token budget (huge one-off documents).
 """
 
 from __future__ import annotations
@@ -92,18 +90,3 @@ class DoorkeeperAdmission:
             f"DoorkeeperAdmission(window={self.window}, "
             f"admitted={self.admitted}, refused={self.refused})"
         )
-
-
-class SizeThresholdAdmission:
-    """Refuse results above ``max_tokens`` (one large doc ≠ many small hits)."""
-
-    name = "size-threshold"
-
-    def __init__(self, max_tokens: int = 2048) -> None:
-        if max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        self.max_tokens = max_tokens
-
-    def admit(self, query: Query, fetch: FetchResult, now: float) -> bool:
-        """True iff the result fits the token budget."""
-        return fetch.size_tokens <= self.max_tokens

@@ -20,10 +20,8 @@ Slot lifecycle invariants:
   matrix doubles when the free-list empties.
 * ``release`` zeroes the row (a freed slot scores 0 against any query, so
   stale rows can never outrank live ones) and recycles the slot.
-* Rows never move except under :meth:`compact`, which packs live rows to
-  the front and returns an ``old slot -> new slot`` remap for index and
-  element handles; views handed out earlier stay value-correct because row
-  contents are immutable between allocate and release.
+* Rows never move: views handed out earlier stay value-correct because
+  row contents are immutable between allocate and release.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ class EmbeddingArena:
     arena — the same sequence :class:`~repro.ann.flat.FlatIndex` used for its
     internal matrix, which keeps arena-backed scoring bit-identical to the
     pre-arena layout. Liveness is a bool row mask rather than a Python set,
-    so bulk fills and compaction scans stay vectorised at 10^7-slot scale.
+    so bulk fills stay vectorised at 10^7-slot scale.
     """
 
     def __init__(self, dim: int, initial_capacity: int = 1024) -> None:
@@ -66,7 +64,6 @@ class EmbeddingArena:
         self.releases = 0
         self.reuses = 0
         self.grows = 0
-        self.compactions = 0
 
     # -- introspection -------------------------------------------------------
     @property
@@ -86,10 +83,6 @@ class EmbeddingArena:
 
     def __contains__(self, slot: int) -> bool:
         return 0 <= slot < self._capacity and bool(self._live_mask[slot])
-
-    def live_slots(self) -> list[int]:
-        """Currently allocated slots, ascending."""
-        return [int(slot) for slot in np.flatnonzero(self._live_mask)]
 
     # -- allocation ----------------------------------------------------------
     def allocate(self, vector: np.ndarray) -> int:
@@ -182,31 +175,6 @@ class EmbeddingArena:
         self._live_mask = mask
         self.grows += 1
 
-    # -- compaction ----------------------------------------------------------
-    def compact(self) -> dict[int, int]:
-        """Pack live rows to the front; returns ``{old_slot: new_slot}``.
-
-        Only moved slots appear in the remap. Relative slot order is
-        preserved, the high-water mark drops to the live count, and the
-        free-list is rebuilt. Callers must propagate the remap to anything
-        holding slot handles (the cache does this for its elements and
-        index).
-        """
-        live = [int(slot) for slot in np.flatnonzero(self._live_mask)]
-        remap = {old: new for new, old in enumerate(live) if old != new}
-        count = len(live)
-        if remap:
-            self._matrix[:count] = self._matrix[live].copy()
-            self._matrix[count : self._high_water] = 0.0
-        self._live_mask[:] = False
-        self._live_mask[:count] = True
-        self._count = count
-        self._high_water = count
-        self._free = []
-        self._next_fresh = count
-        self.compactions += 1
-        return remap
-
     # -- reads -------------------------------------------------------------
     def get(self, slot: int) -> np.ndarray:
         """Read-only view of the row (no copy; stays valid until release)."""
@@ -229,10 +197,6 @@ class EmbeddingArena:
         result is ``(n, high_water)``. Freed rows are zero so they score 0.
         """
         return queries @ self._matrix[: self._high_water].T
-
-    def memory_bytes(self) -> int:
-        """Bytes held by row storage (the envelope tests gate on this)."""
-        return self._matrix.nbytes
 
     def __repr__(self) -> str:
         return (

@@ -336,31 +336,6 @@ class AsteriaCache:
         self._admitted.pop(element_id, None)
         return element
 
-    def compact_arena(self) -> dict[int, int]:
-        """Compact the embedding arena and rewire every live handle.
-
-        Moves live rows to the front of the arena matrix, then propagates
-        the resulting ``{old_slot: new_slot}`` remap to the index (via its
-        ``remap_slots``) and to each element's slot handle and embedding
-        view. Rows are overwritten in place during compaction, so stale
-        views must not survive — callers only ever see refreshed ones.
-        Returns the remap (empty when nothing moved or no arena is set).
-        """
-        if self.arena is None:
-            return {}
-        remap = self.arena.compact()
-        if not remap:
-            return {}
-        self.sine.index.remap_slots(remap)
-        for element in self._backend.elements.values():
-            slot = element.arena_slot
-            if slot is None:
-                continue
-            slot = remap.get(slot, slot)
-            element.arena_slot = slot
-            element.embedding = self.arena.get(slot)
-        return remap
-
     def invalidate(self, predicate) -> int:
         """Remove every element for which ``predicate(element)`` is true.
 

@@ -54,7 +54,7 @@ class SemanticElement:
         Row handle into the cache's embedding arena when one is configured
         (``embedding`` is then a view of that row); None for standalone
         per-element storage. Owned by the cache: allocated on admission,
-        released on removal, remapped on arena compaction.
+        released on removal.
     """
 
     element_id: int

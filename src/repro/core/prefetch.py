@@ -165,10 +165,6 @@ class MarkovPrefetcher:
             if probability >= self.confidence
         ]
 
-    def reset_history(self, session: object = None) -> None:
-        """Forget one session's previous query (e.g. at a session boundary)."""
-        self._previous.pop(session, None)
-
     def __repr__(self) -> str:
         return (
             f"MarkovPrefetcher(confidence={self.confidence}, "

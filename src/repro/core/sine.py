@@ -47,11 +47,6 @@ class SineResult:
         """Number of candidates the judger scored."""
         return len(self.verdicts)
 
-    @property
-    def top_similarity(self) -> float:
-        """Best ANN similarity seen (0.0 when the index was empty)."""
-        return self.candidates[0].score if self.candidates else 0.0
-
 
 class Sine:
     """The two-stage semantic retrieval index.

@@ -135,10 +135,6 @@ class HashingEmbedder:
             self._token_rows[token] = row
         return row
 
-    def _vector_for(self, token: str) -> np.ndarray:
-        """The unit direction of one token (kept for tests/introspection)."""
-        return self._matrix[self._row_for(token)].copy()
-
     def _features_for(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Memoised (row indices, weights) of ``text``'s weighted features."""
         cached = self._features.get(text)

@@ -1,29 +1,12 @@
 """Experiment runners: one module per table/figure of the paper's evaluation.
 
-Every runner exposes ``run(...) -> ExperimentResult`` with parameters
-defaulting to a paper-faithful configuration but scalable down for tests.
-The benchmarks in ``benchmarks/`` call these runners and print the same
-rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured.
-
-| Runner                     | Paper artefact                               |
-|----------------------------|----------------------------------------------|
-| ``fig1c_breakdown``        | Fig. 1c — Search-R1 latency breakdown        |
-| ``fig2_zipf``              | Fig. 2 — Zipfian search interest             |
-| ``fig3_bursts``            | Fig. 3 — bursty, correlated query patterns   |
-| ``table2_file_freq``       | Table 2 — SWE-bench file access frequencies  |
-| ``fig7_skewed``            | Fig. 7 — skewed workload sweep               |
-| ``fig8_trend``             | Fig. 8 — trend-driven workload sweep         |
-| ``fig9_swebench``          | Fig. 9 — SWE-bench workload sweep            |
-| ``fig10_concurrency``      | Fig. 10 — throughput vs request concurrency  |
-| ``fig11_breakdown``        | Fig. 11 — per-request latency breakdown      |
-| ``fig12_api_calls``        | Fig. 12 — API calls and retry ratio          |
-| ``table4_ratelimit``       | Table 4 — throughput w/ and w/o rate limit   |
-| ``table5_cost``            | Table 5 — cost analysis                      |
-| ``fig13_accuracy``         | Fig. 13 — generation quality (EM)            |
-| ``table6_lcfu``            | Table 6 — LCFU vs LRU/LFU                    |
-| ``table7_colocation``      | Table 7 — co-location efficiency             |
-| ``recalibration_overhead`` | §6.7 — recalibration overhead                |
-| ``tau_sweep``              | §4.2 ablation — threshold trade-offs         |
+Every module declares three things side by side: ``run(...) ->
+ExperimentResult``, whose defaults are the paper-faithful scale; ``QUICK``,
+the keyword arguments that shrink it without dropping a row its claims
+read; and ``check(result)``, which names each of the paper's claims the
+result misses. ``python -m repro list`` names them all, ``repro run NAME``
+prints one table and its missed claims, and EXPERIMENTS.md records
+paper-vs-measured.
 """
 
 from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks

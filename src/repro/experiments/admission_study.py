@@ -11,10 +11,12 @@ genuinely popular fact but stops the Zipf tail from churning the cache.
 from __future__ import annotations
 
 from repro.core import AsteriaConfig, DoorkeeperAdmission
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_asteria_engine, build_remote
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
+
+QUICK = {"n_queries": 600}
 
 
 def run(
@@ -57,3 +59,12 @@ def run(
             api_cost_usd=round(remote.cost_meter.api_cost, 4),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    always = result.row(admission="always")
+    door = result.row(admission="doorkeeper")
+    yield "the doorkeeper evicts < 0.6x", door["evictions"] < 0.6 * always["evictions"]
+    yield "the doorkeeper hits as often", door["hit_rate"] >= always["hit_rate"]
+    yield "the doorkeeper calls no more", door["api_calls"] <= always["api_calls"]

@@ -14,12 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import AsteriaConfig
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_asteria_engine, build_remote
 from repro.sim.kernel import Simulator
 from repro.sim.random import derive_seed
 from repro.workloads.datasets import build_dataset
 from repro.workloads.replay import run_open_loop
+
+QUICK = {"n_clients": 60}
 
 
 def run(
@@ -64,6 +66,7 @@ def run(
         p99 = latencies[int(0.99 * (len(latencies) - 1))] if latencies else 0.0
         result.add_row(
             coalescing="on" if coalesce else "off",
+            facts=n_facts,
             api_calls=remote.calls,
             coalesced=engine.metrics.coalesced_misses,
             mean_latency_s=round(sum(latencies) / len(latencies), 4),
@@ -72,3 +75,14 @@ def run(
             api_cost_usd=round(remote.cost_meter.api_cost, 4),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    off = result.row(coalescing="off")
+    on = result.row(coalescing="on")
+    yield "<= 2 calls per fact", on["api_calls"] <= 2 * on["facts"]
+    yield "< 0.25x the calls", on["api_calls"] < 0.25 * off["api_calls"]
+    yield "followers were coalesced", on["coalesced"] > 0
+    yield "no slower", on["mean_latency_s"] <= off["mean_latency_s"] * 1.05
+    yield "less API spend", on["api_cost_usd"] < off["api_cost_usd"]

@@ -7,12 +7,15 @@ a request rate of 8 (4.5× over exact, 5.7× over vanilla).
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_CONCURRENCY = (1, 2, 4, 8)
 DEFAULT_SYSTEMS = ("vanilla", "exact", "asteria")
+QUICK = {"concurrency_levels": (1, 4, 8), "n_tasks": 300}
 
 
 def run(
@@ -20,7 +23,7 @@ def run(
     cache_ratio: float = 0.4,
     concurrency_levels: tuple[int, ...] = DEFAULT_CONCURRENCY,
     systems: tuple[str, ...] = DEFAULT_SYSTEMS,
-    n_tasks: int = 600,
+    n_tasks: int = 1000,
     rate_limit_per_minute: int | None = 100,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -50,3 +53,14 @@ def run(
                 **outcome.metrics_row(),
             )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    def tput(concurrency: int, system: str) -> float:
+        return result.row(concurrency=concurrency, system=system)["throughput_rps"]
+
+    yield "asteria: 8 callers > 5x one", tput(8, "asteria") > 5 * tput(1, "asteria")
+    yield "vanilla: 8 < 1.5x four", tput(8, "vanilla") < 1.5 * tput(4, "vanilla")
+    yield "asteria > 2.5x vanilla at 8", tput(8, "asteria") > 2.5 * tput(8, "vanilla")
+    yield "asteria > 2x exact at 8", tput(8, "asteria") > 2.0 * tput(8, "exact")

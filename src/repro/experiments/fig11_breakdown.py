@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from repro.agent.search_agent import SearchAgent
 from repro.core import AsteriaConfig
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_asteria_engine, build_remote, build_vanilla_engine
 from repro.workloads.datasets import build_dataset
 from repro.workloads.replay import run_task_closed_loop
 from repro.workloads.skewed import SkewedWorkload
 
+QUICK = {"n_requests": 120}
+
 
 def run(
     dataset_name: str = "musique",
-    n_requests: int = 200,
+    n_requests: int = 400,
     seed: int = 0,
 ) -> ExperimentResult:
     """Mean per-request component latencies for vanilla vs Asteria.
@@ -84,3 +86,16 @@ def run(
         hit_rate=round(engine.metrics.hit_rate, 4),
     )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    vanilla = result.row(system="vanilla")
+    asteria = result.row(system="asteria")
+    yield "vanilla total 1.08 +- 0.12 s", abs(vanilla["total_s"] - 1.08) < 0.12
+    yield "vanilla inference 0.6 +- 0.05 s", abs(vanilla["inference_s"] - 0.6) < 0.05
+    yield "vanilla retrieval 0.45 +- 0.08 s", abs(vanilla["retrieval_s"] - 0.45) < 0.08
+    yield "asteria total < 0.75 s", asteria["total_s"] < 0.75
+    yield "asteria cache check 20 +- 5 ms", abs(asteria["cache_check_s"] - 0.02) < 0.005
+    yield "asteria judger 30 +- 10 ms", abs(asteria["judger_s"] - 0.03) < 0.01
+    yield "same inference cost", asteria["inference_s"] == vanilla["inference_s"]

@@ -7,11 +7,14 @@ issues ~1300 external calls with a 25 % retry ratio; Asteria issues 103
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_SYSTEMS = ("vanilla", "asteria")
+QUICK: dict = {}
 
 
 def run(
@@ -54,6 +57,7 @@ def run(
         )
         result.add_row(
             system=system,
+            tasks=n_tasks,
             api_calls=calls,
             retries=outcome.remote.retries,
             retry_ratio=round(outcome.remote.retry_ratio, 4),
@@ -61,3 +65,13 @@ def run(
             hit_rate=round(outcome.engine.metrics.hit_rate, 4),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    vanilla = result.row(system="vanilla")
+    asteria = result.row(system="asteria")
+    yield "vanilla pays one call per task", vanilla["api_calls"] == vanilla["tasks"]
+    yield "asteria makes > 85 % fewer calls", asteria["call_reduction"] > 0.85
+    yield "asteria retry ratio < 0.02", asteria["retry_ratio"] < 0.02
+    yield "vanilla retry ratio > 0.15", vanilla["retry_ratio"] > 0.15

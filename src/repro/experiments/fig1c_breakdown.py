@@ -9,16 +9,18 @@ wall time into inference vs retrieval.
 from __future__ import annotations
 
 from repro.agent.search_agent import SearchAgent
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_remote, build_vanilla_engine
 from repro.workloads.datasets import build_dataset
 from repro.workloads.replay import run_task_closed_loop
 from repro.workloads.skewed import SkewedWorkload
 
+QUICK = {"n_tasks": 40}
+
 
 def run(
     dataset_name: str = "hotpotqa",
-    n_tasks: int = 100,
+    n_tasks: int = 200,
     seed: int = 0,
 ) -> ExperimentResult:
     """Latency breakdown for the uncached search agent."""
@@ -60,3 +62,11 @@ def run(
         fraction=round(inference / total, 4),
     )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    retrieval = result.row(component="external_retrieval")["fraction"]
+    inference = result.row(component="llm_inference")["fraction"]
+    yield "retrieval share in (0.30, 0.55)", 0.30 < retrieval < 0.55
+    yield "inference share in (0.45, 0.70)", 0.45 < inference < 0.70

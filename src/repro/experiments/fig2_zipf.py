@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.sim.random import derive_seed
 from repro.workloads.zipf import ZipfSampler
+
+QUICK: dict = {}
 
 
 def run(
@@ -59,3 +61,13 @@ def run(
             fitted_slope=round(slope, 3),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    for window in ("24h", "7d"):
+        total = result.row(window=window, topic_rank="top5_total")
+        first, fifth = (result.row(window=window, topic_rank=k)["volume"] for k in (1, 5))
+        yield f"{window}: top-5 share > 0.15", total["share"] > 0.15
+        yield f"{window}: slope in (-1.4, -0.6)", -1.4 < total["fitted_slope"] < -0.6
+        yield f"{window}: rank 1 > 2x rank 5", first > 2 * fifth

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.workloads.datasets import build_dataset
 from repro.workloads.trend import TrendWorkload
+
+QUICK = {"duration": 240.0}
 
 
 def run(
@@ -71,3 +73,12 @@ def run(
     totals = Counter(fact_topic.get(query.fact_id) for _, query in arrivals)
     result.notes += f" Total arrivals: {len(arrivals)} across {len(totals)} topics."
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    yield "four events", len(result.rows) == 4
+    for event in result.rows:
+        yield f"event {event['event']}: burst ratio > 1.5", event["burst_ratio"] > 1.5
+        related = event.get("related_burst_ratio", 2.0)
+        yield f"event {event['event']}: related burst ratio > 1.0", related > 1.0

@@ -10,12 +10,15 @@ where exact-match stays below 20 %, yielding up to 3.6× throughput and up to
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.workloads.datasets import DATASET_NAMES, build_dataset
 from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_RATIOS = (0.1, 0.2, 0.4, 0.6, 0.8)
 DEFAULT_SYSTEMS = ("vanilla", "exact", "asteria")
+QUICK = {"cache_ratios": (0.1, 0.4, 0.8), "n_tasks": 500}
 
 
 def run(
@@ -55,3 +58,30 @@ def run(
                     **outcome.metrics_row(),
                 )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    for ds in DATASET_NAMES:
+        vanilla, exact, asteria = (
+            result.row(dataset=ds, cache_ratio=0.4, system=system)
+            for system in DEFAULT_SYSTEMS
+        )
+        v_tput, e_tput, a_tput = (
+            r["throughput_rps"] for r in (vanilla, exact, asteria)
+        )
+        yield f"{ds}: asteria hit rate > 0.8", asteria["hit_rate"] > 0.8
+        yield f"{ds}: exact hit rate < 0.2", exact["hit_rate"] < 0.2
+        yield f"{ds}: asteria > exact >= 0.8x vanilla", a_tput > e_tput >= 0.8 * v_tput
+        yield f"{ds}: asteria throughput > 2x exact", a_tput > 2.0 * e_tput
+        yield f"{ds}: asteria latency < 0.6x vanilla", (
+            asteria["mean_latency_s"] < 0.6 * vanilla["mean_latency_s"]
+        )
+        yield f"{ds}: asteria API calls < 0.4x vanilla", (
+            asteria["api_calls"] < 0.4 * vanilla["api_calls"]
+        )
+        small, large = (
+            result.row(dataset=ds, cache_ratio=ratio, system="asteria")["hit_rate"]
+            for ratio in (0.1, 0.8)
+        )
+        yield f"{ds}: hit rate at ratio 0.8 >= ratio 0.1 - 0.02", large >= small - 0.02

@@ -9,11 +9,14 @@ self-deployed RAG/file service: flat 300 ms, no per-call fee, no rate limit.
 from __future__ import annotations
 
 from repro.agent.code_agent import CodeAgent
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.workloads.swebench import SWEBenchWorkload
 
 DEFAULT_RATIOS = (0.1, 0.2, 0.4, 0.6, 0.8)
 DEFAULT_SYSTEMS = ("vanilla", "exact", "asteria")
+QUICK = {"cache_ratios": (0.4,), "n_issues": 120}
 
 
 def run(
@@ -53,3 +56,15 @@ def run(
                 **outcome.metrics_row(),
             )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    vanilla, exact, asteria = (
+        result.row(cache_ratio=0.4, system=system) for system in DEFAULT_SYSTEMS
+    )
+    v_tput, e_tput, a_tput = (r["throughput_rps"] for r in (vanilla, exact, asteria))
+    yield "asteria hit rate in (0.3, 0.8)", 0.3 < asteria["hit_rate"] < 0.8
+    yield "exact hit rate < 0.1", exact["hit_rate"] < 0.1
+    yield "asteria throughput 1.05-1.6x vanilla", 1.05 < a_tput / v_tput < 1.6
+    yield "asteria throughput > exact", a_tput > e_tput

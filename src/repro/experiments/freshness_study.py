@@ -20,10 +20,12 @@ Three aging configurations replay the same long skewed workload:
 from __future__ import annotations
 
 from repro.core import AsteriaConfig
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_asteria_engine, build_remote
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
+
+QUICK = {"n_queries": 500}
 
 
 def run(
@@ -86,3 +88,16 @@ def run(
             horizon_s=round(now, 1),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    no_ttl, fixed, scaled = (
+        result.row(aging=aging) for aging in ("no_ttl", "fixed_ttl", "staticity_ttl")
+    )
+    stale, calls = "stale_serve_rate", "api_calls"
+    yield "no TTL serves the most stale knowledge", no_ttl[stale] > fixed[stale]
+    yield "staticity TTL < 0.6x as stale as fixed", scaled[stale] < 0.6 * fixed[stale]
+    yield "refetches rise with freshness", no_ttl[calls] <= fixed[calls] <= scaled[calls]
+    yield "staticity TTL refetches < 3x fixed", scaled[calls] < 3 * fixed[calls]
+    yield "staticity TTL hit rate > 0.7", scaled["hit_rate"] > 0.7

@@ -1,16 +1,19 @@
 """Shared experiment infrastructure.
 
 ``ExperimentResult`` is a printable table of rows (dicts); every runner
-returns one. ``run_system_on_tasks`` executes one (system, workload)
-configuration end-to-end on the discrete-event simulator and extracts the
-paper's metrics. ``SystemSetup`` names the three evaluated configurations
-and builds them consistently.
+returns one. ``claims`` turns a runner's generator of ``(claim, held)``
+pairs into its ``check(result) -> failed claim names``.
+``run_system_on_tasks`` executes one (system, workload) configuration
+end-to-end on the discrete-event simulator and extracts the paper's
+metrics. ``SystemSetup`` names the three evaluated configurations and
+builds them consistently.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.agent.base import ScriptedAgent
 from repro.agent.model import AgentStats, AgentTask
@@ -56,6 +59,13 @@ class ExperimentResult:
             if all(row.get(key) == value for key, value in criteria.items())
         ]
 
+    def row(self, **criteria) -> dict:
+        """The first row matching ``criteria``; :class:`MissingRow` if none."""
+        rows = self.filter(**criteria)
+        if not rows:
+            raise MissingRow(f"{self.name}: no row with {criteria}")
+        return rows[0]
+
     def format_table(self) -> str:
         """GitHub-style markdown table of all rows."""
         if not self.rows:
@@ -87,6 +97,34 @@ class ExperimentResult:
     def print_table(self) -> None:
         """Print the markdown rendering of the table."""
         print(self.format_table())
+
+
+class MissingRow(LookupError):
+    """A claim reads a row the result does not have."""
+
+
+def claims(
+    body: Callable[[ExperimentResult], Iterator[tuple[str, bool]]],
+) -> Callable[[ExperimentResult], list[str]]:
+    """``check(result)``: the names of the claims ``body`` yields as not held.
+
+    ``body`` yields ``(claim, held)`` pairs. A row it reads but the result
+    lacks is one failed claim, named for the row, and ends the check: the
+    claims after it read that row too.
+    """
+
+    @functools.wraps(body)
+    def check(result: ExperimentResult) -> list[str]:
+        failed = []
+        try:
+            for claim, held in body(result):
+                if not held:
+                    failed.append(claim)
+        except MissingRow as missing:
+            failed.append(str(missing))
+        return failed
+
+    return check
 
 
 @dataclass

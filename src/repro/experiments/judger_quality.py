@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.agent.search_agent import SearchAgent
 from repro.core import AsteriaConfig
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_asteria_engine, build_remote
 from repro.judger import SimulatedJudger
 from repro.sim.random import derive_seed
@@ -21,6 +21,7 @@ from repro.workloads.replay import run_task_closed_loop
 from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_FLIP_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
+QUICK = {"flip_rates": (0.0, 0.02, 0.2), "n_tasks": 150}
 
 
 def run(
@@ -71,3 +72,17 @@ def run(
             api_calls=remote.calls,
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    perfect, calibrated, degraded = (result.row(flip_rate=r) for r in (0.0, 0.02, 0.2))
+    hits, accuracy = result.column("hit_rate"), "knowledge_accuracy"
+    yield "calibrated hits within 0.05 of perfect", (
+        calibrated["hit_rate"] > perfect["hit_rate"] - 0.05
+    )
+    yield "calibrated serves > 99 % right", calibrated[accuracy] > 0.99
+    yield "hit rate falls with flip rate", hits == sorted(hits, reverse=True)
+    yield "10x worse still hits > 50 %", degraded["hit_rate"] > 0.5
+    yield "10x worse still serves > 90 % right", degraded[accuracy] > 0.9
+    yield "judger errors cost calls", degraded["api_calls"] > perfect["api_calls"]

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 from repro.agent.search_agent import SearchAgent
 from repro.core import AsteriaConfig
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.factory import build_asteria_engine, build_remote
 from repro.workloads.datasets import build_dataset
 from repro.workloads.replay import run_task_closed_loop
 from repro.workloads.skewed import SkewedWorkload
+
+QUICK = {"n_tasks": 300}
 
 
 def run(
@@ -76,6 +80,19 @@ def run(
         overhead = 1.0 - throughputs[True] / throughputs[False]
         result.notes += f" Measured overhead: {overhead:.2%}."
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    off = result.row(recalibration="off")
+    on = result.row(recalibration="on")
+    yield "at least two recalibration rounds", on["rounds"] >= 2
+    yield "overhead < 5 %", on["throughput_rps"] > 0.95 * off["throughput_rps"]
+    yield "accuracy >= 0.99 with recalibration", on["accuracy"] >= 0.99
+    yield "ground truth was sampled", on["gt_fetches"] > 0
+
+
+DRIFT_QUICK = {"phase_tasks": 200}
 
 
 def run_drift(
@@ -151,3 +168,21 @@ def run_drift(
             recalibration_rounds=metrics.recalibrations,
         )
     return result
+
+
+@claims
+def check_drift(result: ExperimentResult):
+    uncorrected, corrected, tuned = (
+        result.row(configuration=label)
+        for label in ("no_recalibration", "recalibration", "recalibration_finetune")
+    )
+    precision = "phase2_hit_precision"
+    yield "drift costs precision without recalibration", uncorrected[precision] < 0.995
+    yield "recalibration restores precision >= 0.999", corrected[precision] >= 0.999
+    yield "recalibration tightens tau_lsm above 0.9", corrected["final_tau_lsm"] > 0.9
+    yield "at least two recalibration rounds", corrected["recalibration_rounds"] >= 2
+    yield "fine-tuning repairs the judger", tuned["final_neg_score_mean"] < 0.2
+    yield "fine-tuning keeps precision >= 0.999", tuned[precision] >= 0.999
+    yield "fine-tuning wins back hit rate", (
+        tuned["phase2_hit_rate"] >= corrected["phase2_hit_rate"]
+    )

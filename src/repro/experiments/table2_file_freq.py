@@ -8,15 +8,17 @@ statistic, reporting generated-vs-paper per head file.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.workloads.swebench import (
     SWEBenchWorkload,
     TABLE2_ACCESS_FREQUENCIES,
     _HEAD_FILES,
 )
 
+QUICK = {"n_issues": 200}
 
-def run(n_issues: int = 500, seed: int = 0) -> ExperimentResult:
+
+def run(n_issues: int = 1000, seed: int = 0) -> ExperimentResult:
     """Empirical file-access frequencies over ``n_issues`` generated issues."""
     workload = SWEBenchWorkload(seed=seed)
     issues = workload.issues(n_issues)
@@ -35,3 +37,10 @@ def run(n_issues: int = 500, seed: int = 0) -> ExperimentResult:
             measured_freq=round(frequencies.get(path, 0.0), 3),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    for row in result.rows:
+        gap = abs(row["measured_freq"] - row["paper_freq"])
+        yield f"file {row['file_id']}: within 0.06 of the paper", gap < 0.06

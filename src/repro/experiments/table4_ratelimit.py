@@ -8,15 +8,19 @@ avoidance alone contributes an extra ~2.8×.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
+
+QUICK = {"n_tasks": 300}
 
 
 def run(
     dataset_name: str = "musique",
     cache_ratio: float = 0.4,
-    n_tasks: int = 600,
+    n_tasks: int = 800,
     concurrency: int = 8,
     rate_limit_per_minute: int = 100,
     seed: int = 0,
@@ -54,3 +58,12 @@ def run(
                 normalized=round(absolute / baseline, 3) if baseline > 0 else 0.0,
             )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    without = result.row(rate_limit="without", system="asteria")["normalized"]
+    limited = result.row(rate_limit="with", system="asteria")["normalized"]
+    yield "latency-only gain in (1.15, 2.0)", 1.15 < without < 2.0
+    yield "gain under the rate limit > 2.5x", limited > 2.5
+    yield "the limit multiplies the gain by > 1.5", limited > 1.5 * without

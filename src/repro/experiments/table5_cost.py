@@ -21,7 +21,7 @@ the simulator, then apply the same accounting.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.experiments.table7_colocation import run_serving_experiment
 from repro.network.cost import PRICE_H100_PER_HOUR
 
@@ -29,6 +29,7 @@ from repro.network.cost import PRICE_H100_PER_HOUR
 NOMINAL_TASKS = 1300
 #: GPU rental hours per device implied by the paper's $76/GPU line item.
 ACCOUNTING_HOURS = 51.0
+QUICK: dict = {}
 
 
 def run(
@@ -78,3 +79,21 @@ def run(
             hit_rate=round(outcome["hit_rate"], 3),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    vanilla, shared_not, asteria = (
+        result.row(configuration=label)
+        for label in ("vanilla", "asteria_wo_sharing", "asteria")
+    )
+    cost, fees, tput, per_dollar = (
+        "total_cost_usd", "api_cost_usd", "throughput_rps", "thpt_per_dollar"
+    )
+    yield "vanilla total $82.5 +- 5", abs(vanilla[cost] - 82.5) < 5.0
+    yield "w/o sharing total $158.5 +- 10", abs(shared_not[cost] - 158.5) < 10.0
+    yield "asteria total $76.64 +- 5", abs(asteria[cost] - 76.64) < 5.0
+    yield "API fees < 0.2x vanilla", asteria[fees] < 0.2 * vanilla[fees]
+    yield "co-location keeps > 0.9x throughput", asteria[tput] > 0.9 * shared_not[tput]
+    yield "thpt/$ > 4.5x vanilla", asteria[per_dollar] > 4.5 * vanilla[per_dollar]
+    yield "thpt/$ > w/o sharing", asteria[per_dollar] > shared_not[per_dollar]

@@ -11,11 +11,14 @@ choices — not raw popularity — decide the outcome.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, SystemSetup, run_system_on_tasks
+from repro.experiments.harness import (
+    ExperimentResult, SystemSetup, claims, run_system_on_tasks,
+)
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_POLICIES = ("lru", "lfu", "lcfu")
+QUICK = {"n_tasks": 400, "trials": 2}
 
 
 def run(
@@ -86,3 +89,14 @@ def run(
             evictions=round(sum(evictions) / count),
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    lru, lfu, lcfu = (result.row(policy=policy) for policy in DEFAULT_POLICIES)
+    tput, spend = "throughput_rps", "api_cost_usd"
+    yield "LRU has the lowest throughput", lru[tput] <= min(lfu[tput], lcfu[tput])
+    # LCFU's intentional trade: competitive-or-lower hit rate, better
+    # system throughput and lower refetch spend.
+    yield "LCFU throughput >= LFU", lcfu[tput] >= lfu[tput]
+    yield "LCFU API spend <= LFU and LRU", lcfu[spend] <= min(lfu[spend], lru[spend])

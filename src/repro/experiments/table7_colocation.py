@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.agent.search_agent import SearchAgent
 from repro.core import AsteriaConfig
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.factory import build_asteria_engine, build_remote, build_vanilla_engine
 from repro.serving.executor import PartitionJudgeExecutor
 from repro.serving.gpu import GpuDevice
@@ -120,10 +120,13 @@ def run_serving_experiment(
     }
 
 
+QUICK = {"n_tasks": 200}
+
+
 def run(
     dataset_name: str = "musique",
     cache_ratio: float = 0.6,
-    n_tasks: int = 400,
+    n_tasks: int = 600,
     concurrency: int = 8,
     rate_limit_per_minute: int | None = None,
     seed: int = 0,
@@ -173,3 +176,13 @@ def run(
             gpus=outcome["gpus"],
         )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    dedicated = result.row(configuration="Dedicated-2GPU")
+    colocated = result.row(configuration="Co-located (MPS 80/20)")
+    yield "2 GPUs dedicated, 1 shared", (dedicated["gpus"], colocated["gpus"]) == (2, 1)
+    yield "co-location retains 88-99 %", 0.88 < colocated["throughput_retention"] < 0.99
+    yield "p99 inflation in (0, 0.25)", 0.0 < colocated["p99_inflation"] < 0.25
+    yield "same hit rate +- 0.02", abs(colocated["hit_rate"] - dedicated["hit_rate"]) < 0.02

@@ -10,7 +10,7 @@ Algorithm 1's precision-curve search.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult, SystemSetup
+from repro.experiments.harness import ExperimentResult, SystemSetup, claims
 from repro.factory import build_remote
 from repro.workloads.datasets import build_dataset
 from repro.workloads.replay import run_closed_loop
@@ -18,6 +18,7 @@ from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_TAU_SIM = (0.6, 0.7, 0.8, 0.95, 0.99)
 DEFAULT_TAU_LSM = (0.02, 0.1, 0.5, 0.9)
+QUICK = {"tau_sim_values": (0.7, 0.99), "tau_lsm_values": (0.02, 0.9), "n_queries": 300}
 
 
 def run(
@@ -67,3 +68,15 @@ def run(
                 judged_per_lookup=round(judged_total / max(1, len(responses)), 3),
             )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    loose = result.row(tau_sim=0.7, tau_lsm=0.9)
+    strict = result.row(tau_sim=0.99, tau_lsm=0.9)
+    reckless = result.row(tau_sim=0.7, tau_lsm=0.02)
+    hits, precision = "hit_rate", "hit_precision"
+    yield "a tau_sim of 0.99 loses > 40 % of the hits", strict[hits] < 0.6 * loose[hits]
+    yield "tau_lsm near 0 gains hits", reckless[hits] >= loose[hits]
+    yield "tau_lsm near 0 loses precision", reckless[precision] <= loose[precision]
+    yield "the operating point keeps precision > 0.995", loose[precision] > 0.995

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from repro.core import AsteriaConfig
 from repro.factory import build_remote, build_semantic_cache, build_tiered_engine
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, claims
 from repro.workloads.datasets import build_dataset
 from repro.workloads.skewed import SkewedWorkload
 
 DEFAULT_NODE_COUNTS = (1, 2, 4, 8)
+QUICK = {"n_queries": 400}
 
 
 def run(
@@ -82,3 +83,18 @@ def run(
                 mean_latency_s=round(sum(latencies) / len(latencies), 4),
             )
     return result
+
+
+@claims
+def check(result: ExperimentResult):
+    def fleet(nodes: int, l2: str) -> dict:
+        return result.row(nodes=nodes, l2=l2)
+
+    hits, calls = "fleet_hit_rate", "remote_calls"
+    for nodes in (2, 4, 8):
+        shared, isolated = fleet(nodes, "shared"), fleet(nodes, "isolated")
+        yield f"{nodes} nodes: shared L2 hits more", shared[hits] > isolated[hits]
+        yield f"{nodes} nodes: shared L2 calls less", shared[calls] < isolated[calls]
+    shared_8 = fleet(8, "shared")[hits]
+    yield "shared: flat from 1 to 8 nodes", shared_8 > fleet(1, "shared")[hits] - 0.05
+    yield "isolated: 0.1 lower at 8 nodes", shared_8 > fleet(8, "isolated")[hits] + 0.1

@@ -6,7 +6,7 @@ for the self-hosted RAG service), provider rate limits with client-side
 retry/backoff (Google's 100 queries/minute), and per-call fees ($5 per 1 000
 requests for search — Table 1).
 
-``TokenBucket`` / ``FixedWindowLimiter`` enforce rate limits; ``RetryPolicy``
+``TokenBucket`` enforces rate limits; ``RetryPolicy``
 shapes backoff; ``CostMeter`` accumulates fees; and ``RemoteDataService``
 composes them into the thing the cache's miss path talks to. ``FaultInjector``
 wraps a service with seeded transient errors, timeouts, latency spikes, and
@@ -26,12 +26,7 @@ from repro.network.cost import (
     PRICE_GOOGLE_SEARCH_PER_CALL,
     PRICE_H100_PER_HOUR,
 )
-from repro.network.ratelimit import (
-    FixedWindowLimiter,
-    RateLimiter,
-    TokenBucket,
-    UnlimitedLimiter,
-)
+from repro.network.ratelimit import RateLimiter, TokenBucket
 from repro.network.remote import (
     RateLimitExceeded,
     RemoteDataService,
@@ -42,7 +37,6 @@ from repro.network.remote import (
 __all__ = [
     "CostMeter",
     "FaultInjector",
-    "FixedWindowLimiter",
     "InjectedFault",
     "PRICE_GOOGLE_SEARCH_PER_CALL",
     "PRICE_H100_PER_HOUR",
@@ -54,5 +48,4 @@ __all__ = [
     "RemoteUnavailable",
     "RetryPolicy",
     "TokenBucket",
-    "UnlimitedLimiter",
 ]

@@ -1,8 +1,8 @@
 """Operational cost accounting.
 
-Tracks API fees and GPU rental exactly as the paper's cost analysis does
-(Table 1, Table 5): each remote call is charged a per-call fee, and GPU cost
-accrues per occupied GPU-hour.
+Tracks API fees as the paper's cost analysis does (Table 1): each remote
+call is charged a per-call fee. Table 5 adds GPU rental at
+:data:`PRICE_H100_PER_HOUR` per device-hour.
 """
 
 from __future__ import annotations
@@ -20,16 +20,9 @@ PRICE_H100_PER_HOUR = 1.49
 
 @dataclass
 class CostMeter:
-    """Accumulates API and GPU spend over an experiment.
+    """Accumulates API spend over an experiment, per call and per tool."""
 
-    ``gpu_hourly_rate`` defaults to the H100 rate the paper quotes; call
-    :meth:`charge_gpu_time` with occupied GPU-seconds (one GPU fully used
-    for 10 s = 10 GPU-seconds).
-    """
-
-    gpu_hourly_rate: float = PRICE_H100_PER_HOUR
     api_cost: float = 0.0
-    gpu_seconds: float = 0.0
     api_calls: int = 0
     _by_tool: dict = field(default_factory=dict)
 
@@ -41,36 +34,9 @@ class CostMeter:
         self.api_calls += 1
         self._by_tool[tool] = self._by_tool.get(tool, 0.0) + fee
 
-    def charge_gpu_time(self, gpu_seconds: float) -> None:
-        """Record ``gpu_seconds`` of GPU occupancy."""
-        if gpu_seconds < 0:
-            raise ValueError(f"gpu_seconds must be >= 0, got {gpu_seconds}")
-        self.gpu_seconds += gpu_seconds
-
-    @property
-    def gpu_cost(self) -> float:
-        """Dollars of GPU rental accrued so far."""
-        return self.gpu_seconds / 3600.0 * self.gpu_hourly_rate
-
-    @property
-    def total_cost(self) -> float:
-        """API fees plus GPU rental."""
-        return self.api_cost + self.gpu_cost
-
     def by_tool(self) -> dict:
         """API spend broken down by tool name."""
         return dict(self._by_tool)
 
-    def merge(self, other: "CostMeter") -> None:
-        """Fold another meter's charges into this one."""
-        self.api_cost += other.api_cost
-        self.gpu_seconds += other.gpu_seconds
-        self.api_calls += other.api_calls
-        for tool, fee in other._by_tool.items():
-            self._by_tool[tool] = self._by_tool.get(tool, 0.0) + fee
-
     def __repr__(self) -> str:
-        return (
-            f"CostMeter(api=${self.api_cost:.4f} over {self.api_calls} calls, "
-            f"gpu=${self.gpu_cost:.4f})"
-        )
+        return f"CostMeter(api=${self.api_cost:.4f} over {self.api_calls} calls)"

@@ -1,15 +1,10 @@
 """Client-visible API rate limiting.
 
-Two classic schemes are provided behind one tiny interface:
+``TokenBucket`` refills continuously at ``rate`` tokens/second up to
+``burst``: the model used for the paper's "100 queries per minute" Google
+Search limit, behind the one-method-pair ``RateLimiter`` interface.
 
-``TokenBucket``
-    Continuous refill at ``rate`` tokens/second up to ``burst``; the model
-    used for the paper's "100 queries per minute" Google Search limit.
-``FixedWindowLimiter``
-    At most ``limit`` grants per aligned window of ``window`` seconds — the
-    blunter scheme some providers use; exhibits boundary bursts.
-
-Both work in simulated time: callers pass ``now`` explicitly, and
+It works in simulated time: callers pass ``now`` explicitly, and
 ``next_available`` lets a simulated client compute how long to back off
 without busy-waiting.
 """
@@ -96,66 +91,3 @@ class TokenBucket:
             f"TokenBucket(rate={self.rate:.4f}/s, burst={self.burst}, "
             f"granted={self.granted}, rejected={self.rejected})"
         )
-
-
-class FixedWindowLimiter:
-    """At most ``limit`` grants per aligned ``window``-second window."""
-
-    def __init__(self, limit: int, window: float = 60.0) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        self.limit = int(limit)
-        self.window = float(window)
-        self._window_start = 0.0
-        self._count = 0
-        self.granted = 0
-        self.rejected = 0
-
-    def _roll(self, now: float) -> None:
-        if now < self._window_start:
-            raise ValueError(f"time went backwards: {now} < {self._window_start}")
-        window_index = int(now // self.window)
-        window_start = window_index * self.window
-        if window_start > self._window_start:
-            self._window_start = window_start
-            self._count = 0
-
-    def try_acquire(self, now: float) -> bool:
-        """Consume one permit of the current window if any remain."""
-        self._roll(now)
-        if self._count < self.limit:
-            self._count += 1
-            self.granted += 1
-            return True
-        self.rejected += 1
-        return False
-
-    def next_available(self, now: float) -> float:
-        """Now if permits remain, else the next window boundary."""
-        self._roll(now)
-        if self._count < self.limit:
-            return now
-        return self._window_start + self.window
-
-    def __repr__(self) -> str:
-        return (
-            f"FixedWindowLimiter(limit={self.limit}/{self.window}s, "
-            f"granted={self.granted}, rejected={self.rejected})"
-        )
-
-
-class UnlimitedLimiter:
-    """A no-op limiter for rate-limit-off ablations (Table 4)."""
-
-    def try_acquire(self, now: float) -> bool:
-        """Always grants."""
-        return True
-
-    def next_available(self, now: float) -> float:
-        """Immediately available."""
-        return now
-
-    def __repr__(self) -> str:
-        return "UnlimitedLimiter()"

@@ -65,7 +65,7 @@ from repro.obs.slo import (
     evaluate_slos,
     format_statuses,
 )
-from repro.obs.snapshot import SnapshotRecorder, sample_on_loop, summarize_series
+from repro.obs.snapshot import SnapshotRecorder, sample_on_loop
 from repro.obs.trace import (
     STAGE_ADMIT,
     STAGE_ANN,
@@ -113,6 +113,5 @@ __all__ = [
     "make_span_sink",
     "record_remote_leaf",
     "sample_on_loop",
-    "summarize_series",
     "trace_context",
 ]

@@ -79,9 +79,6 @@ class _Metric:
         self.help = help
         self._values: dict[tuple[tuple[str, str], ...], float] = {}
 
-    def labelsets(self) -> list[tuple[tuple[str, str], ...]]:
-        return list(self._values)
-
     def value(self, **labels) -> float:
         """Current value for one label set (0.0 when never touched)."""
         return self._values.get(_labelset(labels), 0.0)
@@ -147,9 +144,6 @@ class Gauge(_Metric):
     def inc(self, amount: float = 1.0, **labels) -> None:
         key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
 
 
 class Histogram(_Metric):

@@ -7,8 +7,8 @@ p99 — ratios that only make sense computed per-sample, not per-scrape).
 
 The recorder owns no thread: it is sampled on the thread that serves. An
 event loop runs :func:`sample_on_loop` as one task; a blocking loop calls
-:meth:`maybe_sample` (or checks :meth:`due`) between requests, which samples
-only when ``interval`` has elapsed, so tight loops stay cheap.
+checks :meth:`due` between requests and samples only when ``interval`` has
+elapsed, so tight loops stay cheap.
 
 ``to_dict()`` / ``save_json()`` produce the experiment-consumable dump:
 columnar series keyed by name, one shared timestamp vector.
@@ -20,7 +20,7 @@ import asyncio
 import json
 import time
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 
 class SnapshotRecorder:
@@ -32,8 +32,8 @@ class SnapshotRecorder:
         The :class:`~repro.obs.registry.MetricsRegistry` to sample. May be
         ``None`` when only probes are of interest.
     interval:
-        Minimum seconds between samples for :meth:`maybe_sample`, and the
-        period of :func:`sample_on_loop`.
+        Minimum seconds between samples for :meth:`due`, and the period of
+        :func:`sample_on_loop`.
     max_samples:
         Retention bound; the oldest samples are dropped beyond it so a soak
         run cannot grow memory without bound.
@@ -114,10 +114,6 @@ class SnapshotRecorder:
         last = self._last_sample
         return last is None or self._clock() - self._epoch - last >= self.interval
 
-    def maybe_sample(self) -> dict[str, float] | None:
-        """Sample only if ``interval`` has elapsed since the last sample."""
-        return self.sample() if self.due() else None
-
     # -- access ---------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._times)
@@ -183,19 +179,3 @@ async def sample_on_loop(
             tick()
         except Exception:
             recorder.probe_errors += 1
-
-
-def _isnan(value: float) -> bool:
-    return value != value
-
-
-def summarize_series(values: Mapping[str, list[float]]) -> dict[str, dict]:
-    """Min/max/last per series, skipping nan gaps (experiment convenience)."""
-    out: dict[str, dict] = {}
-    for name, series in values.items():
-        clean = [v for v in series if not _isnan(v)]
-        if not clean:
-            out[name] = {"min": None, "max": None, "last": None}
-            continue
-        out[name] = {"min": min(clean), "max": max(clean), "last": clean[-1]}
-    return out

@@ -386,27 +386,7 @@ class Tracer:
             for item in list(self._spans)
         ]
 
-    def stage_summary(self) -> dict[str, dict]:
-        """Per-stage aggregate: count, total/mean wall seconds."""
-        totals: dict[str, list[float]] = {}
-        for span in self.spans():
-            totals.setdefault(span.name, []).append(span.duration)
-        return {
-            name: {
-                "count": len(durations),
-                "total": sum(durations),
-                "mean": sum(durations) / len(durations),
-            }
-            for name, durations in sorted(totals.items())
-        }
-
     # -- export -------------------------------------------------------------
-    def export_jsonl(self, path: "str | Path") -> int:
-        """Write one JSON object per finished span; returns the span count."""
-        rows = [json.dumps(span.to_dict(), allow_nan=False) for span in self.spans()]
-        Path(path).write_text("\n".join(rows) + ("\n" if rows else ""))
-        return len(rows)
-
     def export_chrome(self, path: "str | Path") -> int:
         """Write a Chrome ``trace_event`` JSON file (Perfetto-compatible).
 

@@ -96,12 +96,6 @@ class GpuPartition:
         self.completed += 1
         return duration
 
-    def utilization(self, horizon: float) -> float:
-        """Busy fraction of this partition's capacity over ``horizon`` seconds."""
-        if horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        return min(1.0, self.busy_seconds / (horizon * self.slots))
-
     def __repr__(self) -> str:
         return (
             f"GpuPartition({self.name!r}, share={self.share}, slots={self.slots}, "

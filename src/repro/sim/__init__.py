@@ -13,7 +13,7 @@ Public classes
 --------------
 ``Simulator``
     The event loop: schedules callbacks and drives processes.
-``Timeout``, ``Event``, ``AllOf``, ``AnyOf``
+``Timeout``, ``Event``
     Awaitable primitives yielded by process generators.
 ``Resource``
     A counted resource with FIFO or priority admission.
@@ -36,14 +36,12 @@ from repro.sim.distributions import (
     Uniform,
     distribution_from_spec,
 )
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.kernel import Process, Simulator
 from repro.sim.random import RngRegistry
 from repro.sim.resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Constant",
     "Distribution",
     "Empirical",

@@ -1,9 +1,8 @@
 """A monotonically advancing virtual clock.
 
 The clock is deliberately tiny: it only knows the current simulated time and
-how to advance it. The :class:`~repro.sim.kernel.Simulator` owns a clock and
-advances it as events fire; sequential (non-event-driven) experiment code can
-also drive a clock directly for simple latency accounting.
+how to move it forward. The :class:`~repro.sim.kernel.Simulator` owns a clock
+and advances it to each event's timestamp as the event fires.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ class SimClock:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._now
-
-    def advance(self, delta: float) -> float:
-        """Advance the clock by ``delta`` seconds and return the new time."""
-        if delta < 0:
-            raise ValueError(f"cannot advance clock by negative delta: {delta}")
-        self._now += delta
         return self._now
 
     def advance_to(self, timestamp: float) -> float:

@@ -12,15 +12,13 @@ The primitives mirror a small, well-trodden subset of SimPy's API:
     :meth:`Event.fail`.
 ``Timeout``
     An event that triggers after a fixed simulated delay.
-``AllOf`` / ``AnyOf``
-    Composite events over a list of child events.
 ``Interrupt``
     The exception raised inside a process that another process interrupted.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.kernel import Simulator
@@ -156,64 +154,3 @@ class Timeout(Event):
         self._bind(sim)
         self._armed = True
         sim._schedule(self.delay, lambda: self.succeed(self._timeout_value))
-
-
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` and :class:`AnyOf`."""
-
-    def __init__(self, events: Sequence[Event]) -> None:
-        super().__init__(sim=None)
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("condition requires at least one event")
-        self._armed = False
-
-    def _arm(self, sim: "Simulator") -> None:
-        if self._armed:
-            return
-        self._bind(sim)
-        self._armed = True
-        for event in self.events:
-            event._bind(sim)
-            if isinstance(event, (Timeout, _Condition)):
-                event._arm(sim)
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has succeeded.
-
-    The value is the list of child values in construction order. If any child
-    fails, the condition fails with that child's exception.
-    """
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        if all(child.triggered and child.ok for child in self.events):
-            self.succeed([child.value for child in self.events])
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event succeeds.
-
-    The value is ``(index, value)`` for the first successful child. If a child
-    fails before any succeeds, the condition fails.
-    """
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        index = self.events.index(event)
-        self.succeed((index, event.value))

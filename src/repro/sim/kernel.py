@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.sim.clock import SimClock
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout, _Condition
+from repro.sim.events import Event, Interrupt, Timeout
 
 
 class Process(Event):
@@ -110,7 +110,7 @@ class Process(Event):
                 "processes must yield Event instances or generators"
             )
         target._bind(sim)
-        if isinstance(target, (Timeout, _Condition)):
+        if isinstance(target, Timeout):
             target._arm(sim)
         self._waiting_on = target
         target.add_callback(self._on_wakeup)
@@ -185,18 +185,6 @@ class Simulator:
         """Start ``generator`` as a process; returns the process handle."""
         return Process(self, generator, name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Create and arm an :class:`AllOf` condition."""
-        condition = AllOf(list(events))
-        condition._arm(self)
-        return condition
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create and arm an :class:`AnyOf` condition."""
-        condition = AnyOf(list(events))
-        condition._arm(self)
-        return condition
-
     # -- execution --------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next scheduled callback; returns False if none remain."""
@@ -224,10 +212,6 @@ class Simulator:
         if until is not None:
             self._clock.advance_to(until)
         return self.now
-
-    def peek(self) -> float | None:
-        """Timestamp of the next scheduled callback, or None if idle."""
-        return self._queue[0][0] if self._queue else None
 
     # -- failure policy ----------------------------------------------------------
     def _note_failed_process(self, process: Process) -> None:

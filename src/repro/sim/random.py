@@ -43,12 +43,5 @@ class RngRegistry:
             self._streams[name] = np.random.default_rng(derive_seed(self.seed, name))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose root seed is derived from ``name``.
-
-        Useful for giving each experiment trial its own namespace of streams.
-        """
-        return RngRegistry(derive_seed(self.seed, f"fork:{name}"))
-
     def __repr__(self) -> str:
         return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

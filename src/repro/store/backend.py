@@ -255,10 +255,3 @@ class WrappingBackend:
 
     def close(self) -> None:
         self.inner.close()
-
-    def unwrap(self) -> CacheBackend:
-        """The innermost backend (skips every decorator layer)."""
-        node = self.inner
-        while isinstance(node, WrappingBackend):
-            node = node.inner
-        return node

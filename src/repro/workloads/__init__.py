@@ -38,7 +38,6 @@ from repro.workloads.replay import (
     run_open_loop,
     run_task_closed_loop,
     run_task_concurrent,
-    run_task_open_loop,
 )
 from repro.workloads.swebench import SWEBenchWorkload, TABLE2_ACCESS_FREQUENCIES
 from repro.workloads.trend import TrendEvent, TrendWorkload
@@ -62,5 +61,4 @@ __all__ = [
     "run_open_loop",
     "run_task_closed_loop",
     "run_task_concurrent",
-    "run_task_open_loop",
 ]

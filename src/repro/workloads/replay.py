@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.agent.base import ScriptedAgent
 from repro.agent.model import AgentStats, AgentTask
 from repro.core.engine import EngineResponse, KnowledgeEngine
@@ -86,34 +84,6 @@ def run_open_loop(
     if run:
         sim.run()
     return responses
-
-
-def run_task_open_loop(
-    sim: Simulator,
-    agent: ScriptedAgent,
-    tasks: Sequence[AgentTask],
-    rate: float,
-    rng: np.random.Generator,
-    run: bool = True,
-) -> AgentStats:
-    """Poisson open-loop task arrivals at ``rate`` tasks/second."""
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    stats = AgentStats()
-
-    def one_task(task: AgentTask):
-        result = yield from agent.run_task_process(sim, task)
-        stats.add(result)
-
-    def emitter():
-        for task in tasks:
-            yield sim.timeout(float(rng.exponential(1.0 / rate)))
-            sim.process(one_task(task), name=task.task_id)
-
-    sim.process(emitter(), name="task-arrivals")
-    if run:
-        sim.run()
-    return stats
 
 
 def run_task_concurrent(

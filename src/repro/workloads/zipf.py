@@ -48,11 +48,5 @@ class ZipfSampler:
             self._cdf, rng.random(count), side="right"
         ).astype(np.int64)
 
-    def head_mass(self, k: int) -> float:
-        """Total probability of the top-``k`` ranks (the cacheable head)."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"k must be in [0, {self.n}]")
-        return float(self._probabilities[:k].sum())
-
     def __repr__(self) -> str:
         return f"ZipfSampler(n={self.n}, s={self.s})"

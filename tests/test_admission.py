@@ -7,7 +7,6 @@ from repro.core import (
     AsteriaConfig,
     DoorkeeperAdmission,
     Query,
-    SizeThresholdAdmission,
 )
 from repro.core.types import FetchResult
 from repro.factory import build_asteria_engine, build_remote
@@ -58,18 +57,11 @@ class TestPolicies:
             policy.admit(Query(f"unique topic {index} zz"), fetch(), float(index))
         assert len(policy._first_seen) <= 2
 
-    def test_size_threshold(self):
-        policy = SizeThresholdAdmission(max_tokens=100)
-        assert policy.admit(Query("q"), fetch(tokens=100), 0.0)
-        assert not policy.admit(Query("q"), fetch(tokens=101), 0.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DoorkeeperAdmission(window=0.0)
         with pytest.raises(ValueError):
             DoorkeeperAdmission(max_tracked=0)
-        with pytest.raises(ValueError):
-            SizeThresholdAdmission(max_tokens=0)
 
 
 class TestEngineAdmission:

@@ -112,54 +112,6 @@ def test_churn_reuses_free_slots_without_growth(rng):
     assert len(arena) == 24
 
 
-def test_compact_packs_live_rows_and_remaps(rng):
-    arena = EmbeddingArena(DIM, initial_capacity=16)
-    vectors = {slot: None for slot in range(8)}
-    for slot in list(vectors):
-        vector = rng.normal(size=DIM).astype(np.float32)
-        assert arena.allocate(vector) == slot
-        vectors[slot] = normalize(vector)
-    for slot in (0, 2, 5, 7):
-        arena.release(slot)
-        del vectors[slot]
-    remap = arena.compact()
-    assert sorted(arena.live_slots()) == [0, 1, 2, 3]
-    assert arena.high_water == 4
-    assert arena.compactions == 1
-    for old, expected in vectors.items():
-        new = remap.get(old, old)
-        np.testing.assert_array_equal(arena.get(new), expected)
-    # The vacated tail is zeroed, so it can never outscore a live row.
-    assert not arena._matrix[4:].any()
-
-
-def test_compact_preserves_scores(rng):
-    arena = EmbeddingArena(DIM, initial_capacity=16)
-    kept = {}
-    for i in range(10):
-        vector = rng.normal(size=DIM).astype(np.float32)
-        kept[arena.allocate(vector)] = normalize(vector)
-    for slot in (1, 4, 8, 9):
-        arena.release(slot)
-        del kept[slot]
-    query = normalize(rng.normal(size=DIM))[None, :]
-    scored = arena.scores(query)[0]
-    before = {slot: scored[slot] for slot in kept}
-    remap = arena.compact()
-    after = arena.scores(query)[0]
-    # BLAS may block the smaller matrix differently, so allow last-ulp drift.
-    for old, score in before.items():
-        assert after[remap.get(old, old)] == pytest.approx(score, abs=1e-6)
-
-
-def test_compact_noop_when_already_packed(rng):
-    arena = EmbeddingArena(DIM)
-    for _ in range(4):
-        arena.allocate(rng.normal(size=DIM))
-    assert arena.compact() == {}
-    assert arena.high_water == 4
-
-
 def test_scores_slice_to_high_water(rng):
     arena = EmbeddingArena(DIM, initial_capacity=64)
     for _ in range(5):

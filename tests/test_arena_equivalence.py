@@ -72,35 +72,6 @@ def test_float32_arena_replays_baseline_decisions_exactly():
     assert baseline_engine.cache.arena is None
 
 
-def test_compact_arena_preserves_lookup_decisions():
-    engine, _ = run_engine(arena="float32")
-    cache = engine.cache
-    victims = list(cache.elements)[::3]
-    for element_id in victims:
-        cache.remove(element_id)
-    # Probe with each element's own text and ground truth so the simulated
-    # judger validates the exact-text candidate.
-    survivors = {
-        element_id: Query(element.key, fact_id=element.truth_key)
-        for element_id, element in cache.elements.items()
-    }
-    assert survivors
-    now = N_QUERIES * TIME_STEP
-    before = {
-        element_id: cache.lookup(query, now=now).match
-        for element_id, query in survivors.items()
-    }
-    remap = cache.compact_arena()
-    assert remap  # removals left holes, so compaction moved rows
-    for element_id, query in survivors.items():
-        match = cache.lookup(query, now=now).match
-        assert match is not None
-        assert match.element_id == element_id
-        assert before[element_id] is not None
-        assert before[element_id].element_id == element_id
-        assert cache.elements[element_id].arena_slot in cache.arena
-
-
 def _indexes(kind: str, arena: EmbeddingArena | None):
     if kind == "flat":
         return FlatIndex(DIM, arena=arena)

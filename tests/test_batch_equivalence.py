@@ -287,7 +287,7 @@ def _lookup_outcome(result):
 
 _EXPIRY_OPS = (
     ["insert"] * 6 + ["lookup"] * 6 + ["remove", "invalidate", "readmit",
-                                       "compact", "mutate", "sweep"]
+                                       "mutate", "sweep"]
 )
 
 
@@ -342,9 +342,6 @@ def _run_expiry_script(seed, steps, **kwargs):
                 for cache in twins
             ]
             assert (admitted[0] is None) == (admitted[1] is None)
-        elif op == "compact":
-            remaps = [cache.compact_arena() for cache in twins]
-            assert remaps[0] == remaps[1]
         elif op == "mutate":
             # Direct mutation, sooner or later (or never), then the
             # documented resync.

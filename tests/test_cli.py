@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, QUICK_OVERRIDES, _parse_overrides, main
+from repro.cli import EXPERIMENTS, _parse_overrides, main
 
 
 class TestParseOverrides:
@@ -33,23 +33,41 @@ class TestCommands:
         assert main(["run", "fig99"]) == 2
 
     def test_run_with_overrides(self, capsys):
+        # One window only: the table prints, and the 7-day claims miss their row.
         code = main(
             ["run", "fig2", "--set", 'window_draws=(("24h", 1000),)',
              "--set", "n_topics=100"]
         )
-        assert code == 0
-        assert "Figure 2" in capsys.readouterr().out
+        assert code == 1
+        output = capsys.readouterr().out
+        assert "Figure 2" in output
+        assert "FAILED CLAIM [fig2]" in output and "'7d'" in output
 
     def test_run_drift_quick(self, capsys):
+        # 100 tasks a phase is too few for drift to cost precision.
         code = main(["run", "drift", "--set", "phase_tasks=100"])
-        assert code == 0
-        assert "drift" in capsys.readouterr().out.lower()
+        assert code == 1
+        output = capsys.readouterr().out
+        assert "drift" in output.lower()
+        assert "FAILED CLAIM [drift]: drift costs precision without" in output
+
+    def test_run_all_exits_1_when_any_experiment_misses_a_claim(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        fig1c = EXPERIMENTS["fig1c"]
+        monkeypatch.setattr(cli, "EXPERIMENTS", {"fig1c": fig1c})
+        assert main(["run-all", "--quick"]) == 0
+        broken = fig1c._replace(check=lambda result: ["a claim"])
+        monkeypatch.setattr(cli, "EXPERIMENTS", {"fig1c": fig1c, "broken": broken})
+        assert main(["run-all", "--quick"]) == 1
+        output = capsys.readouterr().out
+        assert "FAILED CLAIM [broken]: a claim" in output
+        assert "1 of 2 experiments missed a claim: broken" in output
 
 
 class TestRegistry:
-    def test_every_quick_override_targets_a_real_experiment(self):
-        assert set(QUICK_OVERRIDES) <= set(EXPERIMENTS)
-
     def test_registry_covers_all_paper_artefacts(self):
         for artefact in (
             "fig1c", "fig2", "fig3", "table2", "fig7", "fig8", "fig9",
@@ -57,12 +75,3 @@ class TestRegistry:
             "table6", "table7",
         ):
             assert artefact in EXPERIMENTS
-
-    def test_quick_overrides_are_valid_kwargs(self):
-        import inspect
-
-        for name, overrides in QUICK_OVERRIDES.items():
-            runner, _ = EXPERIMENTS[name]
-            parameters = inspect.signature(runner).parameters
-            for key in overrides:
-                assert key in parameters, f"{name}: bad override {key}"

@@ -141,7 +141,8 @@ class TestProcessPrefetch:
         def double_trigger():
             first = sim.process(engine.process(sim, a))
             second = sim.process(engine.process(sim, a))
-            yield sim.all_of([first, second])
+            yield first
+            yield second
 
         sim.process(double_trigger())
         sim.run()

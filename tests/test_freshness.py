@@ -1,10 +1,10 @@
-"""Tests for time-varying knowledge and the freshness study."""
+"""Tests for time-varying knowledge; the freshness study's claims are
+``freshness_study.check`` (``tests/test_claims.py``)."""
 
 import pytest
 
 from repro.core import Query
 from repro.network import RemoteDataService
-from repro.workloads import build_dataset
 from repro.workloads.facts import Fact, FactUniverse
 
 
@@ -90,20 +90,3 @@ class TestTimeAwareRemote:
         sim.process(client())
         sim.run()
         assert "[rev 1]" in holder["late"].result
-
-
-class TestFreshnessStudy:
-    def test_staticity_ttl_dominates_on_staleness(self):
-        from repro.experiments import freshness_study
-
-        result = freshness_study.run(n_queries=800)
-        rows = {row["aging"]: row for row in result.rows}
-        no_ttl = rows["no_ttl"]
-        fixed = rows["fixed_ttl"]
-        scaled = rows["staticity_ttl"]
-        # Immortal entries serve the most stale knowledge.
-        assert no_ttl["stale_serve_rate"] > fixed["stale_serve_rate"]
-        # Staticity-aware aging is far fresher than a fixed TTL.
-        assert scaled["stale_serve_rate"] < 0.6 * fixed["stale_serve_rate"]
-        # Freshness costs refetches, in the expected order.
-        assert no_ttl["api_calls"] <= fixed["api_calls"] <= scaled["api_calls"]

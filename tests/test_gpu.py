@@ -3,7 +3,6 @@
 import pytest
 
 from repro.serving import GpuDevice, GpuPartition
-from repro.sim import Simulator
 
 
 class TestGpuPartition:
@@ -56,16 +55,6 @@ class TestGpuPartition:
         sim.run()
         assert partition.busy_seconds == pytest.approx(1.0)
         assert partition.completed == 1
-
-    def test_utilization(self, sim):
-        partition = GpuPartition(sim, "agent", share=1.0, slots=2)
-
-        def job():
-            yield from partition.execute(1.0)
-
-        sim.process(job())
-        sim.run()
-        assert partition.utilization(horizon=1.0) == pytest.approx(0.5)
 
     def test_invalid_parameters_rejected(self, sim):
         with pytest.raises(ValueError):

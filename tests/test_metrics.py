@@ -298,7 +298,7 @@ class TestMemoryEnvelope:
         assert arena.high_water == entries
         assert arena.grows == 0  # the stated capacity was honoured exactly
         # Stated envelope: 4 * dim bytes per entry, under 128 MiB here.
-        assert arena.memory_bytes() == entries * 4 * dim
-        assert arena.memory_bytes() < 128 * 1024 * 1024
+        assert arena.rows().nbytes == entries * 4 * dim
+        assert arena.rows().nbytes < 128 * 1024 * 1024
         # Rows are still addressable at the far end of the matrix.
         assert arena.get(entries - 1).shape == (dim,)

@@ -51,12 +51,12 @@ class TestGauge:
         gauge = Gauge("depth")
         gauge.set(4, engine="sync")
         gauge.inc(engine="sync")
-        gauge.dec(2, engine="sync")
+        gauge.inc(-2, engine="sync")
         assert gauge.value(engine="sync") == 3
 
     def test_gauges_may_go_negative(self):
         gauge = Gauge("delta")
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.value() == -5
 
 

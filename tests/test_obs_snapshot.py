@@ -55,11 +55,13 @@ class TestSampling:
     def test_maybe_sample_gates_on_interval(self):
         clock = ManualClock()
         recorder = SnapshotRecorder(interval=1.0, clock=clock)
-        assert recorder.maybe_sample() is not None  # first is always due
+        assert recorder.due()  # the first sample is always due
+        recorder.sample()
         clock.t = 0.5
-        assert recorder.maybe_sample() is None
+        assert not recorder.due()
         clock.t = 1.5
-        assert recorder.maybe_sample() is not None
+        assert recorder.due()
+        recorder.sample()
         assert len(recorder) == 2
 
     def test_probes_sampled_alongside_registry(self):

@@ -252,16 +252,6 @@ class TestExport:
                 pass
         return tracer
 
-    def test_jsonl_rows_parse_and_cover_all_spans(self, tmp_path):
-        tracer = self._traced()
-        path = tmp_path / "trace.jsonl"
-        count = tracer.export_jsonl(path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert count == len(rows) == 3
-        for row in rows:
-            assert {"name", "trace_id", "span_id", "start", "end"} <= set(row)
-            assert row["end"] >= row["start"]
-
     def test_chrome_export_is_valid_trace_event_json(self, tmp_path):
         tracer = self._traced()
         path = tmp_path / "trace.json"
@@ -280,16 +270,8 @@ class TestExport:
 
     def test_empty_exports(self, tmp_path):
         tracer = Tracer()
-        assert tracer.export_jsonl(tmp_path / "t.jsonl") == 0
         assert tracer.export_chrome(tmp_path / "t.json") == 0
         assert json.loads((tmp_path / "t.json").read_text())["traceEvents"] == []
-
-    def test_stage_summary_aggregates_by_name(self):
-        tracer = self._traced()
-        summary = tracer.stage_summary()
-        assert set(summary) == {"request", "embed", "admit"}
-        assert summary["embed"]["count"] == 1
-        assert summary["request"]["total"] >= summary["admit"]["total"]
 
 
 class TestSamplingTracer:

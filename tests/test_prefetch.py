@@ -102,17 +102,6 @@ class TestMarkovPrefetcher:
         targets = prefetcher.observe(a)
         assert len(targets) == 1
 
-    def test_reset_history_breaks_chain(self):
-        prefetcher = MarkovPrefetcher(confidence=0.5)
-        a = Query("alpha topic", fact_id="A")
-        b = Query("beta topic", fact_id="B")
-        prefetcher.observe(a)
-        prefetcher.reset_history()
-        prefetcher.observe(b)  # No a -> b transition recorded.
-        prefetcher.observe(a)
-        assert prefetcher.observe(a) == []
-        assert prefetcher.model.predict(QuerySignature.of(a)) == []
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             MarkovPrefetcher(confidence=1.5)

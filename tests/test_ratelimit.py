@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network import FixedWindowLimiter, TokenBucket, UnlimitedLimiter
+from repro.network import TokenBucket
 
 
 class TestTokenBucket:
@@ -66,42 +66,3 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0)
         with pytest.raises(ValueError):
             TokenBucket.per_minute(0)
-
-
-class TestFixedWindowLimiter:
-    def test_limit_within_window(self):
-        limiter = FixedWindowLimiter(limit=2, window=60.0)
-        assert limiter.try_acquire(0.0)
-        assert limiter.try_acquire(10.0)
-        assert not limiter.try_acquire(20.0)
-
-    def test_window_roll_resets_count(self):
-        limiter = FixedWindowLimiter(limit=1, window=60.0)
-        assert limiter.try_acquire(0.0)
-        assert not limiter.try_acquire(59.0)
-        assert limiter.try_acquire(60.0)
-
-    def test_next_available_is_window_boundary(self):
-        limiter = FixedWindowLimiter(limit=1, window=60.0)
-        limiter.try_acquire(5.0)
-        assert limiter.next_available(10.0) == 60.0
-
-    def test_boundary_burst_possible(self):
-        # The classic fixed-window artefact: 2x limit around a boundary.
-        limiter = FixedWindowLimiter(limit=5, window=60.0)
-        late = sum(limiter.try_acquire(59.0) for _ in range(5))
-        early = sum(limiter.try_acquire(60.0) for _ in range(5))
-        assert late == 5 and early == 5
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            FixedWindowLimiter(limit=0)
-        with pytest.raises(ValueError):
-            FixedWindowLimiter(limit=1, window=0.0)
-
-
-class TestUnlimitedLimiter:
-    def test_always_grants(self):
-        limiter = UnlimitedLimiter()
-        assert all(limiter.try_acquire(0.0) for _ in range(1000))
-        assert limiter.next_available(5.0) == 5.0

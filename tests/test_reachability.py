@@ -160,6 +160,45 @@ def test_every_exported_index_and_arena_name_is_used_by_something_that_runs():
     assert unused == [], f"exported, but only tests use them: {unused}"
 
 
+def _is_property(function: ast.FunctionDef) -> bool:
+    return any(
+        getattr(decorator, "id", None) == "property"
+        or getattr(decorator, "attr", None) in ("setter", "deleter")
+        for decorator in function.decorator_list
+    )
+
+
+def test_every_public_method_is_used_by_something_that_runs():
+    """The same question one level down, by name: every public method of a
+    class in a module that runs is called, referenced or ``getattr``-ed by
+    name from something that runs. A name any running code mentions counts
+    for every method of that name (an override is used through its base);
+    properties read like fields and are not checked. Methods of an
+    allowlisted unreached module are covered by that module's entry."""
+    closure = reachable()
+    mentioned = set()
+    for path in [MODULES[name] for name in closure] + _root_scripts():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                mentioned.add(node.value)
+    unused = [
+        f"{name}.{cls.name}.{function.name}"
+        for name in sorted(closure)
+        for cls in ast.walk(ast.parse(MODULES[name].read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for function in cls.body
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not function.name.startswith("_")
+        and not _is_property(function)
+        and function.name not in mentioned
+    ]
+    assert unused == [], f"public methods only tests call (delete them): {unused}"
+
+
 def test_allowlist_holds_no_stale_or_unexplained_entries():
     closure = reachable()
     for name, reason in ALLOWED_UNREACHED.items():

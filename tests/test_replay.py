@@ -1,6 +1,5 @@
 """Tests for the workload replay drivers."""
 
-import numpy as np
 import pytest
 
 from repro.agent import SearchAgent
@@ -14,7 +13,6 @@ from repro.workloads import (
     run_open_loop,
     run_task_closed_loop,
     run_task_concurrent,
-    run_task_open_loop,
 )
 
 
@@ -63,24 +61,6 @@ class TestOpenLoop:
         timed = [(2.0, Query("a")), (1.0, Query("b"))]
         with pytest.raises(ValueError):
             run_open_loop(sim, engine, timed)
-
-    def test_task_open_loop_poisson(self, dataset):
-        engine = build_asteria_engine(build_remote(dataset.universe), seed=1)
-        agent = SearchAgent(engine)
-        tasks = SkewedWorkload(dataset, seed=2).single_hop_tasks(20)
-        sim = Simulator()
-        stats = run_task_open_loop(
-            sim, agent, tasks, rate=5.0, rng=np.random.default_rng(0)
-        )
-        assert stats.tasks == 20
-
-    def test_invalid_rate_rejected(self, dataset):
-        engine = build_vanilla_engine(build_remote(dataset.universe))
-        with pytest.raises(ValueError):
-            run_task_open_loop(
-                Simulator(), SearchAgent(engine), [], rate=0.0,
-                rng=np.random.default_rng(0),
-            )
 
 
 class TestConcurrent:

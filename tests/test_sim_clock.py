@@ -16,26 +16,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock(-1.0)
 
-    def test_advance_moves_forward(self):
-        clock = SimClock()
-        assert clock.advance(2.5) == 2.5
-        assert clock.now == 2.5
-
-    def test_advance_accumulates(self):
-        clock = SimClock()
-        clock.advance(1.0)
-        clock.advance(2.0)
-        assert clock.now == 3.0
-
-    def test_advance_by_zero_is_allowed(self):
-        clock = SimClock(1.0)
-        assert clock.advance(0.0) == 1.0
-
-    def test_negative_advance_rejected(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            clock.advance(-0.1)
-
     def test_advance_to_jumps(self):
         clock = SimClock()
         clock.advance_to(10.0)

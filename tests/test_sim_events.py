@@ -1,8 +1,8 @@
-"""Tests for event primitives: Event, Timeout, AllOf, AnyOf."""
+"""Tests for event primitives: Event, Timeout."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim import Event, Simulator, Timeout
 
 
 class TestEvent:
@@ -95,59 +95,3 @@ class TestTimeout:
         sim.process(proc())
         sim.run()
         assert log == [1.5]
-
-
-class TestConditions:
-    def test_all_of_collects_values_in_order(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            t1 = sim.timeout(2.0, value="slow")
-            t2 = sim.timeout(1.0, value="fast")
-            values = yield sim.all_of([t1, t2])
-            results.append((sim.now, values))
-
-        sim.process(proc())
-        sim.run()
-        assert results == [(2.0, ["slow", "fast"])]
-
-    def test_any_of_returns_first_with_index(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            t1 = sim.timeout(2.0, value="slow")
-            t2 = sim.timeout(1.0, value="fast")
-            index, value = yield sim.any_of([t1, t2])
-            results.append((sim.now, index, value))
-
-        sim.process(proc())
-        sim.run()
-        assert results == [(1.0, 1, "fast")]
-
-    def test_empty_condition_rejected(self):
-        with pytest.raises(ValueError):
-            AllOf([])
-        with pytest.raises(ValueError):
-            AnyOf([])
-
-    def test_all_of_propagates_child_failure(self):
-        sim = Simulator()
-        outcome = []
-
-        def crasher():
-            yield sim.timeout(0.5)
-            raise ValueError("child failed")
-
-        def waiter():
-            p = sim.process(crasher())
-            t = sim.timeout(2.0)
-            try:
-                yield sim.all_of([p, t])
-            except ValueError:
-                outcome.append("caught")
-
-        sim.process(waiter())
-        sim.run()
-        assert outcome == ["caught"]

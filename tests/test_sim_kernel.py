@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator, Timeout
+from repro.sim import Interrupt, Simulator
 
 
 class TestScheduling:
@@ -46,12 +46,6 @@ class TestScheduling:
         sim.run()
         with pytest.raises(ValueError):
             sim.run(until=0.5)
-
-    def test_peek_shows_next_timestamp(self):
-        sim = Simulator()
-        assert sim.peek() is None
-        sim.schedule(4.2, lambda: None)
-        assert sim.peek() == 4.2
 
     def test_step_executes_one_callback(self):
         sim = Simulator()

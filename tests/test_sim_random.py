@@ -45,15 +45,3 @@ class TestRngRegistry:
         registry_b = RngRegistry(seed=5)
         from_fresh = registry_b.stream("two").random(3).tolist()
         assert from_disturbed == from_fresh
-
-    def test_fork_changes_namespace(self):
-        base = RngRegistry(seed=5)
-        fork = base.fork("trial-1")
-        assert fork.seed != base.seed
-        assert (
-            base.stream("x").random(3).tolist()
-            != fork.stream("x").random(3).tolist()
-        )
-
-    def test_fork_deterministic(self):
-        assert RngRegistry(3).fork("t").seed == RngRegistry(3).fork("t").seed

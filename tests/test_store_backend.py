@@ -121,7 +121,7 @@ class TestProtocolConformance:
     def test_wrapping_backend_unwraps_to_innermost(self, tmp_path):
         inner = InProcessBackend()
         wrapped = journaled(journaled(inner, tmp_path), tmp_path)
-        assert wrapped.unwrap() is inner
+        assert wrapped.inner.inner is inner
         assert isinstance(wrapped, WrappingBackend)
 
     def test_wrap_backend_mid_life_keeps_contents(self, tmp_path):
@@ -210,7 +210,7 @@ class TestDecisionEquivalence:
         # evict (and the touches between them) is a record.
         backend = engine.cache.backend
         assert isinstance(backend, JournaledBackend)
-        assert isinstance(backend.unwrap(), InProcessBackend)
+        assert isinstance(backend.inner, InProcessBackend)
         assert backend.writer.seq >= stats.inserts + stats.evictions
 
     def test_async_engine_runs_over_a_journaled_store(self, tmp_path):

@@ -37,13 +37,14 @@ class TestZipfSampler:
 
     def test_head_mass_monotone(self):
         sampler = ZipfSampler(n=100, s=0.99)
-        masses = [sampler.head_mass(k) for k in range(0, 101, 10)]
-        assert masses == sorted(masses)
-        assert sampler.head_mass(100) == pytest.approx(1.0)
+        probabilities = [sampler.probability(rank) for rank in range(100)]
+        assert probabilities == sorted(probabilities, reverse=True)
+        assert sum(probabilities) == pytest.approx(1.0)
 
     def test_head_dominates_at_high_skew(self):
         sampler = ZipfSampler(n=1000, s=0.99)
-        assert sampler.head_mass(10) > 0.3  # Few head topics, most traffic.
+        head = sum(sampler.probability(rank) for rank in range(10))
+        assert head > 0.3  # Few head topics, most traffic.
 
     def test_single_sample_deterministic_per_seed(self):
         sampler = ZipfSampler(n=100, s=0.99)
@@ -59,7 +60,5 @@ class TestZipfSampler:
         sampler = ZipfSampler(n=10)
         with pytest.raises(IndexError):
             sampler.probability(10)
-        with pytest.raises(ValueError):
-            sampler.head_mass(11)
         with pytest.raises(ValueError):
             sampler.sample_many(np.random.default_rng(0), -1)
