@@ -20,8 +20,6 @@ from repro.agent.parser import (
     Block,
     extract_blocks,
     format_block,
-    first_block,
-    tool_calls,
 )
 from repro.agent.search_agent import SearchAgent
 from repro.agent.code_agent import CodeAgent
@@ -36,7 +34,5 @@ __all__ = [
     "SearchAgent",
     "TaskResult",
     "extract_blocks",
-    "first_block",
     "format_block",
-    "tool_calls",
 ]

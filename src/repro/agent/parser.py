@@ -94,16 +94,3 @@ def extract_blocks(text: str, strict: bool = True) -> list[Block]:
         fail(f"<{open_tag}> never closed")
         blocks.append(Block(tag=open_tag, content=text[open_at:].strip()))
     return blocks
-
-
-def first_block(text: str, tag: str) -> str | None:
-    """Content of the first ``tag`` block, or None."""
-    for block in extract_blocks(text):
-        if block.tag == tag:
-            return block.content
-    return None
-
-
-def tool_calls(text: str) -> list[Block]:
-    """All action blocks (``search``/``tool``/``file``) in order."""
-    return [block for block in extract_blocks(text) if block.tag in ACTION_TAGS]

@@ -30,24 +30,24 @@ from typing import Generator, Protocol, runtime_checkable
 from repro.core.admission import AdmissionPolicy, AlwaysAdmit
 from repro.core.cache import AsteriaCache, ExactCache, content_key
 from repro.core.config import AsteriaConfig
+from repro.core.element import SemanticElement
 from repro.core.flow import (
     Admit,
+    Covered,
     EngineResponse,
     Fetch,
     Flight,
     Lookup,
     Sleep,
     Spawn,
-    account_failure,
     request_flow,
-    resilience_key,
 )
 from repro.core.metrics import EngineMetrics
 from repro.core.prefetch import MarkovPrefetcher
 from repro.core.recalibration import ThresholdRecalibrator
 from repro.core.resilience import ResilienceManager
 from repro.core.types import CacheLookup, FetchResult, Query
-from repro.network.remote import RemoteDataService, RemoteFetchError
+from repro.network.remote import RemoteDataService
 
 #: How many judged hits the recalibrator samples from (Algorithm 1 reads only
 #: the recent past, so nothing older is kept).
@@ -211,8 +211,11 @@ class AsteriaEngine:
         """Stage 1+2 retrieval on the cache."""
         return self.cache.lookup(query, now, ann_only=self.config.ann_only)
 
-    def _lookup_record(self, query: Query, sine_result) -> tuple[CacheLookup, object]:
-        """Turn a SineResult into the public lookup record + eval-log entry.
+    def _lookup_record(
+        self, query: Query, sine_result
+    ) -> tuple[CacheLookup, SemanticElement | None]:
+        """Turn a SineResult into what ``Lookup`` sends back — the public
+        lookup record and the matched element — plus an eval-log entry.
 
         Shared verbatim by every driver so latency attribution and accuracy
         accounting cannot drift between them.
@@ -252,23 +255,23 @@ class AsteriaEngine:
             self.metrics.expirations = self.cache.stats.expirations
 
     def _maybe_recalibrate(self, now: float) -> None:
-        if self.recalibrator is None:
-            return
+        """One round of Algorithm 1 when ``recalibration_interval`` has
+        passed: label a sample of recent judged hits, move ``tau_lsm`` to
+        the smallest threshold meeting the target precision, and optionally
+        fine-tune the judger. The request flow calls it first thing."""
         if now - self._last_recalibration < self.config.recalibration_interval:
             return
         self._last_recalibration = now
         labelled = self.recalibrator.ingest(self._eval_log)
-        if labelled:
-            # Ground-truth fetches are real remote calls (Algorithm 1 line 4).
-            for _ in range(labelled):
-                self.remote.cost_meter.charge_api_call(
-                    self.remote.cost_per_call, tool="ground-truth"
-                )
-        new_threshold = self.recalibrator.recalibrate(self.cache.sine.tau_lsm)
-        if new_threshold != self.cache.sine.tau_lsm:
-            self.cache.sine.tau_lsm = new_threshold
+        # Ground-truth fetches are real remote calls (Algorithm 1 line 4).
+        for _ in range(labelled):
+            self.remote.cost_meter.charge_api_call(
+                self.remote.cost_per_call, tool="ground-truth"
+            )
+        sine = self.cache.sine
+        sine.tau_lsm = self.recalibrator.recalibrate(sine.tau_lsm)
         if self.config.finetune_enabled:
-            self.recalibrator.fine_tune(self.cache.sine.judger)
+            self.recalibrator.fine_tune(sine.judger)
         self.metrics.recalibrations += 1
 
     # -- analytic execution ----------------------------------------------------------
@@ -279,32 +282,31 @@ class AsteriaEngine:
         open breaker all degrade into an explicit ``stale_hit``/``failed``
         response instead of escaping the serve loop.
         """
-        self._maybe_recalibrate(now)
         return self._run(request_flow(self, query, now), query, now)
 
     def _run(self, flow: Generator, query: Query | None = None, now: float = 0.0):
         """The analytic driver of :mod:`repro.core.flow`: every effect
         completes inline and costs only the simulated time the flow sums —
-        a flight has nobody to share with, a spawned refresh runs on the
-        spot (there is no background to run it in) and backoff is not
-        waited out. ``query``/``now`` serve the top-level request's
+        a flight has nobody to share with, a spawned refresh or prefetch
+        runs on the spot (there is no background to run it in) and backoff
+        is not waited out. ``query``/``now`` serve the top-level request's
         ``Lookup``; sub-flows never look up."""
-        element = result = None
-        looked_up = False
+        result = None
         try:
             effect = flow.send(None)
             while True:
                 try:
                     kind = type(effect)
                     if kind is Lookup:
-                        looked_up = True
-                        result, element = self._lookup_record(
+                        result = self._lookup_record(
                             query, self._sine_lookup(query, now)
                         )
                     elif kind is Fetch:
                         result = self.remote.fetch_at(effect.query, effect.at)
                     elif kind is Admit:
                         result = self.cache.insert(*effect)
+                    elif kind is Covered:
+                        result = self.cache.contains_semantic(effect.query)
                     elif kind is Flight:
                         result = self._run(effect.body), False
                     elif kind is Spawn:
@@ -316,32 +318,7 @@ class AsteriaEngine:
                 else:
                     effect = flow.send(result)
         except StopIteration as stop:
-            response = stop.value
-        if looked_up and self.prefetcher is not None and response.degraded is None:
-            canonical = element.key if element is not None else query.text
-            self._run_prefetch_analytic(query, now, canonical)
-        return response
-
-    def _run_prefetch_analytic(
-        self, query: Query, now: float, canonical: str
-    ) -> None:
-        for signature in self.prefetcher.observe(query, canonical):
-            target = signature.to_query()
-            if self.cache.contains_semantic(target):
-                continue
-            try:
-                fetch = self.remote.fetch_at(target, now)
-            except RemoteFetchError as exc:
-                # Prefetches are speculative: a failed one is dropped, but
-                # the breaker still learns about the backend.
-                account_failure(
-                    self, resilience_key(target), exc, now + exc.latency
-                )
-                continue
-            self.cache.insert(
-                target, fetch, now + fetch.latency, prefetched=True
-            )
-            self.metrics.prefetches_issued += 1
+            return stop.value
 
     # -- discrete-event execution --------------------------------------------------------
     def process(self, sim, query: Query) -> Generator:
@@ -351,21 +328,18 @@ class AsteriaEngine:
         simulator clock: queueing in the remote and on a shared judge
         executor is real, and backoff between retries is a ``sim.timeout``.
         """
-        self._maybe_recalibrate(sim.now)
         flow = request_flow(self, query, sim.now)
         return (yield from self._run_on(sim, flow, query))
 
     def _run_on(self, sim, flow: Generator, query: Query | None = None) -> Generator:
         """The DES driver of :mod:`repro.core.flow` (see :meth:`_run`)."""
-        element = result = None
-        looked_up = False
+        result = None
         try:
             effect = flow.send(None)
             while True:
                 try:
                     kind = type(effect)
                     if kind is Lookup:
-                        looked_up = True
                         began = sim.now
                         yield sim.timeout(self.config.ann_latency)
                         lookup, element = self._lookup_record(
@@ -381,31 +355,29 @@ class AsteriaEngine:
                             lookup,
                             latency=check,
                             judge_latency=check - self.config.ann_latency,
-                        )
+                        ), element
                     elif kind is Fetch:
                         result = yield from self.remote.fetch(sim, effect.query)
                     elif kind is Sleep:
                         result = yield sim.timeout(effect.seconds)
                     elif kind is Admit:
                         result = self.cache.insert(
-                            effect.query, effect.fetch, sim.now
+                            effect.query, effect.fetch, sim.now, effect.prefetched
                         )
+                    elif kind is Covered:
+                        result = self.cache.contains_semantic(effect.query)
                     elif kind is Flight:
                         result = yield from self._fly(sim, effect.key, effect.body)
                     else:  # Spawn
                         result = sim.process(
-                            self._run_on(sim, effect.flow), name="stale-refresh"
+                            self._run_on(sim, effect.flow), name=effect.flow.__name__
                         )
                 except Exception as exc:
                     effect = flow.throw(exc)
                 else:
                     effect = flow.send(result)
         except StopIteration as stop:
-            response = stop.value
-        if looked_up and self.prefetcher is not None and response.degraded is None:
-            canonical = element.key if element is not None else query.text
-            self._spawn_prefetches(sim, query, canonical)
-        return response
+            return stop.value
 
     def _fly(self, sim, key: tuple, body: Generator) -> Generator:
         """A flight with thundering-herd suppression when
@@ -433,29 +405,6 @@ class AsteriaEngine:
         del self._inflight_fetches[fingerprint]
         event.succeed(flown)
         return flown, False
-
-    def _spawn_prefetches(self, sim, query: Query, canonical: str) -> None:
-        for signature in self.prefetcher.observe(query, canonical):
-            if signature.text in self._inflight_prefetch:
-                continue
-            target = signature.to_query()
-            if self.cache.contains_semantic(target):
-                continue
-            self._inflight_prefetch.add(signature.text)
-            sim.process(self._prefetch_process(sim, target), name="prefetch")
-            self.metrics.prefetches_issued += 1
-
-    def _prefetch_process(self, sim, target: Query) -> Generator:
-        try:
-            fetch = yield from self.remote.fetch(sim, target)
-            # The world may have cached it meanwhile; keep the fresher copy out.
-            if not self.cache.contains_semantic(target):
-                self.cache.insert(target, fetch, sim.now, prefetched=True)
-        except RemoteFetchError as exc:
-            # Speculative flight: drop it, but feed the breaker.
-            account_failure(self, resilience_key(target), exc, sim.now)
-        finally:
-            self._inflight_prefetch.discard(target.text)
 
     def __repr__(self) -> str:
         return (

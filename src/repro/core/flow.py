@@ -1,5 +1,6 @@
 """The request lifecycle, written once (§3.3/§4; DESIGN "Request lifecycle").
 
+    recalibrate τ_lsm when due (Algorithm 1)
     cacheable? ─no──▶ Fetch ──▶ record (bypass)
         │yes
       Lookup ──hit──▶ record
@@ -8,6 +9,7 @@
         │allow
       Flight[ Fetch ⟲ Sleep (retry + backoff) ▶ on_success ▶ Admit ]
         │ok ──▶ record            │failed ──▶ degrade: stale hit | failed
+    served from the cache ──▶ Spawn one prefetch per Markov successor
 
 :func:`request_flow` is a *sans-IO* generator: it decides, counts and
 records, and yields an **effect** whenever the world has to be touched. A
@@ -22,9 +24,11 @@ Simulated time is summed here from what effects report (``lookup.latency``,
 driver charges a request the same way: ``lookup + retry overhead + fetch``.
 
 ``host`` is the :class:`~repro.core.engine.AsteriaEngine` — or anything with
-its ``tracer``/``resilience``/``metrics`` attributes and ``_is_cacheable``/
-``_should_admit``/``_record_response``/``_record_degraded`` methods; nothing
-here touches a cache, a remote, a clock or a lock.
+its ``tracer``/``resilience``/``metrics``/``recalibrator``/``prefetcher``
+attributes and ``_is_cacheable``/``_should_admit``/``_record_response``/
+``_record_degraded`` methods (plus ``_maybe_recalibrate`` and
+``_inflight_prefetch`` when those two are set); nothing here touches a
+cache, a remote, a clock or a lock.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ class EngineResponse:
 
 # -- effects ---------------------------------------------------------------------
 class Lookup:
-    """Two-stage lookup of the request's own query → ``CacheLookup``.
+    """Two-stage lookup of the request's own query → ``(CacheLookup,
+    matched element or None)``; the element's key is the Markov state a hit
+    feeds the prefetcher.
 
     Carries nothing — the driver that started the flow holds the query and
     the clock — so a hit allocates no effect;
@@ -91,12 +97,21 @@ class Sleep(NamedTuple):
     seconds: float
 
 
+class Covered(NamedTuple):
+    """Stage-1 membership probe: does the cache hold anything near
+    ``query``? → ``bool``, or a thrown :class:`CacheUnavailable`."""
+
+    query: Query
+
+
 class Admit(NamedTuple):
-    """Insert a fetched result into the cache as of simulated ``at``."""
+    """Insert a fetched result into the cache as of simulated ``at``;
+    ``prefetched`` marks a speculative entry (LCFU evicts it first)."""
 
     query: Query
     fetch: FetchResult
     at: float
+    prefetched: bool = False
 
 
 class Flight(NamedTuple):
@@ -123,7 +138,7 @@ _BYPASS = CacheLookup(status="bypass", result=None, latency=0.0)
 _UNCACHED = CacheLookup(status="miss", result=None, latency=0.0)
 
 
-# -- accounting shared with the prefetch paths -----------------------------------
+# -- accounting shared by every flow ---------------------------------------------
 def resilience_key(query: Query) -> tuple[str, str]:
     """Stale-store / negative-cache / flight identity: tool + canonical text."""
     return (query.tool, canonical_text(query.text))
@@ -151,7 +166,15 @@ def request_flow(host, query: Query, now: float) -> Generator:
     breaker all degrade into an explicit ``stale_hit``/``failed`` response.
     A sampled request runs under one root span, opened and closed here in
     whatever thread or task drives the generator.
+
+    Recalibration (Algorithm 1) runs inline first, outside the span: it does
+    no I/O (ground truth is charged, not fetched), and a ``Spawn`` would move
+    the DES clock. After a response the cache served without degrading, the
+    prefetcher observes the request and each predicted successor is one
+    ``Spawn(prefetch_flow(...))``, started when the response completes.
     """
+    if host.recalibrator is not None:
+        host._maybe_recalibrate(now)
     tracer = host.tracer
     span = tracer.request() if tracer is not None and tracer.sample() else None
     response = None
@@ -161,7 +184,7 @@ def request_flow(host, query: Query, now: float) -> Generator:
             return response
         cached = True
         try:
-            lookup = yield LOOKUP
+            lookup, element = yield LOOKUP
         except CacheUnavailable:
             # Per-domain degradation: the last-known-good result if one is
             # banked, else the ordinary miss path minus the cache — gated by
@@ -182,7 +205,6 @@ def request_flow(host, query: Query, now: float) -> Generator:
             host._record_response(response, query, now)
         else:
             response = yield from _miss(host, query, now, lookup, cached)
-        return response
     finally:
         if span is not None:
             # One dict literal instead of request(tool=...) + set(outcome=...):
@@ -194,6 +216,13 @@ def request_flow(host, query: Query, now: float) -> Generator:
                 else response.degraded or response.lookup.status,
             }
             span.__exit__(None, None, None)
+    if cached and host.prefetcher is not None and response.degraded is None:
+        # A hit's Markov state is the matched key, so paraphrases share one.
+        state = element.key if element is not None else query.text
+        at = now + response.latency
+        for successor in host.prefetcher.observe(query, state):
+            yield Spawn(prefetch_flow(host, successor.to_query(), at))
+    return response
 
 
 def _bypass(host, query: Query, now: float) -> Generator:
@@ -320,6 +349,33 @@ def refresh_flow(host, query: Query, key: tuple, start: float) -> Generator:
                 yield Flight(key, fetch_and_admit(host, query, key, start))
     except RemoteFetchError as exc:
         account_failure(host, key, exc, start + exc.latency)
+
+
+def prefetch_flow(host, query: Query, at: float) -> Generator:
+    """Algorithm 3's speculative fetch of one predicted successor, from
+    simulated ``at``: skipped while one for the same text is in flight or
+    when the cache already covers it, counted once issued, and admitted as
+    prefetched unless the cache came to cover it meanwhile. A failed fetch
+    is dropped once the breaker has heard of it; so is the whole prefetch
+    when the cache cannot answer."""
+    inflight = host._inflight_prefetch
+    if query.text in inflight:
+        return
+    try:
+        if (yield Covered(query)):
+            return
+        inflight.add(query.text)
+        host.metrics.prefetches_issued += 1
+        try:
+            fetch = yield Fetch(query, at)
+            if not (yield Covered(query)):
+                yield Admit(query, fetch, at + fetch.latency, True)
+        except RemoteFetchError as exc:
+            account_failure(host, resilience_key(query), exc, at + exc.latency)
+        finally:
+            inflight.discard(query.text)
+    except CacheUnavailable:
+        pass
 
 
 def _degrade(

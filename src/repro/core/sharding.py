@@ -55,17 +55,34 @@ def shard_index_for(text: str, n_shards: int) -> int:
     return zlib.crc32(content_key(text).encode("utf-8")) % n_shards
 
 
+class _JudgerBroadcast:
+    """Engine-facing view over the per-shard judgers: reads come from shard
+    0, and a write — a fine-tuning round, a drifted parameter — reaches
+    every shard's judger, so they stay in lockstep."""
+
+    def __init__(self, shards: Sequence[AsteriaCache]) -> None:
+        object.__setattr__(self, "_shards", shards)
+
+    def __getattr__(self, name: str):
+        return getattr(self._shards[0].sine.judger, name)
+
+    def __setattr__(self, name: str, value) -> None:
+        for shard in self._shards:
+            setattr(shard.sine.judger, name, value)
+
+
 class _SineBroadcast:
     """Engine-facing view over the per-shard Sine pipelines.
 
     :class:`~repro.core.engine.AsteriaEngine` configures its cache through
     ``cache.sine`` (thresholds, candidate count) and the recalibrator reads
-    and writes ``tau_lsm`` at runtime. Reads come from shard 0 (all shards
-    are kept in lockstep); writes broadcast to every shard.
+    and writes ``tau_lsm`` and the judger at runtime. Reads come from shard
+    0 (all shards are kept in lockstep); writes broadcast to every shard.
     """
 
     def __init__(self, shards: Sequence[AsteriaCache]) -> None:
         self._shards = shards
+        self.judger = _JudgerBroadcast(shards)
 
     @property
     def tau_sim(self) -> float:
@@ -99,12 +116,6 @@ class _SineBroadcast:
         """Shard 0's embedder (all shards share one seed, so any shard's
         embedder computes identical vectors)."""
         return self._shards[0].sine.embedder
-
-    @property
-    def judger(self):
-        """Shard 0's judger (recalibration fine-tuning over a sharded cache
-        only adjusts this instance; thresholds still broadcast)."""
-        return self._shards[0].sine.judger
 
     def __len__(self) -> int:
         return sum(len(shard.sine) for shard in self._shards)

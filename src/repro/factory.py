@@ -250,18 +250,6 @@ def build_semantic_cache(
     return cache
 
 
-def _serving_spec(config, stack: dict, tier: str) -> StackSpec:
-    """The spec a concurrent tier serves under: prefetch and recalibration
-    mutate engine-global state on the request path, so they must be off."""
-    spec = StackSpec.of(config, stack)
-    if spec.config.prefetch_enabled or spec.config.recalibration_enabled:
-        raise ValueError(
-            f"{tier} serving requires prefetch_enabled and "
-            "recalibration_enabled off; run those studies sequentially"
-        )
-    return spec
-
-
 def _shard_specs(spec: StackSpec, count: int) -> list[StackSpec]:
     """Every shard's spec, computed before any is built (so the layout refusal
     sees ``DIR`` as the last run left it), each home marked with its routing."""
@@ -325,7 +313,7 @@ def build_async_engine(
     backpressure, deadlines, and hedging — see
     :class:`~repro.serving.aio.AsyncAsteriaEngine`.
     """
-    spec = _serving_spec(config, stack, "async")
+    spec = StackSpec.of(config, stack)
     cache = build_sharded_cache(spec, shards=shards)
     engine = AsteriaEngine(cache, remote, spec.config, resilience=resilience, name=name)
     return AsyncAsteriaEngine(
@@ -379,10 +367,17 @@ def build_proc_engine(
     requests degrading locally (stale hit, else direct remote fetch)
     instead of failing the engine. ``proc_faults`` accepts a
     :class:`ProcFaultInjector` for chaos runs.
+
+    Recalibration and prefetch run at the router; ``finetune_enabled`` is
+    refused, because the judgers it would tune live in the workers.
     """
-    spec = _serving_spec(config, stack, "proc")
+    spec = StackSpec.of(config, stack)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if spec.config.finetune_enabled:
+        raise ValueError(
+            "proc serving refuses finetune_enabled: the judgers live in the workers"
+        )
     if spec.judge_spin > 0:
         # Calibrate the spin once here, in the quiet parent, and ship the
         # iteration count to every worker: a worker calibrating while its

@@ -16,9 +16,9 @@ discrete-event simulator:
     Agent queue served exhaustively; judger batches admitted only when the
     agent queue is idle or its memory demand is met — the paper's two-level
     defence.
-``FixedLatencyExecutor`` / ``PartitionJudgeExecutor``
-    :class:`~repro.core.engine.JudgeExecutor` implementations wiring cache
-    validation onto (co-located or dedicated) GPU partitions.
+``PartitionJudgeExecutor``
+    The :class:`~repro.core.engine.JudgeExecutor` wiring cache validation
+    onto a (co-located or dedicated) GPU partition.
 
 Alongside the simulated substrate, the package hosts the in-process
 concurrent serving tier, the ``aio`` subpackage (one event loop; the
@@ -43,7 +43,7 @@ from repro.serving.aio import (
     run_open_loop,
 )
 from repro.serving.load import LoadReport
-from repro.serving.executor import FixedLatencyExecutor, PartitionJudgeExecutor
+from repro.serving.executor import PartitionJudgeExecutor
 from repro.serving.gpu import GpuDevice, GpuPartition
 from repro.serving.memory import KVMemoryPool
 from repro.serving.scheduler import PriorityAwareScheduler
@@ -53,7 +53,6 @@ __all__ = [
     "AsyncOutcome",
     "AsyncRemoteService",
     "AsyncSingleFlight",
-    "FixedLatencyExecutor",
     "GpuDevice",
     "GpuPartition",
     "KVMemoryPool",

@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.engine import AsteriaEngine
 from repro.core.flow import (
     Admit,
+    Covered,
     EngineResponse,
     Fetch,
     Flight,
@@ -97,9 +98,9 @@ class AsyncAsteriaEngine:
     Parameters
     ----------
     engine:
-        The wrapped engine. Prefetching and recalibration must be disabled —
-        both mutate engine-global state on the request path and belong to
-        the sequential and simulated modes.
+        The wrapped engine. Its recalibrator and prefetcher run in the
+        request flow as in every driver: recalibration between a request's
+        arrival and its lookup, each prefetch as a background task.
     remote:
         The awaitable remote service; built over ``engine.remote`` with
         ``io_pause_scale=0`` when omitted.
@@ -149,12 +150,6 @@ class AsyncAsteriaEngine:
             )
         if hedge_min_samples < 1:
             raise ValueError(f"hedge_min_samples must be >= 1, got {hedge_min_samples}")
-        if engine.prefetcher is not None or engine.recalibrator is not None:
-            raise ValueError(
-                "AsyncAsteriaEngine requires prefetching and recalibration "
-                "disabled (both mutate engine-global state on the request "
-                "path); run those studies through the sequential engine"
-            )
         self.engine = engine
         self.remote = (
             remote if remote is not None else AsyncRemoteService(engine.remote)
@@ -169,8 +164,8 @@ class AsyncAsteriaEngine:
         self.hedge_min_samples = hedge_min_samples
         self._inflight = 0
         self._latency_samples: list[float] = []
-        #: Background stale-while-revalidate flights (gathered by drain()).
-        self._refresh_tasks: set[asyncio.Task] = set()
+        #: Spawned stale refreshes and prefetches (gathered by drain()).
+        self._spawned: set[asyncio.Task] = set()
 
     # -- KnowledgeEngine-compatible surface ------------------------------------
     @property
@@ -256,7 +251,7 @@ class AsyncAsteriaEngine:
                     kind = type(effect)
                     if kind is Lookup:
                         sine_result = await self._sine_lookup(query, now)
-                        result, _ = self.engine._lookup_record(query, sine_result)
+                        result = self.engine._lookup_record(query, sine_result)
                     elif kind is Fetch:
                         result = await self._fetch(effect.query, effect.at)
                     elif kind is Sleep:
@@ -266,6 +261,8 @@ class AsyncAsteriaEngine:
                             )
                     elif kind is Admit:
                         await self._admit(*effect)
+                    elif kind is Covered:
+                        result = await self._covered(effect.query)
                     elif kind is Flight:
                         body = effect.body
                         result = await self.singleflight.run(
@@ -275,8 +272,8 @@ class AsyncAsteriaEngine:
                         )
                     else:  # Spawn: a background task, gathered by drain()
                         task = asyncio.ensure_future(self._run(effect.flow))
-                        self._refresh_tasks.add(task)
-                        task.add_done_callback(self._refresh_tasks.discard)
+                        self._spawned.add(task)
+                        task.add_done_callback(self._spawned.discard)
                 except BaseException as exc:
                     effect = flow.throw(exc)
                 else:
@@ -287,13 +284,19 @@ class AsyncAsteriaEngine:
     async def _sine_lookup(self, query: Query, now: float):
         """Stage 1+2 retrieval for one cacheable request — the engine's
         *cache access point*: subclasses that keep the cache elsewhere (the
-        multi-process tier's shard workers) override this and
-        :meth:`_admit`, and inherit the entire flow unchanged."""
+        multi-process tier's shard workers) override this, :meth:`_admit`
+        and :meth:`_covered`, and inherit the entire flow unchanged."""
         return self.engine._sine_lookup(query, now)
 
-    async def _admit(self, query: Query, fetch: FetchResult, arrival: float) -> None:
+    async def _admit(
+        self, query: Query, fetch: FetchResult, arrival: float, prefetched=False
+    ) -> None:
         """Insert one fetched result; the second cache access point."""
-        self.engine.cache.insert(query, fetch, arrival)
+        self.engine.cache.insert(query, fetch, arrival, prefetched)
+
+    async def _covered(self, query: Query) -> bool:
+        """The prefetch guard's membership probe; the third access point."""
+        return self.engine.cache.contains_semantic(query)
 
     async def _fetch(self, query: Query, start: float) -> FetchResult:
         threshold = self._hedge_after()
@@ -357,13 +360,11 @@ class AsyncAsteriaEngine:
 
     # -- lifecycle ----------------------------------------------------------------
     async def drain(self) -> None:
-        """Wait for background single-flight fetches and stale-refresh tasks
-        to settle (admissions land in the cache); call before tearing down
-        the event loop."""
-        while self._refresh_tasks:
-            await asyncio.gather(
-                *list(self._refresh_tasks), return_exceptions=True
-            )
+        """Wait for background single-flight fetches, stale refreshes and
+        prefetches to settle (admissions land in the cache); call before
+        tearing down the event loop."""
+        while self._spawned:
+            await asyncio.gather(*list(self._spawned), return_exceptions=True)
         await self.singleflight.drain()
 
     def __repr__(self) -> str:

@@ -1,15 +1,12 @@
 """Judge executors: where cache-validation inference actually runs.
 
 The engine calls an executor with the number of candidates a lookup judged;
-the executor models the corresponding inference. Three placements mirror the
-paper's configurations:
-
-* :class:`FixedLatencyExecutor` — constant-latency judging, used whenever
-  GPU contention is out of scope.
-* :class:`PartitionJudgeExecutor` — judging runs as batches on a GPU
-  partition behind the priority-aware scheduler. Give it the 20 % partition
-  of a shared device for the co-located system, or a partition on its own
-  device for "Asteria w/o Sharing".
+the executor models the corresponding inference. Constant-latency judging,
+for when GPU contention is out of scope, is the engine's default executor;
+:class:`PartitionJudgeExecutor` runs judging as batches on a GPU partition
+behind the priority-aware scheduler. Give it the 20 % partition of a shared
+device for the co-located system, or a partition on its own device for
+"Asteria w/o Sharing".
 
 Default work constants are calibrated to Figure 11: one-candidate validation
 costs ≈0.018 full-GPU seconds, which is ≈0.03 s of wall time on a 20 %
@@ -26,22 +23,6 @@ from repro.serving.scheduler import PriorityAwareScheduler
 DEFAULT_JUDGE_BASE_WORK = 0.012
 #: Additional full-GPU seconds per judged candidate (one prefill each).
 DEFAULT_JUDGE_PER_ITEM_WORK = 0.006
-
-
-class FixedLatencyExecutor:
-    """Constant-latency judging (no GPU model)."""
-
-    def __init__(self, base: float = 0.02, per_item: float = 0.01) -> None:
-        if base < 0 or per_item < 0:
-            raise ValueError("latencies must be >= 0")
-        self.base = base
-        self.per_item = per_item
-
-    def run(self, sim, judged: int) -> Generator:
-        """Sleep for the configured base + per-candidate latency."""
-        if judged > 0:
-            yield sim.timeout(self.base + self.per_item * judged)
-        return None
 
 
 class PartitionJudgeExecutor:

@@ -1,13 +1,14 @@
 """The multi-process front door: ``AsyncAsteriaEngine`` over a worker pool.
 
 :class:`ProcAsteriaEngine` subclasses the asyncio engine and overrides
-exactly its two cache access points (``_sine_lookup`` and ``_admit``) to go
-through the :class:`~repro.serving.proc.pool.WorkerPool` instead of an
-in-process cache. Everything else — backpressure, deadlines, the
-single-flight layer, resilience (breaker / negative cache / stale serving),
-retry accounting, and every ``EngineMetrics`` counter — is the inherited
-code running unmodified at the router, which is what makes the proc
-engine's metrics *exactly* aggregate: there is only one accountant.
+exactly its three cache access points (``_sine_lookup``, ``_admit`` and
+``_covered``) to go through the :class:`~repro.serving.proc.pool.WorkerPool`
+instead of an in-process cache. Everything else — backpressure, deadlines,
+the single-flight layer, resilience (breaker / negative cache / stale
+serving), retry accounting, recalibration, prefetch, and every
+``EngineMetrics`` counter — is the inherited code running unmodified at the
+router, which is what makes the proc engine's metrics *exactly* aggregate:
+there is only one accountant.
 
 Division of labour per request:
 
@@ -47,16 +48,6 @@ from repro.serving.aio.remote import AsyncRemoteService
 from repro.serving.proc.pool import WorkerError, WorkerPool
 
 
-class _TauHolder:
-    """Stands in for ``cache.sine``: the engine writes its thresholds here at
-    construction; workers got the same values via their spec's config."""
-
-    def __init__(self) -> None:
-        self.tau_sim = 0.0
-        self.tau_lsm = 0.0
-        self.max_candidates = 1
-
-
 class _RouterCacheView:
     """The router-side stand-in for the sharded cache.
 
@@ -69,7 +60,8 @@ class _RouterCacheView:
 
     def __init__(self, pool: WorkerPool) -> None:
         self.pool = pool
-        self.sine = _TauHolder()
+        #: Thresholds are the pool's: lookup frames carry its ``tau_lsm``.
+        self.sine = pool.thresholds
         self.tracer = None
 
     @property
@@ -202,28 +194,23 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
             return False
         return self.shard_breakers[shard].allow(now)
 
-    # -- the two cache access points ------------------------------------------
-    async def _sine_lookup(self, query, now):
-        """The lookup, wrapped in its shard's fault domain.
-
-        `ctx` carries the current request span's identity across the
-        process boundary (None on untraced/unsampled traffic — the frame
-        stays byte-identical to the pre-tracing wire).
+    # -- the three cache access points ----------------------------------------
+    async def _in_domain(self, shard: int, call):
+        """Await ``call()``, one pool op, in its shard's fault domain.
 
         With fault domains on, a known-dead shard (its breaker refuses)
         throws :class:`CacheUnavailable` without touching the wire, and a
         WorkerError — the shard died under this request — is charged to the
-        shard's domain and becomes one too: the flow degrades per domain and
-        a raw WorkerError never reaches ``serve()``'s caller.
+        shard's domain and becomes one too: the flow degrades per domain (a
+        prefetch is dropped) and a raw WorkerError never reaches
+        ``serve()``'s caller.
         """
-        ctx = trace_context(self.engine.tracer)
-        shard = self.pool.shard_for(query.text)
         if not self.fault_domains:
-            return await self.pool.lookup(query, now, shard, ctx=ctx)
+            return await call()
         if not self._shard_allow(shard, time.monotonic()):
             raise CacheUnavailable(shard)
         try:
-            result = await self.pool.lookup(query, now, shard, ctx=ctx)
+            result = await call()
         except WorkerError as exc:
             self._shard_failure(shard, exc)
             raise CacheUnavailable(shard) from exc
@@ -235,11 +222,28 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
             breaker.record_success(time.monotonic())
         return result
 
-    async def _admit(self, query, fetch, arrival) -> None:
+    async def _sine_lookup(self, query, now):
+        """The lookup, in its shard's fault domain. ``ctx`` carries the
+        current request span's identity across the process boundary (None
+        on untraced/unsampled traffic — the frame stays byte-identical to
+        the pre-tracing wire)."""
+        ctx = trace_context(self.engine.tracer)
+        shard = self.pool.shard_for(query.text)
+        return await self._in_domain(
+            shard, lambda: self.pool.lookup(query, now, shard, ctx=ctx)
+        )
+
+    async def _covered(self, query) -> bool:
+        shard = self.pool.shard_for(query.text)
+        return await self._in_domain(shard, lambda: self.pool.contains(query, shard))
+
+    async def _admit(self, query, fetch, arrival, prefetched=False) -> None:
         shard = self.pool.shard_for(query.text)
         ctx = trace_context(self.engine.tracer)
         try:
-            await self.pool.insert(query, fetch, arrival, shard, ctx=ctx)
+            await self.pool.insert(
+                query, fetch, arrival, shard, ctx=ctx, prefetched=prefetched
+            )
         except WorkerError as exc:
             if not self.fault_domains:
                 raise

@@ -14,9 +14,10 @@ futures, so many ops can be in flight on one connection) and frames lookups
 by loop tick: every lookup for the shard issued in one tick travels in *one*
 ``lookup_batch`` frame, shipped by a single ``call_soon`` — no timer, no
 size cap (a frame holds at most the router's ``max_inflight`` items). The
-worker serves the items one by one. Every reply refreshes
-:attr:`ShardClient.last_stats`, the piggybacked shard-stats tuple the
-router's cache view reads; because the update happens before the waiter
+frame also carries the router's ``tau_lsm`` as it stands at the flush, and
+the worker applies it before serving the items one by one. Every reply
+refreshes :attr:`ShardClient.last_stats`, the piggybacked shard-stats tuple
+the router's cache view reads; because the update happens before the waiter
 future resolves, metric recording after an ``await`` always sees stats at
 least as fresh as its own operation.
 """
@@ -59,6 +60,21 @@ class WorkerError(RuntimeError):
     def __init__(self, message: str, shard_id: int | None = None) -> None:
         super().__init__(message)
         self.shard_id = shard_id
+
+
+class _TauHolder:
+    """The router's stand-in for ``cache.sine``, one per pool. The engine
+    writes its thresholds here; recalibration moves ``tau_lsm`` here; and
+    every ``lookup_batch`` frame carries the ``tau_lsm`` in force when it
+    ships, which the worker applies before serving the frame. So no control
+    op is ordered against lookups, and a respawned worker is current from
+    its first frame. ``tau_sim`` and ``max_candidates`` never move: workers
+    have them from their spec's config."""
+
+    def __init__(self, config) -> None:
+        self.tau_sim = config.tau_sim
+        self.tau_lsm = config.tau_lsm
+        self.max_candidates = config.max_candidates
 
 
 def _scatter(waiters: list[asyncio.Future], frame_future: asyncio.Future) -> None:
@@ -108,6 +124,8 @@ class ShardClient:
         #: handshake's clock ping (``worker_reading + clock_offset`` lands
         #: on the router's perf_counter timeline).
         self.clock_offset = 0.0
+        #: The pool's threshold holder; each lookup frame reads ``tau_lsm``.
+        self.thresholds: _TauHolder | None = None
         #: Latest piggybacked shard stats: [inserts, evictions, expirations,
         #: rejected_duplicates, prefetch_inserts, usage].
         self.last_stats: list = [0, 0, 0, 0, 0, 0]
@@ -186,10 +204,11 @@ class ShardClient:
         except records.RecordError as exc:  # a worker fault, not the caller's
             raise WorkerError(f"shard {self.shard_id}: {exc}", self.shard_id) from exc
 
-    async def insert(self, query, fetch, arrival: float, ctx=None):
+    async def insert(self, query, fetch, arrival: float, ctx=None, prefetched=False):
         body = [records.query_record(query), records.fetch_record(fetch), arrival]
-        if ctx is not None:
-            body.append(ctx)
+        if ctx is not None or prefetched:
+            # Optional tail: the trace context, then the prefetched flag.
+            body += [ctx, True] if prefetched else [ctx]
         return await self.call("insert", body)
 
     def flush_lookups(self) -> None:
@@ -202,7 +221,9 @@ class ShardClient:
             return
         self._lookup_items, self._lookup_waiters = [], []
         try:
-            frame_future = self._send("lookup_batch", [items, self.ann_only])
+            frame_future = self._send(
+                "lookup_batch", [items, self.ann_only, self.thresholds.tau_lsm]
+            )
         except WorkerError as exc:
             frame_future = asyncio.get_running_loop().create_future()
             frame_future.set_exception(exc)
@@ -317,6 +338,7 @@ class WorkerPool:
         #: ``set_tracer`` via :func:`repro.obs.distributed.make_span_sink`;
         #: None = spans dropped at the client).
         self.span_sink = None
+        self.thresholds = _TauHolder(specs[0].stack.config)
         self._launched = False
 
     def enable_supervision(self, **knobs):
@@ -343,6 +365,7 @@ class WorkerPool:
             on_spans=self._forward_spans,
         )
         client.clock_offset = clock_offset
+        client.thresholds = self.thresholds
         return client
 
     def _connection_lost(self, shard_id: int) -> None:
@@ -502,8 +525,16 @@ class WorkerPool:
     async def lookup(self, query, now: float, shard: int, ctx=None):
         return await self.clients[shard].lookup(query, now, ctx=ctx)
 
-    async def insert(self, query, fetch, arrival: float, shard: int, ctx=None):
-        return await self.clients[shard].insert(query, fetch, arrival, ctx=ctx)
+    async def insert(
+        self, query, fetch, arrival: float, shard: int, ctx=None, prefetched=False
+    ):
+        return await self.clients[shard].insert(
+            query, fetch, arrival, ctx=ctx, prefetched=prefetched
+        )
+
+    async def contains(self, query, shard: int) -> bool:
+        client = self.clients[shard]
+        return await client.call("contains", records.query_record(query)) is True
 
     def flush(self) -> None:
         """Force every shard's open lookup frame onto the wire."""

@@ -7,11 +7,15 @@ ANN index, and judger state never cross a process boundary), connects
 
 ``lookup_batch``
     One frame carries every lookup the router issued for this shard in one
-    loop tick. The worker serves them in order, each through the scalar
-    ``cache.lookup`` at its own clock — the sequential engine's lookup, so
-    every item replays it decision for decision.
+    loop tick, and the router's ``tau_lsm`` (recalibration moves it), set
+    before any item is served. The worker serves them in order, each
+    through the scalar ``cache.lookup`` at its own clock — the sequential
+    engine's lookup, so every item replays it decision for decision.
 ``insert``
-    Admit one fetched result (the router already decided admission).
+    Admit one fetched result (the router already decided admission), marked
+    prefetched when the router says so.
+``contains``
+    The prefetch guard's stage-1 membership probe.
 ``stats`` / ``ping`` / ``shutdown``
     Introspection and lifecycle.
 
@@ -123,12 +127,15 @@ class _ShardServer:
             return self._lookup_batch(body)
         if op == "insert":
             return self._insert(body)
+        if op == "contains":
+            return self.cache.contains_semantic(records.query_from_record(body))
         if op == "stats":
             reply = {
                 "shard": self.spec.shard_id,
                 "usage": self.cache.usage(),
                 "capacity_items": self.cache.capacity_items,
                 "stats": self.stats_tuple(),
+                "tau_lsm": self.cache.sine.tau_lsm,
             }
             report = getattr(self.cache, "restore_report", None)
             if report is not None:
@@ -147,11 +154,15 @@ class _ShardServer:
 
     def _lookup_batch(self, body) -> list:
         """Serve a frame's lookups one by one, in order, each the scalar
-        ``cache.lookup`` at its own clock under its own trace context."""
-        items, ann_only = body[0], body[1]
+        ``cache.lookup`` at its own clock under its own trace context, all
+        under the frame's ``tau_lsm``."""
+        items, ann_only, tau_lsm = body
+        if type(tau_lsm) not in (int, float):
+            raise records.RecordError(f"tau_lsm must be a number, got {tau_lsm!r:.40}")
         # Decode every item first: a malformed one refuses the whole frame
         # before any lookup has touched the cache.
         queries = [records.query_from_record(row[0]) for row in items]
+        self.cache.sine.tau_lsm = tau_lsm
         out = []
         for query, row in zip(queries, items):
             # Optional third element: the router's [trace_id, parent_span_id]
@@ -167,8 +178,9 @@ class _ShardServer:
         fetch = records.fetch_from_record(body[1])
         arrival = body[2]
         ctx = body[3] if len(body) > 3 else None
+        prefetched = len(body) > 4 and body[4] is True
         with self.tracer.activate(ctx):
-            element = self.cache.insert(query, fetch, arrival)
+            element = self.cache.insert(query, fetch, arrival, prefetched)
         return records.element_record(element)
 
 

@@ -17,10 +17,6 @@ Public classes
     Awaitable primitives yielded by process generators.
 ``Resource``
     A counted resource with FIFO or priority admission.
-``Store``
-    An unbounded FIFO queue between processes.
-``RngRegistry``
-    Named, independently seeded ``numpy`` random generators.
 ``Distribution`` and its concrete subclasses
     Seedable random variates for service and network latencies.
 """
@@ -38,8 +34,7 @@ from repro.sim.distributions import (
 )
 from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.kernel import Process, Simulator
-from repro.sim.random import RngRegistry
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "Constant",
@@ -51,10 +46,8 @@ __all__ = [
     "LogNormal",
     "Process",
     "Resource",
-    "RngRegistry",
     "SimClock",
     "Simulator",
-    "Store",
     "Timeout",
     "TruncatedNormal",
     "Uniform",

@@ -3,7 +3,7 @@
 Each distribution is a small immutable object with a ``sample(rng)`` method
 taking a ``numpy.random.Generator``. Keeping the generator external lets the
 same distribution be sampled from different named streams (see
-:class:`repro.sim.random.RngRegistry`) without hidden state.
+:func:`repro.sim.random.derive_seed`) without hidden state.
 
 ``distribution_from_spec`` builds a distribution from a plain dict, which is
 how experiment configs describe latency models.

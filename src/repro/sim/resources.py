@@ -1,16 +1,15 @@
-"""Counted resources and FIFO stores for simulated processes.
+"""Counted resources for simulated processes.
 
-These model contended capacity (GPU slots, API connections) and producer /
-consumer queues. A :class:`Resource` hands out grants in priority order
-(lower number first, FIFO within a priority); a :class:`Store` moves items
-between processes.
+These model contended capacity (GPU slots, API connections). A
+:class:`Resource` hands out grants in priority order (lower number first,
+FIFO within a priority).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.sim.events import Event
 
@@ -101,39 +100,3 @@ class Resource:
             f"Resource(capacity={self.capacity}, in_use={self._in_use}, "
             f"waiting={self.queue_length})"
         )
-
-
-class Store:
-    """An unbounded FIFO channel between processes.
-
-    :meth:`put` never blocks; :meth:`get` returns an event that succeeds with
-    the next item (immediately if one is buffered).
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim_ref = sim
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that succeeds with the next item in FIFO order."""
-        event = Event(self._sim_ref)
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event
-
-    def __repr__(self) -> str:
-        return f"Store(buffered={len(self._items)}, waiting={len(self._getters)})"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agent import Block, extract_blocks, first_block, format_block, tool_calls
+from repro.agent import Block, extract_blocks, format_block
 from repro.agent.parser import TagFormatError
 
 EXAMPLE = (
@@ -67,12 +67,3 @@ class TestHelpers:
     def test_format_unknown_tag_rejected(self):
         with pytest.raises(TagFormatError):
             format_block("bogus", "x")
-
-    def test_first_block(self):
-        assert first_block(EXAMPLE, "answer") == "Leonardo da Vinci"
-        assert first_block(EXAMPLE, "tool") is None
-
-    def test_tool_calls_filters_action_tags(self):
-        text = EXAMPLE + "\n<file> src/core.py </file>"
-        calls = tool_calls(text)
-        assert [call.tag for call in calls] == ["search", "file"]

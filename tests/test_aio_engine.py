@@ -43,16 +43,6 @@ async def callers(engine, queries, count: int, time_step: float = 0.0) -> None:
 
 
 class TestGuards:
-    def test_rejects_prefetch_and_recalibration(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            build_async_engine(
-                build_remote(), AsteriaConfig(prefetch_enabled=True)
-            )
-        with pytest.raises(ValueError, match="prefetch"):
-            build_async_engine(
-                build_remote(), AsteriaConfig(recalibration_enabled=True)
-            )
-
     def test_rejects_bad_parameters(self):
         engine = build_asteria_engine(build_remote())
         with pytest.raises(ValueError):

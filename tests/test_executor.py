@@ -3,39 +3,12 @@
 import pytest
 
 from repro.serving import (
-    FixedLatencyExecutor,
     GpuDevice,
     KVMemoryPool,
     PartitionJudgeExecutor,
     PriorityAwareScheduler,
 )
 from repro.sim import Simulator
-
-
-class TestFixedLatencyExecutor:
-    def test_latency_formula(self, sim):
-        executor = FixedLatencyExecutor(base=0.02, per_item=0.01)
-
-        def run():
-            yield from executor.run(sim, judged=3)
-
-        sim.process(run())
-        sim.run()
-        assert sim.now == pytest.approx(0.05)
-
-    def test_zero_judged_is_free(self, sim):
-        executor = FixedLatencyExecutor()
-
-        def run():
-            yield from executor.run(sim, judged=0)
-
-        sim.process(run())
-        sim.run()
-        assert sim.now == 0.0
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            FixedLatencyExecutor(base=-0.1)
 
 
 class TestPartitionJudgeExecutor:

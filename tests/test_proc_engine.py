@@ -68,18 +68,6 @@ def test_proc_engine_coalesces_concurrent_misses_across_processes():
     assert engine.cache.stats.inserts == 1  # ...but only the leader admits
 
 
-def test_proc_engine_rejects_prefetch_config():
-    from repro.core.config import AsteriaConfig
-
-    with pytest.raises(ValueError):
-        build_proc_engine(
-            build_remote(seed=0),
-            config=AsteriaConfig(prefetch_enabled=True),
-            workers=2,
-            launch=False,
-        )
-
-
 def test_worker_spec_requires_policy_name():
     with pytest.raises(TypeError):
         from repro.core.eviction import LCFUPolicy

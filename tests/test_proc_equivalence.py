@@ -13,6 +13,8 @@ import asyncio
 
 import numpy as np
 
+from dataclasses import replace
+
 from repro.core import Query
 from repro.core.config import AsteriaConfig
 from repro.factory import build_asteria_engine, build_proc_engine, build_remote
@@ -84,6 +86,41 @@ def test_single_worker_proc_engine_replays_sync_engine_exactly():
     assert sync_engine.metrics.hits > 0
     assert sync_engine.metrics.misses > 0
     assert sync_stats.evictions > 0
+
+
+def test_single_worker_proc_engine_replays_sync_recalibration_exactly():
+    """Algorithm 1 at the router: each lookup frame carries the router's
+    tau_lsm, so the worker's threshold after every request is the one the
+    sync engine holds after the same request."""
+    config = replace(
+        CONFIG,
+        recalibration_enabled=True,
+        recalibration_interval=0.25,
+        recalibration_samples=20,
+    )
+    queries = _trace()
+    sync_engine = build_asteria_engine(build_remote(seed=SEED), config=config, seed=SEED)
+    sync_taus = []
+    for i, query in enumerate(queries):
+        sync_engine.handle(query, now=i * TIME_STEP)
+        sync_taus.append(sync_engine.cache.sine.tau_lsm)
+    proc_engine = build_proc_engine(
+        build_remote(seed=SEED), config=config, seed=SEED, workers=1
+    )
+
+    async def drive():
+        taus = []
+        async with proc_engine:
+            for i, query in enumerate(queries):
+                await proc_engine.serve(query, now=i * TIME_STEP)
+                [shard] = await proc_engine.pool.stats()
+                taus.append(shard["tau_lsm"])
+        return taus
+
+    assert asyncio.run(drive()) == sync_taus
+    assert proc_engine.metrics.summary() == sync_engine.metrics.summary()
+    assert sync_engine.metrics.recalibrations >= 5
+    assert len(set(sync_taus)) > 2  # the threshold really moved, more than once
 
 
 def test_warm_restarted_proc_engine_replays_sync_engine_exactly(tmp_path):

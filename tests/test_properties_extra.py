@@ -35,10 +35,8 @@ def test_parser_roundtrips_any_block_sequence(blocks):
 @COMMON_SETTINGS
 @given(st.lists(st.tuples(st.sampled_from(KNOWN_TAGS), _content), max_size=8))
 def test_parser_action_filter_consistent(blocks):
-    from repro.agent.parser import tool_calls
-
     text = " ".join(format_block(tag, content) for tag, content in blocks)
-    actions = tool_calls(text)
+    actions = [block for block in extract_blocks(text) if block.tag in ACTION_TAGS]
     expected = [tag for tag, _ in blocks if tag in ACTION_TAGS]
     assert [block.tag for block in actions] == expected
 

@@ -24,6 +24,14 @@ ALLOWED_UNREACHED = {
     ),
 }
 
+#: Public top-level names kept although only tests use them; each needs a reason.
+ALLOWED_TEST_ONLY = {
+    "repro.embedding.model.cosine_similarity": (
+        "the tests' reference measure: paraphrase and embedder tests state "
+        "their bounds as a cosine, independent of the index's scoring"
+    ),
+}
+
 
 def _module_name(path: Path) -> str:
     parts = path.relative_to(SRC).with_suffix("").parts
@@ -168,6 +176,51 @@ def _is_property(function: ast.FunctionDef) -> bool:
     )
 
 
+def _mentioned(closure: set[str]) -> set[str]:
+    """Every name that running code calls, references or ``getattr``-s: an
+    attribute, a bare name, a string constant. An import alone is not a
+    mention, and neither is a package's ``__all__`` listing a name."""
+    mentioned = set()
+    for path in [MODULES[name] for name in closure] + _root_scripts():
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in statement.targets
+            ):
+                continue
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Attribute):
+                    mentioned.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    mentioned.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    mentioned.add(node.value)
+    return mentioned
+
+
+def _test_only_top_level_names(closure: set[str]) -> list[str]:
+    # An allowlisted module is kept, and so is what it uses.
+    mentioned = _mentioned(closure | set(ALLOWED_UNREACHED))
+    return [
+        f"{name}.{node.name}"
+        for name in sorted(closure)
+        for node in ast.parse(MODULES[name].read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in mentioned
+    ]
+
+
+def test_every_public_top_level_name_is_used_by_something_that_runs():
+    """The module pass one level down: every public class and function at
+    the top of a module that runs is named by something that runs. Being
+    imported, or re-exported in a package's ``__all__``, is not a use."""
+    unused = set(_test_only_top_level_names(reachable())) - set(ALLOWED_TEST_ONLY)
+    assert unused == set(), (
+        "top-level names only tests use (delete them, or allowlist with a "
+        f"reason): {sorted(unused)}"
+    )
+
+
 def test_every_public_method_is_used_by_something_that_runs():
     """The same question one level down, by name: every public method of a
     class in a module that runs is called, referenced or ``getattr``-ed by
@@ -176,15 +229,7 @@ def test_every_public_method_is_used_by_something_that_runs():
     properties read like fields and are not checked. Methods of an
     allowlisted unreached module are covered by that module's entry."""
     closure = reachable()
-    mentioned = set()
-    for path in [MODULES[name] for name in closure] + _root_scripts():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                mentioned.add(node.attr)
-            elif isinstance(node, ast.Name):
-                mentioned.add(node.id)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                mentioned.add(node.value)
+    mentioned = _mentioned(closure)
     unused = [
         f"{name}.{cls.name}.{function.name}"
         for name in sorted(closure)
@@ -204,6 +249,10 @@ def test_allowlist_holds_no_stale_or_unexplained_entries():
     for name, reason in ALLOWED_UNREACHED.items():
         assert name in MODULES, f"{name} no longer exists; drop it from the allowlist"
         assert name not in closure, f"{name} is reached now; drop it from the allowlist"
+        assert len(reason.split()) >= 5, f"{name}: give a real reason"
+    test_only = _test_only_top_level_names(closure)
+    for name, reason in ALLOWED_TEST_ONLY.items():
+        assert name in test_only, f"{name} is gone or used now; drop it from the allowlist"
         assert len(reason.split()) >= 5, f"{name}: give a real reason"
 
 

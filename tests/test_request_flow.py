@@ -9,6 +9,8 @@ four see the same candidates) and pins:
 
 * the same outcome sequence everywhere;
 * the same integer counters of ``metrics.summary()`` everywhere;
+* the same final ``tau_lsm`` everywhere — on the proc tier as the worker
+  holds it, so a recalibrated threshold is pinned where lookups apply it;
 * the same simulated latencies on the analytic, asyncio and proc drivers
   (the DES driver measures latency on the simulator clock, which agrees
   only to rounding).
@@ -51,6 +53,17 @@ SEED = 0
 MONA = Query("who painted the mona lisa", fact_id="F")
 FILE = Query("write to scratchpad", fact_id="S", tool="file")
 LOG = Query("append to the audit log", fact_id="L", tool="file")
+#: MONA's successor in the prefetch rows: A, B, A, B, A teaches A → B.
+WHERE = Query("where is the mona lisa displayed", fact_id="D")
+PARAPHRASES = [
+    "who painted the mona lisa",
+    "the mona lisa was painted by who",
+    "mona lisa painter",
+    "painter of the mona lisa",
+    "who painted mona lisa",
+    "the painter of the mona lisa",
+    "mona lisa who painted it",
+]
 
 
 def other(i: int) -> Query:
@@ -70,6 +83,8 @@ class Scenario:
     breaker: dict | None = None
     #: Simulated latency of the last step, where the scenario pins one.
     last_latency: float | None = None
+    #: The final ``tau_lsm``, where the scenario moves it.
+    tau_lsm: float | None = None
 
     @property
     def concurrent(self) -> bool:
@@ -173,6 +188,46 @@ SCENARIOS = [
         blackout=(4.0, 100.0),
         config={"coalesce_misses": True},
     ),
+    Scenario(
+        # 23 judged hits, then one round of Algorithm 1 at 40 s labels 20 of
+        # them and moves tau_lsm to the lowest score at target precision.
+        "recalibration round",
+        steps=[(float(i), Query(PARAPHRASES[i % 7], fact_id="F")) for i in range(24)]
+        + [(40.0, MONA)],
+        outcomes=["miss", "hit", "miss"] + ["hit"] * 22,
+        counters={"recalibrations": 1, "hits": 23, "misses": 2},
+        config={
+            "recalibration_enabled": True,
+            "recalibration_interval": 30.0,
+            "recalibration_samples": 20,
+        },
+        tau_lsm=0.95386,
+    ),
+    Scenario(
+        # Nothing is admitted on a miss, so only prefetches fill the cache:
+        # the third MONA predicts WHERE (and WHERE's hit predicts MONA).
+        "prefetched successor later hit",
+        steps=[(float(i), [MONA, WHERE][i % 2]) for i in range(6)],
+        outcomes=["miss"] * 5 + ["hit"],
+        counters={"prefetches_issued": 2, "prefetch_hits": 1, "fetch_failures": 0},
+        config={"prefetch_enabled": True, "admit_on_miss": False},
+    ),
+    Scenario(
+        # The prefetch of WHERE leaves at 4.42 s into the blackout: dropped,
+        # counted once, and the breaker's negative cache now refuses WHERE's
+        # own miss, which is served stale.
+        "prefetch fetch fails",
+        steps=[(float(i), [MONA, WHERE][i % 2]) for i in range(6)],
+        outcomes=["miss"] * 5 + ["stale_hit"],
+        counters={
+            "prefetches_issued": 1,
+            "prefetch_hits": 0,
+            "fetch_failures": 1,
+            "negative_cache_hits": 1,
+        },
+        blackout=(4.1, 4.5),
+        config={"prefetch_enabled": True, "admit_on_miss": False},
+    ),
 ]
 
 
@@ -202,7 +257,7 @@ def drive_analytic(scenario: Scenario):
     responses = []
     for now, queries in map(_group, scenario.steps):
         responses += [engine.handle(query, now) for query in queries]
-    return engine, responses
+    return engine, responses, engine.cache.sine.tau_lsm
 
 
 def drive_des(scenario: Scenario):
@@ -213,12 +268,12 @@ def drive_des(scenario: Scenario):
     for now, queries in map(_group, scenario.steps):
         sim.run(until=now)
         processes = [sim.process(engine.process(sim, query)) for query in queries]
-        sim.run()  # background refreshes land before the next step
+        sim.run()  # background refreshes and prefetches land before the next step
         responses += [process.value for process in processes]
-    return engine, responses
+    return engine, responses, engine.cache.sine.tau_lsm
 
 
-def _drive_loop(engine, scenario: Scenario, context):
+def _drive_loop(engine, scenario: Scenario, context, tau_lsm):
     async def drive():
         outcomes = []
         async with context:
@@ -227,9 +282,9 @@ def _drive_loop(engine, scenario: Scenario, context):
                     *(engine.serve(query, now) for query in queries)
                 )
                 await engine.drain()
-        return outcomes
+            return outcomes, await tau_lsm()
 
-    return engine, asyncio.run(drive())
+    return engine, *asyncio.run(drive())
 
 
 def drive_async(scenario: Scenario):
@@ -237,7 +292,11 @@ def drive_async(scenario: Scenario):
     engine = build_async_engine(
         remote, config, seed=SEED, shards=1, resilience=resilience
     )
-    return _drive_loop(engine, scenario, contextlib.nullcontext())
+
+    async def tau_lsm():
+        return engine.cache.sine.tau_lsm
+
+    return _drive_loop(engine, scenario, contextlib.nullcontext(), tau_lsm)
 
 
 def drive_proc(scenario: Scenario):
@@ -245,7 +304,12 @@ def drive_proc(scenario: Scenario):
     engine = build_proc_engine(
         remote, config, seed=SEED, workers=1, resilience=resilience
     )
-    return _drive_loop(engine, scenario, engine)
+
+    async def tau_lsm():  # the worker's, not the router's holder
+        [shard] = await engine.pool.stats()
+        return shard["tau_lsm"]
+
+    return _drive_loop(engine, scenario, engine, tau_lsm)
 
 
 def _outcome_label(outcome) -> str:
@@ -271,19 +335,23 @@ def _counters(engine) -> dict[str, int]:
 # -- conformance -----------------------------------------------------------------
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_every_driver_resolves_the_scenario_identically(scenario):
-    reference, ref_responses = drive_analytic(scenario)
+    reference, ref_responses, ref_tau = drive_analytic(scenario)
     assert [_label(r) for r in ref_responses] == scenario.outcomes
     for name, value in scenario.counters.items():
         assert getattr(reference.metrics, name) == value, name
     if scenario.last_latency is not None:
         assert ref_responses[-1].latency == pytest.approx(scenario.last_latency)
+    if scenario.tau_lsm is not None:
+        assert ref_tau == pytest.approx(scenario.tau_lsm, abs=1e-5)
+    else:
+        assert ref_tau == AsteriaConfig().tau_lsm
 
     runs = {
         "des": drive_des(scenario),
         "async": drive_async(scenario),
         "proc": drive_proc(scenario),
     }
-    for driver, (engine, results) in runs.items():
+    for driver, (engine, results, tau) in runs.items():
         labels = [
             _outcome_label(r) if driver in ("async", "proc") else _label(r)
             for r in results
@@ -291,6 +359,7 @@ def test_every_driver_resolves_the_scenario_identically(scenario):
         assert labels == scenario.outcomes, driver
         for name, value in scenario.counters.items():
             assert getattr(engine.metrics, name) == value, (driver, name)
+        assert tau == ref_tau, driver
         if scenario.concurrent:
             # Whether the callers overlapped is the driver's business; only
             # the pinned counters are common ground.
@@ -316,12 +385,12 @@ def test_blackout_scenarios_spend_one_retry_budget_per_flight():
     simulator clock)."""
     scenario = next(s for s in SCENARIOS if s.name == "bypass failure")
     for drive in (drive_analytic, drive_des, drive_async):
-        engine, _ = drive(scenario)
+        engine, *_ = drive(scenario)
         sync = getattr(engine, "engine", engine)
         assert sync.remote.fault_injector.total_faults == 2, drive.__name__
     scenario = next(s for s in SCENARIOS if s.name.startswith("coalesced"))
     for drive in (drive_analytic, drive_des, drive_async):
-        engine, _ = drive(scenario)
+        engine, *_ = drive(scenario)
         sync = getattr(engine, "engine", engine)
         assert sync.remote.fault_injector.total_faults == 3, drive.__name__
 
@@ -330,7 +399,7 @@ def test_blackout_scenarios_spend_one_retry_budget_per_flight():
 class _Host:
     """Everything the flow asks of its host, with nothing behind it."""
 
-    tracer = None
+    tracer = recalibrator = prefetcher = None
 
     def __init__(self) -> None:
         self.resilience = ResilienceManager()
@@ -372,7 +441,7 @@ class TestBareGenerator:
         flow = request_flow(host, MONA, 1.0)
         assert flow.send(None) is LOOKUP
         hit = CacheLookup(status="hit", result="cached", latency=0.05, truth_match=True)
-        response = _finish(flow, hit)
+        response = _finish(flow, (hit, None))
         assert (response.result, response.latency, response.degraded) == (
             "cached",
             0.05,
@@ -384,7 +453,7 @@ class TestBareGenerator:
         host = _Host()
         flow = request_flow(host, MONA, 1.0)
         assert flow.send(None) is LOOKUP
-        flight = flow.send(_miss())
+        flight = flow.send((_miss(), None))
         assert isinstance(flight, Flight)
         assert flight.key == ("search", "who painted the mona lisa")
 
@@ -411,7 +480,7 @@ class TestBareGenerator:
         host = _Host()
         flow = request_flow(host, MONA, 0.0)
         flow.send(None)
-        flow.send(_miss())
+        flow.send((_miss(), None))
         _finish(flow, ((_fetched(), 0.4), True))
         assert host.metrics.coalesced_misses == 1
 
@@ -421,7 +490,7 @@ class TestBareGenerator:
         flows = [request_flow(host, MONA, 0.0) for _ in range(2)]
         for flow in flows:  # leader and follower are both in flight
             flow.send(None)
-            assert isinstance(flow.send(_miss()), Flight)
+            assert isinstance(flow.send((_miss(), None)), Flight)
         for flow in flows:  # and both see the leader's exception object
             with pytest.raises(StopIteration) as stop:
                 flow.throw(failure)
@@ -437,7 +506,7 @@ class TestBareGenerator:
         host.resilience.on_failure(key, 1.0)  # negative-cached until 6.0
         flow = request_flow(host, MONA, 2.0)
         flow.send(None)
-        spawn = flow.send(_miss())
+        spawn = flow.send((_miss(), None))
         assert isinstance(spawn, Spawn)
         response = _finish(flow)
         assert response.degraded == "stale_hit" and response.result == "answer"

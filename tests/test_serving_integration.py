@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core import AsteriaConfig
+from repro.core.engine import _ConfigLatencyExecutor
 from repro.serving import (
-    FixedLatencyExecutor,
     GpuDevice,
     KVMemoryPool,
     PartitionJudgeExecutor,
@@ -112,7 +113,8 @@ class TestExecutorsUnderLoad:
 
     def test_fixed_executor_is_parallel(self):
         sim = Simulator()
-        executor = FixedLatencyExecutor(base=0.02, per_item=0.01)
+        # The engine's default: base 0.02 s + 0.01 s per judged candidate.
+        executor = _ConfigLatencyExecutor(AsteriaConfig())
         finish = []
 
         def validation():

@@ -1,8 +1,8 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 class TestResource:
@@ -82,61 +82,3 @@ class TestResource:
         granted = resource.request()
         with pytest.raises(RuntimeError):
             granted.cancel()
-
-
-class TestStore:
-    def test_put_then_get_returns_fifo(self, sim):
-        store = Store(sim)
-        store.put("first")
-        store.put("second")
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-            got.append((yield store.get()))
-
-        sim.process(consumer())
-        sim.run()
-        assert got == ["first", "second"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(2.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [(2.0, "late")]
-
-    def test_waiting_getters_served_in_order(self, sim):
-        store = Store(sim)
-        got = []
-
-        def consumer(name):
-            item = yield store.get()
-            got.append((name, item))
-
-        def producer():
-            yield sim.timeout(1.0)
-            store.put(1)
-            store.put(2)
-
-        sim.process(consumer("a"))
-        sim.process(consumer("b"))
-        sim.process(producer())
-        sim.run()
-        assert got == [("a", 1), ("b", 2)]
-
-    def test_len_counts_buffered_items(self, sim):
-        store = Store(sim)
-        assert len(store) == 0
-        store.put("x")
-        assert len(store) == 1
