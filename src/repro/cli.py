@@ -530,9 +530,7 @@ def _build_proc(arguments, remote, resilience=None):
         kill_at = arguments.kill_at
         if kill_at is None:
             kill_at = max(1, arguments.queries // 3)
-        proc_faults = ProcFaultInjector(
-            kill_shard=arguments.kill_shard, kill_at=kill_at, seed=arguments.seed
-        )
+        proc_faults = ProcFaultInjector(kill_shard=arguments.kill_shard, kill_at=kill_at)
     return build_proc_engine(
         remote,
         workers=arguments.workers,
@@ -541,7 +539,6 @@ def _build_proc(arguments, remote, resilience=None):
         default_deadline=arguments.deadline,
         resilience=resilience,
         supervise=not arguments.no_supervise,
-        fault_domains=not arguments.no_fault_domains,
         proc_faults=proc_faults,
         **_stack_flags(arguments),
     )
@@ -603,7 +600,7 @@ def _drive_loop(arguments, engine, queries, series):
     notes = [f"  peak_inflight_fetches={engine.remote.max_inflight}"]
     if faults is not None:
         notes.append(
-            f"  chaos: worker_kills={faults.summary()['kills']} "
+            f"  chaos: worker_kills={faults.kills} "
             f"worker_restarts={engine.metrics.worker_restarts} "
             f"shard_down_fetches={engine.metrics.shard_down_fetches} "
             f"served_fraction={report.served_fraction:.4f}"
@@ -707,7 +704,7 @@ def _command_stress(arguments) -> int:
             print(
                 f"  hit_rate={report.hit_rate:.3f} hits={report.hits} "
                 f"misses={report.misses} coalesced={report.coalesced_misses} "
-                f"remote_calls={report.remote_calls} hedged={report.hedged_fetches}"
+                f"remote_calls={report.remote_calls}"
             )
             print(
                 f"  p50_sim={metrics.total_latency.p50 * 1000:.2f}ms "
@@ -1033,12 +1030,6 @@ def _add_proc_arguments(parser) -> None:
         action="store_true",
         help="disable the worker supervisor (a dead shard worker stays "
         "dead; per-shard breakers still degrade its requests)",
-    )
-    parser.add_argument(
-        "--no-fault-domains",
-        action="store_true",
-        help="disable per-shard fault isolation (a worker death becomes an "
-        "engine-level failure, the pre-supervision behaviour)",
     )
 
 

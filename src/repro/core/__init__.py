@@ -27,7 +27,6 @@ from repro.core.admission import (
 from repro.core.cache import AsteriaCache, CacheStats, ExactCache, canonical_text
 from repro.core.config import (
     AsteriaConfig,
-    CacheConfig,
     DEFAULT_TAU_LSM,
     DEFAULT_TAU_SIM,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "AsteriaCache",
     "AsteriaConfig",
     "AsteriaEngine",
-    "CacheConfig",
     "CacheLookup",
     "CacheSnapshot",
     "CacheStats",

@@ -74,10 +74,6 @@ class EmbeddingArena:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def high_water(self) -> int:
-        return self._high_water
-
     def __len__(self) -> int:
         return self._count
 

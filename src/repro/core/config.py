@@ -16,7 +16,7 @@ where they are not:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Default similarity threshold; see module docstring for the 0.9 -> 0.7 map.
 DEFAULT_TAU_SIM = 0.7
@@ -101,7 +101,6 @@ class AsteriaConfig:
     finetune_enabled: bool = False
     cacheable_tools: "tuple[str, ...] | None" = None
     coalesce_misses: bool = False
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau_sim <= 1.0:
@@ -138,7 +137,3 @@ class AsteriaConfig:
             )
         return latency
 
-
-#: Serving-facing alias: the multi-process tier ships this dataclass to
-#: worker processes as the per-shard cache configuration.
-CacheConfig = AsteriaConfig

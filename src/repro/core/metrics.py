@@ -139,10 +139,6 @@ class EngineMetrics:
     #: Requests whose deadline expired mid-miss (response degraded; the
     #: background fetch may still have admitted — also not in ``requests``).
     deadline_exceeded: int = 0
-    #: Fetches that launched a hedged second request past the latency
-    #: percentile, and how many of those hedges won the race.
-    hedged_fetches: int = 0
-    hedge_wins: int = 0
     #: -- degraded outcomes (fault tolerance) --------------------------------
     #: Like ``overloaded``/``deadline_exceeded``, degraded requests never
     #: reach ``record_lookup``: they bump their own counters below and the
@@ -298,8 +294,6 @@ class EngineMetrics:
             "recalibrations": self.recalibrations,
             "overloaded": self.overloaded,
             "deadline_exceeded": self.deadline_exceeded,
-            "hedged_fetches": self.hedged_fetches,
-            "hedge_wins": self.hedge_wins,
             "stale_hits": self.stale_hits,
             "breaker_open_rejects": self.breaker_open_rejects,
             "negative_cache_hits": self.negative_cache_hits,

@@ -63,10 +63,6 @@ class FetchResult:
     retries: int = 0
     rate_limited: bool = False
     size_tokens: int = 0
-    #: True when this result was produced (or its latency shaped) by a
-    #: hedged second flight winning the race, so callers can see which
-    #: requests the backup fetch saved.
-    hedged: bool = False
 
     def __post_init__(self) -> None:
         if self.latency < 0 or self.service_latency < 0:

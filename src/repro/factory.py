@@ -40,6 +40,7 @@ from repro.serving.aio import (
 )
 from repro.serving.proc.engine import ProcAsteriaEngine
 from repro.serving.proc.pool import WorkerPool
+from repro.serving.proc.supervisor import WorkerSupervisor
 from repro.serving.proc.worker import WorkerSpec
 from repro.embedding import CachedEmbedder, HashingEmbedder
 from repro.judger import SimulatedJudger, SpinningJudger, spin_iterations
@@ -296,9 +297,6 @@ def build_async_engine(
     io_pause_scale: float = 0.0,
     max_inflight: int = 256,
     default_deadline: float | None = None,
-    follower_timeout: float | None = None,
-    hedge_percentile: float | None = None,
-    hedge_min_samples: int = 20,
     resilience: ResilienceManager | None = None,
     name: str = "asteria-async",
     **stack,
@@ -309,9 +307,8 @@ def build_async_engine(
     ``shards`` partitions the cache by the proc tier's routing, so
     ``shards=N`` here decides as ``workers=N`` there. ``io_pause_scale`` > 0
     turns each simulated remote fetch latency into a real awaited pause;
-    ``max_inflight`` / ``default_deadline`` / ``hedge_percentile`` configure
-    backpressure, deadlines, and hedging — see
-    :class:`~repro.serving.aio.AsyncAsteriaEngine`.
+    ``max_inflight`` / ``default_deadline`` configure backpressure and
+    deadlines — see :class:`~repro.serving.aio.AsyncAsteriaEngine`.
     """
     spec = StackSpec.of(config, stack)
     cache = build_sharded_cache(spec, shards=shards)
@@ -321,9 +318,6 @@ def build_async_engine(
         remote=AsyncRemoteService(remote, io_pause_scale=io_pause_scale),
         max_inflight=max_inflight,
         default_deadline=default_deadline,
-        follower_timeout=follower_timeout,
-        hedge_percentile=hedge_percentile,
-        hedge_min_samples=hedge_min_samples,
     )
 
 
@@ -335,18 +329,10 @@ def build_proc_engine(
     io_pause_scale: float = 0.0,
     max_inflight: int = 256,
     default_deadline: float | None = None,
-    follower_timeout: float | None = None,
     resilience: ResilienceManager | None = None,
     name: str = "asteria-proc",
     launch: bool = True,
     supervise: bool = True,
-    fault_domains: bool = True,
-    supervisor_ping_interval: float = 0.25,
-    supervisor_ping_timeout: float = 2.0,
-    supervisor_backoff_base: float = 0.05,
-    supervisor_backoff_max: float = 2.0,
-    supervisor_max_restarts: int = 5,
-    shard_open_seconds: float = 0.5,
     proc_faults=None,
     **stack,
 ) -> ProcAsteriaEngine:
@@ -362,10 +348,9 @@ def build_proc_engine(
     (call ``engine.pool.launch()`` later).
 
     ``supervise`` arms the :class:`WorkerSupervisor` (heartbeat + respawn
-    with backoff; warm restore when the spec has a durable home);
-    ``fault_domains`` arms the per-shard breakers that keep a dead shard's
-    requests degrading locally (stale hit, else direct remote fetch)
-    instead of failing the engine. ``proc_faults`` accepts a
+    with backoff; warm restore when the spec has a durable home). Either
+    way, per-shard breakers keep a dead shard's requests degrading locally
+    (stale hit, else direct remote fetch). ``proc_faults`` accepts a
     :class:`ProcFaultInjector` for chaos runs.
 
     Recalibration and prefetch run at the router; ``finetune_enabled`` is
@@ -387,18 +372,11 @@ def build_proc_engine(
     pool = WorkerPool(
         [WorkerSpec(i, workers, each) for i, each in enumerate(_shard_specs(spec, workers))],
         ann_only=spec.config.ann_only,
-        frame_faults=proc_faults,
     )
     if supervise:
         # Before the engine: ProcAsteriaEngine wires its restart/breaker
         # callbacks onto pool.supervisor in its constructor.
-        pool.enable_supervision(
-            ping_interval=supervisor_ping_interval,
-            ping_timeout=supervisor_ping_timeout,
-            backoff_base=supervisor_backoff_base,
-            backoff_max=supervisor_backoff_max,
-            max_restarts=supervisor_max_restarts,
-        )
+        pool.supervisor = WorkerSupervisor(pool)
     if launch:
         pool.launch()
     return ProcAsteriaEngine(
@@ -409,10 +387,7 @@ def build_proc_engine(
         io_pause_scale=io_pause_scale,
         max_inflight=max_inflight,
         default_deadline=default_deadline,
-        follower_timeout=follower_timeout,
         name=name,
-        fault_domains=fault_domains,
-        shard_open_seconds=shard_open_seconds,
         proc_faults=proc_faults,
     )
 

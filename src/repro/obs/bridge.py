@@ -12,7 +12,7 @@ Prometheus-compatible surface:
 * ``repro_outcomes_total{engine,outcome}`` — degraded and rejected outcomes
   (stale_hit, failed, overloaded, deadline_exceeded);
 * ``repro_events_total{engine,event}`` — the remaining counters (coalesced
-  misses, fetch failures, hedges, refreshes, evictions, ...);
+  misses, fetch failures, refreshes, evictions, ...);
 * ``repro_request_latency_seconds{engine,kind}`` — fixed-bucket histograms
   mirrored from the latency reservoirs (exact ``_count``/``_sum``);
 * ``repro_cache_occupancy`` / ``repro_cache_capacity`` /
@@ -84,7 +84,7 @@ class EngineInstrument:
             "(stale_hit/failed/overloaded/deadline_exceeded).",
         )
         self._events = registry.counter(
-            "repro_events_total", "Engine events (fetch failures, hedges, ...)."
+            "repro_events_total", "Engine events (fetch failures, refreshes, ...)."
         )
         self._latency = registry.histogram(
             "repro_request_latency_seconds",

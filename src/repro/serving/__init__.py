@@ -26,8 +26,7 @@ multi-process router in ``proc`` inherits its engine):
 
 ``AsyncAsteriaEngine`` / ``AsyncRemoteService`` / ``AsyncSingleFlight``
     Await-based serving with bounded admission (``overloaded``),
-    per-request deadlines (``deadline_exceeded``), hedged fetches, and
-    single-flight misses that followers ``await`` instead of blocking on.
+    per-request deadlines (``deadline_exceeded``), and single-flight misses that followers ``await`` instead of blocking on.
 ``run_open_loop``
     The fixed-arrival-rate async load generator.
 

@@ -14,9 +14,8 @@ router (``repro.serving.proc``) inherits its engine.
 ``AsyncAsteriaEngine``
     The serving front-end: bounded admission (``overloaded`` beyond
     ``max_inflight``), per-request deadlines (``deadline_exceeded`` instead
-    of hanging), optional hedged second fetches past a latency percentile,
-    and fault-tolerant degradation (``stale_hit``/``failed`` outcomes via
-    the engine's :class:`~repro.core.resilience.ResilienceManager`).
+    of hanging), and fault-tolerant degradation (``stale_hit``/``failed``
+    outcomes via the engine's :class:`~repro.core.resilience.ResilienceManager`).
 ``run_open_loop``
     The load generator: a fixed-arrival-rate open loop (the honest overload
     measurement).

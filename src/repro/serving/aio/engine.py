@@ -4,7 +4,7 @@
 request flow (:mod:`repro.core.flow`): it drives the sync engine's
 lookup → judge → admit path over the same cache, but remote waits are
 ``await``-points, so one OS thread sustains thousands of in-flight fetches.
-On top of the shared path it adds the three controls a production gateway
+On top of the shared path it adds the two controls a production gateway
 needs:
 
 **Backpressure** — at most ``max_inflight`` requests may be in the serving
@@ -20,12 +20,6 @@ outcome instead of hanging, while the underlying single-flight fetch keeps
 running in the background and still admits its result — the deadline
 degrades the *response*, never the cache.
 
-**Hedging** — optionally, a miss whose fetch is still pending after the
-``hedge_percentile``-th percentile of observed fetch latencies launches a
-second, independent fetch and serves whichever completes first (the
-tail-latency trick from "The Tail at Scale"). Hedges are counted in
-``metrics.hedged_fetches`` / ``metrics.hedge_wins``.
-
 Single-threaded by design: cache and metrics mutations happen between await
 points, so the engine takes no locks. A plain
 :class:`~repro.core.cache.AsteriaCache` works; the factory builds a
@@ -36,12 +30,9 @@ as the proc tier does with ``workers=N``.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Generator
-
-import numpy as np
 
 from repro.core.engine import AsteriaEngine
 from repro.core.flow import (
@@ -104,66 +95,34 @@ class AsyncAsteriaEngine:
     remote:
         The awaitable remote service; built over ``engine.remote`` with
         ``io_pause_scale=0`` when omitted.
-    singleflight:
-        The await-based miss-coalescing layer (private by default).
     max_inflight:
         Admission-queue depth: requests in the serving section beyond this
         are rejected with an ``overloaded`` outcome.
     default_deadline:
         Per-request wall-clock deadline in seconds applied when ``serve`` is
         not given an explicit one; None means no deadline.
-    follower_timeout:
-        Bound on a coalesced follower's wait behind a leader before it falls
-        back to a private fetch (see :class:`AsyncSingleFlight`).
-    hedge_percentile:
-        When set (0 < p <= 100), a pending fetch older than this percentile
-        of observed fetch latencies triggers a hedged second fetch. Needs
-        ``io_pause_scale > 0`` to be meaningful (with analytic fetches there
-        is no wall-clock tail to cut).
-    hedge_min_samples:
-        Observed-fetch count required before hedging activates.
     """
-
-    #: Observed-latency reservoir cap (recent fetches dominate the estimate).
-    _HEDGE_WINDOW = 512
 
     def __init__(
         self,
         engine: AsteriaEngine,
         remote: AsyncRemoteService | None = None,
-        singleflight: AsyncSingleFlight | None = None,
         max_inflight: int = 256,
         default_deadline: float | None = None,
-        follower_timeout: float | None = None,
-        hedge_percentile: float | None = None,
-        hedge_min_samples: int = 20,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError(f"default_deadline must be > 0, got {default_deadline}")
-        if follower_timeout is not None and follower_timeout <= 0:
-            raise ValueError(f"follower_timeout must be > 0, got {follower_timeout}")
-        if hedge_percentile is not None and not 0 < hedge_percentile <= 100:
-            raise ValueError(
-                f"hedge_percentile must be in (0, 100], got {hedge_percentile}"
-            )
-        if hedge_min_samples < 1:
-            raise ValueError(f"hedge_min_samples must be >= 1, got {hedge_min_samples}")
         self.engine = engine
         self.remote = (
             remote if remote is not None else AsyncRemoteService(engine.remote)
         )
-        self.singleflight = (
-            singleflight if singleflight is not None else AsyncSingleFlight()
-        )
+        #: The await-based miss-coalescing layer.
+        self.singleflight = AsyncSingleFlight()
         self.max_inflight = max_inflight
         self.default_deadline = default_deadline
-        self.follower_timeout = follower_timeout
-        self.hedge_percentile = hedge_percentile
-        self.hedge_min_samples = hedge_min_samples
         self._inflight = 0
-        self._latency_samples: list[float] = []
         #: Spawned stale refreshes and prefetches (gathered by drain()).
         self._spawned: set[asyncio.Task] = set()
 
@@ -253,7 +212,7 @@ class AsyncAsteriaEngine:
                         sine_result = await self._sine_lookup(query, now)
                         result = self.engine._lookup_record(query, sine_result)
                     elif kind is Fetch:
-                        result = await self._fetch(effect.query, effect.at)
+                        result = await self.remote.fetch(effect.query, effect.at)
                     elif kind is Sleep:
                         if self.remote.io_pause_scale > 0:
                             await asyncio.sleep(
@@ -266,9 +225,7 @@ class AsyncAsteriaEngine:
                     elif kind is Flight:
                         body = effect.body
                         result = await self.singleflight.run(
-                            effect.key,
-                            lambda: self._run(body),
-                            timeout=self.follower_timeout,
+                            effect.key, lambda: self._run(body)
                         )
                     else:  # Spawn: a background task, gathered by drain()
                         task = asyncio.ensure_future(self._run(effect.flow))
@@ -297,66 +254,6 @@ class AsyncAsteriaEngine:
     async def _covered(self, query: Query) -> bool:
         """The prefetch guard's membership probe; the third access point."""
         return self.engine.cache.contains_semantic(query)
-
-    async def _fetch(self, query: Query, start: float) -> FetchResult:
-        threshold = self._hedge_after()
-        if threshold is None:
-            fetch = await self.remote.fetch(query, start)
-            self._observe(fetch.latency)
-            return fetch
-        primary = asyncio.ensure_future(self.remote.fetch(query, start))
-        done, _ = await asyncio.wait({primary}, timeout=threshold)
-        if primary in done:
-            fetch = primary.result()
-            self._observe(fetch.latency)
-            return fetch
-        # Primary is past the latency percentile: hedge with a second,
-        # independent fetch and take whichever lands first. The loser's
-        # request already went out (cost and call counters stand), exactly
-        # like a real hedged RPC.
-        self.metrics.hedged_fetches += 1
-        hedge_delay_sim = threshold / self.remote.io_pause_scale
-        backup = asyncio.ensure_future(
-            self.remote.fetch(query, start + hedge_delay_sim)
-        )
-        done, pending = await asyncio.wait(
-            {primary, backup}, return_when=asyncio.FIRST_COMPLETED
-        )
-        winner = primary if primary in done else backup
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        fetch = winner.result()
-        self._observe(fetch.latency)
-        if winner is backup:
-            self.metrics.hedge_wins += 1
-            # The caller experienced the hedge delay plus the backup's own
-            # fetch time; report that end-to-end simulated latency and mark
-            # the result hedged.
-            fetch = dataclasses.replace(
-                fetch, latency=hedge_delay_sim + fetch.latency, hedged=True
-            )
-        return fetch
-
-    def _hedge_after(self) -> float | None:
-        """Wall seconds to wait before hedging, or None when disabled."""
-        if (
-            self.hedge_percentile is None
-            or self.remote.io_pause_scale <= 0
-            or len(self._latency_samples) < self.hedge_min_samples
-        ):
-            return None
-        simulated = float(
-            np.percentile(self._latency_samples, self.hedge_percentile)
-        )
-        threshold = simulated * self.remote.io_pause_scale
-        return threshold if threshold > 0 else None
-
-    def _observe(self, latency: float) -> None:
-        self._latency_samples.append(latency)
-        if len(self._latency_samples) > self._HEDGE_WINDOW:
-            del self._latency_samples[: -self._HEDGE_WINDOW]
 
     # -- lifecycle ----------------------------------------------------------------
     async def drain(self) -> None:

@@ -4,19 +4,14 @@ The serving tiers' form of the simulator's miss coalescing
 (``AsteriaConfig.coalesce_misses``): the first task to miss on a key
 becomes the *leader* and executes the fetch; tasks that miss on the same
 key while it is in flight become *followers* and ``await`` the leader's
-outcome. The pattern is Go's ``golang.org/x/sync/singleflight``, with two
-additions driven by cancellation:
-
-* The leader's coroutine runs as its **own task**, and every caller —
-  leader included — awaits it through :func:`asyncio.shield`. A caller whose
-  per-request deadline fires is cancelled *at the shield*, not inside the
-  fetch, so the flight keeps running in the background, completes, and (in
-  the engine's case) still admits its result into the cache. One impatient
-  caller can never poison the flight for the others.
-* ``run(..., timeout=...)`` gives followers a bounded wait: a follower that
-  times out behind a stuck leader stops waiting and leads its own private
-  fetch (counted in :attr:`timeouts`); later arrivals still join the
-  original flight.
+outcome. The pattern is Go's ``golang.org/x/sync/singleflight``, with one
+addition driven by cancellation: the leader's coroutine runs as its **own
+task**, and every caller — leader included — awaits it through
+:func:`asyncio.shield`. A caller whose per-request deadline fires is
+cancelled *at the shield*, not inside the fetch, so the flight keeps running
+in the background, completes, and (in the engine's case) still admits its
+result into the cache. One impatient caller can never poison the flight for
+the others.
 """
 
 from __future__ import annotations
@@ -51,21 +46,11 @@ class AsyncSingleFlight:
         self.leaders = 0
         #: Calls served by someone else's flight (work saved).
         self.shared = 0
-        #: Followers that gave up waiting and led their own private fetch.
-        self.timeouts = 0
 
     async def run(
-        self,
-        key: Hashable,
-        fn: Callable[[], Awaitable[T]],
-        timeout: float | None = None,
+        self, key: Hashable, fn: Callable[[], Awaitable[T]]
     ) -> tuple[T, bool]:
-        """Execute ``fn`` once per concurrent ``key``; see class docstring.
-
-        ``timeout`` bounds only a *follower's* wait on the leader: on expiry
-        the follower runs ``fn()`` itself (a private fetch — later arrivals
-        still join the original flight) and returns ``(result, False)``.
-        """
+        """Execute ``fn`` once per concurrent ``key``; see class docstring."""
         task = self._inflight.get(key)
         if task is None:
             self.leaders += 1
@@ -75,13 +60,7 @@ class AsyncSingleFlight:
             self._inflight[key] = task
             return await asyncio.shield(task), False
         self.shared += 1
-        if timeout is None:
-            return await asyncio.shield(task), True
-        try:
-            return await asyncio.wait_for(asyncio.shield(task), timeout), True
-        except asyncio.TimeoutError:
-            self.timeouts += 1
-            return await fn(), False
+        return await asyncio.shield(task), True
 
     def inflight(self) -> int:
         """Number of keys currently being fetched."""
@@ -98,7 +77,4 @@ class AsyncSingleFlight:
             )
 
     def __repr__(self) -> str:
-        return (
-            f"AsyncSingleFlight(leaders={self.leaders}, shared={self.shared}, "
-            f"timeouts={self.timeouts})"
-        )
+        return f"AsyncSingleFlight(leaders={self.leaders}, shared={self.shared})"

@@ -138,10 +138,6 @@ class GpuDevice:
         return part
 
     @property
-    def partitions(self) -> dict[str, GpuPartition]:
-        return dict(self._partitions)
-
-    @property
     def rental_gpu_seconds(self) -> float:
         """GPU-seconds of rental since creation (busy or not)."""
         return self.sim.now - self._created_at

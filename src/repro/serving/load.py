@@ -50,7 +50,6 @@ class LoadReport:
     hit_rate: float
     coalesced_misses: int
     remote_calls: int
-    hedged_fetches: int
     breaker_open_rejects: int
     #: Wall latency of fresh answers; None where the driver timed none.
     p50_wall: float | None
@@ -99,7 +98,6 @@ def load_report(
         hit_rate=delta.hit_rate,
         coalesced_misses=delta.coalesced_misses,
         remote_calls=remote_calls,
-        hedged_fetches=delta.hedged_fetches,
         breaker_open_rejects=delta.breaker_open_rejects,
         p50_wall=float(np.percentile(walls, 50)) if len(walls) else None,
         p99_wall=float(np.percentile(walls, 99)) if len(walls) else None,

@@ -24,7 +24,7 @@ Layers
     ``ProcAsteriaEngine``: the async front door routing to the pool.
 ``supervisor``
     ``WorkerSupervisor`` (detect dead workers, respawn with backoff and
-    warm restore) + ``ProcFaultInjector`` (chaos: SIGKILL / frame faults).
+    warm restore) + ``ProcFaultInjector`` (chaos: a seeded SIGKILL).
 ``server`` / ``client``
     TCP request server (``python -m repro serve``) and its socket client.
 """

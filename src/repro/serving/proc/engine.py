@@ -47,6 +47,10 @@ from repro.serving.aio.engine import AsyncAsteriaEngine, AsyncOutcome
 from repro.serving.aio.remote import AsyncRemoteService
 from repro.serving.proc.pool import WorkerError, WorkerPool
 
+#: Wall seconds a dead shard's breaker stays open before a half-open probe
+#: may rediscover an unsupervised recovery.
+SHARD_OPEN_SECONDS = 0.5
+
 
 class _RouterCacheView:
     """The router-side stand-in for the sharded cache.
@@ -110,9 +114,6 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
         io_pause_scale: float = 0.0,
         max_inflight: int = 256,
         default_deadline: float | None = None,
-        follower_timeout: float | None = None,
-        fault_domains: bool = True,
-        shard_open_seconds: float = 0.5,
         proc_faults=None,
         name: str = "asteria-proc",
     ) -> None:
@@ -126,26 +127,22 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
             remote=AsyncRemoteService(remote, io_pause_scale=io_pause_scale),
             max_inflight=max_inflight,
             default_deadline=default_deadline,
-            follower_timeout=follower_timeout,
         )
         self.pool = pool
-        #: With ``fault_domains`` on, a request routed to a dead/recovering
-        #: shard degrades *per domain* (stale hit, direct remote fetch, or
-        #: explicit failure) instead of surfacing a WorkerError; off, shard
-        #: death propagates like any other exception (the benchmark's
-        #: contrast arm and the pre-supervision behavior).
-        self.fault_domains = fault_domains
-        #: One wall-clock breaker per shard: connection loss trips it open
-        #: immediately (threshold 1.0 over a 1-outcome window), and half-open
-        #: probes rediscover an unsupervised recovery; the supervisor
-        #: force-resets it on a confirmed respawn. The *global* breaker in
-        #: ``engine.resilience`` stays reserved for backend faults.
+        #: A request routed to a dead/recovering shard degrades *per domain*
+        #: (stale hit, direct remote fetch, or explicit failure) instead of
+        #: surfacing a WorkerError. One wall-clock breaker per shard:
+        #: connection loss trips it open immediately (threshold 1.0 over a
+        #: 1-outcome window), and half-open probes rediscover an unsupervised
+        #: recovery; the supervisor force-resets it on a confirmed respawn.
+        #: The *global* breaker in ``engine.resilience`` stays reserved for
+        #: backend faults.
         self.shard_breakers = [
             CircuitBreaker(
                 failure_threshold=1.0,
                 window=1,
                 min_samples=1,
-                open_seconds=shard_open_seconds,
+                open_seconds=SHARD_OPEN_SECONDS,
                 half_open_probes=1,
             )
             for _ in range(pool.n_shards)
@@ -162,15 +159,13 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
 
     # -- supervisor hooks -------------------------------------------------------
     def _on_shard_down(self, shard: int) -> None:
-        if self.fault_domains:
-            breaker = self.shard_breakers[shard]
-            if breaker.state == "closed":
-                breaker.record_failure(time.monotonic())
+        breaker = self.shard_breakers[shard]
+        if breaker.state == "closed":
+            breaker.record_failure(time.monotonic())
 
     def _on_shard_restart(self, shard: int, restore) -> None:
         self.metrics.worker_restarts += 1
-        if self.fault_domains:
-            self.shard_breakers[shard].reset(time.monotonic())
+        self.shard_breakers[shard].reset(time.monotonic())
 
     def _shard_failure(self, shard: int, exc: WorkerError) -> None:
         """Charge one failed flight to a shard's fault domain.
@@ -198,15 +193,13 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
     async def _in_domain(self, shard: int, call):
         """Await ``call()``, one pool op, in its shard's fault domain.
 
-        With fault domains on, a known-dead shard (its breaker refuses)
-        throws :class:`CacheUnavailable` without touching the wire, and a
+        A known-dead shard (its breaker refuses) throws
+        :class:`CacheUnavailable` without touching the wire, and a
         WorkerError — the shard died under this request — is charged to the
         shard's domain and becomes one too: the flow degrades per domain (a
         prefetch is dropped) and a raw WorkerError never reaches
         ``serve()``'s caller.
         """
-        if not self.fault_domains:
-            return await call()
         if not self._shard_allow(shard, time.monotonic()):
             raise CacheUnavailable(shard)
         try:
@@ -245,8 +238,6 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
                 query, fetch, arrival, shard, ctx=ctx, prefetched=prefetched
             )
         except WorkerError as exc:
-            if not self.fault_domains:
-                raise
             # The fetch itself succeeded — the caller (and any coalesced
             # followers) still get a fresh payload; only the cache insert is
             # lost. Swallowing here keeps single-flight leader flights from

@@ -19,7 +19,9 @@ the worker applies it before serving the items one by one. Every reply
 refreshes :attr:`ShardClient.last_stats`, the piggybacked shard-stats tuple
 the router's cache view reads; because the update happens before the waiter
 future resolves, metric recording after an ``await`` always sees stats at
-least as fresh as its own operation.
+least as fresh as its own operation. Every reply frame is delivered as it
+arrives; a worker that stops answering is the supervisor's heartbeat to
+notice (:mod:`repro.serving.proc.supervisor`).
 """
 
 from __future__ import annotations
@@ -98,9 +100,7 @@ class ShardClient:
 
     ``on_connection_lost`` (``fn(shard_id)``) fires once when the read loop
     tears down for any reason other than a deliberate :meth:`aclose` — the
-    pool forwards it to the supervisor as a death report. ``frame_faults``
-    is an optional :class:`~repro.serving.proc.supervisor.ProcFaultInjector`
-    consulted per reply frame (chaos only; None in production paths).
+    pool forwards it to the supervisor as a death report.
     """
 
     def __init__(
@@ -109,14 +109,12 @@ class ShardClient:
         sock: socket.socket,
         ann_only: bool = False,
         on_connection_lost=None,
-        frame_faults=None,
         on_spans=None,
     ) -> None:
         self.shard_id = shard_id
         self.codec = JsonCodec()
         self.ann_only = ann_only
         self.on_connection_lost = on_connection_lost
-        self.frame_faults = frame_faults
         #: ``fn(shard_id, records, clock_offset)`` for piggybacked span
         #: records (optional fifth reply element); None drops them.
         self.on_spans = on_spans
@@ -236,14 +234,6 @@ class ShardClient:
                 payload = await read_frame(self._reader)
                 if payload is None:
                     break
-                if self.frame_faults is not None:
-                    action, delay = self.frame_faults.frame_action(self.shard_id)
-                    if action == "drop":
-                        # The waiter stays pending: exactly a hung worker,
-                        # which is the supervisor heartbeat's job to notice.
-                        continue
-                    if delay > 0:
-                        await asyncio.sleep(delay)
                 frame = self.codec.loads(payload)
                 request_id, ok, result, stats = frame[:4]
                 # Stats first, waiter second: by the time an awaiting caller
@@ -317,7 +307,6 @@ class WorkerPool:
         specs: list[WorkerSpec],
         ann_only: bool = False,
         host: str = "127.0.0.1",
-        frame_faults=None,
     ) -> None:
         if not specs:
             raise ValueError("WorkerPool needs at least one WorkerSpec")
@@ -325,13 +314,13 @@ class WorkerPool:
         self.codec = JsonCodec()
         self.ann_only = ann_only
         self.host = host
-        self.frame_faults = frame_faults
         self.n_shards = len(specs)
         self.clients: list[ShardClient] = []
         self.processes: list[multiprocessing.process.BaseProcess] = []
-        #: Optional :class:`~repro.serving.proc.supervisor.WorkerSupervisor`
-        #: (see :meth:`enable_supervision`); started at :meth:`attach`,
-        #: stopped first in the teardown paths.
+        #: Optional :class:`~repro.serving.proc.supervisor.WorkerSupervisor`,
+        #: set before :meth:`attach` (the factory does it unless told not to
+        #: supervise); started at :meth:`attach`, stopped first in the
+        #: teardown paths.
         self.supervisor = None
         #: ``fn(shard_id, records, clock_offset)`` receiving piggybacked
         #: worker span records (installed by the router cache view's
@@ -341,18 +330,6 @@ class WorkerPool:
         self.thresholds = _TauHolder(specs[0].stack.config)
         self._launched = False
 
-    def enable_supervision(self, **knobs):
-        """Attach a :class:`WorkerSupervisor` so dead workers are respawned.
-
-        Keyword knobs are forwarded to the supervisor constructor. Must run
-        before :meth:`attach`; returns the supervisor for callback wiring.
-        """
-        from repro.serving.proc.supervisor import WorkerSupervisor
-
-        if self.supervisor is None:
-            self.supervisor = WorkerSupervisor(self, **knobs)
-        return self.supervisor
-
     def _make_client(
         self, shard_id: int, conn: socket.socket, clock_offset: float
     ) -> ShardClient:
@@ -361,7 +338,6 @@ class WorkerPool:
             conn,
             ann_only=self.ann_only,
             on_connection_lost=self._connection_lost,
-            frame_faults=self.frame_faults,
             on_spans=self._forward_spans,
         )
         client.clock_offset = clock_offset

@@ -18,28 +18,45 @@ Per-shard state machine::
                                │  ▲________________________│
                                │   (next death resets the cycle; the
                                │    consecutive-crash counter clears
-                               │    after ``stable_seconds`` of uptime)
-                               └──``max_restarts`` consecutive crashes──▶ dead
+                               │    after ``STABLE_SECONDS`` of uptime)
+                               └──``MAX_RESTARTS`` consecutive crashes──▶ dead
                                    (permanent: the engine routes the shard
                                     to its degraded path forever)
 
+The timings are the module constants below, one value each; they are read
+where they are used, so a test can patch them on the module.
+
 The supervisor never touches request routing itself — it exposes callbacks
-(:attr:`on_down`, :attr:`on_restart`, :attr:`on_permanent`) that
+(:attr:`on_down`, :attr:`on_restart`) that
 :class:`~repro.serving.proc.engine.ProcAsteriaEngine` wires to its
 per-shard circuit breakers, so detection, routing, and recovery stay in
 their own layers.
 
-:class:`ProcFaultInjector` is the chaos hook the benchmarks and the
-``--chaos-workers`` stress mode drive: SIGKILL a chosen worker at a seeded
-request index, and/or drop or delay that worker's reply frames with seeded
-probabilities (a dropped frame leaves its waiter pending — exactly the hang
-the heartbeat exists to catch).
+:class:`ProcFaultInjector` is the chaos hook the ``--chaos-workers`` stress
+mode drives: SIGKILL a chosen worker at a seeded request index.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import time
+
+#: Wall seconds between heartbeat sweeps; each sweep pings every up shard.
+PING_INTERVAL = 0.25
+#: Wall seconds one heartbeat ping may take. This is what catches a *hung*
+#: worker: the connection is alive, but nothing answers.
+PING_TIMEOUT = 2.0
+#: Respawn delay is ``min(BACKOFF_BASE * 2**consecutive, BACKOFF_MAX)``.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+#: Consecutive-crash cap: a shard that crashes this many times without
+#: ``STABLE_SECONDS`` of healthy uptime in between goes permanently dead.
+MAX_RESTARTS = 5
+#: Uptime after which a shard's consecutive-crash counter resets — a worker
+#: that crashes once a day is not crash-looping.
+STABLE_SECONDS = 5.0
 
 
 def _reap(process, timeout: float = 5.0) -> None:
@@ -53,55 +70,15 @@ def _reap(process, timeout: float = 5.0) -> None:
 class WorkerSupervisor:
     """Detect, reap, and respawn dead shard workers for one pool.
 
-    Parameters
-    ----------
-    pool:
-        The owning :class:`WorkerPool`; the supervisor spawns through its
-        :meth:`~repro.serving.proc.pool.WorkerPool.spawn_worker` /
-        :meth:`~repro.serving.proc.pool.WorkerPool.replace_client` seam.
-    ping_interval:
-        Wall seconds between heartbeat sweeps (0 disables the heartbeat;
-        connection-loss detection still works). Each sweep pings every
-        up-state shard; a ping that errors or exceeds ``ping_timeout``
-        reports the shard dead.
-    ping_timeout:
-        Wall seconds a single heartbeat ping may take. This is what catches
-        a *hung* worker (or one whose reply frames are being dropped by the
-        fault injector): the connection is alive, but nothing answers.
-    backoff_base / backoff_max:
-        Respawn delay is ``min(backoff_base * 2**consecutive, backoff_max)``.
-    max_restarts:
-        Consecutive-crash cap: once a shard has crashed this many times
-        without ``stable_seconds`` of healthy uptime in between, it goes
-        permanently dead and is served degraded forever.
-    stable_seconds:
-        Uptime after which a shard's consecutive-crash counter resets — a
-        worker that crashes once a day is not crash-looping.
+    ``pool`` is the owning :class:`WorkerPool`; the supervisor spawns
+    through its :meth:`~repro.serving.proc.pool.WorkerPool.spawn_worker` /
+    :meth:`~repro.serving.proc.pool.WorkerPool.replace_client` seam. A shard
+    is reported dead by its connection's loss, by the request path, or by a
+    heartbeat ping that errors or outlasts :data:`PING_TIMEOUT`.
     """
 
-    def __init__(
-        self,
-        pool,
-        ping_interval: float = 0.25,
-        ping_timeout: float = 2.0,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        max_restarts: int = 5,
-        stable_seconds: float = 5.0,
-    ) -> None:
-        if ping_interval < 0 or ping_timeout <= 0:
-            raise ValueError("ping_interval must be >= 0 and ping_timeout > 0")
-        if backoff_base < 0 or backoff_max < backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_max")
-        if max_restarts < 0 or stable_seconds < 0:
-            raise ValueError("max_restarts and stable_seconds must be >= 0")
+    def __init__(self, pool) -> None:
         self.pool = pool
-        self.ping_interval = ping_interval
-        self.ping_timeout = ping_timeout
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.max_restarts = max_restarts
-        self.stable_seconds = stable_seconds
         n = pool.n_shards
         #: Per-shard machine state: "up" | "respawning" | "dead".
         self.state = ["up"] * n
@@ -114,11 +91,9 @@ class WorkerSupervisor:
         self.permanent = [False] * n
         #: Engine hooks: ``on_down(shard)`` at death detection,
         #: ``on_restart(shard, restore)`` after a successful respawn
-        #: (``restore`` is the worker's hello restore report or None),
-        #: ``on_permanent(shard)`` when the crash-loop cap trips.
+        #: (``restore`` is the worker's hello restore report or None).
         self.on_down = None
         self.on_restart = None
-        self.on_permanent = None
         #: Zero-arg callable returning the engine's tracer (or None); a
         #: callable because the tracer is attached after construction.
         self.tracer_fn = None
@@ -131,7 +106,7 @@ class WorkerSupervisor:
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
         """Begin heartbeating on the running loop (idempotent per loop)."""
-        if self._stopping or self.ping_interval <= 0:
+        if self._stopping:
             return
         loop = asyncio.get_running_loop()
         if (
@@ -179,7 +154,7 @@ class WorkerSupervisor:
         closes its engine right after the load loop would report
         ``worker_restarts=0`` even though recovery was underway. Callers
         whose summary should reflect the recovery (the ``--chaos-workers``
-        CLI, the chaos benchmark) settle here first.
+        CLI) settle here first.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -201,7 +176,7 @@ class WorkerSupervisor:
             return
         if (
             self._last_recover[shard]
-            and time.monotonic() - self._last_recover[shard] > self.stable_seconds
+            and time.monotonic() - self._last_recover[shard] > STABLE_SECONDS
         ):
             self.consecutive[shard] = 0
         self.state[shard] = "respawning"
@@ -215,13 +190,13 @@ class WorkerSupervisor:
 
     async def _heartbeat(self) -> None:
         while not self._stopping:
-            await asyncio.sleep(self.ping_interval)
+            await asyncio.sleep(PING_INTERVAL)
             for client in list(self.pool.clients):
                 shard = client.shard_id
                 if self.state[shard] != "up" or not client.attached:
                     continue
                 try:
-                    await asyncio.wait_for(client.call("ping"), self.ping_timeout)
+                    await asyncio.wait_for(client.call("ping"), PING_TIMEOUT)
                 except asyncio.CancelledError:
                     raise
                 except Exception:  # noqa: BLE001 - any failure means dead/hung
@@ -236,13 +211,13 @@ class WorkerSupervisor:
             # than letting them dangle until the new connection exists.
             await pool.clients[shard].aclose()
             while not self._stopping:
-                if self.consecutive[shard] >= self.max_restarts:
+                if self.consecutive[shard] >= MAX_RESTARTS:
                     self._go_permanent(shard)
                     return
                 attempt = self.consecutive[shard]
                 self.consecutive[shard] += 1
                 await loop.run_in_executor(None, _reap, pool.processes[shard])
-                delay = min(self.backoff_base * (2.0**attempt), self.backoff_max)
+                delay = min(BACKOFF_BASE * (2.0**attempt), BACKOFF_MAX)
                 if delay > 0:
                     await asyncio.sleep(delay)
                 t0 = time.monotonic()
@@ -272,8 +247,6 @@ class WorkerSupervisor:
     def _go_permanent(self, shard: int) -> None:
         self.permanent[shard] = True
         self.state[shard] = "dead"
-        if self.on_permanent is not None:
-            self.on_permanent(shard)
 
     def _trace_recover(self, shard: int, attempt: int, t0: float, restore) -> None:
         tracer = self.tracer_fn() if self.tracer_fn is not None else None
@@ -296,44 +269,18 @@ class WorkerSupervisor:
 
 
 class ProcFaultInjector:
-    """Seeded chaos for the proc tier.
+    """Seeded chaos for the proc tier: ``kill_at`` SIGKILLs shard
+    ``kill_shard``'s worker when the engine has seen that many serve calls
+    (``on_serve`` is called once per request entering the proc engine's
+    serve path, so the kill lands at a deterministic request index)."""
 
-    ``kill_at`` SIGKILLs shard ``kill_shard``'s worker when the engine has
-    seen that many serve calls (``on_serve`` is called once per request
-    entering the proc engine's serve path, so the kill lands at a
-    deterministic request index). ``drop_rate`` / ``delay_rate`` act on the
-    targeted shard's *reply frames* inside the ShardClient read loop: a
-    dropped frame never resolves its waiter (the supervisor's ping timeout
-    is what notices), a delayed frame resolves ``delay_seconds`` late.
-    """
-
-    def __init__(
-        self,
-        kill_shard: int = 0,
-        kill_at: int | None = None,
-        drop_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        delay_seconds: float = 0.01,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, kill_shard: int = 0, kill_at: int | None = None) -> None:
         if kill_shard < 0:
             raise ValueError(f"kill_shard must be >= 0, got {kill_shard}")
-        if not 0.0 <= drop_rate <= 1.0 or not 0.0 <= delay_rate <= 1.0:
-            raise ValueError("drop_rate and delay_rate must be in [0, 1]")
-        if drop_rate + delay_rate > 1.0:
-            raise ValueError("drop_rate + delay_rate must be <= 1")
         self.kill_shard = kill_shard
         self.kill_at = kill_at
-        self.drop_rate = drop_rate
-        self.delay_rate = delay_rate
-        self.delay_seconds = delay_seconds
-        import numpy as np
-
-        self.rng = np.random.default_rng(seed)
         self.requests_seen = 0
         self.kills = 0
-        self.dropped_frames = 0
-        self.delayed_frames = 0
 
     def on_serve(self, pool) -> None:
         """Count one serve call; fire the seeded kill when its index comes."""
@@ -345,9 +292,6 @@ class ProcFaultInjector:
     def kill_worker(self, pool) -> bool:
         """SIGKILL the targeted shard's worker (no cleanup, no flush — the
         worker gets exactly the death an OOM kill would deliver)."""
-        import os
-        import signal
-
         if self.kill_shard >= len(pool.processes):
             return False
         process = pool.processes[self.kill_shard]
@@ -356,30 +300,6 @@ class ProcFaultInjector:
         os.kill(process.pid, signal.SIGKILL)
         self.kills += 1
         return True
-
-    def frame_action(self, shard_id: int) -> tuple[str, float]:
-        """Fate of one reply frame from ``shard_id``:
-        ``("deliver"|"drop", delay_seconds)``."""
-        if shard_id != self.kill_shard or (
-            self.drop_rate <= 0.0 and self.delay_rate <= 0.0
-        ):
-            return ("deliver", 0.0)
-        draw = float(self.rng.random())
-        if draw < self.drop_rate:
-            self.dropped_frames += 1
-            return ("drop", 0.0)
-        if draw < self.drop_rate + self.delay_rate:
-            self.delayed_frames += 1
-            return ("deliver", self.delay_seconds)
-        return ("deliver", 0.0)
-
-    def summary(self) -> dict:
-        return {
-            "kills": self.kills,
-            "dropped_frames": self.dropped_frames,
-            "delayed_frames": self.delayed_frames,
-            "requests_seen": self.requests_seen,
-        }
 
     def __repr__(self) -> str:
         return (

@@ -130,11 +130,6 @@ class PriorityAwareScheduler:
         yield pending.done
         return pending.done.value
 
-    @property
-    def agent_queue_length(self) -> int:
-        """Agent requests waiting for admission or a slot."""
-        return len(self._agent_waiting) + self.agent_partition.queue_length
-
     # -- internals ----------------------------------------------------------------
     def _enqueue(
         self,

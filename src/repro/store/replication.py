@@ -311,10 +311,6 @@ class FrameLink:
                 messages.append(self.codec.loads(payload))
         return messages
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
-
 
 @dataclass
 class ConvergenceSample:

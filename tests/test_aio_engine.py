@@ -49,12 +49,6 @@ class TestGuards:
             AsyncAsteriaEngine(engine, max_inflight=0)
         with pytest.raises(ValueError):
             AsyncAsteriaEngine(engine, default_deadline=0.0)
-        with pytest.raises(ValueError):
-            AsyncAsteriaEngine(engine, follower_timeout=-1.0)
-        with pytest.raises(ValueError):
-            AsyncAsteriaEngine(engine, hedge_percentile=0.0)
-        with pytest.raises(ValueError):
-            AsyncAsteriaEngine(engine, hedge_min_samples=0)
 
 
 class TestSequentialParity:
@@ -175,55 +169,6 @@ class TestDeadlines:
         outcome = asyncio.run(scenario())
         assert outcome.status == STATUS_OK
         assert outcome.response.served_from_cache
-
-
-class TestHedging:
-    def test_hedge_fires_past_percentile_and_serves_a_result(self):
-        engine = build_async_engine(
-            build_remote(latency={"kind": "uniform", "low": 0.3, "high": 0.5}),
-            shards=2,
-            io_pause_scale=0.1,
-            hedge_percentile=95.0,
-            hedge_min_samples=1,
-        )
-
-        async def scenario():
-            # Seed the latency estimate with one very fast fetch, so the
-            # next (normal-speed) fetch is far past the percentile.
-            fast = Query(
-                "hedge calibration fact", fact_id="H0",
-                metadata={"latency_scale": 0.01},
-            )
-            await engine.serve(fast, 0.0)
-            slow = Query("hedge candidate fact about comets", fact_id="H1")
-            return await engine.serve(slow, 1.0)
-
-        outcome = asyncio.run(scenario())
-        assert outcome.status == STATUS_OK
-        assert engine.metrics.hedged_fetches == 1
-        assert engine.metrics.hedge_wins in (0, 1)
-        # Two independent requests went out for the hedged miss.
-        assert engine.remote.calls == 3
-        assert outcome.response.fetch.latency > 0
-
-    def test_hedging_disabled_without_real_io(self):
-        engine = build_async_engine(
-            build_remote(),
-            shards=2,
-            io_pause_scale=0.0,
-            hedge_percentile=50.0,
-            hedge_min_samples=1,
-        )
-
-        async def scenario():
-            for i in range(5):
-                await engine.serve(
-                    Query(f"distinct analytic topic {i} skua", fact_id=f"A{i}"),
-                    float(i),
-                )
-
-        asyncio.run(scenario())
-        assert engine.metrics.hedged_fetches == 0
 
 
 class TestLoadGenerators:

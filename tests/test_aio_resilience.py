@@ -174,9 +174,18 @@ class TestOutcomeConservation:
             Query(f"stress fact number {rank} of the universe", fact_id=f"F{rank}")
             for rank in ranks
         ]
+        # Which flights draw a random fault depends on how arrivals coalesce,
+        # which depends on scheduling. The blackout does not: a fact first
+        # asked inside it misses whatever ran before, and every attempt of its
+        # flight fails (or a prior failure already opened the breaker).
+        blackout = (2.0, 4.0)
+        first_asked = {}
+        for i, query in enumerate(queries):
+            first_asked.setdefault(query.fact_id, i * 0.01)
+        assert any(blackout[0] <= t < blackout[1] for t in first_asked.values())
         engine = make_engine(
             fault_injector=FaultInjector(
-                error_rate=0.2, timeout_rate=0.1, seed=0
+                error_rate=0.2, timeout_rate=0.1, blackouts=[blackout], seed=0
             ),
             config=AsteriaConfig(default_ttl=2.0),
             resilience=ResilienceManager(

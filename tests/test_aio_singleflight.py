@@ -102,32 +102,6 @@ class TestAsyncSingleFlight:
 
         asyncio.run(scenario())
 
-    def test_follower_timeout_leads_private_fetch(self):
-        async def scenario():
-            flight = AsyncSingleFlight()
-            gate = asyncio.Event()
-
-            async def stuck_leader():
-                await gate.wait()
-                return "leader"
-
-            async def fast():
-                return "private"
-
-            leader_task = asyncio.ensure_future(flight.run("k", stuck_leader))
-            while flight.inflight() == 0:
-                await asyncio.sleep(0)
-            # Follower gives up after 10 ms and fetches privately.
-            result, shared = await flight.run("k", fast, timeout=0.01)
-            assert (result, shared) == ("private", False)
-            assert flight.timeouts == 1
-            # The stuck leader is unaffected and completes once unwedged.
-            gate.set()
-            assert await leader_task == ("leader", False)
-            assert flight.inflight() == 0
-
-        asyncio.run(scenario())
-
     def test_cancelled_follower_does_not_break_the_flight(self):
         async def scenario():
             flight = AsyncSingleFlight()

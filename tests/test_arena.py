@@ -22,7 +22,7 @@ def test_slots_hand_out_in_order():
     arena = EmbeddingArena(DIM, initial_capacity=8)
     slots = [arena.allocate(np.ones(DIM, dtype=np.float32)) for _ in range(4)]
     assert slots == [0, 1, 2, 3]
-    assert arena.high_water == 4
+    assert len(arena.rows()) == 4
     assert len(arena) == 4
 
 
@@ -83,9 +83,9 @@ def test_high_water_sinks_past_trailing_release(rng):
     slots = [arena.allocate(rng.normal(size=DIM)) for _ in range(5)]
     arena.release(slots[4])
     arena.release(slots[3])
-    assert arena.high_water == 3
+    assert len(arena.rows()) == 3
     arena.release(slots[1])  # interior hole: mark stays
-    assert arena.high_water == 3
+    assert len(arena.rows()) == 3
 
 
 def test_grow_doubles_capacity_and_preserves_rows(rng):

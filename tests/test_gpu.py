@@ -77,9 +77,9 @@ class TestGpuDevice:
 
     def test_exact_full_allocation_allowed(self, sim):
         gpu = GpuDevice(sim)
-        gpu.partition("agent", 0.8)
-        gpu.partition("judger", 0.2)
-        assert set(gpu.partitions) == {"agent", "judger"}
+        agent = gpu.partition("agent", 0.8)
+        judger = gpu.partition("judger", 0.2)
+        assert (agent.share, judger.share) == (0.8, 0.2)
 
     def test_duplicate_partition_name_rejected(self, sim):
         gpu = GpuDevice(sim)

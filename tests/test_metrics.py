@@ -295,7 +295,7 @@ class TestMemoryEnvelope:
             arena.allocate_batch(chunk)
 
         assert len(arena) == entries
-        assert arena.high_water == entries
+        assert len(arena.rows()) == entries
         assert arena.grows == 0  # the stated capacity was honoured exactly
         # Stated envelope: 4 * dim bytes per entry, under 128 MiB here.
         assert arena.rows().nbytes == entries * 4 * dim

@@ -306,8 +306,7 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize(
         "how, field",
-        [("drop", "hedged"), ("wrong_type", "latency"), ("bool", "retries"),
-         ("extra", "x")],
+        [("wrong_type", "latency"), ("bool", "retries"), ("extra", "x")],
     )
     def test_fetch_record(self, how, field):
         record = fetch_record(fetch())

@@ -32,6 +32,14 @@ ALLOWED_TEST_ONLY = {
     ),
 }
 
+#: Public methods and properties kept although only tests use them.
+ALLOWED_TEST_ONLY_MEMBERS = {
+    "repro.serving.gpu.GpuDevice.rental_gpu_seconds": (
+        "the rental side of Table 5's cost model: a GPU bills wall time "
+        "busy or idle, and the colocation tests pin that against busy time"
+    ),
+}
+
 
 def _module_name(path: Path) -> str:
     parts = path.relative_to(SRC).with_suffix("").parts
@@ -168,14 +176,6 @@ def test_every_exported_index_and_arena_name_is_used_by_something_that_runs():
     assert unused == [], f"exported, but only tests use them: {unused}"
 
 
-def _is_property(function: ast.FunctionDef) -> bool:
-    return any(
-        getattr(decorator, "id", None) == "property"
-        or getattr(decorator, "attr", None) in ("setter", "deleter")
-        for decorator in function.decorator_list
-    )
-
-
 def _mentioned(closure: set[str]) -> set[str]:
     """Every name that running code calls, references or ``getattr``-s: an
     attribute, a bare name, a string constant. An import alone is not a
@@ -221,16 +221,9 @@ def test_every_public_top_level_name_is_used_by_something_that_runs():
     )
 
 
-def test_every_public_method_is_used_by_something_that_runs():
-    """The same question one level down, by name: every public method of a
-    class in a module that runs is called, referenced or ``getattr``-ed by
-    name from something that runs. A name any running code mentions counts
-    for every method of that name (an override is used through its base);
-    properties read like fields and are not checked. Methods of an
-    allowlisted unreached module are covered by that module's entry."""
-    closure = reachable()
+def _test_only_members(closure: set[str]) -> list[str]:
     mentioned = _mentioned(closure)
-    unused = [
+    return [
         f"{name}.{cls.name}.{function.name}"
         for name in sorted(closure)
         for cls in ast.walk(ast.parse(MODULES[name].read_text(encoding="utf-8")))
@@ -238,10 +231,22 @@ def test_every_public_method_is_used_by_something_that_runs():
         for function in cls.body
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not function.name.startswith("_")
-        and not _is_property(function)
         and function.name not in mentioned
     ]
-    assert unused == [], f"public methods only tests call (delete them): {unused}"
+
+
+def test_every_public_method_is_used_by_something_that_runs():
+    """The same question one level down, by name: every public method or
+    property of a class in a module that runs is called, read or
+    ``getattr``-ed by name from something that runs. A name any running
+    code mentions counts for every member of that name (an override is used
+    through its base). Members of an allowlisted unreached module are
+    covered by that module's entry."""
+    unused = set(_test_only_members(reachable())) - set(ALLOWED_TEST_ONLY_MEMBERS)
+    assert unused == set(), (
+        "public methods or properties only tests use (delete them, or "
+        f"allowlist with a reason): {sorted(unused)}"
+    )
 
 
 def test_allowlist_holds_no_stale_or_unexplained_entries():
@@ -250,8 +255,8 @@ def test_allowlist_holds_no_stale_or_unexplained_entries():
         assert name in MODULES, f"{name} no longer exists; drop it from the allowlist"
         assert name not in closure, f"{name} is reached now; drop it from the allowlist"
         assert len(reason.split()) >= 5, f"{name}: give a real reason"
-    test_only = _test_only_top_level_names(closure)
-    for name, reason in ALLOWED_TEST_ONLY.items():
+    test_only = _test_only_top_level_names(closure) + _test_only_members(closure)
+    for name, reason in {**ALLOWED_TEST_ONLY, **ALLOWED_TEST_ONLY_MEMBERS}.items():
         assert name in test_only, f"{name} is gone or used now; drop it from the allowlist"
         assert len(reason.split()) >= 5, f"{name}: give a real reason"
 

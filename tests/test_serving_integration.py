@@ -70,7 +70,8 @@ class TestMemoryGatedAdmission:
         for _ in range(3):
             sim.process(self_submit(scheduler, 0.8))
         sim.run(until=0.01)
-        assert scheduler.agent_queue_length >= 1
+        waiting = len(scheduler._agent_waiting) + scheduler.agent_partition.queue_length
+        assert waiting >= 1
 
     def test_utilization_and_rental_accounting(self):
         sim = Simulator()
@@ -83,7 +84,7 @@ class TestMemoryGatedAdmission:
         sim.run()
         horizon = sim.now
         assert gpu.rental_gpu_seconds == pytest.approx(horizon)
-        agent_partition = gpu.partitions["agent"]
+        agent_partition = scheduler.agent_partition
         assert agent_partition.busy_seconds > 0
         assert agent_partition.busy_seconds <= horizon * agent_partition.slots
 

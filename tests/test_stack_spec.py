@@ -92,9 +92,33 @@ class TestUnknownKeywordIsNamed:
             build(seed=1, persist_dri="/tmp/nowhere")
 
     def test_removed_knobs_are_unknown_now(self):
-        for gone in ("backend", "backend_dir", "codec"):
+        """A keyword a builder no longer takes falls through to ``**stack``,
+        and ``StackSpec.of`` names it."""
+        proc = lambda **kw: build_proc_engine(build_remote(), launch=False, **kw)
+        aio = lambda **kw: build_async_engine(build_remote(), **kw)
+        removed = [
+            *[
+                (proc, gone)
+                for gone in (
+                    "backend",
+                    "backend_dir",
+                    "codec",
+                    "fault_domains",
+                    "follower_timeout",
+                    "supervisor_ping_interval",
+                    "supervisor_ping_timeout",
+                    "supervisor_backoff_base",
+                    "supervisor_backoff_max",
+                    "supervisor_max_restarts",
+                    "shard_open_seconds",
+                )
+            ],
+            (aio, "hedge_percentile"),
+            (aio, "follower_timeout"),
+        ]
+        for build, gone in removed:
             with pytest.raises(TypeError, match=gone):
-                build_proc_engine(build_remote(), launch=False, **{gone: None})
+                build(**{gone: None})
 
 
 class TestMisnamedValueIsRefusedWhereTheSpecIsMade:

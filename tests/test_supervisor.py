@@ -1,9 +1,9 @@
 """Self-healing proc tier: supervision, fault domains, warm recovery.
 
-These tests SIGKILL real worker processes (directly or through the seeded
-:class:`ProcFaultInjector`) and assert the contract the tentpole promises:
-no raw :class:`WorkerError` ever escapes ``serve()``, healthy shards are
-untouched by a sibling's death, a supervised worker comes back (warm when
+These tests SIGKILL (or SIGSTOP) real worker processes, directly or through
+the seeded :class:`ProcFaultInjector`, and assert the contract: no raw
+:class:`WorkerError` ever escapes ``serve()``, healthy shards are untouched
+by a sibling's death, a dead or hung worker comes back (warm when
 persisted), and a crash-looping shard degrades permanently instead of
 flapping forever.
 """
@@ -16,18 +16,21 @@ import pytest
 
 from repro.core import Query
 from repro.factory import build_proc_engine, build_remote
-from repro.serving.proc import ProcFaultInjector, WorkerError
+from repro.serving.proc import ProcFaultInjector
+from repro.serving.proc import engine as proc_engine
+from repro.serving.proc import supervisor
 
 VALID_STATUSES = {"ok", "stale_hit", "failed", "overloaded", "deadline_exceeded"}
 
-#: Fast supervisor knobs so recovery fits inside a test budget.
-FAST = dict(
-    supervisor_ping_interval=0.05,
-    supervisor_ping_timeout=1.0,
-    supervisor_backoff_base=0.01,
-    supervisor_backoff_max=0.05,
-    shard_open_seconds=0.1,
-)
+
+@pytest.fixture
+def fast(monkeypatch):
+    """Fast supervisor timings, so recovery fits inside a test budget."""
+    monkeypatch.setattr(supervisor, "PING_INTERVAL", 0.05)
+    monkeypatch.setattr(supervisor, "PING_TIMEOUT", 1.0)
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervisor, "BACKOFF_MAX", 0.05)
+    monkeypatch.setattr(proc_engine, "SHARD_OPEN_SECONDS", 0.1)
 
 
 def _queries(n, population=8):
@@ -63,11 +66,9 @@ async def _await_restarts(engine, count, timeout=30.0):
     )
 
 
-def test_supervisor_respawns_after_sigkill():
+def test_supervisor_respawns_after_sigkill(fast):
     faults = ProcFaultInjector(kill_shard=0, kill_at=10)
-    engine = build_proc_engine(
-        build_remote(seed=0), seed=0, workers=2, proc_faults=faults, **FAST
-    )
+    engine = build_proc_engine(build_remote(seed=0), seed=0, workers=2, proc_faults=faults)
 
     async def drive():
         outcomes = []
@@ -90,7 +91,50 @@ def test_supervisor_respawns_after_sigkill():
     assert engine.pool.supervisor.state == ["up", "up"]
 
 
-def test_healthy_shard_stats_unchanged_by_kill():
+def test_supervisor_respawns_a_hung_worker(fast, monkeypatch):
+    """A stopped worker keeps its connection open, so only the heartbeat's
+    ping timeout can notice it: the shard is reported dead, the stopped
+    process is killed and reaped, a new worker takes its place, and the
+    requests parked on the hung one resolve degraded meanwhile."""
+    monkeypatch.setattr(supervisor, "PING_TIMEOUT", 0.2)
+    engine = build_proc_engine(build_remote(seed=0), seed=0, workers=2)
+
+    async def drive():
+        async with engine:
+            probes = _shard_queries(engine.pool, 0, 4)
+            hung = engine.pool.processes[0]
+            os.kill(hung.pid, signal.SIGSTOP)
+            try:
+                # Bounded: a heartbeat that never notices parks these forever.
+                parked = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            engine.serve(query, now=i * 0.01)
+                            for i, query in enumerate(probes)
+                        )
+                    ),
+                    30.0,
+                )
+                await _await_restarts(engine, 1)
+                reaped = not hung.is_alive()
+                after = [
+                    await engine.serve(query, now=1.0 + i * 0.01)
+                    for i, query in enumerate(probes)
+                ]
+            finally:
+                if hung.is_alive():  # a failing run must still unwind
+                    os.kill(hung.pid, signal.SIGKILL)
+            return reaped, parked, after
+
+    reaped, parked, after = asyncio.run(drive())
+    assert reaped  # _reap killed the stopped process
+    assert engine.metrics.worker_restarts == 1
+    assert engine.pool.supervisor.state == ["up", "up"]
+    assert [o.status for o in parked + after] == ["ok"] * 8
+    assert engine.metrics.shard_down_fetches == 4  # only the parked four
+
+
+def test_healthy_shard_stats_unchanged_by_kill(fast):
     """Shard 1 must not notice shard 0's death: its stats after an identical
     sequential workload are byte-identical with and without the kill."""
 
@@ -99,7 +143,7 @@ def test_healthy_shard_stats_unchanged_by_kill():
             ProcFaultInjector(kill_shard=0, kill_at=8) if kill else None
         )
         engine = build_proc_engine(
-            build_remote(seed=0), seed=0, workers=2, proc_faults=faults, **FAST
+            build_remote(seed=0), seed=0, workers=2, proc_faults=faults
         )
 
         async def drive():
@@ -119,7 +163,7 @@ def test_healthy_shard_stats_unchanged_by_kill():
     assert chaotic[1] == baseline[1]
 
 
-def test_warm_restore_after_respawn_with_persist(tmp_path):
+def test_warm_restore_after_respawn_with_persist(tmp_path, fast):
     """A persisted shard comes back warm: the journaled entries hit again
     after the SIGKILL+respawn; without --persist the same respawn is cold."""
 
@@ -130,7 +174,6 @@ def test_warm_restore_after_respawn_with_persist(tmp_path):
             workers=1,
             persist_dir=persist_dir,
             fsync_every=1,
-            **FAST,
         )
         queries = _queries(12, population=12)
 
@@ -153,14 +196,9 @@ def test_warm_restore_after_respawn_with_persist(tmp_path):
     assert warm_hits > cold_hits  # ...and the lift is the persistence tier's
 
 
-def test_crash_loop_cap_goes_permanent_degraded():
-    engine = build_proc_engine(
-        build_remote(seed=0),
-        seed=0,
-        workers=2,
-        supervisor_max_restarts=0,  # first death is already the cap
-        **FAST,
-    )
+def test_crash_loop_cap_goes_permanent_degraded(fast, monkeypatch):
+    monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)  # first death is the cap
+    engine = build_proc_engine(build_remote(seed=0), seed=0, workers=2)
 
     async def drive():
         async with engine:
@@ -188,30 +226,29 @@ def test_crash_loop_cap_goes_permanent_degraded():
     assert engine.metrics.shard_down_fetches + engine.metrics.stale_hits > 0
 
 
-def test_worker_error_never_escapes_without_supervision():
-    """Satellite regression: a dying client fails every pending waiter with
-    the *shared* connection-lost error, yet the engine accounts the shard
-    failure exactly once and every concurrent request resolves degraded."""
-    faults = ProcFaultInjector(kill_shard=0, drop_rate=1.0)
+def test_worker_error_never_escapes_without_supervision(monkeypatch):
+    """A dying client fails every pending waiter with the *shared*
+    connection-lost error, yet the engine accounts the shard failure exactly
+    once and every concurrent request resolves degraded."""
+    # Stay open: no half-open probes mid-test.
+    monkeypatch.setattr(proc_engine, "SHARD_OPEN_SECONDS", 30.0)
+    faults = ProcFaultInjector(kill_shard=0)
     engine = build_proc_engine(
-        build_remote(seed=0),
-        seed=0,
-        workers=2,
-        supervise=False,
-        proc_faults=faults,
-        shard_open_seconds=30.0,  # stay open: no half-open probes mid-test
+        build_remote(seed=0), seed=0, workers=2, supervise=False, proc_faults=faults
     )
 
     async def drive():
         async with engine:
             probes = _shard_queries(engine.pool, 0, 4)
-            # Reply frames for shard 0 are all dropped: these four park as
-            # pending waiters on the shard client.
+            # Shard 0's worker is stopped: these four park as pending
+            # waiters on its client.
+            os.kill(engine.pool.processes[0].pid, signal.SIGSTOP)
             tasks = [
                 asyncio.ensure_future(engine.serve(query, now=0.0))
                 for query in probes
             ]
             await asyncio.sleep(0.3)
+            assert not any(task.done() for task in tasks)
             assert faults.kill_worker(engine.pool)
             # gather() without return_exceptions: an escaping WorkerError
             # would fail the whole drive.
@@ -223,33 +260,6 @@ def test_worker_error_never_escapes_without_supervision():
     # One connection loss == one shard failure, not one per waiter.
     assert engine.shard_failures[0] == 1
     assert engine.metrics.worker_restarts == 0
-
-
-def test_worker_error_surfaces_with_fault_domains_off():
-    """``fault_domains=False`` (``--no-fault-domains``) is the failure the
-    supervisor and the shard breakers exist to absorb: with both off, a dead
-    shard's WorkerError reaches ``serve()``'s caller."""
-    faults = ProcFaultInjector(kill_shard=0)
-    engine = build_proc_engine(
-        build_remote(seed=0),
-        seed=0,
-        workers=2,
-        supervise=False,
-        fault_domains=False,
-        proc_faults=faults,
-    )
-
-    async def drive():
-        async with engine:
-            before, after = _shard_queries(engine.pool, 0, 2)
-            assert (await engine.serve(before, now=0.0)).status == "ok"
-            assert faults.kill_worker(engine.pool)
-            await engine.serve(after, now=0.01)
-
-    with pytest.raises(WorkerError):
-        asyncio.run(drive())
-    assert engine.metrics.worker_restarts == 0
-    assert not engine.pool.processes  # the live sibling is still reaped
 
 
 def test_client_reconnects_once_after_server_drop():
