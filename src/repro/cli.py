@@ -6,7 +6,7 @@ Usage::
     python -m repro run fig7 --set n_tasks=500
     python -m repro run table5
     python -m repro run-all --quick
-    python -m repro stress --shards 4 --queries 2000
+    python -m repro stress --queries 2000
     python -m repro stress --rate 800 --deadline 0.2
     python -m repro stress --engine proc --workers 4 --rate 800
     python -m repro stress --chaos --fault-rate 0.3 --blackout 6:10
@@ -456,19 +456,6 @@ def _persist_banner(arguments, engine) -> None:
             )
         print(f"persist: {arguments.persist} — {state}")
         return
-    reports = getattr(cache, "restore_reports", None)
-    if reports is not None:
-        restored = sum(r.restored_items for r in reports)
-        if all(r.cold for r in reports):
-            state = "cold start"
-        else:
-            replayed = sum(r.journal_applied for r in reports)
-            state = (
-                f"warm start: {restored} items across {len(reports)} shards "
-                f"(journal_replayed={replayed})"
-            )
-        print(f"persist: {arguments.persist} — {state}")
-        return
     # Proc tier: each worker owns its shard's store and reports via stats.
     print(f"persist: {arguments.persist} (per-worker shard journals)")
 
@@ -508,7 +495,6 @@ def _build_async(arguments, remote, resilience):
 
     return build_async_engine(
         remote,
-        shards=arguments.shards,
         io_pause_scale=arguments.io_scale,
         max_inflight=arguments.max_inflight,
         default_deadline=arguments.deadline,
@@ -651,7 +637,7 @@ _STRESS_TIERS = {
     "async": (
         _build_async,
         _drive_loop,
-        "rate={rate:.0f}/s shards={shards} max_inflight={max_inflight} ",
+        "rate={rate:.0f}/s max_inflight={max_inflight} ",
     ),
     "proc": (
         _build_proc,
@@ -1001,8 +987,8 @@ def _add_persist_arguments(parser) -> None:
         default=None,
         metavar="DIR",
         help="durable cache home: warm-start from DIR's snapshot+journal "
-        "and journal every mutation back to it (sharded engines use one "
-        "shard_NN subdirectory per shard)",
+        "and journal every mutation back to it (the proc tier uses one "
+        "shard_NN subdirectory per worker)",
     )
     parser.add_argument(
         "--fsync-every",
@@ -1071,9 +1057,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="HOST:PORT",
         help="drive a running `python -m repro serve` over a real socket "
         "instead of building an engine (open loop at --rate)",
-    )
-    stress_parser.add_argument(
-        "--shards", type=int, default=4, help="cache shard count (default 4)"
     )
     stress_parser.add_argument(
         "--workers", type=int, default=4, help="shard worker processes (--engine proc)"

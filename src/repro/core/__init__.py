@@ -65,7 +65,7 @@ from repro.core.resilience import (
     StaleEntry,
     StaleStore,
 )
-from repro.core.sharding import ShardedAsteriaCache, shard_index_for
+from repro.core.sharding import shard_index_for
 from repro.core.sine import Sine, SineResult
 from repro.core.tiered import TieredEngine
 from repro.core.types import CacheLookup, FetchResult, Query, estimate_tokens
@@ -105,7 +105,6 @@ __all__ = [
     "QuerySignature",
     "ResilienceManager",
     "SemanticElement",
-    "ShardedAsteriaCache",
     "Sine",
     "SineResult",
     "StaleEntry",

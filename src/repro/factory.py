@@ -27,7 +27,6 @@ from repro.core import (
     AsteriaEngine,
     ExactCache,
     ExactEngine,
-    ShardedAsteriaCache,
     Sine,
     VanillaEngine,
 )
@@ -50,9 +49,7 @@ from repro.network import FaultInjector, RemoteDataService, TokenBucket
 from repro.network.ratelimit import RateLimiter
 from repro.sim.distributions import Distribution, Uniform
 from repro.sim.random import derive_seed
-from repro.store.persist import (
-    PersistentStore, ShardedPersistentStore, mark_routing, shard_directory,
-)
+from repro.store.persist import PersistentStore, mark_routing, shard_directory
 from repro.workloads.facts import FactUniverse
 
 
@@ -213,7 +210,7 @@ def build_semantic_cache(
     """A standalone semantic cache (used for shared tiers and direct use).
 
     The one place a :class:`StackSpec` is read and the stack assembled —
-    every engine, sharded-cache and worker builder comes through here, with
+    every engine and worker builder comes through here, with
     the spec itself as ``config`` or with its fields as ``**stack``.
     ``judger`` replaces the seeded :class:`~repro.judger.SimulatedJudger`.
     """
@@ -251,49 +248,10 @@ def build_semantic_cache(
     return cache
 
 
-def _shard_specs(spec: StackSpec, count: int) -> list[StackSpec]:
-    """Every shard's spec, computed before any is built (so the layout refusal
-    sees ``DIR`` as the last run left it), each home marked with its routing."""
-    specs = [spec.shard(index, count) for index in range(count)]
-    for each in specs:
-        if each.persist_dir is not None:
-            mark_routing(each.persist_dir)
-    return specs
-
-
-def build_sharded_cache(
-    config: "AsteriaConfig | StackSpec | None" = None,
-    *,
-    shards: int = 4,
-    **stack,
-) -> ShardedAsteriaCache:
-    """A sharded semantic cache for concurrent serving.
-
-    Every shard is built from the same spec (see :meth:`StackSpec.shard`
-    for what differs) and so the *same* seed: all shards share
-    embedding/judging behaviour (those substrates are deterministic
-    per-text), and with ``shards=1`` the result replays an unsharded
-    :func:`build_semantic_cache` decision for decision. Each shard gets its
-    own private embedding arena, so shard locks also cover arena mutation.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    spec = StackSpec.of(config, stack)
-    specs = _shard_specs(spec, shards)
-    sharded = ShardedAsteriaCache([build_semantic_cache(each) for each in specs])
-    if spec.persist_dir is not None:
-        sharded.persistent_store = ShardedPersistentStore(
-            [shard.persistent_store for shard in sharded.shards]
-        )
-        sharded.restore_reports = [shard.restore_report for shard in sharded.shards]
-    return sharded
-
-
 def build_async_engine(
     remote: RemoteDataService,
     config: AsteriaConfig | None = None,
     *,
-    shards: int = 4,
     io_pause_scale: float = 0.0,
     max_inflight: int = 256,
     default_deadline: float | None = None,
@@ -301,20 +259,16 @@ def build_async_engine(
     name: str = "asteria-async",
     **stack,
 ) -> AsyncAsteriaEngine:
-    """The in-process concurrent serving stack: sharded cache + event-loop
-    engine.
+    """The in-process concurrent serving stack: the sync tier's engine, one
+    cache and all, driven from an event loop.
 
-    ``shards`` partitions the cache by the proc tier's routing, so
-    ``shards=N`` here decides as ``workers=N`` there. ``io_pause_scale`` > 0
-    turns each simulated remote fetch latency into a real awaited pause;
-    ``max_inflight`` / ``default_deadline`` configure backpressure and
-    deadlines — see :class:`~repro.serving.aio.AsyncAsteriaEngine`.
+    ``io_pause_scale`` > 0 turns each simulated remote fetch latency into a
+    real awaited pause; ``max_inflight`` / ``default_deadline`` configure
+    backpressure and deadlines — see
+    :class:`~repro.serving.aio.AsyncAsteriaEngine`.
     """
-    spec = StackSpec.of(config, stack)
-    cache = build_sharded_cache(spec, shards=shards)
-    engine = AsteriaEngine(cache, remote, spec.config, resilience=resilience, name=name)
     return AsyncAsteriaEngine(
-        engine,
+        build_asteria_engine(remote, config, resilience=resilience, name=name, **stack),
         remote=AsyncRemoteService(remote, io_pause_scale=io_pause_scale),
         max_inflight=max_inflight,
         default_deadline=default_deadline,
@@ -338,14 +292,15 @@ def build_proc_engine(
 ) -> ProcAsteriaEngine:
     """The multi-process serving stack: shard worker processes + async router.
 
-    ``workers`` is both the process count and the shard count (one shard per
-    process, routed by the same content-key hash as the sharded cache, so
-    ``workers=1`` replays the single-process engine's decisions exactly),
-    and each worker rebuilds its shard from the same :meth:`StackSpec.shard`
-    split as :func:`build_sharded_cache` — the spec crosses the spawn
-    boundary inside a :class:`WorkerSpec`, so ``policy`` must be a *name*.
-    With ``launch=False`` the pool is constructed but no process is spawned
-    (call ``engine.pool.launch()`` later).
+    ``workers`` is both the process count and the shard count: one cache per
+    process, routed by :func:`~repro.core.sharding.shard_index_for`, so
+    ``workers=1`` replays the single-process engine's decisions exactly.
+    Each worker rebuilds its shard from :meth:`StackSpec.shard` — the spec
+    crosses the spawn boundary inside a :class:`WorkerSpec`, so ``policy``
+    must be a *name*. A durable home gets the ``DIR/shard_NN`` layout, one
+    store per worker, each marked with its routing here. With
+    ``launch=False`` the pool is constructed and the layout marked, but no
+    process is spawned (call ``engine.pool.launch()`` later).
 
     ``supervise`` arms the :class:`WorkerSupervisor` (heartbeat + respawn
     with backoff; warm restore when the spec has a durable home). Either
@@ -369,8 +324,14 @@ def build_proc_engine(
         # siblings burn CPU on the same cores would measure a contended loop
         # rate, give itself less work per judge, and fake parallel speedup.
         spec = replace(spec, judge_spin_iterations=spin_iterations(spec.judge_spin))
+    # Every spec before any marker, so the layout refusal in ``shard`` sees
+    # ``DIR`` as the last run left it.
+    specs = [spec.shard(index, workers) for index in range(workers)]
+    for each in specs:
+        if each.persist_dir is not None:
+            mark_routing(each.persist_dir)
     pool = WorkerPool(
-        [WorkerSpec(i, workers, each) for i, each in enumerate(_shard_specs(spec, workers))],
+        [WorkerSpec(i, workers, each) for i, each in enumerate(specs)],
         ann_only=spec.config.ann_only,
     )
     if supervise:

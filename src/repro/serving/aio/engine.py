@@ -21,10 +21,9 @@ running in the background and still admits its result — the deadline
 degrades the *response*, never the cache.
 
 Single-threaded by design: cache and metrics mutations happen between await
-points, so the engine takes no locks. A plain
-:class:`~repro.core.cache.AsteriaCache` works; the factory builds a
-:class:`ShardedAsteriaCache`, so ``shards=N`` in process routes and decides
-as the proc tier does with ``workers=N``.
+points, so the engine takes no locks. It serves one
+:class:`~repro.core.cache.AsteriaCache`, built as the sync tier builds it;
+the proc tier's workers are the only shards.
 """
 
 from __future__ import annotations

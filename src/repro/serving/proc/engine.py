@@ -14,7 +14,7 @@ Division of labour per request:
 
 * **worker** — expiry purge, embed, ANN search, judging, and (on admitted
   misses) the insert with its evictions: all the GIL-heavy CPU work.
-* **router** — shard routing (the sharded cache's content-key crc32,
+* **router** — shard routing (:func:`~repro.core.sharding.shard_index_for`,
   computed once per lookup or admit),
   remote fetches (keeping the seeded remote RNG a single ordered stream),
   cross-process single-flight (two concurrent misses for one canonical key
@@ -53,7 +53,7 @@ SHARD_OPEN_SECONDS = 0.5
 
 
 class _RouterCacheView:
-    """The router-side stand-in for the sharded cache.
+    """The router-side stand-in for the workers' caches.
 
     Reads resolve against the piggybacked per-shard stats tuples
     (:meth:`WorkerPool.stats_snapshot`), which every worker reply refreshes

@@ -39,7 +39,6 @@ __all__ = [
     "read_journal",
     "replay_journal",
     "PersistentStore",
-    "ShardedPersistentStore",
     "ReplicaNode",
     "ReplicationDriver",
     "replicate_session",
@@ -52,7 +51,6 @@ _LAZY = {
     "read_journal": ("repro.store.journal", "read_journal"),
     "replay_journal": ("repro.store.journal", "replay_journal"),
     "PersistentStore": ("repro.store.persist", "PersistentStore"),
-    "ShardedPersistentStore": ("repro.store.persist", "ShardedPersistentStore"),
     "ReplicaNode": ("repro.store.replication", "ReplicaNode"),
     "ReplicationDriver": ("repro.store.replication", "ReplicationDriver"),
     "replicate_session": ("repro.store.replnet", "replicate_session"),

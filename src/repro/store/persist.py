@@ -1,7 +1,7 @@
 """Snapshot + journal durability behind ``--persist DIR``.
 
-Directory layout (one per cache; sharded caches get one subdirectory per
-shard):
+Directory layout (one per cache; the proc tier's workers each get one
+``DIR/shard_NN`` subdirectory):
 
 .. code-block:: text
 
@@ -72,6 +72,7 @@ class PersistentStore:
         log_touches: bool = True,
     ) -> None:
         self.directory = Path(directory)
+        _refuse_shard_layout(self.directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_every = fsync_every
         self.log_touches = log_touches
@@ -157,59 +158,46 @@ class PersistentStore:
         }
 
 
-class ShardedPersistentStore:
-    """Checkpoint / flush / close fan-out over a sharded cache's per-shard
-    :class:`PersistentStore` instances (each already attached to its shard
-    under :func:`shard_directory`)."""
-
-    def __init__(self, stores: "list[PersistentStore]") -> None:
-        self.stores = stores
-
-    def checkpoint(self) -> None:
-        for store in self.stores:
-            store.checkpoint()
-
-    def flush(self) -> None:
-        for store in self.stores:
-            store.flush()
-
-    def close(self, checkpoint: bool = False) -> None:
-        for store in self.stores:
-            store.close(checkpoint=checkpoint)
-
-
-def shard_directory(
-    directory: "str | Path", shard: int, n_shards: int | None = None
-) -> Path:
+def shard_directory(directory: "str | Path", shard: int, n_shards: int) -> Path:
     """The persist subdirectory for shard ``shard``: ``DIR/shard_NN``, the
-    one layout the in-process sharded cache and the proc tier's workers
-    share — so an async-engine persist dir warm-starts a proc engine with
-    the same shard count and vice versa.
+    proc tier's layout (one store per worker).
 
-    Given ``n_shards``, refuses a ``DIR`` written under another shard count
-    or routing (each store's ``routing`` file names it; a store without one
-    predates content-key routing): restoring it would strand entries on
-    shards no request for them is ever routed to.
+    Refuses a ``DIR`` written under another shard count or routing (each
+    store's ``routing`` file names it; a store without one predates
+    content-key routing): restoring it would strand entries on shards no
+    request for them is ever routed to.
     """
     directory = Path(directory)
-    if n_shards is not None:
-        stores = list(directory.glob("shard_*"))
-        if stores and len(stores) != n_shards:
+    stores = list(directory.glob("shard_*"))
+    if stores and len(stores) != n_shards:
+        raise ValueError(
+            f"persist dir {directory} holds {len(stores)} shard stores but "
+            f"the cache has {n_shards} shards; use the original shard "
+            f"count or a fresh directory"
+        )
+    for store in stores:
+        marker = store / ROUTING_FILE
+        found = marker.read_text().strip() if marker.exists() else "text-crc32"
+        if found != ROUTING:
             raise ValueError(
-                f"persist dir {directory} holds {len(stores)} shard stores but "
-                f"the cache has {n_shards} shards; use the original shard "
-                f"count or a fresh directory"
+                f"persist dir {directory} holds shard stores under "
+                f"{found} routing but the cache routes by {ROUTING}; "
+                f"use a fresh directory"
             )
-        for store in stores:
-            marker = store / ROUTING_FILE
-            found = marker.read_text().strip() if marker.exists() else "text-crc32"
-            if found != ROUTING:
-                raise ValueError(
-                    f"persist dir {directory} holds shard stores under "
-                    f"{found} routing but the cache routes by {ROUTING}; "
-                    f"use a fresh directory"
-                )
     return directory / f"shard_{shard:02d}"
+
+
+def _refuse_shard_layout(directory: Path) -> None:
+    """A one-cache store lives in ``DIR`` itself; refuse a ``DIR`` holding
+    the proc tier's ``shard_NN`` stores, which a single cache would leave
+    unread (and start cold beside)."""
+    stores = list(directory.glob("shard_*"))
+    if stores:
+        raise ValueError(
+            f"persist dir {directory} holds {len(stores)} shard stores, which "
+            f"only the proc tier reads; serve it with --engine proc --workers "
+            f"{len(stores)} or use a fresh directory"
+        )
 
 
 def mark_routing(store: "str | Path") -> None:

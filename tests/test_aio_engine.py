@@ -56,9 +56,7 @@ class TestSequentialParity:
         """One-at-a-time async serving replays the sequential engine."""
         config = AsteriaConfig()
         sequential = build_asteria_engine(build_remote(seed=7), config, seed=3)
-        aio = build_async_engine(
-            build_remote(seed=7), config, seed=3, shards=1
-        )
+        aio = build_async_engine(build_remote(seed=7), config, seed=3)
 
         async def scenario():
             for i, query in enumerate(zipf_queries(150)):
@@ -79,7 +77,6 @@ class TestBackpressure:
     def test_overload_rejects_beyond_depth_without_corrupting_stats(self):
         engine = build_async_engine(
             build_remote(latency=0.1),
-            shards=2,
             io_pause_scale=0.2,  # each miss pends ~20 ms on the loop
             max_inflight=2,
         )
@@ -112,7 +109,7 @@ class TestBackpressure:
 
     def test_capacity_frees_as_requests_complete(self):
         engine = build_async_engine(
-            build_remote(latency=0.05), shards=2, io_pause_scale=0.1, max_inflight=4
+            build_remote(latency=0.05), io_pause_scale=0.1, max_inflight=4
         )
         queries = [
             Query(f"distinct refill topic {i} plover", fact_id=f"R{i}")
@@ -129,7 +126,6 @@ class TestDeadlines:
     def test_miss_degrades_to_deadline_exceeded_and_admission_still_lands(self):
         engine = build_async_engine(
             build_remote(latency=0.4),
-            shards=2,
             io_pause_scale=0.5,  # a miss pends ~200 ms of wall clock
             default_deadline=0.05,
         )
@@ -157,9 +153,7 @@ class TestDeadlines:
         assert second.response.served_from_cache
 
     def test_hits_are_not_affected_by_deadlines(self):
-        engine = build_async_engine(
-            build_remote(latency=0.4), shards=2, io_pause_scale=0.5
-        )
+        engine = build_async_engine(build_remote(latency=0.4), io_pause_scale=0.5)
         query = Query("deadline immune fact about glaciers", fact_id="D2")
 
         async def scenario():
@@ -174,9 +168,7 @@ class TestDeadlines:
 class TestLoadGenerators:
     def test_closed_loop_accounting_invariants(self):
         queries = zipf_queries(300)
-        engine = build_async_engine(
-            build_remote(), shards=4, io_pause_scale=0.002
-        )
+        engine = build_async_engine(build_remote(), io_pause_scale=0.002)
         asyncio.run(callers(engine, queries, 16, time_step=0.01))
         metrics = engine.metrics
         assert metrics.offered == metrics.requests == 300
@@ -185,15 +177,14 @@ class TestLoadGenerators:
         assert engine.remote.calls == engine.singleflight.leaders
         assert metrics.coalesced_misses == engine.singleflight.shared
         assert metrics.misses == engine.remote.calls + metrics.coalesced_misses
-        # No lost updates: every admitted fetch is visible in some shard.
-        assert engine.cache.stats.inserts == engine.remote.calls
-        assert len(engine.cache) == sum(engine.cache.usage_per_shard())
+        # No lost updates: every admitted fetch is in the cache.
+        stats = engine.cache.stats
+        assert stats.inserts == engine.remote.calls
+        assert len(engine.cache) == stats.inserts - stats.evictions - stats.expirations
 
     def test_open_loop_fixed_arrivals_conserve_outcomes(self):
         queries = zipf_queries(200, seed=1)
-        engine = build_async_engine(
-            build_remote(seed=1), seed=1, shards=4, io_pause_scale=0.002
-        )
+        engine = build_async_engine(build_remote(seed=1), seed=1, io_pause_scale=0.002)
         report = asyncio.run(
             run_open_loop(engine, queries, rate=5000.0, time_step=0.01)
         )
@@ -214,7 +205,6 @@ class TestLoadGenerators:
         ]
         engine = build_async_engine(
             build_remote(latency=0.2),
-            shards=2,
             io_pause_scale=0.2,  # every miss pends ~40 ms
             max_inflight=4,
         )
@@ -228,6 +218,6 @@ class TestLoadGenerators:
         assert engine.cache.stats.inserts == engine.singleflight.leaders
 
     def test_rejects_bad_load_parameters(self):
-        engine = build_async_engine(build_remote(), shards=1)
+        engine = build_async_engine(build_remote())
         with pytest.raises(ValueError):
             asyncio.run(run_open_loop(engine, [], rate=0.0))

@@ -50,13 +50,17 @@ def test_the_default_tier_is_async_and_thread_is_gone(capsys):
     code, output = main(["stress", "--queries", "40", "--rate", "2000", "--seed", "0"]), (
         capsys.readouterr().out
     )
-    assert code == 0 and output.startswith("engine=async rate=2000/s shards=4 ")
+    assert code == 0 and output.startswith("engine=async rate=2000/s max_inflight=256 ")
     for gone in ("thread", "threads"):
         with pytest.raises(SystemExit) as exit_:
             main(["stress", "--engine", gone])
         assert exit_.value.code == 2
         error = capsys.readouterr().err
         assert "invalid choice" in error and repr(gone) in error
+    with pytest.raises(SystemExit) as exit_:
+        main(["stress", "--shards", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine", ["sync", "async"])
@@ -92,11 +96,13 @@ def test_persist_starts_cold_then_warm(capsys, tmp_path, engine):
 
 
 def test_persist_refuses_another_worker_count_on_the_proc_tier(capsys, tmp_path):
-    home = str(tmp_path / "home")
-    code, _ = stress(capsys, "--engine", "async", "--shards", "3", "--persist", home)
-    assert code == 0
-    with pytest.raises(ValueError, match="holds 3 shard stores"):
-        main(["stress", "--engine", "proc", "--persist", home, *SMALL])
+    home = tmp_path / "home"
+    build_proc_engine(build_remote(), workers=3, persist_dir=home, launch=False)
+    with pytest.raises(ValueError, match="holds 3 shard stores but"):
+        main(["stress", "--engine", "proc", "--persist", str(home), *SMALL])
+    # A one-cache tier refuses it too, naming the flags that read it.
+    with pytest.raises(ValueError, match="--engine proc --workers 3"):
+        main(["stress", "--engine", "async", "--persist", str(home), *SMALL])
 
 
 @pytest.mark.parametrize("engine", ["sync", "proc"])

@@ -87,17 +87,16 @@ PARAPHRASES = [
 
 
 class TestOnAServingTier:
-    def test_fine_tuning_reaches_every_shard(self):
+    def test_fine_tuning_tunes_the_async_tiers_judger(self):
         config = AsteriaConfig(
             recalibration_enabled=True,
             recalibration_interval=30.0,
             recalibration_samples=20,
             finetune_enabled=True,
         )
-        engine = build_async_engine(build_remote(seed=0), config, seed=0, shards=2)
-        judgers = [shard.sine.judger for shard in engine.cache.shards]
-        for judger in judgers:
-            judger.flip_rate = 0.05
+        engine = build_async_engine(build_remote(seed=0), config, seed=0)
+        judger = engine.cache.sine.judger
+        judger.flip_rate = 0.05
 
         async def drive():
             for i in range(40):  # judged hits for the eval log
@@ -107,7 +106,7 @@ class TestOnAServingTier:
         asyncio.run(drive())
         assert engine.metrics.recalibrations == 1
         tuned = 0.002 + (0.05 - 0.002) * 0.7
-        assert [judger.flip_rate for judger in judgers] == [pytest.approx(tuned)] * 2
+        assert judger.flip_rate == pytest.approx(tuned)
 
     def test_proc_tier_refuses_fine_tuning(self):
         config = AsteriaConfig(recalibration_enabled=True, finetune_enabled=True)
@@ -116,7 +115,7 @@ class TestOnAServingTier:
 
     @pytest.mark.parametrize("recalibrate", [False, True], ids=["off", "on"])
     def test_recalibration_holds_precision_under_judger_drift(self, recalibrate):
-        """``recalibration_overhead.run_drift`` through two async shards:
+        """``recalibration_overhead.run_drift`` through the async tier:
         mid-run non-equivalent pairs start scoring Beta(12, 2), and only
         Algorithm 1 keeps wrong answers out of phase 2."""
         dataset = build_dataset("musique", seed=0)
@@ -127,7 +126,7 @@ class TestOnAServingTier:
             recalibration_samples=20,
         )
         engine = build_async_engine(
-            build_remote(dataset.universe, seed=0), config, seed=0, shards=2
+            build_remote(dataset.universe, seed=0), config, seed=0
         )
 
         def phase(seed):
@@ -139,7 +138,7 @@ class TestOnAServingTier:
             for query in phase(1):
                 await engine.serve(query, now)
                 now += 1.0
-            judger = engine.cache.sine.judger  # a write reaches both shards
+            judger = engine.cache.sine.judger
             judger.neg_alpha, judger.neg_beta = 12.0, 2.0
             if engine.engine.recalibrator is not None:
                 engine.engine.recalibrator.forget()  # pre-drift labels are stale

@@ -55,7 +55,7 @@ class TestLoadReport:
         """Same warm trace through two schedulers — the serial loop and the
         open loop, every request in flight at once — same accounting."""
         sync_engine = build_asteria_engine(build_remote(seed=1), seed=1)
-        aio_engine = build_async_engine(build_remote(seed=1), seed=1, shards=1)
+        aio_engine = build_async_engine(build_remote(seed=1), seed=1)
 
         async def warm_then_load():
             for i, query in enumerate(queries(10)):  # the same warm-up, one at a time

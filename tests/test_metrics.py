@@ -204,7 +204,6 @@ class TestOutcomeConservation:
         engine = build_async_engine(
             build_remote(seed=0),
             seed=0,
-            shards=2,
             max_inflight=1,
             io_pause_scale=0.002,
         )

@@ -349,7 +349,7 @@ class TestSamplingTracer:
         assert engine.metrics.misses == baseline.metrics.misses
 
     def test_async_engine_samples_one_in_n(self):
-        engine = build_async_engine(build_remote(seed=0), seed=0, shards=2)
+        engine = build_async_engine(build_remote(seed=0), seed=0)
         tracer = SamplingTracer(sample_every=5)
         engine.set_tracer(tracer)
         queries = _queries(20)
@@ -401,7 +401,7 @@ class TestEngineIntegration:
         engine.handle(_queries(1)[0], now=0.0)
 
     def test_async_engine_spans_survive_awaits_and_coalescing(self):
-        engine = build_async_engine(build_remote(seed=0), seed=0, shards=2)
+        engine = build_async_engine(build_remote(seed=0), seed=0)
         tracer = Tracer()
         engine.set_tracer(tracer)
         # Identical queries in flight together force single-flight

@@ -290,7 +290,7 @@ def _drive_loop(engine, scenario: Scenario, context, tau_lsm):
 def drive_async(scenario: Scenario):
     remote, config, resilience = _parts(scenario)
     engine = build_async_engine(
-        remote, config, seed=SEED, shards=1, resilience=resilience
+        remote, config, seed=SEED, resilience=resilience
     )
 
     async def tau_lsm():

@@ -21,7 +21,6 @@ from repro.factory import (
     build_proc_engine,
     build_remote,
     build_semantic_cache,
-    build_sharded_cache,
 )
 from repro.serving.proc.worker import WorkerSpec
 
@@ -80,12 +79,11 @@ class TestUnknownKeywordIsNamed:
         "build",
         [
             lambda **kw: build_semantic_cache(**kw),
-            lambda **kw: build_sharded_cache(shards=2, **kw),
             lambda **kw: build_asteria_engine(build_remote(), **kw),
             lambda **kw: build_async_engine(build_remote(), **kw),
             lambda **kw: build_proc_engine(build_remote(), launch=False, **kw),
         ],
-        ids=["cache", "sharded", "sync", "async", "proc"],
+        ids=["cache", "sync", "async", "proc"],
     )
     def test_every_builder_rejects_it(self, build):
         with pytest.raises(TypeError, match="persist_dri"):
@@ -115,6 +113,7 @@ class TestUnknownKeywordIsNamed:
             ],
             (aio, "hedge_percentile"),
             (aio, "follower_timeout"),
+            (aio, "shards"),
         ]
         for build, gone in removed:
             with pytest.raises(TypeError, match=gone):
@@ -178,10 +177,9 @@ class TestShard:
         assert StackSpec().shard(1, 2).persist_dir is None
         assert not any(tmp_path.iterdir())  # computing a layout writes nothing
 
-    def test_both_sharded_tiers_split_through_it(self):
+    def test_the_proc_tier_splits_through_it(self):
         spec = StackSpec(CONFIG, seed=3)
-        cache = build_sharded_cache(spec, shards=4)
-        assert [shard.capacity_items for shard in cache.shards] == [3, 3, 3, 3]
+        assert [spec.shard(i, 4).config.capacity_items for i in range(4)] == [3] * 4
         engine = build_proc_engine(build_remote(), CONFIG, workers=4, seed=3, launch=False)
         assert [worker.stack for worker in engine.pool.specs] == [
             spec.shard(index, 4) for index in range(4)

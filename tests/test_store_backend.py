@@ -147,17 +147,15 @@ class TestProtocolConformance:
 
 
 class TestEngineConstruction:
-    """Every engine builds its caches through a CacheBackend (the async
-    engine's are the shards of ``build_sharded_cache``)."""
+    """Every engine builds its caches through a CacheBackend."""
 
     def test_sync_engine(self):
         engine = build_asteria_engine(build_remote(seed=SEED), seed=SEED)
         assert isinstance(engine.cache.backend, CacheBackend)
 
     def test_async_engine(self):
-        engine = build_async_engine(build_remote(seed=SEED), seed=SEED, shards=2)
-        for shard in engine.cache.shards:
-            assert isinstance(shard.backend, CacheBackend)
+        engine = build_async_engine(build_remote(seed=SEED), seed=SEED)
+        assert isinstance(engine.cache.backend, CacheBackend)
 
     def test_proc_shard_server(self):
         # The worker side of the proc tier, exercised in-process: the shard
@@ -217,7 +215,7 @@ class TestDecisionEquivalence:
         import asyncio
 
         engine = build_async_engine(
-            build_remote(seed=SEED), seed=SEED, shards=1, persist_dir=tmp_path / "aio"
+            build_remote(seed=SEED), seed=SEED, persist_dir=tmp_path / "aio"
         )
 
         async def drive():

@@ -12,7 +12,6 @@ from repro.factory import (
     build_proc_engine,
     build_remote,
     build_semantic_cache,
-    build_sharded_cache,
 )
 from repro.serving.aio import run_open_loop
 from repro.core.sharding import ROUTING
@@ -128,81 +127,91 @@ class TestPersistentStore:
         assert stats["journal"]["fsync_every"] == 8
 
 
+def proc(tmp_path, workers=2):
+    # launch=False: the layout is split, checked and marked before any
+    # worker process exists.
+    return build_proc_engine(
+        build_remote(seed=SEED), config=CONFIG, seed=SEED,
+        workers=workers, persist_dir=tmp_path, launch=False,
+    )
+
+
+def tree(directory):
+    return {
+        path.relative_to(directory): path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
+    }
+
+
 class TestShardedPersistence:
     def test_async_engine_warm_restart(self, tmp_path):
+        """The async tier keeps one store in ``DIR`` itself, as sync does."""
         engine = build_async_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            shards=2, persist_dir=tmp_path,
+            build_remote(seed=SEED), config=CONFIG, seed=SEED, persist_dir=tmp_path,
         )
         report = asyncio.run(run_open_loop(engine, trace(), rate=10_000.0, time_step=0.01))
         assert report.requests == 120
-        per_shard = [len(shard) for shard in engine.cache.shards]
+        resident = len(engine.cache)
         engine.cache.persistent_store.close(checkpoint=True)
-        assert (tmp_path / "shard_00" / "snapshot.json").exists()
-        assert (tmp_path / "shard_01" / "snapshot.json").exists()
+        assert (tmp_path / "snapshot.json").exists()
+        assert not list(tmp_path.glob("shard_*"))
         warm = build_async_engine(
-            build_remote(seed=SEED), config=CONFIG, seed=SEED,
-            shards=2, persist_dir=tmp_path,
+            build_remote(seed=SEED), config=CONFIG, seed=SEED, persist_dir=tmp_path,
         )
-        reports = warm.cache.restore_reports
-        assert [r.restored_items for r in reports] == per_shard
-        assert not any(r.cold for r in reports)
+        assert not warm.cache.restore_report.cold
+        assert warm.cache.restore_report.restored_items == resident > 0
         warm.cache.persistent_store.close()
 
     def test_shard_count_mismatch_rejected(self, tmp_path):
-        cache = build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
-        cache.persistent_store.close(checkpoint=True)
-        with pytest.raises(ValueError):
-            build_sharded_cache(CONFIG, seed=SEED, shards=3, persist_dir=tmp_path)
+        proc(tmp_path, workers=2)
+        shard_directory(tmp_path, 1, 2)  # the count it was written under
+        with pytest.raises(ValueError, match="holds 2 shard stores but the cache has 3"):
+            shard_directory(tmp_path, 0, 3)
 
     def test_proc_tier_refuses_a_layout_from_another_worker_count(self, tmp_path):
-        cache = build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
-        cache.persistent_store.close(checkpoint=True)
-
-        def proc(workers):
-            # launch=False: the refusal sits in the spec split, before any
-            # worker process exists.
-            return build_proc_engine(
-                build_remote(seed=SEED), config=CONFIG, seed=SEED,
-                workers=workers, persist_dir=tmp_path, launch=False,
-            )
-
+        proc(tmp_path, workers=2)
         with pytest.raises(ValueError, match="holds 2 shard stores"):
-            proc(workers=3)
+            proc(tmp_path, workers=3)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["shard_00", "shard_01"]
-        # The count it was written under is accepted: the in-process sharded
-        # cache and the proc tier share the layout.
-        homes = [spec.stack.persist_dir for spec in proc(workers=2).pool.specs]
+        # The count it was written under is accepted.
+        homes = [spec.stack.persist_dir for spec in proc(tmp_path).pool.specs]
         assert homes == [tmp_path / "shard_00", tmp_path / "shard_01"]
 
     def test_a_layout_from_another_routing_is_refused(self, tmp_path):
-        cache = build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
-        cache.persistent_store.close(checkpoint=True)
+        proc(tmp_path)
         markers = [tmp_path / f"shard_{i:02d}" / ROUTING_FILE for i in range(2)]
         assert [marker.read_text() for marker in markers] == [ROUTING + "\n"] * 2
         # A store without the marker was placed by the text-hash routing.
         markers[1].unlink()
         with pytest.raises(ValueError, match="text-crc32 routing but the cache routes by"):
-            build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
+            proc(tmp_path)
         markers[1].write_text("some-other-routing\n")
         with pytest.raises(ValueError, match="some-other-routing routing"):
-            build_proc_engine(
-                build_remote(seed=SEED), config=CONFIG, seed=SEED,
-                workers=2, persist_dir=tmp_path, launch=False,
-            )
+            proc(tmp_path)
 
     def test_a_legacy_layout_is_refused_on_both_tiers(self, tmp_path):
+        """A layout from before content-key routing: the proc tier refuses
+        its routing, a one-cache tier refuses any shard layout."""
         for shard in ("shard_00", "shard_01"):
             (tmp_path / shard).mkdir()
         with pytest.raises(ValueError, match=f"routes by {ROUTING}"):
-            build_sharded_cache(CONFIG, seed=SEED, shards=2, persist_dir=tmp_path)
-        with pytest.raises(ValueError, match=f"routes by {ROUTING}"):
-            build_proc_engine(
-                build_remote(seed=SEED), config=CONFIG, seed=SEED,
-                workers=2, persist_dir=tmp_path, launch=False,
-            )
+            proc(tmp_path)
+        with pytest.raises(ValueError, match="holds 2 shard stores"):
+            build_asteria_engine(build_remote(seed=SEED), CONFIG, persist_dir=tmp_path)
         assert not list(tmp_path.glob(f"shard_*/{ROUTING_FILE}"))
 
+    def test_a_one_cache_stack_refuses_a_sharded_layout(self, tmp_path):
+        """Restoring one cache from ``DIR`` would start it cold beside the
+        proc tier's stores and orphan them; both one-cache tiers refuse."""
+        proc(tmp_path)
+        before = tree(tmp_path)
+        for build in (build_asteria_engine, build_async_engine):
+            with pytest.raises(
+                ValueError, match="holds 2 shard stores.*--engine proc --workers 2"
+            ):
+                build(build_remote(seed=SEED), CONFIG, seed=SEED, persist_dir=tmp_path)
+        assert tree(tmp_path) == before
+
     def test_shard_directory_naming(self, tmp_path):
-        assert shard_directory(tmp_path, 0).name == "shard_00"
-        assert shard_directory(tmp_path, 11).name == "shard_11"
+        assert shard_directory(tmp_path, 0, 1).name == "shard_00"
+        assert shard_directory(tmp_path, 11, 12).name == "shard_11"
