@@ -42,12 +42,9 @@ from repro.core import (
     AsteriaEngine,
     EngineMetrics,
     EngineResponse,
-    ExactCache,
-    ExactEngine,
     Query,
     SemanticElement,
     Sine,
-    VanillaEngine,
 )
 from repro.factory import (
     build_asteria_engine,
@@ -66,12 +63,9 @@ __all__ = [
     "AsteriaEngine",
     "EngineMetrics",
     "EngineResponse",
-    "ExactCache",
-    "ExactEngine",
     "Query",
     "SemanticElement",
     "Sine",
-    "VanillaEngine",
     "__version__",
     "build_asteria_engine",
     "build_exact_engine",

@@ -6,17 +6,20 @@ bottom-up:
 ``SemanticElement`` (§4.1)
     The cache unit — query/result plus performance-aware metadata.
 ``Sine`` (§4.2)
-    Two-stage retrieval: ANN coarse filter + LLM judger validation.
+    Two-stage retrieval: ANN coarse filter + LLM judger validation, beside
+    an exact stage (canonical text → element).
 ``AsteriaCache`` (§4.3)
     Cache semantics atop Sine: semantic-aware hits, LCFU eviction, TTL.
 ``MarkovPrefetcher`` (§4.3, Algorithm 3)
     History-based predictive prefetching.
 ``ThresholdRecalibrator`` (§4.2, Algorithm 1)
     Periodic offline τ_lsm recalibration against a target precision.
-``AsteriaEngine`` / ``ExactEngine`` / ``VanillaEngine`` (§3.3, §6.1)
-    The full system and the paper's two baselines behind one interface.
+``AsteriaEngine`` (§3.3, §6.1)
+    The full system, and — configured by ``AsteriaConfig.match`` and
+    ``cacheable_tools`` — the paper's two baselines, all on one request flow.
 
-See :func:`repro.factory.build_asteria_engine` for one-call construction.
+See :func:`repro.factory.build_asteria_engine` (and ``build_exact_engine`` /
+``build_vanilla_engine``) for one-call construction.
 """
 
 from repro.core.admission import (
@@ -24,7 +27,7 @@ from repro.core.admission import (
     AlwaysAdmit,
     DoorkeeperAdmission,
 )
-from repro.core.cache import AsteriaCache, CacheStats, ExactCache, canonical_text
+from repro.core.cache import AsteriaCache, CacheStats
 from repro.core.config import (
     AsteriaConfig,
     DEFAULT_TAU_LSM,
@@ -34,10 +37,8 @@ from repro.core.element import SemanticElement
 from repro.core.engine import (
     AsteriaEngine,
     EngineResponse,
-    ExactEngine,
     JudgeExecutor,
     KnowledgeEngine,
-    VanillaEngine,
 )
 from repro.core.eviction import (
     EvictionPolicy,
@@ -66,7 +67,7 @@ from repro.core.resilience import (
     StaleStore,
 )
 from repro.core.sharding import shard_index_for
-from repro.core.sine import Sine, SineResult
+from repro.core.sine import Sine, SineResult, canonical_text
 from repro.core.tiered import TieredEngine
 from repro.core.types import CacheLookup, FetchResult, Query, estimate_tokens
 
@@ -87,8 +88,6 @@ __all__ = [
     "EngineResponse",
     "EvalRecord",
     "EvictionPolicy",
-    "ExactCache",
-    "ExactEngine",
     "FIFOPolicy",
     "FetchFailed",
     "FetchResult",
@@ -112,7 +111,6 @@ __all__ = [
     "SizeAwareLFUPolicy",
     "ThresholdRecalibrator",
     "TieredEngine",
-    "VanillaEngine",
     "canonical_text",
     "estimate_tokens",
     "shard_index_for",

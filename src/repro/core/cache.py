@@ -9,34 +9,25 @@
 * **Eviction** — TTL purge first (Algorithm 2 line 6), then lowest retention
   score until usage fits capacity; each reads a lazy heap, not the residents.
 
-:class:`ExactCache` is the traditional exact-match baseline (Agent_exact)
-with the same capacity/TTL machinery but a plain text-keyed dict.
+The Agent_exact baseline is this cache too, looked up with ``match="exact"``
+(Sine's exact stage) and evicting by LRU.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 
-import numpy as np
-
 from repro.core.element import SemanticElement
-from repro.core.eviction import EvictionPolicy, LCFUPolicy, LRUPolicy
+from repro.core.eviction import EvictionPolicy, LCFUPolicy
 from repro.core.records import element_from_record
-from repro.core.sine import Sine, SineResult
+from repro.core.sine import Sine, SineResult, canonical_text
 from repro.core.types import CacheStats, FetchResult, Query
 from repro.embedding.tokenizer import SimpleTokenizer
 from repro.judger.staticity import StaticityScorer
 from repro.store.backend import CacheBackend, InProcessBackend
 
 _TOKENIZER = SimpleTokenizer()
-
-
-def canonical_text(text: str) -> str:
-    """Normalisation used for exact-match and flight keys
-    (case/whitespace-insensitive)."""
-    return " ".join(text.lower().split())
 
 
 def content_key(text: str, empty: str | None = None) -> str:
@@ -199,22 +190,23 @@ class AsteriaCache:
         return len(self._backend.elements)
 
     # -- lookup -----------------------------------------------------------------
-    def lookup(self, query: Query, now: float, ann_only: bool = False) -> SineResult:
-        """Two-stage lookup; a validated match is a *hit* and bumps frequency.
+    def lookup(self, query: Query, now: float, match: str = "semantic") -> SineResult:
+        """Lookup by ``match`` (see :meth:`Sine.retrieve`); a validated match
+        is a *hit* and bumps frequency.
 
         Expired elements are purged lazily before retrieval so a dead entry
         can never be served.
         """
         self.remove_expired(now)
-        result = self.sine.retrieve(query, self._backend.elements, ann_only=ann_only)
-        match = result.match
-        if match is not None:
-            match.record_hit(now)
-            if match.prefetched and match.frequency == 1:
+        result = self.sine.retrieve(query, self._backend.elements, match)
+        hit = result.match
+        if hit is not None:
+            hit.record_hit(now)
+            if hit.prefetched and hit.frequency == 1:
                 # First validated use of a speculative entry.
-                match.metadata["prefetch_confirmed_at"] = now
-            self._backend.touch(match)
-            self._heap_update(match, now)
+                hit.metadata["prefetch_confirmed_at"] = now
+            self._backend.touch(hit)
+            self._heap_update(hit, now)
         return result
 
     def contains_semantic(self, query: Query) -> bool:
@@ -306,7 +298,7 @@ class AsteriaCache:
         element.expires_at += shift
         if now is None:
             now = element.last_accessed_at
-        if drop_expired and element.expires_at <= now:
+        if drop_expired and element.is_expired(now):
             self.reserve_id(eid)
             return None
         element.embedding, element.arena_slot = self._backend.bind_embedding(
@@ -329,7 +321,7 @@ class AsteriaCache:
         if element is None:
             raise KeyError(f"element {element_id} not in cache")
         # The backend releases the arena slot inside delete().
-        self.sine.remove(element_id)
+        self.sine.remove(element)
         self._backend.delete(element_id, reason=reason)
         # Heap entries for this id become garbage (the two maps are the truth).
         self._score_version.pop(element_id, None)
@@ -496,116 +488,3 @@ class AsteriaCache:
             f"AsteriaCache(items={len(self)}, capacity={self.capacity_items}, "
             f"policy={self.policy.name})"
         )
-
-
-class ExactCache:
-    """Traditional exact-match cache (the Agent_exact baseline).
-
-    Keys are canonicalised query text; a hit requires the same text (so any
-    paraphrase misses — the failure mode §6.2 attributes to exact caching).
-    Reuses :class:`SemanticElement` for storage so metrics and eviction
-    policies are directly comparable; the default policy is LRU, the classic
-    choice for KV caches.
-    """
-
-    def __init__(
-        self,
-        capacity_items: int | None = None,
-        default_ttl: float | None = 3600.0,
-        policy: EvictionPolicy | None = None,
-        staticity_scorer: StaticityScorer | None = None,
-    ) -> None:
-        if capacity_items is not None and capacity_items < 1:
-            raise ValueError("capacity_items must be >= 1 or None")
-        self.capacity_items = capacity_items
-        self.default_ttl = default_ttl
-        self.policy = policy if policy is not None else LRUPolicy()
-        self.staticity_scorer = staticity_scorer or StaticityScorer()
-        self._by_key: dict[str, SemanticElement] = {}
-        self._ids = itertools.count(1)
-        self.stats = CacheStats()
-        self._empty_embedding = np.zeros(1, dtype=np.float32)
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def __bool__(self) -> bool:
-        """Always truthy; see :meth:`AsteriaCache.__bool__`."""
-        return True
-
-    def usage(self) -> int:
-        """Current occupancy in entries."""
-        return len(self._by_key)
-
-    def lookup(self, query: Query, now: float) -> SemanticElement | None:
-        """Exact-match lookup; hits bump frequency."""
-        key = canonical_text(query.text)
-        element = self._by_key.get(key)
-        if element is None:
-            return None
-        if element.is_expired(now):
-            del self._by_key[key]
-            self.stats.expirations += 1
-            return None
-        element.record_hit(now)
-        return element
-
-    def insert(
-        self,
-        query: Query,
-        fetch: FetchResult,
-        now: float,
-        ttl: float | None = None,
-    ) -> SemanticElement:
-        """Store a fetched result under its canonical text key."""
-        key = canonical_text(query.text)
-        if key in self._by_key:
-            # Refresh in place (same exact query fetched twice, e.g. expiry race).
-            self.stats.rejected_duplicates += 1
-            del self._by_key[key]
-        effective_ttl = ttl if ttl is not None else self.default_ttl
-        expires_at = now + effective_ttl if effective_ttl is not None else float("inf")
-        element = SemanticElement(
-            element_id=next(self._ids),
-            key=query.text,
-            value=fetch.result,
-            embedding=self._empty_embedding,
-            tool=query.tool,
-            truth_key=query.fact_id,
-            staticity=self.staticity_scorer.score(query.text, query.staticity),
-            retrieval_latency=fetch.service_latency,
-            retrieval_cost=fetch.cost,
-            size_tokens=max(1, fetch.size_tokens),
-            created_at=now,
-            last_accessed_at=now,
-            expires_at=expires_at,
-        )
-        self._by_key[key] = element
-        self.stats.inserts += 1
-        self._enforce_capacity(now, protect=key)
-        return element
-
-    def _enforce_capacity(self, now: float, protect: str | None = None) -> None:
-        if self.capacity_items is None or len(self._by_key) <= self.capacity_items:
-            return
-        expired_keys = [
-            key for key, element in self._by_key.items() if element.is_expired(now)
-        ]
-        for key in expired_keys:
-            del self._by_key[key]
-        self.stats.expirations += len(expired_keys)
-        if len(self._by_key) <= self.capacity_items:
-            return
-        scored = sorted(
-            (self.policy.score(element, now), key)
-            for key, element in self._by_key.items()
-            if key != protect
-        )
-        for _, key in scored:
-            if len(self._by_key) <= self.capacity_items:
-                break
-            del self._by_key[key]
-            self.stats.evictions += 1
-
-    def __repr__(self) -> str:
-        return f"ExactCache(items={len(self)}, capacity={self.capacity_items})"

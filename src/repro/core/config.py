@@ -22,6 +22,8 @@ from dataclasses import dataclass
 DEFAULT_TAU_SIM = 0.7
 #: Paper default LSM confidence threshold.
 DEFAULT_TAU_LSM = 0.9
+#: The values of :attr:`AsteriaConfig.match`.
+MATCH_MODES = ("semantic", "ann_only", "exact")
 
 
 @dataclass
@@ -57,9 +59,11 @@ class AsteriaConfig:
         seconds, sample ``recalibration_samples`` recent validated hits,
         fetch ground truth, and move ``tau_lsm`` to meet
         ``target_precision``.
-    ann_only:
-        Ablation switch: trust the ANN top-1 above ``tau_sim`` without
-        judging (the paper's Agent_ANN / "Asteria w/o judger").
+    match:
+        What a lookup matches on: ``"semantic"`` (the two Sine stages),
+        ``"ann_only"`` (trust the ANN top-1 above ``tau_sim`` without
+        judging — the paper's Agent_ANN / "Asteria w/o judger") or
+        ``"exact"`` (canonical query text only — Agent_exact).
     admit_on_miss:
         Store fetched results as new SEs (normally True; False turns the
         engine into a read-only prober for debugging).
@@ -95,7 +99,7 @@ class AsteriaConfig:
     recalibration_interval: float = 60.0
     recalibration_samples: int = 5
     target_precision: float = 0.99
-    ann_only: bool = False
+    match: str = "semantic"
     admit_on_miss: bool = True
     staticity_ttl_scaling: bool = False
     finetune_enabled: bool = False
@@ -103,6 +107,8 @@ class AsteriaConfig:
     coalesce_misses: bool = False
 
     def __post_init__(self) -> None:
+        if self.match not in MATCH_MODES:
+            raise ValueError(f"match must be one of {MATCH_MODES}, got {self.match!r}")
         if not 0.0 <= self.tau_sim <= 1.0:
             raise ValueError(f"tau_sim must be in [0, 1], got {self.tau_sim}")
         if not 0.0 <= self.tau_lsm <= 1.0:
@@ -130,7 +136,7 @@ class AsteriaConfig:
     def cache_check_latency(self, judged: int) -> float:
         """L_CacheCheck = L_ANN + L_LSM for a lookup that judged ``judged``."""
         latency = self.ann_latency
-        if judged > 0 and not self.ann_only:
+        if judged > 0 and self.match == "semantic":
             latency += (
                 self.judge_latency_base
                 + self.judge_latency_per_candidate * judged

@@ -1,18 +1,18 @@
-"""Engines: the data client + cache + remote-fallback orchestration (§3.3).
+"""The engine: the data client + cache + remote-fallback orchestration (§3.3).
 
-Three engines implement one interface (the experiments' system axis):
+:class:`AsteriaEngine` is every system of the experiments' system axis:
 
-``AsteriaEngine``
-    The full system: two-stage semantic lookup, admission on miss, LCFU
-    eviction, optional Markov prefetching and threshold recalibration. With
-    ``config.ann_only`` it degrades into the paper's Agent_ANN ablation.
-``ExactEngine``
-    Agent_exact — a traditional exact-match KV cache at the tool boundary.
-``VanillaEngine``
-    Agent_vanilla — no cache; every request goes to the remote service.
+* the full system — two-stage semantic lookup, admission on miss, LCFU
+  eviction, optional Markov prefetching and threshold recalibration;
+* Agent_ANN — ``config.match == "ann_only"``, the judger-less ablation;
+* Agent_exact — ``config.match == "exact"``: Sine's exact stage only, LRU
+  (``factory.build_exact_engine``);
+* Agent_vanilla — ``config.cacheable_tools == ()``: every request takes
+  the flow's bypass branch to the remote (``factory.build_vanilla_engine``).
 
-Each engine supports two execution styles, mirroring
-:class:`~repro.network.remote.RemoteDataService`:
+So every system runs the one request flow (:mod:`repro.core.flow`), with
+its retries, degradation, spans and accounting. Two execution styles
+mirror :class:`~repro.network.remote.RemoteDataService`:
 
 * ``handle(query, now)`` — analytic, returns a complete
   :class:`EngineResponse` with simulated latency;
@@ -28,7 +28,7 @@ from collections import deque
 from typing import Generator, Protocol, runtime_checkable
 
 from repro.core.admission import AdmissionPolicy, AlwaysAdmit
-from repro.core.cache import AsteriaCache, ExactCache, content_key
+from repro.core.cache import AsteriaCache, content_key
 from repro.core.config import AsteriaConfig
 from repro.core.element import SemanticElement
 from repro.core.flow import (
@@ -208,8 +208,8 @@ class AsteriaEngine:
         self.metrics.degraded_latency.add(response.latency)
 
     def _sine_lookup(self, query: Query, now: float):
-        """Stage 1+2 retrieval on the cache."""
-        return self.cache.lookup(query, now, ann_only=self.config.ann_only)
+        """The cache lookup, matching on ``config.match``."""
+        return self.cache.lookup(query, now, self.config.match)
 
     def _lookup_record(
         self, query: Query, sine_result
@@ -345,7 +345,7 @@ class AsteriaEngine:
                         lookup, element = self._lookup_record(
                             query, self._sine_lookup(query, sim.now)
                         )
-                        if lookup.judged > 0 and not self.config.ann_only:
+                        if lookup.judged > 0:
                             yield from self.judge_executor.run(sim, lookup.judged)
                         # Recompute the check latency from real elapsed time
                         # (the executor may have queued behind agent work on
@@ -411,112 +411,3 @@ class AsteriaEngine:
             f"AsteriaEngine(name={self.name!r}, items={len(self.cache)}, "
             f"hit_rate={self.metrics.hit_rate:.3f})"
         )
-
-
-class ExactEngine:
-    """Agent_exact: a traditional exact-match cache at the tool boundary.
-
-    ``lookup_latency`` models the (tiny) local KV lookup cost.
-    """
-
-    def __init__(
-        self,
-        cache: ExactCache,
-        remote: RemoteDataService,
-        lookup_latency: float = 0.002,
-        name: str = "exact",
-    ) -> None:
-        if lookup_latency < 0:
-            raise ValueError("lookup_latency must be >= 0")
-        self.cache = cache
-        self.remote = remote
-        self.lookup_latency = lookup_latency
-        self.name = name
-        self.metrics = EngineMetrics()
-
-    def _lookup(self, query: Query, now: float) -> CacheLookup:
-        element = self.cache.lookup(query, now)
-        if element is not None:
-            return CacheLookup(
-                status="hit",
-                result=element.value,
-                latency=self.lookup_latency,
-                element_id=element.element_id,
-                truth_match=_is_correct(element.truth_key, query.fact_id),
-            )
-        return CacheLookup(status="miss", result=None, latency=self.lookup_latency)
-
-    def _respond(
-        self, lookup: CacheLookup, latency: float, fetch: FetchResult | None = None
-    ) -> EngineResponse:
-        """Build and record the response (a hit, or a miss with its fetch)."""
-        response = EngineResponse(
-            result=fetch.result if fetch is not None else lookup.result or "",
-            latency=latency,
-            lookup=lookup,
-            fetch=fetch,
-        )
-        self.metrics.record_response(response)
-        self.metrics.evictions = self.cache.stats.evictions
-        self.metrics.expirations = self.cache.stats.expirations
-        return response
-
-    def handle(self, query: Query, now: float = 0.0) -> EngineResponse:
-        """Resolve one query: exact-key lookup, else remote fetch."""
-        lookup = self._lookup(query, now)
-        if lookup.is_hit:
-            return self._respond(lookup, lookup.latency)
-        fetch = self.remote.fetch_at(query, now + lookup.latency)
-        self.cache.insert(query, fetch, now + lookup.latency + fetch.latency)
-        return self._respond(lookup, lookup.latency + fetch.latency, fetch)
-
-    def process(self, sim, query: Query) -> Generator:
-        """DES variant of :meth:`handle`."""
-        start = sim.now
-        yield sim.timeout(self.lookup_latency)
-        lookup = self._lookup(query, sim.now)
-        if lookup.is_hit:
-            return self._respond(lookup, sim.now - start)
-        fetch = yield from self.remote.fetch(sim, query)
-        self.cache.insert(query, fetch, sim.now)
-        return self._respond(lookup, sim.now - start, fetch)
-
-    def __repr__(self) -> str:
-        return f"ExactEngine(items={len(self.cache)}, hit_rate={self.metrics.hit_rate:.3f})"
-
-
-class VanillaEngine:
-    """Agent_vanilla: no cache — every request is a remote call."""
-
-    def __init__(self, remote: RemoteDataService, name: str = "vanilla") -> None:
-        self.remote = remote
-        self.name = name
-        self.metrics = EngineMetrics()
-
-    def _respond(self, fetch: FetchResult, latency: float) -> EngineResponse:
-        """Build and record the response: always a miss with its fetch."""
-        self.metrics.record_lookup("miss")
-        self.metrics.total_latency.add(latency)
-        self.metrics.miss_latency.add(latency)
-        self.metrics.served_correct += 1
-        self.metrics.remote_latency.add(fetch.latency)
-        return EngineResponse(
-            result=fetch.result,
-            latency=latency,
-            lookup=CacheLookup(status="miss", result=None, latency=0.0),
-            fetch=fetch,
-        )
-
-    def handle(self, query: Query, now: float = 0.0) -> EngineResponse:
-        """Every request is a remote call."""
-        fetch = self.remote.fetch_at(query, now)
-        return self._respond(fetch, fetch.latency)
-
-    def process(self, sim, query: Query) -> Generator:
-        """DES variant of :meth:`handle`."""
-        start = sim.now
-        fetch = yield from self.remote.fetch(sim, query)
-        return self._respond(fetch, sim.now - start)
-
-    def __repr__(self) -> str:
-        return f"VanillaEngine(calls={self.remote.calls})"

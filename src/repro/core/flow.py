@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, NamedTuple
 
-from repro.core.cache import canonical_text
+from repro.core.sine import canonical_text
 from repro.core.resilience import FetchFailed
 from repro.core.types import CacheLookup, FetchResult, Query
 from repro.network.faults import InjectedFault

@@ -8,6 +8,10 @@ Two-stage retrieval over semantic elements:
    and the first with confidence >= ``tau_lsm`` becomes the match (high
    precision).
 
+Beside them sits an **exact stage**: canonical query text → element id,
+kept on insert and remove. A lookup made with ``match="exact"`` reads only
+that map — the Agent_exact baseline, served by the same cache.
+
 Sine is *retrieval only* — it neither admits, evicts, nor mutates frequency;
 :mod:`repro.core.cache` layers cache semantics on top.
 """
@@ -25,6 +29,12 @@ from repro.judger.base import JudgeRequest, Judger, JudgeVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flat imports core.arena)
     from repro.ann.flat import FlatIndex
+
+
+def canonical_text(text: str) -> str:
+    """Normalisation used for exact-match and flight keys
+    (case/whitespace-insensitive)."""
+    return " ".join(text.lower().split())
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,17 +68,12 @@ class Sine:
     index:
         The :class:`~repro.ann.flat.FlatIndex`; keys are element ids.
     judger:
-        The validation model (ignored when ``ann_only`` lookups are asked
-        for).
+        The validation model (consulted only by ``"semantic"`` lookups).
     tau_sim / tau_lsm:
         Stage thresholds. ``tau_lsm`` is mutable at runtime — the threshold
         recalibrator (Algorithm 1) adjusts it.
     max_candidates:
         ANN results retrieved per query.
-    judge_all:
-        If True, judge every candidate and pick the highest-scoring
-        acceptable one; if False (default), stop at the first acceptance —
-        the paper's latency-oriented behaviour.
     """
 
     def __init__(
@@ -79,7 +84,6 @@ class Sine:
         tau_sim: float = 0.7,
         tau_lsm: float = 0.9,
         max_candidates: int = 4,
-        judge_all: bool = False,
     ) -> None:
         if not 0.0 <= tau_sim <= 1.0 or not 0.0 <= tau_lsm <= 1.0:
             raise ValueError("thresholds must be in [0, 1]")
@@ -91,29 +95,38 @@ class Sine:
         self.tau_sim = tau_sim
         self.tau_lsm = tau_lsm
         self.max_candidates = max_candidates
-        self.judge_all = judge_all
+        #: The exact stage: canonical text -> id of the newest element
+        #: admitted under it.
+        self._exact: dict[str, int] = {}
         #: Optional stage tracer (see :mod:`repro.obs.trace`); when set, each
         #: retrieval records ``embed`` / ``ann_search`` / ``judge`` spans.
         self.tracer = None
 
     # -- population management (driven by the cache) -------------------------
     def insert(self, element: SemanticElement) -> None:
-        """Index ``element`` by its embedding.
+        """Index ``element`` by its embedding and its canonical text.
 
         An element carrying an arena slot (the cache allocated its row on
         admission) registers that row in place via the index's ``add_slot``,
         so no second copy of the vector is made; otherwise the element's
         array is added normally.
         """
+        element_id = element.element_id
         slot = element.arena_slot
         if slot is not None:
-            self.index.add_slot(element.element_id, slot)
+            self.index.add_slot(element_id, slot)
         else:
-            self.index.add(element.element_id, element.embedding)
+            self.index.add(element_id, element.embedding)
+        self._exact[canonical_text(element.key)] = element_id
 
-    def remove(self, element_id: int) -> None:
-        """Drop ``element_id`` from the index."""
+    def remove(self, element: SemanticElement) -> None:
+        """Drop ``element`` from the index, and from the exact stage while
+        its text still names it (a later admit of that text keeps it)."""
+        element_id = element.element_id
         self.index.remove(element_id)
+        key = canonical_text(element.key)
+        if self._exact.get(key) == element_id:
+            del self._exact[key]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -129,16 +142,22 @@ class Sine:
         self,
         query: Query,
         elements: Mapping[int, SemanticElement],
-        ann_only: bool = False,
+        match: str = "semantic",
     ) -> SineResult:
         """Full two-stage retrieval.
 
         ``elements`` maps element ids to live elements (the cache's store);
         ANN hits lacking a live element are skipped defensively.
 
-        With ``ann_only`` the top candidate above ``tau_sim`` is returned
-        unvalidated — the strawman of §3.2 used by the accuracy ablation.
+        ``match="ann_only"`` returns the top candidate above ``tau_sim``
+        unvalidated — the strawman of §3.2 used by the accuracy ablation;
+        ``match="exact"`` consults only the exact stage: no embedding, no
+        ANN search, no judge.
         """
+        if match == "exact":
+            return SineResult(
+                match=elements.get(self._exact.get(canonical_text(query.text)))
+            )
         # Resolve the tracer decision once for both stages: the guard costs
         # an attribute load on every untraced request, so _prepared takes
         # it as an argument instead of re-deriving it.
@@ -146,7 +165,7 @@ class Sine:
         if tracer is None or not tracer.live or not tracer.active():
             embedding = self.embedder.embed(query.text)
             raw_hits = self.index.search(embedding, self.max_candidates)
-            return self._prepared(query, raw_hits, elements, ann_only, None)
+            return self._prepared(query, raw_hits, elements, match, None)
         clock = tracer.clock
         t0 = clock()
         embedding = self.embedder.embed(query.text)
@@ -154,21 +173,21 @@ class Sine:
         t0 = clock()
         raw_hits = self.index.search(embedding, self.max_candidates)
         tracer.record_leaf("ann_search", t0, {"raw_hits": len(raw_hits)})
-        return self._prepared(query, raw_hits, elements, ann_only, tracer)
+        return self._prepared(query, raw_hits, elements, match, tracer)
 
     def _prepared(
         self,
         query: Query,
         raw_hits: list[SearchHit],
         elements: Mapping[int, SemanticElement],
-        ann_only: bool,
+        match: str,
         tracer,
     ) -> SineResult:
         """Stage 2 on stage 1's raw ANN hits: threshold, then judge (the
         tail of :meth:`retrieve`)."""
         candidates = [hit for hit in raw_hits if hit.score >= self.tau_sim]
 
-        if ann_only:
+        if match == "ann_only":
             for hit in candidates:
                 element = elements.get(hit.key)
                 if element is not None:
@@ -200,7 +219,6 @@ class Sine:
         """Stage 2 proper: judge candidates in similarity order (the tail of
         :meth:`_prepared`, factored out so it can be traced)."""
         verdicts: list[JudgeVerdict] = []
-        best: tuple[float, SemanticElement] | None = None
         for hit in candidates:
             element = elements.get(hit.key)
             if element is None:
@@ -216,17 +234,14 @@ class Sine:
             )
             verdicts.append(verdict)
             if verdict.score >= self.tau_lsm:
-                if not self.judge_all:
-                    return SineResult(
-                        match=element,
-                        candidates=candidates,
-                        verdicts=verdicts,
-                        ann_considered=len(raw_hits),
-                    )
-                if best is None or verdict.score > best[0]:
-                    best = (verdict.score, element)
+                return SineResult(
+                    match=element,
+                    candidates=candidates,
+                    verdicts=verdicts,
+                    ann_considered=len(raw_hits),
+                )
         return SineResult(
-            match=best[1] if best is not None else None,
+            match=None,
             candidates=candidates,
             verdicts=verdicts,
             ann_considered=len(raw_hits),

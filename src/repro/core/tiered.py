@@ -76,7 +76,7 @@ class TieredEngine:
 
     # -- shared pieces ------------------------------------------------------
     def _tier_lookup(self, cache: AsteriaCache, query: Query, now: float):
-        sine_result = cache.lookup(query, now, ann_only=self.config.ann_only)
+        sine_result = cache.lookup(query, now, self.config.match)
         return sine_result.match, sine_result.judged
 
     def _promote(self, element, now: float) -> None:

@@ -158,7 +158,7 @@ class SystemSetup:
             config = AsteriaConfig(
                 capacity_items=self.capacity_items,
                 default_ttl=self.default_ttl,
-                ann_only=self.system == "ann_only",
+                match="ann_only" if self.system == "ann_only" else "semantic",
                 prefetch_enabled=self.prefetch,
                 recalibration_enabled=self.recalibration,
                 recalibration_interval=self.recalibration_interval,

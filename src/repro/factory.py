@@ -21,15 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.ann import FlatIndex
-from repro.core import (
-    AsteriaCache,
-    AsteriaConfig,
-    AsteriaEngine,
-    ExactCache,
-    ExactEngine,
-    Sine,
-    VanillaEngine,
-)
+from repro.core import AsteriaCache, AsteriaConfig, AsteriaEngine, Sine
 from repro.core.arena import build_arena
 from repro.core.eviction import EvictionPolicy, policy_by_name
 from repro.core.tiered import TieredEngine
@@ -188,17 +180,26 @@ def build_exact_engine(
     capacity_items: int | None = None,
     default_ttl: float | None = 3600.0,
     name: str = "exact",
-) -> ExactEngine:
-    """The Agent_exact baseline."""
-    cache = ExactCache(capacity_items=capacity_items, default_ttl=default_ttl)
-    return ExactEngine(cache, remote, name=name)
+) -> AsteriaEngine:
+    """The Agent_exact baseline: a traditional exact-match cache at the tool
+    boundary. Lookups read only Sine's exact stage (any paraphrase misses),
+    eviction is LRU — the classic KV-cache choice — and a lookup costs
+    2 ms, a local KV probe with nothing to judge."""
+    config = AsteriaConfig(
+        capacity_items=capacity_items,
+        default_ttl=default_ttl,
+        match="exact",
+        ann_latency=0.002,
+    )
+    return build_asteria_engine(remote, config, policy="lru", name=name)
 
 
 def build_vanilla_engine(
     remote: RemoteDataService, name: str = "vanilla"
-) -> VanillaEngine:
-    """The Agent_vanilla baseline."""
-    return VanillaEngine(remote, name=name)
+) -> AsteriaEngine:
+    """The Agent_vanilla baseline: no tool is cacheable, so every request
+    takes the flow's bypass branch to the remote."""
+    return build_asteria_engine(remote, AsteriaConfig(cacheable_tools=()), name=name)
 
 
 def build_semantic_cache(
@@ -330,10 +331,7 @@ def build_proc_engine(
     for each in specs:
         if each.persist_dir is not None:
             mark_routing(each.persist_dir)
-    pool = WorkerPool(
-        [WorkerSpec(i, workers, each) for i, each in enumerate(specs)],
-        ann_only=spec.config.ann_only,
-    )
+    pool = WorkerPool([WorkerSpec(i, workers, each) for i, each in enumerate(specs)])
     if supervise:
         # Before the engine: ProcAsteriaEngine wires its restart/breaker
         # callbacks onto pool.supervisor in its constructor.

@@ -13,11 +13,14 @@ Two execution styles are supported:
 * **Discrete-event** — :meth:`fetch` is a generator to be driven with
   ``yield from`` inside a simulated process; contention between concurrent
   clients then emerges from the shared limiter and the event loop.
+
+Both drive one rate-limit ladder, :meth:`RemoteDataService._throttle`: the
+analytic driver adds up the waits it yields, the DES driver sleeps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Generator
 
 import numpy as np
@@ -147,32 +150,41 @@ class RemoteDataService:
         self.retries = 0
 
     # -- shared pieces -------------------------------------------------------
-    def _admission_plan(self, start: float) -> tuple[float, int, bool]:
-        """Walk the throttle/backoff loop; returns (grant_time, retries, limited).
+    def _throttle(self, now: float) -> Generator[float, float, int]:
+        """The rate-limit ladder, written once for both drivers: acquire, else
+        back off, else give up. Yields each wait, ``max(backoff,
+        next_available - now)``, and is sent the clock once it has passed;
+        returns the retries taken, or raises :class:`RateLimitExceeded`.
 
-        Consumes limiter permits and RNG draws, so call exactly once per fetch.
+        Consumes limiter permits and RNG draws, so run exactly once per fetch.
         """
-        now = start
+        limiter = self.rate_limiter
+        start = now
         retries = 0
-        limited = False
-        if self.rate_limiter is None:
-            return now, 0, False
-        while not self.rate_limiter.try_acquire(now):
-            limited = True
+        if limiter is None:
+            return 0
+        while not limiter.try_acquire(now):
             if retries >= self.retry_policy.max_retries:
                 raise RateLimitExceeded(
                     f"{self.name}: gave up after {retries} retries",
                     latency=now - start,
                 )
             backoff = self.retry_policy.delay(retries, self.rng)
-            earliest = self.rate_limiter.next_available(now)
-            now = max(now + backoff, earliest)
             retries += 1
-        return now, retries, limited
+            self.attempts += 1
+            self.retries += 1
+            now = yield max(backoff, limiter.next_available(now) - now)
+        return retries
 
     def _complete(
-        self, query: Query, waited: float, now: float = 0.0, fault_scale: float = 1.0
+        self,
+        query: Query,
+        waited: float,
+        now: float,
+        fault_scale: float,
+        retries: int,
     ) -> FetchResult:
+        """The granted attempt: service time, result, fee."""
         # Heterogeneous backends: a query may declare that its data source is
         # slower/faster than the service baseline (drives LCFU's cost focus).
         # fault_scale > 1 models an injected latency spike.
@@ -185,13 +197,14 @@ class RemoteDataService:
         fee = query.cost if query.cost is not None else self.cost_per_call
         self.cost_meter.charge_api_call(fee, tool=query.tool)
         self.calls += 1
+        self.attempts += 1
         return FetchResult(
             result=result,
             latency=waited + service_time,
             service_latency=service_time,
             cost=fee,
-            retries=0,  # filled in by callers
-            rate_limited=False,
+            retries=retries,
+            rate_limited=retries > 0,
             size_tokens=estimate_tokens(result),
         )
 
@@ -206,21 +219,16 @@ class RemoteDataService:
         fault_scale = 1.0
         if self.fault_injector is not None:
             fault_scale = self.fault_injector.check(now)
-        grant_time, retries, limited = self._admission_plan(now)
-        self.attempts += 1 + retries
-        self.retries += retries
-        base = self._complete(
-            query, waited=grant_time - now, now=grant_time, fault_scale=fault_scale
-        )
-        return FetchResult(
-            result=base.result,
-            latency=base.latency,
-            service_latency=base.service_latency,
-            cost=base.cost,
-            retries=retries,
-            rate_limited=limited,
-            size_tokens=base.size_tokens,
-        )
+        ladder = self._throttle(now)
+        granted = now
+        try:
+            wait = next(ladder)
+            while True:
+                granted += wait
+                wait = ladder.send(granted)
+        except StopIteration as stop:
+            retries = stop.value
+        return self._complete(query, granted - now, granted, fault_scale, retries)
 
     # -- discrete-event execution ----------------------------------------------------
     def fetch(self, sim: Simulator, query: Query) -> Generator:
@@ -240,35 +248,17 @@ class RemoteDataService:
                 if exc.latency > 0:
                     yield sim.timeout(exc.latency)
                 raise
-        retries = 0
-        limited = False
-        if self.rate_limiter is not None:
-            while not self.rate_limiter.try_acquire(sim.now):
-                limited = True
-                if retries >= self.retry_policy.max_retries:
-                    raise RateLimitExceeded(
-                        f"{self.name}: gave up after {retries} retries",
-                        latency=sim.now - start,
-                    )
-                backoff = self.retry_policy.delay(retries, self.rng)
-                earliest = self.rate_limiter.next_available(sim.now)
-                wait = max(backoff, earliest - sim.now)
-                retries += 1
-                self.attempts += 1
-                self.retries += 1
+        ladder = self._throttle(sim.now)
+        try:
+            wait = next(ladder)
+            while True:
                 yield sim.timeout(wait)
-        base = self._complete(query, waited=0.0, now=sim.now, fault_scale=fault_scale)
-        self.attempts += 1
-        yield sim.timeout(base.service_latency)
-        return FetchResult(
-            result=base.result,
-            latency=sim.now - start,
-            service_latency=base.service_latency,
-            cost=base.cost,
-            retries=retries,
-            rate_limited=limited,
-            size_tokens=base.size_tokens,
-        )
+                wait = ladder.send(sim.now)
+        except StopIteration as stop:
+            retries = stop.value
+        fetch = self._complete(query, 0.0, sim.now, fault_scale, retries)
+        yield sim.timeout(fetch.service_latency)
+        return replace(fetch, latency=sim.now - start)
 
     @property
     def retry_ratio(self) -> float:

@@ -107,13 +107,11 @@ class ShardClient:
         self,
         shard_id: int,
         sock: socket.socket,
-        ann_only: bool = False,
         on_connection_lost=None,
         on_spans=None,
     ) -> None:
         self.shard_id = shard_id
         self.codec = JsonCodec()
-        self.ann_only = ann_only
         self.on_connection_lost = on_connection_lost
         #: ``fn(shard_id, records, clock_offset)`` for piggybacked span
         #: records (optional fifth reply element); None drops them.
@@ -219,9 +217,7 @@ class ShardClient:
             return
         self._lookup_items, self._lookup_waiters = [], []
         try:
-            frame_future = self._send(
-                "lookup_batch", [items, self.ann_only, self.thresholds.tau_lsm]
-            )
+            frame_future = self._send("lookup_batch", [items, self.thresholds.tau_lsm])
         except WorkerError as exc:
             frame_future = asyncio.get_running_loop().create_future()
             frame_future.set_exception(exc)
@@ -305,14 +301,12 @@ class WorkerPool:
     def __init__(
         self,
         specs: list[WorkerSpec],
-        ann_only: bool = False,
         host: str = "127.0.0.1",
     ) -> None:
         if not specs:
             raise ValueError("WorkerPool needs at least one WorkerSpec")
         self.specs = specs
         self.codec = JsonCodec()
-        self.ann_only = ann_only
         self.host = host
         self.n_shards = len(specs)
         self.clients: list[ShardClient] = []
@@ -336,7 +330,6 @@ class WorkerPool:
         client = ShardClient(
             shard_id,
             conn,
-            ann_only=self.ann_only,
             on_connection_lost=self._connection_lost,
             on_spans=self._forward_spans,
         )

@@ -9,8 +9,9 @@ ANN index, and judger state never cross a process boundary), connects
     One frame carries every lookup the router issued for this shard in one
     loop tick, and the router's ``tau_lsm`` (recalibration moves it), set
     before any item is served. The worker serves them in order, each
-    through the scalar ``cache.lookup`` at its own clock — the sequential
-    engine's lookup, so every item replays it decision for decision.
+    through the scalar ``cache.lookup`` at its own clock and under its own
+    spec's ``config.match`` — the sequential engine's lookup, so every item
+    replays it decision for decision.
 ``insert``
     Admit one fetched result (the router already decided admission), marked
     prefetched when the router says so.
@@ -156,20 +157,21 @@ class _ShardServer:
         """Serve a frame's lookups one by one, in order, each the scalar
         ``cache.lookup`` at its own clock under its own trace context, all
         under the frame's ``tau_lsm``."""
-        items, ann_only, tau_lsm = body
+        items, tau_lsm = body
         if type(tau_lsm) not in (int, float):
             raise records.RecordError(f"tau_lsm must be a number, got {tau_lsm!r:.40}")
         # Decode every item first: a malformed one refuses the whole frame
         # before any lookup has touched the cache.
         queries = [records.query_from_record(row[0]) for row in items]
         self.cache.sine.tau_lsm = tau_lsm
+        match = self.spec.stack.config.match
         out = []
         for query, row in zip(queries, items):
             # Optional third element: the router's [trace_id, parent_span_id]
             # for that request (absent on untraced traffic — frames stay
             # byte-identical to the pre-tracing wire).
             with self.tracer.activate(row[2] if len(row) > 2 else None):
-                result = self.cache.lookup(query, row[1], ann_only=ann_only)
+                result = self.cache.lookup(query, row[1], match)
             out.append(records.sine_record(result))
         return out
 

@@ -1,5 +1,6 @@
 """Tests for the AsteriaCache: hit semantics, admission, eviction, TTL."""
 
+import gc
 import random
 import sys
 
@@ -152,6 +153,9 @@ class TestLookupCost:
             if event == "call":
                 calls += 1
 
+        # Collect earlier tests' cyclic garbage first: a collection inside
+        # the window runs its weakref callbacks, which are Python calls too.
+        gc.collect()
         sys.setprofile(profiler)
         try:
             result = function(*args)
@@ -256,10 +260,9 @@ class TestPrefetchInteraction:
 
 class TestCacheTruthiness:
     def test_empty_caches_are_truthy(self):
-        from repro.core import AsteriaConfig, ExactCache
+        from repro.core import AsteriaConfig
         from repro.factory import build_semantic_cache
 
         cache = build_semantic_cache(AsteriaConfig())
         assert len(cache) == 0
         assert bool(cache)  # `shared or fresh()` must not rebuild
-        assert bool(ExactCache())

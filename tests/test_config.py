@@ -25,6 +25,7 @@ class TestValidation:
             {"recalibration_interval": 0.0},
             {"recalibration_samples": 0},
             {"target_precision": 0.0},
+            {"match": "fuzzy"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -52,5 +53,5 @@ class TestCacheCheckLatency:
         assert config.cache_check_latency(judged=3) == pytest.approx(0.07)
 
     def test_ann_only_mode_skips_judger_cost(self):
-        config = AsteriaConfig(ann_only=True)
+        config = AsteriaConfig(match="ann_only")
         assert config.cache_check_latency(judged=3) == pytest.approx(0.02)

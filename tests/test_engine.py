@@ -7,16 +7,58 @@ from repro.core import (
     AsteriaCache,
     AsteriaConfig,
     AsteriaEngine,
-    ExactCache,
-    ExactEngine,
     Query,
     Sine,
-    VanillaEngine,
 )
 from repro.core.prefetch import MarkovPrefetcher
+from repro.core.types import FetchResult
 from repro.embedding import HashingEmbedder
+from repro.factory import build_exact_engine, build_vanilla_engine
 from repro.judger import SimulatedJudger
-from repro.network import RemoteDataService
+from repro.network import RemoteDataService, TokenBucket
+from repro.network.remote import RetryPolicy
+
+MONA = "who painted the mona lisa"
+
+#: Agent_exact's cache, driven through its preset: ``(case, preset keywords,
+#: steps)``, a step being ``(now, text, outcome)``. A hit costs the 2 ms
+#: probe and nothing else. ``test_engine_des`` runs the same table.
+EXACT_CASES = [
+    ("repeat hits", {}, [(0.0, MONA, "miss"), (1.0, MONA, "hit")]),
+    (
+        "case and whitespace ignored",
+        {},
+        [(0.0, "Who Painted   the Mona Lisa", "miss"), (1.0, MONA, "hit")],
+    ),
+    ("paraphrase misses", {}, [(0.0, MONA, "miss"), (1.0, "mona lisa painter", "miss")]),
+    (
+        "ttl expiry",
+        {"default_ttl": 10.0},
+        [(0.0, "q", "miss"), (5.0, "q", "hit"), (11.0, "q", "miss")],
+    ),
+    (
+        # a, b, a touched, c evicts b (least recent), a stays.
+        "lru capacity eviction",
+        {"capacity_items": 2},
+        [
+            (0.0, "a", "miss"),
+            (1.0, "b", "miss"),
+            (2.0, "a", "hit"),
+            (3.0, "c", "miss"),
+            (4.0, "a", "hit"),
+            (5.0, "b", "miss"),
+        ],
+    ),
+]
+
+
+def throttled_remote() -> RemoteDataService:
+    """A remote whose only permit is spent and whose client gives up at once."""
+    bucket = TokenBucket(rate=1.0, burst=1)
+    bucket.try_acquire(0.0)
+    return RemoteDataService(
+        latency=0.4, rate_limiter=bucket, retry_policy=RetryPolicy(max_retries=0)
+    )
 
 
 def make_asteria(config=None, **remote_kwargs):
@@ -29,32 +71,66 @@ def make_asteria(config=None, **remote_kwargs):
 
 class TestVanillaEngine:
     def test_every_request_goes_remote(self):
-        engine = VanillaEngine(RemoteDataService(latency=0.4))
+        engine = build_vanilla_engine(RemoteDataService(latency=0.4))
         for index in range(5):
             response = engine.handle(Query(f"q{index}"), now=float(index))
             assert response.fetch is not None
+            assert response.lookup.status == "bypass"
         assert engine.remote.calls == 5
         assert engine.metrics.hit_rate == 0.0
+        assert len(engine.cache) == 0
 
     def test_latency_equals_fetch_latency(self):
-        engine = VanillaEngine(RemoteDataService(latency=0.4))
+        engine = build_vanilla_engine(RemoteDataService(latency=0.4))
         response = engine.handle(Query("q"))
         assert response.latency == pytest.approx(response.fetch.latency)
 
 
 class TestExactEngine:
     def test_identical_repeat_hits(self):
-        engine = ExactEngine(ExactCache(), RemoteDataService(latency=0.4))
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
         engine.handle(Query("same text"), 0.0)
         response = engine.handle(Query("same text"), 1.0)
         assert response.served_from_cache
-        assert response.latency == pytest.approx(engine.lookup_latency)
+        assert response.latency == pytest.approx(0.002)
 
     def test_paraphrase_misses(self):
-        engine = ExactEngine(ExactCache(), RemoteDataService(latency=0.4))
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
         engine.handle(Query("who painted the mona lisa"), 0.0)
         response = engine.handle(Query("mona lisa painter"), 1.0)
         assert not response.served_from_cache
+
+    @pytest.mark.parametrize(
+        "preset, steps", [case[1:] for case in EXACT_CASES], ids=[c[0] for c in EXACT_CASES]
+    )
+    def test_exact_stage(self, preset, steps):
+        engine = build_exact_engine(RemoteDataService(latency=0.4), **preset)
+        for now, text, outcome in steps:
+            response = engine.handle(Query(text), now)
+            assert response.lookup.status == outcome, (now, text)
+            if outcome == "hit":
+                assert response.latency == 0.002
+                assert response.lookup.judged == 0
+
+    def test_removing_the_older_of_two_admits_keeps_the_newer(self):
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
+        fetch = FetchResult(result="r", latency=0.4, service_latency=0.4, cost=0.0)
+        older = engine.cache.insert(Query(MONA), fetch, 0.0)
+        newer = engine.cache.insert(Query(MONA.upper()), fetch, 1.0)
+        assert engine.cache.usage() == 2  # a duplicate admit is kept
+        engine.cache.remove(older.element_id)
+        response = engine.handle(Query(MONA), 2.0)
+        assert response.lookup.element_id == newer.element_id
+
+
+@pytest.mark.parametrize("preset", [build_vanilla_engine, build_exact_engine])
+def test_a_baseline_degrades_when_the_remote_gives_up(preset):
+    """Past its rate-limit budget a baseline answers ``failed``, as Asteria
+    does: it runs the same flow."""
+    engine = preset(throttled_remote())
+    response = engine.handle(Query("q"), 0.0)
+    assert response.degraded == "failed"
+    assert engine.metrics.failed_requests == engine.metrics.fetch_failures == 1
 
 
 class TestAsteriaEngineAnalytic:
@@ -91,7 +167,7 @@ class TestAsteriaEngineAnalytic:
         assert engine.metrics.served_incorrect == 0
 
     def test_ann_only_serves_confusable_and_counts_incorrect(self):
-        engine = make_asteria(config=AsteriaConfig(ann_only=True))
+        engine = make_asteria(config=AsteriaConfig(match="ann_only"))
         engine.handle(Query("who won the world cup 2018", fact_id="A"), 0.0)
         response = engine.handle(Query("who won the world cup 2022", fact_id="B"), 1.0)
         assert response.served_from_cache

@@ -7,16 +7,15 @@ from repro.core import (
     AsteriaCache,
     AsteriaConfig,
     AsteriaEngine,
-    ExactCache,
-    ExactEngine,
     Query,
     Sine,
-    VanillaEngine,
 )
 from repro.embedding import HashingEmbedder
+from repro.factory import build_exact_engine, build_vanilla_engine
 from repro.judger import SimulatedJudger
 from repro.network import RemoteDataService, TokenBucket
 from repro.sim import Simulator
+from tests.test_engine import EXACT_CASES, MONA, throttled_remote
 
 
 def make_asteria(config=None, rate_limiter=None):
@@ -37,18 +36,51 @@ def drive(sim, engine, query):
 class TestProcessMode:
     def test_vanilla_process_measures_sim_time(self):
         sim = Simulator()
-        engine = VanillaEngine(RemoteDataService(latency=0.4))
+        engine = build_vanilla_engine(RemoteDataService(latency=0.4))
         response = drive(sim, engine, Query("q"))
         assert response.latency == pytest.approx(0.4)
         assert sim.now == pytest.approx(0.4)
 
     def test_exact_process_hit_path(self):
         sim = Simulator()
-        engine = ExactEngine(ExactCache(), RemoteDataService(latency=0.4))
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
         drive(sim, engine, Query("same"))
         response = drive(sim, engine, Query("same"))
         assert response.served_from_cache
-        assert response.latency == pytest.approx(engine.lookup_latency)
+        assert response.latency == pytest.approx(0.002)
+
+    @pytest.mark.parametrize(
+        "preset, steps", [case[1:] for case in EXACT_CASES], ids=[c[0] for c in EXACT_CASES]
+    )
+    def test_exact_stage(self, preset, steps):
+        sim = Simulator()
+        engine = build_exact_engine(RemoteDataService(latency=0.4), **preset)
+        for now, text, outcome in steps:
+            sim.run(until=now)
+            response = drive(sim, engine, Query(text))
+            assert response.lookup.status == outcome, (now, text)
+            if outcome == "hit":
+                assert response.latency == pytest.approx(0.002)
+
+    def test_concurrent_duplicate_admits_are_both_kept(self):
+        """Two callers miss on one text at once and both admit; removing the
+        older element leaves the newer one matchable."""
+        sim = Simulator()
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
+        for _ in range(2):
+            sim.process(engine.process(sim, Query(MONA)))
+        sim.run()
+        older, newer = engine.cache.elements.values()
+        engine.cache.remove(older.element_id)
+        response = drive(sim, engine, Query(MONA))
+        assert response.lookup.element_id == newer.element_id
+
+    @pytest.mark.parametrize("preset", [build_vanilla_engine, build_exact_engine])
+    def test_a_baseline_degrades_when_the_remote_gives_up(self, preset):
+        engine = preset(throttled_remote())
+        response = drive(Simulator(), engine, Query("q"))
+        assert response.degraded == "failed"
+        assert engine.metrics.failed_requests == engine.metrics.fetch_failures == 1
 
     def test_asteria_process_hit_latency(self):
         sim = Simulator()
@@ -86,7 +118,7 @@ class TestProcessMode:
 
     def test_concurrent_requests_queue_on_rate_limit(self):
         sim = Simulator()
-        engine = VanillaEngine(
+        engine = build_vanilla_engine(
             RemoteDataService(
                 latency=0.4, rate_limiter=TokenBucket(rate=1.0, burst=1)
             )

@@ -70,7 +70,7 @@ class TestHeadlineClaims:
         capacity = dataset.capacity_for(0.6)
         ann_only = build_asteria_engine(
             build_remote(dataset.universe, seed=3),
-            AsteriaConfig(capacity_items=capacity, ann_only=True),
+            AsteriaConfig(capacity_items=capacity, match="ann_only"),
             seed=5,
             name="ann_only",
         )

@@ -177,7 +177,7 @@ def test_a_lookup_frame_decides_item_by_item_like_scalar_lookups():
     items = [
         [records.query_record(q), now] + ([ctx] if ctx else []) for q, now, ctx in frame
     ]
-    replies = server.dispatch("lookup_batch", [items, False, spec.config.tau_lsm])
+    replies = server.dispatch("lookup_batch", [items, spec.config.tau_lsm])
     expected = [records.sine_record(twin.lookup(q, now)) for q, now, _ in frame]
     assert replies == expected
     matched = [reply["match"] is not None for reply in replies]

@@ -118,7 +118,7 @@ def test_encode_frame_rejects_oversize_payload():
 
 def test_json_codec_round_trips_wire_structures():
     codec = JsonCodec()
-    message = [3, "lookup_batch", [[["q", None, None, 0.5, 1.0, {}], 0.25]], False]
+    message = [3, "lookup_batch", [[[["q", None, None, 0.5, 1.0, {}], 0.25]], 0.9]]
     assert codec.loads(codec.dumps(message)) == message
 
 

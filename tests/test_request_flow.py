@@ -228,6 +228,26 @@ SCENARIOS = [
         blackout=(4.1, 4.5),
         config={"prefetch_enabled": True, "admit_on_miss": False},
     ),
+    Scenario(
+        # Agent_exact (``build_exact_engine``'s config): the repeat hits at
+        # the 2 ms probe, the paraphrase misses.
+        "exact",
+        steps=[(0.0, MONA), (1.0, MONA), (2.0, Query(PARAPHRASES[2], fact_id="F"))],
+        outcomes=["miss", "hit", "miss"],
+        counters={"requests": 3, "hits": 1, "misses": 2},
+        config={"match": "exact", "ann_latency": 0.002},
+        last_latency=0.002 + 0.4,
+    ),
+    Scenario(
+        # Agent_vanilla (``build_vanilla_engine``'s config): nothing is
+        # cacheable, so even a repeat goes to the remote.
+        "vanilla",
+        steps=[(0.0, MONA), (1.0, MONA)],
+        outcomes=["bypass", "bypass"],
+        counters={"requests": 2, "bypasses": 2, "hits": 0, "misses": 0},
+        config={"cacheable_tools": ()},
+        last_latency=0.4,
+    ),
 ]
 
 

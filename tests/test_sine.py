@@ -76,7 +76,7 @@ class TestSineRetrieval:
         result = sine.retrieve(
             Query("who won the world cup 2022", fact_id="F:2022"),
             cache.elements,
-            ann_only=True,
+            match="ann_only",
         )
         assert result.match is not None  # The strawman's false positive.
         assert result.judged == 0
@@ -100,18 +100,6 @@ class TestSineRetrieval:
         )
         assert result.match is None
         assert result.judged >= 1
-
-    def test_judge_all_prefers_highest_score(self, stack):
-        sine, cache = stack
-        sine.judge_all = True
-        cache.insert(Query("height of mount everest", fact_id="F1"), fetch("a"), 0.0)
-        cache.insert(Query("mount everest height meters", fact_id="F1"), fetch("b"), 0.0)
-        result = sine.retrieve(
-            Query("what is the height of mount everest", fact_id="F1"),
-            cache.elements,
-        )
-        assert result.match is not None
-        assert result.judged == 2
 
     def test_remove_unindexes(self, stack):
         sine, cache = stack

@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.core import Query
+from repro.core import Query, Sine
 from repro.core.config import AsteriaConfig
 from repro.core.eviction import LRUPolicy
 from repro.factory import (
@@ -114,6 +114,8 @@ class TestUnknownKeywordIsNamed:
             (aio, "hedge_percentile"),
             (aio, "follower_timeout"),
             (aio, "shards"),
+            (AsteriaConfig, "ann_only"),
+            (lambda **kw: Sine(None, None, None, **kw), "judge_all"),
         ]
         for build, gone in removed:
             with pytest.raises(TypeError, match=gone):
