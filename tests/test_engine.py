@@ -122,6 +122,25 @@ class TestExactEngine:
         response = engine.handle(Query(MONA), 2.0)
         assert response.lookup.element_id == newer.element_id
 
+    def test_reinsert_same_key_refreshes(self):
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
+        for now, result in ((0.0, "old"), (5.0, "new")):
+            fetch = FetchResult(result=result, latency=0.4, service_latency=0.4, cost=0.0)
+            engine.cache.insert(Query("q"), fetch, now)
+        response = engine.handle(Query("q"), 6.0)
+        assert response.served_from_cache
+        assert response.result.startswith("new")
+
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError):
+            build_exact_engine(RemoteDataService(latency=0.4), capacity_items=0)
+
+    def test_usage_counts_entries(self):
+        engine = build_exact_engine(RemoteDataService(latency=0.4))
+        engine.handle(Query("a"), 0.0)
+        engine.handle(Query("b"), 0.0)
+        assert engine.cache.usage() == 2
+
 
 @pytest.mark.parametrize("preset", [build_vanilla_engine, build_exact_engine])
 def test_a_baseline_degrades_when_the_remote_gives_up(preset):
