@@ -1,10 +1,10 @@
 """Socket client for the serve front door, plus the open-loop driver that
 pushes real requests through a real socket.
 
-:class:`ProcClient` pipelines requests over one connection (request ids map
-replies back to waiter futures — same scheme as the shard protocol), so an
-open-loop generator can keep hundreds of requests in flight without opening
-hundreds of sockets.
+:class:`ProcClient` pipelines requests over the
+:class:`~repro.serving.proc.protocol.FrameChannel` the router speaks to its
+workers, so an open-loop generator can keep hundreds of requests in flight
+without opening hundreds of sockets; what it adds is one reconnect.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.core import records
 from repro.core.metrics import EngineMetrics
 from repro.core.types import Query
 from repro.serving.load import LoadReport, arrivals, load_report
-from repro.serving.proc.protocol import JsonCodec, read_frame, write_frame
+from repro.serving.proc.protocol import FrameChannel, JsonCodec
 
 
 class ProcClientError(RuntimeError):
@@ -51,15 +51,18 @@ class ProcClient:
         #: root span and ship its identity with the request, so the server's
         #: router/worker spans land in this client's trace.
         self.tracer = tracer
-        self._reader = reader
-        self._writer = writer
-        self._next_id = 0
-        self._pending: dict[int, asyncio.Future] = {}
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        self._channel = self._open(reader, writer)
         self.reconnects = 0
         self._remote: "tuple[str, int] | None" = None
         self._connect_timeout = 10.0
         self._reconnect_lock = asyncio.Lock()
+
+    def _open(self, reader, writer) -> FrameChannel:
+        # One loss object per waiter: a shared one would mix the traceback
+        # context of every caller it is raised in.
+        return FrameChannel(
+            reader, writer, self, ProcClientError, ProcTransportError, share_loss=False
+        )
 
     @classmethod
     async def connect(
@@ -79,7 +82,7 @@ class ProcClient:
 
     async def call(self, op: str, body=None):
         try:
-            return await self._call_once(op, body)
+            return await self._channel.send(op, body)
         except (ProcTransportError, BrokenPipeError, ConnectionResetError) as exc:
             if self._remote is None:
                 raise  # endpoint unknown (built from raw streams): no retry
@@ -87,40 +90,19 @@ class ProcClient:
                 await self._reconnect()
             except (OSError, asyncio.TimeoutError) as redial:
                 raise ProcTransportError(f"reconnect failed ({redial})") from exc
-            return await self._call_once(op, body)
-
-    async def _call_once(self, op: str, body=None):
-        # A finished read loop means nobody will ever resolve the waiter,
-        # even if the writer still accepts bytes (half-closed socket).
-        if self._writer.is_closing() or self._reader_task.done():
-            raise ProcTransportError("connection closed")
-        request_id = self._next_id
-        self._next_id += 1
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        write_frame(self._writer, self.codec.dumps([request_id, op, body]))
-        return await future
+            return await self._channel.send(op, body)
 
     async def _reconnect(self) -> None:
         """Re-dial the remembered endpoint (serialized: concurrent callers
         that lost the same connection share one new socket)."""
         async with self._reconnect_lock:
-            if not self._writer.is_closing() and not self._reader_task.done():
+            if not self._channel.closed:
                 return  # a sibling waiter already reconnected
-            host, port = self._remote
-            self._reader_task.cancel()
-            await asyncio.gather(self._reader_task, return_exceptions=True)
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except Exception:  # noqa: BLE001 - old server may already be gone
-                pass
+            await self._channel.aclose()
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), self._connect_timeout
+                asyncio.open_connection(*self._remote), self._connect_timeout
             )
-            self._reader = reader
-            self._writer = writer
-            self._reader_task = asyncio.ensure_future(self._read_loop())
+            self._channel = self._open(reader, writer)
             self.reconnects += 1
 
     async def serve(
@@ -130,7 +112,7 @@ class ProcClient:
         latency/wall_latency). With a tracer attached, sampled calls open a
         client-side root span and ship ``[trace_id, span_id]`` so the
         server's spans join this trace; untraced calls send the exact
-        pre-tracing three-element body."""
+        three-element body."""
         body = [records.query_record(query), now, deadline]
         tracer = self.tracer
         if tracer is None or not tracer.sample():
@@ -144,51 +126,8 @@ class ProcClient:
     async def health(self) -> dict:
         return await self.call("health")
 
-    async def metrics(self) -> dict:
-        return await self.call("metrics")
-
-    async def ping(self) -> str:
-        return await self.call("ping")
-
-    async def _read_loop(self) -> None:
-        error: BaseException | None = None
-        try:
-            while True:
-                payload = await read_frame(self._reader)
-                if payload is None:
-                    break
-                request_id, ok, result = self.codec.loads(payload)
-                future = self._pending.pop(request_id, None)
-                if future is None or future.done():
-                    continue
-                if ok:
-                    future.set_result(result)
-                else:
-                    future.set_exception(ProcClientError(str(result)))
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - fail pending below
-            error = exc
-        finally:
-            # One shared exception instance would cross-contaminate traceback
-            # context between waiters — build one per pending future.
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ProcTransportError(
-                            "connection lost" + (f" ({error})" if error else "")
-                        )
-                    )
-            self._pending.clear()
-
     async def aclose(self) -> None:
-        self._reader_task.cancel()
-        await asyncio.gather(self._reader_task, return_exceptions=True)
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except Exception:  # noqa: BLE001 - server may already be gone
-            pass
+        await self._channel.aclose()
 
 
 #: Outcome status on the wire -> the EngineMetrics counter it is.

@@ -170,7 +170,7 @@ class ProcAsteriaEngine(AsyncAsteriaEngine):
     def _shard_failure(self, shard: int, exc: WorkerError) -> None:
         """Charge one failed flight to a shard's fault domain.
 
-        Dedups on the exception object (the ShardClient teardown shares one
+        Dedups on the exception object (a shard link's teardown shares one
         instance across every pending waiter, and the lookups of one frame
         share that frame's), mirroring ``_account_failure``'s marker scheme —
         breaker windows count flights, not disappointed callers.

@@ -3,25 +3,24 @@
 :class:`WorkerPool` owns the processes: it binds an ephemeral loopback
 listener, spawns one worker per shard (``multiprocessing`` *spawn* context —
 no forked locks, clean numpy state), and each worker connects back and
-identifies itself with a hello frame. Launch is synchronous and event-loop
-free; the asyncio wrapping of the connected sockets happens lazily at first
-use (:meth:`WorkerPool.attach`), so a pool can be built before any loop
-exists.
+identifies itself with a checked hello frame. Launch is synchronous and
+event-loop free; the asyncio wrapping of the connected sockets happens
+lazily at first use (:meth:`WorkerPool.attach`), so a pool can be built
+before any loop exists.
 
-:class:`ShardClient` is the per-shard protocol endpoint. It pipelines
-requests (a monotonically increasing request id maps replies to waiter
-futures, so many ops can be in flight on one connection) and frames lookups
-by loop tick: every lookup for the shard issued in one tick travels in *one*
-``lookup_batch`` frame, shipped by a single ``call_soon`` — no timer, no
-size cap (a frame holds at most the router's ``max_inflight`` items). The
-frame also carries the router's ``tau_lsm`` as it stands at the flush, and
-the worker applies it before serving the items one by one. Every reply
-refreshes :attr:`ShardClient.last_stats`, the piggybacked shard-stats tuple
-the router's cache view reads; because the update happens before the waiter
-future resolves, metric recording after an ``await`` always sees stats at
-least as fresh as its own operation. Every reply frame is delivered as it
-arrives; a worker that stops answering is the supervisor's heartbeat to
-notice (:mod:`repro.serving.proc.supervisor`).
+:class:`ShardClient` is the per-shard protocol endpoint: requests pipeline
+over a :class:`~repro.serving.proc.protocol.FrameChannel`, and lookups are
+framed by loop tick: every lookup for the shard issued in one tick travels
+in *one* ``lookup_batch`` frame, shipped by a single ``call_soon`` — no
+timer, no size cap (a frame holds at most the router's ``max_inflight``
+items). The frame also carries the router's ``tau_lsm`` as it stands at the
+flush, and the worker applies it before serving the items one by one. Every
+reply refreshes :attr:`ShardClient.last_stats`, the piggybacked shard-stats
+tuple the router's cache view reads; because the update happens before the
+waiter future resolves, metric recording after an ``await`` always sees
+stats at least as fresh as its own operation. A worker that stops answering
+is the supervisor's heartbeat to notice
+(:mod:`repro.serving.proc.supervisor`).
 """
 
 from __future__ import annotations
@@ -33,22 +32,28 @@ import os
 import pathlib
 import socket
 import time
+from types import NoneType
 
 from repro.core import records
 from repro.core.sharding import shard_index_for
 from repro.core.types import CacheStats
 from repro.serving.proc.protocol import (
+    FrameChannel,
+    FrameError,
     FrameReader,
     JsonCodec,
     link_socket,
-    read_frame,
     send_frame,
-    write_frame,
 )
 from repro.serving.proc.worker import HELLO_MAGIC, WorkerSpec, worker_main
 
 #: Seconds the pool waits for all workers to connect back and say hello.
 LAUNCH_TIMEOUT = 60.0
+
+#: A worker's hello, ``["hello", magic, shard_id, pid, restore | None]``, and
+#: its reply to the clock ping, ``[-1, ok, worker_reading, stats_row]``.
+_HELLO = ((str,), (str,), (int,), (int,), (dict, NoneType))
+_PONG = ((int,), (bool,), (int, float), (list,))
 
 
 class WorkerError(RuntimeError):
@@ -98,79 +103,77 @@ class ShardClient:
     """Protocol endpoint for one shard worker (pipelined, one lookup frame
     per loop tick).
 
-    ``on_connection_lost`` (``fn(shard_id)``) fires once when the read loop
-    tears down for any reason other than a deliberate :meth:`aclose` — the
-    pool forwards it to the supervisor as a death report.
+    ``pool`` is the owning :class:`WorkerPool`: each lookup frame carries its
+    ``thresholds.tau_lsm``, piggybacked spans go to its ``span_sink``, and a
+    loss other than a deliberate :meth:`aclose` is reported to its
+    ``supervisor`` as a death.
     """
 
     def __init__(
-        self,
-        shard_id: int,
-        sock: socket.socket,
-        on_connection_lost=None,
-        on_spans=None,
+        self, shard_id: int, sock: socket.socket, pool: WorkerPool, clock_offset=0.0
     ) -> None:
         self.shard_id = shard_id
         self.codec = JsonCodec()
-        self.on_connection_lost = on_connection_lost
-        #: ``fn(shard_id, records, clock_offset)`` for piggybacked span
-        #: records (optional fifth reply element); None drops them.
-        self.on_spans = on_spans
+        self.pool = pool
         #: Router-clock minus worker-clock estimate from the hello
         #: handshake's clock ping (``worker_reading + clock_offset`` lands
         #: on the router's perf_counter timeline).
-        self.clock_offset = 0.0
-        #: The pool's threshold holder; each lookup frame reads ``tau_lsm``.
-        self.thresholds: _TauHolder | None = None
+        self.clock_offset = clock_offset
         #: Latest piggybacked shard stats: [inserts, evictions, expirations,
         #: rejected_duplicates, prefetch_inserts, usage].
         self.last_stats: list = [0, 0, 0, 0, 0, 0]
-        #: True between a connection loss and the first reply from a
-        #: respawned worker: ``last_stats`` still describes the dead
-        #: incarnation and must not be trusted as live state.
-        self.stats_stale = False
         self._sock: socket.socket | None = sock
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._reader_task: asyncio.Task | None = None
-        self._next_id = 0
-        self._pending: dict[int, asyncio.Future] = {}
+        self._channel: FrameChannel | None = None
         #: The open frame: this tick's lookup items and their waiters.
         self._lookup_items: list[list] = []
         self._lookup_waiters: list[asyncio.Future] = []
         self._flush_handle: asyncio.Handle | None = None
-        self._closed = False
         self._expect_close = False
 
     @property
     def attached(self) -> bool:
-        return self._writer is not None
+        return self._channel is not None
 
     async def attach(self) -> None:
-        """Wrap the connected socket into asyncio streams (idempotent)."""
-        if self._writer is not None or self._sock is None:
+        """Wrap the connected socket into a frame channel (idempotent)."""
+        if self._channel is not None or self._sock is None:
             return
         sock, self._sock = self._sock, None
         sock.setblocking(True)
-        self._reader, self._writer = await asyncio.open_connection(sock=sock)
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        reader, writer = await asyncio.open_connection(sock=sock)
+        # One loss object for every waiter: the proc engine charges a
+        # shard's breaker once per object, so a burst of in-flight requests
+        # dying together is one failure, not one per caller.
+        self._channel = FrameChannel(
+            reader, writer, self, self._error, self._error, share_loss=True,
+            on_reply=self._on_reply, on_close=self._on_close,
+        )
+
+    def _error(self, message) -> WorkerError:
+        return WorkerError(f"shard {self.shard_id}: {message}", self.shard_id)
+
+    def _on_reply(self, frame: list) -> None:
+        # Stats first, waiter second: by the time an awaiting caller
+        # resumes, the router's cache view already reflects this op.
+        stats = frame[3] if len(frame) > 3 else None
+        records.check_rows([stats], records.SHARD_STATS_ROW, "shard stats")
+        self.last_stats = stats
+        # Piggybacked span records (optional fifth element) graft before the
+        # waiter resumes too, so a request span closing right after the
+        # await already owns its worker stages.
+        sink = self.pool.span_sink
+        if len(frame) > 4 and frame[4] and sink is not None:
+            sink(self.shard_id, frame[4], self.clock_offset)
+
+    def _on_close(self) -> None:
+        if not self._expect_close and self.pool.supervisor is not None:
+            self.pool.supervisor.notify_death(self.shard_id)
 
     # -- ops ------------------------------------------------------------------
     def _send(self, op: str, body) -> asyncio.Future:
-        if self._writer is None:
-            raise WorkerError(
-                f"shard {self.shard_id}: client not attached", self.shard_id
-            )
-        if self._closed:
-            raise WorkerError(
-                f"shard {self.shard_id}: connection closed", self.shard_id
-            )
-        request_id = self._next_id
-        self._next_id += 1
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        write_frame(self._writer, self.codec.dumps([request_id, op, body]))
-        return future
+        if self._channel is None:
+            raise self._error("client not attached")
+        return self._channel.send(op, body)
 
     async def call(self, op: str, body=None):
         """One pipelined op; raises :class:`WorkerError` on worker failure."""
@@ -198,7 +201,7 @@ class ShardClient:
         try:
             return records.sine_from_record(record)
         except records.RecordError as exc:  # a worker fault, not the caller's
-            raise WorkerError(f"shard {self.shard_id}: {exc}", self.shard_id) from exc
+            raise self._error(exc) from exc
 
     async def insert(self, query, fetch, arrival: float, ctx=None, prefetched=False):
         body = [records.query_record(query), records.fetch_record(fetch), arrival]
@@ -216,80 +219,19 @@ class ShardClient:
         if not items:
             return
         self._lookup_items, self._lookup_waiters = [], []
+        tau_lsm = self.pool.thresholds.tau_lsm
         try:
-            frame_future = self._send("lookup_batch", [items, self.thresholds.tau_lsm])
+            frame_future = self._send("lookup_batch", [items, tau_lsm])
         except WorkerError as exc:
             frame_future = asyncio.get_running_loop().create_future()
             frame_future.set_exception(exc)
         frame_future.add_done_callback(functools.partial(_scatter, waiters))
 
-    async def _read_loop(self) -> None:
-        error: BaseException | None = None
-        try:
-            while True:
-                payload = await read_frame(self._reader)
-                if payload is None:
-                    break
-                frame = self.codec.loads(payload)
-                request_id, ok, result, stats = frame[:4]
-                # Stats first, waiter second: by the time an awaiting caller
-                # resumes, the router's cache view already reflects this op.
-                records.check_rows([stats], records.SHARD_STATS_ROW, "shard stats")
-                self.last_stats = stats
-                self.stats_stale = False
-                # Piggybacked span records (optional fifth element) graft
-                # before the waiter resumes too, so a request span closing
-                # right after the await already owns its worker stages.
-                if len(frame) > 4 and frame[4] and self.on_spans is not None:
-                    self.on_spans(self.shard_id, frame[4], self.clock_offset)
-                future = self._pending.pop(request_id, None)
-                if future is None or future.done():
-                    continue
-                if ok:
-                    future.set_result(result)
-                else:
-                    future.set_exception(
-                        WorkerError(f"shard {self.shard_id}: {result}", self.shard_id)
-                    )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - fail pending below
-            error = exc
-        finally:
-            self._closed = True
-            self.stats_stale = True
-            # One shared exception object for every pending waiter: the proc
-            # engine's per-flight failure accounting dedups on the object
-            # (like coalesced-follower accounting), so a burst of in-flight
-            # requests dying together charges the shard breaker once.
-            lost = WorkerError(
-                f"shard {self.shard_id}: connection lost"
-                + (f" ({error})" if error else ""),
-                self.shard_id,
-            )
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(lost)
-            self._pending.clear()
-            if not self._expect_close and self.on_connection_lost is not None:
-                self.on_connection_lost(self.shard_id)
-
     async def aclose(self) -> None:
         self._expect_close = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
-            self._writer = None
+        channel, self._channel = self._channel, None
+        if channel is not None:
+            await channel.aclose()
         if self._sock is not None:
             self._sock.close()
             self._sock = None
@@ -324,63 +266,47 @@ class WorkerPool:
         self.thresholds = _TauHolder(specs[0].stack.config)
         self._launched = False
 
-    def _make_client(
-        self, shard_id: int, conn: socket.socket, clock_offset: float
-    ) -> ShardClient:
-        client = ShardClient(
-            shard_id,
-            conn,
-            on_connection_lost=self._connection_lost,
-            on_spans=self._forward_spans,
-        )
-        client.clock_offset = clock_offset
-        client.thresholds = self.thresholds
-        return client
-
-    def _connection_lost(self, shard_id: int) -> None:
-        if self.supervisor is not None:
-            self.supervisor.notify_death(shard_id)
-
-    def _forward_spans(self, shard_id: int, records, clock_offset: float) -> None:
-        sink = self.span_sink
-        if sink is not None:
-            sink(shard_id, records, clock_offset)
-
     def _accept_hello(self, listener: socket.socket):
-        """Accept one worker connection, validate its hello frame, and run
-        the clock handshake; returns ``(shard_id, conn,
-        restore_report_or_None, clock_offset)``."""
+        """Accept one worker connection, check its hello frame, and run the
+        clock handshake; returns ``(shard_id, conn, restore_report_or_None,
+        clock_offset)``. A malformed frame is a :class:`WorkerError` naming
+        it, and the connection is closed on every failure."""
         conn, _ = listener.accept()
-        # A timeout anywhere in the handshake abandons the connection, so
-        # the reader is here for its framing checks, not to survive one.
-        reader = FrameReader(link_socket(conn, LAUNCH_TIMEOUT))
-        hello = reader.read()
-        if hello is None:
-            raise WorkerError("worker closed connection before hello")
-        message = self.codec.loads(hello)
-        if message[0] != "hello" or message[1] != HELLO_MAGIC:
+        try:
+            # A timeout anywhere in the handshake abandons the connection, so
+            # the reader is here for its framing checks, not to survive one.
+            reader = FrameReader(link_socket(conn, LAUNCH_TIMEOUT))
+            hello = self._handshake_frame(reader.read(), _HELLO, "hello")
+            if hello[0] != "hello" or hello[1] != HELLO_MAGIC:
+                raise WorkerError(f"unexpected hello frame: {hello!r}")
+            # Clock handshake: one synchronous ping/pong estimates the
+            # worker's perf_counter offset from ours as the round-trip
+            # midpoint — ``offset = (t0 + t1) / 2 - worker_reading`` — so
+            # piggybacked span timestamps re-base onto the router's timeline
+            # with error bounded by half the (loopback, ~tens of µs) round trip.
+            t0 = time.perf_counter()
+            send_frame(conn, self.codec.dumps([-1, "clock", None]))
+            pong = reader.read()
+            t1 = time.perf_counter()
+            pong = self._handshake_frame(pong, _PONG, "clock pong")
+            if not reader.idle:
+                # asyncio takes the socket next and would never see these bytes.
+                raise WorkerError("worker sent unsolicited bytes during the handshake")
+        except BaseException:
             conn.close()
-            raise WorkerError(f"unexpected hello frame: {message!r}")
-        restore = message[4] if len(message) > 4 else None
-        # Clock handshake: one synchronous ping/pong estimates the worker's
-        # perf_counter offset from ours as the round-trip midpoint —
-        # ``offset = (t0 + t1) / 2 - worker_reading`` — so piggybacked span
-        # timestamps re-base onto the router's timeline with error bounded
-        # by half the (loopback, ~tens of µs) round trip.
-        t0 = time.perf_counter()
-        send_frame(conn, self.codec.dumps([-1, "clock", None]))
-        pong = reader.read()
-        t1 = time.perf_counter()
-        if pong is None:
-            conn.close()
-            raise WorkerError("worker closed connection during clock handshake")
-        if not reader.idle:
-            # asyncio takes the socket next and would never see these bytes.
-            conn.close()
-            raise WorkerError("worker sent unsolicited bytes during the handshake")
-        clock_offset = (t0 + t1) / 2.0 - self.codec.loads(pong)[2]
+            raise
         conn.settimeout(None)
-        return message[2], conn, restore, clock_offset
+        return hello[2], conn, hello[4], (t0 + t1) / 2.0 - pong[2]
+
+    def _handshake_frame(self, payload: bytes | None, row: tuple, what: str) -> list:
+        if payload is None:
+            raise WorkerError(f"worker closed connection before its {what}")
+        try:
+            frame = self.codec.loads(payload)
+            records.check_rows([frame], row, f"{what} frame")
+        except (FrameError, records.RecordError) as exc:
+            raise WorkerError(f"malformed {what}: {exc}") from exc
+        return frame
 
     # -- lifecycle ------------------------------------------------------------
     def _spawn(self, specs: list[WorkerSpec]) -> tuple[list, dict[int, list]]:
@@ -433,7 +359,7 @@ class WorkerPool:
         self.clients = []
         for shard_id in range(self.n_shards):
             conn, _, clock_offset = hellos[shard_id]
-            self.clients.append(self._make_client(shard_id, conn, clock_offset))
+            self.clients.append(ShardClient(shard_id, conn, self, clock_offset))
         self._launched = True
 
     def spawn_worker(self, spec: WorkerSpec):
@@ -453,15 +379,14 @@ class WorkerPool:
     ) -> ShardClient:
         """Install a respawned worker's connection/process for ``shard_id``.
 
-        The new client inherits the dead incarnation's ``last_stats`` with
-        ``stats_stale`` set: cumulative counters stay monotone for readers,
-        but are flagged untrusted until the first post-recovery reply.
-        ``clock_offset`` is the respawned incarnation's own estimate — the
-        dead worker's offset means nothing for a new process."""
+        The new client inherits the dead incarnation's ``last_stats``, so
+        cumulative counters stay monotone for readers until the first
+        post-recovery reply. ``clock_offset`` is the respawned incarnation's
+        own estimate — the dead worker's offset means nothing for a new
+        process."""
         old = self.clients[shard_id]
-        client = self._make_client(shard_id, conn, clock_offset)
+        client = ShardClient(shard_id, conn, self, clock_offset)
         client.last_stats = list(old.last_stats)
-        client.stats_stale = True
         self.clients[shard_id] = client
         self.processes[shard_id] = process
         return client

@@ -32,6 +32,10 @@ estimate each worker's monotonic-clock offset. Readers index defensively
 Blocking (workers, replication sessions: :class:`FrameReader` over a
 :func:`link_socket`) and asyncio (router, serve clients) frame I/O both live
 here, so the length prefix is encoded in exactly one place.
+
+Both request/reply links live here once too: both clients (router to
+worker, socket client to front door) speak one :class:`FrameChannel`, and
+both listeners read each request through :func:`request_frame`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ import json
 import socket
 import struct
 from collections import deque
+
+from repro.core import records
 
 #: Hard per-frame cap (64 MiB): far above any real frame (a full lookup
 #: batch is a few KB), low enough that a corrupt length prefix fails fast
@@ -223,3 +229,115 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
+
+
+# -- the request/reply link: one check for listeners, one channel for clients -
+#: A request frame: ``[request_id, op, body]``.
+_REQUEST = ((int,), (str,), (object,))
+
+
+def request_frame(codec, payload: bytes) -> list:
+    """Decode one request and check it is ``[request_id, op, body]`` with an
+    int id and a str op. Raises :class:`FrameError` or
+    :class:`~repro.core.records.RecordError`."""
+    frame = codec.loads(payload)
+    records.check_rows([frame], _REQUEST, "request")
+    return frame
+
+
+class FrameChannel:
+    """One pipelined request/reply link over an asyncio connection: request
+    ids, the waiters in flight, the one reply read loop, and the teardown
+    that fails every waiter still pending when the link ends.
+
+    A reply is ``[request_id, ok, result, ...]``; one that is not a list of
+    three or more with an int id and a bool ``ok`` ends the link as a loss
+    does. ``owner.codec`` is read per frame, so the wire uses whatever codec
+    the owner names. ``failed(result)`` builds the exception of an
+    ``ok=false`` reply, ``lost(message)`` that of a lost link; with
+    ``share_loss`` every pending waiter gets one shared ``lost`` object,
+    without it one each (DESIGN §13 says which client needs which).
+    ``on_reply(frame)`` runs before a reply's waiter resolves; ``on_close()``
+    once, when the read loop ends.
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, owner,
+        failed, lost, *, share_loss: bool, on_reply=None, on_close=None,
+    ) -> None:
+        self._owner = owner
+        self._reader = reader
+        self._writer = writer
+        self._failed = failed
+        self._lost = lost
+        self._share_loss = share_loss
+        self._on_reply = on_reply
+        self._on_close = on_close
+        self._next_id = 0
+        self._pending: dict[int, asyncio.Future] = {}
+        self._task = asyncio.ensure_future(self._read_loop())
+
+    @property
+    def closed(self) -> bool:
+        """Nothing will answer a request sent now (a half-closed socket
+        still takes bytes, so an ended read loop counts too)."""
+        return self._writer.is_closing() or self._task.done()
+
+    def send(self, op: str, body) -> asyncio.Future:
+        """Write one request; the future resolves with its reply's result."""
+        if self.closed:
+            raise self._lost("connection closed")
+        request_id = self._next_id
+        self._next_id += 1
+        future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = future
+        write_frame(self._writer, self._owner.codec.dumps([request_id, op, body]))
+        return future
+
+    async def _read_loop(self) -> None:
+        error: BaseException | None = None
+        try:
+            while True:
+                payload = await read_frame(self._reader)
+                if payload is None:
+                    break
+                frame = self._owner.codec.loads(payload)
+                if (
+                    type(frame) is not list
+                    or len(frame) < 3
+                    or type(frame[0]) is not int
+                    or type(frame[1]) is not bool
+                ):
+                    raise FrameError(f"malformed reply {frame!r:.80}")
+                if self._on_reply is not None:
+                    self._on_reply(frame)
+                future = self._pending.pop(frame[0], None)
+                if future is None or future.done():
+                    continue
+                if frame[1]:
+                    future.set_result(frame[2])
+                else:
+                    future.set_exception(self._failed(frame[2]))
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - fail pending below
+            error = exc
+        finally:
+            reason = "connection lost" + (f" ({error})" if error else "")
+            shared = self._lost(reason) if self._share_loss else None
+            for future in self._pending.values():
+                if not future.done():
+                    future.set_exception(shared or self._lost(reason))
+            self._pending.clear()
+            if self._on_close is not None:
+                self._on_close()
+
+    async def aclose(self) -> None:
+        """Stop reading (every pending waiter fails) and close the link."""
+        self._task.cancel()
+        await asyncio.gather(self._task, return_exceptions=True)
+        self._writer.close()
+        try:
+            await self._writer.wait_closed()
+        except Exception:  # noqa: BLE001 - the peer may already be gone
+            pass

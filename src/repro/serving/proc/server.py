@@ -15,10 +15,10 @@ Ops: ``serve`` (``[query_record, now, deadline]`` with an optional fourth
 client's trace), ``health`` (includes an ``slo`` burn-rate summary when an
 :class:`~repro.obs.slo.SLOEngine` is attached), ``metrics``, ``ping``.
 
-A frame that is not JSON, not ``[request_id, op, body]``, or whose serve
-body fails its check (the query record; ``now`` a finite number; ``deadline``
-null or a finite number > 0) closes that one connection and counts in
-``health``'s ``protocol_errors``.
+A frame that :func:`~repro.serving.proc.protocol.request_frame` refuses, or
+whose serve body fails its check (the query record; ``now`` a finite number;
+``deadline`` null or a finite number > 0), closes that one untrusted
+connection and counts in ``health``'s ``protocol_errors``.
 
 Graceful shutdown: SIGTERM/SIGINT (or :meth:`request_stop`) stops accepting
 connections, lets every in-flight request finish, drains the engine
@@ -35,10 +35,13 @@ import signal
 
 from repro.core import records
 from repro.serving.proc.engine import ProcAsteriaEngine
-from repro.serving.proc.protocol import FrameError, JsonCodec, read_frame, write_frame
-
-#: A request frame: ``[request_id, op, body]``.
-_REQUEST = ((int,), (str,), (object,))
+from repro.serving.proc.protocol import (
+    FrameError,
+    JsonCodec,
+    read_frame,
+    request_frame,
+    write_frame,
+)
 
 
 def _finite(value) -> bool:
@@ -158,12 +161,10 @@ class ProcServer:
                 if payload is None:  # client EOF, or request_stop()'s
                     break
                 try:
-                    frame = self.codec.loads(payload)
-                    records.check_rows([frame], _REQUEST, "request")
+                    request_id, op, body = request_frame(self.codec, payload)
                 except (FrameError, records.RecordError):
                     self.protocol_errors += 1
                     break
-                request_id, op, body = frame
                 request = asyncio.ensure_future(
                     self._handle_request(writer, request_id, op, body)
                 )

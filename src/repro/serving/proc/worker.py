@@ -18,7 +18,12 @@ ANN index, and judger state never cross a process boundary), connects
 ``contains``
     The prefetch guard's stage-1 membership probe.
 ``stats`` / ``ping`` / ``shutdown``
-    Introspection and lifecycle.
+    Introspection and lifecycle; ``stats`` reports ``protocol_errors``.
+
+A request frame :func:`~repro.serving.proc.protocol.request_frame` refuses
+gets no reply, counts in ``protocol_errors``, and the worker reads the next
+one: the length prefix still marks where it starts, and closing the router's
+only link would be the same as crashing.
 
 Every reply piggybacks the shard's live :class:`CacheStats` plus its item
 count, so the router's cache view is exact at the moment it records
@@ -31,7 +36,7 @@ Tracing rides the same piggyback: lookup/insert bodies may carry a
 and each reply appends the drained span records as an optional fifth
 element (raw worker-clock timestamps — the router re-bases them with the
 clock offset estimated at the hello handshake's ``clock`` ping). Untraced
-frames are byte-identical to before: no context, no fifth element.
+frames carry no context and no fifth element.
 
 Shutdown: SIGTERM (or a ``shutdown`` op, or router EOF) sets a stop flag
 checked between frames; SIGINT is ignored so a Ctrl-C in the foreground
@@ -51,9 +56,11 @@ from typing import TYPE_CHECKING
 from repro.core import records
 from repro.obs.distributed import WorkerTracer
 from repro.serving.proc.protocol import (
+    FrameError,
     FrameReader,
     JsonCodec,
     connect_link,
+    request_frame,
     send_frame,
 )
 
@@ -112,6 +119,8 @@ class _ShardServer:
         # more.
         self.tracer = WorkerTracer()
         self.cache.set_tracer(self.tracer)
+        #: Request frames refused unanswered (see :func:`serve_frames`).
+        self.protocol_errors = 0
 
     def close(self) -> None:
         """Flush and checkpoint the persistence tier, if any."""
@@ -137,6 +146,7 @@ class _ShardServer:
                 "capacity_items": self.cache.capacity_items,
                 "stats": self.stats_tuple(),
                 "tau_lsm": self.cache.sine.tau_lsm,
+                "protocol_errors": self.protocol_errors,
             }
             report = getattr(self.cache, "restore_report", None)
             if report is not None:
@@ -193,7 +203,8 @@ def serve_frames(
     is set, a ``shutdown`` op arrives, or the router closes the link.
 
     ``sock`` polls (its timeout is the stop-flag check interval); the
-    :class:`FrameReader` keeps a frame that straddles a timeout intact.
+    :class:`FrameReader` keeps a frame that straddles a timeout intact. A
+    refused request frame is counted and gets no reply.
     """
     reader = FrameReader(sock)
     while not stop["flag"]:
@@ -203,7 +214,11 @@ def serve_frames(
             continue
         if payload is None:  # router closed: nothing left to serve
             break
-        request_id, op, body = codec.loads(payload)
+        try:
+            request_id, op, body = request_frame(codec, payload)
+        except (FrameError, records.RecordError):
+            server.protocol_errors += 1
+            continue
         try:
             ok, result = True, server.dispatch(op, body)
         except Exception as exc:  # noqa: BLE001 - reported to the router

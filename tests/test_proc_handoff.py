@@ -5,8 +5,9 @@ small, so these tests pin that machinery by count: tasks and timers the
 router creates per request (a counting task factory and a wrapped
 ``loop.call_at`` — ``call_later``, ``sleep`` and ``timeout`` all go through
 it), routing keys it computes per hit and miss, frames per loop tick of
-lookups, ``TCP_NODELAY`` on both ends of every link, and a worker loop
-whose poll timeout lands in the middle of a frame.
+lookups, ``TCP_NODELAY`` on both ends of every link, a worker loop
+whose poll timeout lands in the middle of a frame, and a worker loop that
+refuses a bad request frame and reads on.
 """
 
 import asyncio
@@ -220,7 +221,7 @@ def test_every_link_socket_runs_without_nagle():
     async def drive():
         async with engine:
             return [
-                _nodelay(client._writer.get_extra_info("socket"))
+                _nodelay(client._channel._writer.get_extra_info("socket"))
                 for client in engine.pool.clients
             ]
 
@@ -275,6 +276,41 @@ def test_worker_loop_survives_a_poll_timeout_inside_a_frame():
         replies = FrameReader(router)
         assert codec.loads(replies.read())[:3] == [0, True, "pong"]
         assert codec.loads(replies.read())[:3] == [1, True, "pong"]
+    finally:
+        router.close()  # EOF ends the loop
+        loop.join(5.0)
+        worker.close()
+    assert not loop.is_alive()
+
+
+def test_worker_refuses_a_bad_request_frame_and_reads_on():
+    # Each frame is refused unanswered and counted, and the loop serves the
+    # next request: the router's one link stays up.
+    spec = StackSpec(AsteriaConfig(capacity_items=8), seed=0).shard(0, 1)
+    server = _ShardServer(WorkerSpec(0, 1, spec))
+    codec = JsonCodec()
+    router, worker = socket.socketpair()
+    worker.settimeout(0.05)
+    loop = threading.Thread(
+        target=serve_frames, args=(server, worker, codec, {"flag": False})
+    )
+    loop.start()
+    bad_frames = [b"not json", b'[0, "ping"]', b'{"op": "ping"}', b'"abc"']
+    try:
+        router.settimeout(5.0)
+        replies = FrameReader(router)
+        for count, bad in enumerate(bad_frames, start=1):
+            router.sendall(
+                encode_frame(bad)
+                + encode_frame(codec.dumps([1, "ping", None]))
+                + encode_frame(codec.dumps([2, "stats", None]))
+            )
+            pong, stats = codec.loads(replies.read()), codec.loads(replies.read())
+            # In order: a reply to the bad frame would have come first.
+            assert pong[:3] == [1, True, "pong"], bad
+            assert stats[:2] == [2, True], bad
+            assert stats[2]["protocol_errors"] == count, bad
+            assert loop.is_alive(), bad
     finally:
         router.close()  # EOF ends the loop
         loop.join(5.0)

@@ -44,8 +44,8 @@ def test_server_serves_open_loop_workload_fully():
                 client, _queries(80), rate=2000.0, time_step=0.01
             )
             health = await client.health()
-            metrics = await client.metrics()
-            assert await client.ping() == "pong"
+            metrics = await client.call("metrics")
+            assert await client.call("ping") == "pong"
         finally:
             await client.aclose()
             await server.shutdown()
@@ -101,7 +101,7 @@ def test_server_reports_unknown_op_without_desync():
             with pytest.raises(ProcClientError):
                 await client.call("explode")
             # The connection is still healthy for the next request.
-            assert await client.ping() == "pong"
+            assert await client.call("ping") == "pong"
         finally:
             await client.aclose()
             await server.shutdown()
