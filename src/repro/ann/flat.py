@@ -7,11 +7,10 @@ against a 300-500 ms remote call, and no approximate index in the repo beat
 it at any size).
 
 Scoring is sliced to the arena's *high-water mark* — the highest slot ever
-occupied — so a sparsely filled index never pays for its reserved capacity,
-and :meth:`FlatIndex.search_batch` scores a whole batch of queries with one
-matrix-matrix product. Nothing else grows with the population: the key of each
-row is an int64 array the mutations keep current, and a score row is ranked by
-a partition plus a sort of the ``k`` survivors.
+occupied — so a sparsely filled index never pays for its reserved capacity.
+Nothing else grows with the population: the key of each row is an int64
+array the mutations keep current, and the score row is ranked by a partition
+plus a sort of the ``k`` survivors.
 
 The arena may be private (built here when none is passed — the standalone
 shape) or shared with the cache, in which case elements enter via
@@ -140,29 +139,19 @@ class FlatIndex:
         query = np.asarray(query, dtype=np.float32)
         if query.ndim != 1 or query.shape[0] != self._dim:
             raise ValueError(f"expected dim {self._dim}, got shape {query.shape}")
-        return self.search_batch(query[None, :], k)[0]
-
-    def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchHit]]:
-        """Exact top-``k`` per query row, scored with one matrix product."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim != 2 or queries.shape[1] != self._dim:
-            raise ValueError(
-                f"expected (n, {self._dim}) queries, got shape {queries.shape}"
-            )
-        n = queries.shape[0]
         count = len(self._key_to_slot)
-        if n == 0 or not count:
-            return [[] for _ in range(n)]
-        # One matrix product over the arena's occupied region.
-        scores = self._arena.scores(normalize_batch(queries))
-        keys = self._keys_upto(scores.shape[1])
+        if not count:
+            return []
+        # One product over the arena's occupied region.
+        scores = self._arena.scores(normalize_batch(query[None, :]))[0]
+        keys = self._keys_upto(scores.shape[0])
         if count != keys.shape[0]:
             # Some occupied rows are freed or another arena user's: drop them.
             mine = np.flatnonzero(keys >= 0)
-            keys, scores = keys[mine], scores[:, mine]
-        return [_top_k(row, keys, min(k, count)) for row in scores]
+            keys, scores = keys[mine], scores[mine]
+        return _top_k(scores, keys, min(k, count))
 
     def __repr__(self) -> str:
         return f"FlatIndex(dim={self._dim}, items={len(self)})"

@@ -3,14 +3,11 @@
 See the package docstring for why a hashing embedder is a faithful stand-in
 for the paper's Qwen3-Embedding-0.6B at the *system* level.
 
-The hashing embedder is a hot path (every cache lookup embeds its query), so
-it is built for vectorized execution: token directions live in one growable
-``(tokens, dim)`` matrix, each text reduces to a cached ``(rows, weights)``
-feature pair, and the batch entry point
-:meth:`HashingEmbedder.embed_batch` computes a whole batch of embeddings as
-one sparse matrix product over the token directions. The scalar
-:meth:`HashingEmbedder.embed` is the one-row case of the same code path, so
-batch and scalar results agree to float32 summation order.
+The hashing embedder is a hot path (every cache lookup that misses the
+:class:`CachedEmbedder` memo embeds its query), so it is vectorized: token
+directions live in one growable ``(tokens, dim)`` matrix, and
+:meth:`HashingEmbedder.embed` reduces a text to ``(rows, weights)`` and
+computes its vector as one weighted gather over that matrix.
 """
 
 from __future__ import annotations
@@ -22,13 +19,6 @@ import numpy as np
 
 from repro.sim.random import derive_seed
 from repro.embedding.tokenizer import SimpleTokenizer
-
-try:  # pragma: no cover - exercised implicitly on scipy-equipped hosts
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-
-    _csr_matvecs = getattr(_scipy_sparsetools, "csr_matvecs", None)
-except ImportError:  # pragma: no cover
-    _csr_matvecs = None
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -67,10 +57,10 @@ class HashingEmbedder:
     lightly weighted bigram directions for word-order sensitivity, finally
     L2-normalised.
 
-    Token directions are stored as rows of one growable matrix and each
-    text's tokenisation is memoised as ``(row_indices, weights)`` arrays, so
-    an embedding is a single gather + weighted reduction instead of a
-    per-token Python loop.
+    Token directions are stored as rows of one growable matrix and a text's
+    tokenisation becomes ``(row_indices, weights)`` arrays, so an embedding
+    is a single gather + weighted reduction instead of a per-token Python
+    loop. Repeated texts are memoised one layer up, by :class:`CachedEmbedder`.
 
     Parameters
     ----------
@@ -85,9 +75,6 @@ class HashingEmbedder:
         Relative weight of adjacent-token bigram features (default 0.25).
         Set to 0 for a pure bag-of-words model.
     """
-
-    #: Memoised (rows, weights) feature pairs kept per embedder.
-    FEATURE_CACHE_MAX = 65536
 
     def __init__(
         self,
@@ -109,10 +96,6 @@ class HashingEmbedder:
         #: token -> row in the direction matrix
         self._token_rows: dict[str, int] = {}
         self._matrix = np.zeros((256, dim), dtype=np.float32)
-        #: text -> (row indices, weights), LRU-bounded
-        self._features: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
 
     @property
     def dim(self) -> int:
@@ -136,11 +119,7 @@ class HashingEmbedder:
         return row
 
     def _features_for(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Memoised (row indices, weights) of ``text``'s weighted features."""
-        cached = self._features.get(text)
-        if cached is not None:
-            self._features.move_to_end(text)
-            return cached
+        """(row indices, weights) of ``text``'s weighted features."""
         tokens = self.tokenizer.tokenize(text)
         rows: list[int] = []
         weights: list[float] = []
@@ -156,75 +135,30 @@ class HashingEmbedder:
             for bigram in self.tokenizer.bigrams(content):
                 rows.append(self._row_for(bigram))
                 weights.append(self.bigram_weight)
-        # int32 rows double as CSR indices in embed_batch's sparse product.
-        features = (
+        return (
             np.asarray(rows, dtype=np.int32),
             np.asarray(weights, dtype=np.float32),
         )
-        self._features[text] = features
-        if len(self._features) > self.FEATURE_CACHE_MAX:
-            self._features.popitem(last=False)
-        return features
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed ``text``; empty/stopword-only text returns a zero vector."""
-        return self.embed_batch((text,))[0]
+        """Embed ``text``; a text with no features (``""``) embeds to zero."""
+        rows, weights = self._features_for(text)
+        if not rows.size:
+            return np.zeros(self._dim, dtype=np.float32)
+        vector = weights @ self._matrix[rows]
+        norm = np.sqrt(np.sum(np.square(vector)))
+        if norm > 0:
+            vector /= norm
+        return vector
 
     def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
-        """Embed many texts into an (n, dim) float32 array.
+        """One :meth:`embed` row per text, as an (n, dim) float32 array.
 
-        The whole batch is one sparse-matrix product: each text is a CSR row
-        of feature weights over the token-direction matrix, multiplied
-        through scipy's ``csr_matvecs`` kernel (falling back to a dense
-        coefficient GEMM when scipy is absent), then row-normalised.
-        Results match :meth:`embed` up to float32 summation order.
+        Kept for the benchmark's self-test, its one caller; nothing in the
+        library embeds more than one text at a time.
         """
-        features = [self._features_for(text) for text in texts]
-        n = len(features)
-        out = np.zeros((n, self._dim), dtype=np.float32)
-        if n == 0:
-            return out
-        if n == 1:
-            # Scalar fast path: skip the CSR assembly.
-            rows, weights = features[0]
-            if rows.size:
-                out[0] = weights @ self._matrix[rows]
-                norm = np.sqrt(np.sum(np.square(out[0])))
-                if norm > 0:
-                    out[0] /= norm
-            return out
-        lengths = np.fromiter(
-            (rows.size for rows, _ in features), count=n, dtype=np.int32
-        )
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(lengths, out=indptr[1:])
-        if indptr[-1]:
-            rows = np.concatenate([f[0] for f in features])
-            weights = np.concatenate([f[1] for f in features])
-            if _csr_matvecs is not None:
-                tokens = len(self._token_rows)
-                _csr_matvecs(
-                    n,
-                    tokens,
-                    self._dim,
-                    indptr,
-                    rows,
-                    weights,
-                    self._matrix[:tokens].ravel(),
-                    out.ravel(),
-                )
-            else:
-                unique_rows, inverse = np.unique(rows, return_inverse=True)
-                segments = np.repeat(np.arange(n, dtype=np.intp), lengths)
-                coefficients = np.zeros(
-                    (n, unique_rows.size), dtype=np.float32
-                )
-                # add.at, not assignment: a token can repeat within one text.
-                np.add.at(coefficients, (segments, inverse), weights)
-                out[:] = coefficients @ self._matrix[unique_rows]
-        norms = np.sqrt(np.sum(np.square(out), axis=1, keepdims=True))
-        np.divide(out, norms, out=out, where=norms > 0)
-        return out
+        rows = [self.embed(text) for text in texts]
+        return np.array(rows, dtype=np.float32).reshape(len(rows), self._dim)
 
     def __repr__(self) -> str:
         return (

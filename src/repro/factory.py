@@ -59,7 +59,7 @@ class StackSpec:
     #: scorer.
     seed: int = 0
     #: The vector index; ``"flat"`` is the only one (DESIGN §12). Still a
-    #: field because the frozen benchmark passes it (ROADMAP item 7).
+    #: field because the frozen benchmark passes it (ROADMAP item 3(e)).
     index_kind: str = "flat"
     #: Eviction policy object or name (``policy_by_name``); must be a name
     #: to cross a process boundary.

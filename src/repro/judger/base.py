@@ -1,4 +1,8 @@
-"""Judger interface shared by the simulated and heuristic implementations."""
+"""Judger interface shared by the simulated and heuristic implementations.
+
+A judger has one entry point, :meth:`Judger.judge`: the cache validates its
+candidates one pair at a time, so there is no batched twin.
+"""
 
 from __future__ import annotations
 
@@ -49,8 +53,4 @@ class Judger(Protocol):
 
     def judge(self, request: JudgeRequest) -> JudgeVerdict:
         """Score one (query, cached entry) pair."""
-        ...
-
-    def judge_batch(self, requests: list[JudgeRequest]) -> list[JudgeVerdict]:
-        """Score several pairs (the co-location scheduler batches these)."""
         ...

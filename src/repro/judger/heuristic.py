@@ -61,9 +61,5 @@ class HeuristicJudger:
             truth = request.query_truth == request.cached_truth
         return JudgeVerdict(score=score, truth=truth, detail={"overlap": overlap})
 
-    def judge_batch(self, requests: list[JudgeRequest]) -> list[JudgeVerdict]:
-        """Score several pairs, order-preserving."""
-        return [self.judge(request) for request in requests]
-
     def __repr__(self) -> str:
         return f"HeuristicJudger(midpoint={self.midpoint}, steepness={self.steepness})"

@@ -107,10 +107,6 @@ class SimulatedJudger:
             score=score, truth=equivalent, detail={"flipped": flipped}
         )
 
-    def judge_batch(self, requests: list[JudgeRequest]) -> list[JudgeVerdict]:
-        """Score a batch; order-preserving."""
-        return [self.judge(request) for request in requests]
-
     def __repr__(self) -> str:
         return (
             f"SimulatedJudger(seed={self.seed}, flip_rate={self.flip_rate}, "

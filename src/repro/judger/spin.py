@@ -78,11 +78,5 @@ class SpinningJudger:
         self._burn()
         return self.inner.judge(request)
 
-    def judge_batch(self, requests: list[JudgeRequest]) -> list[JudgeVerdict]:
-        """Burn per request (batching saves no judge CPU), then delegate."""
-        for _ in requests:
-            self._burn()
-        return self.inner.judge_batch(requests)
-
     def __repr__(self) -> str:
         return f"SpinningJudger(spin={self.spin}, inner={self.inner!r})"

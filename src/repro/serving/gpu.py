@@ -69,11 +69,6 @@ class GpuPartition:
         """Work items waiting for a slot."""
         return self._resource.queue_length
 
-    @property
-    def in_use(self) -> int:
-        """Slots currently executing."""
-        return self._resource.in_use
-
     def service_time(self, work: float) -> float:
         """Wall-clock seconds to run ``work`` full-GPU seconds here."""
         if work < 0:

@@ -99,7 +99,7 @@ class PriorityAwareScheduler:
         self._agent_waiting: list[_Pending] = []
         self._judger_waiting: list[_Pending] = []
         # Admitted-but-unfinished counts, updated synchronously at admission
-        # time (the partition's own in_use updates asynchronously).
+        # time (the partition's own slot count updates asynchronously).
         self._agent_active = 0
         self._judger_active = 0
 

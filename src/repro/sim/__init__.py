@@ -32,7 +32,7 @@ from repro.sim.distributions import (
     Uniform,
     distribution_from_spec,
 )
-from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Process, Simulator
 from repro.sim.resources import Resource
 
@@ -42,7 +42,6 @@ __all__ = [
     "Empirical",
     "Event",
     "Exponential",
-    "Interrupt",
     "LogNormal",
     "Process",
     "Resource",

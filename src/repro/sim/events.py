@@ -12,8 +12,6 @@ The primitives mirror a small, well-trodden subset of SimPy's API:
     :meth:`Event.fail`.
 ``Timeout``
     An event that triggers after a fixed simulated delay.
-``Interrupt``
-    The exception raised inside a process that another process interrupted.
 """
 
 from __future__ import annotations
@@ -24,17 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.kernel import Simulator
 
 _PENDING = object()
-
-
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called.
-
-    ``cause`` carries whatever object the interrupter supplied.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:

@@ -29,7 +29,7 @@ import itertools
 from typing import Any, Callable, Generator
 
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.events import Event, Timeout
 
 
 class Process(Event):
@@ -47,8 +47,6 @@ class Process(Event):
             raise TypeError(f"process requires a generator, got {generator!r}")
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Event | None = None
-        self._stale_events: set[int] = set()
         self._had_waiters = False
         self._crash: BaseException | None = None
         sim._schedule(0.0, lambda: self._step(None, None))
@@ -62,23 +60,6 @@ class Process(Event):
         """Register a completion callback (marks the failure as handled)."""
         self._had_waiters = True
         super().add_callback(callback)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.sim.events.Interrupt` into the process.
-
-        The interrupt is delivered at the current simulated time. It is an
-        error to interrupt a finished process.
-        """
-        if self.triggered:
-            raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
-        interrupt = Interrupt(cause)
-        waiting_on = self._waiting_on
-        if waiting_on is not None:
-            self._waiting_on = None
-            # The stale wakeup from the abandoned event must be ignored.
-            self._stale_events.add(id(waiting_on))
-        assert self._sim is not None
-        self._sim._schedule(0.0, lambda: self._step(None, interrupt))
 
     def _step(self, value: Any, exception: BaseException | None) -> None:
         if self.triggered:
@@ -112,16 +93,9 @@ class Process(Event):
         target._bind(sim)
         if isinstance(target, Timeout):
             target._arm(sim)
-        self._waiting_on = target
         target.add_callback(self._on_wakeup)
 
     def _on_wakeup(self, event: Event) -> None:
-        if id(event) in self._stale_events:
-            self._stale_events.discard(id(event))
-            return
-        if self._waiting_on is not event:
-            return
-        self._waiting_on = None
         if event.ok:
             self._step(event.value, None)
         else:
@@ -234,4 +208,4 @@ class Simulator:
         return f"Simulator(now={self.now:.6f}, pending={len(self._queue)})"
 
 
-__all__ = ["Interrupt", "Process", "Simulator"]
+__all__ = ["Process", "Simulator"]

@@ -62,11 +62,6 @@ class Resource:
         self._ticket = itertools.count()
 
     @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         """Number of ungranted, uncancelled requests."""
         return sum(1 for _, _, req in self._waiting if not req.cancelled)

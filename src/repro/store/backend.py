@@ -14,16 +14,16 @@ Decorator backends (:class:`~repro.store.journal.JournaledBackend`,
 and observe the same mutation stream, which is how durability and
 replication attach to a running cache without touching its hot path.
 
-Embedding-slot hooks (:meth:`CacheBackend.bind_embedding` /
-:meth:`CacheBackend.release_embedding`) keep the arena fast path intact:
-for the in-process backend, binding allocates an arena row and returns a
-zero-copy view, exactly as the pre-protocol cache did.
+The embedding-slot hook (:meth:`CacheBackend.bind_embedding`) keeps the
+arena fast path intact: for the in-process backend, binding allocates an
+arena row and returns a zero-copy view, exactly as the pre-protocol cache
+did; :meth:`CacheBackend.delete` releases it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -94,8 +94,6 @@ class CacheBackend(Protocol):
         :data:`DELETE_REASONS`."""
         ...
 
-    def scan(self) -> Iterator[SemanticElement]: ...
-
     def stats(self) -> dict: ...
 
     # -- embedding-slot hooks ------------------------------------------------
@@ -106,8 +104,6 @@ class CacheBackend(Protocol):
         returned embedding is a zero-copy view of the allocated row.
         """
         ...
-
-    def release_embedding(self, slot: int | None) -> None: ...
 
     def flush(self) -> None:
         """Push any buffered state to the durable medium (no-op in memory)."""
@@ -165,9 +161,6 @@ class InProcessBackend:
         self.ops.note_delete(reason)
         return element
 
-    def scan(self) -> Iterator[SemanticElement]:
-        return iter(list(self._elements.values()))
-
     def __len__(self) -> int:
         return len(self._elements)
 
@@ -182,10 +175,6 @@ class InProcessBackend:
             return embedding, None
         slot = self._arena.allocate(embedding)
         return self._arena.get(slot), slot
-
-    def release_embedding(self, slot: int | None) -> None:
-        if slot is not None and self._arena is not None:
-            self._arena.release(slot)
 
     def flush(self) -> None:
         pass
@@ -232,9 +221,6 @@ class WrappingBackend:
     ) -> SemanticElement | None:
         return self.inner.delete(element_id, reason=reason)
 
-    def scan(self) -> Iterator[SemanticElement]:
-        return self.inner.scan()
-
     def __len__(self) -> int:
         return len(self.inner.elements)
 
@@ -246,9 +232,6 @@ class WrappingBackend:
 
     def bind_embedding(self, embedding: np.ndarray) -> tuple[np.ndarray, int | None]:
         return self.inner.bind_embedding(embedding)
-
-    def release_embedding(self, slot: int | None) -> None:
-        self.inner.release_embedding(slot)
 
     def flush(self) -> None:
         self.inner.flush()

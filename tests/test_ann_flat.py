@@ -21,7 +21,10 @@ def rng():
 
 class TestFlatIndexBasics:
     def test_empty_search_returns_nothing(self):
-        assert FlatIndex(8).search(np.ones(8), k=3) == []
+        index = FlatIndex(8)
+        assert index.search(np.ones(8), k=3) == []
+        with pytest.raises(ValueError):
+            index.search(np.ones(8), k=0)  # refused even with nothing to rank
 
     def test_add_and_find_self(self, rng):
         index = FlatIndex(16)
@@ -150,15 +153,13 @@ class TestFlatIndexSearch:
         assert index.search(query, k=1)[0].key == expected
 
     def test_tie_break_prefers_smaller_key(self):
-        """Equal scores rank by key ascending, scalar and batch alike."""
+        """Equal scores rank by key ascending, across the k cut too."""
         index = FlatIndex(4)
         shared = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32)
         for key in (9, 3, 7):
             index.add(key, shared)
         assert [hit.key for hit in index.search(shared, k=3)] == [3, 7, 9]
-        assert [
-            hit.key for hit in index.search_batch(shared[None, :], 3)[0]
-        ] == [3, 7, 9]
+        assert [hit.key for hit in index.search(shared, k=2)] == [3, 7]
 
 
 class TestFlatIndexRemoveRecycling:
@@ -211,21 +212,21 @@ class TestFlatIndexRemoveRecycling:
             vectors[key] = unit(rng)
             index.add(key, vectors[key])
         self._assert_free_list_integrity(index)
-        queries = np.stack([unit(rng) for _ in range(5)])
-        got = index.search_batch(queries, 4)
-        for row, query in enumerate(queries):
+        for _ in range(5):
+            query = unit(rng)
+            got = index.search(query, 4)
             expected = sorted(
                 vectors,
                 key=lambda key: (-float(np.dot(vectors[key], query)), key),
             )[:4]
-            assert [hit.key for hit in got[row]] == expected
-            for hit in got[row]:
+            assert [hit.key for hit in got] == expected
+            for hit in got:
                 assert hit.score == pytest.approx(
                     float(np.dot(vectors[hit.key], query)), abs=1e-5
                 )
 
-    def test_interleaved_churn_with_search_batch(self, rng):
-        """add/remove/search_batch interleaved: free list and results stay
+    def test_interleaved_churn_with_search(self, rng):
+        """add/remove/search interleaved: free list and results stay
         consistent through grows, recycles, and high-water sinking."""
         index = FlatIndex(8, initial_capacity=2)
         live = {}
@@ -242,16 +243,12 @@ class TestFlatIndexRemoveRecycling:
                     index.remove(victim)
                     del live[victim]
             self._assert_free_list_integrity(index)
-            queries = np.stack([unit(rng, 8), unit(rng, 8)])
-            for row, hits in enumerate(index.search_batch(queries, 3)):
+            for query in (unit(rng, 8), unit(rng, 8)):
                 expected = sorted(
                     live,
-                    key=lambda key: (
-                        -float(np.dot(live[key], queries[row])),
-                        key,
-                    ),
+                    key=lambda key: (-float(np.dot(live[key], query)), key),
                 )[: min(3, len(live))]
-                assert [hit.key for hit in hits] == expected
+                assert [hit.key for hit in index.search(query, 3)] == expected
 
 
 class TestFlatIndexAgainstBruteForce:
@@ -270,19 +267,17 @@ class TestFlatIndexAgainstBruteForce:
         return vector
 
     def _check(self, index, live, queries):
-        matrix = np.stack(queries)
         for k in {1, 4, max(1, len(live)), len(live) + 3}:
-            batch = index.search_batch(matrix, k)
-            for query, batch_hits in zip(queries, batch):
+            for query in queries:
                 ranked = sorted(
                     (-sum(float(a) * float(b) for a, b in zip(vector, query)), key)
                     for key, vector in live.items()
                 )[:k]
-                assert batch_hits == index.search(query, k)
-                assert [(hit.key, hit.score) for hit in batch_hits] == [
+                hits = index.search(query, k)
+                assert [(hit.key, hit.score) for hit in hits] == [
                     (key, -negated) for negated, key in ranked
                 ]
-                assert all(type(hit.score) is float for hit in batch_hits)
+                assert all(type(hit.score) is float for hit in hits)
 
     def test_churn_on_a_shared_arena(self):
         rng = random.Random(4)
@@ -330,11 +325,11 @@ class TestFlatIndexAgainstBruteForce:
         index = FlatIndex(self.DIM)
         index.add(1, np.ones(self.DIM))
         with pytest.raises(ValueError, match="k must be >= 1"):
-            index.search_batch(np.ones((1, self.DIM)), 0)
+            index.search(np.ones(self.DIM), 0)
         with pytest.raises(ValueError, match="expected dim"):
             index.search(np.ones(self.DIM + 1), 1)
-        with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
-            index.search_batch(np.ones(self.DIM), 1)
+        with pytest.raises(ValueError, match="expected dim"):
+            index.search(np.ones((1, self.DIM)), 1)  # one query, not a batch
         with pytest.raises(KeyError, match="already present"):
             index.add_slot(1, 0)
         with pytest.raises(KeyError, match="not allocated"):

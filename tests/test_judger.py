@@ -84,7 +84,8 @@ class TestSimulatedJudger:
 
     def test_call_counter(self):
         judger = SimulatedJudger(seed=3)
-        judger.judge_batch([request(), request()])
+        judger.judge(request())
+        judger.judge(request())
         assert judger.calls == 2
 
     def test_invalid_parameters_rejected(self):
@@ -93,12 +94,12 @@ class TestSimulatedJudger:
         with pytest.raises(ValueError):
             SimulatedJudger(pos_alpha=0.0)
 
-    def test_batch_preserves_order(self):
-        judger = SimulatedJudger(seed=3)
+    def test_same_seed_judgers_score_alike(self):
+        first, second = SimulatedJudger(seed=3), SimulatedJudger(seed=3)
         requests = [request(f"q{i}", "c", "F", "F") for i in range(5)]
-        batch = judger.judge_batch(requests)
-        singles = [SimulatedJudger(seed=3).judge(r) for r in requests]
-        assert [v.score for v in batch] == [v.score for v in singles]
+        assert [first.judge(r).score for r in requests] == [
+            second.judge(r).score for r in requests
+        ]
 
 
 class TestHeuristicJudger:

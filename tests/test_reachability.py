@@ -176,10 +176,30 @@ def test_every_exported_index_and_arena_name_is_used_by_something_that_runs():
     assert unused == [], f"exported, but only tests use them: {unused}"
 
 
+def _names_in(node: ast.AST, inside: frozenset = frozenset()):
+    """Every name ``node`` mentions, except one mentioned only inside a
+    ``def`` of the same name: a method delegating to its namesake on
+    another object is not a caller of it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside | {node.name}
+    name = None
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _names_in(child, inside)
+
+
 def _mentioned(closure: set[str]) -> set[str]:
     """Every name that running code calls, references or ``getattr``-s: an
     attribute, a bare name, a string constant. An import alone is not a
-    mention, and neither is a package's ``__all__`` listing a name."""
+    mention, and neither is a package's ``__all__`` listing a name, nor a
+    name used only inside the ``def`` that defines it."""
     mentioned = set()
     for path in [MODULES[name] for name in closure] + _root_scripts():
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -187,13 +207,7 @@ def _mentioned(closure: set[str]) -> set[str]:
                 getattr(target, "id", None) == "__all__" for target in statement.targets
             ):
                 continue
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Attribute):
-                    mentioned.add(node.attr)
-                elif isinstance(node, ast.Name):
-                    mentioned.add(node.id)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    mentioned.add(node.value)
+            mentioned.update(_names_in(statement))
     return mentioned
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 class TestScheduling:
@@ -155,62 +155,6 @@ class TestProcesses:
         assert process.is_alive
         sim.run()
         assert not process.is_alive
-
-
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self):
-        sim = Simulator()
-        seen = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                seen.append((sim.now, interrupt.cause))
-
-        def interrupter(target):
-            yield sim.timeout(1.0)
-            target.interrupt("wake up")
-
-        target = sim.process(sleeper())
-        sim.process(interrupter(target))
-        sim.run()
-        assert seen == [(1.0, "wake up")]
-
-    def test_interrupting_finished_process_rejected(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(0.1)
-
-        process = sim.process(quick())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            process.interrupt()
-
-    def test_stale_wakeup_after_interrupt_is_ignored(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(2.0)
-                log.append("timeout fired")
-            except Interrupt:
-                log.append("interrupted")
-            yield sim.timeout(5.0)
-            log.append("second sleep done")
-
-        def interrupter(target):
-            yield sim.timeout(1.0)
-            target.interrupt()
-
-        target = sim.process(sleeper())
-        sim.process(interrupter(target))
-        sim.run()
-        # The abandoned 2.0s timeout must not resume the process mid-sleep.
-        assert log == ["interrupted", "second sleep done"]
-        assert sim.now == 6.0
 
 
 class TestDeterminism:

@@ -18,7 +18,6 @@ class TestResource:
         sim.run()
         assert first.triggered and second.triggered
         assert not third.triggered
-        assert resource.in_use == 2
         assert resource.queue_length == 1
 
     def test_release_admits_next_waiter(self, sim):
@@ -75,7 +74,7 @@ class TestResource:
         resource.release(held)
         sim.run()
         assert not waiting.triggered
-        assert resource.in_use == 0
+        assert resource.request().triggered  # the released slot is free
 
     def test_cancel_granted_request_rejected(self, sim):
         resource = Resource(sim, capacity=1)

@@ -84,7 +84,7 @@ class TestProtocolConformance:
             )
             assert cache.backend.get(element.element_id) is element
             assert element.element_id in cache.elements
-            assert list(cache.backend.scan()) == [element]
+            assert list(cache.backend.elements.values()) == [element]
             result = cache.lookup(Query("mona lisa painter", fact_id="F"), 1.0)
             assert result.match is not None
             removed = cache.remove(element.element_id)
