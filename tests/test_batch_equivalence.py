@@ -71,6 +71,21 @@ def test_embed_batch_edge_cases():
     assert np.array_equal(single[0], embedder.embed("one lonely text"))
 
 
+def test_search_batch_edge_cases():
+    """The edge cases the old batch search pinned hold for ``search``."""
+    index = FlatIndex(64)
+    queries = _unit_vectors(4, seed=1)
+    # An empty index yields an empty list for every query.
+    assert [index.search(query, 3) for query in queries] == [[], [], [], []]
+    index.add(9, queries[0])
+    single = index.search(queries[0], 3)
+    assert len(single) == 1 and single[0].key == 9
+    with pytest.raises(ValueError):
+        index.search(queries[:1], 3)  # a 2-D batch is a bug, not a query
+    with pytest.raises(ValueError):
+        index.search(queries[0], 0)
+
+
 def test_flat_search_sliced_to_high_water_mark():
     """A search must score live rows only, not reserved capacity."""
     index = FlatIndex(8, initial_capacity=1024)
