@@ -55,10 +55,11 @@ def main() -> None:
     )
     for shared in (False, True):
         remote, nodes = run_fleet(shared, dataset)
-        hits = sum(node.metrics.hits for node in nodes)
+        # A node's own hits are L1 hits; its shared tier counts the L2 hits.
+        l1_hits = sum(node.metrics.hits for node in nodes)
+        l2_hits = sum(node.remote.hits for node in nodes)
+        hits = l1_hits + l2_hits
         total = sum(node.metrics.requests for node in nodes)
-        l1_hits = sum(node.l1_hits for node in nodes)
-        l2_hits = sum(node.l2_hits for node in nodes)
         label = "shared L2" if shared else "isolated "
         print(
             f"  {label}: fleet hit rate {hits / total:6.1%} "
@@ -69,8 +70,8 @@ def main() -> None:
         for node in nodes:
             print(
                 f"      {node.name}: {node.metrics.requests:3d} reqs, "
-                f"hit {node.metrics.hit_rate:6.1%} "
-                f"(own L1 {node.l1_hits:3d}, from L2 {node.l2_hits:3d})"
+                f"hit {(node.metrics.hits + node.remote.hits) / node.metrics.requests:6.1%} "
+                f"(own L1 {node.metrics.hits:3d}, from L2 {node.remote.hits:3d})"
             )
     print(
         "\nThe shared tier converts one node's misses into every node's "

@@ -7,14 +7,12 @@ inference with engine-mediated tool calls, and the trajectory is rendered in
 the paper's tag format (``<think>``, ``<search>``/``<tool>``, ``<info>``,
 ``<answer>`` — Figure 1b).
 
-``parser`` round-trips that tag format (the data client parses it to build
-semantic elements); ``SearchAgent`` and ``CodeAgent`` drive tasks through any
-:class:`~repro.core.engine.KnowledgeEngine` either analytically or on the
-discrete-event simulator (optionally occupying GPU compute through the
-priority-aware scheduler).
+``parser`` round-trips that tag format; ``SearchAgent`` and ``CodeAgent``
+drive tasks through any :class:`~repro.core.engine.KnowledgeEngine` either
+analytically or on the discrete-event simulator (optionally occupying GPU
+compute through the priority-aware scheduler).
 """
 
-from repro.agent.data_client import DataClient, InterceptResult
 from repro.agent.model import AgentLatencyModel, AgentTask, TaskResult
 from repro.agent.parser import (
     Block,
@@ -29,8 +27,6 @@ __all__ = [
     "AgentTask",
     "Block",
     "CodeAgent",
-    "DataClient",
-    "InterceptResult",
     "SearchAgent",
     "TaskResult",
     "extract_blocks",

@@ -5,6 +5,9 @@ One task executes as: for each scripted tool call — an LLM inference step
 engine, then observation — and finally one more inference step that emits
 the answer. Inference either burns pure latency or occupies GPU compute via
 the priority-aware scheduler; tool calls are the engine's business.
+
+The loop is written once, as the sans-IO generator :func:`agent_flow`;
+``run_task`` (analytic) and ``run_task_process`` (simulator) only drive it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Generator
 from repro.agent.model import AgentLatencyModel, AgentTask, TaskResult
 from repro.agent.parser import format_block
 from repro.core.engine import KnowledgeEngine
+from repro.core.types import Query
 from repro.serving.scheduler import PriorityAwareScheduler
 
 
@@ -64,96 +68,89 @@ class ScriptedAgent:
     # -- analytic execution ------------------------------------------------
     def run_task(self, task: AgentTask, now: float = 0.0) -> TaskResult:
         """Execute ``task`` analytically starting at time ``now``."""
-        clock = now
-        inference_total = 0.0
-        retrieval_total = 0.0
-        hits = 0
-        knowledge_correct = True
-        parts: list[str] = []
-        for query in task.queries:
-            step = self.latency_model.sample_step()
-            clock += step
-            inference_total += step
-            response = self.engine.handle(query, clock)
-            clock += response.latency
-            retrieval_total += response.latency
-            if response.served_from_cache:
-                hits += 1
-            if response.lookup.truth_match is False:
-                knowledge_correct = False
-            if self.record_trajectory:
-                parts.append(
-                    format_block("think", self.think_template.format(query=query.text))
-                )
-                parts.append(format_block(self.action_tag, query.text))
-                parts.append(format_block("info", response.result))
-        if self.answer_step:
-            final_step = self.latency_model.sample_step()
-            clock += final_step
-            inference_total += final_step
-        if self.record_trajectory:
-            parts.append(format_block("answer", task.answer or task.question))
-        return TaskResult(
-            task_id=task.task_id,
-            latency=clock - now,
-            inference_latency=inference_total,
-            retrieval_latency=retrieval_total,
-            steps=task.hops,
-            hits=hits,
-            knowledge_correct=knowledge_correct,
-            trajectory="\n".join(parts),
-            finished_at=clock,
-        )
+        flow = agent_flow(self, task, now)
+        clock, reply = now, None
+        while True:
+            try:
+                effect = flow.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if isinstance(effect, Query):
+                response = self.engine.handle(effect, clock)
+                clock += response.latency
+                reply = response, response.latency, clock
+            else:
+                clock += effect
+                reply = effect, clock
 
     # -- discrete-event execution ------------------------------------------------
     def run_task_process(self, sim, task: AgentTask) -> Generator:
-        """Execute ``task`` as a simulated process; returns a TaskResult."""
-        start = sim.now
-        inference_total = 0.0
-        retrieval_total = 0.0
-        hits = 0
-        knowledge_correct = True
-        parts: list[str] = []
-        for query in task.queries:
-            inference_total += yield from self._infer(sim)
-            before = sim.now
-            response = yield from self.engine.process(sim, query)
-            retrieval_total += sim.now - before
-            if response.served_from_cache:
-                hits += 1
-            if response.lookup.truth_match is False:
-                knowledge_correct = False
-            if self.record_trajectory:
-                parts.append(
-                    format_block("think", self.think_template.format(query=query.text))
-                )
-                parts.append(format_block(self.action_tag, query.text))
-                parts.append(format_block("info", response.result))
-        if self.answer_step:
-            inference_total += yield from self._infer(sim)
-        if self.record_trajectory:
-            parts.append(format_block("answer", task.answer or task.question))
-        return TaskResult(
-            task_id=task.task_id,
-            latency=sim.now - start,
-            inference_latency=inference_total,
-            retrieval_latency=retrieval_total,
-            steps=task.hops,
-            hits=hits,
-            knowledge_correct=knowledge_correct,
-            trajectory="\n".join(parts),
-            finished_at=sim.now,
-        )
-
-    def _infer(self, sim) -> Generator:
-        """One inference step: GPU-scheduled when a scheduler is attached."""
-        work = self.latency_model.sample_step()
-        if self.scheduler is not None:
-            started = sim.now
-            yield from self.scheduler.submit_agent(work)
-            return sim.now - started
-        yield sim.timeout(work)
-        return work
+        """Execute ``task`` as a simulated process; returns a TaskResult.
+        Inference is GPU-scheduled when a scheduler is attached."""
+        flow = agent_flow(self, task, sim.now)
+        reply = None
+        while True:
+            try:
+                effect = flow.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            began = sim.now
+            if isinstance(effect, Query):
+                response = yield from self.engine.process(sim, effect)
+                reply = response, sim.now - began, sim.now
+            elif self.scheduler is not None:
+                yield from self.scheduler.submit_agent(effect)
+                reply = sim.now - began, sim.now
+            else:
+                yield sim.timeout(effect)
+                reply = effect, sim.now
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(engine={self.engine.name!r})"
+
+
+def agent_flow(agent: ScriptedAgent, task: AgentTask, start: float) -> Generator:
+    """One task's think-act-observe loop, started at ``start``; returns the
+    :class:`TaskResult`.
+
+    A *sans-IO* generator: it yields the seconds of one inference step to
+    infer (the driver sends back ``(seconds spent, clock)``) and a
+    :class:`Query` to ask the engine (``(response, seconds spent, clock)``).
+    Steps are drawn from ``agent.latency_model`` as the loop reaches them.
+    """
+    clock = start
+    inference_total = 0.0
+    retrieval_total = 0.0
+    hits = 0
+    knowledge_correct = True
+    parts: list[str] = []
+    for query in task.queries:
+        spent, clock = yield agent.latency_model.sample_step()
+        inference_total += spent
+        response, spent, clock = yield query
+        retrieval_total += spent
+        if response.served_from_cache:
+            hits += 1
+        if response.lookup.truth_match is False:
+            knowledge_correct = False
+        if agent.record_trajectory:
+            think = agent.think_template.format(query=query.text)
+            parts.append(format_block("think", think))
+            parts.append(format_block(agent.action_tag, query.text))
+            parts.append(format_block("info", response.result))
+    if agent.answer_step:
+        spent, clock = yield agent.latency_model.sample_step()
+        inference_total += spent
+    if agent.record_trajectory:
+        parts.append(format_block("answer", task.answer or task.question))
+    return TaskResult(
+        task_id=task.task_id,
+        latency=clock - start,
+        inference_latency=inference_total,
+        retrieval_latency=retrieval_total,
+        steps=task.hops,
+        hits=hits,
+        knowledge_correct=knowledge_correct,
+        trajectory="\n".join(parts),
+        finished_at=clock,
+    )

@@ -68,7 +68,6 @@ from repro.core.resilience import (
 )
 from repro.core.sharding import shard_index_for
 from repro.core.sine import Sine, SineResult, canonical_text
-from repro.core.tiered import TieredEngine
 from repro.core.types import CacheLookup, FetchResult, Query, estimate_tokens
 
 __all__ = [
@@ -110,7 +109,6 @@ __all__ = [
     "StaleStore",
     "SizeAwareLFUPolicy",
     "ThresholdRecalibrator",
-    "TieredEngine",
     "canonical_text",
     "estimate_tokens",
     "shard_index_for",

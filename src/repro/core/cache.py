@@ -243,7 +243,7 @@ class AsteriaCache:
             value=fetch.result,
             embedding=embedding,
             tool=query.tool,
-            truth_key=query.fact_id,
+            truth_key=query.fact_id if fetch.truth_key is None else fetch.truth_key,
             staticity=staticity,
             frequency=0,
             retrieval_latency=fetch.service_latency,

@@ -248,7 +248,7 @@ class AsteriaEngine:
     def _record_response(
         self, response: EngineResponse, query: Query, now: float = 0.0
     ) -> None:
-        self.metrics.record_response(response)
+        self.metrics.record_response(response, query.fact_id)
         if response.lookup.status != "bypass":
             # Keep the eviction/expiration counters in sync with the cache.
             self.metrics.evictions = self.cache.stats.evictions

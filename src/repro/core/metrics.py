@@ -249,10 +249,12 @@ class EngineMetrics:
         else:
             raise ValueError(f"unknown lookup status {status!r}")
 
-    def record_response(self, response) -> None:
+    def record_response(self, response, fact_id: str | None) -> None:
         """Account one resolved (non-degraded) response: the lookup counter,
         the latency reservoirs and accuracy — the one ladder every caching
-        engine shares, so attribution cannot drift between them."""
+        engine shares, so attribution cannot drift between them.
+        ``fact_id`` is the query's ground truth, which a fetch carrying a
+        ``truth_key`` is scored against."""
         lookup = response.lookup
         self.record_lookup(lookup.status)
         self.total_latency.add(response.latency)
@@ -266,7 +268,13 @@ class EngineMetrics:
                     self.served_incorrect += 1
                 return
             self.miss_latency.add(response.latency)
-            self.served_correct += 1  # Remote fetches are authoritative.
+            # Remote fetches are authoritative; a fetch the fleet's shared
+            # tier answered from L2 carries the truth of what it served.
+            truth = response.fetch.truth_key
+            if truth is None or fact_id is None or truth == fact_id:
+                self.served_correct += 1
+            else:
+                self.served_incorrect += 1
         if response.fetch is not None:
             self.remote_latency.add(response.fetch.latency)
 

@@ -53,7 +53,9 @@ class FetchResult:
 
     ``latency`` is the end-to-end simulated seconds including rate-limit
     queueing and retries; ``service_latency`` is the raw service time of the
-    final successful attempt.
+    final successful attempt. ``truth_key`` is set only by a source that
+    answers from a semantic cache (the fleet's shared tier): the ground
+    truth of the element it served, which may not be the query's.
     """
 
     result: str
@@ -63,6 +65,7 @@ class FetchResult:
     retries: int = 0
     rate_limited: bool = False
     size_tokens: int = 0
+    truth_key: str | None = None
 
     def __post_init__(self) -> None:
         if self.latency < 0 or self.service_latency < 0:

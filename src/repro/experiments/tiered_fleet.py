@@ -71,9 +71,10 @@ def run(
                 response = nodes[index % n_nodes].handle(query, now)
                 latencies.append(response.latency)
                 now += response.latency + 0.05
-            hits = sum(node.metrics.hits for node in nodes)
+            # A node counts an L2 hit as a fetch: its shared tier counts it.
+            l2_hits = sum(node.remote.hits for node in nodes)
+            hits = sum(node.metrics.hits for node in nodes) + l2_hits
             total = sum(node.metrics.requests for node in nodes)
-            l2_hits = sum(node.l2_hits for node in nodes)
             result.add_row(
                 nodes=n_nodes,
                 l2="shared" if shared else "isolated",

@@ -24,7 +24,7 @@ from repro.ann import FlatIndex
 from repro.core import AsteriaCache, AsteriaConfig, AsteriaEngine, Sine
 from repro.core.arena import build_arena
 from repro.core.eviction import EvictionPolicy, policy_by_name
-from repro.core.tiered import TieredEngine
+from repro.core.tiered import SharedTier
 from repro.serving.aio import (
     AsyncAsteriaEngine,
     AsyncRemoteService,
@@ -359,12 +359,13 @@ def build_tiered_engine(
     seed: int = 0,
     l2_latency: float = 0.005,
     name: str = "tiered",
-) -> TieredEngine:
-    """One fleet node: a private L1 over the shared ``l2`` cache.
+) -> AsteriaEngine:
+    """One fleet node: an engine over a private L1 whose remote is the
+    :class:`~repro.core.tiered.SharedTier` in front of ``remote``.
 
-    Build the shared tier once with :func:`build_semantic_cache` (use the
+    Build the shared ``l2`` once with :func:`build_semantic_cache` (use the
     same ``seed`` so both tiers share embedder/judger behaviour), then one
-    TieredEngine per node.
+    engine per node; ``engine.remote.hits`` counts the node's L2 hits.
     """
     config = config if config is not None else AsteriaConfig()
     l1_config = AsteriaConfig(
@@ -376,6 +377,5 @@ def build_tiered_engine(
         staticity_ttl_scaling=config.staticity_ttl_scaling,
     )
     l1 = build_semantic_cache(l1_config, seed=seed)
-    return TieredEngine(
-        l1, l2, remote, config, l2_latency=l2_latency, name=name
-    )
+    tier = SharedTier(l2, remote, config, l2_latency)
+    return AsteriaEngine(l1, tier, config, name=name)

@@ -114,6 +114,28 @@ class TestProcessExecution:
         assert result.inference_latency == pytest.approx(1.8)
 
 
+class TestAgentFlow:
+    def test_bare_loop_yields_steps_and_queries_in_order(self):
+        """The loop with no engine and no clock: scripted replies in, the
+        effects and the TaskResult out."""
+        from repro.agent.base import agent_flow
+
+        agent = SearchAgent(None, AgentLatencyModel(per_step=0.5))
+        task = make_task(1)
+        flow = agent_flow(agent, task, 10.0)
+        assert flow.send(None) == 0.5  # infer
+        assert flow.send((0.5, 10.5)) is task.queries[0]  # ask
+        response = build_asteria_engine(build_remote()).handle(task.queries[0], 10.5)
+        assert flow.send((response, 0.25, 10.75)) == 0.5  # answer step
+        with pytest.raises(StopIteration) as stop:
+            flow.send((0.75, 11.5))  # a scheduler may take longer than the work
+        result = stop.value.value
+        assert result.latency == 1.5 and result.finished_at == 11.5
+        assert result.inference_latency == 1.25
+        assert result.retrieval_latency == 0.25
+        assert result.hits == 0 and result.knowledge_correct
+
+
 class TestAgentStats:
     def test_aggregates(self):
         stats = AgentStats()
