@@ -7,14 +7,14 @@ Usage::
     python -m repro run table5
     python -m repro run-all --quick
     python -m repro stress --queries 2000
-    python -m repro stress --rate 800 --deadline 0.2
+    python -m repro stress --rate 800 --max-inflight 64 --deadline 0.2
     python -m repro stress --engine proc --workers 4 --rate 800
-    python -m repro stress --chaos --fault-rate 0.3 --blackout 6:10
+    python -m repro stress --chaos --blackout 6:10
     python -m repro stress --trace-out trace.json --metrics-out metrics.prom
     python -m repro serve --workers 4 --port 7621
     python -m repro stress --connect 127.0.0.1:7621 --rate 400
     python -m repro stress --engine sync --persist /tmp/cache-home
-    python -m repro replicate --sync-interval 0.5
+    python -m repro replicate --queries 600
     python -m repro replicate --listen 7633   # region A
     python -m repro replicate --peer 127.0.0.1:7633   # region B
     python -m repro stress --engine proc --series-out series.json
@@ -161,7 +161,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def _command_list() -> int:
+def _command_list(arguments) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     print("Available experiments (python -m repro run <name>):\n")
     for name, experiment in EXPERIMENTS.items():
@@ -181,24 +181,23 @@ def _run_experiment(name: str, overrides: dict) -> list[str]:
     return failed
 
 
-def _command_run(name: str, overrides: dict) -> int:
+def _command_run(arguments) -> int:
+    name = arguments.name
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; try: python -m repro list")
         return 2
-    return 1 if _run_experiment(name, overrides) else 0
+    return 1 if _run_experiment(name, _parse_overrides(arguments.set)) else 0
 
 
-def _stress_queries(arguments) -> list:
+def _stress_queries(count: int, seed: int, population: int) -> list:
     import numpy as np
 
     from repro.core import Query
 
-    rng = np.random.default_rng(arguments.seed)
-    # Zipf-skewed draws over a fixed fact population: the repeats that make
-    # caching (and single-flight) matter, with a long tail of cold misses.
-    ranks = np.minimum(
-        rng.zipf(arguments.zipf_s, size=arguments.queries), arguments.population
-    )
+    rng = np.random.default_rng(seed)
+    # Zipf-skewed draws (s=1.3) over a fixed fact population: the repeats that
+    # make caching (and single-flight) matter, with a long tail of cold misses.
+    ranks = np.minimum(rng.zipf(1.3, size=count), population)
     return [
         Query(f"stress fact number {rank} of the universe", fact_id=f"F{rank}")
         for rank in ranks
@@ -223,24 +222,24 @@ def _chaos_setup(arguments):
     """Build the (fault_injector, resilience) pair for ``stress --chaos``.
 
     Returns ``(None, None)`` when chaos is off so the stress path stays
-    byte-identical to the pre-fault-tolerance behaviour. The fault rate is
-    split 2/3 transient errors + 1/3 timeouts, matching the chaos benchmark.
+    byte-identical to the pre-fault-tolerance behaviour. A fetch faults with
+    probability 0.3, split 2/3 transient errors + 1/3 timeouts.
     """
     if not arguments.chaos:
         return None, None
     from repro.core.resilience import CircuitBreaker, ResilienceManager
     from repro.network import FaultInjector
 
+    fault_rate = 0.3
     injector = FaultInjector(
-        error_rate=arguments.fault_rate * 2.0 / 3.0,
-        timeout_rate=arguments.fault_rate / 3.0,
+        error_rate=fault_rate * 2.0 / 3.0,
+        timeout_rate=fault_rate / 3.0,
         blackouts=_parse_blackouts(arguments.blackout),
         seed=arguments.seed,
     )
     resilience = ResilienceManager(
         breaker=CircuitBreaker(window=16, min_samples=8, open_seconds=0.5),
         negative_ttl=0.3,
-        stale_serve=not arguments.no_stale,
         seed=arguments.seed,
     )
     return injector, resilience
@@ -373,7 +372,7 @@ def _obs_setup(arguments, engine, label):
         registry, instrument, series = _metrics_rig(
             engine,
             label,
-            arguments.snapshot_interval if arguments.series_out else None,
+            0.1 if arguments.series_out else None,
         )
     return tracer, registry, instrument, series
 
@@ -478,7 +477,6 @@ def _stack_flags(arguments) -> dict:
     """The stack knobs every engine-building arm reads from its flags."""
     return {
         "seed": arguments.seed,
-        "judge_spin": arguments.judge_spin,
         "persist_dir": arguments.persist,
         "fsync_every": arguments.fsync_every,
     }
@@ -516,7 +514,7 @@ def _build_proc(arguments, remote, resilience=None):
         kill_at = arguments.kill_at
         if kill_at is None:
             kill_at = max(1, arguments.queries // 3)
-        proc_faults = ProcFaultInjector(kill_shard=arguments.kill_shard, kill_at=kill_at)
+        proc_faults = ProcFaultInjector(kill_at=kill_at)
     return build_proc_engine(
         remote,
         workers=arguments.workers,
@@ -656,7 +654,7 @@ def _command_stress(arguments) -> int:
 
     tier = "socket" if arguments.connect else arguments.engine
     build, drive, shape = _STRESS_TIERS[tier]
-    queries = _stress_queries(arguments)
+    queries = _stress_queries(arguments.queries, arguments.seed, population=256)
     injector, resilience = _chaos_setup(arguments)
     engine = build(
         arguments, build_remote(seed=arguments.seed, fault_injector=injector), resilience
@@ -731,7 +729,7 @@ def _command_serve(arguments) -> int:
     if arguments.slo:
         from repro.obs import SLOEngine, default_slos
 
-        registry, _, series = _metrics_rig(engine, "proc", arguments.slo_interval)
+        registry, _, series = _metrics_rig(engine, "proc", series_interval=1.0)
         slo_engine = SLOEngine(
             default_slos("proc"), recorder=series[0], registry=registry
         )
@@ -786,14 +784,7 @@ def _command_slo(arguments) -> int:
     if not isinstance(snapshot, dict) or not snapshot.get("t"):
         print(f"slo: {arguments.series!r} has no samples to evaluate")
         return 2
-    specs = default_slos(
-        engine=arguments.engine,
-        p99_threshold=arguments.p99_threshold,
-        served_threshold=arguments.served_threshold,
-        stale_threshold=arguments.stale_threshold,
-        fast_window=arguments.fast_window,
-        slow_window=arguments.slow_window,
-    )
+    specs = default_slos(engine=arguments.engine, p99_threshold=arguments.p99_threshold)
     statuses = evaluate_slos(specs, snapshot)
     evaluated = [s for s in statuses if s.slow_samples > 0]
     print(
@@ -814,6 +805,11 @@ def _command_slo(arguments) -> int:
     return 0
 
 
+#: Distinct facts each region's workload draws from; the overlap is what
+#: replication converges on.
+_REGION_FACTS = 64
+
+
 def _command_replicate(arguments) -> int:
     """Cross-region replication: a local two-node simulation by default, or
     one real region of a pair with ``--listen PORT`` / ``--peer HOST:PORT``."""
@@ -831,35 +827,26 @@ def _replicate_local(arguments) -> int:
     from repro.store.replication import ReplicaNode, ReplicationDriver
 
     seed = arguments.seed if arguments.seed is not None else 0
-    arguments.seed = seed
-    queries_a = _stress_queries(arguments)
-    arguments.seed = seed + 1  # different draw order, same fact population
-    queries_b = _stress_queries(arguments)
+    # Different draw orders over the same fact population.
+    queries_a = _stress_queries(arguments.queries, seed, _REGION_FACTS)
+    queries_b = _stress_queries(arguments.queries, seed + 1, _REGION_FACTS)
     engine_a = build_asteria_engine(build_remote(seed=seed), seed=seed)
     engine_b = build_asteria_engine(build_remote(seed=seed), seed=seed)
     node_a = ReplicaNode("A", engine_a.cache)
     node_b = ReplicaNode("B", engine_b.cache)
-    driver = ReplicationDriver(
-        node_a,
-        node_b,
-        sync_interval=arguments.sync_interval,
-        latency_ab=arguments.latency_ab,
-        latency_ba=arguments.latency_ba,
-    )
+    driver = ReplicationDriver(node_a, node_b, sync_interval=0.5)
     time_step = 0.01
-    total = max(len(queries_a), len(queries_b))
+    total = arguments.queries
     sample_every = max(1, total // 8)
     print(
         f"replicate (local sim): {total} queries/region "
-        f"sync_interval={arguments.sync_interval}s "
-        f"latency A->B={arguments.latency_ab}s B->A={arguments.latency_ba}s"
+        f"sync_interval={driver.sync_interval}s "
+        f"latency A->B={driver.link_ab.latency}s B->A={driver.link_ba.latency}s"
     )
-    for i in range(total):
+    for i, (query_a, query_b) in enumerate(zip(queries_a, queries_b)):
         now = i * time_step
-        if i < len(queries_a):
-            engine_a.handle(queries_a[i], now=now)
-        if i < len(queries_b):
-            engine_b.handle(queries_b[i], now=now)
+        engine_a.handle(query_a, now=now)
+        engine_b.handle(query_b, now=now)
         driver.tick(now)
         if i and i % sample_every == 0:
             sample = driver.agreement()
@@ -905,9 +892,8 @@ def _replicate_socket(arguments) -> int:
         if arguments.seed is not None
         else (0 if listening else 1)
     )
-    arguments.seed = seed
-    node_id = arguments.node_id or ("A" if listening else "B")
-    queries = _stress_queries(arguments)
+    node_id = "A" if listening else "B"
+    queries = _stress_queries(arguments.queries, seed, _REGION_FACTS)
     engine = build_asteria_engine(build_remote(seed=seed), seed=seed)
     node = ReplicaNode(node_id, engine.cache)
     workload = (
@@ -934,7 +920,6 @@ def _replicate_socket(arguments) -> int:
             node,
             sock,
             workload=workload,
-            sync_interval=arguments.sync_interval,
             stop=stop,
             pace=arguments.pace,
         )
@@ -964,11 +949,11 @@ def _replicate_socket(arguments) -> int:
     return 0 if agreement["agreement"] == 1.0 else 1
 
 
-def _command_run_all(quick: bool) -> int:
+def _command_run_all(arguments) -> int:
     missed = [
         name
         for name, experiment in EXPERIMENTS.items()
-        if _run_experiment(name, experiment.quick if quick else {})
+        if _run_experiment(name, experiment.quick if arguments.quick else {})
     ]
     if missed:
         print(
@@ -980,8 +965,34 @@ def _command_run_all(quick: bool) -> int:
     return 0
 
 
-def _add_persist_arguments(parser) -> None:
-    """``--persist`` flags shared by the stress and serve arms."""
+def _add_engine_arguments(parser) -> None:
+    """Flags shared by the arms that build an engine (stress and serve)."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="shard worker processes (default 4; stress: --engine proc)",
+    )
+    parser.add_argument(
+        "--io-scale",
+        type=float,
+        default=0.02,
+        help="real seconds slept per simulated remote-latency second "
+        "(default 0.02: a 0.4 s fetch blocks ~8 ms of wall clock)",
+    )
+    parser.add_argument(
+        "--max-inflight",
+        type=int,
+        default=256,
+        help="admission-queue depth before overload rejection (default 256)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        help="per-request deadline in wall seconds (default none)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--persist",
         default=None,
@@ -998,19 +1009,6 @@ def _add_persist_arguments(parser) -> None:
         help="fsync the journal every N records (default 8; kill -9 loses "
         "at most the last unfsynced batch)",
     )
-
-
-def _add_proc_arguments(parser) -> None:
-    """Flags shared by every arm that can touch the proc tier (plus
-    ``--judge-spin``, which all engines honour)."""
-    parser.add_argument(
-        "--judge-spin",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="burn ~SECONDS of GIL-holding CPU inside every judge call "
-        "(makes the judge stage honestly CPU-bound; default 0 = off)",
-    )
     parser.add_argument(
         "--no-supervise",
         action="store_true",
@@ -1019,15 +1017,18 @@ def _add_proc_arguments(parser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: one subparser per command, each carrying
+    the handler ``main`` dispatches to."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce the paper's experiments.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser("list", help="list available experiments")
+    list_parser = commands.add_parser("list", help="list available experiments")
+    list_parser.set_defaults(handler=_command_list)
     run_parser = commands.add_parser("run", help="run one experiment")
+    run_parser.set_defaults(handler=_command_run)
     run_parser.add_argument("name", help="experiment name (see `list`)")
     run_parser.add_argument(
         "--set",
@@ -1037,12 +1038,14 @@ def main(argv: list[str] | None = None) -> int:
         help="override a runner keyword argument (repeatable)",
     )
     all_parser = commands.add_parser("run-all", help="run every experiment")
+    all_parser.set_defaults(handler=_command_run_all)
     all_parser.add_argument(
         "--quick", action="store_true", help="reduced-scale sweep"
     )
     stress_parser = commands.add_parser(
         "stress", help="wall-clock stress of the concurrent serving layer"
     )
+    stress_parser.set_defaults(handler=_command_stress)
     stress_parser.add_argument(
         "--engine",
         choices=("sync", "async", "proc"),
@@ -1059,58 +1062,19 @@ def main(argv: list[str] | None = None) -> int:
         "instead of building an engine (open loop at --rate)",
     )
     stress_parser.add_argument(
-        "--workers", type=int, default=4, help="shard worker processes (--engine proc)"
-    )
-    stress_parser.add_argument(
         "--rate",
         type=float,
         default=500.0,
         help="async open-loop arrival rate, requests/s (default 500)",
     )
     stress_parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=256,
-        help="async admission-queue depth before overload rejection "
-        "(default 256)",
-    )
-    stress_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="async per-request deadline in wall seconds (default none)",
-    )
-    stress_parser.add_argument(
         "--queries", type=int, default=2000, help="requests to serve (default 2000)"
-    )
-    stress_parser.add_argument(
-        "--population",
-        type=int,
-        default=256,
-        help="distinct facts in the workload (default 256)",
-    )
-    stress_parser.add_argument(
-        "--zipf-s", type=float, default=1.3, help="Zipf skew exponent (default 1.3)"
-    )
-    stress_parser.add_argument(
-        "--io-scale",
-        type=float,
-        default=0.02,
-        help="real seconds slept per simulated remote-latency second "
-        "(default 0.02: a 0.4 s fetch blocks ~8 ms of wall clock)",
     )
     stress_parser.add_argument(
         "--chaos",
         action="store_true",
-        help="inject remote faults and enable the resilience layer "
-        "(circuit breaker, negative cache, stale serving)",
-    )
-    stress_parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.3,
-        help="total fault probability per fetch under --chaos, split 2/3 "
-        "transient errors + 1/3 timeouts (default 0.3)",
+        help="inject remote faults (30%% of fetches) and enable the "
+        "resilience layer (circuit breaker, negative cache, stale serving)",
     )
     stress_parser.add_argument(
         "--blackout",
@@ -1120,22 +1084,10 @@ def main(argv: list[str] | None = None) -> int:
         help="simulated-time window where every fetch fails (repeatable)",
     )
     stress_parser.add_argument(
-        "--no-stale",
-        action="store_true",
-        help="disable stale serving under --chaos (degraded misses fail "
-        "instead of answering from the last-known-good store)",
-    )
-    stress_parser.add_argument(
         "--chaos-workers",
         action="store_true",
-        help="proc engine only: SIGKILL a shard worker mid-run and report "
+        help="proc engine only: SIGKILL shard 0's worker mid-run and report "
         "how the supervisor and fault domains absorb it",
-    )
-    stress_parser.add_argument(
-        "--kill-shard",
-        type=int,
-        default=0,
-        help="shard whose worker --chaos-workers kills (default 0)",
     )
     stress_parser.add_argument(
         "--kill-at",
@@ -1163,14 +1115,8 @@ def main(argv: list[str] | None = None) -> int:
         "--series-out",
         default=None,
         metavar="PATH",
-        help="sample the metrics registry on an interval during the run and "
+        help="sample the metrics registry every 0.1 s during the run and "
         "write the time-series as JSON",
-    )
-    stress_parser.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=0.1,
-        help="seconds between --series-out samples (default 0.1)",
     )
     stress_parser.add_argument(
         "--trace-sample",
@@ -1186,19 +1132,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run the serving loop under cProfile and print the top 25 "
         "functions by cumulative time",
     )
-    stress_parser.add_argument("--seed", type=int, default=0)
-    _add_persist_arguments(stress_parser)
-    _add_proc_arguments(stress_parser)
+    _add_engine_arguments(stress_parser)
     serve_parser = commands.add_parser(
         "serve",
         help="run the multi-process serving tier behind a TCP front door",
     )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="shard worker processes (default 4)",
-    )
+    serve_parser.set_defaults(handler=_command_serve)
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
@@ -1209,88 +1148,35 @@ def main(argv: list[str] | None = None) -> int:
         help="TCP port (default 0: pick an ephemeral port and print it)",
     )
     serve_parser.add_argument(
-        "--io-scale",
-        type=float,
-        default=0.02,
-        help="real seconds slept per simulated remote-latency second "
-        "(default 0.02)",
-    )
-    serve_parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=256,
-        help="admission-queue depth before overload rejection (default 256)",
-    )
-    serve_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="default per-request deadline in wall seconds (default none)",
-    )
-    serve_parser.add_argument(
         "--slo",
         action="store_true",
-        help="evaluate the stock burn-rate SLOs live (snapshot recorder + "
-        "SLO engine); the health op then reports burn rates and firings",
+        help="evaluate the stock burn-rate SLOs live (snapshot recorder "
+        "sampling every second + SLO engine); the health op then reports "
+        "burn rates and firings",
     )
-    serve_parser.add_argument(
-        "--slo-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="sampling interval for the --slo snapshot recorder (default 1)",
-    )
-    serve_parser.add_argument("--seed", type=int, default=0)
-    _add_persist_arguments(serve_parser)
-    _add_proc_arguments(serve_parser)
+    _add_engine_arguments(serve_parser)
     replicate_parser = commands.add_parser(
         "replicate",
         help="cross-region cache replication: local two-node simulation by "
         "default, or one real region with --listen / --peer",
     )
+    replicate_parser.set_defaults(handler=_command_replicate)
     replicate_parser.add_argument(
         "--listen",
         type=int,
         default=None,
         metavar="PORT",
-        help="serve as one region: wait for the peer on PORT (0 = pick an "
+        help="serve as region A: wait for the peer on PORT (0 = pick an "
         "ephemeral port and print it)",
     )
     replicate_parser.add_argument(
         "--peer",
         default=None,
         metavar="HOST:PORT",
-        help="dial a --listen region and replicate against it",
+        help="dial a --listen region and replicate against it as region B",
     )
     replicate_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address for --listen"
-    )
-    replicate_parser.add_argument(
-        "--node-id",
-        default=None,
-        help="region name in diffs and digests (default: A for --listen, "
-        "B for --peer)",
-    )
-    replicate_parser.add_argument(
-        "--sync-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="seconds between diff syncs (default 0.5)",
-    )
-    replicate_parser.add_argument(
-        "--latency-ab",
-        type=float,
-        default=0.08,
-        metavar="SECONDS",
-        help="simulated one-way latency A->B in local-sim mode (default 0.08)",
-    )
-    replicate_parser.add_argument(
-        "--latency-ba",
-        type=float,
-        default=0.12,
-        metavar="SECONDS",
-        help="simulated one-way latency B->A in local-sim mode (default 0.12)",
     )
     replicate_parser.add_argument(
         "--pace",
@@ -1304,16 +1190,6 @@ def main(argv: list[str] | None = None) -> int:
         "--queries", type=int, default=600, help="requests per region (default 600)"
     )
     replicate_parser.add_argument(
-        "--population",
-        type=int,
-        default=64,
-        help="distinct facts in each region's workload (default 64; the "
-        "overlap is what replication converges on)",
-    )
-    replicate_parser.add_argument(
-        "--zipf-s", type=float, default=1.3, help="Zipf skew exponent (default 1.3)"
-    )
-    replicate_parser.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -1325,6 +1201,7 @@ def main(argv: list[str] | None = None) -> int:
         help="evaluate burn-rate SLOs against a --series-out dump "
         "(exit 1 when firing)",
     )
+    slo_parser.set_defaults(handler=_command_slo)
     slo_parser.add_argument(
         "--series",
         required=True,
@@ -1343,46 +1220,13 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="p99 latency SLO threshold (default 0.5 simulated seconds)",
     )
-    slo_parser.add_argument(
-        "--served-threshold",
-        type=float,
-        default=0.99,
-        help="served-fraction SLO threshold (default 0.99)",
-    )
-    slo_parser.add_argument(
-        "--stale-threshold",
-        type=float,
-        default=0.2,
-        help="stale-fraction SLO threshold (default 0.2)",
-    )
-    slo_parser.add_argument(
-        "--fast-window",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="fast burn-rate window (default 300; clamps to the series)",
-    )
-    slo_parser.add_argument(
-        "--slow-window",
-        type=float,
-        default=3600.0,
-        metavar="SECONDS",
-        help="slow burn-rate window (default 3600; clamps to the series)",
-    )
-    arguments = parser.parse_args(argv)
-    if arguments.command == "list":
-        return _command_list()
-    if arguments.command == "run":
-        return _command_run(arguments.name, _parse_overrides(arguments.set))
-    if arguments.command == "stress":
-        return _command_stress(arguments)
-    if arguments.command == "serve":
-        return _command_serve(arguments)
-    if arguments.command == "replicate":
-        return _command_replicate(arguments)
-    if arguments.command == "slo":
-        return _command_slo(arguments)
-    return _command_run_all(arguments.quick)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; returns a process exit code."""
+    arguments = build_parser().parse_args(argv)
+    return arguments.handler(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

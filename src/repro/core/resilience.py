@@ -303,10 +303,6 @@ class ResilienceManager:
         The circuit breaker; a default one is built when omitted.
     negative_ttl:
         Seconds a failed key stays negative-cached.
-    stale_serve:
-        When False, no last-known-good results are stored or served —
-        degraded requests surface as explicit failures (the chaos
-        benchmark's ablation arm).
     stale_capacity / stale_max_age:
         Sizing/freshness bound of the stale store.
     seed:
@@ -318,7 +314,6 @@ class ResilienceManager:
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         negative_ttl: float = 5.0,
-        stale_serve: bool = True,
         stale_capacity: int = 4096,
         stale_max_age: float | None = None,
         seed: int = 0,
@@ -328,7 +323,6 @@ class ResilienceManager:
         )
         self.breaker = breaker or CircuitBreaker()
         self.negative = NegativeCache(ttl=negative_ttl)
-        self.stale_serve = stale_serve
         self.stale = StaleStore(capacity=stale_capacity, max_age=stale_max_age)
         self.rng = np.random.default_rng(seed)
 
@@ -355,8 +349,7 @@ class ResilienceManager:
         and bank the result as last-known-good."""
         self.breaker.record_success(now)
         self.negative.discard(key)
-        if self.stale_serve:
-            self.stale.put(key, fetch, now)
+        self.stale.put(key, fetch, now)
 
     def on_failure(self, key: object, now: float) -> None:
         """Account a failed flight: breaker failure + negative-cache the key."""
@@ -364,10 +357,8 @@ class ResilienceManager:
         self.negative.put(key, now)
 
     def stale_for(self, key: object, now: float) -> StaleEntry | None:
-        """The servable last-known-good entry for ``key`` (None when stale
-        serving is disabled or nothing fresh enough is banked)."""
-        if not self.stale_serve:
-            return None
+        """The servable last-known-good entry for ``key`` (None when
+        nothing fresh enough is banked)."""
         return self.stale.get(key, now)
 
     def next_delay(self, attempt: int) -> float:
@@ -378,6 +369,5 @@ class ResilienceManager:
     def __repr__(self) -> str:
         return (
             f"ResilienceManager(breaker={self.breaker!r}, "
-            f"negative={len(self.negative)}, stale={len(self.stale)}, "
-            f"stale_serve={self.stale_serve})"
+            f"negative={len(self.negative)}, stale={len(self.stale)})"
         )

@@ -34,7 +34,7 @@ from repro.serving.proc.pool import WorkerPool
 from repro.serving.proc.supervisor import WorkerSupervisor
 from repro.serving.proc.worker import WorkerSpec
 from repro.embedding import CachedEmbedder, HashingEmbedder
-from repro.judger import SimulatedJudger, SpinningJudger, spin_iterations
+from repro.judger import SimulatedJudger
 from repro.judger.staticity import StaticityScorer
 from repro.core.resilience import ResilienceManager
 from repro.network import FaultInjector, RemoteDataService, TokenBucket
@@ -67,12 +67,6 @@ class StackSpec:
     #: Embedding storage: ``"float32"`` (contiguous rows, decision-identical
     #: to per-element arrays), or None for standalone arrays.
     arena: str | None = "float32"
-    #: Seconds of GIL-holding CPU a :class:`~repro.judger.SpinningJudger`
-    #: burns per judged candidate (identical decisions, real CPU cost — for
-    #: parallelism studies); 0 leaves the judger bare.
-    judge_spin: float = 0.0
-    #: Loop count pre-calibrated for that spin (None: calibrate on first use).
-    judge_spin_iterations: int | None = None
     #: Durable home: warm-restore from its snapshot + journal, then journal
     #: every mutation back (:class:`~repro.store.persist.PersistentStore`),
     #: fsyncing once per ``fsync_every`` records.
@@ -222,8 +216,6 @@ def build_semantic_cache(
     index = FlatIndex(embedder.dim, arena=shared_arena)
     if judger is None:
         judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
-    if spec.judge_spin > 0:
-        judger = SpinningJudger(judger, spec.judge_spin, spec.judge_spin_iterations)
     sine = Sine(
         embedder,
         index,
@@ -319,12 +311,6 @@ def build_proc_engine(
         raise ValueError(
             "proc serving refuses finetune_enabled: the judgers live in the workers"
         )
-    if spec.judge_spin > 0:
-        # Calibrate the spin once here, in the quiet parent, and ship the
-        # iteration count to every worker: a worker calibrating while its
-        # siblings burn CPU on the same cores would measure a contended loop
-        # rate, give itself less work per judge, and fake parallel speedup.
-        spec = replace(spec, judge_spin_iterations=spin_iterations(spec.judge_spin))
     # Every spec before any marker, so the layout refusal in ``shard`` sees
     # ``DIR`` as the last run left it.
     specs = [spec.shard(index, workers) for index in range(workers)]

@@ -17,7 +17,6 @@ logistic), useful as a drop-in when no ground truth annotation exists.
 from repro.judger.base import JudgeRequest, Judger, JudgeVerdict
 from repro.judger.heuristic import HeuristicJudger
 from repro.judger.simulated import SimulatedJudger
-from repro.judger.spin import SpinningJudger, spin_iterations
 from repro.judger.staticity import StaticityScorer
 
 __all__ = [
@@ -26,7 +25,5 @@ __all__ = [
     "JudgeVerdict",
     "Judger",
     "SimulatedJudger",
-    "SpinningJudger",
-    "spin_iterations",
     "StaticityScorer",
 ]

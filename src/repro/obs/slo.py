@@ -165,14 +165,7 @@ def evaluate_slos(specs, snapshot: dict) -> list[SLOStatus]:
     return [evaluate_slo(spec, snapshot) for spec in specs]
 
 
-def default_slos(
-    engine: str = "proc",
-    p99_threshold: float = 0.5,
-    served_threshold: float = 0.99,
-    stale_threshold: float = 0.2,
-    fast_window: float = 300.0,
-    slow_window: float = 3600.0,
-) -> list[SLOSpec]:
+def default_slos(engine: str = "proc", p99_threshold: float = 0.5) -> list[SLOSpec]:
     """The stock SLO set over the probes ``EngineInstrument.install_probes``
     registers for ``engine``: p99 latency, served fraction, and staleness
     (the fraction of served answers that were stale hits)."""
@@ -183,33 +176,23 @@ def default_slos(
             threshold=p99_threshold,
             op="<=",
             target=0.99,
-            fast_window=fast_window,
-            slow_window=slow_window,
             description=f"p99 request latency stays under {p99_threshold}s",
         ),
         SLOSpec(
             name="served_fraction",
             series=f'served_fraction{{engine="{engine}"}}',
-            threshold=served_threshold,
+            threshold=0.99,
             op=">=",
             target=0.99,
-            fast_window=fast_window,
-            slow_window=slow_window,
-            description=(
-                f"at least {served_threshold:.0%} of finished requests get a payload"
-            ),
+            description="at least 99% of finished requests get a payload",
         ),
         SLOSpec(
             name="stale_fraction",
             series=f'stale_fraction{{engine="{engine}"}}',
-            threshold=stale_threshold,
+            threshold=0.2,
             op="<=",
             target=0.95,
-            fast_window=fast_window,
-            slow_window=slow_window,
-            description=(
-                f"stale hits stay under {stale_threshold:.0%} of served answers"
-            ),
+            description="stale hits stay under 20% of served answers",
         ),
     ]
 

@@ -269,15 +269,12 @@ class WorkerSupervisor:
 
 
 class ProcFaultInjector:
-    """Seeded chaos for the proc tier: ``kill_at`` SIGKILLs shard
-    ``kill_shard``'s worker when the engine has seen that many serve calls
+    """Seeded chaos for the proc tier: ``kill_at`` SIGKILLs shard 0's
+    worker when the engine has seen that many serve calls
     (``on_serve`` is called once per request entering the proc engine's
     serve path, so the kill lands at a deterministic request index)."""
 
-    def __init__(self, kill_shard: int = 0, kill_at: int | None = None) -> None:
-        if kill_shard < 0:
-            raise ValueError(f"kill_shard must be >= 0, got {kill_shard}")
-        self.kill_shard = kill_shard
+    def __init__(self, kill_at: int | None = None) -> None:
         self.kill_at = kill_at
         self.requests_seen = 0
         self.kills = 0
@@ -290,11 +287,11 @@ class ProcFaultInjector:
             self.kill_worker(pool)
 
     def kill_worker(self, pool) -> bool:
-        """SIGKILL the targeted shard's worker (no cleanup, no flush — the
-        worker gets exactly the death an OOM kill would deliver)."""
-        if self.kill_shard >= len(pool.processes):
+        """SIGKILL shard 0's worker (no cleanup, no flush — the worker gets
+        exactly the death an OOM kill would deliver)."""
+        if not pool.processes:
             return False
-        process = pool.processes[self.kill_shard]
+        process = pool.processes[0]
         if process.pid is None or not process.is_alive():
             return False
         os.kill(process.pid, signal.SIGKILL)
@@ -303,6 +300,5 @@ class ProcFaultInjector:
 
     def __repr__(self) -> str:
         return (
-            f"ProcFaultInjector(kill_shard={self.kill_shard}, "
-            f"kill_at={self.kill_at}, kills={self.kills})"
+            f"ProcFaultInjector(kill_at={self.kill_at}, kills={self.kills})"
         )

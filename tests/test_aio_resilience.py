@@ -120,13 +120,13 @@ class TestAsyncStaleServing:
         engine = make_engine(
             fault_injector=FaultInjector(blackouts=[(4.0, 100.0)]),
             config=AsteriaConfig(default_ttl=1.0),
-            resilience=ResilienceManager(stale_serve=False),
         )
-        query = Query("who painted the mona lisa", fact_id="F")
+        # First asked inside the blackout: nothing was ever banked for it.
+        never_banked = Query("boiling point of water at sea level", fact_id="G")
 
         async def scenario():
-            await engine.serve(query, 0.0)
-            outcome = await engine.serve(query, 5.0)
+            await engine.serve(Query("who painted the mona lisa", fact_id="F"), 0.0)
+            outcome = await engine.serve(never_banked, 5.0)
             assert outcome.status == STATUS_FAILED
             assert outcome.response is None
             assert engine.metrics.stale_hits == 0

@@ -67,6 +67,45 @@ class TestCommands:
         assert "1 of 2 experiments missed a claim: broken" in output
 
 
+#: Flags nothing passed, deleted: each value is now a constant at its one
+#: use, or its parameter is gone from the layers below.
+DELETED_FLAGS = [
+    ("stress", "--fault-rate 0.3"),
+    ("stress", "--population 256"),
+    ("stress", "--zipf-s 1.3"),
+    ("stress", "--snapshot-interval 0.1"),
+    ("stress", "--kill-shard 0"),
+    ("stress", "--no-stale"),
+    ("stress", "--judge-spin 0.001"),
+    ("serve", "--slo-interval 1.0"),
+    ("serve", "--judge-spin 0.001"),
+    ("replicate", "--population 64"),
+    ("replicate", "--zipf-s 1.3"),
+    ("replicate", "--node-id A"),
+    ("replicate", "--sync-interval 0.5"),
+    ("replicate", "--latency-ab 0.08"),
+    ("replicate", "--latency-ba 0.12"),
+    ("slo", "--served-threshold 0.99"),
+    ("slo", "--stale-threshold 0.2"),
+    ("slo", "--fast-window 300"),
+    ("slo", "--slow-window 3600"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, passed",
+    DELETED_FLAGS,
+    ids=[f"{command}{passed.split()[0]}" for command, passed in DELETED_FLAGS],
+)
+def test_deleted_flag_is_refused(capsys, command, passed):
+    flag = passed.split()[0]
+    required = ["--series", "series.json"] if command == "slo" else []
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *required, *passed.split()])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestRegistry:
     def test_registry_covers_all_paper_artefacts(self):
         for artefact in (

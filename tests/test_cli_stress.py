@@ -1,4 +1,5 @@
-"""The ``stress`` and ``slo`` CLI bodies, entered through ``main``.
+"""The ``stress``, ``slo`` and local ``replicate`` CLI bodies, entered
+through ``main``.
 
 Every token the CI ``cli-smoke`` job greps for is asserted here on a small
 run of each tier — sync, asyncio, proc (two real worker processes) and
@@ -61,6 +62,20 @@ def test_the_default_tier_is_async_and_thread_is_gone(capsys):
         main(["stress", "--shards", "2"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
+
+def test_max_inflight_rejects_what_the_admission_queue_cannot_hold(capsys):
+    # One slot at 2 000 arrivals/s: a miss holds it for ~8 ms of wall clock.
+    code, output = stress(capsys, "--max-inflight", "1")
+    assert code == 0 and "max_inflight=1 " in output
+    assert field(output, "overloaded") > 0
+
+
+def test_deadline_turns_slow_misses_into_deadline_exceeded(capsys):
+    code, output = stress(capsys, "--deadline", "0.001")
+    assert code == 0
+    assert field(output, "overloaded") == 0
+    assert field(output, "deadline_exceeded") > 0
 
 
 @pytest.mark.parametrize("engine", ["sync", "async"])
@@ -181,6 +196,13 @@ def test_connect_drives_a_running_server(capsys, served_port):
 def test_connect_rejects_a_malformed_target():
     with pytest.raises(SystemExit, match="HOST:PORT"):
         main(["stress", "--connect", "localhost:http", *SMALL])
+
+
+def test_replicate_local_converges(capsys):
+    assert main(["replicate", "--queries", "60"]) == 0
+    output = capsys.readouterr().out
+    assert output.startswith("replicate (local sim): 60 queries/region ")
+    assert "final: agreement=1.000 " in output
 
 
 class TestSloExitCodes:

@@ -9,7 +9,6 @@ from repro.factory import (
     build_remote,
     build_vanilla_engine,
 )
-from repro.judger import SpinningJudger
 from repro.workloads import build_dataset
 
 
@@ -69,24 +68,6 @@ class TestBuildEngines:
                 Query("mona lisa painter ok", fact_id="F"), 1.0
             )
             assert response.served_from_cache, kind
-
-    def test_judge_spin_burns_cpu_not_decisions(self):
-        def run(judge_spin):
-            engine = build_asteria_engine(
-                build_remote(seed=2), seed=5, judge_spin=judge_spin
-            )
-            for i in range(40):
-                fact = i % 4
-                engine.handle(
-                    Query(f"capital city of country number {fact}", fact_id=f"F{fact}"),
-                    i * 0.01,
-                )
-            return engine
-
-        plain, spun = run(0.0), run(1e-5)
-        assert isinstance(spun.cache.sine.judger, SpinningJudger)
-        assert spun.cache.sine.judger.calls == plain.cache.sine.judger.calls > 0
-        assert spun.metrics.summary() == plain.metrics.summary()
 
     def test_exact_and_vanilla_builders(self):
         exact = build_exact_engine(build_remote(), capacity_items=10)

@@ -169,7 +169,6 @@ class TestOutcomeConservation:
                 breaker=CircuitBreaker(
                     failure_threshold=1.0, window=1024, min_samples=1024
                 ),
-                stale_serve=True,
                 seed=0,
             ),
         )

@@ -79,7 +79,6 @@ def _resilience() -> ResilienceManager:
         breaker=CircuitBreaker(
             failure_threshold=1.0, window=1024, min_samples=1024
         ),
-        stale_serve=True,
         seed=SEED,
     )
 

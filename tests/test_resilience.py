@@ -341,11 +341,11 @@ class TestStaleServing:
         engine = make_engine(
             fault_injector=FaultInjector(blackouts=[(4.0, 100.0)]),
             config=AsteriaConfig(default_ttl=1.0),
-            resilience=ResilienceManager(stale_serve=False),
         )
-        query = Query("who painted the mona lisa", fact_id="F")
-        engine.handle(query, 0.0)
-        response = engine.handle(query, 5.0)
+        engine.handle(Query("who painted the mona lisa", fact_id="F"), 0.0)
+        # First asked inside the blackout: nothing was ever banked for it.
+        never_banked = Query("boiling point of water at sea level", fact_id="G")
+        response = engine.handle(never_banked, 5.0)
         assert response.degraded == "failed"
         assert response.result == ""
         assert engine.metrics.stale_hits == 0

@@ -67,7 +67,7 @@ async def _await_restarts(engine, count, timeout=30.0):
 
 
 def test_supervisor_respawns_after_sigkill(fast):
-    faults = ProcFaultInjector(kill_shard=0, kill_at=10)
+    faults = ProcFaultInjector(kill_at=10)
     engine = build_proc_engine(build_remote(seed=0), seed=0, workers=2, proc_faults=faults)
 
     async def drive():
@@ -140,7 +140,7 @@ def test_healthy_shard_stats_unchanged_by_kill(fast):
 
     def run(kill):
         faults = (
-            ProcFaultInjector(kill_shard=0, kill_at=8) if kill else None
+            ProcFaultInjector(kill_at=8) if kill else None
         )
         engine = build_proc_engine(
             build_remote(seed=0), seed=0, workers=2, proc_faults=faults
@@ -232,7 +232,7 @@ def test_worker_error_never_escapes_without_supervision(monkeypatch):
     once and every concurrent request resolves degraded."""
     # Stay open: no half-open probes mid-test.
     monkeypatch.setattr(proc_engine, "SHARD_OPEN_SECONDS", 30.0)
-    faults = ProcFaultInjector(kill_shard=0)
+    faults = ProcFaultInjector()
     engine = build_proc_engine(
         build_remote(seed=0), seed=0, workers=2, supervise=False, proc_faults=faults
     )
