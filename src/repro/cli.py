@@ -812,141 +812,104 @@ _REGION_FACTS = 64
 
 def _command_replicate(arguments) -> int:
     """Cross-region replication: a local two-node simulation by default, or
-    one real region of a pair with ``--listen PORT`` / ``--peer HOST:PORT``."""
-    if arguments.peer and arguments.listen is not None:
-        raise SystemExit("--peer and --listen are mutually exclusive")
-    if arguments.peer is None and arguments.listen is None:
-        return _replicate_local(arguments)
-    return _replicate_socket(arguments)
+    one real region of a pair with ``--listen PORT`` / ``--peer HOST:PORT``.
 
-
-def _replicate_local(arguments) -> int:
-    """Two in-process regions on the simulated clock, exchanging diffs
-    through asymmetric simulated WAN links; prints the convergence curve."""
-    from repro.factory import build_asteria_engine, build_remote
-    from repro.store.replication import ReplicaNode, ReplicationDriver
-
-    seed = arguments.seed if arguments.seed is not None else 0
-    # Different draw orders over the same fact population.
-    queries_a = _stress_queries(arguments.queries, seed, _REGION_FACTS)
-    queries_b = _stress_queries(arguments.queries, seed + 1, _REGION_FACTS)
-    engine_a = build_asteria_engine(build_remote(seed=seed), seed=seed)
-    engine_b = build_asteria_engine(build_remote(seed=seed), seed=seed)
-    node_a = ReplicaNode("A", engine_a.cache)
-    node_b = ReplicaNode("B", engine_b.cache)
-    driver = ReplicationDriver(node_a, node_b, sync_interval=0.5)
-    time_step = 0.01
-    total = arguments.queries
-    sample_every = max(1, total // 8)
-    print(
-        f"replicate (local sim): {total} queries/region "
-        f"sync_interval={driver.sync_interval}s "
-        f"latency A->B={driver.link_ab.latency}s B->A={driver.link_ba.latency}s"
-    )
-    for i, (query_a, query_b) in enumerate(zip(queries_a, queries_b)):
-        now = i * time_step
-        engine_a.handle(query_a, now=now)
-        engine_b.handle(query_b, now=now)
-        driver.tick(now)
-        if i and i % sample_every == 0:
-            sample = driver.agreement()
-            print(
-                f"  t={sample.t:7.2f}s agreement={sample.agreement:.3f} "
-                f"union={sample.union_keys} stale={sample.stale_keys} "
-                f"max_staleness={sample.max_staleness:.2f}s"
-            )
-    driver.drain(total * time_step)
-    final = driver.agreement()
-    print(
-        f"  final: agreement={final.agreement:.3f} union={final.union_keys} "
-        f"stale={final.stale_keys}"
-    )
-    print(
-        f"  link A->B: frames={driver.link_ab.frames_sent} "
-        f"bytes={driver.link_ab.bytes_sent}; "
-        f"link B->A: frames={driver.link_ba.frames_sent} "
-        f"bytes={driver.link_ba.bytes_sent}"
-    )
-    for node in (node_a, node_b):
-        stats = node.stats()
-        print(
-            f"  node {stats['node']}: items={len(node.cache)} "
-            f"out={stats['records_out']} in={stats['records_in']} "
-            f"applied_upserts={stats['applied_upserts']} "
-            f"invalidations={stats['applied_invalidations']} "
-            f"lww_rejects={stats['lww_rejects']}"
-        )
-    return 0 if final.agreement == 1.0 else 1
-
-
-def _replicate_socket(arguments) -> int:
-    """One region of a real pair: serve its own workload, exchange diffs
-    with the peer process over TCP, score convergence via digest exchange."""
+    Either way each region runs one ``ReplicaSession``; the body prints one
+    line per session and exits 0 only when every digest exchange scored
+    full agreement."""
     from repro.factory import build_asteria_engine, build_remote
     from repro.store import replnet
-    from repro.store.replication import ReplicaNode
+    from repro.store.replication import ReplicaNode, ReplicationDriver
 
-    listening = arguments.listen is not None
-    seed = (
-        arguments.seed
-        if arguments.seed is not None
-        else (0 if listening else 1)
-    )
-    node_id = "A" if listening else "B"
+    if arguments.peer and arguments.listen is not None:
+        raise SystemExit("--peer and --listen are mutually exclusive")
+    seed = (1 if arguments.peer else 0) if arguments.seed is None else arguments.seed
     queries = _stress_queries(arguments.queries, seed, _REGION_FACTS)
     engine = build_asteria_engine(build_remote(seed=seed), seed=seed)
-    node = ReplicaNode(node_id, engine.cache)
-    workload = (
-        (lambda now, query=query: engine.handle(query, now=now))
-        for query in queries
-    )
-    stop, restore = _stop_on_signals()
-    try:
-        if listening:
-            server = replnet.open_listener(arguments.host, arguments.listen)
-            port = server.getsockname()[1]
-            print(
-                f"replica {node_id} listening on {arguments.host}:{port} "
-                f"(waiting for --peer)",
-                flush=True,
-            )
-            sock = replnet.accept_peer(server, stop=stop)
-            if sock is None:
-                print("no peer connected; exiting")
-                return 1
-        else:
-            sock = replnet.connect_peer(*_host_port(arguments.peer, "--peer"))
-        report = replnet.replicate_session(
-            node,
-            sock,
-            workload=workload,
-            stop=stop,
-            pace=arguments.pace,
+    node = ReplicaNode("B" if arguments.peer else "A", engine.cache)
+    if arguments.peer is None and arguments.listen is None:
+        # Region B: same engine seed, a different draw order over the facts.
+        queries_b = _stress_queries(arguments.queries, seed + 1, _REGION_FACTS)
+        engine_b = build_asteria_engine(build_remote(seed=seed), seed=seed)
+        driver = ReplicationDriver(
+            node, ReplicaNode("B", engine_b.cache), sync_interval=0.5
         )
-    finally:
-        restore()
-    print(
-        f"replica {report['node']} <-> peer {report['peer']}: "
-        f"steps={report['steps']} items={report['items']} "
-        f"frames out={report['frames_out']} in={report['frames_in']} "
-        f"protocol_errors={report['protocol_errors']}"
-    )
-    stats = report["replication"]
-    print(
-        f"  records out={stats['records_out']} in={stats['records_in']} "
-        f"applied_upserts={stats['applied_upserts']} "
-        f"invalidations={stats['applied_invalidations']} "
-        f"lww_rejects={stats['lww_rejects']}"
-    )
-    agreement = report["agreement"]
-    if agreement is None:
-        print("  convergence: peer left before the digest exchange")
+        time_step = 0.01
+        print(
+            f"replicate (local sim): {arguments.queries} queries/region "
+            f"sync_interval={driver.sync_interval}s "
+            f"latency A->B={driver.link_ab.latency}s B->A={driver.link_ba.latency}s"
+        )
+        for i, (query_a, query_b) in enumerate(zip(queries, queries_b)):
+            now = i * time_step
+            engine.handle(query_a, now=now)
+            engine_b.handle(query_b, now=now)
+            driver.tick(now)
+            if i and i % max(1, arguments.queries // 8) == 0:
+                sample = driver.agreement()
+                print(
+                    f"  t={sample.t:7.2f}s agreement={sample.agreement:.3f} "
+                    f"union={sample.union_keys} stale={sample.stale_keys} "
+                    f"max_staleness={sample.max_staleness:.2f}s"
+                )
+        driver.drain(arguments.queries * time_step)
+        reports = [session.report() for session in driver.sessions]
+        print(
+            f"  link A->B: frames={driver.link_ab.frames_sent} "
+            f"bytes={driver.link_ab.bytes_sent}; "
+            f"link B->A: frames={driver.link_ba.frames_sent} "
+            f"bytes={driver.link_ba.bytes_sent}"
+        )
+    else:
+        stop, restore = _stop_on_signals()
+        try:
+            if arguments.peer:
+                sock = replnet.connect_peer(*_host_port(arguments.peer, "--peer"))
+            else:
+                server = replnet.open_listener(arguments.host, arguments.listen)
+                print(
+                    f"replica A listening on {arguments.host}:"
+                    f"{server.getsockname()[1]} (waiting for --peer)",
+                    flush=True,
+                )
+                sock = replnet.accept_peer(server, stop=stop)
+                if sock is None:
+                    print("no peer connected; exiting")
+                    return 1
+            workload = (
+                (lambda now, query=query: engine.handle(query, now=now))
+                for query in queries
+            )
+            reports = [
+                replnet.replicate_session(
+                    node, sock, workload=workload, stop=stop, pace=arguments.pace
+                )
+            ]
+        finally:
+            restore()
+    for report in reports:
+        stats = report["replication"]
+        print(
+            f"  node {report['node']} <-> {report['peer']}: items={report['items']} "
+            f"frames out={report['frames_out']} in={report['frames_in']} "
+            f"records out={stats['records_out']} in={stats['records_in']} "
+            f"applied_upserts={stats['applied_upserts']} "
+            f"invalidations={stats['applied_invalidations']} "
+            f"lww_rejects={stats['lww_rejects']} "
+            f"protocol_errors={report['protocol_errors']}"
+        )
+        if report["error"]:
+            print(f"  refused: {report['error']}")
+    scores = [report["agreement"] for report in reports]
+    if None in scores:
+        print("  final: no digest exchange (the peer left or a frame was refused)")
         return 1
+    final = min(scores, key=lambda score: score["agreement"])
     print(
-        f"  convergence: agreement={agreement['agreement']:.3f} "
-        f"union={agreement['union_keys']} stale={agreement['stale_keys']}"
+        f"  final: agreement={final['agreement']:.3f} "
+        f"union={final['union_keys']} stale={final['stale_keys']}"
     )
-    return 0 if agreement["agreement"] == 1.0 else 1
+    return 0 if final["agreement"] == 1.0 else 1
 
 
 def _command_run_all(arguments) -> int:

@@ -47,7 +47,6 @@ from repro.obs.distributed import (
     WorkerTracer,
     graft_spans,
     make_span_sink,
-    record_remote_leaf,
     trace_context,
 )
 from repro.obs.registry import (
@@ -111,7 +110,6 @@ __all__ = [
     "format_statuses",
     "graft_spans",
     "make_span_sink",
-    "record_remote_leaf",
     "sample_on_loop",
     "trace_context",
 ]

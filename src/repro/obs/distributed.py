@@ -32,11 +32,11 @@ Leaf records carry their *parent's* ids, so re-assigning span ids at graft
 time is safe: workers only ever record leaves (no intra-worker parent/child
 edges cross the wire).
 
-``record_remote_leaf`` is the same graft for one ad-hoc span — the
-replication session uses it to parent an ``apply_diff`` span under the
-sending peer's ``repl_sync`` context. Peer tracers draw trace ids from
-independent counters, so cross-peer id collisions are possible in a merged
-export; DESIGN §16 discusses why that is accepted.
+The replication session needs no graft: it opens its ``apply_diff`` span
+inside :meth:`Tracer.adopt` of the sending peer's ``repl_sync`` context.
+Peer tracers draw trace ids from independent counters, so cross-peer id
+collisions are possible in a merged export; DESIGN §16 discusses why that
+is accepted.
 """
 
 from __future__ import annotations
@@ -216,35 +216,3 @@ def make_span_sink(tracer):
         graft_spans(tracer, records, clock_offset=clock_offset, shard=shard_id)
 
     return sink
-
-
-def record_remote_leaf(
-    tracer, ctx, name: str, start: float, end: float | None = None, attrs=None
-):
-    """Record one finished span parented under a *remote* context.
-
-    ``start``/``end`` are raw readings of ``tracer.clock`` (``end`` defaults
-    to now). Used by the replication session to hang ``apply_diff`` under
-    the sending peer's ``repl_sync`` span. No-op (returns ``None``) without
-    a tracer or context.
-    """
-    if tracer is None or ctx is None:
-        return None
-    epoch = tracer._epoch
-    if end is None:
-        end = tracer.clock()
-    span = Span(
-        name=name,
-        trace_id=ctx[0],
-        span_id=next(tracer._ids),
-        parent_id=ctx[1],
-        start=start - epoch,
-        thread_id=threading.get_ident(),
-        attrs=attrs,
-    )
-    span.end = end - epoch
-    spans = tracer._spans
-    if len(spans) == tracer.max_spans:
-        tracer.dropped += 1
-    spans.append(span)
-    return span

@@ -9,7 +9,9 @@ The fifth subsystem alongside ``core``/``serving``/``obs``/``network``:
 * :mod:`repro.store.persist` — snapshot + journal durability
   (:class:`PersistentStore`) behind ``--persist DIR``.
 * :mod:`repro.store.replication` — cross-region diff exchange with
-  last-writer-wins conflict resolution over the frame protocol.
+  last-writer-wins conflict resolution: the sans-IO
+  :class:`ReplicaSession` and its simulated-link driver.
+* :mod:`repro.store.replnet` — the same session over a TCP socket.
 
 Only the backend protocol is imported eagerly (the cache core depends on
 it); the durability and replication layers load on first attribute access
@@ -40,6 +42,7 @@ __all__ = [
     "replay_journal",
     "PersistentStore",
     "ReplicaNode",
+    "ReplicaSession",
     "ReplicationDriver",
     "replicate_session",
 ]
@@ -52,6 +55,7 @@ _LAZY = {
     "replay_journal": ("repro.store.journal", "replay_journal"),
     "PersistentStore": ("repro.store.persist", "PersistentStore"),
     "ReplicaNode": ("repro.store.replication", "ReplicaNode"),
+    "ReplicaSession": ("repro.store.replication", "ReplicaSession"),
     "ReplicationDriver": ("repro.store.replication", "ReplicationDriver"),
     "replicate_session": ("repro.store.replnet", "replicate_session"),
 }

@@ -2,32 +2,52 @@
 
 Two cache instances ("regions") each serve their own query stream and
 exchange **incremental diffs** — admissions and invalidations observed by a
-:class:`ReplicatingBackend` decorator — every ``sync_interval`` simulated
-seconds. Records are versioned per entry and conflicts resolve
-**last-writer-wins on** ``truth_key`` (the remote fact identity): the
-highest ``(version, origin)`` pair for a truth key wins on both sides, so
-the pair converges without coordination, remote-settings style.
+:class:`ReplicatingBackend` decorator — every ``sync_interval`` seconds.
+Records are versioned per entry and conflicts resolve **last-writer-wins
+on** ``truth_key`` (the remote fact identity): the highest
+``(version, origin)`` pair for a truth key wins on both sides, so the pair
+converges without coordination, remote-settings style.
 
-Diff wire schema (one frame per sync, payload = a JSON object):
+Both regions run the same :class:`ReplicaSession`, a sans-IO state machine
+that two transports drive: :class:`ReplicationDriver` over two
+:class:`FrameLink` objects on the simulated clock (real frame-protocol
+bytes, one asymmetric one-way latency per direction, like an inter-region
+path), and :func:`repro.store.replnet.replicate_session` over a TCP socket
+for ``python -m repro replicate --listen`` / ``--peer``. Session protocol
+(every frame is a JSON object):
 
-.. code-block:: text
+``{"op": "hello", "magic": ..., "node": id}``
+    The first frame each side sends. Another magic ends the session.
+``{"op": "diff", "from": id, "sent_at": t, "records": [...]}``
+    One sync's worth of records, sent every ``sync_interval`` seconds while
+    the sender has pending records::
 
-    {"op": "diff", "from": node_id, "sent_at": t, "records": [
         {"truth_key": k, "version": t_write, "origin": node_id,
-         "op": "upsert", "record": {<element_record>}},
+         "op": "upsert", "record": {<element_record>}}
         {"truth_key": k, "version": t_write, "origin": node_id,
-         "op": "invalidate", "record": null},
-    ]}
+         "op": "invalidate", "record": null}
 
-Entries follow :data:`repro.core.records.DIFF_FIELDS`, and a diff is checked
-whole first: one malformed entry refuses all of it (``rejected_diffs``).
+    Entries follow :data:`repro.core.records.DIFF_FIELDS`, and a diff is
+    checked whole first: one malformed entry refuses all of it
+    (``rejected_diffs``). With a tracer attached the message also carries a
+    ``"trace"`` context (``[trace_id, span_id]`` of the sender's
+    ``repl_sync`` span); the receiver hangs its ``apply_diff`` span under
+    it. Untraced sessions omit the key.
+``{"op": "done", "node": id}``
+    The sender's workload is finished and its outbound queue is drained.
+``{"op": "digest", "node": id, "digest": {truth_key: [version, origin]}}``
+    The sender's whole LWW registry, tombstones and locally evicted keys
+    included, sent once both sides are done. Links and TCP deliver in
+    order, so every diff preceding it has been applied: equal registries
+    mean the pair converged, and :func:`agreement_between` scores them.
+``{"op": "bye"}``
+    Sent after scoring; the session is over.
 
-Diffs travel as real frame-protocol bytes (:func:`encode_frame` on the
-sender, :class:`FrameSplitter` on the receiver) through a
-:class:`FrameLink` that delivers them after a configurable one-way latency
-on the simulated clock — the two directions of a pair get *asymmetric*
-latencies, like an actual inter-region path. The same schema serves over a
-real TCP socket for ``python -m repro replicate --peer`` /``--listen``.
+A frame that is not one of these, another hello magic, a diff that fails
+its record check, or a malformed trace context or digest ends the session
+as a refusal: the transport hangs up, and the report counts one
+``protocol_errors`` and names it. A finished side that never sees the peer's digest gives up
+``settle_timeout`` seconds after its ``done``.
 
 What replicates: admissions (upserts) and explicit invalidations. Capacity
 evictions and TTL expirations do **not** — they are local resource
@@ -37,12 +57,24 @@ because region A ran out of room.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from repro.core.cache import AsteriaCache
 from repro.core.records import RecordError, check_diff, element_record
-from repro.serving.proc.protocol import FrameSplitter, JsonCodec, encode_frame
+from repro.serving.proc.protocol import (
+    FrameError,
+    FrameSplitter,
+    JsonCodec,
+    encode_frame,
+)
 from repro.store.backend import CacheBackend, WrappingBackend
+
+#: Handshake magic; bumping it breaks mixed-version pairs loudly.
+HELLO_MAGIC = "repro-replica-v3"
+
+#: Seconds a finished side waits for the peer's digest before giving up.
+SETTLE_TIMEOUT = 15.0
 
 
 class ReplicatingBackend(WrappingBackend):
@@ -81,12 +113,7 @@ class ReplicaStats:
     applied_upserts: int = 0
     applied_invalidations: int = 0
     lww_rejects: int = 0
-    syncs_sent: int = 0
-    syncs_received: int = 0
     rejected_diffs: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 class ReplicaNode:
@@ -96,8 +123,8 @@ class ReplicaNode:
     admission/invalidation is queued for the next sync, and
     :meth:`apply_diff` merges remote records under LWW.
 
-    ``now`` is the node's view of the shared simulated clock — callers
-    (driver, CLI loops) advance it as their workload advances; it versions
+    ``now`` is the node's clock — its :class:`ReplicaSession` advances it
+    (wall seconds on a socket, simulated seconds on a link); it versions
     invalidations and ages incoming entries.
     """
 
@@ -209,17 +236,7 @@ class ReplicaNode:
         """Drain the outbound record queue (one sync's worth of diffs)."""
         records, self.pending = self.pending, []
         self.stats_rep.records_out += len(records)
-        if records:
-            self.stats_rep.syncs_sent += 1
         return records
-
-    def diff_message(self) -> dict:
-        return {
-            "op": "diff",
-            "from": self.node_id,
-            "sent_at": self.now,
-            "records": self.collect_diff(),
-        }
 
     def apply_diff(self, records: list[dict], now: float | None = None) -> int:
         """Merge remote diff records under last-writer-wins; returns applied
@@ -234,8 +251,6 @@ class ReplicaNode:
             self.now = max(self.now, now)
         applied = 0
         self.stats_rep.records_in += len(records)
-        if records:
-            self.stats_rep.syncs_received += 1
         self._applying = True
         try:
             for wire in records:
@@ -269,7 +284,7 @@ class ReplicaNode:
         return applied
 
     def stats(self) -> dict:
-        return {"node": self.node_id, **self.stats_rep.as_dict()}
+        return {"node": self.node_id, **asdict(self.stats_rep)}
 
     def __repr__(self) -> str:
         return f"ReplicaNode(id={self.node_id!r}, items={len(self.cache)})"
@@ -311,6 +326,10 @@ class FrameLink:
                 messages.append(self.codec.loads(payload))
         return messages
 
+    def next_delivery(self) -> float:
+        """When the earliest frame in flight lands (inf when none is)."""
+        return min((at for at, _ in self._in_flight), default=math.inf)
+
 
 @dataclass
 class ConvergenceSample:
@@ -323,41 +342,198 @@ class ConvergenceSample:
     max_staleness: float
 
 
-def agreement_between(a: ReplicaNode, b: ReplicaNode) -> ConvergenceSample:
-    """Fraction of truth keys (union of both LWW registries) on which the
-    two nodes agree about the latest version, plus staleness of the rest."""
-    keys = set(a.versions) | set(b.versions)
-    if not keys:
-        return ConvergenceSample(
-            t=max(a.now, b.now), agreement=1.0, union_keys=0, stale_keys=0,
-            max_staleness=0.0,
-        )
-    agree = 0
-    max_staleness = 0.0
-    for key in keys:
-        va = a.versions.get(key)
-        vb = b.versions.get(key)
-        if va == vb:
-            agree += 1
-        else:
-            lag = abs((va[0] if va else 0.0) - (vb[0] if vb else 0.0))
-            max_staleness = max(max_staleness, lag)
+def agreement_between(mine: dict, theirs: dict, t: float = 0.0) -> ConvergenceSample:
+    """Score two LWW registries (truth_key -> ``(version, origin)``, as in
+    :attr:`ReplicaNode.versions`, or as lists off the wire).
+
+    ``agreement`` is the fraction of the union of keys whose entries are
+    equal. Tombstones and keys one side evicted stay in a registry, so a
+    one-sided eviction is not a disagreement. ``max_staleness`` is the
+    largest version lag over keys both registries hold; a key only one side
+    holds counts in ``stale_keys`` only.
+    """
+    keys = mine.keys() | theirs.keys()
+    both = mine.keys() & theirs.keys()
+    differ = [key for key in both if tuple(mine[key]) != tuple(theirs[key])]
+    lags = [abs(mine[key][0] - theirs[key][0]) for key in differ]
+    agree = len(both) - len(lags)
     return ConvergenceSample(
-        t=max(a.now, b.now),
-        agreement=agree / len(keys),
+        t=t,
+        agreement=agree / len(keys) if keys else 1.0,
         union_keys=len(keys),
         stale_keys=len(keys) - agree,
-        max_staleness=max_staleness,
+        max_staleness=max(lags, default=0.0),
     )
+
+
+def _pair(value, first: tuple, second: tuple) -> bool:
+    """A two-item JSON list whose items have exactly these types."""
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and type(value[0]) in first
+        and type(value[1]) in second
+    )
+
+
+class ReplicaSession:
+    """One side of the replication exchange, without I/O.
+
+    A transport feeds it each decoded message (:meth:`receive`) and the
+    passing of its clock (:meth:`tick`), sends what each returns, in order,
+    and hangs up once ``finished``. The first tick says hello. Clocks are
+    the transport's: wall seconds on a socket, simulated on a link.
+    """
+
+    def __init__(
+        self,
+        node: ReplicaNode,
+        sync_interval: float = 0.5,
+        settle_timeout: float = SETTLE_TIMEOUT,
+        tracer=None,
+    ) -> None:
+        self.node = node
+        self.sync_interval = sync_interval
+        self.settle_timeout = settle_timeout
+        self.tracer = tracer
+        self.peer: str | None = None
+        #: The digest comparison; None until both digests have met.
+        self.score: ConvergenceSample | None = None
+        #: The refusal that ended the session, if one did.
+        self.error: str | None = None
+        self.finished = False
+        self.frames_out = self.frames_in = 0
+        self._peer_done = self._sent_digest = False
+        self._peer_registry: dict | None = None
+        self._next_sync = sync_interval
+        #: Set when "done" is sent: the last moment to wait for a digest.
+        self._deadline: float | None = None
+
+    def receive(self, message, now: float) -> list[dict]:
+        """Handle one message from the peer; returns the replies."""
+        self.frames_in += 1
+        if self.finished:
+            return []
+        self.node.now = max(self.node.now, now)
+        op = message.get("op") if isinstance(message, dict) else None
+        try:
+            if op == "hello" and message.get("magic") != HELLO_MAGIC:
+                raise FrameError(f"peer handshake mismatch: {message.get('magic')!r}")
+            if op == "hello":
+                self.peer = message.get("node")
+            elif op == "diff":
+                self._apply(message)
+            elif op == "done":
+                self._peer_done = True
+            elif op == "digest" and isinstance(message.get("digest"), dict) and all(
+                _pair(entry, (int, float), (str,)) for entry in message["digest"].values()
+            ):
+                self._peer_registry = message["digest"]
+            elif op == "bye":
+                self.finished = True
+            else:
+                raise FrameError(f"not a session message: {message!r:.80}")
+        except (FrameError, RecordError) as exc:
+            self.refuse(exc)
+            return []
+        replies = self._handshake()
+        self.frames_out += len(replies)
+        return replies
+
+    def tick(self, now: float, local_done: bool) -> list[dict]:
+        """Advance to ``now``: hello, a due sync, and once ``local_done``
+        the last flush and ``done``. Returns the messages to send."""
+        if self.finished:
+            return []
+        self.node.now = max(self.node.now, now)
+        out = []
+        if not self.frames_out:  # a session's first message is its hello
+            out.append({"op": "hello", "magic": HELLO_MAGIC, "node": self.node.node_id})
+        finishing = local_done and self._deadline is None
+        if self.node.pending and (now >= self._next_sync or finishing):
+            out.append(self._diff())
+            self._next_sync = now + self.sync_interval
+        if finishing:
+            self._deadline = now + self.settle_timeout
+            out.append({"op": "done", "node": self.node.node_id})
+        out += self._handshake()
+        if self._deadline is not None and now > self._deadline:
+            self.finished = True
+        self.frames_out += len(out)
+        return out
+
+    def refuse(self, reason) -> None:
+        """End the session on a frame it cannot take."""
+        self.error = str(reason)
+        self.finished = True
+
+    def report(self) -> dict:
+        return {
+            "node": self.node.node_id,
+            "peer": self.peer,
+            "frames_out": self.frames_out,
+            "frames_in": self.frames_in,
+            "items": len(self.node.cache),
+            "agreement": None if self.score is None else asdict(self.score),
+            "protocol_errors": int(self.error is not None),
+            "error": self.error,
+            "replication": self.node.stats(),
+        }
+
+    def _diff(self) -> dict:
+        # One repl_sync span per outgoing diff; its context rides in the
+        # message so the peer's apply_diff span hangs under it.
+        records = self.node.collect_diff()
+        message = {
+            "op": "diff",
+            "from": self.node.node_id,
+            "sent_at": self.node.now,
+            "records": records,
+        }
+        if self.tracer is not None:
+            with self.tracer.request(
+                "repl_sync", node=self.node.node_id, records=len(records)
+            ) as span:
+                message["trace"] = [span.trace_id, span.span_id]
+        return message
+
+    def _apply(self, message: dict) -> None:
+        context = message.get("trace")
+        if context is not None and not _pair(context, (int,), (int,)):
+            raise FrameError(f"not a trace context: {context!r:.80}")
+        records = message.get("records")
+        if self.tracer is None:
+            self.node.apply_diff(records)
+            return
+        # Adopting the sender's repl_sync context parents this span under it.
+        with self.tracer.adopt(context), self.tracer.request("apply_diff") as span:
+            self.node.apply_diff(records)
+            span.attrs = {"records": len(records), "from": message.get("from")}
+
+    def _handshake(self) -> list[dict]:
+        # Links and TCP deliver in order, so every peer diff preceding its
+        # "done" has been applied: once both sides are done, each registry
+        # is the merged state.
+        out = []
+        if self._deadline is not None and self._peer_done and not self._sent_digest:
+            self._sent_digest = True
+            registry = {key: list(entry) for key, entry in self.node.versions.items()}
+            out.append({"op": "digest", "node": self.node.node_id, "digest": registry})
+        if self._sent_digest and self._peer_registry is not None:
+            self.score = agreement_between(
+                self.node.versions, self._peer_registry, t=self.node.now
+            )
+            self.finished = True
+            out.append({"op": "bye"})
+        return out
 
 
 class ReplicationDriver:
     """Steps a two-node replica pair over a shared simulated clock.
 
-    Owns the sync schedule and the pair of asymmetric links. Call
-    :meth:`tick` with the advancing clock from the workload loop; it
-    delivers due diffs into each node and emits fresh diffs every
-    ``sync_interval`` seconds.
+    Runs one :class:`ReplicaSession` per node over a pair of asymmetric
+    :class:`FrameLink`s. Call :meth:`tick` with the advancing clock from the
+    workload loop, then :meth:`drain` once at the end of the run.
     """
 
     def __init__(
@@ -368,36 +544,37 @@ class ReplicationDriver:
         latency_ab: float = 0.08,
         latency_ba: float = 0.12,
     ) -> None:
-        self.node_a = node_a
-        self.node_b = node_b
         self.sync_interval = sync_interval
         self.link_ab = FrameLink(latency_ab)
         self.link_ba = FrameLink(latency_ba)
-        self._next_sync = sync_interval
+        self.sessions = (
+            ReplicaSession(node_a, sync_interval),
+            ReplicaSession(node_b, sync_interval),
+        )
 
     def tick(self, now: float) -> None:
-        self.node_a.now = max(self.node_a.now, now)
-        self.node_b.now = max(self.node_b.now, now)
-        for message in self.link_ab.deliver(now):
-            self.node_b.apply_diff(message["records"], now=now)
-        for message in self.link_ba.deliver(now):
-            self.node_a.apply_diff(message["records"], now=now)
-        while now >= self._next_sync:
-            self.link_ab.send(self.node_a.diff_message(), now)
-            self.link_ba.send(self.node_b.diff_message(), now)
-            self._next_sync += self.sync_interval
+        """Deliver what is due into each session and send what it says."""
+        self._step(now, local_done=False)
+
+    def _step(self, now: float, local_done: bool) -> None:
+        links = (self.link_ab, self.link_ba)
+        for session, outbound, inbound in zip(self.sessions, links, links[::-1]):
+            for message in inbound.deliver(now):
+                for reply in session.receive(message, now):
+                    outbound.send(reply, now)
+            for message in session.tick(now, local_done):
+                outbound.send(message, now)
 
     def drain(self, now: float) -> float:
-        """Flush pending diffs and deliver everything in flight (end of a
-        run); returns the time at which the last diff lands."""
-        self.link_ab.send(self.node_a.diff_message(), now)
-        self.link_ba.send(self.node_b.diff_message(), now)
-        settle = now + max(self.link_ab.latency, self.link_ba.latency)
-        for message in self.link_ab.deliver(settle):
-            self.node_b.apply_diff(message["records"], now=settle)
-        for message in self.link_ba.deliver(settle):
-            self.node_a.apply_diff(message["records"], now=settle)
-        return settle
+        """End of the run: both sides flush and run done → digest → bye on
+        the simulated clock; returns the time the last frame lands."""
+        while True:
+            self._step(now, local_done=True)
+            due = min(self.link_ab.next_delivery(), self.link_ba.next_delivery())
+            if due == math.inf:
+                return now
+            now = max(now, due)
 
     def agreement(self) -> ConvergenceSample:
-        return agreement_between(self.node_a, self.node_b)
+        a, b = (session.node for session in self.sessions)
+        return agreement_between(a.versions, b.versions, t=max(a.now, b.now))

@@ -16,7 +16,6 @@ from repro.obs.distributed import (
     WorkerTracer,
     graft_spans,
     make_span_sink,
-    record_remote_leaf,
     trace_context,
 )
 
@@ -138,26 +137,6 @@ class TestGraftSpans:
         assert span.attrs == {"shard": 3}
         assert span.start == pytest.approx(0.0)
         assert make_span_sink(None) is None
-
-
-class TestRecordRemoteLeaf:
-    def test_parents_under_remote_context(self):
-        tracer = Tracer()
-        t0 = tracer.clock()
-        span = record_remote_leaf(
-            tracer, [9, 90], "apply_diff", t0, attrs={"records": 3}
-        )
-        assert span.trace_id == 9
-        assert span.parent_id == 90
-        assert span.attrs == {"records": 3}
-        assert span.end >= span.start >= 0.0
-        assert tracer.spans() == [span]
-
-    def test_noop_without_tracer_or_context(self):
-        assert record_remote_leaf(None, [1, 2], "x", 0.0) is None
-        tracer = Tracer()
-        assert record_remote_leaf(tracer, None, "x", 0.0) is None
-        assert tracer.spans() == []
 
 
 def _serve_all(engine, queries):

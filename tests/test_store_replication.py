@@ -15,10 +15,11 @@ from repro.serving.proc.protocol import FrameError, FrameSplitter, encode_frame
 from repro.store.replication import (
     FrameLink,
     ReplicaNode,
+    ReplicaSession,
     ReplicationDriver,
     agreement_between,
 )
-from repro.store.replnet import digest_agreement, node_digest, replicate_session
+from repro.store.replnet import replicate_session
 
 SEED = 11
 CONFIG = AsteriaConfig(capacity_items=64)
@@ -127,7 +128,7 @@ class TestLastWriterWins:
         diff_b = node_b.collect_diff()
         node_a.apply_diff(diff_b, now=3.0)
         node_b.apply_diff(diff_a, now=3.0)
-        sample = agreement_between(node_a, node_b)
+        sample = agreement_between(node_a.versions, node_b.versions)
         assert sample.agreement == 1.0
         for cache in (engine_a.cache, engine_b.cache):
             values = [
@@ -177,7 +178,7 @@ class TestLastWriterWins:
         assert node_a.pending[-1]["version"] == version
         node_b.apply_diff(node_a.collect_diff(), now=5.1)
         assert node_b.versions["F"] == (version, "A")
-        assert agreement_between(node_a, node_b).agreement == 1.0
+        assert agreement_between(node_a.versions, node_b.versions).agreement == 1.0
         values = [
             element.value
             for element in engine_b.cache.elements.values()
@@ -219,7 +220,7 @@ class TestInvalidation:
             driver.tick(step * 0.1)
         assert len(engine_b.cache) == 0
         assert node_b.stats_rep.applied_invalidations == 1
-        assert agreement_between(node_a, node_b).agreement == 1.0
+        assert agreement_between(node_a.versions, node_b.versions).agreement == 1.0
 
 
 class TestWholeDiffCheck:
@@ -330,20 +331,76 @@ class TestSocketSession:
         assert reports["b"]["peer"] == "A"
         assert reports["a"]["items"] == reports["b"]["items"]
 
+    def test_one_sided_eviction_is_not_a_disagreement(self):
+        """A evicts 6 of its 10 facts under capacity; evictions stay local,
+        so both registries still hold all 10 and the pair agrees."""
+        sock_a, sock_b = socket.socketpair()
+        engine_a, node_a = make_node("A", capacity=4)
+        _, node_b = make_node("B", capacity=64)
+        workload = (
+            (lambda now, query=query: engine_a.handle(query, now=now))
+            for query in trace(10, 10)
+        )
+        reports = {}
+
+        def run(name, node, sock, steps=None):
+            reports[name] = replicate_session(
+                node, sock, workload=steps, sync_interval=0.05
+            )
+
+        threads = [
+            threading.Thread(target=run, args=("a", node_a, sock_a, workload)),
+            threading.Thread(target=run, args=("b", node_b, sock_b)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports["a"]["items"] == 4
+        assert reports["b"]["items"] == 10
+        for report in reports.values():
+            assert report["agreement"]["agreement"] == 1.0
+            assert report["agreement"]["stale_keys"] == 0
+
     def test_digest_agreement_scoring(self):
-        assert digest_agreement({}, {})["agreement"] == 1.0
-        mine = {"F1": [1.0, "A"], "F2": [2.0, "B"]}
+        # The one scorer reads registries as they sit in a node (tuples) or
+        # arrive in a digest frame (lists).
+        assert agreement_between({}, {}).agreement == 1.0
+        mine = {"F1": (1.0, "A"), "F2": (2.0, "B")}
         theirs = {"F1": [1.0, "A"], "F2": [3.0, "A"], "F3": [1.0, "A"]}
-        score = digest_agreement(mine, theirs)
-        assert score["agreement"] == pytest.approx(1 / 3)
-        assert score["union_keys"] == 3
-        assert score["stale_keys"] == 2
+        score = agreement_between(mine, theirs)
+        assert score.agreement == pytest.approx(1 / 3)
+        assert score.union_keys == 3
+        assert score.stale_keys == 2
 
     def test_node_digest_lists_live_keys_only(self):
+        # Name kept from the live-keys digest; the digest is now the whole
+        # registry, so a tombstone crosses the wire and both sides score it.
         engine, node = make_node("A")
         engine.cache.insert(Query("topic one", fact_id="F"), fetch(), 0.0)
         node.now = 1.0
         engine.cache.invalidate(lambda element: element.truth_key == "F")
-        # The tombstone stays in versions but the digest covers live keys.
-        assert "F" in node.versions
-        assert node_digest(node) == {}
+        assert "F" not in node.truth_index
+        session = ReplicaSession(node)
+        session.tick(1.0, local_done=True)  # hello, the flush, done
+        (digest,) = session.receive({"op": "done", "node": "B"}, 1.0)
+        assert digest["op"] == "digest"
+        assert digest["digest"] == {"F": list(node.versions["F"])}
+
+
+class TestStaleness:
+    def test_max_staleness_is_the_lag_over_keys_both_sides_hold(self):
+        engine_a, node_a = make_node("A")
+        engine_b, node_b = make_node("B")
+        driver = ReplicationDriver(node_a, node_b)
+        engine_a.cache.insert(Query("who painted mona lisa", fact_id="G"), fetch(), 1.0)
+        node_b.apply_diff(node_a.collect_diff(), now=1.0)
+        # B rewrites G at 3.0 and A writes F at 5.0; neither has synced.
+        engine_b.cache.insert(Query("mona lisa painter", fact_id="G"), fetch("b"), 3.0)
+        engine_a.cache.insert(Query("price of copper today", fact_id="F"), fetch(), 5.0)
+        sample = driver.agreement()
+        # G lags by 2 s; F, which B lacks, is stale but has no lag to report.
+        assert sample.union_keys == 2
+        assert sample.stale_keys == 2
+        assert sample.max_staleness == pytest.approx(2.0)

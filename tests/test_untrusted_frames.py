@@ -19,6 +19,7 @@ import pytest
 from repro.core import Query, records
 from repro.core.config import AsteriaConfig
 from repro.factory import build_asteria_engine, build_proc_engine, build_remote
+from repro.obs import Tracer
 from repro.serving.proc.client import ProcClient
 from repro.serving.proc.protocol import (
     FrameReader,
@@ -154,18 +155,27 @@ def _node(node_id):
     return engine, ReplicaNode(node_id, engine.cache)
 
 
-@pytest.mark.parametrize("kind", ["pickle", "not_json", "wrong_shape", "bad_diff"])
+@pytest.mark.parametrize(
+    "kind", ["pickle", "not_json", "wrong_shape", "bad_diff", "bad_trace", "wrong_magic"]
+)
 def test_replication_session_closes_and_counts_a_bad_frame(tmp_path, kind):
     marker = tmp_path / "executed"
     frames = _bad_frames(marker)
-    frames["bad_diff"] = JsonCodec().dumps(
+    codec = JsonCodec()
+    frames["bad_diff"] = codec.dumps(
         {"op": "diff", "from": "B", "sent_at": 0.0, "records": [{"truth_key": "F"}]}
     )
+    frames["bad_trace"] = codec.dumps(
+        {"op": "diff", "from": "B", "sent_at": 0.0, "records": [], "trace": []}
+    )
+    frames["wrong_magic"] = codec.dumps({"op": "hello", "magic": "other", "node": "B"})
     _, node_a = _node("A")
     mine, peer = socket.socketpair()
     try:
         peer.sendall(encode_frame(frames[kind]))
-        report = replicate_session(node_a, mine, settle_timeout=5.0)
+        # A trace context is only read with a tracer attached.
+        tracer = Tracer() if kind == "bad_trace" else None
+        report = replicate_session(node_a, mine, settle_timeout=5.0, tracer=tracer)
         # The session said hello, then hung up on the bad frame.
         peer.settimeout(5.0)
         replies = FrameReader(peer)
@@ -176,6 +186,9 @@ def test_replication_session_closes_and_counts_a_bad_frame(tmp_path, kind):
     assert not marker.exists()
     assert report["protocol_errors"] == 1
     assert report["agreement"] is None
+    assert report["error"]
+    if kind == "wrong_magic":
+        assert "handshake mismatch: 'other'" in report["error"]
     assert node_a.stats()["rejected_diffs"] == (1 if kind == "bad_diff" else 0)
 
     # The same node then replicates with a well-formed peer as before.
