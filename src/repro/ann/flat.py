@@ -92,8 +92,9 @@ class FlatIndex:
             self._slot_keys = np.concatenate([keys, np.full(grown, -1, np.int64)])
         return self._slot_keys[:slots]
 
-    def add(self, key: int, vector: np.ndarray) -> None:
-        """Insert ``vector`` (normalised) under ``key`` (a non-negative int)."""
+    def add(self, key: int, vector: np.ndarray) -> int:
+        """Insert ``vector`` (normalised) under ``key`` (a non-negative int);
+        returns the arena slot it occupies."""
         if key in self._key_to_slot:
             raise KeyError(f"key {key} already present")
         if key < 0:
@@ -105,6 +106,7 @@ class FlatIndex:
         self._owned.add(slot)
         self._key_to_slot[key] = slot
         self._keys_upto(slot + 1)[slot] = key
+        return slot
 
     def add_slot(self, key: int, slot: int) -> None:
         """Register an arena row the caller already allocated under ``key``."""

@@ -186,6 +186,16 @@ class EmbeddingArena:
         view.flags.writeable = False
         return view
 
+    def scores_at(self, slots: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """``query`` scored against the rows at ``slots``, ascending (a freed
+        row scores 0). Past a quarter of the rows up to the last slot,
+        scoring them all in place is cheaper than gathering a copy (which
+        reads each row twice and writes it once)."""
+        top = int(slots[-1]) + 1
+        if 4 * len(slots) > top:
+            return (self._matrix[:top] @ query)[slots]
+        return self._matrix.take(slots, axis=0) @ query
+
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """``queries @ rows.T`` over the occupied region — one matrix product.
 

@@ -12,23 +12,41 @@ Beside them sits an **exact stage**: canonical query text → element id,
 kept on insert and remove. A lookup made with ``match="exact"`` reads only
 that map — the Agent_exact baseline, served by the same cache.
 
+Ahead of the two stages sits a **recall stage**, exact by construction: a
+semantic retrieval that matched is recorded under the raw query text, and a
+later lookup of that text replays the record — no ANN scan, no judge call —
+only when the full path provably returns the same result: same ``fact_id``,
+``tau_lsm``, ``tau_sim``, ``max_candidates`` and judger ``params``; every
+candidate still the same live element; no row admitted since scoring within
+``_MARGIN`` of ``tau_sim`` against the query; and, when it was recorded, no
+score within ``_MARGIN`` of ``tau_sim`` or of its neighbour, where float32
+rounding could reorder them (DESIGN §7).
+
 Sine is *retrieval only* — it neither admits, evicts, nor mutates frequency;
 :mod:`repro.core.cache` layers cache semantics on top.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
+
+import numpy as np
 
 from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
 from repro.core.types import Query
-from repro.embedding.model import EmbeddingModel
+from repro.embedding.model import MEMO_ENTRIES, EmbeddingModel
 from repro.judger.base import JudgeRequest, Judger, JudgeVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flat imports core.arena)
     from repro.ann.flat import FlatIndex
+
+
+#: How far from ``tau_sim`` and from each other the recall stage needs
+#: scores to be: well above float32 rounding, far below any real gap.
+_MARGIN = 1e-6
 
 
 def canonical_text(text: str) -> str:
@@ -98,8 +116,19 @@ class Sine:
         #: The exact stage: canonical text -> id of the newest element
         #: admitted under it.
         self._exact: dict[str, int] = {}
+        #: The recall stage: raw text -> [result, candidate owners, fact_id,
+        #: tau_lsm, admission stamp checked up to], an LRU of MEMO_ENTRIES.
+        #: Every record was made under ``_recall_state``.
+        self._recalls: OrderedDict[str, list] = OrderedDict()
+        self._recall_state: tuple | None = None
+        #: element id -> texts whose record may name it (remove drops them).
+        self._named_by: dict[int, set[str]] = {}
+        #: Admission stamp per arena slot; ``_admissions`` is the latest.
+        self._stamps = np.zeros(index.arena.capacity, dtype=np.int64)
+        self._admissions = 0
         #: Optional stage tracer (see :mod:`repro.obs.trace`); when set, each
-        #: retrieval records ``embed`` / ``ann_search`` / ``judge`` spans.
+        #: retrieval records ``embed`` / ``ann_search`` / ``judge`` spans, or
+        #: one ``recall`` span when it replays.
         self.tracer = None
 
     # -- population management (driven by the cache) -------------------------
@@ -116,17 +145,29 @@ class Sine:
         if slot is not None:
             self.index.add_slot(element_id, slot)
         else:
-            self.index.add(element_id, element.embedding)
+            slot = self.index.add(element_id, element.embedding)
         self._exact[canonical_text(element.key)] = element_id
+        if slot >= self._stamps.shape[0]:
+            grown = np.zeros(self.index.arena.capacity, dtype=np.int64)
+            grown[: self._stamps.shape[0]] = self._stamps
+            self._stamps = grown
+        self._admissions += 1
+        self._stamps[slot] = self._admissions
 
     def remove(self, element: SemanticElement) -> None:
-        """Drop ``element`` from the index, and from the exact stage while
-        its text still names it (a later admit of that text keeps it)."""
+        """Drop ``element`` from the index, from the exact stage while its
+        text still names it (a later admit of that text keeps it), and every
+        recall record that names it."""
         element_id = element.element_id
         self.index.remove(element_id)
         key = canonical_text(element.key)
         if self._exact.get(key) == element_id:
             del self._exact[key]
+        recalls = self._recalls
+        for text in self._named_by.pop(element_id, ()):
+            record = recalls.get(text)
+            if record is not None and any(owner is element for owner in record[1]):
+                del recalls[text]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -163,15 +204,24 @@ class Sine:
         # it as an argument instead of re-deriving it.
         tracer = self.tracer
         if tracer is None or not tracer.live or not tracer.active():
+            if match == "semantic":
+                recalled = self._recalled(query, elements)
+                if recalled is not None:
+                    return recalled
             embedding = self.embedder.embed(query.text)
-            raw_hits = self.index.search(embedding, self.max_candidates)
+            raw_hits = self.index.search(embedding, self.max_candidates + 1)
             return self._prepared(query, raw_hits, elements, match, None)
         clock = tracer.clock
         t0 = clock()
+        if match == "semantic":
+            recalled = self._recalled(query, elements)
+            if recalled is not None:
+                tracer.record_leaf("recall", t0)
+                return recalled
         embedding = self.embedder.embed(query.text)
         tracer.record_leaf("embed", t0)
         t0 = clock()
-        raw_hits = self.index.search(embedding, self.max_candidates)
+        raw_hits = self.index.search(embedding, self.max_candidates + 1)
         tracer.record_leaf("ann_search", t0, {"raw_hits": len(raw_hits)})
         return self._prepared(query, raw_hits, elements, match, tracer)
 
@@ -184,8 +234,10 @@ class Sine:
         tracer,
     ) -> SineResult:
         """Stage 2 on stage 1's raw ANN hits: threshold, then judge (the
-        tail of :meth:`retrieve`)."""
-        candidates = [hit for hit in raw_hits if hit.score >= self.tau_sim]
+        tail of :meth:`retrieve`). The scan returns one row past the top
+        ``max_candidates``; only the recall stage looks at it."""
+        considered = min(len(raw_hits), self.max_candidates)
+        candidates = [hit for hit in raw_hits[:considered] if hit.score >= self.tau_sim]
 
         if match == "ann_only":
             for hit in candidates:
@@ -194,11 +246,9 @@ class Sine:
                     return SineResult(
                         match=element,
                         candidates=candidates,
-                        ann_considered=len(raw_hits),
+                        ann_considered=considered,
                     )
-            return SineResult(
-                match=None, candidates=candidates, ann_considered=len(raw_hits)
-            )
+            return SineResult(match=None, candidates=candidates, ann_considered=considered)
 
         if tracer is None or not candidates:
             return self._judge_candidates(query, raw_hits, candidates, elements)
@@ -218,6 +268,7 @@ class Sine:
     ) -> SineResult:
         """Stage 2 proper: judge candidates in similarity order (the tail of
         :meth:`_prepared`, factored out so it can be traced)."""
+        considered = min(len(raw_hits), self.max_candidates)
         verdicts: list[JudgeVerdict] = []
         for hit in candidates:
             element = elements.get(hit.key)
@@ -234,15 +285,102 @@ class Sine:
             )
             verdicts.append(verdict)
             if verdict.score >= self.tau_lsm:
-                return SineResult(
+                result = SineResult(
                     match=element,
                     candidates=candidates,
                     verdicts=verdicts,
-                    ann_considered=len(raw_hits),
+                    ann_considered=considered,
                 )
+                self._record(query, result, raw_hits, elements)
+                return result
+        self._recalls.pop(query.text, None)
         return SineResult(
             match=None,
             candidates=candidates,
             verdicts=verdicts,
-            ann_considered=len(raw_hits),
+            ann_considered=considered,
+        )
+
+    # -- the recall stage ----------------------------------------------------
+    def _state(self) -> tuple:
+        """What every record assumes besides its own inputs."""
+        return (self.tau_sim, self.max_candidates, self.judger.params)
+
+    def _record(
+        self,
+        query: Query,
+        result: SineResult,
+        raw_hits: list[SearchHit],
+        elements: Mapping[int, SemanticElement],
+    ) -> None:
+        """Keep a matched retrieval for :meth:`_recalled` to replay, unless
+        float32 rounding could reorder it: a row's score moves in its last
+        bits with the arena's row count, so a retrieval where a raw hit lies
+        within ``_MARGIN`` of ``tau_sim``, or a candidate within ``_MARGIN``
+        of the hit after it (the row past the top-k included), is not kept."""
+        text = query.text
+        recalls = self._recalls
+        tau_sim = self.tau_sim
+        count = len(result.candidates)
+        previous = 0.0
+        for index, hit in enumerate(raw_hits):
+            score = hit.score
+            if abs(score - tau_sim) < _MARGIN or (
+                0 < index <= count and previous - score < _MARGIN
+            ):
+                recalls.pop(text, None)
+                return
+            previous = score
+        state = self._state()
+        if state != self._recall_state:
+            recalls.clear()
+            self._named_by.clear()
+            self._recall_state = state
+        owners = tuple([elements.get(hit.key) for hit in result.candidates])
+        recalls.pop(text, None)
+        recalls[text] = [result, owners, query.fact_id, self.tau_lsm, self._admissions]
+        if len(recalls) > MEMO_ENTRIES:
+            recalls.popitem(last=False)
+        named_by = self._named_by
+        for owner in owners:
+            if owner is not None:
+                named_by.setdefault(owner.element_id, set()).add(text)
+
+    def _recalled(
+        self, query: Query, elements: Mapping[int, SemanticElement]
+    ) -> SineResult | None:
+        """The recorded result for ``query.text`` when the full path would
+        return exactly it, else None (see the module docstring)."""
+        text = query.text
+        record = self._recalls.get(text)
+        if record is None:
+            return None
+        result, owners, fact_id, tau_lsm, stamp = record
+        if fact_id != query.fact_id or tau_lsm != self.tau_lsm:
+            return None
+        if self._state() != self._recall_state:
+            return None
+        for hit, owner in zip(result.candidates, owners):
+            if elements.get(hit.key) is not owner:
+                return None
+        admissions = self._admissions
+        if stamp != admissions:
+            # Rows admitted since: one at or above tau_sim could join the
+            # candidates; one below can neither join nor displace one. Rows
+            # never move, so once checked they need no second look.
+            fresh = (self._stamps > stamp).nonzero()[0]
+            if fresh.size:
+                scores = self.index.arena.scores_at(fresh, self.embedder.embed(text))
+                if scores.max() >= self.tau_sim - _MARGIN:
+                    return None
+            record[4] = admissions
+        self._recalls.move_to_end(text)
+        considered = min(self.max_candidates, len(self.index))
+        if considered == result.ann_considered:
+            return result
+        return SineResult(
+            match=result.match,
+            candidates=result.candidates,
+            verdicts=result.verdicts,
+            ann_considered=considered,
         )

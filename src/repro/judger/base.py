@@ -35,7 +35,8 @@ class JudgeVerdict:
     equivalent; the cache compares it against ``tau_lsm``. ``truth`` records
     whether the pair was *actually* equivalent when ground truth is known
     (None otherwise) — used only by evaluation and recalibration, never by
-    the hit decision.
+    the hit decision. ``detail`` is read-only: a judger may hand the same
+    dict to many verdicts.
     """
 
     score: float
@@ -50,6 +51,13 @@ class JudgeVerdict:
 @runtime_checkable
 class Judger(Protocol):
     """What the cache's validation stage needs from a judger model."""
+
+    @property
+    def params(self) -> tuple:
+        """Everything a verdict depends on besides its request: while it
+        reads equal, the same request gets the same verdict (Sine replays
+        recorded verdicts on that promise)."""
+        ...
 
     def judge(self, request: JudgeRequest) -> JudgeVerdict:
         """Score one (query, cached entry) pair."""

@@ -41,6 +41,11 @@ class HeuristicJudger:
         self.tokenizer = tokenizer or SimpleTokenizer()
         self.calls = 0
 
+    @property
+    def params(self) -> tuple:
+        """Everything a verdict depends on besides its request."""
+        return (self.midpoint, self.steepness, self.tokenizer)
+
     def overlap(self, a: str, b: str) -> float:
         """Jaccard overlap of content stems of ``a`` and ``b``."""
         set_a = set(self.tokenizer.content_tokens(a))

@@ -26,6 +26,12 @@ from repro.judger.base import JudgeRequest, JudgeVerdict
 from repro.sim.random import derive_seed
 
 
+#: The two ``detail`` dicts every verdict shares (read-only, like all
+#: :attr:`JudgeVerdict.detail`).
+_FLIPPED = {"flipped": True}
+_KEPT = {"flipped": False}
+
+
 class SimulatedJudger:
     """Noisy-oracle LSM; see module docstring.
 
@@ -86,6 +92,21 @@ class SimulatedJudger:
         self.fallback = fallback
         self.calls = 0
 
+    @property
+    def params(self) -> tuple:
+        """Everything a verdict depends on besides its request."""
+        fallback = self.fallback
+        return (
+            self.seed,
+            self.flip_rate,
+            self.pos_alpha,
+            self.pos_beta,
+            self.neg_alpha,
+            self.neg_beta,
+            self.unknown_truth_score,
+            None if fallback is None else fallback.params,
+        )
+
     def judge(self, request: JudgeRequest) -> JudgeVerdict:
         """Score one pair; deterministic per (query, cached_query) content."""
         self.calls += 1
@@ -104,7 +125,7 @@ class SimulatedJudger:
         else:
             score = float(rng.beta(self.neg_alpha, self.neg_beta))
         return JudgeVerdict(
-            score=score, truth=equivalent, detail={"flipped": flipped}
+            score=score, truth=equivalent, detail=_FLIPPED if flipped else _KEPT
         )
 
     def __repr__(self) -> str:

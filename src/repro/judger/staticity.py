@@ -60,7 +60,7 @@ class StaticityScorer:
                 return true_staticity
             rng = np.random.default_rng(derive_seed(self.seed, f"stat:{text}"))
             jitter = int(rng.integers(-self.noise, self.noise + 1))
-            return int(np.clip(true_staticity + jitter, 1, 10))
+            return min(10, max(1, true_staticity + jitter))
         tokens = set(self._tokenizer.tokenize(text))
         if tokens & _EPHEMERAL_MARKERS:
             return 2

@@ -2,9 +2,10 @@
 
 A :class:`Tracer` records per-request span trees: every request gets a root
 span, and each pipeline stage (``embed``, ``ann_search``, ``judge``,
-``remote_fetch``, ``admit``, ``evict``, ``stale_refresh``) becomes a child
-span with real wall-clock bounds. Propagation uses a :mod:`contextvars`
-variable, which gives the right parent in every execution style at once:
+``recall``, ``remote_fetch``, ``admit``, ``evict``, ``stale_refresh``)
+becomes a child span with real wall-clock bounds. Propagation uses a
+:mod:`contextvars` variable, which gives the right parent in every execution
+style at once:
 
 * sequential code nests spans lexically (and the request root resets the
   variable on exit, so one request never leaks a parent into the next);
@@ -25,10 +26,10 @@ Two recording styles, chosen per call site by cost:
   stages parent correctly. Use for spans that can have children.
 * ``t0 = tracer.clock(); ...; tracer.record_leaf(name, t0)`` — one-call
   recording for *leaf* stages (``embed``, ``ann_search``, ``judge``,
-  ``remote_fetch``, ``evict``) that never open children. This skips the
-  context-manager protocol and the contextvar set/reset entirely — one
-  Python frame instead of three, on a path that runs ~6 times per traced
-  request. A leaf whose work raises records nothing;
+  ``recall``, ``remote_fetch``, ``evict``) that never open children. This
+  skips the context-manager protocol and the contextvar set/reset entirely
+  — one Python frame instead of three, on a path that runs ~6 times per
+  traced request. A leaf whose work raises records nothing;
   the failure stays visible as the root span's ``outcome``.
 
 Engines hold ``tracer = None`` by default and guard every instrumentation
@@ -60,6 +61,8 @@ STAGE_REQUEST = "request"
 STAGE_EMBED = "embed"
 STAGE_ANN = "ann_search"
 STAGE_JUDGE = "judge"
+#: A lookup Sine replayed from its recall stage, in place of the three above.
+STAGE_RECALL = "recall"
 STAGE_REMOTE = "remote_fetch"
 STAGE_ADMIT = "admit"
 STAGE_EVICT = "evict"
@@ -70,6 +73,7 @@ STAGES = (
     STAGE_EMBED,
     STAGE_ANN,
     STAGE_JUDGE,
+    STAGE_RECALL,
     STAGE_REMOTE,
     STAGE_ADMIT,
     STAGE_EVICT,

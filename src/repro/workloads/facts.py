@@ -8,6 +8,7 @@ and acts as the authoritative resolver for the remote data service.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from typing import Callable
@@ -17,6 +18,13 @@ from repro.core.types import Query
 #: Base epoch length (seconds) for the most ephemeral facts; doubling per
 #: staticity point makes staticity-10 facts effectively immutable.
 VOLATILITY_BASE_PERIOD = 30.0
+
+
+@functools.cache
+def _padding(words: int) -> str:
+    """Deterministic answer filler, ~1 token per word (one string per length,
+    built once: it was most of a fetch's resolve time)."""
+    return " ".join(f"ctx{i}" for i in range(words))
 
 
 @dataclass(frozen=True)
@@ -171,9 +179,7 @@ class FactUniverse:
         header = f"{fact.answer} (re: {fact.core})"
         header_tokens = max(1, len(header) // 4)
         missing = max(0, fact.answer_tokens - header_tokens)
-        # Deterministic filler, ~1 token per word.
-        padding = " ".join(f"ctx{i}" for i in range(missing))
-        return f"{header} {padding}".strip()
+        return f"{header} {_padding(missing)}".strip()
 
     def __repr__(self) -> str:
         return f"FactUniverse({self.name!r}, facts={len(self.facts)})"
