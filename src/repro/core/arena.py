@@ -187,13 +187,8 @@ class EmbeddingArena:
         return view
 
     def scores_at(self, slots: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """``query`` scored against the rows at ``slots``, ascending (a freed
-        row scores 0). Past a quarter of the rows up to the last slot,
-        scoring them all in place is cheaper than gathering a copy (which
-        reads each row twice and writes it once)."""
-        top = int(slots[-1]) + 1
-        if 4 * len(slots) > top:
-            return (self._matrix[:top] @ query)[slots]
+        """``query`` scored against the rows at ``slots`` (a freed row
+        scores 0)."""
         return self._matrix.take(slots, axis=0) @ query
 
     def scores(self, queries: np.ndarray) -> np.ndarray:

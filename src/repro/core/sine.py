@@ -121,7 +121,9 @@ class Sine:
         #: Every record was made under ``_recall_state``.
         self._recalls: OrderedDict[str, list] = OrderedDict()
         self._recall_state: tuple | None = None
-        #: element id -> texts whose record may name it (remove drops them).
+        #: element id -> texts whose record names it (remove drops them);
+        #: kept exact by _forget, so it holds at most one entry per owner of
+        #: a live record.
         self._named_by: dict[int, set[str]] = {}
         #: Admission stamp per arena slot; ``_admissions`` is the latest.
         self._stamps = np.zeros(index.arena.capacity, dtype=np.int64)
@@ -163,11 +165,8 @@ class Sine:
         key = canonical_text(element.key)
         if self._exact.get(key) == element_id:
             del self._exact[key]
-        recalls = self._recalls
         for text in self._named_by.pop(element_id, ()):
-            record = recalls.get(text)
-            if record is not None and any(owner is element for owner in record[1]):
-                del recalls[text]
+            self._forget(text)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -222,7 +221,9 @@ class Sine:
         tracer.record_leaf("embed", t0)
         t0 = clock()
         raw_hits = self.index.search(embedding, self.max_candidates + 1)
-        tracer.record_leaf("ann_search", t0, {"raw_hits": len(raw_hits)})
+        tracer.record_leaf(
+            "ann_search", t0, {"raw_hits": min(len(raw_hits), self.max_candidates)}
+        )
         return self._prepared(query, raw_hits, elements, match, tracer)
 
     def _prepared(
@@ -293,7 +294,7 @@ class Sine:
                 )
                 self._record(query, result, raw_hits, elements)
                 return result
-        self._recalls.pop(query.text, None)
+        self._forget(query.text)
         return SineResult(
             match=None,
             candidates=candidates,
@@ -328,7 +329,7 @@ class Sine:
             if abs(score - tau_sim) < _MARGIN or (
                 0 < index <= count and previous - score < _MARGIN
             ):
-                recalls.pop(text, None)
+                self._forget(text)
                 return
             previous = score
         state = self._state()
@@ -337,14 +338,28 @@ class Sine:
             self._named_by.clear()
             self._recall_state = state
         owners = tuple([elements.get(hit.key) for hit in result.candidates])
-        recalls.pop(text, None)
+        self._forget(text)
+        if len(recalls) >= MEMO_ENTRIES:
+            self._forget(next(iter(recalls)))
         recalls[text] = [result, owners, query.fact_id, self.tau_lsm, self._admissions]
-        if len(recalls) > MEMO_ENTRIES:
-            recalls.popitem(last=False)
         named_by = self._named_by
         for owner in owners:
             if owner is not None:
                 named_by.setdefault(owner.element_id, set()).add(text)
+
+    def _forget(self, text: str) -> None:
+        """Drop the record for ``text``, if any, and its reverse-map entries."""
+        record = self._recalls.pop(text, None)
+        if record is None:
+            return
+        named_by = self._named_by
+        for owner in record[1]:
+            if owner is not None:
+                texts = named_by.get(owner.element_id)
+                if texts is not None:
+                    texts.discard(text)
+                    if not texts:
+                        del named_by[owner.element_id]
 
     def _recalled(
         self, query: Query, elements: Mapping[int, SemanticElement]

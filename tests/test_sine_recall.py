@@ -30,6 +30,7 @@ def _spy_lookups(engine, wipe: bool) -> list:
     def spy(query, now, match="semantic"):
         if wipe:
             cache.sine._recalls.clear()
+            cache.sine._named_by.clear()
         result = lookup(query, now, match)
         seen.append((
             None if result.match is None else result.match.element_id,
@@ -96,10 +97,21 @@ def test_replays_decide_exactly_as_the_full_path():
     assert twin.searches == 2400
     assert engine.searches < 2400 - 300
     assert engine.cache.sine.judger.calls < twin.cache.sine.judger.calls
-    # No record outlives an element it names.
+    # No record outlives an element it names, and the reverse map names
+    # exactly the live records' owners.
     elements = engine.cache.elements
     for _, owners, *_ in engine.cache.sine._recalls.values():
         assert all(elements.get(owner.element_id) is owner for owner in owners)
+    assert engine.cache.sine._named_by == _named_by_records(engine.cache.sine)
+
+
+def _named_by_records(sine) -> dict:
+    """The element id -> texts map that Sine's records imply."""
+    named: dict = {}
+    for text, (_, owners, *_) in sine._recalls.items():
+        for owner in owners:
+            named.setdefault(owner.element_id, set()).add(text)
+    return named
 
 
 def test_a_traced_replay_records_one_recall_span():
@@ -129,7 +141,11 @@ def test_records_are_bounded_by_the_memo_constant(monkeypatch):
     for step, text in enumerate(texts * 3):  # miss, hit (recorded), replay
         engine.handle(Query(text, fact_id=text), float(step))
     assert engine.metrics.hits == 12
-    assert list(engine.cache.sine._recalls) == texts[-3:]
+    sine = engine.cache.sine
+    assert list(sine._recalls) == texts[-3:]
+    # Records the LRU dropped leave nothing behind in the reverse map.
+    assert sine._named_by == _named_by_records(sine)
+    assert sum(map(len, sine._named_by.values())) <= 3 * sine.max_candidates
 
 
 def test_tied_scores_are_never_recorded():
