@@ -22,6 +22,12 @@ Slot lifecycle invariants:
   stale rows can never outrank live ones) and recycles the slot.
 * Rows never move: views handed out earlier stay value-correct because
   row contents are immutable between allocate and release.
+* A row's score is a function of the row and the query alone. BLAS
+  computes a tail of fewer than ``BLOCK`` rows with a different kernel, so
+  its float32 bits would move with the row count; every product therefore
+  runs over whole blocks of ``BLOCK`` rows and drops the padding after.
+  ``tests/test_arena.py::test_a_rows_score_is_the_same_at_every_size`` is
+  that contract (DESIGN §7).
 """
 
 from __future__ import annotations
@@ -29,6 +35,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["EmbeddingArena", "build_arena"]
+
+#: Rows per BLAS block: products run over a multiple of this many rows.
+BLOCK = 8
+
+
+def _blocks(rows: int) -> int:
+    """``rows`` rounded up to whole blocks."""
+    return -(-rows // BLOCK) * BLOCK
 
 
 class EmbeddingArena:
@@ -55,7 +69,9 @@ class EmbeddingArena:
         #: Lowest slot never handed out; everything above is virgin capacity.
         self._next_fresh = 0
         self._live_mask = np.zeros(initial_capacity, dtype=bool)
-        self._matrix = np.zeros((initial_capacity, dim), dtype=np.float32)
+        #: ``capacity`` rounded up to whole blocks, so a product never runs
+        #: past the end of the matrix.
+        self._matrix = np.zeros((_blocks(initial_capacity), dim), dtype=np.float32)
         self._count = 0
         #: 1 + highest slot ever occupied; scoring slices rows to this.
         self._high_water = 0
@@ -163,8 +179,8 @@ class EmbeddingArena:
     def _grow(self) -> None:
         old = self._capacity
         self._capacity = old * 2
-        grown = np.zeros((self._capacity, self._dim), dtype=np.float32)
-        grown[:old] = self._matrix
+        grown = np.zeros((_blocks(self._capacity), self._dim), dtype=np.float32)
+        grown[: self._matrix.shape[0]] = self._matrix
         self._matrix = grown
         mask = np.zeros(self._capacity, dtype=bool)
         mask[:old] = self._live_mask
@@ -188,16 +204,19 @@ class EmbeddingArena:
 
     def scores_at(self, slots: np.ndarray, query: np.ndarray) -> np.ndarray:
         """``query`` scored against the rows at ``slots`` (a freed row
-        scores 0)."""
+        scores 0). The gather is not padded to whole blocks, so a row may
+        differ from its :meth:`scores` bits in the last place."""
         return self._matrix.take(slots, axis=0) @ query
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
-        """``queries @ rows.T`` over the occupied region — one matrix product.
+        """``queries @ rows.T`` over the occupied region — one matrix
+        product over whole blocks (see the module docstring).
 
         ``queries`` is ``(n, dim)`` float32 (normalised by the caller); the
         result is ``(n, high_water)``. Freed rows are zero so they score 0.
         """
-        return queries @ self._matrix[: self._high_water].T
+        count = self._high_water
+        return (queries @ self._matrix[: _blocks(count)].T)[:, :count]
 
     def __repr__(self) -> str:
         return (

@@ -452,14 +452,9 @@ class AsteriaCache:
         self._shed_garbage(now)
         rebuilt = False
         deferred: list[tuple[float, int, int]] = []
+        # Every live element has an entry at its current version (the
+        # re-sync above), so the heap outlasts every element but ``protect``.
         while self.usage() > self.capacity_items:
-            if not self._heap:
-                if rebuilt:
-                    break
-                self._rebuild_heap(now)
-                rebuilt = True
-                deferred.clear()
-                continue
             score, element_id, version = heapq.heappop(self._heap)
             if self._score_version.get(element_id) != version:
                 continue  # garbage from an invalidated score

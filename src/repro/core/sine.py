@@ -17,10 +17,10 @@ semantic retrieval that matched is recorded under the raw query text, and a
 later lookup of that text replays the record — no ANN scan, no judge call —
 only when the full path provably returns the same result: same ``fact_id``,
 ``tau_lsm``, ``tau_sim``, ``max_candidates`` and judger ``params``; every
-candidate still the same live element; no row admitted since scoring within
-``_MARGIN`` of ``tau_sim`` against the query; and, when it was recorded, no
-score within ``_MARGIN`` of ``tau_sim`` or of its neighbour, where float32
-rounding could reorder them (DESIGN §7).
+candidate still the same live element; and no row admitted since scoring
+within ``_MARGIN`` of ``tau_sim`` against the query. A row's score is a
+function of the row and the query alone (the arena scores whole blocks), so
+the same live rows give the same scores, ranking and verdicts (DESIGN §7).
 
 Sine is *retrieval only* — it neither admits, evicts, nor mutates frequency;
 :mod:`repro.core.cache` layers cache semantics on top.
@@ -44,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flat imports core.ar
     from repro.ann.flat import FlatIndex
 
 
-#: How far from ``tau_sim`` and from each other the recall stage needs
-#: scores to be: well above float32 rounding, far below any real gap.
+#: How far below ``tau_sim`` a fresh row's gathered score must fall: the
+#: gather may differ from the scan's bits in the last place, far below this.
 _MARGIN = 1e-6
 
 
@@ -208,7 +208,7 @@ class Sine:
                 if recalled is not None:
                     return recalled
             embedding = self.embedder.embed(query.text)
-            raw_hits = self.index.search(embedding, self.max_candidates + 1)
+            raw_hits = self.index.search(embedding, self.max_candidates)
             return self._prepared(query, raw_hits, elements, match, None)
         clock = tracer.clock
         t0 = clock()
@@ -220,10 +220,8 @@ class Sine:
         embedding = self.embedder.embed(query.text)
         tracer.record_leaf("embed", t0)
         t0 = clock()
-        raw_hits = self.index.search(embedding, self.max_candidates + 1)
-        tracer.record_leaf(
-            "ann_search", t0, {"raw_hits": min(len(raw_hits), self.max_candidates)}
-        )
+        raw_hits = self.index.search(embedding, self.max_candidates)
+        tracer.record_leaf("ann_search", t0, {"raw_hits": len(raw_hits)})
         return self._prepared(query, raw_hits, elements, match, tracer)
 
     def _prepared(
@@ -235,10 +233,9 @@ class Sine:
         tracer,
     ) -> SineResult:
         """Stage 2 on stage 1's raw ANN hits: threshold, then judge (the
-        tail of :meth:`retrieve`). The scan returns one row past the top
-        ``max_candidates``; only the recall stage looks at it."""
-        considered = min(len(raw_hits), self.max_candidates)
-        candidates = [hit for hit in raw_hits[:considered] if hit.score >= self.tau_sim]
+        tail of :meth:`retrieve`)."""
+        considered = len(raw_hits)
+        candidates = [hit for hit in raw_hits if hit.score >= self.tau_sim]
 
         if match == "ann_only":
             for hit in candidates:
@@ -252,9 +249,9 @@ class Sine:
             return SineResult(match=None, candidates=candidates, ann_considered=considered)
 
         if tracer is None or not candidates:
-            return self._judge_candidates(query, raw_hits, candidates, elements)
+            return self._judge_candidates(query, considered, candidates, elements)
         t0 = tracer.clock()
-        result = self._judge_candidates(query, raw_hits, candidates, elements)
+        result = self._judge_candidates(query, considered, candidates, elements)
         tracer.record_leaf(
             "judge", t0, {"judged": result.judged, "matched": result.match is not None}
         )
@@ -263,13 +260,12 @@ class Sine:
     def _judge_candidates(
         self,
         query: Query,
-        raw_hits: list[SearchHit],
+        considered: int,
         candidates: list[SearchHit],
         elements: Mapping[int, SemanticElement],
     ) -> SineResult:
         """Stage 2 proper: judge candidates in similarity order (the tail of
         :meth:`_prepared`, factored out so it can be traced)."""
-        considered = min(len(raw_hits), self.max_candidates)
         verdicts: list[JudgeVerdict] = []
         for hit in candidates:
             element = elements.get(hit.key)
@@ -292,7 +288,7 @@ class Sine:
                     verdicts=verdicts,
                     ann_considered=considered,
                 )
-                self._record(query, result, raw_hits, elements)
+                self._record(query, result, elements)
                 return result
         self._forget(query.text)
         return SineResult(
@@ -311,27 +307,11 @@ class Sine:
         self,
         query: Query,
         result: SineResult,
-        raw_hits: list[SearchHit],
         elements: Mapping[int, SemanticElement],
     ) -> None:
-        """Keep a matched retrieval for :meth:`_recalled` to replay, unless
-        float32 rounding could reorder it: a row's score moves in its last
-        bits with the arena's row count, so a retrieval where a raw hit lies
-        within ``_MARGIN`` of ``tau_sim``, or a candidate within ``_MARGIN``
-        of the hit after it (the row past the top-k included), is not kept."""
+        """Keep a matched retrieval for :meth:`_recalled` to replay."""
         text = query.text
         recalls = self._recalls
-        tau_sim = self.tau_sim
-        count = len(result.candidates)
-        previous = 0.0
-        for index, hit in enumerate(raw_hits):
-            score = hit.score
-            if abs(score - tau_sim) < _MARGIN or (
-                0 < index <= count and previous - score < _MARGIN
-            ):
-                self._forget(text)
-                return
-            previous = score
         state = self._state()
         if state != self._recall_state:
             recalls.clear()

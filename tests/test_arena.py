@@ -120,6 +120,24 @@ def test_scores_slice_to_high_water(rng):
     assert arena.scores(queries).shape == (1, 5)
 
 
+@pytest.mark.parametrize("dim", [64, 256, 384])
+def test_a_rows_score_is_the_same_at_every_size(dim):
+    """A row scores the same float32 bits at every high-water mark. Sine's
+    recall stage replays a retrieval on this contract (DESIGN §7): on a BLAS
+    where it fails, its float guard must come back."""
+    rng = np.random.default_rng(dim)
+    size = 1100
+    arena = EmbeddingArena(dim, initial_capacity=3)  # grows through odd sizes
+    query = normalize(rng.normal(size=dim))[None, :]
+    scored = []
+    for vector in rng.normal(size=(size, dim)).astype(np.float32):
+        arena.allocate(vector)
+        scored.append(arena.scores(query)[0])
+    final = scored[-1]
+    for count, row in enumerate(scored, 1):
+        np.testing.assert_array_equal(row, final[:count], err_msg=f"{count} rows")
+
+
 def test_views_are_read_only(rng):
     arena = EmbeddingArena(DIM)
     slot = arena.allocate(rng.normal(size=DIM))

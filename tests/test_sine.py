@@ -121,3 +121,41 @@ class TestSineRetrieval:
             Sine(embedder, FlatIndex(embedder.dim), sine.judger, tau_sim=1.5)
         with pytest.raises(ValueError):
             Sine(embedder, FlatIndex(embedder.dim), sine.judger, max_candidates=0)
+
+    def test_one_candidate_is_enough(self, stack):
+        sine, cache = stack
+        cache.insert(Query("who painted the mona lisa", fact_id="F1"), fetch(), 0.0)
+        cache.insert(Query("who painted the last supper", fact_id="F2"), fetch(), 0.0)
+        single = Sine(sine.embedder, sine.index, sine.judger, max_candidates=1)
+        query = Query("who painted the mona lisa", fact_id="F1")
+        result = single.retrieve(query, cache.elements)
+        assert result.match is not None and result.match.truth_key == "F1"
+        assert result.ann_considered == 1 and len(result.candidates) == 1
+
+
+class TestSineRecall:
+    def test_a_replay_counts_the_rows_a_scan_would(self, stack, monkeypatch):
+        """Recorded while the index held fewer rows than ``max_candidates``,
+        replayed after it grew past them: ``ann_considered`` follows the
+        index, as the full path's does."""
+        sine, cache = stack
+        query = Query("who painted the mona lisa", fact_id="F1")
+        cache.insert(query, fetch(), 0.0)
+        recorded = sine.retrieve(query, cache.elements)
+        assert recorded.match is not None and recorded.ann_considered == 1
+        for step, text in enumerate((
+            "current weather in paris", "boiling point of water",
+            "speed of light in vacuum", "tallest building in dubai",
+            "deepest lake on earth",
+        )):
+            cache.insert(Query(text, fact_id=f"G{step}"), fetch(), 0.0)
+        assert len(sine) > sine.max_candidates
+        monkeypatch.setattr(sine.index, "search", None)  # a replay scans nothing
+        replayed = sine.retrieve(query, cache.elements)
+        monkeypatch.undo()
+        sine._recalls.clear()
+        sine._named_by.clear()
+        walked = sine.retrieve(query, cache.elements)
+        assert walked.candidates == recorded.candidates  # the new rows are far below
+        assert replayed.ann_considered == walked.ann_considered == sine.max_candidates
+        assert replayed == walked
