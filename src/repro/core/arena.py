@@ -90,6 +90,11 @@ class EmbeddingArena:
     def capacity(self) -> int:
         return self._capacity
 
+    @property
+    def high_water(self) -> int:
+        """1 + the highest slot occupied: no row lives at or above it."""
+        return self._high_water
+
     def __len__(self) -> int:
         return self._count
 

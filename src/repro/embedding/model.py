@@ -20,11 +20,12 @@ import numpy as np
 from repro.sim.random import derive_seed
 from repro.embedding.tokenizer import SimpleTokenizer
 
-#: Entries :class:`CachedEmbedder` keeps by default, and the bound on Sine's
-#: recall records: one constant sizes both. On cortexbench ``para_sync``
-#: (seed 1, 16 s) an LRU this size still holds the text of 48.2 % of timed
-#: lookups (52.9 % unbounded) and Sine replays 49.3 % (49.7 % unbounded).
-MEMO_ENTRIES = 12288
+#: Entries :class:`CachedEmbedder` keeps by default. Sine's recall records
+#: keep their own query vectors, so the memo serves only an admit after its
+#: lookup and a near repeat that has no record. On cortexbench ``para_sync``
+#: (seed 1, 16 s) the inner embedder runs 0.4923 times per timed request at
+#: this size, 0.4936 at 128 and 0.4809 at 12 288.
+MEMO_ENTRIES = 1024
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

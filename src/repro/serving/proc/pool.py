@@ -110,15 +110,16 @@ class ShardClient:
     """
 
     def __init__(
-        self, shard_id: int, sock: socket.socket, pool: WorkerPool, clock_offset=0.0
+        self, shard_id: int, sock: socket.socket, pool: WorkerPool, clock=(0.0, 0.0)
     ) -> None:
         self.shard_id = shard_id
         self.codec = JsonCodec()
         self.pool = pool
         #: Router-clock minus worker-clock estimate from the hello
         #: handshake's clock ping (``worker_reading + clock_offset`` lands
-        #: on the router's perf_counter timeline).
-        self.clock_offset = clock_offset
+        #: on the router's perf_counter timeline), and that ping's round
+        #: trip: the offset errs by at most half of it.
+        self.clock_offset, self.clock_rtt = clock
         #: Latest piggybacked shard stats: [inserts, evictions, expirations,
         #: rejected_duplicates, prefetch_inserts, usage].
         self.last_stats: list = [0, 0, 0, 0, 0, 0]
@@ -269,8 +270,9 @@ class WorkerPool:
     def _accept_hello(self, listener: socket.socket):
         """Accept one worker connection, check its hello frame, and run the
         clock handshake; returns ``(shard_id, conn, restore_report_or_None,
-        clock_offset)``. A malformed frame is a :class:`WorkerError` naming
-        it, and the connection is closed on every failure."""
+        (clock_offset, clock_rtt))``. A malformed frame is a
+        :class:`WorkerError` naming it, and the connection is closed on every
+        failure."""
         conn, _ = listener.accept()
         try:
             # A timeout anywhere in the handshake abandons the connection, so
@@ -296,7 +298,7 @@ class WorkerPool:
             conn.close()
             raise
         conn.settimeout(None)
-        return hello[2], conn, hello[4], (t0 + t1) / 2.0 - pong[2]
+        return hello[2], conn, hello[4], ((t0 + t1) / 2.0 - pong[2], t1 - t0)
 
     def _handshake_frame(self, payload: bytes | None, row: tuple, what: str) -> list:
         if payload is None:
@@ -312,7 +314,7 @@ class WorkerPool:
     def _spawn(self, specs: list[WorkerSpec]) -> tuple[list, dict[int, list]]:
         """Start one worker per spec on a fresh loopback listener and complete
         every hello handshake (blocking). Returns ``(processes, hellos)`` with
-        ``hellos[shard_id] = (conn, restore_report_or_None, clock_offset)``;
+        ``hellos[shard_id] = (conn, restore_report_or_None, clock)``;
         on failure everything it started is closed and killed."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         processes: list[multiprocessing.process.BaseProcess] = []
@@ -358,14 +360,14 @@ class WorkerPool:
         self.processes, hellos = self._spawn(self.specs)
         self.clients = []
         for shard_id in range(self.n_shards):
-            conn, _, clock_offset = hellos[shard_id]
-            self.clients.append(ShardClient(shard_id, conn, self, clock_offset))
+            conn, _, clock = hellos[shard_id]
+            self.clients.append(ShardClient(shard_id, conn, self, clock))
         self._launched = True
 
     def spawn_worker(self, spec: WorkerSpec):
         """Spawn ONE worker for ``spec`` and complete its hello handshake
         (blocking — the supervisor runs this in an executor). Returns
-        ``(process, conn, restore_report_or_None, clock_offset)``; the
+        ``(process, conn, restore_report_or_None, clock)``; the
         caller swaps them in via :meth:`replace_client`."""
         (process,), hellos = self._spawn([spec])
         return (process, *hellos[spec.shard_id])
@@ -375,17 +377,17 @@ class WorkerPool:
         shard_id: int,
         conn: socket.socket,
         process,
-        clock_offset: float = 0.0,
+        clock=(0.0, 0.0),
     ) -> ShardClient:
         """Install a respawned worker's connection/process for ``shard_id``.
 
         The new client inherits the dead incarnation's ``last_stats``, so
         cumulative counters stay monotone for readers until the first
-        post-recovery reply. ``clock_offset`` is the respawned incarnation's
-        own estimate — the dead worker's offset means nothing for a new
-        process."""
+        post-recovery reply. ``clock`` (offset, round trip) is the respawned
+        incarnation's own estimate — the dead worker's offset means nothing
+        for a new process."""
         old = self.clients[shard_id]
-        client = ShardClient(shard_id, conn, self, clock_offset)
+        client = ShardClient(shard_id, conn, self, clock)
         client.last_stats = list(old.last_stats)
         self.clients[shard_id] = client
         self.processes[shard_id] = process

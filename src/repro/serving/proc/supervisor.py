@@ -222,14 +222,14 @@ class WorkerSupervisor:
                     await asyncio.sleep(delay)
                 t0 = time.monotonic()
                 try:
-                    process, conn, restore, offset = await loop.run_in_executor(
+                    process, conn, restore, clock = await loop.run_in_executor(
                         None, pool.spawn_worker, pool.specs[shard]
                     )
                 except asyncio.CancelledError:
                     raise
                 except Exception:  # noqa: BLE001 - retry with more backoff
                     continue
-                client = pool.replace_client(shard, conn, process, clock_offset=offset)
+                client = pool.replace_client(shard, conn, process, clock)
                 await client.attach()
                 self.restarts[shard] += 1
                 self.total_restarts += 1

@@ -4,6 +4,7 @@ only when the full path would return exactly that result."""
 from benchmarks.cortexbench import gen
 from repro.core import AsteriaConfig, Query
 from repro.core import sine as sine_module
+from repro.embedding import CachedEmbedder
 from repro.factory import build_asteria_engine, build_remote
 from repro.obs import Tracer
 
@@ -30,22 +31,49 @@ def _spy_lookups(engine, wipe: bool) -> list:
             cache.sine._recalls.clear()
             cache.sine._named_by.clear()
         result = lookup(query, now, match)
-        seen.append((
-            None if result.match is None else result.match.element_id,
-            [hit.key for hit in result.candidates],
-            [hit.score for hit in result.candidates],
-            [verdict.score for verdict in result.verdicts],
-            result.ann_considered,
-        ))
+        seen.append(_plain(result))
         return result
 
     cache.lookup = spy
     return seen
 
 
-def _run(wipe: bool):
+class _Counted:
+    """An embedding model that counts the texts it embeds."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+def _counted_memo(engine, max_entries: int = 1) -> _Counted:
+    """Give ``engine``'s Sine a ``max_entries`` memo over a counted model."""
+    sine = engine.cache.sine
+    counted = _Counted(sine.embedder.inner)
+    sine.embedder = CachedEmbedder(counted, max_entries=max_entries)
+    return counted
+
+
+def _plain(result) -> tuple:
+    """A SineResult as plain values, comparable across engines."""
+    return (
+        None if result.match is None else result.match.element_id,
+        [hit.key for hit in result.candidates],
+        [hit.score for hit in result.candidates],
+        [verdict.score for verdict in result.verdicts],
+        result.ann_considered,
+    )
+
+
+def _run(wipe: bool, memo: int | None = None):
     """A schedule with TTL expiry, capacity eviction, an invalidation,
-    tau_lsm moves, fine-tune rounds and a judger drift."""
+    tau_lsm moves, fine-tune rounds and a judger drift. ``memo`` replaces
+    the embedder memo's default size."""
     universe = gen.build_universe("recall", 40, 3)
     stream = gen.build_stream(universe, 1.5, 2400, 3)
     config = AsteriaConfig(
@@ -58,6 +86,8 @@ def _run(wipe: bool):
     )
     engine = build_asteria_engine(build_remote(universe, seed=3), config, seed=3)
     engine.recalibrator.min_records = 10
+    if memo is not None:
+        _counted_memo(engine, memo)
     judger = engine.cache.sine.judger
     judger.flip_rate = 0.2  # something for the fine-tune rounds to pull back
     seen = _spy_lookups(engine, wipe)
@@ -74,8 +104,15 @@ def _run(wipe: bool):
 
 
 def test_replays_decide_exactly_as_the_full_path():
-    engine, seen = _run(wipe=False)
     twin, full = _run(wipe=True)
+    assert twin.searches == 2400
+    # The memo decides nothing: a record replays with its own vector.
+    for memo in (None, 1):
+        engine, seen = _run(wipe=False, memo=memo)
+        _assert_replays_match(engine, seen, twin, full)
+
+
+def _assert_replays_match(engine, seen, twin, full) -> None:
     assert len(seen) == len(full) == 2400
     for index, (replayed, walked) in enumerate(zip(seen, full)):
         # A row's score is a function of the row and the query, so a
@@ -90,7 +127,6 @@ def test_replays_decide_exactly_as_the_full_path():
     assert engine.cache.sine.tau_lsm != AsteriaConfig().tau_lsm
     assert engine.cache.sine.judger.flip_rate < 0.2
     # ... and replayed a good share of the lookups: a replay scans nothing.
-    assert twin.searches == 2400
     assert engine.searches < 2400 - 300
     assert engine.cache.sine.judger.calls < twin.cache.sine.judger.calls
     # No record outlives an element it names, and the reverse map names
@@ -127,8 +163,8 @@ def test_a_traced_replay_records_one_recall_span():
     assert engine.metrics.hits == 2
 
 
-def test_records_are_bounded_by_the_memo_constant(monkeypatch):
-    monkeypatch.setattr(sine_module, "MEMO_ENTRIES", 3)
+def test_records_are_bounded_by_the_recall_constant(monkeypatch):
+    monkeypatch.setattr(sine_module, "RECALL_ENTRIES", 3)
     engine = build_asteria_engine(build_remote(seed=0), seed=0)
     texts = [
         "capital of france", "boiling point of water", "author of hamlet",
@@ -164,3 +200,52 @@ def test_tied_scores_replay_in_key_order():
     sine._recalls.clear()
     sine._named_by.clear()
     assert cache.lookup(query, 3.0) == recorded  # the full path
+
+
+def _recorded(engine):
+    """Admit and look up one query, so its matched retrieval is recorded."""
+    cache = engine.cache
+    query = Query("height of mount everest", fact_id="EV")
+    cache.insert(query, engine.remote.fetch_at(query, 0.0), 0.0)
+    recorded = cache.lookup(query, 1.0)
+    assert recorded.match is not None and query.text in cache.sine._recalls
+    return query, recorded
+
+
+def test_a_replay_never_re_embeds():
+    engine = build_asteria_engine(build_remote(seed=0), seed=0)
+    counted = _counted_memo(engine)
+    query, recorded = _recorded(engine)
+    other = Query("capital of france", fact_id="FR")
+    engine.cache.insert(other, engine.remote.fetch_at(other, 2.0), 2.0)
+    assert query.text not in engine.cache.sine.embedder  # the memo evicted it
+    _spy_lookups(engine, wipe=False)
+    calls = counted.calls
+    # The admit since makes the replay score the fresh row first.
+    replayed = engine.cache.lookup(query, 3.0)
+    assert engine.searches == 0  # a replay
+    assert replayed.candidates is recorded.candidates
+    assert counted.calls == calls
+
+
+def test_a_refused_replay_scans_with_the_record_vector():
+    stacks = []
+    for _ in range(2):
+        engine = build_asteria_engine(build_remote(seed=0), seed=0)
+        counted = _counted_memo(engine)
+        query, _ = _recorded(engine)
+        # A paraphrase admitted since scores above tau_sim: no replay.
+        near = Query("the height of mount everest", fact_id="EV")
+        engine.cache.insert(near, engine.remote.fetch_at(near, 2.0), 2.0)
+        assert query.text not in engine.cache.sine.embedder
+        stacks.append((engine, counted))
+    (engine, counted), (fresh, _) = stacks
+    seen = _spy_lookups(engine, wipe=False)
+    calls = counted.calls
+    engine.cache.lookup(query, 3.0)
+    assert engine.searches == 1  # the full path
+    assert counted.calls == calls
+    assert len(seen[0][1]) == 2 and query.text in engine.cache.sine._recalls
+    fresh.cache.sine._recalls.clear()
+    fresh.cache.sine._named_by.clear()
+    assert seen[0] == _plain(fresh.cache.lookup(query, 3.0))
