@@ -12,10 +12,10 @@ Nothing else grows with the population: the key of each row is an int64
 array the mutations keep current, and the score row is ranked by a partition
 plus a sort of the ``k`` survivors.
 
-The arena may be private (built here when none is passed — the standalone
-shape) or shared with the cache, in which case elements enter via
-:meth:`FlatIndex.add_slot` with a slot the cache already allocated and the
-index scores the cache's rows in place — no per-element copy, no rebuild.
+The index builds its arena and shares it: the cache allocates each
+element's row there (through its backend) and registers it with
+:meth:`FlatIndex.add_slot`, so the index scores the cache's rows in place —
+no per-element copy, no rebuild.
 """
 
 from __future__ import annotations
@@ -41,30 +41,16 @@ def _top_k(scores: np.ndarray, keys: np.ndarray, top: int) -> list[SearchHit]:
 class FlatIndex:
     """Exact cosine-similarity index with slot reuse after deletion.
 
-    ``arena`` swaps in shared row storage (see module docstring); slots added
-    via :meth:`add` are owned by the index and released on :meth:`remove`,
-    while slots registered via :meth:`add_slot` belong to the caller and are
-    only forgotten.
+    Slots added via :meth:`add` are owned by the index and released on
+    :meth:`remove`, while slots registered via :meth:`add_slot` belong to
+    the caller that allocated them on :attr:`arena` and are only forgotten.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        initial_capacity: int = 1024,
-        arena: EmbeddingArena | None = None,
-    ) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if initial_capacity < 1:
-            raise ValueError(f"initial_capacity must be >= 1, got {initial_capacity}")
-        if arena is not None and arena.dim != dim:
-            raise ValueError(f"arena dim {arena.dim} != index dim {dim}")
+    def __init__(self, dim: int, initial_capacity: int = 1024) -> None:
         self._dim = dim
-        self._arena = arena if arena is not None else EmbeddingArena(
-            dim, initial_capacity
-        )
+        self._arena = EmbeddingArena(dim, initial_capacity)
         self._key_to_slot: dict[int, int] = {}
-        #: Key per arena slot; -1 = free, or another user's row on a shared arena.
+        #: Key per arena slot; -1 = free, or another user's row.
         self._slot_keys = np.full(self._arena.capacity, -1, dtype=np.int64)
         #: Slots this index allocated itself (released on remove); externally
         #: registered slots stay alive for their owner.

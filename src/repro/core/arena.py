@@ -4,24 +4,24 @@ Per-element embedding arrays make the lookup fast path pay a Python object,
 a refcount, and a pointer chase per semantic element. The **arena** replaces
 them with one growable ``(capacity, dim)`` matrix plus a free-list: every
 element's embedding lives in a *slot* (one row), handed out on admission and
-recycled on eviction. Consumers — the cache, Sine, and the index —
-score queries against contiguous row views instead of gathering per-SE
-arrays, which is what makes a lookup's scan one matrix-vector product.
+recycled on eviction. It is the only copy: the index scores it in place and
+an element holds its slot number, never a view, so a grow frees the matrix
+it replaced.
 
-:class:`EmbeddingArena` holds float32 rows, bit-exact with per-element
-storage: vectors are unit-normalised on allocation with the same math as
-:func:`repro.ann.base.normalize_batch`, so arena-backed search decisions
-replay the per-vector decisions exactly.
+:class:`EmbeddingArena` holds float32 rows, unit-normalised on allocation
+with the same math as :func:`repro.ann.base.normalize_batch`.
 
 Slot lifecycle invariants:
 
-* ``allocate``/``allocate_batch`` normalise and copy the vector(s) in;
-  freed slots are reused before the high-water mark advances, and the
-  matrix doubles when the free-list empties.
+* ``allocate`` normalises and copies the vector in, reusing the most
+  recently freed slot before the high-water mark advances; the matrix
+  doubles when the free-list empties.
+* ``allocate`` stamps the slot with the running ``allocations`` count, so
+  "stored since stamp s" is one comparison (Sine's recall stage) and a
+  stamp orders elements by admission (the cache's expiry heap).
 * ``release`` zeroes the row (a freed slot scores 0 against any query, so
   stale rows can never outrank live ones) and recycles the slot.
-* Rows never move: views handed out earlier stay value-correct because
-  row contents are immutable between allocate and release.
+* A row keeps its slot and its contents from allocate to release.
 * A row's score is a function of the row and the query alone. BLAS
   computes a tail of fewer than ``BLOCK`` rows with a different kernel, so
   its float32 bits would move with the row count; every product therefore
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EmbeddingArena", "build_arena"]
+__all__ = ["EmbeddingArena"]
 
 #: Rows per BLAS block: products run over a multiple of this many rows.
 BLOCK = 8
@@ -51,10 +51,8 @@ class EmbeddingArena:
     Unallocated capacity is tracked in two parts: ``_free`` holds released
     slots (reused LIFO, before any fresh slot), and ``_next_fresh`` points at
     the lowest never-used slot, so slots hand out as 0, 1, 2, ... on a fresh
-    arena — the same sequence :class:`~repro.ann.flat.FlatIndex` used for its
-    internal matrix, which keeps arena-backed scoring bit-identical to the
-    pre-arena layout. Liveness is a bool row mask rather than a Python set,
-    so bulk fills stay vectorised at 10^7-slot scale.
+    arena. Each slot also carries its liveness flag and the stamp of the
+    allocation that stored its row, so a slot costs ``4 * dim + 9`` bytes.
     """
 
     def __init__(self, dim: int, initial_capacity: int = 1024) -> None:
@@ -75,9 +73,11 @@ class EmbeddingArena:
         self._count = 0
         #: 1 + highest slot ever occupied; scoring slices rows to this.
         self._high_water = 0
-        # Lifecycle counters (read by tests and the micro-bench).
+        #: Allocation sequence per slot: the ``allocations`` count when the
+        #: slot's current row was stored (a freed slot keeps its last).
+        self._stamps = np.zeros(initial_capacity, dtype=np.int64)
+        #: Rows ever stored, which is also the latest stamp.
         self.allocations = 0
-        self.releases = 0
         self.reuses = 0
         self.grows = 0
 
@@ -90,11 +90,6 @@ class EmbeddingArena:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def high_water(self) -> int:
-        """1 + the highest slot occupied: no row lives at or above it."""
-        return self._high_water
-
     def __len__(self) -> int:
         return self._count
 
@@ -105,67 +100,32 @@ class EmbeddingArena:
     def allocate(self, vector: np.ndarray) -> int:
         """Store ``vector`` (unit-normalised) in a slot; returns the slot.
 
-        Routed through :meth:`allocate_batch` so the scalar and batch paths
-        share one normalisation expression — the same one
-        :func:`repro.ann.base.normalize_batch` uses — keeping arena rows
-        bit-identical to per-element normalised arrays.
+        A released slot is reused (LIFO) before fresh capacity; the matrix
+        doubles when neither is left. The row is normalised with the
+        expression :func:`repro.ann.base.normalize_batch` uses, so it is
+        bit-identical to a normalised per-element array.
         """
         vector = np.asarray(vector, dtype=np.float32)
         if vector.ndim != 1 or vector.shape[0] != self._dim:
             raise ValueError(f"expected dim {self._dim}, got shape {vector.shape}")
-        return int(self.allocate_batch(vector[None, :])[0])
-
-    def allocate_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Store each row of ``vectors``; returns the slots as an int64 array.
-
-        Vectorised: one normalisation pass and one fancy-index store for the
-        whole batch, so bulk fills (persistence restore, synthetic soak
-        tests) run at memory bandwidth instead of per-row Python cost.
-        """
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2 or vectors.shape[1] != self._dim:
-            raise ValueError(
-                f"expected (n, {self._dim}) vectors, got shape {vectors.shape}"
-            )
-        n = vectors.shape[0]
-        slots = self._take_slots(n)
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        unit = vectors / np.where(norms == 0, np.float32(1.0), norms)
-        self._matrix[slots] = unit
-        return slots
-
-    def _take_slots(self, n: int) -> np.ndarray:
-        """Claim ``n`` slots: released ones LIFO first, then fresh capacity."""
-        slots = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            if self._free:
-                take = min(n - filled, len(self._free))
-                reused = self._free[len(self._free) - take :]
-                del self._free[len(self._free) - take :]
-                reused.reverse()  # pop order: most recently released first
-                slots[filled : filled + take] = reused
-                self.reuses += take
-                top = int(slots[filled : filled + take].max()) + 1
-                if top > self._high_water:
-                    self._high_water = top
-                filled += take
-            elif self._next_fresh < self._capacity:
-                take = min(n - filled, self._capacity - self._next_fresh)
-                start = self._next_fresh
-                slots[filled : filled + take] = np.arange(
-                    start, start + take, dtype=np.int64
-                )
-                self._next_fresh = start + take
-                if self._next_fresh > self._high_water:
-                    self._high_water = self._next_fresh
-                filled += take
-            else:
+        if self._free:
+            slot = self._free.pop()
+            self.reuses += 1
+        else:
+            if self._next_fresh == self._capacity:
                 self._grow()
-        self._live_mask[slots] = True
-        self._count += n
-        self.allocations += n
-        return slots
+            slot = self._next_fresh
+            self._next_fresh += 1
+        if slot >= self._high_water:
+            self._high_water = slot + 1
+        row = vector[None, :]
+        norm = np.linalg.norm(row, axis=1, keepdims=True)
+        self._matrix[slot] = (row / np.where(norm == 0, np.float32(1.0), norm))[0]
+        self._live_mask[slot] = True
+        self._count += 1
+        self.allocations += 1
+        self._stamps[slot] = self.allocations
+        return slot
 
     def release(self, slot: int) -> None:
         """Recycle ``slot``; its row is zeroed so it can never score > 0."""
@@ -175,7 +135,6 @@ class EmbeddingArena:
         self._count -= 1
         self._matrix[slot] = 0.0
         self._free.append(slot)
-        self.releases += 1
         # Let the high-water mark sink past a trailing run of freed slots so
         # scoring never pays for rows above the live region.
         while self._high_water > 0 and not self._live_mask[self._high_water - 1]:
@@ -190,6 +149,9 @@ class EmbeddingArena:
         mask = np.zeros(self._capacity, dtype=bool)
         mask[:old] = self._live_mask
         self._live_mask = mask
+        stamps = np.zeros(self._capacity, dtype=np.int64)
+        stamps[:old] = self._stamps
+        self._stamps = stamps
         self.grows += 1
 
     # -- reads -------------------------------------------------------------
@@ -201,11 +163,14 @@ class EmbeddingArena:
         view.flags.writeable = False
         return view
 
-    def rows(self) -> np.ndarray:
-        """Read-only ``(high_water, dim)`` view of the occupied region."""
-        view = self._matrix[: self._high_water]
-        view.flags.writeable = False
-        return view
+    def stamp(self, slot: int) -> int:
+        """The allocation sequence of ``slot``'s current row."""
+        return int(self._stamps[slot])
+
+    def allocated_since(self, stamp: int) -> np.ndarray:
+        """The slots whose row was stored after allocation ``stamp`` (any
+        freed since score 0)."""
+        return (self._stamps[: self._high_water] > stamp).nonzero()[0]
 
     def scores_at(self, slots: np.ndarray, query: np.ndarray) -> np.ndarray:
         """``query`` scored against the rows at ``slots`` (a freed row
@@ -229,13 +194,3 @@ class EmbeddingArena:
             f"capacity={self._capacity}, high_water={self._high_water})"
         )
 
-
-def build_arena(
-    kind: "str | None", dim: int, initial_capacity: int = 1024
-) -> "EmbeddingArena | None":
-    """The arena by name: ``float32``, or None / ``none`` for no arena."""
-    if kind is None or kind == "none":
-        return None
-    if kind == "float32":
-        return EmbeddingArena(dim, initial_capacity)
-    raise ValueError(f"unknown arena kind {kind!r}; expected float32/none")

@@ -61,21 +61,14 @@ class AsteriaCache:
         the full TTL, ephemeral content expires early). Off by default —
         the paper uses a single user-defined TTL; this is the natural
         extension its aging discussion suggests.
-    arena:
-        Optional contiguous embedding storage (see :mod:`repro.core.arena`).
-        When set, admission allocates one arena row per element
-        (``element.embedding`` becomes a view of it, ``element.arena_slot``
-        the handle), removal recycles the row, and the Sine index scores
-        the same rows in place via ``add_slot``. Share one arena between
-        the cache and its index; the float32 tier replays per-element
-        decisions exactly. Shorthand for
-        ``backend=InProcessBackend(arena=arena)``.
-    backend:
-        Element storage (see :mod:`repro.store.backend`). Defaults to an
-        :class:`~repro.store.backend.InProcessBackend` holding ``arena``;
-        every mutation (admit, touch, delete-with-reason) routes through
-        it, which is how the journal and replication layers observe the
-        cache without touching its decision logic.
+
+    Elements live in an :class:`~repro.store.backend.InProcessBackend`
+    over the Sine index's arena: admission allocates one arena row per
+    element (``element.arena_slot``), the index scores it in place, and
+    removal recycles it. Every mutation (admit, touch, delete-with-reason)
+    routes through the backend, which is how the journal and replication
+    layers observe the cache (:meth:`wrap_backend`) without touching its
+    decision logic.
     """
 
     def __init__(
@@ -86,24 +79,18 @@ class AsteriaCache:
         policy: EvictionPolicy | None = None,
         staticity_scorer: StaticityScorer | None = None,
         staticity_ttl_scaling: bool = False,
-        arena=None,
-        backend: CacheBackend | None = None,
     ) -> None:
         if capacity_items is not None and capacity_items < 1:
             raise ValueError("capacity_items must be >= 1 or None")
         if default_ttl is not None and default_ttl <= 0:
             raise ValueError("default_ttl must be > 0 or None")
-        if backend is not None and arena is not None:
-            raise ValueError("pass the arena to the backend, not the cache")
         self.sine = sine
         self.capacity_items = capacity_items
         self.default_ttl = default_ttl
         self.policy = policy if policy is not None else LCFUPolicy()
         self.staticity_scorer = staticity_scorer or StaticityScorer()
         self.staticity_ttl_scaling = staticity_ttl_scaling
-        self._backend: CacheBackend = (
-            backend if backend is not None else InProcessBackend(arena=arena)
-        )
+        self._backend: CacheBackend = InProcessBackend(sine.index.arena)
         self._next_id = 1
         self.stats = CacheStats()
         #: Lazy min-heap of (retention score, element_id, version) used by
@@ -113,12 +100,10 @@ class AsteriaCache:
         #: full-population rescans.
         self._heap: list[tuple[float, int, int]] = []
         self._score_version: dict[int, int] = {}
-        #: Lazy min-heap of (expires_at, admission sequence, element_id): one
-        #: entry per finite-TTL admission, live while ``_admitted`` maps its id
-        #: to its sequence (which is also the resident map's order).
+        #: Lazy min-heap of (expires_at, arena stamp, element_id): one entry
+        #: per finite-TTL admission, live while its element's slot still
+        #: carries the stamp. Stamps follow the resident map's order.
         self._expiry: list[tuple[float, int, int]] = []
-        self._admitted: dict[int, int] = {}
-        self._admissions = 0
         #: Optional stage tracer (see :mod:`repro.obs.trace`); cascades to
         #: the Sine pipeline via :meth:`set_tracer`.
         self.tracer = None
@@ -180,11 +165,6 @@ class AsteriaCache:
         """Live elements keyed by id (treat as read-only)."""
         return self._backend.elements
 
-    @property
-    def arena(self):
-        """The backend's embedding arena (None for plain dict storage)."""
-        return self._backend.arena
-
     def usage(self) -> int:
         """Current occupancy in elements (the capacity unit)."""
         return len(self._backend.elements)
@@ -235,13 +215,11 @@ class AsteriaCache:
         if effective_ttl is not None and self.staticity_ttl_scaling:
             effective_ttl *= staticity / 10.0
         expires_at = now + effective_ttl if effective_ttl is not None else float("inf")
-        embedding = self.sine.embedder.embed(query.text)
-        embedding, arena_slot = self._backend.bind_embedding(embedding)
+        arena_slot = self._backend.bind_embedding(self.sine.embedder.embed(query.text))
         element = SemanticElement(
             element_id=element_id,
             key=query.text,
             value=fetch.result,
-            embedding=embedding,
             tool=query.tool,
             truth_key=query.fact_id if fetch.truth_key is None else fetch.truth_key,
             staticity=staticity,
@@ -301,7 +279,7 @@ class AsteriaCache:
         if drop_expired and element.is_expired(now):
             self.reserve_id(eid)
             return None
-        element.embedding, element.arena_slot = self._backend.bind_embedding(
+        element.arena_slot = self._backend.bind_embedding(
             self.sine.embedder.embed(element.key)
         )
         self._backend.put(element)
@@ -325,7 +303,6 @@ class AsteriaCache:
         self._backend.delete(element_id, reason=reason)
         # Heap entries for this id become garbage (the two maps are the truth).
         self._score_version.pop(element_id, None)
-        self._admitted.pop(element_id, None)
         return element
 
     def invalidate(self, predicate) -> int:
@@ -356,16 +333,19 @@ class AsteriaCache:
         heap = self._expiry
         if not heap or heap[0][0] > now:
             return 0
+        elements = self._backend.elements
+        stamp_of = self.sine.index.arena.stamp
         due: list[tuple[int, int]] = []
         while heap and heap[0][0] <= now:
-            expires_at, sequence, element_id = heapq.heappop(heap)
-            if self._admitted.get(element_id) != sequence:
+            expires_at, stamp, element_id = heapq.heappop(heap)
+            element = elements.get(element_id)
+            if element is None or stamp_of(element.arena_slot) != stamp:
                 continue
-            current = self._backend.elements[element_id].expires_at
+            current = element.expires_at
             if current == expires_at:
-                due.append((sequence, element_id))
+                due.append((stamp, element_id))
             elif current != math.inf:
-                heapq.heappush(heap, (current, sequence, element_id))
+                heapq.heappush(heap, (current, stamp, element_id))
         for _, element_id in sorted(due):
             self.remove(element_id, reason="expire")
         self.stats.expirations += len(due)
@@ -382,10 +362,9 @@ class AsteriaCache:
     def _file(self, element: SemanticElement, now: float) -> None:
         """Enter a just-admitted element into both heaps."""
         element_id = element.element_id
-        sequence = self._admitted[element_id] = self._admissions
-        self._admissions += 1
         if element.expires_at != math.inf:
-            heapq.heappush(self._expiry, (element.expires_at, sequence, element_id))
+            stamp = self.sine.index.arena.stamp(element.arena_slot)
+            heapq.heappush(self._expiry, (element.expires_at, stamp, element_id))
         if self.capacity_items is not None:
             self._score_version[element_id] = 0
             score = self.policy.score(element, now)
@@ -420,11 +399,10 @@ class AsteriaCache:
         self._heap.clear()
         self._heap.extend((score(e, now), eid, 0) for eid, e in elements.items())
         heapq.heapify(self._heap)
-        self._admitted = admitted = {eid: i for i, eid in enumerate(elements)}
-        self._admissions = len(admitted)
+        stamp_of = self.sine.index.arena.stamp
         self._expiry.clear()
         self._expiry.extend(
-            (e.expires_at, admitted[eid], eid)
+            (e.expires_at, stamp_of(e.arena_slot), eid)
             for eid, e in elements.items() if e.expires_at != math.inf
         )
         heapq.heapify(self._expiry)

@@ -2,16 +2,14 @@
 
 An SE is a key-value pair — the agent's tool query is the semantic key, the
 retrieved information is the value — augmented with the metadata every cache
-policy decision reads: the embedding fingerprint, a 1-10 staticity score,
-access frequency, the original retrieval latency and cost, the size in
-tokens, and TTL bookkeeping.
+policy decision reads: the arena slot of its embedding fingerprint, a 1-10
+staticity score, access frequency, the original retrieval latency and cost,
+the size in tokens, and TTL bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 @dataclass(slots=True)
@@ -26,8 +24,6 @@ class SemanticElement:
         The canonical query text (the semantic key).
     value:
         The retrieved result (the cached knowledge).
-    embedding:
-        Unit-norm embedding of ``key`` — the semantic fingerprint.
     tool:
         Which tool produced the value (search / rag / file).
     truth_key:
@@ -51,16 +47,15 @@ class SemanticElement:
         elements start at frequency 0 and earn retention on first validated
         hit (§4.3).
     arena_slot:
-        Row handle into the cache's embedding arena when one is configured
-        (``embedding`` is then a view of that row); None for standalone
-        per-element storage. Owned by the cache: allocated on admission,
-        released on removal.
+        The row of the index's embedding arena that holds the unit-norm
+        embedding of ``key`` (the semantic fingerprint). Allocated on
+        admission, released (and reset to None) on removal; None on an
+        element decoded from a record.
     """
 
     element_id: int
     key: str
     value: str
-    embedding: np.ndarray
     tool: str = "search"
     truth_key: str | None = None
     staticity: int = 6

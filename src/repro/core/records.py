@@ -8,8 +8,8 @@ refuses, with a :class:`RecordError` naming the field, a record whose fields
 are missing, extra or mistyped (a bool is not an int; an int is accepted
 where a float is) or whose values the type's ``__post_init__`` refuses.
 
-Embeddings never cross: a decoded element holds :data:`NO_EMBEDDING` and no
-arena slot, and a restore re-embeds its key. ``expires_at`` is null for
+Embeddings never cross: a decoded element holds no arena slot, and a
+restore re-embeds its key. ``expires_at`` is null for
 "never expires", as strict JSON has no Infinity.
 """
 
@@ -21,8 +21,6 @@ import typing
 from collections.abc import Mapping
 from itertools import islice
 from types import NoneType, UnionType
-
-import numpy as np
 
 from repro.ann.base import SearchHit
 from repro.core.element import SemanticElement
@@ -68,7 +66,7 @@ QUERY_FIELDS = _table(Query)
 FETCH_FIELDS = _table(FetchResult)
 #: The snapshot and journal field order, which is the dataclass's.
 ELEMENT_FIELDS = _table(
-    SemanticElement, skip=("embedding", "arena_slot"), expires_at=(*_NUM, NoneType)
+    SemanticElement, skip=("arena_slot",), expires_at=(*_NUM, NoneType)
 )
 STATS_FIELDS = _table(CacheStats)
 SINE_FIELDS = _table(SineResult)
@@ -85,10 +83,6 @@ DIFF_FIELDS = {
     "op": (str,),
     "record": (dict, NoneType),
 }
-
-#: Stands in for embeddings that stayed behind in their arena.
-NO_EMBEDDING = np.zeros(0, dtype=np.float32)
-
 
 def _accepts(value, accepted: tuple) -> bool:
     if type(value) is bool:
@@ -173,7 +167,7 @@ def element_record(element: SemanticElement) -> dict:
 
 def element_from_record(data) -> SemanticElement:
     _check(data, ELEMENT_FIELDS, "element")
-    fields = dict(data, embedding=NO_EMBEDDING, metadata=dict(data["metadata"]))
+    fields = dict(data, metadata=dict(data["metadata"]))
     if fields["expires_at"] is None:
         fields["expires_at"] = math.inf
     return _build(SemanticElement, "element", fields)

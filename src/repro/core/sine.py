@@ -122,8 +122,8 @@ class Sine:
         #: admitted under it.
         self._exact: dict[str, int] = {}
         #: The recall stage: raw text -> [result, candidate owners, fact_id,
-        #: tau_lsm, admission stamp checked up to, query vector], an LRU of
-        #: RECALL_ENTRIES. The vector is the array the embedder returned.
+        #: tau_lsm, arena allocation stamp checked up to, query vector], an
+        #: LRU of RECALL_ENTRIES. The vector is the array the embedder returned.
         #: Every record was made under ``_recall_state``.
         self._recalls: OrderedDict[str, list] = OrderedDict()
         self._recall_state: tuple | None = None
@@ -131,9 +131,6 @@ class Sine:
         #: kept exact by _forget, so it holds at most one entry per owner of
         #: a live record.
         self._named_by: dict[int, set[str]] = {}
-        #: Admission stamp per arena slot; ``_admissions`` is the latest.
-        self._stamps = np.zeros(index.arena.capacity, dtype=np.int64)
-        self._admissions = 0
         #: Optional stage tracer (see :mod:`repro.obs.trace`); when set, each
         #: retrieval records ``embed`` / ``ann_search`` / ``judge`` spans, or
         #: one ``recall`` span when it replays.
@@ -141,26 +138,10 @@ class Sine:
 
     # -- population management (driven by the cache) -------------------------
     def insert(self, element: SemanticElement) -> None:
-        """Index ``element`` by its embedding and its canonical text.
-
-        An element carrying an arena slot (the cache allocated its row on
-        admission) registers that row in place via the index's ``add_slot``,
-        so no second copy of the vector is made; otherwise the element's
-        array is added normally.
-        """
-        element_id = element.element_id
-        slot = element.arena_slot
-        if slot is not None:
-            self.index.add_slot(element_id, slot)
-        else:
-            slot = self.index.add(element_id, element.embedding)
-        self._exact[canonical_text(element.key)] = element_id
-        if slot >= self._stamps.shape[0]:
-            grown = np.zeros(self.index.arena.capacity, dtype=np.int64)
-            grown[: self._stamps.shape[0]] = self._stamps
-            self._stamps = grown
-        self._admissions += 1
-        self._stamps[slot] = self._admissions
+        """Index ``element`` by its arena row (the cache allocated it on
+        admission; the index scores it in place) and its canonical text."""
+        self.index.add_slot(element.element_id, element.arena_slot)
+        self._exact[canonical_text(element.key)] = element.element_id
 
     def remove(self, element: SemanticElement) -> None:
         """Drop ``element`` from the index, from the exact stage while its
@@ -337,9 +318,8 @@ class Sine:
         self._forget(text)
         if len(recalls) >= RECALL_ENTRIES:
             self._forget(next(iter(recalls)))
-        recalls[text] = [
-            result, owners, query.fact_id, self.tau_lsm, self._admissions, embedding
-        ]
+        stamp = self.index.arena.allocations
+        recalls[text] = [result, owners, query.fact_id, self.tau_lsm, stamp, embedding]
         named_by = self._named_by
         for owner in owners:
             if owner is not None:
@@ -372,14 +352,13 @@ class Sine:
         for hit, owner in zip(result.candidates, owners):
             if elements.get(hit.key) is not owner:
                 return None
-        admissions = self._admissions
+        arena = self.index.arena
+        admissions = arena.allocations
         if stamp != admissions:
             # Rows admitted since: one at or above tau_sim could join the
             # candidates; one below can neither join nor displace one. Rows
-            # never move, so once checked they need no second look, and only
-            # slots below the arena's high-water mark hold a row at all.
-            arena = self.index.arena
-            fresh = (self._stamps[: arena.high_water] > stamp).nonzero()[0]
+            # never move, so once checked they need no second look.
+            fresh = arena.allocated_since(stamp)
             if fresh.size:
                 scores = arena.scores_at(fresh, embedding).tolist()
                 if max(scores) >= self.tau_sim - _MARGIN:

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.ann import FlatIndex
 from repro.core import AsteriaCache, AsteriaConfig, AsteriaEngine, Sine
-from repro.core.arena import build_arena
 from repro.core.eviction import EvictionPolicy, policy_by_name
 from repro.core.tiered import SharedTier
 from repro.serving.aio import (
@@ -64,9 +63,6 @@ class StackSpec:
     #: Eviction policy object or name (``policy_by_name``); must be a name
     #: to cross a process boundary.
     policy: "EvictionPolicy | str" = "lcfu"
-    #: Embedding storage: ``"float32"`` (contiguous rows, decision-identical
-    #: to per-element arrays), or None for standalone arrays.
-    arena: str | None = "float32"
     #: Durable home: warm-restore from its snapshot + journal, then journal
     #: every mutation back (:class:`~repro.store.persist.PersistentStore`),
     #: fsyncing once per ``fsync_every`` records.
@@ -79,8 +75,6 @@ class StackSpec:
         # the first to look them up, and die doing it.
         if self.index_kind != "flat":
             raise ValueError(f"index_kind={self.index_kind!r}: expected 'flat'")
-        if self.arena not in ("float32", "none", None):
-            raise ValueError(f"arena={self.arena!r}: expected 'float32' or None")
         if isinstance(self.policy, str):
             policy_by_name(self.policy)  # "unknown eviction policy 'x'; known: ..."
 
@@ -152,7 +146,7 @@ def build_asteria_engine(
     """The full Asteria stack with simulated substrates.
 
     ``**stack`` are :class:`StackSpec` fields (``seed=``, ``policy=``,
-    ``arena=``, ...); ``judger`` overrides the substrate as in
+    ``persist_dir=``, ...); ``judger`` overrides the substrate as in
     :func:`build_semantic_cache`. ``resilience`` overrides the engine's
     default fault-tolerance policy (circuit breaker, negative cache, stale
     serving).
@@ -212,8 +206,7 @@ def build_semantic_cache(
     spec = StackSpec.of(config, stack)
     config, seed = spec.config, spec.seed
     embedder = CachedEmbedder(HashingEmbedder(seed=derive_seed(seed, "embedder")))
-    shared_arena = build_arena(spec.arena, embedder.dim)
-    index = FlatIndex(embedder.dim, arena=shared_arena)
+    index = FlatIndex(embedder.dim)
     if judger is None:
         judger = SimulatedJudger(seed=derive_seed(seed, "judger"))
     sine = Sine(
@@ -232,7 +225,6 @@ def build_semantic_cache(
         policy=policy_by_name(policy) if isinstance(policy, str) else policy,
         staticity_scorer=StaticityScorer(seed=derive_seed(seed, "staticity")),
         staticity_ttl_scaling=config.staticity_ttl_scaling,
-        arena=shared_arena,
     )
     if spec.persist_dir is not None:
         # Restores any prior state first, then journals every mutation.

@@ -4,8 +4,8 @@ The cache's semantic machinery (two-stage lookup, LCFU eviction, TTL aging)
 is independent of *where* elements live. :class:`CacheBackend` is the
 protocol separating the two: the cache decides *what* to admit, evict, and
 touch; the backend decides *how* the element map is stored.
-:class:`InProcessBackend` — the classic dict (+ optional embedding arena)
-store the cache always had — is the one store that holds elements.
+:class:`InProcessBackend` — a dict plus the index's embedding arena — is
+the one store that holds elements.
 Zero-copy: the ``elements`` mapping it exposes is the live dict the Sine
 pipeline scans.
 
@@ -14,10 +14,9 @@ Decorator backends (:class:`~repro.store.journal.JournaledBackend`,
 and observe the same mutation stream, which is how durability and
 replication attach to a running cache without touching its hot path.
 
-The embedding-slot hook (:meth:`CacheBackend.bind_embedding`) keeps the
-arena fast path intact: for the in-process backend, binding allocates an
-arena row and returns a zero-copy view, exactly as the pre-protocol cache
-did; :meth:`CacheBackend.delete` releases it.
+The embedding-slot hook (:meth:`CacheBackend.bind_embedding`) allocates a
+new element's arena row and returns its slot; :meth:`CacheBackend.delete`
+releases it.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.arena import EmbeddingArena
 from repro.core.element import SemanticElement
 
 #: Delete reasons stamped by the cache so decorator backends (journal,
@@ -64,7 +64,7 @@ class CacheBackend(Protocol):
     """Element storage protocol the cache constructs through.
 
     Implementations own the ``{element_id: SemanticElement}`` mapping and
-    (optionally) the embedding arena. The cache routes every mutation
+    the elements' arena rows. The cache routes every mutation
     through :meth:`put` / :meth:`delete` / :meth:`touch`, so a decorator
     backend sees the complete, ordered mutation stream.
     """
@@ -72,11 +72,6 @@ class CacheBackend(Protocol):
     @property
     def elements(self) -> Mapping[int, SemanticElement]:
         """Live element mapping (the Sine pipeline scans this zero-copy)."""
-        ...
-
-    @property
-    def arena(self):
-        """The embedding arena rows live in, or None."""
         ...
 
     def get(self, element_id: int) -> SemanticElement | None: ...
@@ -97,12 +92,8 @@ class CacheBackend(Protocol):
     def stats(self) -> dict: ...
 
     # -- embedding-slot hooks ------------------------------------------------
-    def bind_embedding(self, embedding: np.ndarray) -> tuple[np.ndarray, int | None]:
-        """Take ownership of a new element's embedding.
-
-        Returns ``(embedding, arena_slot)`` — for arena-backed stores the
-        returned embedding is a zero-copy view of the allocated row.
-        """
+    def bind_embedding(self, embedding: np.ndarray) -> int:
+        """Store a new element's embedding; returns its arena slot."""
         ...
 
     def flush(self) -> None:
@@ -113,18 +104,15 @@ class CacheBackend(Protocol):
 
 
 class InProcessBackend:
-    """The classic in-memory dict (+ optional arena) store.
-
-    This is byte-for-byte the storage behaviour :class:`AsteriaCache` had
-    before the backend split: a plain dict the retrieval path scans
-    directly, and an optional :class:`~repro.core.arena.EmbeddingArena`
-    whose rows back element embeddings zero-copy.
+    """The in-memory store: a plain dict the retrieval path scans
+    directly, and the :class:`~repro.core.arena.EmbeddingArena` (the
+    index's) that holds each element's embedding row.
     """
 
     name = "inprocess"
     durable = False
 
-    def __init__(self, arena=None) -> None:
+    def __init__(self, arena: EmbeddingArena) -> None:
         self._elements: dict[int, SemanticElement] = {}
         self._arena = arena
         self.ops = BackendOpStats()
@@ -133,10 +121,6 @@ class InProcessBackend:
     @property
     def elements(self) -> dict[int, SemanticElement]:
         return self._elements
-
-    @property
-    def arena(self):
-        return self._arena
 
     def get(self, element_id: int) -> SemanticElement | None:
         self.ops.gets += 1
@@ -155,9 +139,8 @@ class InProcessBackend:
         element = self._elements.pop(element_id, None)
         if element is None:
             return None
-        if element.arena_slot is not None:
-            self._arena.release(element.arena_slot)
-            element.arena_slot = None
+        self._arena.release(element.arena_slot)
+        element.arena_slot = None
         self.ops.note_delete(reason)
         return element
 
@@ -170,11 +153,8 @@ class InProcessBackend:
     def stats(self) -> dict:
         return {"backend": self.name, "items": len(self._elements), **self.ops.as_dict()}
 
-    def bind_embedding(self, embedding: np.ndarray) -> tuple[np.ndarray, int | None]:
-        if self._arena is None:
-            return embedding, None
-        slot = self._arena.allocate(embedding)
-        return self._arena.get(slot), slot
+    def bind_embedding(self, embedding: np.ndarray) -> int:
+        return self._arena.allocate(embedding)
 
     def flush(self) -> None:
         pass
@@ -191,7 +171,7 @@ class WrappingBackend:
 
     Subclasses override the mutation methods they observe and call
     ``super()`` (or ``self.inner``) to keep the chain intact. The element
-    mapping and arena are always the innermost store's — wrapping never
+    mapping and arena rows are always the innermost store's — wrapping never
     copies state, so a cache can be wrapped mid-life (see
     :meth:`repro.core.cache.AsteriaCache.wrap_backend`).
     """
@@ -202,10 +182,6 @@ class WrappingBackend:
     @property
     def elements(self) -> Mapping[int, SemanticElement]:
         return self.inner.elements
-
-    @property
-    def arena(self):
-        return self.inner.arena
 
     def get(self, element_id: int) -> SemanticElement | None:
         return self.inner.get(element_id)
@@ -230,7 +206,7 @@ class WrappingBackend:
     def stats(self) -> dict:
         return self.inner.stats()
 
-    def bind_embedding(self, embedding: np.ndarray) -> tuple[np.ndarray, int | None]:
+    def bind_embedding(self, embedding: np.ndarray) -> int:
         return self.inner.bind_embedding(embedding)
 
     def flush(self) -> None:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.ann import FlatIndex
-from repro.core.arena import EmbeddingArena
 
 
 def unit(rng, dim=16):
@@ -281,8 +280,8 @@ class TestFlatIndexAgainstBruteForce:
 
     def test_churn_on_a_shared_arena(self):
         rng = random.Random(4)
-        arena = EmbeddingArena(self.DIM, initial_capacity=4)
-        index = FlatIndex(self.DIM, initial_capacity=4, arena=arena)
+        index = FlatIndex(self.DIM, initial_capacity=4)
+        arena = index.arena
         live = {}  # key -> vector, what a search may return
         lent = {}  # key -> slot the test allocated and registered via add_slot
         foreign = {}  # slot -> vector of rows the index was never told about

@@ -1,10 +1,16 @@
 """Lifecycle tests for the contiguous embedding arena."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.ann.base import normalize_batch
-from repro.core.arena import EmbeddingArena, build_arena
+from repro.core import Query
+from repro.core.arena import EmbeddingArena
+from repro.core.types import FetchResult
+from repro.factory import build_semantic_cache
 
 DIM = 16
 
@@ -22,7 +28,7 @@ def test_slots_hand_out_in_order():
     arena = EmbeddingArena(DIM, initial_capacity=8)
     slots = [arena.allocate(np.ones(DIM, dtype=np.float32)) for _ in range(4)]
     assert slots == [0, 1, 2, 3]
-    assert len(arena.rows()) == 4
+    assert arena._high_water == 4
     assert len(arena) == 4
 
 
@@ -31,16 +37,6 @@ def test_allocate_normalizes_like_base(rng):
     vector = rng.normal(size=DIM).astype(np.float32)
     slot = arena.allocate(vector)
     np.testing.assert_array_equal(arena.get(slot), normalize(vector))
-
-
-def test_allocate_batch_matches_scalar(rng):
-    scalar = EmbeddingArena(DIM)
-    batched = EmbeddingArena(DIM)
-    vectors = rng.normal(size=(10, DIM)).astype(np.float32)
-    scalar_slots = [scalar.allocate(v) for v in vectors]
-    batch_slots = batched.allocate_batch(vectors)
-    assert scalar_slots == list(batch_slots)
-    np.testing.assert_array_equal(scalar.rows(), batched.rows())
 
 
 def test_zero_vector_stored_as_zero():
@@ -83,9 +79,9 @@ def test_high_water_sinks_past_trailing_release(rng):
     slots = [arena.allocate(rng.normal(size=DIM)) for _ in range(5)]
     arena.release(slots[4])
     arena.release(slots[3])
-    assert len(arena.rows()) == 3
+    assert arena._high_water == 3
     arena.release(slots[1])  # interior hole: mark stays
-    assert len(arena.rows()) == 3
+    assert arena._high_water == 3
 
 
 def test_grow_doubles_capacity_and_preserves_rows(rng):
@@ -143,8 +139,6 @@ def test_views_are_read_only(rng):
     slot = arena.allocate(rng.normal(size=DIM))
     with pytest.raises(ValueError):
         arena.get(slot)[0] = 1.0
-    with pytest.raises(ValueError):
-        arena.rows()[0, 0] = 1.0
 
 
 def test_dim_validation():
@@ -152,17 +146,34 @@ def test_dim_validation():
     with pytest.raises(ValueError):
         arena.allocate(np.ones(DIM + 1, dtype=np.float32))
     with pytest.raises(ValueError):
-        arena.allocate_batch(np.ones((2, DIM - 1), dtype=np.float32))
+        arena.allocate(np.ones((2, DIM), dtype=np.float32))
     with pytest.raises(ValueError):
         EmbeddingArena(0)
     with pytest.raises(ValueError):
         EmbeddingArena(DIM, initial_capacity=0)
 
 
-def test_build_arena_dispatch():
-    assert build_arena(None, DIM) is None
-    assert build_arena("none", DIM) is None
-    assert isinstance(build_arena("float32", DIM), EmbeddingArena)
-    for refused in ("int8", "float16"):
-        with pytest.raises(ValueError):
-            build_arena(refused, DIM)
+def test_stamps_follow_allocation_order(rng):
+    arena = EmbeddingArena(DIM, initial_capacity=2)
+    slots = [arena.allocate(rng.normal(size=DIM)) for _ in range(3)]
+    assert [arena.stamp(slot) for slot in slots] == [1, 2, 3]
+    assert arena.allocations == 3
+    arena.release(slots[0])
+    again = arena.allocate(rng.normal(size=DIM))  # reuses slot 0, grown arena
+    assert again == slots[0] and arena.stamp(again) == 4
+    assert arena.allocated_since(2).tolist() == [0, 2]
+    assert arena.allocated_since(4).size == 0
+
+
+def test_a_grow_frees_the_old_matrix():
+    """No element holds a view of the matrix, so the one a grow replaced
+    is freed at once."""
+    cache = build_semantic_cache(seed=0)
+    arena = cache.sine.index.arena
+    old = weakref.ref(arena._matrix)
+    fetch = FetchResult(result="r", latency=0.3, service_latency=0.3, cost=0.0)
+    for number in range(arena.capacity + 1):  # 1 025 inserts
+        cache.insert(Query(f"distinct fact number {number}"), fetch, 0.0)
+    assert arena.grows == 1
+    gc.collect()
+    assert old() is None, "old matrix alive"

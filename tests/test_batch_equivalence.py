@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.ann import FlatIndex
 from repro.core import AsteriaCache, AsteriaConfig, Query, Sine
-from repro.core.arena import EmbeddingArena
 from repro.core.eviction import LCFUPolicy, LFUPolicy, LRUPolicy
 from repro.core.records import element_record
 from repro.core.types import FetchResult
@@ -229,11 +228,12 @@ def _scan_remove_expired(cache, now):
 
 def _logged_cache(scan, **kwargs):
     embedder = HashingEmbedder(seed=7)
-    arena = EmbeddingArena(embedder.dim, initial_capacity=4)
     sine = Sine(
-        embedder, FlatIndex(embedder.dim, arena=arena), SimulatedJudger(seed=3)
+        embedder,
+        FlatIndex(embedder.dim, initial_capacity=4),
+        SimulatedJudger(seed=3),
     )
-    cache = AsteriaCache(sine, arena=arena, **kwargs)
+    cache = AsteriaCache(sine, **kwargs)
     log = []
     cache.wrap_backend(lambda inner: _DeleteLog(inner, log))
     if scan:

@@ -1,6 +1,5 @@
 """Tests for the SemanticElement cache unit."""
 
-import numpy as np
 import pytest
 
 from repro.core import SemanticElement
@@ -11,7 +10,6 @@ def make_element(**overrides) -> SemanticElement:
         element_id=1,
         key="who painted the mona lisa",
         value="leonardo da vinci",
-        embedding=np.zeros(8, dtype=np.float32),
         staticity=9,
         retrieval_latency=0.4,
         retrieval_cost=0.005,

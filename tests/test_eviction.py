@@ -1,6 +1,5 @@
 """Tests for eviction policies, LCFU in particular (Algorithm 2)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -19,7 +18,6 @@ def element(**overrides) -> SemanticElement:
         element_id=1,
         key="k",
         value="v",
-        embedding=np.zeros(4, dtype=np.float32),
         staticity=6,
         frequency=3,
         retrieval_latency=0.4,

@@ -8,7 +8,6 @@ JSON codec, and the records the router and workers exchange.
 import socket
 import struct
 
-import numpy as np
 import pytest
 
 from repro.core import records
@@ -174,13 +173,12 @@ def test_element_wire_drops_embedding_and_arena_slot():
         key="k",
         truth_key="tk",
         value="v",
-        embedding=np.ones(8, dtype=np.float32),
         created_at=0.0,
         expires_at=10.0,
+        arena_slot=3,
     )
     back = records.element_from_record(records.element_record(element))
     assert back.element_id == 5
     assert back.truth_key == "tk"
     assert back.value == "v"
-    assert back.arena_slot is None
-    assert back.embedding.size == 0  # vectors never cross the wire
+    assert back.arena_slot is None  # rows never cross the wire

@@ -86,7 +86,6 @@ def _element(frequency, cost, latency, staticity, size):
         element_id=1,
         key="k",
         value="v",
-        embedding=np.zeros(4, dtype=np.float32),
         staticity=staticity,
         frequency=frequency,
         retrieval_latency=latency,

@@ -47,7 +47,7 @@ def _decisions(cache, n=150, population=30):
 
 class TestSpecIsTheStack:
     def test_pickled_spec_rebuilds_the_kwargs_cache(self):
-        stack = dict(seed=11, policy="lru", arena=None)
+        stack = dict(seed=11, policy="lru")
         spec = pickle.loads(pickle.dumps(StackSpec(CONFIG, **stack)))
         assert spec == StackSpec(CONFIG, **stack)
         from_spec = _decisions(build_semantic_cache(spec))
@@ -114,6 +114,7 @@ class TestUnknownKeywordIsNamed:
             (aio, "hedge_percentile"),
             (aio, "follower_timeout"),
             (aio, "shards"),
+            (build_semantic_cache, "arena"),
             (AsteriaConfig, "ann_only"),
             (lambda **kw: Sine(None, None, None, **kw), "judge_all"),
         ]
@@ -131,8 +132,6 @@ class TestMisnamedValueIsRefusedWhereTheSpecIsMade:
         [
             ("index_kind", "hnsw"),
             ("index_kind", "faiss"),
-            ("arena", "int8"),
-            ("arena", "float16"),
             ("policy", "nope"),
         ],
     )
@@ -150,7 +149,7 @@ class TestMisnamedValueIsRefusedWhereTheSpecIsMade:
             build(**{field: value})
 
     def test_every_accepted_value_still_builds(self):
-        for stack in (dict(arena="float32"), dict(arena=None), dict(policy=LRUPolicy())):
+        for stack in (dict(policy="lru"), dict(policy=LRUPolicy())):
             assert build_semantic_cache(index_kind="flat", **stack) is not None
 
 

@@ -8,7 +8,6 @@ on a pinned trace.
 """
 
 import numpy as np
-import pytest
 
 from repro.ann import FlatIndex
 from repro.core import AsteriaCache, Query, Sine
@@ -46,12 +45,10 @@ def fetch(result="answer"):
     )
 
 
-def make_cache(backend=None, capacity=None):
+def make_cache(capacity=None):
     embedder = HashingEmbedder(seed=7)
     sine = Sine(embedder, FlatIndex(embedder.dim), SimulatedJudger(seed=3))
-    return AsteriaCache(
-        sine, capacity_items=capacity, default_ttl=3600.0, backend=backend
-    )
+    return AsteriaCache(sine, capacity_items=capacity, default_ttl=3600.0)
 
 
 def journaled(inner, tmp_path):
@@ -60,7 +57,7 @@ def journaled(inner, tmp_path):
 
 def cache_cases(tmp_path, capacity=None):
     """One cache per backend stack: bare in-process, journaled, replicated."""
-    plain = make_cache(backend=InProcessBackend(), capacity=capacity)
+    plain = make_cache(capacity=capacity)
     logged = make_cache(capacity=capacity)
     logged.wrap_backend(lambda inner: journaled(inner, tmp_path))
     replicated = make_cache(capacity=capacity)
@@ -110,16 +107,16 @@ class TestProtocolConformance:
     def test_arena_slot_released_on_delete(self):
         engine = build_asteria_engine(build_remote(seed=SEED), seed=SEED)
         cache = engine.cache
-        assert cache.arena is not None
+        arena = cache.sine.index.arena
         element = cache.insert(Query("topic one", fact_id="F"), fetch(), 0.0)
-        assert element.arena_slot is not None
-        in_use = len(cache.arena)
+        assert element.arena_slot in arena
+        in_use = len(arena)
         cache.remove(element.element_id)
         assert element.arena_slot is None
-        assert len(cache.arena) == in_use - 1
+        assert len(arena) == in_use - 1
 
     def test_wrapping_backend_unwraps_to_innermost(self, tmp_path):
-        inner = InProcessBackend()
+        inner = make_cache().backend
         wrapped = journaled(journaled(inner, tmp_path), tmp_path)
         assert wrapped.inner.inner is inner
         assert isinstance(wrapped, WrappingBackend)
@@ -132,18 +129,6 @@ class TestProtocolConformance:
         assert len(cache) == 1
         cache.insert(Query("topic two", fact_id="G"), fetch(), 1.0)
         assert logged.writer.seq > 0
-
-    def test_backend_and_arena_are_exclusive(self):
-        from repro.core.arena import EmbeddingArena
-
-        embedder = HashingEmbedder(seed=7)
-        sine = Sine(embedder, FlatIndex(embedder.dim), SimulatedJudger(seed=3))
-        with pytest.raises(ValueError):
-            AsteriaCache(
-                sine,
-                arena=EmbeddingArena(embedder.dim),
-                backend=InProcessBackend(),
-            )
 
 
 class TestEngineConstruction:
